@@ -3,13 +3,15 @@
 // perf trajectory can be tracked across commits.
 //
 // It measures the kernel microbenchmark (ns/event, allocs/event,
-// events/sec for a Schedule+dispatch cycle), the transaction data plane's
-// allocation behavior (allocs/txn overall and per subsystem, measured
-// with an exact memory profile over a steady-state hot-stock run), a
-// hot-stock run's event throughput, the wall-clock time of the Figure 1 +
-// Figure 2 sweeps at the chosen scale and parallelism, and the parallel
-// LP engine on a linked message workload (window count, average LP
-// occupancy, and speedup against its own sequential reference).
+// events/sec for a Schedule+dispatch cycle), the process handoff (ns per
+// switch between two processes over two channels), the transaction data
+// plane's allocation behavior (allocs/txn overall and per subsystem,
+// measured with an exact memory profile over a steady-state hot-stock
+// run), a hot-stock run's event throughput and process switches per
+// event, the wall-clock time of the Figure 1 + Figure 2 sweeps at the
+// chosen scale and parallelism, and the parallel LP engine on a linked
+// message workload (window count, average LP occupancy, and speedup
+// against its own sequential reference).
 //
 // Usage:
 //
@@ -18,13 +20,14 @@
 //	simbench -compare BENCH_kernel.json
 //
 // The -compare mode re-measures the machine-independent-ish gate metrics
-// (kernel ns/event and allocs/event, data-plane allocs/txn and bytes/txn,
-// plus the parallel engine's wall time against its own sequential
-// reference) and exits non-zero if any regressed more than 20% against
-// the baseline file. Allocation counts are deterministic; ns/event is wall-clock and
-// the 20% margin absorbs benchmark jitter, but comparing a baseline
-// recorded on a very different machine can still misfire — regenerate the
-// baseline where the gate runs.
+// (kernel ns/event and allocs/event, handoff ns/switch, data-plane
+// allocs/txn and bytes/txn, plus the parallel engine's wall time against
+// its own sequential reference) and exits non-zero if any regressed more
+// than 20% against the baseline file. Allocation counts are deterministic;
+// ns/event and ns/switch are wall-clock and the 20% margin absorbs
+// benchmark jitter, but comparing a baseline recorded on a very different
+// machine can still misfire — regenerate the baseline where the gate runs
+// (the file records nproc and GOMAXPROCS).
 package main
 
 import (
@@ -48,22 +51,29 @@ import (
 // report is the JSON document simbench writes.
 type report struct {
 	GoVersion  string `json:"go_version"`
+	NumCPU     int    `json:"nproc"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Timestamp  string `json:"timestamp"`
 
 	// Kernel is the raw Schedule+dispatch cycle cost.
 	Kernel kernelStats `json:"kernel"`
 
+	// Handoff is the cost of getting from one process into another.
+	Handoff handoffStats `json:"handoff"`
+
 	// Txn is the transaction data plane's allocation behavior at steady
 	// state (pools warm), from an exact (MemProfileRate=1) profile.
 	Txn txnStats `json:"txn"`
 
 	// HotStock is a full-stack measurement: one smoke-scale hot-stock run
-	// (disk mode), events dispatched per wall-clock second.
+	// (disk mode), events dispatched per wall-clock second and how many
+	// of them cost a process switch.
 	HotStock struct {
-		Events       uint64  `json:"events"`
-		WallSeconds  float64 `json:"wall_seconds"`
-		EventsPerSec float64 `json:"events_per_sec"`
+		Events           uint64  `json:"events"`
+		Switches         uint64  `json:"switches"`
+		SwitchesPerEvent float64 `json:"switches_per_event"`
+		WallSeconds      float64 `json:"wall_seconds"`
+		EventsPerSec     float64 `json:"events_per_sec"`
 	} `json:"hotstock"`
 
 	// Sweep is the experiment harness's wall time at the chosen settings.
@@ -128,6 +138,15 @@ type kernelStats struct {
 	EventsPerSec   float64 `json:"events_per_sec"`
 }
 
+// handoffStats is the ping-pong microbenchmark: two processes exchanging
+// a token over two sim.Chans, so every wake-up event lands on the other
+// process. NsPerSwitch is wall time per Engine.SwitchesExecuted — the
+// wake-up event's dispatch plus the two coroutine switches (out of the
+// parking process, into the woken one).
+type handoffStats struct {
+	NsPerSwitch float64 `json:"ns_per_switch"`
+}
+
 type txnStats struct {
 	Txns         int     `json:"txns"`
 	AllocsPerTxn float64 `json:"allocs_per_txn"`
@@ -168,9 +187,11 @@ func main() {
 
 	var rep report
 	rep.GoVersion = runtime.Version()
+	rep.NumCPU = runtime.NumCPU()
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.Timestamp = time.Now().UTC().Format(time.RFC3339)
 	rep.Kernel = measureKernel()
+	rep.Handoff = measureHandoff()
 	rep.Txn = measureTxn(*seed)
 	rep.Parallel = measureParallel(*seed)
 	rep.Partitioned = measurePartitioned(*seed)
@@ -179,12 +200,16 @@ func main() {
 	opts := ods.DefaultOptions()
 	opts.Seed = *seed
 	start := time.Now()
-	hr := hotstock.Run(opts, hotstock.Params{
+	s := ods.Build(opts)
+	hr := hotstock.RunOn(s, hotstock.Params{
 		Drivers: 1, RecordsPerDriver: bench.Smoke.RecordsPerDriver,
 		InsertsPerTxn: 8, RecordBytes: 4096,
 	})
+	rep.HotStock.Switches = s.Eng.SwitchesExecuted()
+	s.Shutdown()
 	wall := time.Since(start).Seconds()
 	rep.HotStock.Events = hr.Events
+	rep.HotStock.SwitchesPerEvent = float64(rep.HotStock.Switches) / float64(hr.Events)
 	rep.HotStock.WallSeconds = wall
 	if wall > 0 {
 		rep.HotStock.EventsPerSec = float64(hr.Events) / wall
@@ -216,8 +241,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s: kernel %.1f ns/event (%.0f allocs), %.1f allocs/txn, %s sweep %.2fs at parallel=%d, LP cluster %.2fx at %d workers (%d windows, %.1f LPs/window)\n",
-		*out, rep.Kernel.NsPerEvent, rep.Kernel.AllocsPerEvent, rep.Txn.AllocsPerTxn,
+	fmt.Printf("wrote %s: kernel %.1f ns/event (%.0f allocs), handoff %.1f ns/switch, hot-stock %.3f switches/event, %.1f allocs/txn, %s sweep %.2fs at parallel=%d, LP cluster %.2fx at %d workers (%d windows, %.1f LPs/window)\n",
+		*out, rep.Kernel.NsPerEvent, rep.Kernel.AllocsPerEvent, rep.Handoff.NsPerSwitch,
+		rep.HotStock.SwitchesPerEvent, rep.Txn.AllocsPerTxn,
 		sc.Name, rep.Sweep.TotalWallS, rep.Sweep.Parallelism,
 		rep.Parallel.Speedup, rep.Parallel.Workers, rep.Parallel.Windows, rep.Parallel.AvgLPOccupancy)
 	for _, c := range rep.Partitioned.Cells {
@@ -380,6 +406,36 @@ func measureKernel() kernelStats {
 	return ks
 }
 
+// measureHandoff times the cross-process switch: two processes bounce a
+// token over two channels, so neither ever wakes itself.
+func measureHandoff() handoffStats {
+	var switches uint64
+	hr := testing.Benchmark(func(b *testing.B) {
+		e := sim.NewEngine(1)
+		ping, pong := e.NewChan("ping"), e.NewChan("pong")
+		e.Spawn("ping", func(p *sim.Proc) {
+			for i := 0; i < b.N; i++ {
+				ping.Send(p, nil)
+				pong.Recv(p)
+			}
+		})
+		e.Spawn("pong", func(p *sim.Proc) {
+			for i := 0; i < b.N; i++ {
+				ping.Recv(p)
+				pong.Send(p, nil)
+			}
+		})
+		b.ResetTimer()
+		e.Run()
+		b.StopTimer()
+		switches = e.SwitchesExecuted()
+		e.Shutdown()
+	})
+	// The last Benchmark call is the one hr reports, so switches pairs
+	// with hr.T.
+	return handoffStats{NsPerSwitch: float64(hr.T.Nanoseconds()) / float64(switches)}
+}
+
 // measureTxn profiles the data plane's steady-state allocation rate: one
 // warmup hot-stock pass fills the engine and subsystem free lists, then a
 // second pass runs under an exact memory profile and the per-bucket
@@ -492,6 +548,7 @@ func runCompare(path string, seed int64) int {
 	}
 
 	kernel := measureKernel()
+	handoff := measureHandoff()
 	txn := measureTxn(seed)
 	par := measureParallel(seed)
 	part := measurePartitioned(seed)
@@ -503,6 +560,11 @@ func runCompare(path string, seed int64) int {
 		// measured now, so it fails exactly when the LP cluster runs >20%
 		// slower than its own sequential reference on this machine.
 		{"parallel.wall_ms_vs_seq", par.SequentialWallS * 1e3, par.ParallelWallS * 1e3, 5},
+	}
+	if base.Handoff.NsPerSwitch > 0 {
+		metrics = append(metrics, gateMetric{"handoff.ns_per_switch", base.Handoff.NsPerSwitch, handoff.NsPerSwitch, 0})
+	} else {
+		fmt.Printf("note: %s has no handoff section; skipping the process-switch gate\n", path)
 	}
 	if base.Txn.Txns > 0 {
 		metrics = append(metrics,

@@ -241,10 +241,18 @@ func RunAnalyzers(t *Target, analyzers []*Analyzer, report func(Diagnostic)) err
 	return nil
 }
 
-// calleeFunc resolves the called function or method of a call expression,
-// or nil for builtins, conversions, and indirect calls through variables.
+// calleeFunc resolves the called function or method of a call expression
+// (explicit type arguments stripped), or nil for builtins, conversions, and
+// indirect calls through variables.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
 			return f

@@ -14,9 +14,10 @@ import (
 // to internal/bench's worker pool (one engine per goroutine, sharing
 // nothing), which is exempted via Classify.
 //
-// The kernel's own coroutine machinery (internal/sim/proc.go) necessarily
-// uses goroutines and channels to implement park/resume; those few sites
-// carry //simlint:allow goroutine directives with justifications.
+// iter.Pull and iter.Pull2 count as go statements: each call starts a
+// goroutine for the iterator. The kernel's own coroutine machinery
+// (internal/sim/proc.go) is built on exactly that; its one call site
+// carries a //simlint:allow goroutine directive with the justification.
 //
 // A package whose package clause carries //simlint:parallel-engine is a
 // sanctioned parallel-simulation runtime (internal/sim/parallel): its
@@ -27,8 +28,8 @@ import (
 // the nondeterminism the barrier protocol exists to exclude.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
-	Doc: "forbid go statements, select, sync primitives, and real channels " +
-		"inside virtual-time kernel and model code",
+	Doc: "forbid go statements, iter.Pull, select, sync primitives, and real " +
+		"channels inside virtual-time kernel and model code",
 	Run: runGoroutine,
 }
 
@@ -72,6 +73,10 @@ func runGoroutine(p *Pass) error {
 				if pe {
 					return true
 				}
+				if isIterPull(p.Info, n) {
+					p.Reportf(n.Pos(), "iter.Pull starts an OS-scheduled goroutine for the iterator inside virtual-time code; use Engine.Spawn to create a simulated process")
+					return true
+				}
 				id, ok := ast.Unparen(n.Fun).(*ast.Ident)
 				if !ok || id.Name != "make" {
 					return true
@@ -89,4 +94,10 @@ func runGoroutine(p *Pass) error {
 		})
 	}
 	return nil
+}
+
+// isIterPull reports whether call invokes iter.Pull or iter.Pull2.
+func isIterPull(info *types.Info, call *ast.CallExpr) bool {
+	f := calleeFunc(info, call)
+	return f != nil && f.Pkg() != nil && f.Pkg().Path() == "iter" && (f.Name() == "Pull" || f.Name() == "Pull2")
 }

@@ -30,10 +30,10 @@ type event struct {
 	// fn is the generic callback (ad-hoc Schedule calls).
 	fn func()
 
-	// p/id describe a process start or wake-up: resume p if its park stamp
-	// still matches id, delivering (val, ok) to the parked operation.
+	// p/id describe a process start or wake-up: continue p if its park
+	// stamp still matches id, delivering (val, ok) to the parked operation.
 	// indirect wake-ups re-enqueue behind already-queued same-time events
-	// instead of resuming inline (the timeout semantics of the waiter
+	// instead of waking inline (the timeout semantics of the waiter
 	// queues).
 	p        *Proc
 	id       uint64
@@ -54,12 +54,13 @@ type TraceFunc func(at Time, format string, args ...interface{})
 // independent simulations may run on concurrent OS threads (one engine per
 // goroutine), which is what the bench harness's worker pool does.
 //
-// Scheduling is direct-handoff: the dispatch loop (advance) is a baton that
-// migrates across goroutines. A process that parks runs the loop itself, so
-// a self-wake (Wait with nothing interleaved) costs zero goroutine switches
-// and a cross-process handoff costs one instead of the two a central
-// dispatcher pays. Exactly one goroutine is ever runnable, so the schedule
-// stays deterministic and data-race-free.
+// Processes run on runtime coroutines (iter.Pull) and the dispatch loop
+// (advance) migrates across them: a process that parks runs the loop itself,
+// so a self-wake (Wait with nothing interleaved) costs zero switches. When
+// the loop reaches another process, the parking one yields to runLoop, which
+// switches into the other: two coroutine switches that never enter the Go
+// scheduler. Exactly one stack is ever running, so the schedule stays
+// deterministic and data-race-free.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -70,6 +71,8 @@ type Engine struct {
 	seed   int64
 	trace  TraceFunc
 	events uint64 // events dispatched over the engine's lifetime
+	// switches counts the times runLoop switched into a process.
+	switches uint64
 
 	// sigfree recycles Signals through NewSignal/FreeSignal so the
 	// call/reply hot path stops allocating one per request.
@@ -91,10 +94,13 @@ type Engine struct {
 	// stopped is set by Stop; Run returns at the next event boundary.
 	stopped bool
 
-	// baton returns dispatch control to the run-loop caller when a
-	// goroutine holding the loop finds the run is over (queue drained,
-	// deadline or event budget reached, or Stop called).
-	baton chan struct{}
+	// to is the yielding coroutine's message to runLoop: the process to
+	// switch into next, nil when the run is over (queue drained, deadline
+	// or event budget reached, or Stop called).
+	to *Proc
+	// idle holds the coroutines whose process has finished, ready for the
+	// next process to start (see coro).
+	idle []*coro
 	// deadline and limit bound the current run: advance dispatches no
 	// event beyond the deadline and no more than limit events total.
 	deadline Time
@@ -111,7 +117,6 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{
 		procs: make(map[*Proc]struct{}),
 		seed:  seed,
-		baton: make(chan struct{}), //simlint:allow goroutine -- coroutine machinery: loop-to-caller rendezvous
 	}
 }
 
@@ -135,6 +140,13 @@ func (e *Engine) Seed() int64 { return e.seed }
 // since creation — the kernel-work measure benchmarks report ns/event and
 // allocs/event against.
 func (e *Engine) EventsExecuted() uint64 { return e.events }
+
+// SwitchesExecuted returns the number of times the run loop has switched
+// into a process since creation. Each costs two coroutine switches (in and,
+// at the process's next yield, out); a process that wakes itself, or starts
+// on the coroutine of the one that just finished, costs none. Against
+// EventsExecuted it says how much of a run's host time is process switching.
+func (e *Engine) SwitchesExecuted() uint64 { return e.switches }
 
 // SetTrace installs fn as the kernel trace sink; nil disables tracing.
 func (e *Engine) SetTrace(fn TraceFunc) { e.trace = fn }
@@ -314,14 +326,13 @@ func (e *Engine) scheduleWake(at Time, p *Proc, id uint64, val interface{}, ok, 
 	e.push(event{at: at, seq: e.seq, p: p, id: id, val: val, ok: ok, indirect: indirect})
 }
 
-// advance runs the dispatch loop on the calling goroutine — the heart of
-// the direct-handoff scheduler. Events pop in exact (at, seq) order and
-// execute until the deadline, the event budget, a Stop, or queue
-// exhaustion ends the run, or until an event resumes a process other than
-// the caller. The return value is where control must go next: self means
-// the calling process was woken and simply continues inline (zero
-// switches); any other process must be handed the baton; nil means the run
-// is over and the baton goes back to the run-loop caller.
+// advance runs the dispatch loop on the calling stack. Events pop in exact
+// (at, seq) order and execute until the deadline, the event budget, a Stop,
+// or queue exhaustion ends the run, or until an event wakes or starts a
+// process. The return value is where control must go next: self means the
+// calling process was woken and simply continues inline (zero switches);
+// any other process must be switched into (one that has just started has
+// no coroutine yet); nil means the run is over.
 //
 //simlint:hotpath
 func (e *Engine) advance(self *Proc) *Proc {
@@ -351,7 +362,7 @@ func (e *Engine) advance(self *Proc) *Proc {
 			continue // stale wake-up
 		}
 		if ev.indirect {
-			// Requeue as a direct wake at the current time so the resume
+			// Requeue as a direct wake at the current time so the wake-up
 			// lands behind events already queued for this instant.
 			e.scheduleWake(e.now, p, ev.id, ev.val, ev.ok, false)
 			continue
@@ -364,40 +375,30 @@ func (e *Engine) advance(self *Proc) *Proc {
 	return nil
 }
 
-// handoff transfers the dispatch baton to process next's goroutine, or
-// back to the run-loop caller when next is nil.
-//
-//simlint:hotpath
-func (e *Engine) handoff(next *Proc) {
-	if next != nil {
-		next.resume <- struct{}{} //simlint:allow goroutine -- coroutine machinery: baton handoff
-		return
-	}
-	e.baton <- struct{}{} //simlint:allow goroutine -- coroutine machinery: baton handoff
-}
-
 // runLoop drives one run: it dispatches inline until control must enter a
-// process goroutine, hands the baton over, and waits for it to come back
-// when the run is over. Re-entry from inside a dispatched event is a
-// protocol violation (the nested loop could try to resume the process
-// whose goroutine it is borrowing) and panics.
+// process, switches into it, and when that coroutine yields switches into
+// the process it names, until one reports the run over. Re-entry from
+// inside a dispatched event is a protocol violation (the nested loop could
+// try to switch into the process whose stack it is borrowing) and panics.
+// A panic in simulation code arrives here through next(), so running is
+// cleared by a defer and the engine can still be inspected and shut down.
 func (e *Engine) runLoop(deadline Time, limit uint64) {
 	if e.running {
 		panic("sim: Run/RunUntil/Step re-entered from inside a dispatched event")
 	}
 	e.running = true
+	defer func() { e.running = false }()
 	e.stopped = false
 	e.deadline = deadline
 	e.limit = limit
-	for {
-		next := e.advance(nil)
-		if next == nil {
-			break
+	for next := e.advance(nil); next != nil; next = e.to {
+		c := next.co
+		if c == nil {
+			c = e.coroFor(next)
 		}
-		next.resume <- struct{}{} //simlint:allow goroutine -- coroutine machinery: baton handoff
-		<-e.baton                 //simlint:allow goroutine -- coroutine machinery: baton return
+		e.switches++
+		c.next()
 	}
-	e.running = false
 }
 
 // After runs fn after duration d of virtual time.
@@ -475,15 +476,20 @@ func (e *Engine) BlockedProcs() []string {
 	return names
 }
 
-// Shutdown kills every live process in spawn order and drains their
-// unwinding. Kill order is schedule-visible (each kill enqueues a wake-up
-// and fires exit hooks), so it must not depend on map iteration order. The
-// engine can still be inspected afterwards but should not be reused for
-// new work.
+// Shutdown kills every live process in spawn order, drains their unwinding
+// and releases the coroutines they ran on. Kill order is schedule-visible
+// (each kill enqueues a wake-up and fires exit hooks), so it must not depend
+// on map iteration order. The engine can still be inspected afterwards but
+// should not be reused for new work.
 func (e *Engine) Shutdown() {
 	for _, p := range e.liveProcs() {
 		p.Kill()
 	}
 	// Run only the kill wake-ups; they were scheduled "now".
 	e.RunUntil(e.now)
+	// An idle coroutine is a parked goroutine the collector never frees.
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
 }

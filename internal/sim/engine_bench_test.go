@@ -51,8 +51,8 @@ func BenchmarkEngineScheduleDispatchDeep(b *testing.B) {
 	b.ReportMetric(float64(e.EventsExecuted())/float64(b.N), "events/op")
 }
 
-// BenchmarkProcWaitLoop measures the process path: one Wait park/resume
-// cycle per iteration (Schedule + dispatch + goroutine handshake).
+// BenchmarkProcWaitLoop measures the process path: one Wait park/wake
+// cycle per iteration (Schedule + dispatch; a self-wake, so no switch).
 func BenchmarkProcWaitLoop(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procState tracks where a process is in its lifecycle.
 type procState int
@@ -14,23 +17,21 @@ const (
 )
 
 // killSentinel is the panic value used to unwind a killed process. It is
-// recovered at the top of the process goroutine and never escapes.
+// recovered around the process body and never escapes.
 type killSentinel struct{ name string }
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// deterministically by the Engine. All blocking methods (Wait, channel and
-// resource operations) must be called only from within the process's own
-// body function.
+// Proc is a simulated process: a body function running on a runtime
+// coroutine, interleaved deterministically by the Engine. All blocking
+// methods (Wait, channel and resource operations) must be called only from
+// within the process's own body function.
 type Proc struct {
 	eng  *Engine
 	name string
 	id   uint64
 
-	// resume delivers the dispatch baton to the process goroutine. The
-	// reverse direction needs no per-process channel: a parking process
-	// hands the baton straight to the next runnable process (or back to
-	// the run-loop caller via Engine.baton).
-	resume chan struct{}
+	// co is the coroutine the body runs on: nil until the process first
+	// runs and again once it has finished.
+	co *coro
 
 	state   procState
 	killed  bool
@@ -61,11 +62,10 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 func (e *Engine) SpawnAt(at Time, name string, body func(p *Proc)) *Proc {
 	e.nprocs++
 	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     e.nprocs,
-		resume: make(chan struct{}), //simlint:allow goroutine -- coroutine machinery: baton delivery
-		body:   body,
+		eng:  e,
+		name: name,
+		id:   e.nprocs,
+		body: body,
 	}
 	e.procs[p] = struct{}{}
 	// The start is a wake-shaped event carrying startEventID, so spawning
@@ -99,9 +99,10 @@ func (p *Proc) Done() bool { return p.state == procDone }
 // OnExit registers fn to run when the process finishes or is killed.
 func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
 
-// startProc handles a start event: it launches p's goroutine primed to
-// receive the baton and reports true (the dispatcher must transfer control
-// to p), or retires a process killed before it ever ran and reports false.
+// startProc handles a start event: it marks p running and reports true (the
+// dispatcher must transfer control to p, which whoever switches to it gives
+// a coroutine), or retires a process killed before it ever ran and reports
+// false.
 func (e *Engine) startProc(p *Proc) bool {
 	if p.killed || p.started {
 		// Killed before it ever ran: just retire it.
@@ -117,42 +118,96 @@ func (e *Engine) startProc(p *Proc) bool {
 	p.started = true
 	p.state = procRunning
 	e.cur = p
-	e.launch(p)
 	return true
 }
 
-// launch starts the goroutine backing p. The goroutine waits for the
-// dispatch baton, runs the body, and keeps the dispatch loop going when
-// the body finishes: retirement is followed directly by advance, so a
-// process exit costs one goroutine switch instead of two. The park/resume
-// rendezvous keeps exactly one goroutine runnable at a time, so scheduling
-// stays deterministic.
-func (e *Engine) launch(p *Proc) {
-	//simlint:allow goroutine -- coroutine machinery: see comment above
-	go func() {
-		<-p.resume //simlint:allow goroutine -- coroutine machinery: baton delivery
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					if p.state == procBlocked {
-						// The panic unwound out of the dispatch loop run
-						// inside park(), not out of the body: some other
-						// event's code panicked while borrowing this
-						// goroutine. Re-raise it untouched.
-						panic(r)
-					}
-					// Real panic from simulation code: surface it with
-					// process identity, then crash the test/program.
-					panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+// coro is one runtime coroutine (iter.Pull) that process bodies run on, one
+// after another. Creating one costs about ten allocations more than a bare
+// goroutine and some layers spawn a process per transaction, so a coroutine
+// whose body has finished goes onto the engine's idle list and serves the
+// next process to start; Engine.Shutdown stops the idle ones.
+type coro struct {
+	eng   *Engine
+	next  func() (struct{}, bool) // run loop -> coroutine
+	stop  func()
+	yield func(struct{}) bool // coroutine -> run loop
+	p     *Proc               // the process whose body runs next
+}
+
+// coroFor binds p to an idle coroutine, or to a new one when none is idle.
+func (e *Engine) coroFor(p *Proc) *coro {
+	var c *coro
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = &coro{eng: e}
+		// The coroutine is a goroutine, but only ever entered by next() from
+		// the run loop and left by yield(): the runtime switches the two
+		// directly, without its scheduler, so exactly one of them runs.
+		c.next, c.stop = iter.Pull(c.run) //simlint:allow goroutine -- coroutine machinery: the one place a process stack is created
+	}
+	c.p, p.co = p, c
+	return c
+}
+
+// run is the coroutine's function: it runs the body of the process bound to
+// it and, when the body finishes, keeps the dispatch loop going on the same
+// stack. If the loop's next step is a process start, that process runs right
+// here with no switch at all; otherwise the coroutine goes idle and yields
+// the next process to the run loop.
+func (c *coro) run(yield func(struct{}) bool) {
+	c.yield = yield
+	e := c.eng
+	for {
+		c.p.runBody()
+		next := e.advance(nil)
+		if next != nil && next.co == nil {
+			c.p, next.co = next, c
+			continue
+		}
+		c.p = nil // an idle coroutine must not keep a finished process's closure alive
+		e.idle = append(e.idle, c)
+		e.to = next
+		if !yield(struct{}{}) {
+			return // stopped by Shutdown
+		}
+	}
+}
+
+// runBody runs p's body to completion. A kill unwinds the body with a
+// killSentinel panic, recovered here so that the coroutine survives its
+// process. Any other panic destroys the stack: p is dropped from the live
+// set without running its exit hooks, and the panic travels on through
+// next() to whoever called Run. So does a runtime.Goexit (t.FailNow) in
+// the body, once p has retired.
+func (p *Proc) runBody() {
+	defer func() {
+		e := p.eng
+		p.co = nil
+		e.cur = nil
+		if r := recover(); r != nil {
+			if _, ok := r.(killSentinel); !ok {
+				blocked := p.state == procBlocked
+				p.state = procDone
+				delete(e.procs, p)
+				if blocked {
+					// The panic unwound out of the dispatch loop run
+					// inside park(), not out of the body: some other
+					// event's code panicked while borrowing this stack.
+					// Re-raise it untouched.
+					panic(r)
 				}
+				// Real panic from simulation code: surface it with
+				// process identity.
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 			}
-			p.state = procDone
-			e.cur = nil
-			e.retire(p)
-			e.handoff(e.advance(nil))
-		}()
-		p.body(p)
+		}
+		p.state = procDone
+		e.retire(p)
 	}()
+	p.body(p)
 }
 
 // retire removes a finished process from the live set and fires exit hooks.
@@ -168,26 +223,26 @@ func (e *Engine) retire(p *Proc) {
 }
 
 // park blocks the calling process until a wake-up with the current blockID
-// arrives. It must be called from within the process goroutine. The
-// parking goroutine runs the dispatch loop itself: if the very next
-// runnable event is its own wake-up it continues with zero goroutine
-// switches, otherwise it hands the baton to the next runnable process (or
-// the run-loop caller) and sleeps until resumed.
+// arrives. It must be called from within the process body. The parking
+// process runs the dispatch loop itself: if the very next runnable event is
+// its own wake-up it continues with zero switches, otherwise it names the
+// next runnable process (nil when the run is over) and yields to the run
+// loop, which switches to that process and, some run, back to this one.
 //
 //simlint:hotpath
 func (p *Proc) park() {
 	p.state = procBlocked
 	e := p.eng
 	if next := e.advance(p); next != p {
-		e.handoff(next)
-		<-p.resume //simlint:allow goroutine -- coroutine machinery: baton delivery
+		e.to = next
+		p.co.yield(struct{}{})
 	}
 	if p.killed {
 		panic(killSentinel{p.name})
 	}
 }
 
-// wake schedules process p to resume at the current virtual time if its
+// wake schedules process p to continue at the current virtual time if its
 // park stamp still matches id. The value v (with ok) is delivered to the
 // parked operation.
 //
@@ -267,7 +322,7 @@ func (p *Proc) Kill() {
 		// park() sees killed and unwinds when the wake steps it.
 		e.scheduleWake(e.now, p, p.blockID, nil, false, false)
 	}
-	// If running, the next park/resume observes killed.
+	// If running, the next park observes killed.
 }
 
 // Killed reports whether Kill has been called on the process.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -57,5 +58,48 @@ func TestShutdownRunToRunIdentical(t *testing.T) {
 		if !reflect.DeepEqual(e1, e2) {
 			t.Fatalf("run %d: exit order diverged: %v vs %v", run, e1, e2)
 		}
+	}
+}
+
+// TestShutdownReleasesCoroutines: every coroutine an engine created is a
+// goroutine that only Shutdown can end — finished processes leave theirs
+// idle for reuse, and the collector never frees a parked goroutine. A sweep
+// builds thousands of engines, so after Shutdown none may remain.
+func TestShutdownReleasesCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		e := NewEngine(int64(i))
+		ch := e.NewChan("work")
+		for w := 0; w < 4; w++ {
+			e.Spawn("server", func(p *Proc) { // blocked for good: Shutdown kills it
+				for {
+					ch.Recv(p)
+				}
+			})
+		}
+		e.Spawn("client", func(p *Proc) {
+			for k := 0; k < 8; k++ {
+				// Transient processes that overlap, so several coroutines
+				// are alive at once and go idle when they retire.
+				e.Spawn("txn", func(q *Proc) {
+					q.Wait(5)
+					ch.Send(q, k)
+				})
+				p.Wait(2)
+			}
+		})
+		e.Run()
+		if len(e.idle) == 0 {
+			t.Fatal("no idle coroutine before Shutdown; the test exercises nothing")
+		}
+		e.Shutdown()
+		if e.LiveProcs() != 0 || len(e.idle) != 0 {
+			t.Fatalf("engine %d after Shutdown: %d live processes, %d idle coroutines", i, e.LiveProcs(), len(e.idle))
+		}
+	}
+	// More is a leak; fewer only means an earlier test's goroutine has
+	// finished exiting in the meantime.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before, %d after 200 engines were shut down", before, after)
 	}
 }

@@ -222,16 +222,32 @@ func TestProcKillBlocked(t *testing.T) {
 }
 
 func TestProcKillBeforeStart(t *testing.T) {
-	e := NewEngine(1)
-	ran := false
-	p := e.SpawnAt(100, "late", func(p *Proc) { ran = true })
-	p.Kill()
-	e.Run()
-	if ran {
-		t.Error("killed-before-start process still ran")
-	}
-	if e.LiveProcs() != 0 {
-		t.Errorf("LiveProcs() = %d, want 0", e.LiveProcs())
+	for _, idle := range []int{0, 1} {
+		e := NewEngine(1)
+		if idle > 0 {
+			// A finished process leaves its coroutine idle; the cancelled
+			// start below must not take it.
+			e.Spawn("early", func(p *Proc) {})
+			e.Run()
+		}
+		if len(e.idle) != idle {
+			t.Fatalf("idle coroutines = %d, want %d", len(e.idle), idle)
+		}
+		ran := false
+		p := e.SpawnAt(100, "late", func(p *Proc) { ran = true })
+		p.Kill()
+		switches := e.SwitchesExecuted()
+		e.Run()
+		if ran {
+			t.Error("killed-before-start process still ran")
+		}
+		if e.LiveProcs() != 0 {
+			t.Errorf("LiveProcs() = %d, want 0", e.LiveProcs())
+		}
+		if len(e.idle) != idle || p.co != nil || e.SwitchesExecuted() != switches {
+			t.Errorf("cancelled start took a coroutine: idle %d (want %d), co %v, %d switches",
+				len(e.idle), idle, p.co, e.SwitchesExecuted()-switches)
+		}
 	}
 }
 
