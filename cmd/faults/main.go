@@ -17,12 +17,10 @@ import (
 
 	"persistmem/internal/avail"
 	"persistmem/internal/bench"
-	"persistmem/internal/cluster"
 	"persistmem/internal/faultinject"
 	"persistmem/internal/ods"
 	"persistmem/internal/recovery"
 	"persistmem/internal/sim"
-	simparallel "persistmem/internal/sim/parallel"
 	"persistmem/internal/tmf"
 )
 
@@ -152,21 +150,11 @@ func main() {
 		paceMs   = flag.Int("pace", 20, "milliseconds of think time before each transaction")
 		chaos    = flag.Int("chaos", 2, "random chaos plans appended to the matrix (0 disables)")
 		parallel = flag.Int("parallel", 0, "cells simulated concurrently (0 = one per CPU, 1 = sequential); output is identical at any setting")
-		engine   = flag.String("engine", "sequential", "cell execution engine: sequential (pool workers) or parallel (conservative LP cluster); output is identical on either")
 		nines    = flag.Int("nines", 5, "availability class the MTTR budget is derived from")
 		mtbfDays = flag.Int("mtbf-days", 30, "assumed mean time between failures, in days")
-		nodeLPs  = flag.Int("node-lps", 0, "run the partitioned volume-fault demo cell on this many LP workers instead of the matrix; output is identical at 1, 2 and 4")
 		violPath = flag.String("violations", "", "write every cell's failed invariants and history-checker violations to this file; an empty file proves the matrix ran clean (the CI artifact gate)")
 	)
 	flag.Parse()
-	if *nodeLPs > 0 {
-		os.Exit(runPartitionedDemo(*seed, *nodeLPs))
-	}
-	eng, err := bench.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	pace := sim.Time(*paceMs) * sim.Millisecond
 	mtbf := sim.Time(*mtbfDays) * 24 * sim.Time(time.Hour)
 	budget := avail.MTTRBudget(mtbf, *nines)
@@ -224,7 +212,7 @@ func main() {
 	// history-based atomicity/serializability checker — every cell runs
 	// the checker, not just the cross-shard ones. Each cell writes only
 	// its own fields, so verdicts assemble identically at any
-	// parallelism and on either engine.
+	// parallelism.
 	judge := func(c *cell, res *faultinject.Result) {
 		rep, rb, err := res.Recover(recovery.Options{})
 		if err != nil {
@@ -247,23 +235,7 @@ func main() {
 		c.bytesRead = rep.BytesRead
 		res.Store.Eng.Shutdown()
 	}
-	if eng == bench.EngineParallel {
-		// Crash every scenario in one conservative cluster run — the cells
-		// never interact, so the cluster's single Unbounded window drains
-		// them all — then recover and grade each on the pool.
-		pends := make([]*faultinject.Pending, len(cells))
-		for i, c := range cells {
-			pends[i] = faultinject.Start(scenario(c))
-		}
-		cl := simparallel.New(simparallel.Unbounded)
-		for _, pd := range pends {
-			cl.AddLP(pd.Engine(), nil)
-		}
-		cl.Run(bench.EffectiveParallelism(*parallel))
-		bench.ForEach(*parallel, len(cells), func(i int) { judge(cells[i], pends[i].Result()) })
-	} else {
-		bench.ForEach(*parallel, len(cells), func(i int) { judge(cells[i], faultinject.Run(scenario(cells[i]))) })
-	}
+	bench.ForEach(*parallel, len(cells), func(i int) { judge(cells[i], faultinject.Run(scenario(cells[i]))) })
 
 	fmt.Printf("fault matrix: %d cells, %d txns/cell, seed %d\n", len(cells), *txns, *seed)
 	fmt.Printf("MTTR budget: %v (%d nines at %d-day MTBF)\n\n", budget, *nines, *mtbfDays)
@@ -299,67 +271,4 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// runPartitionedDemo is the intra-run partitioning fault cell: one
-// partitioned store whose data volume 0 fails mid-run and is restored, a
-// paced client per CPU, and a deterministic outcome table. The fail and
-// restore are scheduled before the run starts, at absolute virtual times
-// on the volume's owner engine (data volume 0 lives on node 0), so they
-// order against node-0 events identically at every partition count — the
-// printed table must be byte-identical at -node-lps 1, 2 and 4, which is
-// exactly what scripts/check.sh holds it to. The partition count itself
-// is deliberately absent from the output.
-func runPartitionedDemo(seed int64, nodeLPs int) int {
-	opts := ods.DefaultOptions()
-	opts.Seed = seed
-	opts.NodeLPs = nodeLPs
-	opts.Durability = ods.DiskDurability
-	s := ods.Build(opts)
-	defer s.Shutdown()
-
-	const failAt, restoreAt = 50 * sim.Millisecond, 200 * sim.Millisecond
-	eng0 := s.Cl.EngineFor(0)
-	eng0.Schedule(failAt, func() { s.DataVolumes[0].Fail() })
-	eng0.Schedule(restoreAt, func() { s.DataVolumes[0].Restore() })
-
-	const clientTxns = 12
-	pace := 20 * sim.Millisecond
-	file := s.Opts.Files[0].Name
-	logs := make([]string, s.Opts.CPUs)
-	for i := 0; i < s.Opts.CPUs; i++ {
-		i := i
-		s.Cl.CPU(i).Spawn(fmt.Sprintf("demo-client%d", i), func(p *cluster.Process) {
-			se := s.NewSession(p)
-			body := make([]byte, 1024)
-			for k := 0; k < clientTxns; k++ {
-				p.Wait(pace)
-				tx, err := se.Begin()
-				if err != nil {
-					logs[i] += fmt.Sprintf("  t=%v begin err=%v\n", p.Now(), err)
-					continue
-				}
-				key := uint64(i*1000 + k)
-				if err := tx.InsertAsync(file, key, body); err != nil {
-					tx.Abort()
-					logs[i] += fmt.Sprintf("  t=%v insert %d err=%v\n", p.Now(), key, err)
-					continue
-				}
-				err = tx.Commit()
-				logs[i] += fmt.Sprintf("  t=%v commit %d err=%v\n", p.Now(), key, err)
-			}
-		})
-	}
-	s.Run(nodeLPs)
-
-	fmt.Printf("partitioned volume-fault demo: seed %d, %d clients x %d txns, vol0 down [%v,%v)\n",
-		seed, s.Opts.CPUs, clientTxns, failAt, restoreAt)
-	for i, l := range logs {
-		fmt.Printf("client %d:\n%s", i, l)
-	}
-	for i, v := range s.DataVolumes[:4] {
-		fmt.Printf("vol%d: writes=%d bytes=%d up=%v\n", i, v.Stats.Writes, v.Stats.BytesWritten, v.Up())
-	}
-	fmt.Printf("events executed: %d\n", s.EventsExecuted())
-	return 0
 }

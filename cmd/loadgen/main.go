@@ -8,7 +8,7 @@
 //	loadgen -scale smoke                  # fast sweep, summary tables
 //	loadgen -scale full -csv              # the committed saturation_full.csv
 //	loadgen -scale full -check            # exit non-zero on shape breaks
-//	loadgen -parallel 8 -engine parallel  # identical output, any setting
+//	loadgen -parallel 8                   # identical output, any setting
 package main
 
 import (
@@ -26,22 +26,15 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit the per-cell CSV instead of summary tables")
 		check    = flag.Bool("check", false, "run shape checks (knee present, p99 rising past it, shard/volume scaling monotone) and exit non-zero on failure")
 		parallel = flag.Int("parallel", 0, "sweep cells simulated concurrently (0 = one per CPU, 1 = sequential); output is identical at any setting")
-		engine   = flag.String("engine", "sequential", "cell execution engine: sequential (pool workers) or parallel (conservative LP cluster); output is identical on either")
-		nodeLPs  = flag.Int("node-lps", 0, "partition every cell's node topology across this many LP workers (intra-run parallelism); output is identical at 1, 2 and 4 but differs from the 0 (single-engine) build")
 		crossPct = flag.Float64("cross-shard-pct", 0, "percentage of write transactions committed cross-shard under the two-phase outcome-record protocol, applied to every standard sweep cell (the xshard sweep keeps its fixed axis); 0 leaves every schedule untouched")
 	)
 	flag.Parse()
-	eng, err := bench.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	sc, err := bench.ParseSatScale(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	runner := bench.Runner{Parallelism: *parallel, Engine: eng, NodeLPs: *nodeLPs, CrossShardPct: *crossPct}
+	runner := bench.Runner{Parallelism: *parallel, CrossShardPct: *crossPct}
 
 	sat := runner.Saturation(*seed, sc)
 	if *csv {

@@ -1,8 +1,8 @@
 // Command simlint runs the repository's static-analysis suite
-// (internal/analysis) over Go packages: six analyzers covering
+// (internal/analysis) over Go packages: five analyzers covering
 // determinism (nodeterm, seedflow), hot-path allocation (hotalloc),
-// real-concurrency leaks (goroutine), pooled-box lifecycles (boxcheck),
-// and logical-process isolation (lpboundary).
+// real-concurrency leaks (goroutine), and pooled-box lifecycles
+// (boxcheck).
 //
 // Standalone:
 //
@@ -32,7 +32,7 @@ import (
 	"persistmem/internal/analysis"
 )
 
-const version = "v0.2.0"
+const version = "v0.3.0"
 
 func main() {
 	if len(os.Args) == 2 {

@@ -11,7 +11,7 @@
 // encodes those invariants as analyzers so they are machine-checked on
 // every change (scripts/check.sh and CI run the suite over ./...).
 //
-// The six analyzers:
+// The five analyzers:
 //
 //   - nodeterm:   wall-clock calls, process-global math/rand, and map range
 //     statements in sim-critical packages.
@@ -23,9 +23,6 @@
 //   - boxcheck:   lifecycle tracking for pooled boxes declared with
 //     //simlint:box — use-after-put, double-put, put-of-nil, escapes
 //     into fields without //simlint:boxowner, early-return leaks.
-//   - lpboundary: state crossing logical-process boundaries without
-//     parallel.LP.Send — foreign LP/engine captures in AddLP handlers,
-//     direct calls on LP.Engine() results, handler-shared variables.
 //
 // Directives (line comments) tune the analyzers where the rules need
 // human-reviewed exceptions; each should carry a `-- reason` suffix:
@@ -47,11 +44,6 @@
 //	//simlint:boxowner           on a struct field: storing a pooled box here
 //	                             is a sanctioned ownership transfer (the
 //	                             structure now owns the box's lifecycle)
-//	//simlint:parallel-engine    on a package clause: the package is a
-//	                             sanctioned parallel-simulation runtime —
-//	                             goroutine permits go statements, sync, and
-//	                             real channels, but still forbids select
-//	                             and sync/atomic; lpboundary exempts it
 package analysis
 
 import (
@@ -74,7 +66,7 @@ type Analyzer struct {
 
 // Analyzers returns the full simlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Nodeterm, Seedflow, Hotalloc, Goroutine, Boxcheck, Lpboundary}
+	return []*Analyzer{Nodeterm, Seedflow, Hotalloc, Goroutine, Boxcheck}
 }
 
 // Diagnostic is one finding, already resolved to a file position.
@@ -102,12 +94,6 @@ type Target struct {
 	// (the bench worker pool runs real goroutines by design).
 	SimCritical bool
 	RealConcOK  bool
-
-	// ParallelEngine is set by a //simlint:parallel-engine directive on a
-	// package clause: the package is a sanctioned parallel-simulation
-	// runtime, so the goroutine analyzer permits go statements, sync, and
-	// real channels while still forbidding select and sync/atomic.
-	ParallelEngine bool
 
 	dirs map[dirKey][]directive
 }
@@ -147,12 +133,6 @@ func NewTarget(importPath string, fset *token.FileSet, files []*ast.File, pkg *t
 				k := dirKey{pos.Filename, pos.Line}
 				t.dirs[k] = append(t.dirs[k], d)
 			}
-		}
-	}
-	for _, f := range files {
-		if t.DirectiveAt(f.Package, "parallel-engine", "") {
-			t.ParallelEngine = true
-			break
 		}
 	}
 	return t

@@ -18,14 +18,6 @@ import (
 // goroutine for the iterator. The kernel's own coroutine machinery
 // (internal/sim/proc.go) is built on exactly that; its one call site
 // carries a //simlint:allow goroutine directive with the justification.
-//
-// A package whose package clause carries //simlint:parallel-engine is a
-// sanctioned parallel-simulation runtime (internal/sim/parallel): its
-// whole purpose is to fan logical processes across OS threads between
-// deterministic barriers, so go statements, the sync package, and real
-// channels are permitted there. select and sync/atomic stay forbidden
-// even then — both let the OS scheduler pick an order, which is exactly
-// the nondeterminism the barrier protocol exists to exclude.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc: "forbid go statements, iter.Pull, select, sync primitives, and real " +
@@ -37,42 +29,23 @@ func runGoroutine(p *Pass) error {
 	if !p.SimCritical || p.RealConcOK {
 		return nil
 	}
-	pe := p.ParallelEngine
 	for _, f := range p.Files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
 				continue
 			}
-			switch path {
-			case "sync":
-				if !pe {
-					p.Reportf(imp.Pos(), "import of %q: real synchronization primitives race on the OS scheduler; virtual-time code needs none (one thread) — real concurrency belongs in internal/bench", path)
-				}
-			case "sync/atomic":
-				if pe {
-					p.Reportf(imp.Pos(), "import of %q: atomics order by the memory system, not the window barrier; even a parallel-engine package must exchange state only at deterministic barriers", path)
-				} else {
-					p.Reportf(imp.Pos(), "import of %q: real synchronization primitives race on the OS scheduler; virtual-time code needs none (one thread) — real concurrency belongs in internal/bench", path)
-				}
+			if path == "sync" || path == "sync/atomic" {
+				p.Reportf(imp.Pos(), "import of %q: real synchronization primitives race on the OS scheduler; virtual-time code needs none (one thread) — real concurrency belongs in internal/bench", path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if !pe {
-					p.Reportf(n.Pos(), "go statement spawns an OS-scheduled goroutine inside virtual-time code; use Engine.Spawn to create a simulated process")
-				}
+				p.Reportf(n.Pos(), "go statement spawns an OS-scheduled goroutine inside virtual-time code; use Engine.Spawn to create a simulated process")
 			case *ast.SelectStmt:
-				if pe {
-					p.Reportf(n.Pos(), "select resolves by real channel readiness — OS-scheduler order; even a parallel-engine package must use deterministic barrier exchanges")
-				} else {
-					p.Reportf(n.Pos(), "select resolves by real channel readiness, not virtual time; use sim.Chan operations (Recv/RecvTimeout)")
-				}
+				p.Reportf(n.Pos(), "select resolves by real channel readiness, not virtual time; use sim.Chan operations (Recv/RecvTimeout)")
 			case *ast.CallExpr:
-				if pe {
-					return true
-				}
 				if isIterPull(p.Info, n) {
 					p.Reportf(n.Pos(), "iter.Pull starts an OS-scheduled goroutine for the iterator inside virtual-time code; use Engine.Spawn to create a simulated process")
 					return true

@@ -18,11 +18,3 @@ func TestGoroutinePool(t *testing.T) {
 	analysistest.Run(t, "testdata/goroutine/pool", analysis.Goroutine,
 		analysistest.Config{SimCritical: true, RealConcOK: true})
 }
-
-// TestGoroutineParallelEngine checks the //simlint:parallel-engine package
-// directive: go/sync/chan are permitted in a sanctioned LP runtime while
-// select and sync/atomic are still flagged.
-func TestGoroutineParallelEngine(t *testing.T) {
-	analysistest.Run(t, "testdata/goroutine/parallelengine", analysis.Goroutine,
-		analysistest.Config{SimCritical: true})
-}

@@ -35,6 +35,42 @@ var txnSizes = []int{8, 16, 32}
 // sizeLabel names a boxcar degree the way the paper's x-axis does.
 func sizeLabel(inserts int) string { return fmt.Sprintf("%dk", inserts*4) }
 
+// cellSpec is one hot-stock sweep cell: a seed, a durability mode and
+// the workload shape.
+type cellSpec struct {
+	seed    int64
+	d       ods.Durability
+	drivers int
+	inserts int
+	records int
+}
+
+// run executes the cell on its own freshly built store.
+func (c cellSpec) run() hotstock.Result {
+	opts := ods.DefaultOptions()
+	opts.Seed = c.seed
+	opts.Durability = c.d
+	// Round the record count to a whole number of transactions.
+	records := (c.records / c.inserts) * c.inserts
+	if records == 0 {
+		records = c.inserts
+	}
+	return hotstock.Run(opts, hotstock.Params{
+		Drivers:          c.drivers,
+		RecordsPerDriver: records,
+		InsertsPerTxn:    c.inserts,
+		RecordBytes:      4096,
+	})
+}
+
+// runCells executes a sweep's independent cells on the Runner's pool and
+// returns their results in cell order.
+func (r Runner) runCells(specs []cellSpec) []hotstock.Result {
+	out := make([]hotstock.Result, len(specs))
+	r.forEach(len(specs), func(i int) { out[i] = specs[i].run() })
+	return out
+}
+
 // Figure1 reproduces "PM improves response time drastically": response-
 // time speedup with PM vs transaction size, one series per driver count.
 type Figure1 struct {
@@ -52,10 +88,9 @@ func RunFigure1(seed int64, scale Scale) Figure1 {
 	return Runner{}.Figure1(seed, scale)
 }
 
-// Figure1 executes the Figure 1 sweep with the Runner's engine and
-// parallelism. The 24 cells run independently; results land in index-
-// addressed slots, so the assembled figure is identical at every
-// parallelism and on either engine.
+// Figure1 executes the Figure 1 sweep with the Runner's parallelism. The
+// 24 cells run independently; results land in index-addressed slots, so
+// the assembled figure is identical at every parallelism.
 func (r Runner) Figure1(seed int64, scale Scale) Figure1 {
 	f := Figure1{Scale: scale}
 	const drvN, modeN = 4, 2 // 1–4 drivers × {disk, pm}
@@ -152,45 +187,6 @@ func (f Figure1) CheckShape() []error {
 	return errs
 }
 
-// Figure1Cell is one Figure-1 point measured in isolation: the disk and
-// PM hot-stock runs for a single (drivers, txn-size) pair. It exists so
-// the intra-run partitioning gates can hold one full-scale cell — run
-// across 1, 2 and 4 node-LPs — to byte-identical output without paying
-// for the whole 24-cell sweep. Events is included in the CSV because the
-// executed-event count is partition-invariant: the same model dispatches
-// the same closures at every NodeLPs value.
-type Figure1Cell struct {
-	Scale            Scale
-	Drivers, Inserts int
-	Disk, PM         hotstock.Result
-}
-
-// Figure1Cell measures one Figure-1 point under the Runner's engine
-// (partitioned when NodeLPs > 1).
-func (r Runner) Figure1Cell(seed int64, scale Scale, drivers, inserts int) Figure1Cell {
-	records := scale.RecordsPerDriver
-	specs := []cellSpec{
-		{seed: seed, d: ods.DiskDurability, drivers: drivers, inserts: inserts, records: records},
-		{seed: seed, d: ods.PMDurability, drivers: drivers, inserts: inserts, records: records},
-	}
-	cells := r.runCells(specs)
-	return Figure1Cell{Scale: scale, Drivers: drivers, Inserts: inserts,
-		Disk: cells[0], PM: cells[1]}
-}
-
-// CSV renders the cell as a one-row table in Figure 1's vocabulary.
-func (c Figure1Cell) CSV() string {
-	var b strings.Builder
-	b.WriteString("txn_size_kb,drivers,speedup,disk_resp_us,pm_resp_us,disk_elapsed_s,pm_elapsed_s,disk_events,pm_events\n")
-	fmt.Fprintf(&b, "%d,%d,%.3f,%.1f,%.1f,%.4f,%.4f,%d,%d\n",
-		c.Inserts*4, c.Drivers,
-		float64(c.Disk.MeanResp())/float64(c.PM.MeanResp()),
-		c.Disk.MeanResp().Micros(), c.PM.MeanResp().Micros(),
-		c.Disk.Elapsed.Seconds(), c.PM.Elapsed.Seconds(),
-		c.Disk.Events, c.PM.Events)
-	return b.String()
-}
-
 // Figure2 reproduces "PM eliminates the need to boxcar": total elapsed
 // time vs transaction size for 1–2 drivers, with and without PM.
 type Figure2 struct {
@@ -206,7 +202,7 @@ func RunFigure2(seed int64, scale Scale) Figure2 {
 }
 
 // Figure2 executes the Figure 2 sweep (12 cells) with the Runner's
-// engine and parallelism.
+// parallelism.
 func (r Runner) Figure2(seed int64, scale Scale) Figure2 {
 	f := Figure2{Scale: scale}
 	// The four series per size: {1drv disk, 2drv disk, 1drv PM, 2drv PM}.

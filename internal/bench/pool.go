@@ -10,37 +10,17 @@ package bench
 import (
 	"runtime"
 	"sync"
-
-	"persistmem/internal/sim/parallel"
 )
 
 // Runner executes the package's sweeps with a configurable degree of
 // cell-level parallelism. The zero Runner is valid and uses one worker
-// per available CPU on the sequential engine.
+// per available CPU.
 type Runner struct {
 	// Parallelism is the maximum number of sweep cells simulated
-	// concurrently — pool workers on the sequential engine, cluster
-	// workers on the parallel one. 0 (or negative) means
+	// concurrently on pool workers. 0 (or negative) means
 	// runtime.GOMAXPROCS(0); 1 reproduces the historical strictly-
 	// sequential execution.
 	Parallelism int
-	// Engine selects how sweep cells execute: EngineSequential (or "")
-	// drives each cell's engine directly on a pool worker; EngineParallel
-	// drains all cells as logical processes of one conservative parallel
-	// cluster. Output is byte-identical either way.
-	Engine string
-	// ClusterStats, when non-nil, accumulates the parallel engine's
-	// window statistics across the Runner's cluster runs.
-	ClusterStats *parallel.Stats
-	// NodeLPs, when > 0, builds every cell's store as one partitioned
-	// simulation of that many node-LPs and drains each cell with NodeLPs
-	// safe-window workers (intra-run parallelism) instead of registering
-	// it on the inter-cell engines above. Cell output is byte-identical
-	// at every NodeLPs value (1 included — it builds the same partitioned
-	// model on a single LP), but a partitioned store models explicit
-	// cross-node latency, so its numbers differ from the NodeLPs=0
-	// single-engine build — never mix the two in one comparison.
-	NodeLPs int
 	// CrossShardPct in [0,100] mixes cross-shard two-phase transactions
 	// into every saturation sweep cell (the xshard sweep keeps its own
 	// fixed axis). Zero leaves every cell's schedule untouched.
@@ -59,22 +39,9 @@ func EffectiveParallelism(p int) int {
 	return p
 }
 
-// cellSlots is the number of parallelism slots one running cell
-// occupies: a partitioned cell holds NodeLPs safe-window workers for
-// its whole run, a single-engine cell exactly one.
-func (r Runner) cellSlots() int {
-	if r.NodeLPs > 1 {
-		return r.NodeLPs
-	}
-	return 1
-}
-
-// workers resolves the pool worker count for n jobs. Each concurrent
-// cell is charged cellSlots() against the Runner's parallelism budget,
-// so a sweep of 4-LP cells on an 8-way Runner drives 2 cells at a time
-// (8 OS threads), not 8 cells (32 threads).
+// workers resolves the pool worker count for n jobs.
 func (r Runner) workers(n int) int {
-	w := EffectiveParallelism(r.Parallelism) / r.cellSlots()
+	w := EffectiveParallelism(r.Parallelism)
 	if w > n {
 		w = n
 	}

@@ -4,10 +4,10 @@
 // 4-CPU testbed to a partitioned store driven past its knee.
 //
 // Every cell builds a private store and drives it with the open-loop
-// harness (loadgen.StartOpen) at a configured offered load; results
+// harness (loadgen.RunOpen) at a configured offered load; results
 // land in index-addressed slots, so the assembled CSV and tables are
-// byte-identical at any parallelism and on either engine — the same
-// contract the figure sweeps carry.
+// byte-identical at any parallelism — the same contract the figure
+// sweeps carry.
 package bench
 
 import (
@@ -17,7 +17,6 @@ import (
 	"persistmem/internal/loadgen"
 	"persistmem/internal/ods"
 	"persistmem/internal/sim"
-	"persistmem/internal/sim/parallel"
 )
 
 // SatScale sizes the saturation sweep: only the arrival window varies
@@ -205,8 +204,8 @@ func RunSaturation(seed int64, scale SatScale) Saturation {
 	return Runner{}.Saturation(seed, scale)
 }
 
-// Saturation executes the sweep's independent cells under the Runner's
-// engine and parallelism.
+// Saturation executes the sweep's independent cells with the Runner's
+// parallelism.
 func (r Runner) Saturation(seed int64, scale SatScale) Saturation {
 	var cells []satCell
 	for _, d := range satKneeDurabilities {
@@ -244,42 +243,11 @@ func (r Runner) Saturation(seed int64, scale SatScale) Saturation {
 	}
 
 	results := make([]loadgen.OpenResult, len(cells))
-	if r.NodeLPs > 0 {
-		// Intra-run partitioning: each cell is its own NodeLPs-way
-		// safe-window cluster, drained with NodeLPs workers; cells still
-		// fan out across the (slot-weighted) pool.
-		r.forEach(len(cells), func(i int) {
-			opts := cells[i].opts()
-			opts.NodeLPs = r.NodeLPs
-			s := ods.Build(opts)
-			pend := loadgen.StartOpen(s, cells[i].cfg())
-			r.addClusterStats(s.Part.Run(r.NodeLPs))
-			results[i] = pend.Collect()
-			s.Shutdown()
-		})
-	} else if r.Engine == EngineParallel {
-		stores := make([]*ods.Store, len(cells))
-		pends := make([]*loadgen.OpenPending, len(cells))
-		for i, c := range cells {
-			stores[i] = ods.Build(c.opts())
-			pends[i] = loadgen.StartOpen(stores[i], c.cfg())
-		}
-		cl := parallel.New(parallel.Unbounded)
-		for _, s := range stores {
-			cl.AddLP(s.Eng, nil)
-		}
-		r.addClusterStats(cl.Run(EffectiveParallelism(r.Parallelism)))
-		for i := range pends {
-			results[i] = pends[i].Collect()
-			stores[i].Eng.Shutdown()
-		}
-	} else {
-		r.forEach(len(cells), func(i int) {
-			s := ods.Build(cells[i].opts())
-			results[i] = loadgen.RunOpen(s, cells[i].cfg())
-			s.Eng.Shutdown()
-		})
-	}
+	r.forEach(len(cells), func(i int) {
+		s := ods.Build(cells[i].opts())
+		results[i] = loadgen.RunOpen(s, cells[i].cfg())
+		s.Eng.Shutdown()
+	})
 
 	sat := Saturation{Scale: scale}
 	i := 0

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"persistmem/internal/sim"
-	"persistmem/internal/sim/parallel"
 )
 
 // TestSaturationShapeAtSmokeScale: the smoke-scale sweep already shows
@@ -49,34 +48,21 @@ func TestSaturationCSVGolden(t *testing.T) {
 }
 
 // TestSaturationDeterministicAcrossRunners: identical CSV bytes across
-// seeds × parallelism 1/8 × sequential/parallel engines — the
-// acceptance contract the committed saturation_full.csv rides on.
+// seeds × parallelism 1/8 — the acceptance contract the committed
+// saturation_full.csv rides on.
 func TestSaturationDeterministicAcrossRunners(t *testing.T) {
-	var stats parallel.Stats
 	seeds := []int64{1}
-	alts := []Runner{
-		{Parallelism: 8},
-		{Engine: EngineParallel, Parallelism: 8, ClusterStats: &stats},
-	}
 	if !testing.Short() {
 		seeds = append(seeds, 7)
-		alts = append(alts, Runner{Engine: EngineParallel, Parallelism: 1})
 	}
 	// Determinism does not need the smoke scale's statistics — a short
 	// arrival window exercises the same grid at a fraction of the cost.
 	scale := SatScale{Name: "det", Window: 150 * sim.Millisecond}
 	for _, seed := range seeds {
 		ref := Runner{Parallelism: 1}.Saturation(seed, scale).CSV()
-		for _, r := range alts {
-			if got := r.Saturation(seed, scale).CSV(); got != ref {
-				t.Errorf("seed %d: runner %+v diverged from sequential reference", seed, r)
-			}
+		if got := (Runner{Parallelism: 8}).Saturation(seed, scale).CSV(); got != ref {
+			t.Errorf("seed %d: parallelism 8 diverged from sequential reference", seed)
 		}
-	}
-	// The cells never message each other: each parallel-engine sweep is
-	// one Unbounded window with every LP occupied.
-	if stats.Windows == 0 || stats.Events == 0 {
-		t.Errorf("parallel cluster stats not accumulated: %+v", stats)
 	}
 }
 

@@ -503,3 +503,95 @@ func TestDeviceEndpointSurvivesCPUFail(t *testing.T) {
 	}
 	eng.Shutdown()
 }
+
+func msec(ms int64) sim.Time { return sim.Time(ms) * sim.Millisecond }
+
+// TestTopologyAccessors pins the node's shape: every CPU on the cluster's
+// one engine, indexed in order, up, with endpoint i as its fabric address.
+func TestTopologyAccessors(t *testing.T) {
+	eng, cl := newTestCluster(1)
+	defer eng.Shutdown()
+	if cl.Engine() != eng || cl.Fabric().Engine() != eng {
+		t.Fatal("cluster or fabric is not on the build engine")
+	}
+	if cl.NumCPUs() != cl.Config().CPUs || !cl.AllUp() {
+		t.Fatalf("NumCPUs=%d AllUp=%v, want %d, true", cl.NumCPUs(), cl.AllUp(), cl.Config().CPUs)
+	}
+	for i := 0; i < cl.NumCPUs(); i++ {
+		cpu := cl.CPU(i)
+		if cpu.Index() != i || !cpu.Up() || int(cpu.Endpoint().ID()) != i {
+			t.Errorf("cpu %d: index=%d up=%v endpoint=%d", i, cpu.Index(), cpu.Up(), cpu.Endpoint().ID())
+		}
+	}
+	cl.CPU(2).Fail()
+	if cl.AllUp() {
+		t.Error("AllUp with CPU 2 failed")
+	}
+}
+
+// TestProcessAccessors: a process names its CPU, cluster and kernel
+// process, and the non-blocking receives miss on an empty inbox.
+func TestProcessAccessors(t *testing.T) {
+	eng, cl := newTestCluster(1)
+	defer eng.Shutdown()
+	cl.CPU(1).Spawn("probe", func(p *Process) {
+		if p.Name() != "probe" || p.CPU() != cl.CPU(1) || p.Cluster() != cl || p.Sim() == nil {
+			t.Error("process accessors disagree")
+		}
+		if _, ok := p.TryRecv(); ok {
+			t.Error("TryRecv on an empty inbox should miss")
+		}
+		if _, ok := p.RecvTimeout(msec(1)); ok {
+			t.Error("RecvTimeout on an empty inbox should time out")
+		}
+		p.Compute(msec(1))
+		if p.Now() != msec(2) {
+			t.Errorf("after a 1ms timeout and 1ms of compute the clock reads %v", p.Now())
+		}
+	})
+	eng.Run()
+}
+
+// TestCallAsyncAwaitReply: an asynchronous call across CPUs overlaps the
+// caller's own work and AwaitReply collects the answer; the polling
+// receives deliver a queued message.
+func TestCallAsyncAwaitReply(t *testing.T) {
+	eng, cl := newTestCluster(1)
+	defer eng.Shutdown()
+	cl.CPU(1).Spawn("echo", func(p *Process) {
+		cl.Register("echo", p)
+		ev, ok := p.RecvTimeout(msec(50))
+		if !ok {
+			t.Error("RecvTimeout missed a message sent well inside the timeout")
+			return
+		}
+		ev.Reply(fmt.Sprintf("%v@1", ev.Payload))
+		p.Wait(msec(5))
+		if ev, ok := p.TryRecv(); !ok || ev.Payload != "oneway" || ev.WantsReply() {
+			t.Errorf("TryRecv = (%+v, %v), want the queued one-way send", ev, ok)
+		}
+	})
+	cl.CPU(0).Spawn("caller", func(p *Process) {
+		p.Wait(msec(1))
+		sig, err := p.CallAsync("echo", 256, "ping")
+		if err != nil {
+			t.Errorf("CallAsync: %v", err)
+			return
+		}
+		issued := p.Now()
+		if err := p.Send("echo", 64, "oneway"); err != nil {
+			t.Errorf("Send: %v", err)
+		}
+		v, err := p.AwaitReply(sig)
+		if err != nil || v != "ping@1" {
+			t.Errorf("AwaitReply = (%v, %v), want ping@1", v, err)
+		}
+		if p.Now() <= issued {
+			t.Error("the reply arrived without any fabric time passing")
+		}
+		if _, err := p.CallAsync("nobody", 64, nil); !errors.Is(err, ErrNoProcess) {
+			t.Errorf("CallAsync to an unknown name: %v, want ErrNoProcess", err)
+		}
+	})
+	eng.Run()
+}

@@ -17,33 +17,18 @@ type Envelope struct {
 	// Payload is the message body. Size accounting happened on the wire;
 	// the simulation passes the value itself.
 	Payload interface{}
-	// reply, if non-nil, receives the reply for Call-style requests. In a
-	// partitioned cluster the signal belongs to the sender's engine; home
-	// and at record the sender's and receiver's node indices so Reply can
-	// route the trigger back across the node seam.
+	// reply, if non-nil, receives the reply for Call-style requests.
 	reply *sim.Signal
-	home  int
-	at    int
-	part  *Partition
 }
 
 // Reply answers a Call with value v; for one-way sends it is a no-op.
-// Replying twice to the same envelope panics (a server bug). When the
-// caller lives on a foreign node of a partitioned cluster, the trigger is
-// posted home through the LP seam one lookahead out — replies pay the
-// same conservative floor as requests (the single-engine reply channel
-// stays instantaneous, as before).
+// Replying twice to the same envelope panics (a server bug).
 //
 //simlint:hotpath
 func (ev *Envelope) Reply(v interface{}) {
-	if ev.reply == nil {
-		return
+	if ev.reply != nil {
+		ev.reply.Trigger(v)
 	}
-	if ev.part != nil && ev.at != ev.home {
-		ev.part.postReply(ev.at, ev.home, ev.reply, v)
-		return
-	}
-	ev.reply.Trigger(v)
 }
 
 // WantsReply reports whether the sender is blocked in Call.
@@ -59,31 +44,28 @@ func (p *Process) Send(name string, sz int, payload interface{}) error {
 //simlint:hotpath
 func (p *Process) send(name string, sz int, payload interface{}, reply *sim.Signal) error {
 	cl := p.cpu.cl
-	r, ok := cl.lookup(name)
+	r, ok := cl.registry[name]
 	if !ok {
 		return ErrNoProcess
 	}
 	// Message-system software cost on the sending CPU.
 	p.Compute(cl.cfg.MsgSystemOverhead)
-	ev := p.cpu.newEnvelope()
+	ev := cl.newEnvelope()
 	ev.From = p.name
 	ev.Payload = payload
 	ev.reply = reply
-	ev.home = p.cpu.index
-	ev.at = r.cpu.index
-	ev.part = cl.part
 	if r.cpu == p.cpu {
 		// Intra-CPU message: no fabric traversal.
 		r.inbox.Send(p.proc, ev) //simlint:allow hotalloc -- *Envelope into interface{} is pointer-shaped: no box is allocated
 		return nil
 	}
-	frame := p.cpu.newFrame()
+	frame := cl.newFrame()
 	frame.dst = r.inbox
 	frame.ev = ev
-	if err := p.cpu.fab.Send(p.proc, p.cpu.ep.ID(), r.cpu.ep.ID(), sz, frame); err != nil { //simlint:allow hotalloc -- *routedFrame is pointer-shaped: no box is allocated
+	if err := cl.fab.Send(p.proc, p.cpu.ep.ID(), r.cpu.ep.ID(), sz, frame); err != nil { //simlint:allow hotalloc -- *routedFrame is pointer-shaped: no box is allocated
 		// The frame never reached the destination inbox; reclaim the boxes.
-		p.cpu.freeFrame(frame)
-		p.cpu.freeEnvelope(ev)
+		cl.freeFrame(frame)
+		cl.freeEnvelope(ev)
 		return err
 	}
 	return nil
@@ -102,9 +84,9 @@ type routedFrame struct {
 //simlint:hotpath
 func (p *Process) Call(name string, sz int, payload interface{}) (interface{}, error) {
 	cl := p.cpu.cl
-	reply := p.cpu.eng.NewSignal()
+	reply := cl.eng.NewSignal()
 	if err := p.send(name, sz, payload, reply); err != nil {
-		p.cpu.eng.FreeSignal(reply)
+		cl.eng.FreeSignal(reply)
 		return nil, err
 	}
 	v, ok := reply.WaitTimeout(p.proc, cl.cfg.CallTimeout)
@@ -113,7 +95,7 @@ func (p *Process) Call(name string, sz int, payload interface{}) (interface{}, e
 		// the signal cannot be recycled.
 		return nil, ErrTimeout
 	}
-	p.cpu.eng.FreeSignal(reply)
+	cl.eng.FreeSignal(reply)
 	return v, nil
 }
 
@@ -123,9 +105,10 @@ func (p *Process) Call(name string, sz int, payload interface{}) (interface{}, e
 //
 //simlint:hotpath
 func (p *Process) CallAsync(name string, sz int, payload interface{}) (*sim.Signal, error) {
-	reply := p.cpu.eng.NewSignal()
+	cl := p.cpu.cl
+	reply := cl.eng.NewSignal()
 	if err := p.send(name, sz, payload, reply); err != nil {
-		p.cpu.eng.FreeSignal(reply)
+		cl.eng.FreeSignal(reply)
 		return nil, err
 	}
 	return reply, nil
@@ -140,7 +123,7 @@ func (p *Process) AwaitReply(reply *sim.Signal) (interface{}, error) {
 	if !ok {
 		return nil, ErrTimeout
 	}
-	p.cpu.eng.FreeSignal(reply)
+	p.cpu.cl.eng.FreeSignal(reply)
 	return v, nil
 }
 
@@ -150,7 +133,7 @@ func (p *Process) AwaitReply(reply *sim.Signal) (interface{}, error) {
 func (p *Process) Recv() Envelope {
 	box := p.Inbox.Recv(p.proc).(*Envelope)
 	ev := *box
-	p.cpu.freeEnvelope(box)
+	p.cpu.cl.freeEnvelope(box)
 	return ev
 }
 
@@ -162,7 +145,7 @@ func (p *Process) RecvTimeout(d sim.Time) (Envelope, bool) {
 	}
 	box := v.(*Envelope)
 	ev := *box
-	p.cpu.freeEnvelope(box)
+	p.cpu.cl.freeEnvelope(box)
 	return ev, true
 }
 
@@ -177,25 +160,24 @@ func (p *Process) TryRecv() (Envelope, bool) {
 	}
 	box := v.(*Envelope)
 	ev := *box
-	p.cpu.freeEnvelope(box)
+	p.cpu.cl.freeEnvelope(box)
 	return ev, true
 }
 
 // startDispatcher runs the CPU's message-system delivery loop: it moves
 // fabric frames arriving at the CPU endpoint into destination process
 // inboxes. Each live CPU runs exactly one dispatcher; CPU.Restore starts
-// a fresh one. Message and frame boxes are recycled into this CPU's own
-// fabric and pools — in a partitioned cluster the box was allocated on
-// the sending node and migrates here, which the window barrier orders.
+// a fresh one.
 func (c *CPU) startDispatcher() {
 	c.Spawn(fmt.Sprintf("cpu%d-msgsys", c.index), func(p *Process) {
+		cl := c.cl
 		for {
 			m := c.ep.Inbox.Recv(p.proc).(*servernet.Message)
 			payload := m.Payload
-			c.fab.FreeMessage(m)
+			cl.fab.FreeMessage(m)
 			if frame, ok := payload.(*routedFrame); ok {
 				dst, ev := frame.dst, frame.ev
-				c.freeFrame(frame)
+				cl.freeFrame(frame)
 				dst.Send(p.proc, ev)
 			}
 		}

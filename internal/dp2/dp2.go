@@ -557,7 +557,7 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 	if ctx.Restored != nil {
 		st = ctx.Restored.(*dpState)
 	}
-	lm := locks.NewManager(ctx.Engine(), d.cfg.Name)
+	lm := locks.NewManager(ctx.Cluster().Engine(), d.cfg.Name)
 	if d.cfg.Metrics != nil {
 		lm.SetMetrics(d.cfg.Metrics.Locks)
 	}
@@ -584,7 +584,7 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 	// Background destager: kicked when dirty data appears, one batched
 	// sequential write per interval while any remains, blocked when idle
 	// (so a quiescent store has no pending events).
-	kick := ctx.Engine().NewBoundedChan(d.cfg.Name+"-wbkick", 1)
+	kick := ctx.Cluster().Engine().NewBoundedChan(d.cfg.Name+"-wbkick", 1)
 	d.wbKick = kick
 	wb := ctx.CPU().Spawn(d.cfg.Name+"-wb", func(p *cluster.Process) {
 		d.writeback(p, st, kick)

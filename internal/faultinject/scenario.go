@@ -82,10 +82,8 @@ func Run(cfg ScenarioConfig) *Result {
 }
 
 // Pending is a scenario whose processes are spawned but whose engine has
-// not been driven yet. It lets a caller batch many independent scenarios
-// as logical processes of one parallel cluster run before collecting
-// results: drain the engine (Engine().Run, or a cluster run), then call
-// Result.
+// not been driven yet. It lets a caller time the crash run apart from
+// set-up: drain the engine (Engine().Run), then call Result.
 type Pending struct {
 	res *Result
 }

@@ -225,8 +225,7 @@ type openShard struct {
 
 // OpenPending is an open-loop run whose processes have been spawned but
 // whose engine has not been driven yet — the spawn/collect split that
-// lets the parallel LP cluster drain engines the harness did not build
-// itself (the same pattern as hotstock.Start).
+// lets a caller time or interleave the drain itself.
 type OpenPending struct {
 	s      *ods.Store
 	cfg    OpenConfig
@@ -321,7 +320,7 @@ func (cfg OpenConfig) arrivals(s *ods.Store) Arrivals {
 
 // StartOpen spawns an open-loop run's generator and worker processes on
 // s without running the engine. Drive the engine to completion
-// (s.Eng.Run, or a parallel cluster run), then call Collect.
+// (s.Eng.Run), then call Collect.
 func StartOpen(s *ods.Store, cfg OpenConfig) *OpenPending {
 	cfg = cfg.withDefaults(s)
 	nShards := s.Partitions(cfg.File)
@@ -345,21 +344,12 @@ func StartOpen(s *ods.Store, cfg OpenConfig) *OpenPending {
 	}
 
 	// Workers: a bounded executor pool, WorkersPerShard per shard,
-	// spread round-robin over the CPUs. In partitioned mode every
-	// harness process is pinned to CPU 0 instead: the admission queues
-	// are sim.Chans on engine 0, and a sim.Chan may only be touched
-	// from its own engine. Pinning applies whenever the store is
-	// partitioned — at NodeLPs=1 too — so the modeled schedule is
-	// identical at every partition count (the store side still spreads
-	// its services over all nodes; only the load harness is pinned).
+	// spread round-robin over the CPUs.
 	widx := 0
 	for sh := 0; sh < nShards; sh++ {
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			sh, w, widx := sh, w, widx
 			cpu := widx % s.Opts.CPUs
-			if s.Part != nil {
-				cpu = 0
-			}
 			s.Cl.CPU(cpu).Spawn(fmt.Sprintf("loadw-%d-%d", sh, w), func(p *cluster.Process) {
 				op.worker(p, sh, w)
 				op.doneAt[widx] = p.Now()
@@ -547,17 +537,15 @@ func (op *OpenPending) Collect() OpenResult {
 	for i := range op.shards {
 		res.Shards[i] = op.shards[i].stats
 	}
-	res.Events = op.s.EventsExecuted()
+	res.Events = op.s.Eng.EventsExecuted()
 	return res
 }
 
 // RunOpen drives an open-loop run against an idle store to completion
 // and returns aggregated results. Deterministic for a given store seed
-// and config; partitioned stores drain under the safe-window scheduler
-// (single-threaded — pass a worker count to ods.Store.Run directly for
-// an intra-run parallel drain, the result is byte-identical).
+// and config.
 func RunOpen(s *ods.Store, cfg OpenConfig) OpenResult {
 	pend := StartOpen(s, cfg)
-	s.Run(1)
+	s.Eng.Run()
 	return pend.Collect()
 }

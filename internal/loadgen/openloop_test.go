@@ -283,3 +283,27 @@ func TestStartOpenUnknownFile(t *testing.T) {
 	cfg.File = "NOSUCH"
 	StartOpen(s, cfg)
 }
+
+// TestOpenConfigDefaultsFillSparseConfig: a config naming only the rate
+// and the window runs exactly the cell DefaultOpenConfig would with those
+// two fields set and no reads (a zero ReadFraction is a legal setting,
+// not a request for the default) — every other knob takes its default.
+func TestOpenConfigDefaultsFillSparseConfig(t *testing.T) {
+	run := func(cfg OpenConfig) string {
+		opts := ods.DefaultOptions()
+		s := ods.Build(opts)
+		defer s.Shutdown()
+		r := RunOpen(s, cfg)
+		if r.Commits == 0 {
+			t.Fatal("run committed nothing")
+		}
+		return r.String()
+	}
+	full := DefaultOpenConfig()
+	full.File = ods.DefaultOptions().Files[0].Name
+	full.Rate, full.Window, full.ReadFraction = 2000, 100*sim.Millisecond, 0
+	sparse := OpenConfig{Rate: 2000, Window: 100 * sim.Millisecond}
+	if a, b := run(sparse), run(full); a != b {
+		t.Errorf("sparse config diverged from the explicit defaults:\n--- sparse ---\n%s\n--- explicit ---\n%s", a, b)
+	}
+}

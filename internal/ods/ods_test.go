@@ -559,3 +559,55 @@ func TestStatsRequests(t *testing.T) {
 	})
 	s.Eng.Shutdown()
 }
+
+// TestStoreLifecycle covers the store-level conveniences on a timing-only
+// (non-retaining) build: the partition map answers, the commit hook
+// observes commits, the event counter moves, and Stop drains the service
+// pairs cleanly.
+func TestStoreLifecycle(t *testing.T) {
+	for _, d := range []Durability{DiskDurability, PMDurability} {
+		t.Run(d.String(), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Files = []FileSpec{{Name: "FILE0", Partitions: 4}}
+			opts.DataVolumes = 4
+			opts.Durability = d
+			s := Build(opts)
+			defer s.Shutdown()
+			if s.Partitions("FILE0") != 4 {
+				t.Fatalf("Partitions(FILE0) = %d, want 4", s.Partitions("FILE0"))
+			}
+			var commits int64
+			s.SetCommitHook(func(total int64) { commits = total })
+			s.Cl.CPU(0).Spawn("cli", func(p *cluster.Process) {
+				se := s.NewSession(p)
+				tx, err := se.Begin()
+				if err != nil {
+					t.Errorf("begin: %v", err)
+					return
+				}
+				if tx.ID() == 0 {
+					t.Error("fresh transaction has a zero id")
+				}
+				if err := tx.InsertAsync("FILE0", 7, []byte("lifecycle-row")); err != nil {
+					t.Errorf("insert: %v", err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("commit: %v", err)
+				}
+			})
+			s.Run(1)
+			if commits != 1 {
+				t.Errorf("commit hook saw %d commits, want 1", commits)
+			}
+			if s.EventsExecuted() == 0 {
+				t.Error("store reports zero executed events")
+			}
+			s.Stop()
+			s.Run(1)
+			if n := s.Eng.Pending(); n != 0 {
+				t.Errorf("%d events still pending after Stop drained", n)
+			}
+		})
+	}
+}

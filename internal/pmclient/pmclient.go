@@ -162,7 +162,7 @@ func (r *Region) check(off int64, n int) error {
 //
 //simlint:hotpath
 func (r *Region) writeOne(p *cluster.Process, dev servernet.EndpointID, off int64, data []byte) error {
-	fab := p.CPU().Fabric()
+	fab := r.vol.cl.Fabric()
 	from := p.CPU().Endpoint().ID()
 	nva := r.info.Base + uint32(off)
 	var err error
@@ -216,7 +216,7 @@ func (r *Region) Read(p *cluster.Process, off int64, buf []byte) error {
 	if err := r.check(off, len(buf)); err != nil {
 		return err
 	}
-	fab := p.CPU().Fabric()
+	fab := r.vol.cl.Fabric()
 	from := p.CPU().Endpoint().ID()
 	nva := r.info.Base + uint32(off)
 	err := fab.RDMARead(p.Sim(), from, r.info.Primary, nva, buf)
@@ -258,7 +258,7 @@ func (r *Region) ReadReplica(p *cluster.Process, replica int, off int64, buf []b
 	if replica == 1 {
 		dev = r.info.Mirror
 	}
-	fab := p.CPU().Fabric()
+	fab := r.vol.cl.Fabric()
 	from := p.CPU().Endpoint().ID()
 	nva := r.info.Base + uint32(off)
 	if err := fab.RDMARead(p.Sim(), from, dev, nva, buf); err != nil {

@@ -65,24 +65,12 @@ func (f *Fabric) releaseOnce(released *bool, a, b *Endpoint) {
 //simlint:hotpath
 func (f *Fabric) rdma(p *sim.Proc, from, to EndpointID, nva uint32, data, buf []byte, write bool) error {
 	src, dst := f.eps[from], f.eps[to]
-	if src == nil {
+	if src == nil || dst == nil {
 		return ErrEndpointDown
 	}
 	n := len(data)
 	if !write {
 		n = len(buf)
-	}
-	if dst == nil {
-		// Not attached here: in a partitioned topology the owner node
-		// serves the operation across the cross-LP seam (router.go).
-		dn := f.remoteNode(to)
-		if dn < 0 {
-			return ErrEndpointDown
-		}
-		if n == 0 {
-			return ErrZeroLength
-		}
-		return f.rdmaRemote(p, src, to, dn, nva, data, buf, write)
 	}
 	if n == 0 {
 		return ErrZeroLength
@@ -184,19 +172,11 @@ func (f *Fabric) RDMARead(p *sim.Proc, from, to EndpointID, nva uint32, buf []by
 //simlint:hotpath
 func (f *Fabric) Send(p *sim.Proc, from, to EndpointID, sz int, payload interface{}) error {
 	src, dst := f.eps[from], f.eps[to]
-	if src == nil {
+	if src == nil || dst == nil {
 		return ErrEndpointDown
 	}
 	if sz <= 0 {
 		sz = 64 // minimum control packet
-	}
-	if dst == nil {
-		// Not attached here: forward across the cross-LP seam (router.go).
-		dn := f.remoteNode(to)
-		if dn < 0 {
-			return ErrEndpointDown
-		}
-		return f.sendRemote(p, src, to, dn, sz, payload)
 	}
 	ostart := f.eng.Now()
 	p.Wait(f.cfg.SoftwareLatency)
@@ -239,7 +219,6 @@ func (f *Fabric) Send(p *sim.Proc, from, to EndpointID, sz int, payload interfac
 	m := f.newMessage()
 	m.From = from
 	m.Payload = payload
-	//simlint:allow lpboundary -- seam-owned: Send/RDMA route foreign-owned endpoints through the cross-LP forward above, so this line only ever runs on the owner node's engine
 	dst.Inbox.Send(p, m) //simlint:allow hotalloc -- *Message into interface{} is pointer-shaped: no box is allocated
 	return nil
 }

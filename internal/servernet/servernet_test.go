@@ -519,10 +519,8 @@ func TestTranslationRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestMinLatencyIsTheFabricFloor pins the conservative-parallel
-// lookahead to the fabric's hard latency floor: the paper's 10–20 µs
-// range under the calibrated defaults, and never more than a measured
-// minimal one-way operation.
+// TestMinLatencyIsTheFabricFloor pins the fabric's hard latency floor to
+// the paper's 10–20 µs range under the calibrated defaults.
 func TestMinLatencyIsTheFabricFloor(t *testing.T) {
 	cfg := DefaultConfig()
 	min := cfg.MinLatency()
@@ -531,5 +529,50 @@ func TestMinLatencyIsTheFabricFloor(t *testing.T) {
 	}
 	if min < 10*sim.Microsecond || min > 20*sim.Microsecond {
 		t.Fatalf("MinLatency %v outside the paper's 10-20us fabric floor", min)
+	}
+}
+
+// TestEndpointAccessors: endpoints and the fabric report what they were
+// built with, a configured service latency is paid by every operation the
+// endpoint serves, and ClearATT drops every translation.
+func TestEndpointAccessors(t *testing.T) {
+	eng, fab, _ := testFabric(t, DefaultConfig(), 0, rwPerm())
+	ep1, ep2 := fab.Endpoint(1), fab.Endpoint(2)
+	if ep1.ID() != 1 || ep1.Name() != "cpu0" || !ep1.Up() {
+		t.Errorf("accessors: id=%d name=%q up=%v", ep1.ID(), ep1.Name(), ep1.Up())
+	}
+	if fab.Engine() != eng {
+		t.Error("Fabric.Engine did not return the build engine")
+	}
+	if fab.Config().PacketBytes != DefaultConfig().PacketBytes {
+		t.Error("Fabric.Config did not return the build config")
+	}
+	if ep2.Translations() != 1 {
+		t.Errorf("Translations = %d, want 1", ep2.Translations())
+	}
+	const service = 3 * sim.Microsecond
+	var plain, slowed sim.Time
+	eng.Spawn("client", func(p *sim.Proc) {
+		write := func() sim.Time {
+			start := p.Now()
+			if err := fab.RDMAWrite(p, 1, 2, 0, make([]byte, 128)); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			return p.Now() - start
+		}
+		plain = write()
+		ep2.SetServiceLatency(service)
+		slowed = write()
+		ep2.ClearATT()
+		if err := fab.RDMAWrite(p, 1, 2, 0, make([]byte, 128)); !errors.Is(err, ErrNoTranslation) {
+			t.Errorf("write after ClearATT: %v, want ErrNoTranslation", err)
+		}
+	})
+	eng.Run()
+	if slowed-plain != service {
+		t.Errorf("service latency added %v to a write, want %v", slowed-plain, service)
+	}
+	if ep2.Translations() != 0 {
+		t.Errorf("Translations after ClearATT = %d, want 0", ep2.Translations())
 	}
 }
