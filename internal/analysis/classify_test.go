@@ -8,7 +8,7 @@ import (
 
 func TestClassify(t *testing.T) {
 	cases := []struct {
-		path                     string
+		path                    string
 		simCritical, realConcOK bool
 	}{
 		{"persistmem/internal/sim", true, false},

@@ -134,67 +134,104 @@ func AppendRecord(buf []byte, r *Record) []byte {
 	return buf
 }
 
-// DecodeRecord parses one frame from the front of data, returning the
-// record and the number of bytes consumed. A zero length prefix (or
-// insufficient bytes) is treated as a clean ErrEndOfLog, since logs are
-// scanned out of zero-initialized media; anything structurally wrong is
-// ErrTornRecord.
-func DecodeRecord(data []byte) (*Record, int, error) {
+// decodeInto validates the frame at the front of data — length prefix,
+// structure and CRC, the whole of what a scan checks — and only when every
+// check has passed fills r in place, returning the number of bytes
+// consumed. On error r and *name are untouched.
+//
+// r.Body aliases data (nil for an empty body, capacity clipped so an append
+// cannot reach the next frame). r.File is taken from *name when the frame
+// carries that name again: *name is the caller's one-entry cache of the last
+// non-empty file name, which survives the nameless commit and abort records
+// between a file's data records, so a scan over one file's trail allocates
+// nothing per record.
+//
+// A zero length prefix (or insufficient bytes) is a clean ErrEndOfLog, since
+// logs are scanned out of zero-initialized media; anything structurally
+// wrong is ErrTornRecord.
+//
+//simlint:hotpath
+func decodeInto(r *Record, name *string, data []byte) (int, error) {
 	if len(data) < frameHeader {
-		return nil, 0, ErrEndOfLog
+		return 0, ErrEndOfLog
 	}
 	inner := binary.LittleEndian.Uint32(data)
 	if inner == 0 {
-		return nil, 0, ErrEndOfLog
+		return 0, ErrEndOfLog
 	}
 	// Smallest legal frame interior: fixed fields plus CRC, 29 bytes. The
 	// length comparison is done in uint64: int(inner) would go negative on
 	// 32-bit platforms for inner >= 2^31, slip past this check, and panic
 	// in the slice expression below.
 	if inner < 29 || uint64(inner) > uint64(len(data)-frameHeader) {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
 	payload := data[frameHeader : frameHeader+int(inner)-4]
 	crc := binary.LittleEndian.Uint32(data[frameHeader+int(inner)-4:])
 	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
 
-	r := &Record{}
-	pos := 0
-	r.Type = RecType(payload[pos])
-	pos++
-	r.Txn = TxnID(binary.LittleEndian.Uint64(payload[pos:]))
-	pos += 8
-	fl := int(binary.LittleEndian.Uint16(payload[pos:]))
-	pos += 2
+	// Fixed head: type, txn, file-name length.
+	fl := int(binary.LittleEndian.Uint16(payload[9:]))
+	pos := 11
 	if pos+fl > len(payload) {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
-	r.File = string(payload[pos : pos+fl])
+	file := payload[pos : pos+fl]
 	pos += fl
 	if pos+14 > len(payload) {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
+	}
+	bl := int(binary.LittleEndian.Uint32(payload[pos+10:]))
+	if pos+14+bl != len(payload) {
+		return 0, ErrTornRecord
+	}
+
+	r.Type = RecType(payload[0])
+	r.Txn = TxnID(binary.LittleEndian.Uint64(payload[1:]))
+	switch {
+	case fl == 0:
+		r.File = ""
+	case *name == string(file): // the comparison does not allocate
+		r.File = *name
+	default:
+		*name = string(file) //simlint:allow hotalloc -- only when the file name changes; a stream is one file's trail
+		r.File = *name
 	}
 	r.Partition = binary.LittleEndian.Uint16(payload[pos:])
-	pos += 2
-	r.Key = binary.LittleEndian.Uint64(payload[pos:])
-	pos += 8
-	bl := int(binary.LittleEndian.Uint32(payload[pos:]))
-	pos += 4
-	if pos+bl != len(payload) {
-		return nil, 0, ErrTornRecord
+	r.Key = binary.LittleEndian.Uint64(payload[pos+2:])
+	pos += 14
+	r.Body = nil
+	if bl > 0 {
+		r.Body = payload[pos : pos+bl : pos+bl]
 	}
-	r.Body = append([]byte(nil), payload[pos:pos+bl]...)
-	return r, frameHeader + int(inner), nil
+	return frameHeader + int(inner), nil
 }
 
-// Scanner iterates the records of a log byte stream.
+// DecodeRecord parses one frame from the front of data, returning a record
+// that owns its bytes and the number of bytes consumed. It is the copying
+// form of the scanner's in-place decode: the same decoder, the same checks.
+func DecodeRecord(data []byte) (*Record, int, error) {
+	var rec Record
+	var name string
+	n, err := decodeInto(&rec, &name, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := rec // allocated only once the frame is known good
+	out.Body = append([]byte(nil), rec.Body...)
+	return &out, n, nil
+}
+
+// Scanner iterates the records of a log byte stream, decoding each in
+// place: Record returns a view into the stream, not a copy.
 type Scanner struct {
 	data []byte
 	off  int
 	err  error
-	rec  *Record
+	rec  Record
+	name string // last non-empty file name decoded, shared by the records that repeat it
 	lsn  LSN
 }
 
@@ -202,26 +239,31 @@ type Scanner struct {
 func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
 
 // Next advances to the next record, returning false at end of log or on a
-// torn record (check Err to distinguish).
+// torn record (check Err to distinguish). A failed advance leaves Record,
+// LSN and Offset at the last good record.
+//
+//simlint:hotpath
 func (s *Scanner) Next() bool {
 	if s.err != nil {
 		return false
 	}
-	rec, n, err := DecodeRecord(s.data[s.off:])
+	n, err := decodeInto(&s.rec, &s.name, s.data[s.off:])
 	if err != nil {
-		if !errors.Is(err, ErrEndOfLog) {
+		if err != ErrEndOfLog {
 			s.err = err
 		}
 		return false
 	}
 	s.lsn = LSN(s.off)
-	s.rec = rec
 	s.off += n
 	return true
 }
 
-// Record returns the current record.
-func (s *Scanner) Record() *Record { return s.rec }
+// Record returns the current record: the scanner's own, overwritten by the
+// next successful Next, with Body aliasing the scanned bytes. A caller that
+// keeps a record past either must copy it and own its Body. Before the
+// first successful Next it is the zero record.
+func (s *Scanner) Record() *Record { return &s.rec }
 
 // LSN returns the current record's log sequence number.
 func (s *Scanner) LSN() LSN { return s.lsn }

@@ -31,11 +31,9 @@ func corpusFrames() [][]byte {
 	return out
 }
 
-// FuzzDecodeRecord asserts DecodeRecord is total over arbitrary bytes: it
-// never panics, never over-consumes, and any frame it accepts re-encodes
-// to the exact bytes it consumed (the encoding is canonical, so decode
-// must be its inverse).
-func FuzzDecodeRecord(f *testing.F) {
+// seedCorpus adds the shared seed inputs: the real frames, then
+// truncations and corruptions of one.
+func seedCorpus(f *testing.F) {
 	for _, frame := range corpusFrames() {
 		f.Add(frame)
 	}
@@ -53,7 +51,14 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	// Zero-filled media: clean end of log.
 	f.Add(make([]byte, 64))
+}
 
+// FuzzDecodeRecord asserts DecodeRecord is total over arbitrary bytes: it
+// never panics, never over-consumes, and any frame it accepts re-encodes
+// to the exact bytes it consumed (the encoding is canonical, so decode
+// must be its inverse).
+func FuzzDecodeRecord(f *testing.F) {
+	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := DecodeRecord(data)
 		if err != nil {

@@ -8,6 +8,7 @@
 package dp2
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -675,13 +676,22 @@ func (d *DP2) handleInsert(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager,
 		d.completeInsert(ctx, ctx.Process, st, auditBuf, ev, req)
 		return
 	}
-	// Conflict: complete in a continuation so the serve loop keeps
-	// draining (the lock holder's EndTxn must get through).
-	//simlint:allow hotalloc -- lock-conflict path only; the fast path above stays closure-free
+	d.insertAfterLock(ctx, st, lm, auditBuf, ev, req)
+}
+
+// insertAfterLock is handleInsert's conflict path: the insert completes in
+// a continuation so the serve loop keeps draining (the lock holder's EndTxn
+// must get through). It is its own function because the continuation
+// captures ev and req, and a captured parameter is heap-allocated at
+// function entry — inside handleInsert that was one Envelope per insert on
+// the fast path too. Inlining it back would undo that.
+//
+//go:noinline
+func (d *DP2) insertAfterLock(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, auditBuf *[]byte, ev cluster.Envelope, req InsertReq) {
 	ctx.CPU().Spawn(d.waiterName, func(p *cluster.Process) {
 		if err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Exclusive, d.cfg.LockTimeout); err != nil {
 			d.stats.LockTimeouts++
-			ev.Reply(InsertResp{Err: err}) //simlint:allow hotalloc -- lock-timeout path, cold
+			ev.Reply(InsertResp{Err: err})
 			return
 		}
 		d.completeInsert(ctx, p, st, auditBuf, ev, req)
@@ -790,57 +800,74 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 
 func (d *DP2) handleRead(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req ReadReq) {
 	ctx.Compute(d.cfg.ReadCPU)
-	finish := func(p *cluster.Process) {
-		r, ok := st.tree.Get(req.Key)
-		if !ok {
-			ev.Reply(ReadResp{Err: fmt.Errorf("%w: key %d", ErrNotFound, req.Key)})
-			return
-		}
-		if r.resident {
-			d.stats.Reads++
-			ev.Reply(ReadResp{Body: r.body})
-			return
-		}
-		// Cache miss: fetch from the data volume in a continuation so the
-		// serve loop keeps draining during the (millisecond-scale) I/O.
-		d.stats.CacheMisses++
-		ctx.CPU().Spawn(d.missName, func(mp *cluster.Process) {
-			buf := make([]byte, r.blen)
-			if err := d.cfg.Volume.Read(mp.Sim(), r.volOff, buf); err != nil {
-				ev.Reply(ReadResp{Err: err})
-				return
-			}
-			// Re-admit unless someone else already did.
-			if cur, ok := st.tree.Get(req.Key); ok && cur == r && !r.resident {
-				if d.cfg.RetainData {
-					r.body = buf
-				}
-				r.resident = true
-				st.cacheBytes += int64(r.blen)
-				st.cleanq.push(queueEnt{key: req.Key, r: r})
-				d.evict(st)
-			}
-			d.stats.Reads++
-			ev.Reply(ReadResp{Body: buf})
-		})
-	}
 	if req.Txn == 0 {
-		finish(ctx.Process) // browse access: no lock
+		d.finishRead(ctx, st, ev, req) // browse access: no lock
 		return
 	}
 	if lm.QueueLen(req.Key) == 0 && lm.HolderCount(req.Key) == 0 {
 		// Will grant instantly.
 		lm.Acquire(ctx.Sim(), req.Key, req.Txn, locks.Shared, d.cfg.LockTimeout)
-		finish(ctx.Process)
+		d.finishRead(ctx, st, ev, req)
 		return
 	}
+	d.readAfterLock(ctx, st, lm, ev, req)
+}
+
+// readAfterLock is handleRead's conflict path, a function of its own for
+// insertAfterLock's reason: its continuation captures ev and req.
+//
+//go:noinline
+func (d *DP2) readAfterLock(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req ReadReq) {
 	ctx.CPU().Spawn(d.rwaiterName, func(p *cluster.Process) {
 		if err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Shared, d.cfg.LockTimeout); err != nil {
 			d.stats.LockTimeouts++
 			ev.Reply(ReadResp{Err: err})
 			return
 		}
-		finish(p)
+		d.finishRead(ctx, st, ev, req)
+	})
+}
+
+// finishRead runs once the read may proceed (lock held, or a browse).
+func (d *DP2) finishRead(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, req ReadReq) {
+	r, ok := st.tree.Get(req.Key)
+	if !ok {
+		ev.Reply(ReadResp{Err: fmt.Errorf("%w: key %d", ErrNotFound, req.Key)})
+		return
+	}
+	if r.resident {
+		d.stats.Reads++
+		ev.Reply(ReadResp{Body: r.body})
+		return
+	}
+	d.stats.CacheMisses++
+	d.readMiss(ctx, st, ev, req.Key, r)
+}
+
+// readMiss fetches an evicted row from the data volume in a continuation,
+// so the serve loop keeps draining during the (millisecond-scale) I/O. It
+// captures ev, so it too stays out of line.
+//
+//go:noinline
+func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, key uint64, r *row) {
+	ctx.CPU().Spawn(d.missName, func(mp *cluster.Process) {
+		buf := make([]byte, r.blen)
+		if err := d.cfg.Volume.Read(mp.Sim(), r.volOff, buf); err != nil {
+			ev.Reply(ReadResp{Err: err})
+			return
+		}
+		// Re-admit unless someone else already did.
+		if cur, ok := st.tree.Get(key); ok && cur == r && !r.resident {
+			if d.cfg.RetainData {
+				r.body = buf
+			}
+			r.resident = true
+			st.cacheBytes += int64(r.blen)
+			st.cleanq.push(queueEnt{key: key, r: r})
+			d.evict(st)
+		}
+		d.stats.Reads++
+		ev.Reply(ReadResp{Body: buf})
 	})
 }
 
@@ -1005,8 +1032,13 @@ func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
 		rec := s.Record()
 		switch rec.Type {
 		case audit.RecInsert:
+			// rec.Body aliases img; a retained row owns its bytes.
+			body := rec.Body
+			if d.cfg.RetainData {
+				body = bytes.Clone(body)
+			}
 			st.applyInsert(insertDelta{
-				txn: rec.Txn, key: rec.Key, body: rec.Body, blen: len(rec.Body),
+				txn: rec.Txn, key: rec.Key, body: body, blen: len(body),
 			}, d.cfg.RetainData)
 		case audit.RecCommit:
 			st.applyEnd(endDelta{txn: rec.Txn, commit: true})
@@ -1023,36 +1055,32 @@ func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
 // write whose contents are the concatenated row bodies, so evicted rows
 // can be re-read later. After each batch the cache budget is enforced by
 // evicting the oldest clean rows.
+//
+// The batch is assembled first and the write buffer sized to it
+// (destageBufLen), so a destager allocates what its load needs: nothing
+// while idle, a few KB under a trickle.
 func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
-	buf := make([]byte, d.cfg.WritebackMaxBytes)
+	var buf []byte       // grown to the largest batch so far
 	var batch []queueEnt // reused across batches
+	budget := int64(d.cfg.WritebackMaxBytes)
 	for {
 		kick.Recv(p.Sim())
 		for st.dirty > 0 {
 			p.Wait(d.cfg.WritebackInterval)
 
-			// Assemble one batch of queued dirty rows.
+			// Assemble one batch of queued dirty rows, up to the budget. A
+			// row larger than the budget is destaged alone rather than
+			// wedging the queue.
 			batchStart := st.alloc
-			if batchStart+int64(d.cfg.WritebackMaxBytes) > d.cfg.Volume.Capacity() {
+			if batchStart+budget > d.cfg.Volume.Capacity() {
 				batchStart = 0
 			}
 			var n int64
 			batch = batch[:0]
-			// A row larger than the batch budget is destaged alone with a
-			// grown buffer rather than wedging the queue.
-			if st.dirtyq.len() > 0 && st.dirtyq.front().r.blen > d.cfg.WritebackMaxBytes {
-				if need := st.dirtyq.front().r.blen; need > len(buf) {
-					buf = make([]byte, need)
-				}
-			}
-			for st.dirtyq.len() > 0 && (n == 0 || n+int64(st.dirtyq.front().r.blen) <= int64(d.cfg.WritebackMaxBytes)) &&
-				n+int64(st.dirtyq.front().r.blen) <= int64(len(buf)) {
+			for st.dirtyq.len() > 0 && (n == 0 || n+int64(st.dirtyq.front().r.blen) <= budget) {
 				ent := st.dirtyq.pop()
 				if cur, ok := st.tree.Get(ent.key); !ok || cur != ent.r || !ent.r.dirty {
 					continue // aborted or replaced since queueing
-				}
-				if ent.r.body != nil {
-					copy(buf[n:], ent.r.body)
 				}
 				ent.r.volOff = batchStart + n
 				n += int64(ent.r.blen)
@@ -1062,6 +1090,14 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 				// Queue drained of valid entries; accounting catches up.
 				st.dirty = 0
 				break
+			}
+			if n > int64(len(buf)) {
+				buf = make([]byte, destageBufLen(int64(len(buf)), n, budget))
+			}
+			for _, ent := range batch {
+				if ent.r.body != nil {
+					copy(buf[ent.r.volOff-batchStart:], ent.r.body)
+				}
 			}
 			if err := d.cfg.Volume.Write(p.Sim(), batchStart, buf[:n]); err != nil {
 				// Volume down: requeue and retry next interval.
@@ -1082,6 +1118,14 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 			d.evict(st)
 		}
 	}
+}
+
+// destageBufLen sizes the destage buffer that replaces one of have bytes
+// too small for a need-byte batch: at least double, so a ramping load
+// reallocates O(log) times, but never past the batch budget — only a single
+// row larger than the budget gets a larger buffer, sized to that row.
+func destageBufLen(have, need, budget int64) int64 {
+	return min(max(need, 2*have), max(need, budget))
 }
 
 // evict enforces the cache budget by dropping the oldest clean rows'

@@ -50,11 +50,11 @@ func (p *Poisson) Next() sim.Time {
 // zero: silence between bursts); sojourn times in each state are
 // exponential with the configured means.
 type MMPP struct {
-	rng              *rand.Rand
-	onGap, offGap    float64 // mean inter-arrival gap per state (ns); <= 0 means silent
-	onMean, offMean  float64 // mean state sojourn (ns)
-	on               bool
-	left             float64 // time remaining in the current state (ns)
+	rng             *rand.Rand
+	onGap, offGap   float64 // mean inter-arrival gap per state (ns); <= 0 means silent
+	onMean, offMean float64 // mean state sojourn (ns)
+	on              bool
+	left            float64 // time remaining in the current state (ns)
 }
 
 // NewMMPP returns an on/off modulated Poisson process. onRate must be

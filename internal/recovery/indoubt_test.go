@@ -14,10 +14,6 @@ import (
 // abort outcome means discard, and no outcome anywhere means presumed
 // abort — never redo, never a third state.
 
-func newAnalysis() *analysis {
-	return &analysis{outcome: make(map[audit.TxnID]uint8), prepared: make(map[audit.TxnID]bool)}
-}
-
 func TestInDoubtPresumedAbortWithoutOutcome(t *testing.T) {
 	an := newAnalysis()
 	an.prepared[7] = true

@@ -20,6 +20,7 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -108,11 +109,38 @@ func (r *Rebuilt) Rows() int {
 	return n
 }
 
-// analyze classifies transactions from scanned records.
+// analysis classifies transactions from scanned records. data holds the
+// data records by value, in trail order; their Body fields alias the kept
+// streams, which therefore live until redo has copied what it keeps.
 type analysis struct {
 	outcome  map[audit.TxnID]uint8 // tmf.TCBCommitted / TCBAborted
 	prepared map[audit.TxnID]bool  // cross-shard prepare votes seen
-	data     []*audit.Record
+	data     []audit.Record
+}
+
+func newAnalysis() *analysis {
+	return &analysis{outcome: make(map[audit.TxnID]uint8), prepared: make(map[audit.TxnID]bool)}
+}
+
+// note folds one scanned record into the analysis. rec is the scanner's
+// own record, so a data record is kept by value.
+func (an *analysis) note(rec *audit.Record) {
+	switch rec.Type {
+	case audit.RecCommit:
+		an.outcome[rec.Txn] = tmf.TCBCommitted
+	case audit.RecAbort:
+		an.outcome[rec.Txn] = tmf.TCBAborted
+	case audit.RecPrepare:
+		an.prepared[rec.Txn] = true
+	case audit.RecOutcome:
+		// The coordinator's durable decision for a cross-shard
+		// transaction — authoritative over anything else seen so far.
+		if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
+			an.outcome[rec.Txn] = o.State
+		}
+	case audit.RecInsert, audit.RecUpdate, audit.RecDelete:
+		an.data = append(an.data, *rec)
+	}
 }
 
 // scanStream walks one log stream's bytes, feeding records into the
@@ -122,23 +150,7 @@ func scanStream(p *sim.Proc, opts Options, data []byte, an *analysis, count *int
 	for s.Next() {
 		*count++
 		p.Wait(opts.CPUPerRecord)
-		rec := s.Record()
-		switch rec.Type {
-		case audit.RecCommit:
-			an.outcome[rec.Txn] = tmf.TCBCommitted
-		case audit.RecAbort:
-			an.outcome[rec.Txn] = tmf.TCBAborted
-		case audit.RecPrepare:
-			an.prepared[rec.Txn] = true
-		case audit.RecOutcome:
-			// The coordinator's durable decision for a cross-shard
-			// transaction — authoritative over anything else seen so far.
-			if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
-				an.outcome[rec.Txn] = o.State
-			}
-		case audit.RecInsert, audit.RecUpdate, audit.RecDelete:
-			an.data = append(an.data, rec)
-		}
+		an.note(s.Record())
 	}
 }
 
@@ -175,7 +187,8 @@ func resolveInDoubt(an *analysis, rep *Report) {
 func redo(p *sim.Proc, opts Options, an *analysis, rep *Report) (*Rebuilt, map[audit.TxnID]bool) {
 	rb := &Rebuilt{Files: make(map[string]*btree.Tree[[]byte])}
 	seen := make(map[audit.TxnID]bool)
-	for _, rec := range an.data {
+	for i := range an.data {
+		rec := &an.data[i]
 		p.Wait(opts.CPUPerRecord)
 		rep.RecordsScanned++
 		if an.outcome[rec.Txn] != tmf.TCBCommitted {
@@ -201,31 +214,45 @@ func redo(p *sim.Proc, opts Options, an *analysis, rep *Report) (*Rebuilt, map[a
 		if rec.Type == audit.RecDelete {
 			t.Delete(rec.Key)
 		} else {
-			t.Set(rec.Key, rec.Body)
+			// The image outlives the streams: it owns its bytes.
+			t.Set(rec.Key, bytes.Clone(rec.Body))
 			rep.RowsRedone++
 		}
 	}
 	return rb, seen
 }
 
+// scratch is one recovery's read buffer. Every stream replica (and the TCB
+// image) is read into it and scanned there; what a recovery keeps of a
+// stream — the valid record prefix of the winning replica — is copied out
+// before the next read reuses the buffer. Nothing that outlives the
+// recovery may alias it.
+type scratch struct{ buf []byte }
+
 // FromDisk recovers from audit disk volumes. The full trail area of each
 // volume is read sequentially and scanned twice: once to discover
 // transaction outcomes (the "heuristic searching" the paper decries) and
 // once to redo.
 func FromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options) (Report, *Rebuilt, error) {
+	return fromDisk(p, volumes, opts, new(scratch))
+}
+
+func fromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options, sc *scratch) (Report, *Rebuilt, error) {
 	opts.defaults()
 	var rep Report
 	start := p.Now()
-	an := &analysis{outcome: make(map[audit.TxnID]uint8), prepared: make(map[audit.TxnID]bool)}
+	an := newAnalysis()
 
 	streams := make([][]byte, 0, len(volumes))
 	for _, v := range volumes {
-		data, n, err := readDiskStream(p, v, opts)
+		valid, n, err := readStream(sc, v.Capacity(), opts, func(off int64, buf []byte) error {
+			return v.Read(p, off, buf)
+		})
 		if err != nil {
 			return rep, nil, err
 		}
 		rep.BytesRead += n
-		streams = append(streams, data)
+		streams = append(streams, bytes.Clone(sc.buf[:valid]))
 	}
 	// Pass 1: outcome discovery across every stream.
 	for _, data := range streams {
@@ -238,39 +265,37 @@ func FromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options) (Report, *Rebui
 	return rep, rb, nil
 }
 
-// readDiskStream reads a volume's log area until the scanner sees the end
-// of the trail.
-func readDiskStream(p *sim.Proc, v *disk.Volume, opts Options) ([]byte, int64, error) {
-	return readStream(v.Capacity(), opts, func(off int64, buf []byte) error {
-		return v.Read(p, off, buf)
-	})
-}
-
-// readStream incrementally reads a log area chunk by chunk, stopping once
-// the scanner finds the trail's end well inside what has been read.
-func readStream(capacity int64, opts Options, readChunk func(off int64, buf []byte) error) ([]byte, int64, error) {
-	var data []byte
+// readStream reads a log area chunk by chunk straight into sc.buf, stopping
+// once the trail's end lies well inside what has been read, and returns the
+// length of the valid record prefix (sc.buf[:valid] is the stream) and the
+// bytes read. Each chunk resumes the end-of-trail scan at the last record
+// boundary: a frame the previous chunk cut short is retried whole, and
+// nothing already validated is scanned again.
+func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off int64, buf []byte) error) (valid int, read int64, err error) {
 	var off int64
 	for off < capacity && off < opts.MaxLogBytes {
 		n := int64(opts.ChunkBytes)
 		if off+n > capacity {
 			n = capacity - off
 		}
-		buf := make([]byte, n)
-		if err := readChunk(off, buf); err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrNoLog, err)
+		end := int(off + n)
+		if end > len(sc.buf) {
+			sc.buf = append(sc.buf[:off], make([]byte, n)...)
 		}
-		data = append(data, buf...)
+		if err := readChunk(off, sc.buf[off:end]); err != nil {
+			return 0, 0, fmt.Errorf("%w: %v", ErrNoLog, err)
+		}
 		off += n
 		// Stop once the tail of what we have is clearly past the log end.
-		s := audit.NewScanner(data)
+		s := audit.NewScanner(sc.buf[valid:end])
 		for s.Next() {
 		}
-		if s.Err() == nil && s.Offset() < len(data)-opts.ChunkBytes/2 {
+		valid += s.Offset()
+		if s.Err() == nil && valid < end-opts.ChunkBytes/2 {
 			break
 		}
 	}
-	return data, off, nil
+	return valid, off, nil
 }
 
 // FromPM recovers from NPMU-resident log regions via the PM client
@@ -280,16 +305,23 @@ func readStream(capacity int64, opts Options, readChunk func(off int64, buf []by
 // log region names, and the TCB region name ("" to force the two-pass
 // disk-style analysis over PM, for apples-to-apples ablation).
 func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options) (Report, *Rebuilt, error) {
+	return fromPM(p, vol, logRegions, tcbRegion, opts, new(scratch))
+}
+
+func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options, sc *scratch) (Report, *Rebuilt, error) {
 	opts.defaults()
 	var rep Report
 	start := p.Now()
-	an := &analysis{outcome: make(map[audit.TxnID]uint8), prepared: make(map[audit.TxnID]bool)}
+	an := newAnalysis()
 
 	// Fine-grained outcomes first.
 	if tcbRegion != "" {
 		r, err := vol.Open(p, tcbRegion)
 		if err == nil {
-			img := make([]byte, r.Size())
+			if int64(len(sc.buf)) < r.Size() {
+				sc.buf = make([]byte, r.Size())
+			}
+			img := sc.buf[:r.Size()]
 			if err := readPMStream(p, r, img, opts); err == nil {
 				rep.BytesRead += r.Size()
 				an.outcome = tmf.ScanTCBs(img)
@@ -305,7 +337,7 @@ func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 		if err != nil {
 			return rep, nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}
-		data, n, err := readLogReplicas(p, r, opts)
+		data, n, err := readLogReplicas(p, r, opts, sc)
 		if err != nil {
 			return rep, nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}
@@ -319,7 +351,7 @@ func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 		for _, data := range streams {
 			scanStream(p.Sim(), opts, data, an, &rep.RecordsScanned)
 		}
-		an.data = nil
+		an.data = an.data[:0]
 	}
 	// Single (or second) pass: collect data records and redo. Outcome
 	// records encountered along the way are authoritative — the TCB table
@@ -329,21 +361,7 @@ func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 	for _, data := range streams {
 		s := audit.NewScanner(data)
 		for s.Next() {
-			rec := s.Record()
-			switch rec.Type {
-			case audit.RecInsert, audit.RecUpdate, audit.RecDelete:
-				an.data = append(an.data, rec)
-			case audit.RecCommit:
-				an.outcome[rec.Txn] = tmf.TCBCommitted
-			case audit.RecAbort:
-				an.outcome[rec.Txn] = tmf.TCBAborted
-			case audit.RecPrepare:
-				an.prepared[rec.Txn] = true
-			case audit.RecOutcome:
-				if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
-					an.outcome[rec.Txn] = o.State
-				}
-			}
+			an.note(s.Record())
 		}
 	}
 	resolveInDoubt(an, &rep)
@@ -371,14 +389,15 @@ func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 // (its partner carried the writes alone while it was away), and trusting
 // the primary blindly would silently drop committed transactions. A
 // replica that cannot be read at all (device still down) is skipped as
-// long as its partner is readable.
-func readLogReplicas(p *cluster.Process, r *pmclient.Region, opts Options) ([]byte, int64, error) {
+// long as its partner is readable. Every replica is read into the scratch;
+// only a replica that beats the best so far is copied out of it.
+func readLogReplicas(p *cluster.Process, r *pmclient.Region, opts Options, sc *scratch) ([]byte, int64, error) {
 	var best []byte
 	bestValid := -1
 	var total int64
 	var firstErr error
 	for rep := 0; rep < r.Replicas(); rep++ {
-		data, n, err := readStream(r.Size(), opts, func(off int64, buf []byte) error {
+		valid, n, err := readStream(sc, r.Size(), opts, func(off int64, buf []byte) error {
 			return r.ReadReplica(p, rep, off, buf)
 		})
 		if err != nil {
@@ -388,14 +407,11 @@ func readLogReplicas(p *cluster.Process, r *pmclient.Region, opts Options) ([]by
 			continue
 		}
 		total += n
-		s := audit.NewScanner(data)
-		for s.Next() {
-		}
-		if s.Offset() > bestValid {
-			bestValid, best = s.Offset(), data
+		if valid > bestValid {
+			bestValid, best = valid, append(best[:0], sc.buf[:valid]...)
 		}
 	}
-	if best == nil {
+	if bestValid < 0 {
 		return nil, 0, firstErr
 	}
 	return best, total, nil
