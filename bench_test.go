@@ -187,4 +187,6 @@ func benchmarkHotStock(b *testing.B, d ods.Durability) {
 	// Simulation events per transaction: with -benchmem this turns the
 	// allocs/op column into allocs/event at a glance.
 	b.ReportMetric(float64(r.Events)/float64(b.N), "events/op")
+	// The share of events that cost a process switch.
+	b.ReportMetric(float64(r.Switches)/float64(r.Events), "switches/event")
 }

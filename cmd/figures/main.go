@@ -17,13 +17,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"persistmem/internal/bench"
 )
 
 func main() {
+	names := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		names[i] = e.Name
+	}
 	var (
-		fig      = flag.String("fig", "all", "which experiment: all, 1, 2, c1, c2, c3, a1, a2, a3, a4")
+		fig      = flag.String("fig", "all", "which experiment: all, "+strings.Join(names, ", "))
 		scale    = flag.String("scale", "quick", "run scale: full (paper, 32000 records/driver), quick, smoke")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of tables (figures 1 and 2)")
@@ -33,118 +38,37 @@ func main() {
 	)
 	flag.Parse()
 	runner := bench.Runner{Parallelism: *parallel}
-
-	var sc bench.Scale
-	switch *scale {
-	case "full":
-		sc = bench.Full
-	case "quick":
-		sc = bench.Quick
-	case "smoke":
-		sc = bench.Smoke
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := bench.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	failures := 0
-	report := func(errs []error) {
-		for _, err := range errs {
-			fmt.Fprintf(os.Stderr, "SHAPE: %v\n", err)
-			failures++
+	// emit prints one experiment — as CSV when asked and the experiment
+	// has one — and counts its shape breaks.
+	emit := func(res bench.Result) {
+		if c, ok := res.(interface{ CSV() string }); ok && *csv {
+			fmt.Print(c.CSV())
+		} else {
+			fmt.Println(res.Table())
+		}
+		if *check {
+			for _, err := range res.CheckShape() {
+				fmt.Fprintf(os.Stderr, "SHAPE: %v\n", err)
+				failures++
+			}
 		}
 	}
-	want := func(name string) bool { return *fig == "all" || *fig == name }
-
 	if *breakdn {
-		b := runner.Breakdown(*seed, sc)
-		if *csv {
-			fmt.Print(b.CSV())
-		} else {
-			fmt.Println(b.Table())
-		}
-		if *check {
-			report(b.CheckShape())
-		}
-		if failures > 0 {
-			fmt.Fprintf(os.Stderr, "%d shape check(s) failed\n", failures)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if want("1") {
-		f := runner.Figure1(*seed, sc)
-		if *csv {
-			fmt.Print(f.CSV())
-		} else {
-			fmt.Println(f.Table())
-		}
-		if *check {
-			report(f.CheckShape())
+		emit(runner.Breakdown(*seed, sc))
+	} else {
+		for _, e := range bench.Experiments {
+			if *fig == "all" || *fig == e.Name {
+				emit(e.Run(runner, *seed, sc))
+			}
 		}
 	}
-	if want("2") {
-		f := runner.Figure2(*seed, sc)
-		if *csv {
-			fmt.Print(f.CSV())
-		} else {
-			fmt.Println(f.Table())
-		}
-		if *check {
-			report(f.CheckShape())
-		}
-	}
-	if want("c1") {
-		c := bench.RunClaimC1(*seed)
-		fmt.Println(c.Table())
-		if *check {
-			report(c.CheckShape())
-		}
-	}
-	if want("c2") {
-		c := runner.ClaimC2(*seed, sc)
-		fmt.Println(c.Table())
-		if *check {
-			report(c.CheckShape())
-		}
-	}
-	if want("c3") {
-		c := runner.ClaimC3(*seed, sc)
-		fmt.Println(c.Table())
-		if *check {
-			report(c.CheckShape())
-		}
-	}
-	if want("a1") {
-		a := runner.AblationA1(*seed, sc)
-		fmt.Println(a.Table())
-		if *check {
-			report(a.CheckShape())
-		}
-	}
-	if want("a2") {
-		a := runner.AblationA2(*seed, sc)
-		fmt.Println(a.Table())
-		if *check {
-			report(a.CheckShape())
-		}
-	}
-	if want("a3") {
-		a := runner.AblationA3(*seed, sc)
-		fmt.Println(a.Table())
-		if *check {
-			report(a.CheckShape())
-		}
-	}
-	if want("a4") {
-		a := runner.AblationA4(*seed, sc)
-		fmt.Println(a.Table())
-		if *check {
-			report(a.CheckShape())
-		}
-	}
-
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "%d shape check(s) failed\n", failures)
 		os.Exit(1)

@@ -13,8 +13,6 @@ import (
 
 	"persistmem/internal/avail"
 	"persistmem/internal/bench"
-	"persistmem/internal/ods"
-	"persistmem/internal/recovery"
 	"persistmem/internal/sim"
 )
 
@@ -28,72 +26,27 @@ func main() {
 
 	fmt.Printf("crash scenario: %d committed transactions + 1 in flight, then power failure\n\n", *txns)
 
-	type row struct {
-		name string
-		rep  recovery.Report
-		rows int
-		err  string
-	}
-	// The three scenarios are independent simulations (each builds its own
-	// engine), so they fan out across the pool; errors are reported after
-	// the pool drains, in scenario order, so output stays deterministic.
-	rows := []row{
-		{name: "disk audit, log scan"},
-		{name: "PM audit, log scan (no TCB)"},
-		{name: "PM audit + fine-grained TCBs"},
-	}
-	bench.ForEach(*parallel, len(rows), func(i int) {
-		var (
-			rep recovery.Report
-			rb  *recovery.Rebuilt
-			err error
-		)
-		switch i {
-		case 0:
-			res := recovery.RunScenario(ods.DiskDurability, *txns, *seed)
-			if len(res.Errs) > 0 {
-				rows[i].err = fmt.Sprintf("disk workload failed: %v", res.Errs)
-				return
-			}
-			rep, rb, err = res.RecoverDisk(recovery.Options{})
-			if err != nil {
-				rows[i].err = fmt.Sprintf("disk recovery: %v", err)
-				return
-			}
-		case 1:
-			res := recovery.RunScenario(ods.PMDurability, *txns, *seed)
-			rep, rb, err = res.RecoverPM(recovery.Options{}, false)
-			if err != nil {
-				rows[i].err = fmt.Sprintf("pm recovery (no TCB): %v", err)
-				return
-			}
-		case 2:
-			res := recovery.RunScenario(ods.PMDurability, *txns, *seed)
-			rep, rb, err = res.RecoverPM(recovery.Options{}, true)
-			if err != nil {
-				rows[i].err = fmt.Sprintf("pm recovery (TCB): %v", err)
-				return
-			}
-		}
-		rows[i].rep, rows[i].rows = rep, rb.Rows()
-	})
-	for _, r := range rows {
-		if r.err != "" {
-			fmt.Fprintln(os.Stderr, r.err)
+	// The experiment is claim C2's: three independent crash scenarios,
+	// one per recovery path, fanned out across the pool.
+	c := bench.Runner{Parallelism: *parallel}.ClaimC2Txns(*seed, *txns)
+	for _, p := range c.Paths {
+		if p.Err != nil {
+			fmt.Fprintln(os.Stderr, p.Err)
 			os.Exit(1)
 		}
 	}
 
 	fmt.Printf("%-30s %12s %10s %10s %10s %8s\n",
 		"recovery path", "MTTR", "read", "records", "committed", "rows")
-	for _, r := range rows {
+	for _, p := range c.Paths {
 		fmt.Printf("%-30s %12v %9dK %10d %10d %8d\n",
-			r.name, r.rep.MTTR, r.rep.BytesRead/1024, r.rep.RecordsScanned,
-			r.rep.Committed, r.rows)
+			p.Name, p.Report.MTTR, p.Report.BytesRead/1024, p.Report.RecordsScanned,
+			p.Report.Committed, p.Rows)
 	}
+	disk, tcb := c.Paths[0], c.Paths[2]
 	fmt.Printf("\nPM with TCBs is %.1fx faster to recover than the disk path.\n",
-		float64(rows[0].rep.MTTR)/float64(rows[2].rep.MTTR))
-	if rows[0].rows != rows[2].rows {
+		float64(disk.Report.MTTR)/float64(tcb.Report.MTTR))
+	if disk.Rows != tcb.Rows {
 		fmt.Fprintln(os.Stderr, "WARNING: recovered images differ in row count")
 		os.Exit(1)
 	}
@@ -103,8 +56,8 @@ func main() {
 	// crash per month.
 	month := 30 * 24 * 3600 * sim.Second
 	fmt.Printf("\nprojected availability at one crash/month (MTBF=%v):\n", month)
-	for _, r := range rows {
-		_, class := avail.Project(month, r.rep.MTTR)
-		fmt.Printf("  %-30s %s\n", r.name, class)
+	for _, p := range c.Paths {
+		_, class := avail.Project(month, p.Report.MTTR)
+		fmt.Printf("  %-30s %s\n", p.Name, class)
 	}
 }

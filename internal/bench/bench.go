@@ -2,7 +2,11 @@
 // the paper's evaluation (Figures 1 and 2) plus measured tables for the
 // paper's prose claims (C1 latency, C3 write amplification) and ablations
 // (group commit, PM mirroring, fabric latency), and checks the shapes the
-// reproduction is required to preserve.
+// reproduction is required to preserve. Experiments lists them in the
+// order cmd/figures prints them; the open-loop saturation sweep
+// (cmd/loadgen) and the fault matrix (cmd/faults) are Runner methods
+// beside them, so the commands are flag parsers and the package's tests
+// gate the same bytes the commands print.
 package bench
 
 import (
@@ -27,6 +31,16 @@ var (
 	Quick = Scale{Name: "quick", RecordsPerDriver: 800}
 	Smoke = Scale{Name: "smoke", RecordsPerDriver: 160}
 )
+
+// ParseScale resolves a -scale flag value.
+func ParseScale(s string) (Scale, error) {
+	for _, sc := range []Scale{Full, Quick, Smoke} {
+		if s == sc.Name {
+			return sc, nil
+		}
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want full, quick or smoke)", s)
+}
 
 // txnSizes are the paper's boxcar degrees (inserts per transaction);
 // 8→"32k", 16→"64k", 32→"128k".

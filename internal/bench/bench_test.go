@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"persistmem/internal/recovery"
+	"persistmem/internal/sim"
 )
 
 func TestFigure1ShapeAtSmokeScale(t *testing.T) {
@@ -59,6 +63,35 @@ func TestClaimC2Shape(t *testing.T) {
 		t.Error(err)
 	}
 	t.Logf("\n%s", c.Table())
+}
+
+// TestClaimC2CheckShapeDetectsBreaks feeds CheckShape a healthy synthetic
+// result and then each way the claim can break.
+func TestClaimC2CheckShapeDetectsBreaks(t *testing.T) {
+	healthy := func() ClaimC2 {
+		c := ClaimC2{Txns: 20}
+		c.Paths[0] = C2Path{Name: "disk", Rows: 80, Report: recovery.Report{MTTR: 140 * sim.Millisecond, RecordsScanned: 180}}
+		c.Paths[1] = C2Path{Name: "pm", Rows: 80, Report: recovery.Report{MTTR: 80 * sim.Millisecond, RecordsScanned: 180}}
+		c.Paths[2] = C2Path{Name: "pm+tcb", Rows: 80, Report: recovery.Report{MTTR: 75 * sim.Millisecond, RecordsScanned: 80, UsedTCB: true}}
+		return c
+	}
+	if errs := healthy().CheckShape(); len(errs) != 0 {
+		t.Fatalf("healthy synthetic result rejected: %v", errs)
+	}
+	breaks := map[string]func(*ClaimC2){
+		"a path failed":             func(c *ClaimC2) { c.Paths[1] = C2Path{Name: "pm", Err: errors.New("log unreadable")} },
+		"images disagree":           func(c *ClaimC2) { c.Paths[2].Rows = 76 },
+		"PM no faster than disk":    func(c *ClaimC2) { c.Paths[2].Report.MTTR = c.Paths[0].Report.MTTR },
+		"TCBs scan as many records": func(c *ClaimC2) { c.Paths[2].Report.RecordsScanned = 180 },
+		"TCB region unused":         func(c *ClaimC2) { c.Paths[2].Report.UsedTCB = false },
+	}
+	for name, mutate := range breaks {
+		c := healthy()
+		mutate(&c)
+		if errs := c.CheckShape(); len(errs) == 0 {
+			t.Errorf("%s: CheckShape saw nothing wrong", name)
+		}
+	}
 }
 
 func TestClaimC3Shape(t *testing.T) {

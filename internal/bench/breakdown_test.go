@@ -11,6 +11,26 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// golden byte-compares got against the checked-in testdata file, or
+// rewrites the file under -update.
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run `go test ./internal/bench -run %s -update`): %v", t.Name(), err)
+	}
+	if got != string(want) {
+		t.Errorf("drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", name, got, want)
+	}
+}
+
 // TestBreakdownGolden byte-compares the disk and PM commit-latency
 // decomposition tables at a fixed seed against checked-in goldens. Any
 // change to commit-path timing or to the span instrumentation shows up
@@ -25,24 +45,7 @@ func TestBreakdownGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := Breakdown{Scale: Smoke, Rows: []BreakdownRow{runBreakdownOne(1, tc.d, Smoke)}}
-			got := b.Table()
-			path := filepath.Join("testdata", tc.name)
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run `go test ./internal/bench -run TestBreakdownGolden -update`): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("decomposition drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", tc.name, got, want)
-			}
+			golden(t, tc.name, b.Table())
 		})
 	}
 }

@@ -6,16 +6,36 @@ import (
 
 	"persistmem/internal/ods"
 	"persistmem/internal/recovery"
-	"persistmem/internal/sim"
 )
 
 // ClaimC2 measures §3.4's MTTR claim: restart recovery time by path.
 type ClaimC2 struct {
 	Txns int
-	// Reports per path: disk scan, PM scan without TCBs, PM with TCBs.
-	Disk, PMNoTCB, PMTCB recovery.Report
-	// RowsAgree confirms all three rebuilt the same committed image.
-	RowsAgree bool
+	// Paths holds one measurement per recovery path: disk scan, PM scan
+	// without TCBs, PM with TCBs.
+	Paths [3]C2Path
+}
+
+// C2Path is one recovery path's measurement.
+type C2Path struct {
+	Name   string
+	Report recovery.Report
+	// Rows is the size of the rebuilt committed image.
+	Rows int
+	// Err is the workload or recovery failure that left Report and Rows
+	// zero.
+	Err error
+}
+
+// c2Paths are the three recovery paths, in table order.
+var c2Paths = [3]struct {
+	name   string
+	d      ods.Durability
+	useTCB bool
+}{
+	{"disk audit, log scan", ods.DiskDurability, false},
+	{"PM audit, log scan (no TCB)", ods.PMDurability, false},
+	{"PM audit + fine-grained TCBs", ods.PMDurability, true},
 }
 
 // RunClaimC2 runs the crash scenario against each recovery path with
@@ -24,61 +44,54 @@ func RunClaimC2(seed int64, scale Scale) ClaimC2 {
 	return Runner{}.ClaimC2(seed, scale)
 }
 
-// ClaimC2 runs the three recovery scenarios (disk, PM without TCBs, PM
-// with TCBs) as independent cells with the Runner's parallelism.
+// ClaimC2 runs the experiment at the scale's transaction count.
 func (r Runner) ClaimC2(seed int64, scale Scale) ClaimC2 {
-	txns := scale.RecordsPerDriver / 8
-	if txns < 20 {
-		txns = 20
-	}
-	c := ClaimC2{Txns: txns}
+	return r.ClaimC2Txns(seed, max(scale.RecordsPerDriver/8, 20))
+}
 
-	type cell struct {
-		rep  recovery.Report
-		rows int
-		ok   bool
-	}
-	cells := make([]cell, 3)
-	r.forEach(len(cells), func(i int) {
+// ClaimC2Txns crashes a store with txns committed transactions and one in
+// flight, once per recovery path, and recovers it. The three scenarios are
+// independent cells run with the Runner's parallelism.
+func (r Runner) ClaimC2Txns(seed int64, txns int) ClaimC2 {
+	c := ClaimC2{Txns: txns}
+	r.forEach(len(c.Paths), func(i int) {
+		path := c2Paths[i]
+		p := &c.Paths[i]
+		p.Name = path.name
+		res := recovery.RunScenario(path.d, txns, seed)
+		defer res.Store.Eng.Shutdown()
+		if len(res.Errs) > 0 {
+			p.Err = fmt.Errorf("%s: workload failed before the crash: %v", path.name, res.Errs)
+			return
+		}
 		var (
 			rep recovery.Report
 			rb  *recovery.Rebuilt
 			err error
 		)
-		switch i {
-		case 0:
-			res := recovery.RunScenario(ods.DiskDurability, txns, seed)
+		if path.d == ods.DiskDurability {
 			rep, rb, err = res.RecoverDisk(recovery.Options{})
-			res.Store.Eng.Shutdown()
-		case 1:
-			res := recovery.RunScenario(ods.PMDurability, txns, seed)
-			rep, rb, err = res.RecoverPM(recovery.Options{}, false)
-			res.Store.Eng.Shutdown()
-		case 2:
-			res := recovery.RunScenario(ods.PMDurability, txns, seed)
-			rep, rb, err = res.RecoverPM(recovery.Options{}, true)
-			res.Store.Eng.Shutdown()
+		} else {
+			rep, rb, err = res.RecoverPM(recovery.Options{}, path.useTCB)
 		}
-		cells[i] = cell{rows: -1 - i} // distinct sentinels: missing images never agree
-		if err == nil {
-			cells[i].rep, cells[i].ok = rep, true
+		if err != nil {
+			p.Err = fmt.Errorf("%s: recovery: %w", path.name, err)
+			return
 		}
-		if rb != nil {
-			cells[i].rows = rb.Rows()
-		}
+		p.Report, p.Rows = rep, rb.Rows()
 	})
-	if cells[0].ok {
-		c.Disk = cells[0].rep
-	}
-	if cells[1].ok {
-		c.PMNoTCB = cells[1].rep
-	}
-	if cells[2].ok {
-		c.PMTCB = cells[2].rep
-	}
-	c.RowsAgree = cells[0].rows >= 0 && cells[1].rows >= 0 && cells[2].rows >= 0 &&
-		cells[0].rows == cells[1].rows && cells[0].rows == cells[2].rows
 	return c
+}
+
+// RowsAgree reports whether all three paths rebuilt the same committed
+// image; a path that failed agrees with nothing.
+func (c ClaimC2) RowsAgree() bool {
+	for _, p := range c.Paths {
+		if p.Err != nil || p.Rows != c.Paths[0].Rows {
+			return false
+		}
+	}
+	return true
 }
 
 // Table renders the MTTR comparison.
@@ -86,13 +99,10 @@ func (c ClaimC2) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Claim C2: MTTR after a crash with %d committed txns + 1 in flight\n", c.Txns)
 	fmt.Fprintf(&b, "%-30s %12s %10s %10s\n", "recovery path", "MTTR", "read KB", "records")
-	row := func(name string, r recovery.Report) {
-		fmt.Fprintf(&b, "%-30s %12v %10d %10d\n", name, r.MTTR, r.BytesRead/1024, r.RecordsScanned)
+	for _, p := range c.Paths {
+		fmt.Fprintf(&b, "%-30s %12v %10d %10d\n", p.Name, p.Report.MTTR, p.Report.BytesRead/1024, p.Report.RecordsScanned)
 	}
-	row("disk audit, log scan", c.Disk)
-	row("PM audit, log scan (no TCB)", c.PMNoTCB)
-	row("PM audit + fine-grained TCBs", c.PMTCB)
-	fmt.Fprintf(&b, "images agree: %v\n", c.RowsAgree)
+	fmt.Fprintf(&b, "images agree: %v\n", c.RowsAgree())
 	return b.String()
 }
 
@@ -100,22 +110,24 @@ func (c ClaimC2) Table() string {
 // cut the records examined, and all paths rebuild the same image.
 func (c ClaimC2) CheckShape() []error {
 	var errs []error
-	if !c.RowsAgree {
+	for _, p := range c.Paths {
+		if p.Err != nil {
+			errs = append(errs, fmt.Errorf("claimC2: %w", p.Err))
+		}
+	}
+	if !c.RowsAgree() {
 		errs = append(errs, fmt.Errorf("claimC2: recovered images disagree"))
 	}
-	if c.PMTCB.MTTR >= c.Disk.MTTR {
-		errs = append(errs, fmt.Errorf("claimC2: PM+TCB MTTR (%v) not below disk (%v)", c.PMTCB.MTTR, c.Disk.MTTR))
+	disk, noTCB, tcb := c.Paths[0].Report, c.Paths[1].Report, c.Paths[2].Report
+	if tcb.MTTR >= disk.MTTR {
+		errs = append(errs, fmt.Errorf("claimC2: PM+TCB MTTR (%v) not below disk (%v)", tcb.MTTR, disk.MTTR))
 	}
-	if c.PMTCB.RecordsScanned >= c.PMNoTCB.RecordsScanned {
+	if tcb.RecordsScanned >= noTCB.RecordsScanned {
 		errs = append(errs, fmt.Errorf("claimC2: TCBs did not reduce records scanned (%d vs %d)",
-			c.PMTCB.RecordsScanned, c.PMNoTCB.RecordsScanned))
+			tcb.RecordsScanned, noTCB.RecordsScanned))
 	}
-	if !c.PMTCB.UsedTCB {
+	if !tcb.UsedTCB {
 		errs = append(errs, fmt.Errorf("claimC2: TCB path did not use the TCB region"))
-	}
-	var zero sim.Time
-	if c.Disk.MTTR == zero || c.PMNoTCB.MTTR == zero || c.PMTCB.MTTR == zero {
-		errs = append(errs, fmt.Errorf("claimC2: a recovery path failed to run"))
 	}
 	return errs
 }

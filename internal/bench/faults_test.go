@@ -1,68 +1,84 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"persistmem/internal/faultinject"
-	"persistmem/internal/ods"
-	"persistmem/internal/recovery"
 	"persistmem/internal/sim"
-	"persistmem/internal/tmf"
 )
 
-// TestFaultCellsDeterministicAcrossParallelism: fault-matrix cells — a
-// CPU loss, a process kill and a coordinator kill inside the two-phase
-// in-doubt window, in every durability mode — crash, recover and grade
-// to the same bytes on one pool worker and on eight. cmd/faults rides on
-// this; under -race it also shows the cells share nothing.
+// gateFaults is the matrix the repository gates on: `cmd/faults -txns 8
+// -chaos 1` at the command's other defaults.
+var gateFaults = FaultConfig{Txns: 8, Seed: 1, Pace: 20 * sim.Millisecond, Chaos: 1, Nines: 5, MTBFDays: 30}
+
+// TestFaultMatrixGate holds §3.4's promise — when the call returns the
+// data is persistent — over the whole matrix: every (durability × fault ×
+// phase) cell recovers, passes its invariants and the history checker,
+// and leaves no violation line. The cell counts pin the matrix size so
+// the cross-shard cells (coordinator and participant kills inside the
+// prepare, in-doubt, post-outcome and apply windows) cannot silently drop
+// out, and the golden pins every column of every row.
+func TestFaultMatrixGate(t *testing.T) {
+	m := Runner{}.FaultMatrix(gateFaults)
+	if v := m.Violations(); v != "" || !m.Passed() {
+		t.Errorf("matrix did not run clean (Passed=%v):\n%s", m.Passed(), v)
+	}
+	count := map[string]int{}
+	for _, c := range m.Cells {
+		count[c.Fault]++
+	}
+	if len(m.Cells) != 64 || count["xs-coord"] != 9 || count["xs-part"] != 6 {
+		t.Errorf("matrix has %d cells, %d xs-coord, %d xs-part; want 64, 9, 6",
+			len(m.Cells), count["xs-coord"], count["xs-part"])
+	}
+	golden(t, "faults_txns8_chaos1.golden", m.Table())
+}
+
+// TestFaultCellsDeterministicAcrossParallelism: every cell of the gate
+// matrix crashes, recovers and grades to the same bytes on one pool
+// worker and on eight. cmd/faults rides on this; under -race it also
+// shows the cells share nothing.
 func TestFaultCellsDeterministicAcrossParallelism(t *testing.T) {
-	after := faultinject.Trigger{AfterCommits: 3}
-	restore := faultinject.Trigger{AfterCommits: 3, Delay: 300 * sim.Millisecond}
-	inDoubt := faultinject.Trigger{AtPhase: tmf.PhasePrepared, AtSeq: 2}
-	inDoubtRestore := inDoubt
-	inDoubtRestore.Delay = 300 * sim.Millisecond
-	var cfgs []faultinject.ScenarioConfig
-	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability, ods.PMDirectDurability} {
-		base := faultinject.ScenarioConfig{Durability: d, Txns: 6, Seed: 1, Pace: 20 * sim.Millisecond}
-		cpu, kill, coord := base, base, base
-		cpu.Plan = faultinject.Plan{
-			{Kind: faultinject.CPUFail, Target: 0, When: after},
-			{Kind: faultinject.CPURestore, Target: 0, When: restore},
-		}
-		kill.Plan = faultinject.Plan{{Kind: faultinject.ProcessKill, Service: "$TMF", When: after}}
-		coord.TwoPhase = true
-		coord.Plan = faultinject.Plan{
-			{Kind: faultinject.CPUFail, Target: 0, When: inDoubt},
-			{Kind: faultinject.CPURestore, Target: 0, When: inDoubtRestore},
-		}
-		cfgs = append(cfgs, cpu, kill, coord)
+	seq := Runner{Parallelism: 1}.FaultMatrix(gateFaults)
+	par := Runner{Parallelism: 8}.FaultMatrix(gateFaults)
+	if s, p := seq.Table(), par.Table(); s != p {
+		t.Errorf("table diverged across parallelism:\n--- 1\n%s--- 8\n%s", s, p)
 	}
-	run := func(parallelism int) []string {
-		out := make([]string, len(cfgs))
-		ForEach(parallelism, len(cfgs), func(i int) {
-			res := faultinject.Run(cfgs[i])
-			rep, rb, err := res.Recover(recovery.Options{})
-			if err != nil {
-				out[i] = "recovery failed: " + err.Error()
-				return
-			}
-			out[i] = fmt.Sprintf("firings=%v committed=%v inflight=%v unresolved=%v errs=%d viol=%v hist=%v mttr=%v read=%d resolved=%d indoubt=%d",
-				res.Injector.Firings(), res.Committed, res.InFlight, res.Unresolved, res.TxnErrs,
-				res.Violations(rb), res.CheckHistory(rb).Violations,
-				rep.MTTR, rep.BytesRead, rep.OutcomeResolved, rep.InDoubt)
-			res.Store.Shutdown()
-		})
-		return out
+	if s, p := seq.Violations(), par.Violations(); s != p {
+		t.Errorf("violations diverged across parallelism:\n--- 1\n%s--- 8\n%s", s, p)
 	}
-	seq, par := run(1), run(8)
-	for i := range cfgs {
-		if seq[i] != par[i] {
-			t.Errorf("cell %d diverged across parallelism:\n  1: %s\n  8: %s", i, seq[i], par[i])
+	for _, c := range seq.Cells {
+		if len(c.Plan) > 0 && c.Firings == 0 {
+			t.Errorf("cell %s/%s/%s fired no fault, so its differential is vacuous", c.Durability, c.Fault, c.Phase)
 		}
-		if !strings.HasPrefix(seq[i], "firings=[") || strings.HasPrefix(seq[i], "firings=[]") {
-			t.Errorf("cell %d fired no fault, so its differential is vacuous: %s", i, seq[i])
-		}
+	}
+}
+
+// TestFaultMatrixReportsFailures: the gate is only worth its run time if
+// a broken cell shows. An availability class no recovery can meet fails
+// every cell on its MTTR budget, and the rendering names the first
+// failure, counts the rest and lists them all.
+func TestFaultMatrixReportsFailures(t *testing.T) {
+	cfg := gateFaults
+	cfg.Txns, cfg.Chaos, cfg.Nines = 2, 0, 12
+	m := Runner{}.FaultMatrix(cfg)
+	if m.Passed() {
+		t.Fatalf("matrix passed against a %v MTTR budget", m.Budget)
+	}
+	if !strings.Contains(m.Table(), "\n0/63 cells passed\n") {
+		t.Errorf("table does not count 63 failed cells:\n%s", m.Table())
+	}
+	if got := strings.Count(m.Violations(), "over the "+m.Budget.String()+" budget\n"); got != 63 {
+		t.Errorf("%d violation lines name the budget, want 63:\n%s", got, m.Violations())
+	}
+
+	m.Cells = m.Cells[:2]
+	m.Cells[0].Fails = []string{"committed key 7 lost", "history: torn write"}
+	m.Cells[1].Fails = nil
+	if tbl := m.Table(); !strings.Contains(tbl, "FAIL: committed key 7 lost (+1 more)\n") || !strings.Contains(tbl, "\n1/2 cells passed\n") {
+		t.Errorf("table hides the failure:\n%s", tbl)
+	}
+	if got, want := m.Violations(), "disk/none/-: committed key 7 lost\ndisk/none/-: history: torn write\n"; got != want {
+		t.Errorf("Violations() = %q, want %q", got, want)
 	}
 }

@@ -80,11 +80,3 @@ func (r Runner) forEach(n int, job func(i int)) {
 	}
 	wg.Wait()
 }
-
-// ForEach runs job(0..n-1) across a worker pool of the given parallelism
-// (0 = one worker per CPU). It is the package's cell-execution primitive,
-// exported for commands (cmd/mttr, cmd/simbench) that sweep independent
-// simulations outside the predefined figures.
-func ForEach(parallelism, n int, job func(i int)) {
-	Runner{Parallelism: parallelism}.forEach(n, job)
-}

@@ -13,7 +13,7 @@ func TestForEachCoversAllJobs(t *testing.T) {
 		const n = 37
 		counts := make([]int32, n)
 		done := make(chan int, n)
-		ForEach(par, n, func(i int) { done <- i })
+		Runner{Parallelism: par}.forEach(n, func(i int) { done <- i })
 		close(done)
 		for i := range done {
 			counts[i]++
@@ -93,29 +93,18 @@ func TestParallelSweepsDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelClaimsDeterministic extends the determinism check to the
-// remaining pooled sweeps (C2, C3 and the ablations render from measured
-// values, so identical tables mean identical measurements).
+// TestParallelClaimsDeterministic extends the determinism check to every
+// experiment cmd/figures can print (the claims and ablations render from
+// measured values, so identical tables mean identical measurements).
 func TestParallelClaimsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping pooled claim sweeps in -short mode")
 	}
-	seq := Runner{Parallelism: 1}
-	par := Runner{Parallelism: 8}
-	checks := []struct {
-		name      string
-		seq, parl func() string
-	}{
-		{"claimC2", func() string { return seq.ClaimC2(1, Smoke).Table() }, func() string { return par.ClaimC2(1, Smoke).Table() }},
-		{"claimC3", func() string { return seq.ClaimC3(1, Smoke).Table() }, func() string { return par.ClaimC3(1, Smoke).Table() }},
-		{"ablationA1", func() string { return seq.AblationA1(1, Smoke).Table() }, func() string { return par.AblationA1(1, Smoke).Table() }},
-		{"ablationA2", func() string { return seq.AblationA2(1, Smoke).Table() }, func() string { return par.AblationA2(1, Smoke).Table() }},
-		{"ablationA3", func() string { return seq.AblationA3(1, Smoke).Table() }, func() string { return par.AblationA3(1, Smoke).Table() }},
-		{"ablationA4", func() string { return seq.AblationA4(1, Smoke).Table() }, func() string { return par.AblationA4(1, Smoke).Table() }},
-	}
-	for _, c := range checks {
-		if s, p := c.seq(), c.parl(); s != p {
-			t.Errorf("%s table differs between sequential and parallel runs:\n--- seq\n%s--- par\n%s", c.name, s, p)
+	for _, e := range Experiments {
+		s := e.Run(Runner{Parallelism: 1}, 1, Smoke).Table()
+		p := e.Run(Runner{Parallelism: 8}, 1, Smoke).Table()
+		if s != p {
+			t.Errorf("-fig %s table differs between sequential and parallel runs:\n--- seq\n%s--- par\n%s", e.Name, s, p)
 		}
 	}
 }

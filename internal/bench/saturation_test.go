@@ -2,16 +2,21 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"persistmem/internal/sim"
 )
 
+// smokeSaturation is `cmd/loadgen -scale smoke -seed 1`, swept once for
+// the tests that read it.
+var smokeSaturation = sync.OnceValue(func() Saturation { return RunSaturation(1, SatSmoke) })
+
 // TestSaturationShapeAtSmokeScale: the smoke-scale sweep already shows
 // every required shape — a knee per durability with p99 rising strictly
 // past it, PM above disk, and monotone shard/volume scaling.
 func TestSaturationShapeAtSmokeScale(t *testing.T) {
-	s := RunSaturation(1, SatSmoke)
+	s := smokeSaturation()
 	for _, err := range s.CheckShape() {
 		t.Error(err)
 	}
@@ -25,7 +30,7 @@ func TestSaturationShapeAtSmokeScale(t *testing.T) {
 // TestSaturationCSVGolden pins the CSV header and row count — the
 // committed artifact's format contract.
 func TestSaturationCSVGolden(t *testing.T) {
-	s := RunSaturation(1, SatSmoke)
+	s := smokeSaturation()
 	csv := s.CSV()
 	lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
 	wantRows := 1 + len(satKneeDurabilities)*len(satMultipliers) + len(satShardCounts) +
@@ -66,7 +71,8 @@ func TestSaturationDeterministicAcrossRunners(t *testing.T) {
 	}
 }
 
-// TestSaturationScaleParsing covers the flag surface.
+// TestSaturationScaleParsing covers the -scale flag surface of both
+// cmd/loadgen and cmd/figures.
 func TestSaturationScaleParsing(t *testing.T) {
 	for name, want := range map[string]SatScale{"full": SatFull, "quick": SatQuick, "smoke": SatSmoke} {
 		got, err := ParseSatScale(name)
@@ -76,6 +82,15 @@ func TestSaturationScaleParsing(t *testing.T) {
 	}
 	if _, err := ParseSatScale("huge"); err == nil {
 		t.Error("no error for unknown scale")
+	}
+	for name, want := range map[string]Scale{"full": Full, "quick": Quick, "smoke": Smoke} {
+		got, err := ParseScale(name)
+		if err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %+v, %v", name, got, err)
+		}
+	}
+	if _, err := ParseScale("huge"); err == nil || strings.Contains(err.Error(), "\n") {
+		t.Errorf("ParseScale(huge) error = %v, want a one-line error", err)
 	}
 }
 

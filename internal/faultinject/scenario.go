@@ -98,16 +98,7 @@ func (pd *Pending) Result() *Result { return pd.res }
 // Start builds the scenario and spawns its workload and crasher
 // processes without running the engine.
 func Start(cfg ScenarioConfig) *Pending {
-	opts := ods.DefaultOptions()
-	opts.Seed = cfg.Seed
-	opts.Durability = cfg.Durability
-	opts.RetainData = true
-	opts.Files = []ods.FileSpec{{Name: "TRADES", Partitions: 4}}
-	opts.DataVolumes = 4
-	opts.DataVolumeBytes = 256 << 20
-	opts.AuditVolumeBytes = 256 << 20
-	opts.NPMUBytes = 256 << 20
-	opts.PMRegionBytes = 32 << 20
+	opts := recovery.ScenarioOptions(cfg.Durability, cfg.Seed)
 	opts.Metrics = metrics.NewRegistry()
 	hist := opts.Metrics.EnableHistory()
 	s := ods.Build(opts)

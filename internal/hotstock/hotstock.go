@@ -73,8 +73,12 @@ type Result struct {
 	Elapsed sim.Time
 	// Events is the number of simulation events the kernel dispatched for
 	// the run — the denominator for events/sec and allocs/event metrics.
-	Events  uint64
-	Drivers []DriverResult
+	Events uint64
+	// Switches is how many times the run loop switched into a process
+	// (sim.Engine.SwitchesExecuted); Switches/Events is the share of
+	// events that paid for a coroutine switch.
+	Switches uint64
+	Drivers  []DriverResult
 }
 
 // MeanResp aggregates the mean response time across drivers.
@@ -172,7 +176,7 @@ func RunOn(s *ods.Store, params Params) Result {
 	s.Eng.Run()
 
 	r := Result{Params: params, Durability: s.Opts.Durability, Drivers: results,
-		Events: s.Eng.EventsExecuted()}
+		Events: s.Eng.EventsExecuted(), Switches: s.Eng.SwitchesExecuted()}
 	for _, t := range doneAt {
 		if t > r.Elapsed {
 			r.Elapsed = t

@@ -1,8 +1,12 @@
-package ods
+package ods_test
 
 import (
 	"runtime"
 	"testing"
+
+	"persistmem/internal/hotstock"
+	"persistmem/internal/ods"
+	"persistmem/internal/recovery"
 )
 
 // setupBudgetBytes is the most a store may allocate to be built and brought
@@ -13,11 +17,11 @@ const setupBudgetBytes = 2 << 20
 
 // setupAlloc returns the bytes allocated by Build plus the first Run, which
 // starts every service process and leaves the store idle.
-func setupAlloc(opts Options) uint64 {
+func setupAlloc(opts ods.Options) uint64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s := Build(opts)
+	s := ods.Build(opts)
 	s.Run(1)
 	runtime.ReadMemStats(&after)
 	s.Eng.Shutdown()
@@ -25,36 +29,25 @@ func setupAlloc(opts Options) uint64 {
 }
 
 func TestStoreSetupAllocationBudget(t *testing.T) {
-	// The 4-DP2 store every fault-matrix cell and recovery scenario builds.
-	faultMatrix := func(d Durability) Options {
-		opts := DefaultOptions()
+	withDurability := func(d ods.Durability) ods.Options {
+		opts := ods.DefaultOptions()
 		opts.Durability = d
-		opts.RetainData = true
-		opts.Files = []FileSpec{{Name: "TRADES", Partitions: 4}}
-		opts.DataVolumes = 4
-		opts.DataVolumeBytes = 256 << 20
-		opts.AuditVolumeBytes = 256 << 20
-		opts.NPMUBytes = 256 << 20
-		return opts
-	}
-	withDurability := func(d Durability) Options {
-		opts := DefaultOptions()
-		opts.Durability = d
-		if d == PMDirectDurability {
+		if d == ods.PMDirectDurability {
 			opts.NPMUBytes = 1 << 30 // 16 per-DP2 log regions
 		}
 		return opts
 	}
 	for _, tc := range []struct {
 		name string
-		opts Options
+		opts ods.Options
 	}{
-		{"default 16-DP2 store, disk", withDurability(DiskDurability)},
-		{"default 16-DP2 store, pm", withDurability(PMDurability)},
-		{"default 16-DP2 store, pmdirect", withDurability(PMDirectDurability)},
-		{"fault-matrix 4-DP2 store, disk", faultMatrix(DiskDurability)},
-		{"fault-matrix 4-DP2 store, pm", faultMatrix(PMDurability)},
-		{"fault-matrix 4-DP2 store, pmdirect", faultMatrix(PMDirectDurability)},
+		{"default 16-DP2 store, disk", withDurability(ods.DiskDurability)},
+		{"default 16-DP2 store, pm", withDurability(ods.PMDurability)},
+		{"default 16-DP2 store, pmdirect", withDurability(ods.PMDirectDurability)},
+		// The 4-DP2 store every fault-matrix cell and recovery scenario builds.
+		{"fault-matrix 4-DP2 store, disk", recovery.ScenarioOptions(ods.DiskDurability, 1)},
+		{"fault-matrix 4-DP2 store, pm", recovery.ScenarioOptions(ods.PMDurability, 1)},
+		{"fault-matrix 4-DP2 store, pmdirect", recovery.ScenarioOptions(ods.PMDirectDurability, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			setupAlloc(tc.opts) // warm package-level state (type tables, pools)
@@ -62,6 +55,48 @@ func TestStoreSetupAllocationBudget(t *testing.T) {
 			t.Logf("set-up allocated %d KB", got>>10)
 			if got > setupBudgetBytes {
 				t.Errorf("Build + first Run allocated %d bytes, budget %d: something sizes a buffer before it has work for it", got, setupBudgetBytes)
+			}
+		})
+	}
+}
+
+// txnBudgetAllocs is the most heap objects one more committed hot-stock
+// transaction (8 x 4 KB inserts, one driver) may cost once every free list
+// is warm: 51.8 on disk audit and 53.0 on PM today. The per-subsystem
+// split is `benchmark --trace 1`'s allocs_per_txn.* metrics.
+const txnBudgetAllocs = 56
+
+// hotStockAllocs returns the heap objects one fresh store's hot-stock run
+// of txns transactions allocates, set-up included.
+func hotStockAllocs(t *testing.T, d ods.Durability, txns int) uint64 {
+	opts := ods.DefaultOptions()
+	opts.Durability = d
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := hotstock.Run(opts, hotstock.Params{
+		Drivers: 1, RecordsPerDriver: txns * 8, InsertsPerTxn: 8, RecordBytes: 4096,
+	})
+	runtime.ReadMemStats(&after)
+	if got := r.Drivers[0].Txns; got != txns {
+		t.Fatalf("%d of %d transactions committed: the budget only means something over committed work", got, txns)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestTxnAllocationBudget holds the data plane's steady-state allocation
+// rate: the difference between a 1000- and a 500-transaction run on
+// identical fresh stores is what 500 more transactions cost, with set-up
+// and pool warm-up cancelled out. Allocation counts are deterministic, so
+// the budget is tight.
+func TestTxnAllocationBudget(t *testing.T) {
+	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability} {
+		t.Run(d.String(), func(t *testing.T) {
+			hotStockAllocs(t, d, 100) // warm package-level state
+			short, long := hotStockAllocs(t, d, 500), hotStockAllocs(t, d, 1000)
+			perTxn := float64(long-short) / 500
+			t.Logf("%.1f allocs per committed transaction", perTxn)
+			if perTxn > txnBudgetAllocs {
+				t.Errorf("a committed transaction costs %.1f allocations, budget %d: a hot-path box or buffer stopped being recycled", perTxn, txnBudgetAllocs)
 			}
 		})
 	}

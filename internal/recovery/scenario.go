@@ -22,12 +22,12 @@ type ScenarioResult struct {
 	Errs []error
 }
 
-// RunScenario builds a data-retaining store with the given durability,
-// commits txns transactions of 4 inserts each into a single 4-partition
-// file, leaves a fifth-plus-one transaction in flight, and power-fails
-// the whole node (CPUs and PM devices). The returned store is powered off
-// and ready for FromDisk/FromPM measurement.
-func RunScenario(d ods.Durability, txns int, seed int64) ScenarioResult {
+// ScenarioOptions is the store every crash scenario builds — RunScenario
+// here, each faultinject matrix cell, and the set-up allocation budget in
+// ods: one 4-partition TRADES file on four data volumes, data retained
+// so recovery has bytes to read, and PM regions wide enough for the
+// largest committed scenario's log.
+func ScenarioOptions(d ods.Durability, seed int64) ods.Options {
 	opts := ods.DefaultOptions()
 	opts.Seed = seed
 	opts.Durability = d
@@ -38,7 +38,16 @@ func RunScenario(d ods.Durability, txns int, seed int64) ScenarioResult {
 	opts.AuditVolumeBytes = 256 << 20
 	opts.NPMUBytes = 256 << 20
 	opts.PMRegionBytes = 32 << 20
-	s := ods.Build(opts)
+	return opts
+}
+
+// RunScenario builds a data-retaining store with the given durability,
+// commits txns transactions of 4 inserts each into a single 4-partition
+// file, leaves a fifth-plus-one transaction in flight, and power-fails
+// the whole node (CPUs and PM devices). The returned store is powered off
+// and ready for FromDisk/FromPM measurement.
+func RunScenario(d ods.Durability, txns int, seed int64) ScenarioResult {
+	s := ods.Build(ScenarioOptions(d, seed))
 
 	res := ScenarioResult{Store: s}
 	crashNow := s.Eng.NewChan("crash")

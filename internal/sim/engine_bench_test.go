@@ -27,6 +27,22 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	b.ReportMetric(float64(e.EventsExecuted())/float64(b.N), "events/op")
 }
 
+// TestScheduleDispatchAllocatesNothing is the benchmark's 0 allocs/op as a
+// gate: one Schedule plus its dispatch on a warm engine must not touch the
+// heap. Every simulated transaction costs a few hundred of these.
+func TestScheduleDispatchAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	step := func() {}
+	cycle := func() {
+		e.Schedule(e.Now()+1, step)
+		e.Run()
+	}
+	cycle() // the heap slice's first growth
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("Schedule+dispatch allocates %v objects per event, want 0", allocs)
+	}
+}
+
 // BenchmarkEngineScheduleDispatchDeep is the same loop over a heap kept
 // 1024 events deep, so sift costs at realistic queue depths are visible.
 func BenchmarkEngineScheduleDispatchDeep(b *testing.B) {
