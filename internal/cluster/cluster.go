@@ -71,8 +71,9 @@ type Cluster struct {
 	// travel through inbox interfaces without allocating, and the single
 	// consumer of each box returns it here after copying the contents out.
 	// The simulation is single-threaded per engine, so plain slices work.
-	envfree   []*Envelope    //simlint:box -- message-envelope pool
-	framefree []*routedFrame //simlint:box -- routed-frame pool
+	envfree    []*Envelope    //simlint:box -- message-envelope pool
+	framefree  []*routedFrame //simlint:box -- routed-frame pool
+	scriptfree []*script      //simlint:box -- in-flight Compute/send script pool
 }
 
 // newEnvelope takes an Envelope box from the free list.
@@ -337,14 +338,11 @@ func (p *Process) Kill() { p.proc.Kill() }
 func (p *Process) Done() bool { return p.proc.Done() }
 
 // Compute occupies the CPU for duration d of work, queueing behind other
-// processes on the same processor. The release is deferred so that a
-// process killed mid-computation (a CPU failure unwinding it) does not
-// leak the execution resource and wedge every other process on the CPU.
+// processes on the same processor.
 func (p *Process) Compute(d sim.Time) {
-	p.cpu.exec.Acquire(p.proc)
-	defer p.cpu.exec.Release()
-	p.proc.Wait(d)
-	p.cpu.ComputeTime += d
+	s := p.cpu.cl.newScript()
+	s.hold = d
+	p.run(s)
 }
 
 // Wait suspends the process without using CPU (e.g. waiting on I/O).

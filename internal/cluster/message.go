@@ -48,27 +48,11 @@ func (p *Process) send(name string, sz int, payload interface{}, reply *sim.Sign
 	if !ok {
 		return ErrNoProcess
 	}
-	// Message-system software cost on the sending CPU.
-	p.Compute(cl.cfg.MsgSystemOverhead)
-	ev := cl.newEnvelope()
-	ev.From = p.name
-	ev.Payload = payload
-	ev.reply = reply
-	if r.cpu == p.cpu {
-		// Intra-CPU message: no fabric traversal.
-		r.inbox.Send(p.proc, ev) //simlint:allow hotalloc -- *Envelope into interface{} is pointer-shaped: no box is allocated
-		return nil
-	}
-	frame := cl.newFrame()
-	frame.dst = r.inbox
-	frame.ev = ev
-	if err := cl.fab.Send(p.proc, p.cpu.ep.ID(), r.cpu.ep.ID(), sz, frame); err != nil { //simlint:allow hotalloc -- *routedFrame is pointer-shaped: no box is allocated
-		// The frame never reached the destination inbox; reclaim the boxes.
-		cl.freeFrame(frame)
-		cl.freeEnvelope(ev)
-		return err
-	}
-	return nil
+	// Message-system software cost on the sending CPU, then the message.
+	s := cl.newScript()
+	s.hold = cl.cfg.MsgSystemOverhead
+	s.to, s.sz, s.payload, s.reply = r, sz, payload, reply
+	return p.run(s)
 }
 
 // routedFrame is the wire format of a message-system frame: the envelope
@@ -127,14 +111,21 @@ func (p *Process) AwaitReply(reply *sim.Signal) (interface{}, error) {
 	return v, nil
 }
 
+// open copies an arrived envelope out of its box and recycles the box.
+//
+//simlint:hotpath
+func (p *Process) open(v interface{}) Envelope {
+	box := v.(*Envelope)
+	ev := *box
+	p.cpu.cl.freeEnvelope(box)
+	return ev
+}
+
 // Recv blocks until the next envelope arrives in the process inbox.
 //
 //simlint:hotpath
 func (p *Process) Recv() Envelope {
-	box := p.Inbox.Recv(p.proc).(*Envelope)
-	ev := *box
-	p.cpu.cl.freeEnvelope(box)
-	return ev
+	return p.open(p.Inbox.Recv(p.proc))
 }
 
 // RecvTimeout blocks for at most d; ok is false on timeout.
@@ -143,10 +134,7 @@ func (p *Process) RecvTimeout(d sim.Time) (Envelope, bool) {
 	if !ok {
 		return Envelope{}, false
 	}
-	box := v.(*Envelope)
-	ev := *box
-	p.cpu.cl.freeEnvelope(box)
-	return ev, true
+	return p.open(v), true
 }
 
 // TryRecv returns the next envelope without blocking; ok is false if the
@@ -158,28 +146,32 @@ func (p *Process) TryRecv() (Envelope, bool) {
 	if !ok {
 		return Envelope{}, false
 	}
-	box := v.(*Envelope)
-	ev := *box
-	p.cpu.cl.freeEnvelope(box)
-	return ev, true
+	return p.open(v), true
 }
 
 // startDispatcher runs the CPU's message-system delivery loop: it moves
 // fabric frames arriving at the CPU endpoint into destination process
 // inboxes. Each live CPU runs exactly one dispatcher; CPU.Restore starts
-// a fresh one.
+// a fresh one. Forwarding never blocks, so the dispatcher serves its inbox
+// (sim.Chan.Serve): a frame is forwarded on the stack that delivers it.
 func (c *CPU) startDispatcher() {
 	c.Spawn(fmt.Sprintf("cpu%d-msgsys", c.index), func(p *Process) {
-		cl := c.cl
-		for {
-			m := c.ep.Inbox.Recv(p.proc).(*servernet.Message)
-			payload := m.Payload
-			cl.fab.FreeMessage(m)
-			if frame, ok := payload.(*routedFrame); ok {
-				dst, ev := frame.dst, frame.ev
-				cl.freeFrame(frame)
-				dst.Send(p.proc, ev)
-			}
-		}
+		c.ep.Inbox.Serve(p.proc, c.forward)
 	})
+}
+
+// forward delivers one fabric message to the inbox its frame names.
+//
+//simlint:hotpath
+func (c *CPU) forward(v interface{}) {
+	cl := c.cl
+	m := v.(*servernet.Message)
+	payload := m.Payload
+	cl.fab.FreeMessage(m)
+	if frame, ok := payload.(*routedFrame); ok {
+		dst, ev := frame.dst, frame.ev
+		cl.freeFrame(frame)
+		// Process inboxes are unbounded: the envelope is never refused.
+		dst.TrySend(ev) //simlint:allow hotalloc -- *Envelope into interface{} is pointer-shaped: no box is allocated
+	}
 }

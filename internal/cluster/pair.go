@@ -134,17 +134,19 @@ func (pr *Pair) startPrimary(cpu int, restored interface{}, takeover bool) {
 	})
 }
 
-// startBackup spawns the checkpoint absorber.
+// startBackup spawns the checkpoint absorber. Absorbing never blocks, so
+// the backup serves its inbox: a checkpoint is absorbed and acknowledged
+// on the stack that delivers it.
 func (pr *Pair) startBackup(cpu int) {
 	pr.backCPU = cpu
 	c := pr.cl.CPU(cpu)
 	bname := fmt.Sprintf("%s-b%d", pr.name, pr.gen+1)
 	pr.backup = c.Spawn(bname, func(p *Process) {
-		for {
-			ev := p.Recv()
+		p.Inbox.Serve(p.proc, func(v interface{}) {
+			ev := p.open(v)
 			pr.state = pr.absorb(pr.state, ev.Payload)
 			ev.Reply(nil)
-		}
+		})
 	})
 	pr.cl.Register(pr.name+".bak", pr.backup)
 }

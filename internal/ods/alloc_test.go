@@ -101,3 +101,51 @@ func TestTxnAllocationBudget(t *testing.T) {
 		})
 	}
 }
+
+// switchBudget is the most process switches a hot-stock run may make per
+// simulated event. A switch costs about three plain events of host time,
+// and the message transport — send, RDMA, compute, the message-system
+// dispatcher, the pair backups — parks a process once per message and lets
+// the dispatcher walk the legs (sim.Proc.ParkScript): 0.30 today, 0.76–0.84
+// when every leg resumed its process.
+const switchBudget = 0.42
+
+// TestTxnSwitchBudget is the machine-independent gate on process
+// switching, beside the allocation budget: what 1000 more committed
+// transactions of the benchmark's hot-stock load (2 drivers, 8 x 4 KB)
+// cost in simulated events — pinned exactly, because a transport that
+// saves switches by adding, dropping or reordering events has changed the
+// simulation — and in switches per event.
+func TestTxnSwitchBudget(t *testing.T) {
+	for _, tc := range []struct {
+		d      ods.Durability
+		events uint64 // per 1000 transactions, unchanged since before the transport parked once
+	}{
+		{ods.DiskDurability, 473884},
+		{ods.PMDurability, 427740},
+	} {
+		t.Run(tc.d.String(), func(t *testing.T) {
+			run := func(txns int) hotstock.Result {
+				opts := ods.DefaultOptions()
+				opts.Durability = tc.d
+				r := hotstock.Run(opts, hotstock.Params{
+					Drivers: 2, RecordsPerDriver: txns * 8, InsertsPerTxn: 8, RecordBytes: 4096,
+				})
+				if got := r.Drivers[0].Txns + r.Drivers[1].Txns; got != 2*txns {
+					t.Fatalf("%d of %d transactions committed", got, 2*txns)
+				}
+				return r
+			}
+			short, long := run(500), run(1000)
+			events, switches := long.Events-short.Events, long.Switches-short.Switches
+			t.Logf("%.1f events and %.1f switches per transaction, %.3f switches/event",
+				float64(events)/1000, float64(switches)/1000, float64(switches)/float64(events))
+			if events != tc.events {
+				t.Errorf("1000 transactions cost %d events, want exactly %d: the schedule itself moved", events, tc.events)
+			}
+			if perEvent := float64(switches) / float64(events); perEvent > switchBudget {
+				t.Errorf("%.3f switches per event, budget %.2f: some transport leg resumes its process again instead of stepping", perEvent, switchBudget)
+			}
+		})
+	}
+}

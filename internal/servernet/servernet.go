@@ -189,6 +189,8 @@ type Fabric struct {
 
 	// msgfree recycles Message boxes delivered to endpoint inboxes.
 	msgfree []*Message //simlint:box -- fabric message pool
+	// xferfree recycles the Transfer scripts of Send, RDMAWrite and RDMARead.
+	xferfree []*Transfer //simlint:box -- in-flight transfer pool
 
 	// Instrument pointers, nil when unmetered (Record/Inc/Add nil-short-
 	// circuit): completed transfer durations, op and byte counts.

@@ -576,3 +576,191 @@ func TestEndpointAccessors(t *testing.T) {
 		t.Errorf("Translations after ClearATT = %d, want 0", ep2.Translations())
 	}
 }
+
+// transferOps are the three public operations, all of which run the one
+// transfer script. Each moves n bytes from endpoint 1 to endpoint 2.
+var transferOps = []struct {
+	name string
+	do   func(f *Fabric, p *sim.Proc, n int) error
+}{
+	{"Send", func(f *Fabric, p *sim.Proc, n int) error { return f.Send(p, 1, 2, n, "payload") }},
+	{"RDMAWrite", func(f *Fabric, p *sim.Proc, n int) error { return f.RDMAWrite(p, 1, 2, 0, make([]byte, n)) }},
+	{"RDMARead", func(f *Fabric, p *sim.Proc, n int) error { return f.RDMARead(p, 1, 2, 0, make([]byte, n)) }},
+}
+
+// Every failure the script can end in surfaces with the same error after
+// exactly the same virtual delay as when each leg was a park of its own: at
+// once when the initiator can see the fault, after the ack timeout when it
+// can only wait for an acknowledgement that never comes.
+func TestFailureDelaysAreExact(t *testing.T) {
+	const n = 64 << 10
+	cfg := DefaultConfig()
+	soft := cfg.SoftwareLatency
+	for _, tc := range []struct {
+		name  string
+		setup func(cfg *Config)
+		fault func(f *Fabric) // before the operation starts
+		mid   func(f *Fabric) // while the ports are held
+		want  error
+		delay func(tt sim.Time) sim.Time
+	}{
+		{name: "source endpoint down", fault: func(f *Fabric) { f.Endpoint(1).Fail() },
+			want: ErrEndpointDown, delay: func(sim.Time) sim.Time { return soft }},
+		{name: "target down", fault: func(f *Fabric) { f.Endpoint(2).Fail() },
+			want: ErrEndpointDown, delay: func(sim.Time) sim.Time { return soft + cfg.Timeout }},
+		{name: "both paths down", fault: func(f *Fabric) { f.FailPath(0); f.FailPath(1) },
+			want: ErrNoPath, delay: func(sim.Time) sim.Time { return soft + cfg.Timeout }},
+		{name: "target fails mid-transfer", mid: func(f *Fabric) { f.Endpoint(2).Fail() },
+			want: ErrEndpointDown, delay: func(tt sim.Time) sim.Time { return soft + tt + cfg.Timeout }},
+		{name: "both paths fail mid-transfer", mid: func(f *Fabric) { f.FailPath(0); f.FailPath(1) },
+			want: ErrNoPath, delay: func(tt sim.Time) sim.Time { return soft + tt + cfg.Timeout }},
+		{name: "CRC error", setup: func(cfg *Config) { cfg.CRCErrorRate = 1 },
+			want: ErrCRC, delay: func(tt sim.Time) sim.Time { return soft + tt }},
+		{name: "no fault", delay: func(tt sim.Time) sim.Time { return soft + tt }},
+	} {
+		for _, op := range transferOps {
+			t.Run(tc.name+"/"+op.name, func(t *testing.T) {
+				cfg := cfg
+				if tc.setup != nil {
+					tc.setup(&cfg)
+				}
+				eng, fab, _ := testFabric(t, cfg, 0, rwPerm())
+				if tc.fault != nil {
+					tc.fault(fab)
+				}
+				if tc.mid != nil {
+					eng.Schedule(soft+fab.transferTime(n)/2, func() { tc.mid(fab) })
+				}
+				var err error
+				var took sim.Time
+				eng.Spawn("client", func(p *sim.Proc) {
+					err = op.do(fab, p, n)
+					took = p.Now()
+				})
+				eng.Run()
+				if !errors.Is(err, tc.want) {
+					t.Errorf("err = %v, want %v", err, tc.want)
+				}
+				if want := tc.delay(fab.transferTime(n)); took != want {
+					t.Errorf("returned after %v, want exactly %v", took, want)
+				}
+				for id := EndpointID(1); id <= 2; id++ {
+					if ep := fab.Endpoint(id); ep.link.InUse() != 0 || ep.link.QueueLen() != 0 {
+						t.Errorf("endpoint %d port left inUse=%d queue=%d", id, ep.link.InUse(), ep.link.QueueLen())
+					}
+				}
+				if len(fab.xferfree) != 1 {
+					t.Errorf("%d transfers on the free list after one operation, want the one it used", len(fab.xferfree))
+				}
+				eng.Shutdown()
+			})
+		}
+	}
+}
+
+// A kill reaches the initiator at every leg of the script. Whatever leg it
+// lands on, each port is given back exactly once (a second Release of a
+// free port panics; a missing one wedges the heir), and traffic queued
+// behind the victim proceeds.
+func TestKillAtEveryTransferLeg(t *testing.T) {
+	// Endpoints 1, 2, 3; the victim moves 64 KB from 1 to 2, so its ports
+	// in canonical order are 1 then 2. A blocker transfer between 3 and one
+	// of them holds that port from about 15 µs to about 8.6 ms.
+	const n = 64 << 10
+	cfg := DefaultConfig()
+	for _, tc := range []struct {
+		leg     string
+		blocker EndpointID // the victim's port a 3<->blocker transfer occupies; 0: none
+		service sim.Time   // target service latency (RDMA legs only)
+		down    bool       // target down: the victim waits out the ack timeout
+		killAt  sim.Time
+	}{
+		{leg: "software latency", killAt: 5 * sim.Microsecond},
+		{leg: "queued on the first port", blocker: 1, killAt: 100 * sim.Microsecond},
+		{leg: "holding the first port, queued on the second", blocker: 2, killAt: 100 * sim.Microsecond},
+		{leg: "holding both ports", killAt: 200 * sim.Microsecond},
+		{leg: "target service latency", service: sim.Millisecond, killAt: 900 * sim.Microsecond},
+		{leg: "ack timeout", down: true, killAt: sim.Millisecond},
+	} {
+		for _, op := range transferOps {
+			if tc.service > 0 && op.name == "Send" {
+				continue // messages pay no device service latency
+			}
+			t.Run(tc.leg+"/"+op.name, func(t *testing.T) {
+				eng, fab, _ := testFabric(t, cfg, 0, rwPerm())
+				c := fab.Attach(3, "c")
+				c.MapWindow(0, 1<<20, make(ByteWindow, 1<<20), 0, rwPerm())
+				fab.Endpoint(1).MapWindow(0, 1<<20, make(ByteWindow, 1<<20), 0, rwPerm())
+				fab.Endpoint(2).SetServiceLatency(tc.service)
+				if tc.down {
+					fab.Endpoint(2).Fail()
+				}
+				if tc.blocker != 0 {
+					eng.Spawn("blocker", func(p *sim.Proc) {
+						if err := fab.RDMAWrite(p, 3, tc.blocker, 0, make([]byte, 1<<20)); err != nil {
+							t.Errorf("blocker: %v", err)
+						}
+					})
+				}
+				returned := false
+				victim := eng.SpawnAt(sim.Nanosecond, "victim", func(p *sim.Proc) {
+					op.do(fab, p, n)
+					returned = true
+				})
+				eng.Schedule(tc.killAt, victim.Kill)
+				// Queued behind the victim on port 1 from 50 µs on; alone on
+				// the fabric it takes the same time as any 64 KB write.
+				var heirTook sim.Time
+				var heirErr error
+				eng.SpawnAt(20*sim.Millisecond, "heir", func(p *sim.Proc) {
+					fab.Endpoint(2).Restore()
+					heirErr = fab.RDMAWrite(p, 1, 2, 0, make([]byte, n))
+					heirTook = p.Now() - 20*sim.Millisecond
+				})
+				eng.Run()
+				if returned || !victim.Done() {
+					t.Fatalf("victim returned=%v done=%v, want killed inside the operation", returned, victim.Done())
+				}
+				if want := cfg.SoftwareLatency + fab.transferTime(n) + tc.service; heirErr != nil || heirTook != want {
+					t.Errorf("heir: err %v after %v, want nil after %v: the kill leaked a port", heirErr, heirTook, want)
+				}
+				for id := EndpointID(1); id <= 3; id++ {
+					if ep := fab.Endpoint(id); ep.link.InUse() != 0 || ep.link.QueueLen() != 0 {
+						t.Errorf("endpoint %d port left inUse=%d queue=%d", id, ep.link.InUse(), ep.link.QueueLen())
+					}
+				}
+				if eng.LiveProcs() != 0 {
+					t.Errorf("stuck: %v", eng.BlockedProcs())
+				}
+				eng.Shutdown()
+			})
+		}
+	}
+}
+
+// A transfer's script state comes off the fabric's free list and goes back
+// when the operation returns, so steady traffic allocates none.
+func TestTransfersAreRecycled(t *testing.T) {
+	eng, fab, _ := testFabric(t, DefaultConfig(), 0, rwPerm())
+	eng.Spawn("client", func(p *sim.Proc) {
+		var first *Transfer
+		for i := 0; i < 10; i++ {
+			if err := transferOps[i%3].do(fab, p, 4096); err != nil {
+				t.Errorf("op %d: %v", i, err)
+			}
+			if len(fab.xferfree) != 1 {
+				t.Fatalf("after op %d the free list holds %d transfers, want 1", i, len(fab.xferfree))
+			}
+			if i == 0 {
+				first = fab.xferfree[0]
+			} else if fab.xferfree[0] != first {
+				t.Fatalf("op %d ran on a new Transfer", i)
+			}
+		}
+		if first.payload != nil || first.data != nil || first.buf != nil || first.src != nil {
+			t.Errorf("recycled transfer still references its operation: %+v", *first)
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
+}

@@ -121,22 +121,60 @@ func (c *Chan) Recv(p *Proc) interface{} {
 //simlint:hotpath
 func (c *Chan) RecvTimeout(p *Proc, timeout Time) (v interface{}, ok bool) {
 	p.assertRunning("Chan.Recv")
-	if c.buf.len() > 0 {
-		v = c.buf.pop()
-		// Room freed: admit one blocked sender.
-		if w, wok := c.popTx(); wok {
-			c.buf.push(w.val)
-			w.p.wake(w.id, nil, true)
-		}
+	if v, ok = c.ArmRecv(p); ok {
 		return v, true
 	}
-	id := p.newBlockID()
-	c.rxq.push(waiter{p: p, id: id})
 	if timeout >= 0 {
-		p.wakeAt(p.eng.now+timeout, id, nil, false)
+		p.wakeAt(p.eng.now+timeout, p.blockID, nil, false)
 	}
 	p.park()
 	return p.rxVal, p.rxOK
+}
+
+// ArmRecv is the non-parking half of Recv, for p itself just before
+// ParkScript or for its step function: it returns a buffered value, or
+// queues p as a receiver so that the next value sent arrives as p's
+// wake-up.
+//
+//simlint:hotpath
+func (c *Chan) ArmRecv(p *Proc) (v interface{}, ok bool) {
+	p.assertScript("Chan.ArmRecv")
+	if v, ok = c.TryRecv(); ok {
+		return v, true
+	}
+	c.rxq.push(waiter{p: p, id: p.newBlockID()})
+	return nil, false
+}
+
+// Serve makes p the channel's server for the rest of its life: handle runs
+// once per value, in arrival order, on whatever stack dispatches the
+// delivery — p itself is never switched into again. handle must not block
+// (it may TrySend, trigger signals, release resources). Serve returns only
+// by unwinding: a kill ends the server like any parked process.
+func (c *Chan) Serve(p *Proc, handle func(v interface{})) {
+	p.assertRunning("Chan.Serve")
+	s := &server{c: c, handle: handle}
+	if v, ok := c.ArmRecv(p); ok {
+		p.rxVal = v
+		s.Step(p)
+	}
+	p.ParkScript(s)
+}
+
+// server is the Stepper behind Serve: handle the delivered value, drain
+// whatever else is buffered, queue for the next.
+type server struct {
+	c      *Chan
+	handle func(v interface{})
+}
+
+//simlint:hotpath
+func (s *server) Step(p *Proc) bool {
+	v := p.rxVal
+	for ok := true; ok; v, ok = s.c.ArmRecv(p) {
+		s.handle(v)
+	}
+	return false
 }
 
 // TryRecv returns a buffered value without blocking; ok is false if the

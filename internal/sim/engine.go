@@ -20,6 +20,8 @@ const startEventID = ^uint64(0)
 // callbacks (fn != nil), process starts (p != nil, id == startEventID) and
 // process wake-ups (p != nil otherwise), which carry their target and park
 // stamp inline so that the hot Wait/wake paths need no closure allocation.
+// A wake-up whose target parked with a Stepper runs that step on the
+// dispatching stack instead of continuing the process (see Proc.ParkScript).
 // Events live by value inside the scheduler's buckets; retained slice
 // capacity acts as the free-list, so steady-state scheduling and dispatch
 // allocate nothing.
@@ -78,8 +80,11 @@ type Engine struct {
 	// call/reply hot path stops allocating one per request.
 	sigfree []*Signal //simlint:box -- one-shot completion-signal pool
 
-	// cur is the process currently being stepped, if any.
+	// cur is the process currently running on its own stack, if any.
 	cur *Proc
+	// stepping is the parked process whose step function the dispatcher is
+	// running, if any: the one process besides cur that may arm a park.
+	stepping *Proc
 	// stopped is set by Stop; Run returns at the next event boundary.
 	stopped bool
 
@@ -234,7 +239,10 @@ func (e *Engine) scheduleWake(at Time, p *Proc, id uint64, val interface{}, ok, 
 // process. The return value is where control must go next: self means the
 // calling process was woken and simply continues inline (zero switches);
 // any other process must be switched into (one that has just started has
-// no coroutine yet); nil means the run is over.
+// no coroutine yet); nil means the run is over. A wake-up for a process
+// parked with a step function is an ordinary event here: the step runs on
+// this stack, and only when it reports the script finished is the process
+// itself continued.
 //
 //simlint:hotpath
 func (e *Engine) advance(self *Proc) *Proc {
@@ -270,6 +278,19 @@ func (e *Engine) advance(self *Proc) *Proc {
 			continue
 		}
 		p.rxVal, p.rxOK = ev.val, ev.ok
+		if s := p.step; s != nil {
+			// A killed process always resumes: it unwinds out of ParkScript
+			// and its own deferred guard releases what the script holds.
+			if !p.killed {
+				e.stepping = p
+				resume := s.Step(p)
+				e.stepping = nil
+				if !resume {
+					continue // the step armed the next leg; p stays parked
+				}
+			}
+			p.step = nil
+		}
 		p.state = procRunning
 		e.cur = p
 		return p
@@ -289,7 +310,7 @@ func (e *Engine) runLoop(deadline Time, limit uint64) {
 		panic("sim: Run/RunUntil/Step re-entered from inside a dispatched event")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() { e.running, e.stepping = false, nil }()
 	e.stopped = false
 	e.deadline = deadline
 	e.limit = limit

@@ -47,6 +47,13 @@ type Proc struct {
 	rxVal interface{}
 	rxOK  bool
 
+	// step, while the process is parked by ParkScript, handles its wake-ups
+	// in place of continuing it.
+	step Stepper
+	// queuedAt is when the process last queued on a Resource, for the wait
+	// accounting folded in at the grant.
+	queuedAt Time
+
 	// onExit callbacks run (in engine context) when the process finishes
 	// or is killed.
 	onExit []func()
@@ -242,6 +249,49 @@ func (p *Proc) park() {
 	}
 }
 
+// Stepper is the continuation a process leaves with the engine when it
+// parks by ParkScript: a fixed script of timed legs (wait, acquire, hold,
+// forward a message) that needs no stack of its own between them.
+type Stepper interface {
+	// Step handles one wake-up addressed to the parked process p, on
+	// whatever stack is dispatching. It either arms the script's next leg
+	// with the non-parking primitives (Proc.ArmWait, Resource.ArmAcquire,
+	// Chan.ArmRecv) and returns false, leaving p parked, or returns true:
+	// the script is over and p continues from ParkScript inside this same
+	// event. Step may release resources, trigger signals and TrySend; a
+	// blocking primitive panics, because p is not running. It never runs
+	// for a killed process.
+	Step(p *Proc) (resume bool)
+}
+
+// ParkScript parks p, which must just have armed its first leg, with s as
+// its continuation: every wake-up addressed to p — same (at, seq) slot,
+// same park stamp, same staleness rule as if p had parked leg by leg — runs
+// s.Step instead of switching into p, until a step returns true. Events are
+// neither added, removed nor reordered; only the process switches go. A
+// kill resumes p at once and unwinds it out of ParkScript, so whatever the
+// script holds at that instant must be released by a guard p deferred
+// before parking.
+//
+//simlint:hotpath
+func (p *Proc) ParkScript(s Stepper) {
+	p.assertRunning("ParkScript")
+	p.step = s
+	p.park()
+}
+
+// ArmWait arms a wake-up for p after duration d: the non-parking half of
+// Wait, for p itself just before ParkScript or for its step function.
+//
+//simlint:hotpath
+func (p *Proc) ArmWait(d Time) {
+	p.assertScript("ArmWait")
+	if d < 0 {
+		d = 0
+	}
+	p.eng.scheduleWake(p.eng.now+d, p, p.newBlockID(), nil, false, false)
+}
+
 // wake schedules process p to continue at the current virtual time if its
 // park stamp still matches id. The value v (with ok) is delivered to the
 // parked operation.
@@ -278,19 +328,22 @@ func (p *Proc) assertRunning(op string) {
 	}
 }
 
-// Wait suspends the process for duration d of virtual time.
+// assertScript panics unless p may arm a park right now: it is running on
+// its own stack, or the dispatcher is running its step function.
+func (p *Proc) assertScript(op string) {
+	if e := p.eng; e.cur != p && e.stepping != p {
+		panic(fmt.Sprintf("sim: %s called for process %q from outside its context or step", op, p.name))
+	}
+}
+
+// Wait suspends the process for duration d of virtual time. Even a zero
+// wait yields: it reschedules the process behind already-queued same-time
+// events, which is the natural semantics for "let others run".
 //
 //simlint:hotpath
 func (p *Proc) Wait(d Time) {
 	p.assertRunning("Wait")
-	if d <= 0 {
-		// Even a zero wait yields: it reschedules the process behind
-		// already-queued same-time events, which is the natural semantics
-		// for "let others run".
-		d = 0
-	}
-	id := p.newBlockID()
-	p.eng.scheduleWake(p.eng.now+d, p, id, nil, false, false)
+	p.ArmWait(d)
 	p.park()
 }
 
@@ -318,11 +371,12 @@ func (p *Proc) Kill() {
 		// Cancel before first run; the start event will retire it.
 		return
 	}
-	if p.state == procBlocked {
-		// park() sees killed and unwinds when the wake steps it.
+	if p.state == procBlocked && e.stepping != p {
+		// park() sees killed and unwinds when the wake continues it.
 		e.scheduleWake(e.now, p, p.blockID, nil, false, false)
 	}
-	// If running, the next park observes killed.
+	// If running — on its own stack or in its step function — the wake-up
+	// of its next park observes killed.
 }
 
 // Killed reports whether Kill has been called on the process.

@@ -7,6 +7,9 @@ package sim
 // run the wheel.
 type refHeap struct {
 	q []event
+	// tap, when a differential test sets it, sees every event popped, in
+	// dispatch order: the schedule's full transcript.
+	tap func(ev *event)
 }
 
 // push inserts ev into the heap (sift-up over the value slice).
@@ -54,6 +57,9 @@ func (h *refHeap) pop() event {
 		i = child
 	}
 	h.q = q
+	if h.tap != nil {
+		h.tap(&ev)
+	}
 	return ev
 }
 

@@ -39,21 +39,41 @@ func (e *Engine) NewResource(name string, units int) *Resource {
 //simlint:hotpath
 func (r *Resource) Acquire(p *Proc) {
 	p.assertRunning("Resource.Acquire")
+	if !r.ArmAcquire(p) {
+		p.park()
+		r.Granted(p)
+	}
+}
+
+// ArmAcquire is the non-parking half of Acquire, for p itself just before
+// ParkScript or for its step function: it takes a free unit and reports
+// true, or queues p in FIFO order and reports false. The grant then arrives
+// as p's next wake-up, and whoever handles it calls Granted.
+//
+//simlint:hotpath
+func (r *Resource) ArmAcquire(p *Proc) bool {
+	p.assertScript("Resource.ArmAcquire")
 	r.stats.Acquires++
 	if r.inUse < r.total {
 		r.inUse++
-		return
+		return true
 	}
-	id := p.newBlockID()
-	r.queue.push(waiter{p: p, id: id})
+	r.queue.push(waiter{p: p, id: p.newBlockID()})
 	if q := r.queue.len(); q > r.stats.MaxQueue {
 		r.stats.MaxQueue = q
 	}
-	start := r.eng.now
-	p.park()
-	// The releaser transferred its unit to us; inUse is already counted.
+	p.queuedAt = r.eng.now
+	return false
+}
+
+// Granted folds the wait that began with a false ArmAcquire into the
+// resource's statistics, once the grant has woken p. The releaser
+// transferred its unit; inUse is already counted.
+//
+//simlint:hotpath
+func (r *Resource) Granted(p *Proc) {
 	r.stats.Waits++
-	r.stats.WaitTime += r.eng.now - start
+	r.stats.WaitTime += r.eng.now - p.queuedAt
 }
 
 // TryAcquire takes a unit without blocking, reporting success.

@@ -6,10 +6,14 @@ import "math/bits"
 // timing wheel. The simulated workload's event mix is sharply bimodal —
 // microsecond-scale fabric and NPMU completions on one side, and a standing
 // population of far-out timers (2 s call timeouts, 500 ms lock timeouts,
-// 400 ms takeover timers) that are almost always cancelled before they
+// 400 ms takeover timers) that are almost always stale by the time they
 // fire on the other. A binary heap pays O(log n) on every operation with n
-// inflated by the stale timers; the wheel pays amortized O(1) per event
-// and the stale timers cost nothing until their slot expires.
+// inflated by the stale timers; the wheel pays amortized O(1) per event.
+// That O(1) is not zero: nothing cancels a timer, so a 2 s call timeout is
+// placed five times (level 3, then 2, 1, 0 as the cursor closes in, then
+// the ready bucket) and finally dispatched as a stale wake-up — 38–53 of a
+// hot-stock transaction's events, with some 70 000 dead timers resident at
+// 900 tx/s.
 //
 // Layout: numLevels wheels of numSlots slots each, slotBits bits of the
 // timestamp per level. Level 0 is nanosecond-granular (one timestamp per
