@@ -102,27 +102,35 @@ func TestTxnAllocationBudget(t *testing.T) {
 	}
 }
 
-// switchBudget is the most process switches a hot-stock run may make per
-// simulated event. A switch costs about three plain events of host time,
-// and the message transport — send, RDMA, compute, the message-system
-// dispatcher, the pair backups — parks a process once per message and lets
-// the dispatcher walk the legs (sim.Proc.ParkScript): 0.30 today, 0.76–0.84
-// when every leg resumed its process.
-const switchBudget = 0.42
-
 // TestTxnSwitchBudget is the machine-independent gate on process
 // switching, beside the allocation budget: what 1000 more committed
 // transactions of the benchmark's hot-stock load (2 drivers, 8 x 4 KB)
-// cost in simulated events — pinned exactly, because a transport that
-// saves switches by adding, dropping or reordering events has changed the
-// simulation — and in switches per event.
+// cost in simulated events and in process switches.
+//
+// Events are pinned exactly, because a transport that saves switches by
+// adding, dropping or reordering events has changed the simulation. The pin
+// moved once on purpose: 473 884 / 427 740 until a timeout began to die with
+// its wait (sim/timeout.go). Every 2 s call timeout used to be dispatched as
+// a no-op two seconds after its call had returned, 53 of a disk
+// transaction's events and 38 of a PM one; the pins fell by exactly
+// 1000 x 53 and 1000 x 38 and by nothing else, and every committed CSV and
+// fault table stayed byte-identical.
+//
+// Switches are budgeted per transaction, about 10% above today's 145.4 / 126.3.
+// A switch costs about three plain events of host time, and the message
+// transport — send, RDMA, compute, the message-system dispatcher, the pair
+// backups — parks a process once per message and lets the dispatcher walk
+// the legs (sim.Proc.ParkScript); it was 361.4 / 357.3 when every leg resumed
+// its process. Per event is printed too but not gated: it rises when events
+// that did nothing are removed without one switch being added.
 func TestTxnSwitchBudget(t *testing.T) {
 	for _, tc := range []struct {
-		d      ods.Durability
-		events uint64 // per 1000 transactions, unchanged since before the transport parked once
+		d        ods.Durability
+		events   uint64  // per 1000 transactions
+		switches float64 // budget per transaction
 	}{
-		{ods.DiskDurability, 473884},
-		{ods.PMDurability, 427740},
+		{ods.DiskDurability, 420884, 160},
+		{ods.PMDurability, 389740, 140},
 	} {
 		t.Run(tc.d.String(), func(t *testing.T) {
 			run := func(txns int) hotstock.Result {
@@ -138,13 +146,14 @@ func TestTxnSwitchBudget(t *testing.T) {
 			}
 			short, long := run(500), run(1000)
 			events, switches := long.Events-short.Events, long.Switches-short.Switches
+			perTxn := float64(switches) / 1000
 			t.Logf("%.1f events and %.1f switches per transaction, %.3f switches/event",
-				float64(events)/1000, float64(switches)/1000, float64(switches)/float64(events))
+				float64(events)/1000, perTxn, float64(switches)/float64(events))
 			if events != tc.events {
 				t.Errorf("1000 transactions cost %d events, want exactly %d: the schedule itself moved", events, tc.events)
 			}
-			if perEvent := float64(switches) / float64(events); perEvent > switchBudget {
-				t.Errorf("%.3f switches per event, budget %.2f: some transport leg resumes its process again instead of stepping", perEvent, switchBudget)
+			if perTxn > tc.switches {
+				t.Errorf("%.1f switches per transaction, budget %.0f: some transport leg resumes its process again instead of stepping", perTxn, tc.switches)
 			}
 		})
 	}

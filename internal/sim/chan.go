@@ -125,7 +125,7 @@ func (c *Chan) RecvTimeout(p *Proc, timeout Time) (v interface{}, ok bool) {
 		return v, true
 	}
 	if timeout >= 0 {
-		p.wakeAt(p.eng.now+timeout, p.blockID, nil, false)
+		p.armTimeout(timeout)
 	}
 	p.park()
 	return p.rxVal, p.rxOK

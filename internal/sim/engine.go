@@ -34,14 +34,10 @@ type event struct {
 
 	// p/id describe a process start or wake-up: continue p if its park
 	// stamp still matches id, delivering (val, ok) to the parked operation.
-	// indirect wake-ups re-enqueue behind already-queued same-time events
-	// instead of waking inline (the timeout semantics of the waiter
-	// queues).
-	p        *Proc
-	id       uint64
-	val      interface{}
-	ok       bool
-	indirect bool
+	p   *Proc
+	id  uint64
+	val interface{}
+	ok  bool
 }
 
 // TraceFunc receives one line per traced kernel action.
@@ -64,10 +60,13 @@ type TraceFunc func(at Time, format string, args ...interface{})
 // scheduler. Exactly one stack is ever running, so the schedule stays
 // deterministic and data-race-free.
 type Engine struct {
-	now    Time
-	seq    uint64
-	q      wheel    // production scheduler: hierarchical timing wheel
-	ref    *refHeap // non-nil: tests are running the reference heap instead
+	now Time
+	seq uint64
+	q   wheel    // production scheduler: hierarchical timing wheel
+	ref *refHeap // non-nil: tests are running the reference heap instead
+	// tmo is the min-heap of processes with a timeout armed, above either
+	// scheduler (see timeout.go).
+	tmo    []*Proc
 	procs  map[*Proc]struct{}
 	nprocs uint64
 	seed   int64
@@ -183,16 +182,17 @@ func (e *Engine) push(ev event) {
 	e.q.insert(ev)
 }
 
-// next returns the earliest pending event's time without consuming it
-// (the wheel advances its cursor and stages the ready bucket; the heap
-// just peeks). ok is false when nothing is pending.
+// next returns the earliest pending event's (at, seq) key without consuming
+// it (the wheel advances its cursor, never past horizon, and stages the
+// ready bucket; the heap just peeks). ok is false when nothing is pending
+// or, on the wheel, nothing is pending up to horizon.
 //
 //simlint:hotpath
-func (e *Engine) next() (Time, bool) {
+func (e *Engine) next(horizon Time) (at Time, seq uint64, ok bool) {
 	if e.ref != nil {
 		return e.ref.peek()
 	}
-	return e.q.nextTime()
+	return e.q.nextTime(horizon)
 }
 
 // pop removes and returns the earliest pending event. Callers must have
@@ -219,22 +219,21 @@ func (e *Engine) Schedule(at Time, fn func()) {
 }
 
 // scheduleWake enqueues a process wake-up event without allocating a
-// closure — the fast path under Proc.Wait and the waiter queues. If
-// indirect is set, the fired event re-enqueues a direct wake behind
-// already-queued same-time events (matching the historical two-step
-// timeout semantics) instead of resuming the process inline.
+// closure — the fast path under Proc.Wait and the waiter queues.
 //
 //simlint:hotpath
-func (e *Engine) scheduleWake(at Time, p *Proc, id uint64, val interface{}, ok, indirect bool) {
+func (e *Engine) scheduleWake(at Time, p *Proc, id uint64, val interface{}, ok bool) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.push(event{at: at, seq: e.seq, p: p, id: id, val: val, ok: ok, indirect: indirect})
+	e.push(event{at: at, seq: e.seq, p: p, id: id, val: val, ok: ok})
 }
 
 // advance runs the dispatch loop on the calling stack. Events pop in exact
-// (at, seq) order and execute until the deadline, the event budget, a Stop,
+// (at, seq) order, an armed timeout taking its turn in that order as one
+// event that queues the expired process's wake-up behind whatever is already
+// queued for the instant, and execute until the deadline, the event budget, a Stop,
 // or queue exhaustion ends the run, or until an event wakes or starts a
 // process. The return value is where control must go next: self means the
 // calling process was woken and simply continues inline (zero switches);
@@ -248,7 +247,25 @@ func (e *Engine) scheduleWake(at Time, p *Proc, id uint64, val interface{}, ok, 
 func (e *Engine) advance(self *Proc) *Proc {
 	e.cur = nil
 	for !e.stopped && e.events < e.limit {
-		at, ok := e.next()
+		var tp *Proc
+		horizon := maxTime
+		if len(e.tmo) > 0 {
+			tp = e.tmo[0]
+			horizon = tp.tmoAt
+		}
+		at, seq, ok := e.next(horizon)
+		if tp != nil && (!ok || horizon < at || horizon == at && tp.tmoSeq < seq) {
+			if horizon > e.deadline {
+				break
+			}
+			e.disarm(tp)
+			if horizon > e.now {
+				e.now = horizon
+			}
+			e.events++
+			e.scheduleWake(e.now, tp, tp.blockID, nil, false)
+			continue
+		}
 		if !ok || at > e.deadline {
 			break
 		}
@@ -271,11 +288,8 @@ func (e *Engine) advance(self *Proc) *Proc {
 		if p.blockID != ev.id || p.state != procBlocked {
 			continue // stale wake-up
 		}
-		if ev.indirect {
-			// Requeue as a direct wake at the current time so the wake-up
-			// lands behind events already queued for this instant.
-			e.scheduleWake(e.now, p, ev.id, ev.val, ev.ok, false)
-			continue
+		if p.tmoIdx != 0 {
+			e.disarm(p) // the wait is over: its timeout goes with it
 		}
 		p.rxVal, p.rxOK = ev.val, ev.ok
 		if s := p.step; s != nil {
@@ -356,12 +370,12 @@ func (e *Engine) Step() bool {
 	return e.events > before
 }
 
-// Pending reports the number of queued events.
+// Pending reports the number of queued events plus armed timeouts.
 func (e *Engine) Pending() int {
 	if e.ref != nil {
-		return e.ref.len()
+		return e.ref.len() + len(e.tmo)
 	}
-	return e.q.count
+	return e.q.count + len(e.tmo)
 }
 
 // LiveProcs returns the number of processes that have been spawned and have

@@ -54,6 +54,12 @@ type Proc struct {
 	// accounting folded in at the grant.
 	queuedAt Time
 
+	// tmoAt/tmoSeq key the timeout armed for the current park, if any, and
+	// tmoIdx is its position in Engine.tmo plus one (0: none armed).
+	tmoAt  Time
+	tmoSeq uint64
+	tmoIdx int32
+
 	// onExit callbacks run (in engine context) when the process finishes
 	// or is killed.
 	onExit []func()
@@ -194,6 +200,9 @@ func (p *Proc) runBody() {
 		e := p.eng
 		p.co = nil
 		e.cur = nil
+		if p.tmoIdx != 0 {
+			e.disarm(p) // a panic unwound p out of a timed park
+		}
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); !ok {
 				blocked := p.state == procBlocked
@@ -289,7 +298,7 @@ func (p *Proc) ArmWait(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.scheduleWake(p.eng.now+d, p, p.newBlockID(), nil, false, false)
+	p.eng.scheduleWake(p.eng.now+d, p, p.newBlockID(), nil, false)
 }
 
 // wake schedules process p to continue at the current virtual time if its
@@ -299,16 +308,7 @@ func (p *Proc) ArmWait(d Time) {
 //simlint:hotpath
 func (p *Proc) wake(id uint64, v interface{}, ok bool) {
 	e := p.eng
-	e.scheduleWake(e.now, p, id, v, ok, false)
-}
-
-// wakeAt schedules a deferred wake-up for p at absolute time at — the
-// timeout arm of the waiter queues. The fired event re-enqueues behind
-// same-time events (indirect), matching wake's historical scheduling.
-//
-//simlint:hotpath
-func (p *Proc) wakeAt(at Time, id uint64, v interface{}, ok bool) {
-	p.eng.scheduleWake(at, p, id, v, ok, true)
+	e.scheduleWake(e.now, p, id, v, ok)
 }
 
 // newBlockID stamps a fresh park and returns the stamp.
@@ -373,7 +373,7 @@ func (p *Proc) Kill() {
 	}
 	if p.state == procBlocked && e.stepping != p {
 		// park() sees killed and unwinds when the wake continues it.
-		e.scheduleWake(e.now, p, p.blockID, nil, false, false)
+		e.scheduleWake(e.now, p, p.blockID, nil, false)
 	}
 	// If running — on its own stack or in its step function — the wake-up
 	// of its next park observes killed.

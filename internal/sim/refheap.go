@@ -63,14 +63,14 @@ func (h *refHeap) pop() event {
 	return ev
 }
 
-// peek returns the minimum event's time without removing it.
+// peek returns the minimum event's key without removing it.
 //
 //simlint:hotpath
-func (h *refHeap) peek() (Time, bool) {
+func (h *refHeap) peek() (at Time, seq uint64, ok bool) {
 	if len(h.q) == 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	return h.q[0].at, true
+	return h.q[0].at, h.q[0].seq, true
 }
 
 // len reports the number of queued events.

@@ -212,7 +212,7 @@ func (s *Signal) WaitTimeout(p *Proc, timeout Time) (v interface{}, ok bool) {
 	id := p.newBlockID()
 	s.waiters = append(s.waiters, waiter{p: p, id: id})
 	if timeout >= 0 {
-		p.wakeAt(p.eng.now+timeout, id, nil, false)
+		p.armTimeout(timeout)
 	}
 	p.park()
 	return p.rxVal, p.rxOK

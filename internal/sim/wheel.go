@@ -189,20 +189,22 @@ func (w *wheel) rewind(at Time) {
 
 // nextTime advances the cursor to the exact timestamp of the earliest
 // pending event, fills the ready bucket with every event due then, and
-// returns that time. ok is false when nothing is pending. Idempotent once
-// the ready bucket is non-empty.
+// returns that event's (at, seq) key. The cursor never moves past horizon
+// (the earliest armed timeout, which the engine dispatches itself and whose
+// wake-up it then inserts at that instant): ok is false when nothing is
+// pending at or before it. Idempotent once the ready bucket is non-empty.
 //
 //simlint:hotpath
-func (w *wheel) nextTime() (Time, bool) {
+func (w *wheel) nextTime(horizon Time) (at Time, seq uint64, ok bool) {
 	for {
 		if w.readyHead < len(w.ready) {
 			if !w.readySorted {
 				w.sortReady()
 			}
-			return w.cur, true
+			return w.cur, w.ready[w.readyHead].seq, true
 		}
 		if w.count == 0 {
-			return 0, false
+			return 0, 0, false
 		}
 		// Lower-bound candidate over the levels' next occupied slots,
 		// bottom up. Once a candidate falls inside the cursor's current
@@ -229,6 +231,9 @@ func (w *wheel) nextTime() (Time, bool) {
 		}
 		if !found {
 			panic("sim: timing wheel lost an event")
+		}
+		if best > horizon {
+			return 0, 0, false // best is a lower bound: nothing is due by horizon
 		}
 		w.advanceTo(best)
 		// Pull overflow entries that are now within the wheel horizon.

@@ -180,16 +180,16 @@ func TestWheelRawOrderProperty(t *testing.T) {
 			h.push(ev)
 		}
 		popBoth := func() bool {
-			wt, wok := w.nextTime()
-			ht, hok := h.peek()
+			wt, ws, wok := w.nextTime(maxTime)
+			ht, hs, hok := h.peek()
 			if wok != hok {
 				t.Fatalf("seed %d: pending disagreement wheel=%v heap=%v", seed, wok, hok)
 			}
 			if !wok {
 				return false
 			}
-			if wt != ht {
-				t.Fatalf("seed %d: next time wheel=%d heap=%d", seed, wt, ht)
+			if wt != ht || ws != hs {
+				t.Fatalf("seed %d: next key wheel=(%d,%d) heap=(%d,%d)", seed, wt, ws, ht, hs)
 			}
 			we, he := w.popReady(), h.pop()
 			if we.at != he.at || we.seq != he.seq {
@@ -218,6 +218,28 @@ func TestWheelRawOrderProperty(t *testing.T) {
 					at = maxTime
 				}
 				insert(at)
+			}
+			// The engine's use of the horizon: an armed timeout due before
+			// the next event stops the cursor short, the clock moves to the
+			// timeout and its wake-up is inserted there — never behind the
+			// cursor, and first out.
+			if ht, _, hok := h.peek(); hok && rng.Intn(3) == 0 {
+				// A timeout is armed by a process running at the cursor, so
+				// the horizon is never behind it.
+				lo := max(clock, w.cur)
+				hz := lo + Time(rng.Int63n(int64(min(ht-lo, 10*Second))+1))
+				if _, _, wok := w.nextTime(hz); wok != (ht <= hz) {
+					t.Fatalf("seed %d: nextTime(%d) ok=%v with the next event at %d", seed, hz, wok, ht)
+				} else if !wok {
+					if w.cur > hz {
+						t.Fatalf("seed %d: cursor %d ran past horizon %d", seed, w.cur, hz)
+					}
+					clock = hz
+					insert(hz)
+					if at, _, _ := w.nextTime(maxTime); at != hz {
+						t.Fatalf("seed %d: event inserted at horizon %d, wheel surfaces %d first", seed, hz, at)
+					}
+				}
 			}
 			for i := rng.Intn(6); i > 0; i-- {
 				if !popBoth() {
