@@ -434,6 +434,46 @@ func TestCPUFailDuringComputeThenRestore(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestCPUFailWithQueuedComputeThenRestore fails a CPU while one process
+// holds its execution resource and another is queued on it. CPU.Fail kills
+// in spawn order, so with the holder spawned first its unwinding Release
+// meets a waiter that is killed but still parked; the unit must not go to
+// it, or every Compute on the restored CPU wedges.
+func TestCPUFailWithQueuedComputeThenRestore(t *testing.T) {
+	for _, holderFirst := range []bool{true, false} {
+		eng, cl := newTestCluster(1)
+		holder := func(p *Process) { p.Compute(10 * sim.Second) }
+		waiter := func(p *Process) {
+			p.Wait(sim.Millisecond) // the holder is computing by now
+			p.Compute(10 * sim.Second)
+		}
+		if holderFirst {
+			cl.CPU(2).Spawn("holder", holder)
+			cl.CPU(2).Spawn("waiter", waiter)
+		} else {
+			cl.CPU(2).Spawn("waiter", waiter)
+			cl.CPU(2).Spawn("holder", holder)
+		}
+		eng.Spawn("chaos", func(p *sim.Proc) {
+			p.Wait(50 * sim.Millisecond)
+			cl.CPU(2).Fail()
+			p.Wait(50 * sim.Millisecond)
+			cl.CPU(2).Restore()
+		})
+		eng.Run()
+		ran := false
+		cl.CPU(2).Spawn("post", func(p *Process) {
+			p.Compute(sim.Millisecond)
+			ran = true
+		})
+		eng.RunUntil(eng.Now() + 5*sim.Second)
+		if !ran {
+			t.Errorf("holder spawned first=%v: CPU wedged after failing with a queued Compute", holderFirst)
+		}
+		eng.Shutdown()
+	}
+}
+
 func TestMessageFIFOPerSender(t *testing.T) {
 	// The message system preserves per-sender order: a burst of one-way
 	// sends from one process arrives in send order.

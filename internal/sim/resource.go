@@ -91,6 +91,10 @@ func (r *Resource) WaitStats() ResourceStats { return r.stats }
 
 // Release returns one unit. If a process is waiting, the unit passes
 // directly to it (inUse stays constant); otherwise the unit becomes free.
+// A waiter that has been killed but has not unwound yet is passed over: it
+// will never return from Acquire to release what it was handed. (A channel
+// or signal hand-off to such a process loses nothing anyone else owns, so
+// only Release looks at killed.)
 //
 //simlint:hotpath
 func (r *Resource) Release() {
@@ -99,7 +103,7 @@ func (r *Resource) Release() {
 	}
 	for r.queue.len() > 0 {
 		w := r.queue.pop()
-		if w.stale() {
+		if w.stale() || w.p.killed {
 			continue
 		}
 		w.p.wake(w.id, nil, true)

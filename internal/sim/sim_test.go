@@ -519,6 +519,45 @@ func TestResourceKilledWaiterSkipped(t *testing.T) {
 	}
 }
 
+// TestResourceKilledHolderAndWaiterSameInstant is a CPU failure in
+// miniature: the holder and a queued waiter are killed in spawn order at one
+// instant, and both kill wake-ups are queued before either unwinds. When the
+// holder was spawned first it unwinds first, and its deferred Release finds
+// the waiter killed but still parked: handing it the unit would leak it,
+// because the waiter unwinds out of Acquire and never releases.
+func TestResourceKilledHolderAndWaiterSameInstant(t *testing.T) {
+	for _, holderFirst := range []bool{true, false} {
+		e := NewEngine(1)
+		r := e.NewResource("r", 1)
+		holder := func(p *Proc) { r.Use(p, Second) }
+		waiter := func(p *Proc) {
+			p.Wait(1) // the holder is in by now, whoever was spawned first
+			r.Use(p, Second)
+		}
+		var victims []*Proc
+		if holderFirst {
+			victims = []*Proc{e.Spawn("holder", holder), e.Spawn("waiter", waiter)}
+		} else {
+			victims = []*Proc{e.Spawn("waiter", waiter), e.Spawn("holder", holder)}
+		}
+		e.Schedule(Millisecond, func() {
+			for _, p := range victims {
+				p.Kill()
+			}
+		})
+		ran := false
+		e.SpawnAt(2*Millisecond, "heir", func(p *Proc) {
+			r.Use(p, 1)
+			ran = true
+		})
+		e.RunUntil(Minute)
+		if r.InUse() != 0 || !ran {
+			t.Errorf("holder spawned first=%v: InUse = %d, heir ran = %v; want 0, true", holderFirst, r.InUse(), ran)
+		}
+		e.Shutdown()
+	}
+}
+
 func TestSignal(t *testing.T) {
 	e := NewEngine(1)
 	s := e.NewSignal()
