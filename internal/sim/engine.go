@@ -60,13 +60,11 @@ type TraceFunc func(at Time, format string, args ...interface{})
 // scheduler. Exactly one stack is ever running, so the schedule stays
 // deterministic and data-race-free.
 type Engine struct {
-	now Time
-	seq uint64
-	q   wheel    // production scheduler: hierarchical timing wheel
-	ref *refHeap // non-nil: tests are running the reference heap instead
-	// tmo is the min-heap of processes with a timeout armed, above either
-	// scheduler (see timeout.go).
-	tmo    []*Proc
+	now    Time
+	seq    uint64
+	q      wheel    // production scheduler: hierarchical timing wheel
+	ref    *refHeap // non-nil: tests are running the reference heap instead
+	tmo    []*Proc  // min-heap of processes with a timeout armed, above either scheduler (timeout.go)
 	procs  map[*Proc]struct{}
 	nprocs uint64
 	seed   int64
@@ -231,12 +229,12 @@ func (e *Engine) scheduleWake(at Time, p *Proc, id uint64, val interface{}, ok b
 }
 
 // advance runs the dispatch loop on the calling stack. Events pop in exact
-// (at, seq) order, an armed timeout taking its turn in that order as one
-// event that queues the expired process's wake-up behind whatever is already
-// queued for the instant, and execute until the deadline, the event budget, a Stop,
-// or queue exhaustion ends the run, or until an event wakes or starts a
-// process. The return value is where control must go next: self means the
-// calling process was woken and simply continues inline (zero switches);
+// (at, seq) order — an armed timeout takes its turn in that order as one
+// event, which queues the expired process's wake-up behind whatever is
+// already queued for the instant — and execute until the deadline, the event
+// budget, a Stop, or queue exhaustion ends the run, or until an event wakes
+// or starts a process. The return value is where control must go next: self
+// means the calling process was woken and simply continues inline (zero switches);
 // any other process must be switched into (one that has just started has
 // no coroutine yet); nil means the run is over. A wake-up for a process
 // parked with a step function is an ordinary event here: the step runs on
@@ -372,10 +370,11 @@ func (e *Engine) Step() bool {
 
 // Pending reports the number of queued events plus armed timeouts.
 func (e *Engine) Pending() int {
+	n := e.q.count
 	if e.ref != nil {
-		return e.ref.len() + len(e.tmo)
+		n = e.ref.len()
 	}
-	return e.q.count + len(e.tmo)
+	return n + len(e.tmo)
 }
 
 // LiveProcs returns the number of processes that have been spawned and have

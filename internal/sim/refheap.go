@@ -8,7 +8,8 @@ package sim
 type refHeap struct {
 	q []event
 	// tap, when a differential test sets it, sees every event popped, in
-	// dispatch order: the schedule's full transcript.
+	// dispatch order: the schedule's full transcript. (An armed timeout is
+	// not an event; one that expires shows as the wake-up it queues.)
 	tap func(ev *event)
 }
 

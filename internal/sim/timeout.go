@@ -12,9 +12,10 @@ package sim
 // heap's head with the scheduler's head in exact (at, seq) order, so a
 // timeout that does fire is dispatched where its event would have been.
 //
-// The heap holds what is in flight — hundreds of entries under load, where
-// the wheel used to carry every 2 s call timeout for 2 s after its call had
-// returned — so its sifts are two or three levels over hot cache lines.
+// The heap holds what is in flight — a few dozen entries at the open loop's
+// saturated rungs, where the wheel used to carry every 2 s call timeout for
+// 2 s after its call had returned, 119 000 of them — so a sift is a few
+// levels over hot cache lines: 0.6 % of an openloop-pm-mix CPU profile.
 
 // tmoLess orders armed processes by their timeout's (at, seq).
 //
@@ -55,8 +56,7 @@ func (e *Engine) disarm(p *Proc) {
 		return
 	}
 	h[i] = last
-	last.tmoIdx = int32(i + 1)
-	e.tmoDown(i)
+	e.tmoDown(i) // leaves last's back-index current
 	if last.tmoIdx == int32(i+1) {
 		e.tmoUp(i)
 	}

@@ -4,16 +4,26 @@ import "math/bits"
 
 // This file implements the engine's production scheduler: a hierarchical
 // timing wheel. The simulated workload's event mix is sharply bimodal —
-// microsecond-scale fabric and NPMU completions on one side, and a standing
-// population of far-out timers (2 s call timeouts, 500 ms lock timeouts,
-// 400 ms takeover timers) that are almost always stale by the time they
-// fire on the other. A binary heap pays O(log n) on every operation with n
-// inflated by the stale timers; the wheel pays amortized O(1) per event.
-// That O(1) is not zero: nothing cancels a timer, so a 2 s call timeout is
-// placed five times (level 3, then 2, 1, 0 as the cursor closes in, then
-// the ready bucket) and finally dispatched as a stale wake-up — 38–53 of a
-// hot-stock transaction's events, with some 70 000 dead timers resident at
-// 900 tx/s.
+// microsecond-scale fabric and NPMU completions on one side, far-out timers
+// on the other. A binary heap pays O(log n) on every operation with n
+// inflated by the far-out ones; the wheel pays amortized O(1) per event.
+//
+// The wheel holds events, and an event cannot be taken back: once inserted
+// it is placed again each time the cursor closes in on it (a 2 s timer goes
+// level 3, 2, 1, 0, ready bucket) and is dispatched, stale or not. So the
+// timeouts of timed waits — Signal.WaitTimeout, Chan.RecvTimeout: the 2 s
+// call timeout and 500 ms lock timeout armed for a reply that arrives within
+// microseconds — are not events. The wait that arms one owns it: it sits in
+// the engine's heap of armed timeouts (timeout.go) and is removed the moment
+// its process is woken, so the wheel never sees the 38–53 timeouts of a
+// hot-stock transaction that used to ride it for 2 s each, some 70 000 of
+// them resident at 900 tx/s. What the outer levels still hold are the timers
+// that are events because they do fire: Wait deadlines (DP2's write-back
+// interval, retry and poll pauses, open-loop arrival gaps, disk service
+// times) and whatever Schedule / After put there (takeover delays, fault
+// plans) — a handful per store. A timeout that does fire re-enters the wheel
+// as an ordinary wake-up at its own instant; nextTime's horizon keeps the
+// cursor from running past that instant beforehand.
 //
 // Layout: numLevels wheels of numSlots slots each, slotBits bits of the
 // timestamp per level. Level 0 is nanosecond-granular (one timestamp per
@@ -189,10 +199,11 @@ func (w *wheel) rewind(at Time) {
 
 // nextTime advances the cursor to the exact timestamp of the earliest
 // pending event, fills the ready bucket with every event due then, and
-// returns that event's (at, seq) key. The cursor never moves past horizon
-// (the earliest armed timeout, which the engine dispatches itself and whose
-// wake-up it then inserts at that instant): ok is false when nothing is
-// pending at or before it. Idempotent once the ready bucket is non-empty.
+// returns that event's (at, seq) key. The cursor never advances past horizon
+// — the earliest armed timeout, which the engine dispatches itself and whose
+// wake-up it then inserts at that instant, at or after the cursor instead of
+// behind it: ok is false when nothing is pending, or nothing by horizon.
+// Idempotent once the ready bucket is non-empty.
 //
 //simlint:hotpath
 func (w *wheel) nextTime(horizon Time) (at Time, seq uint64, ok bool) {
