@@ -474,6 +474,40 @@ func TestCPUFailWithQueuedComputeThenRestore(t *testing.T) {
 	}
 }
 
+// TestKillInTheInstantOfAComputeGrant kills a process queued for the CPU in
+// the instant the holder's Compute ends: the execution resource has been
+// handed to it and its grant queued, but not dispatched. It unwinds out of
+// the script's queued phase, which holds nothing as far as the script knows;
+// the kernel gives the unit back, or every later Compute on the CPU wedges.
+func TestKillInTheInstantOfAComputeGrant(t *testing.T) {
+	eng, cl := newTestCluster(1)
+	cpu := cl.CPU(0)
+	cpu.Spawn("holder", func(p *Process) { p.Compute(sim.Millisecond) })
+	victim := cpu.Spawn("victim", func(p *Process) {
+		p.Compute(10 * sim.Second)
+		t.Error("victim computed")
+	})
+	eng.Spawn("killer", func(p *sim.Proc) {
+		p.Wait(sim.Millisecond) // queued behind the end of the holder's Compute
+		if cpu.exec.InUse() != 1 || cpu.exec.QueueLen() != 0 || victim.Done() {
+			t.Errorf("at the kill: exec inUse=%d queue=%d, victim done=%v; want it handed to the parked victim",
+				cpu.exec.InUse(), cpu.exec.QueueLen(), victim.Done())
+		}
+		victim.Kill()
+	})
+	var ranAt sim.Time
+	cpu.Spawn("heir", func(p *Process) {
+		p.Wait(2 * sim.Millisecond)
+		p.Compute(sim.Millisecond)
+		ranAt = p.Now()
+	})
+	eng.RunUntil(5 * sim.Second)
+	if ranAt != 3*sim.Millisecond || cpu.exec.InUse() != 0 {
+		t.Errorf("heir computed by %v with exec inUse=%d, want 3ms and 0: the kill leaked the CPU", ranAt, cpu.exec.InUse())
+	}
+	eng.Shutdown()
+}
+
 func TestMessageFIFOPerSender(t *testing.T) {
 	// The message system preserves per-sender order: a burst of one-way
 	// sends from one process arrives in send order.

@@ -738,6 +738,72 @@ func TestKillAtEveryTransferLeg(t *testing.T) {
 	}
 }
 
+// The kill lands in the very instant a port is granted: the blocker's
+// release has handed its unit to the queued victim and queued the grant, and
+// the kill arrives before that wake-up is dispatched. The victim unwinds out
+// of the queued phase, whose guard knows only about ports the script already
+// took delivery of; the granted one is given back by the kernel.
+func TestKillInTheInstantOfAPortGrant(t *testing.T) {
+	const n = 64 << 10
+	cfg := DefaultConfig()
+	for _, tc := range []struct {
+		leg     string
+		blocker EndpointID // the victim's port a 3->blocker transfer occupies
+	}{
+		{"queued on the first port", 1},
+		{"holding the first port, queued on the second", 2},
+	} {
+		for _, op := range transferOps {
+			t.Run(tc.leg+"/"+op.name, func(t *testing.T) {
+				blocker := tc.blocker
+				eng, fab, _ := testFabric(t, cfg, 0, rwPerm())
+				c := fab.Attach(3, "c")
+				c.MapWindow(0, 1<<20, make(ByteWindow, 1<<20), 0, rwPerm())
+				fab.Endpoint(1).MapWindow(0, 1<<20, make(ByteWindow, 1<<20), 0, rwPerm())
+				eng.Spawn("blocker", func(p *sim.Proc) {
+					if err := fab.RDMAWrite(p, 3, blocker, 0, make([]byte, 1<<20)); err != nil {
+						t.Errorf("blocker: %v", err)
+					}
+				})
+				victim := eng.SpawnAt(sim.Nanosecond, "victim", func(p *sim.Proc) {
+					op.do(fab, p, n)
+					t.Error("victim returned")
+				})
+				// The blocker frees its ports when its wire time ends; a
+				// zero-delay hop from that instant runs behind the release.
+				eng.Schedule(cfg.SoftwareLatency+fab.transferTime(1<<20), func() {
+					eng.After(0, func() {
+						if link := fab.Endpoint(blocker).link; link.InUse() != 1 || link.QueueLen() != 0 || victim.Done() {
+							t.Errorf("at the kill: port %d inUse=%d queue=%d, victim done=%v; want it handed to the parked victim",
+								blocker, link.InUse(), link.QueueLen(), victim.Done())
+						}
+						victim.Kill()
+					})
+				})
+				var heirTook sim.Time
+				var heirErr error
+				eng.SpawnAt(20*sim.Millisecond, "heir", func(p *sim.Proc) {
+					heirErr = fab.RDMAWrite(p, 1, 2, 0, make([]byte, n))
+					heirTook = p.Now() - 20*sim.Millisecond
+				})
+				eng.Run()
+				if want := cfg.SoftwareLatency + fab.transferTime(n); heirErr != nil || heirTook != want {
+					t.Errorf("heir: err %v after %v, want nil after %v: the kill leaked a port", heirErr, heirTook, want)
+				}
+				for id := EndpointID(1); id <= 3; id++ {
+					if ep := fab.Endpoint(id); ep.link.InUse() != 0 || ep.link.QueueLen() != 0 {
+						t.Errorf("endpoint %d port left inUse=%d queue=%d", id, ep.link.InUse(), ep.link.QueueLen())
+					}
+				}
+				if eng.LiveProcs() != 0 {
+					t.Errorf("stuck: %v", eng.BlockedProcs())
+				}
+				eng.Shutdown()
+			})
+		}
+	}
+}
+
 // A transfer's script state comes off the fabric's free list and goes back
 // when the operation returns, so steady traffic allocates none.
 func TestTransfersAreRecycled(t *testing.T) {

@@ -53,6 +53,9 @@ type Proc struct {
 	// queuedAt is when the process last queued on a Resource, for the wait
 	// accounting folded in at the grant.
 	queuedAt Time
+	// grant is the resource whose unit Release has handed to the parked
+	// process, until Granted takes delivery of it.
+	grant *Resource
 
 	// tmoAt/tmoSeq key the timeout armed for the current park, if any, and
 	// tmoIdx is its position in Engine.tmo plus one (0: none armed).
@@ -219,6 +222,12 @@ func (p *Proc) runBody() {
 				// process identity.
 				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 			}
+		}
+		if g := p.grant; g != nil {
+			// Killed in the instant of the grant: p unwound out of Acquire, or
+			// out of a script's queued phase, holding a unit it never took.
+			p.grant = nil
+			g.Release()
 		}
 		p.state = procDone
 		e.retire(p)

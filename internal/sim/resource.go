@@ -67,11 +67,12 @@ func (r *Resource) ArmAcquire(p *Proc) bool {
 }
 
 // Granted folds the wait that began with a false ArmAcquire into the
-// resource's statistics, once the grant has woken p. The releaser
-// transferred its unit; inUse is already counted.
+// resource's statistics and takes delivery of the unit, once the grant has
+// woken p. The releaser transferred its unit; inUse is already counted.
 //
 //simlint:hotpath
 func (r *Resource) Granted(p *Proc) {
+	p.grant = nil
 	r.stats.Waits++
 	r.stats.WaitTime += r.eng.now - p.queuedAt
 }
@@ -94,7 +95,9 @@ func (r *Resource) WaitStats() ResourceStats { return r.stats }
 // A waiter that has been killed but has not unwound yet is passed over: it
 // will never return from Acquire to release what it was handed. (A channel
 // or signal hand-off to such a process loses nothing anyone else owns, so
-// only Release looks at killed.)
+// only Release looks at killed.) One killed after the hand-off, in the same
+// instant and before its grant is dispatched, unwinds with the unit still
+// recorded in Proc.grant, and runBody's epilogue releases it.
 //
 //simlint:hotpath
 func (r *Resource) Release() {
@@ -106,6 +109,7 @@ func (r *Resource) Release() {
 		if w.stale() || w.p.killed {
 			continue
 		}
+		w.p.grant = r
 		w.p.wake(w.id, nil, true)
 		return // unit handed over
 	}

@@ -558,6 +558,45 @@ func TestResourceKilledHolderAndWaiterSameInstant(t *testing.T) {
 	}
 }
 
+// TestResourceGrantedThenKilledSameInstant is the mirror image: Release has
+// already handed the unit to a live waiter and queued its grant when the
+// waiter is killed, in the same instant and before the grant is dispatched.
+// The waiter unwinds out of Acquire without ever holding the unit as far as
+// its own code can tell, so the kernel gives it back.
+func TestResourceGrantedThenKilledSameInstant(t *testing.T) {
+	e := NewEngine(1)
+	r := e.NewResource("r", 1)
+	e.Spawn("holder", func(p *Proc) { r.Use(p, 100) })
+	waiter := e.Spawn("waiter", func(p *Proc) {
+		defer func() {
+			if !p.Killed() {
+				t.Error("waiter returned from Use")
+			}
+		}()
+		r.Use(p, Second)
+	})
+	e.Spawn("killer", func(p *Proc) {
+		p.Wait(100) // queued behind the holder's wake-up: runs after its Release
+		if r.InUse() != 1 || r.QueueLen() != 0 {
+			t.Errorf("at the kill: InUse %d, queue %d; want the unit handed over", r.InUse(), r.QueueLen())
+		}
+		waiter.Kill()
+	})
+	ran := false
+	e.SpawnAt(200, "heir", func(p *Proc) {
+		r.Use(p, 1)
+		ran = true
+	})
+	e.RunUntil(Minute)
+	if r.InUse() != 0 || !ran || e.Now() != 201 {
+		t.Errorf("InUse = %d, heir ran = %v, clock %d; want 0, true, 201", r.InUse(), ran, e.Now())
+	}
+	if st := r.WaitStats(); st.Waits != 0 {
+		t.Errorf("%d waits folded in, want 0: the killed waiter never took delivery", st.Waits)
+	}
+	e.Shutdown()
+}
+
 func TestSignal(t *testing.T) {
 	e := NewEngine(1)
 	s := e.NewSignal()
