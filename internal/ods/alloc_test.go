@@ -161,7 +161,7 @@ func TestTxnSwitchBudget(t *testing.T) {
 
 // TestTimeoutsDoNotOutliveTheirCalls holds the engine's resident set to
 // what is in flight. Every cluster call arms a 2 s timeout and returns within
-// microseconds; when those timeouts were events in the timing wheel each one
+// microseconds; when those timeouts were events in the scheduler each one
 // stayed resident for its full 2 s (19 000 on disk and 38 000 on PM by the
 // end of this run, most of its allocation and cache footprint). A timeout
 // now leaves with its wait, so what is pending at any commit is a dozen or
@@ -180,9 +180,14 @@ func TestTimeoutsDoNotOutliveTheirCalls(t *testing.T) {
 		if got := r.Drivers[0].Txns + r.Drivers[1].Txns; got != 1000 {
 			t.Fatalf("%v: %d of 1000 transactions committed", d, got)
 		}
-		t.Logf("%v: at most %d events and armed timeouts pending at a commit", d, peak)
+		t.Logf("%v: at most %d events and armed timeouts pending at a commit, room for %d events retained", d, peak, s.Eng.QueueCapacity())
 		if peak > 100 {
 			t.Errorf("%v: %d pending at a commit, want a few dozen at most: something outlives the wait that armed it", d, peak)
+		}
+		// The scheduler's footprint follows: slices that grew to the deepest
+		// the queue ever was, a few KB, however long the run.
+		if c := s.Eng.QueueCapacity(); c > 400 {
+			t.Errorf("%v: the event queue retains room for %d events after 1000 transactions, want a few hundred at most", d, c)
 		}
 	}
 }

@@ -22,7 +22,7 @@ const startEventID = ^uint64(0)
 // stamp inline so that the hot Wait/wake paths need no closure allocation.
 // A wake-up whose target parked with a Stepper runs that step on the
 // dispatching stack instead of continuing the process (see Proc.ParkScript).
-// Events live by value inside the scheduler's buckets; retained slice
+// Events live by value inside the scheduler's slices; retained slice
 // capacity acts as the free-list, so steady-state scheduling and dispatch
 // allocate nothing.
 type event struct {
@@ -62,9 +62,9 @@ type TraceFunc func(at Time, format string, args ...interface{})
 type Engine struct {
 	now    Time
 	seq    uint64
-	q      wheel    // production scheduler: hierarchical timing wheel
-	ref    *refHeap // non-nil: tests are running the reference heap instead
-	tmo    []*Proc  // min-heap of processes with a timeout armed, above either scheduler (timeout.go)
+	q      eventQueue // production scheduler: same-instant lane + small heap (eventq.go)
+	ref    *refHeap   // non-nil: tests are running the reference heap instead
+	tmo    []*Proc    // min-heap of processes with a timeout armed, above either scheduler (timeout.go)
 	procs  map[*Proc]struct{}
 	nprocs uint64
 	seed   int64
@@ -113,9 +113,9 @@ func NewEngine(seed int64) *Engine {
 
 // useReferenceHeap switches a fresh engine onto the retained reference
 // min-heap scheduler. Differential tests drive identical programs through
-// both schedulers; production engines always run the timing wheel.
+// both schedulers; production engines always run the event queue.
 func (e *Engine) useReferenceHeap() {
-	if e.events != 0 || e.q.count != 0 {
+	if e.events != 0 || e.q.len() != 0 {
 		panic("sim: useReferenceHeap on a used engine")
 	}
 	e.ref = &refHeap{}
@@ -180,28 +180,20 @@ func (e *Engine) push(ev event) {
 	e.q.insert(ev)
 }
 
-// next returns the earliest pending event's (at, seq) key without consuming
-// it (the wheel advances its cursor, never past horizon, and stages the
-// ready bucket; the heap just peeks). ok is false when nothing is pending
-// or, on the wheel, nothing is pending up to horizon.
+// popBefore removes the earliest pending event into *ev, if there is one and
+// its key sorts at or before (at, seq), and reports whether it did.
 //
 //simlint:hotpath
-func (e *Engine) next(horizon Time) (at Time, seq uint64, ok bool) {
-	if e.ref != nil {
-		return e.ref.peek()
+func (e *Engine) popBefore(at Time, seq uint64, ev *event) bool {
+	if e.ref == nil {
+		return e.q.popBefore(at, seq, ev)
 	}
-	return e.q.nextTime(horizon)
-}
-
-// pop removes and returns the earliest pending event. Callers must have
-// seen next return ok.
-//
-//simlint:hotpath
-func (e *Engine) pop() event {
-	if e.ref != nil {
-		return e.ref.pop()
+	hat, hseq, ok := e.ref.peek()
+	if !ok || !before(hat, hseq, at, seq) {
+		return false
 	}
-	return e.q.popReady()
+	*ev = e.ref.pop()
+	return true
 }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past is
@@ -245,29 +237,27 @@ func (e *Engine) scheduleWake(at Time, p *Proc, id uint64, val interface{}, ok b
 func (e *Engine) advance(self *Proc) *Proc {
 	e.cur = nil
 	for !e.stopped && e.events < e.limit {
+		// The next event must sort before the earliest armed timeout, and
+		// within the deadline's instant.
 		var tp *Proc
-		horizon := maxTime
-		if len(e.tmo) > 0 {
+		at, seq := e.deadline, ^uint64(0)
+		if len(e.tmo) > 0 && e.tmo[0].tmoAt <= at {
 			tp = e.tmo[0]
-			horizon = tp.tmoAt
+			at, seq = tp.tmoAt, tp.tmoSeq
 		}
-		at, seq, ok := e.next(horizon)
-		if tp != nil && (!ok || horizon < at || horizon == at && tp.tmoSeq < seq) {
-			if horizon > e.deadline {
+		var ev event
+		if !e.popBefore(at, seq, &ev) {
+			if tp == nil {
 				break
 			}
 			e.disarm(tp)
-			if horizon > e.now {
-				e.now = horizon
+			if at > e.now {
+				e.now = at
 			}
 			e.events++
 			e.scheduleWake(e.now, tp, tp.blockID, nil, false)
 			continue
 		}
-		if !ok || at > e.deadline {
-			break
-		}
-		ev := e.pop()
 		if ev.at > e.now {
 			e.now = ev.at
 		}
@@ -370,12 +360,18 @@ func (e *Engine) Step() bool {
 
 // Pending reports the number of queued events plus armed timeouts.
 func (e *Engine) Pending() int {
-	n := e.q.count
+	n := e.q.len()
 	if e.ref != nil {
 		n = e.ref.len()
 	}
 	return n + len(e.tmo)
 }
+
+// QueueCapacity reports how many events the scheduler has room for without
+// allocating — the retained capacity of its lane, heap and payload pool, its
+// whole memory footprint. It tracks the deepest the queue has ever been, not
+// the length of the run.
+func (e *Engine) QueueCapacity() int { return cap(e.q.lane) + cap(e.q.heap) + cap(e.q.pool) }
 
 // LiveProcs returns the number of processes that have been spawned and have
 // not yet finished (they may be runnable or blocked).

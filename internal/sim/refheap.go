@@ -1,10 +1,11 @@
 package sim
 
-// refHeap is the engine's previous scheduler — a hand-specialized binary
+// refHeap is the engine's first scheduler — a hand-specialized binary
 // min-heap over the value event slice — retained as the reference
-// implementation the timing wheel is differentially tested against. Tests
-// switch an engine onto it with useReferenceHeap; production engines always
-// run the wheel.
+// implementation the event queue (eventq.go) is differentially tested
+// against. Tests switch an engine onto it with useReferenceHeap; production
+// engines never run it: sifting 64-byte pointer-carrying events to the root
+// and back for every same-instant wake-up measured 16–20 % slower end to end.
 type refHeap struct {
 	q []event
 	// tap, when a differential test sets it, sees every event popped, in
@@ -78,8 +79,7 @@ func (h *refHeap) peek() (at Time, seq uint64, ok bool) {
 func (h *refHeap) len() int { return len(h.q) }
 
 // eventLess orders events by (time, sequence) — the deterministic FIFO
-// tie-break for same-time events. Shared by the reference heap and the
-// wheel's overflow heap.
+// tie-break for same-time events.
 //
 //simlint:hotpath
 func eventLess(a, b *event) bool {

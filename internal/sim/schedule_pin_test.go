@@ -133,7 +133,7 @@ func pinStorm(seed int64, ref bool) (digest string, events uint64) {
 }
 
 // TestSchedulePinnedAcrossSwitchMechanism holds the coroutine kernel to the
-// exact schedule of the channel kernel, on the timing wheel and on the
+// exact schedule of the channel kernel, on the event queue and on the
 // reference heap.
 func TestSchedulePinnedAcrossSwitchMechanism(t *testing.T) {
 	for _, ref := range []bool{false, true} {

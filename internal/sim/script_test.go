@@ -285,7 +285,7 @@ func TestScriptScheduleMatchesStraightLine(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: stepped transcript has %d extra lines, first %q", seed, len(got)-len(want), got[len(want)])
 		}
-		// The production wheel has no tap, but everything the storm's
+		// The production queue has no tap, but everything the storm's
 		// processes observed and left behind must match the heap run's.
 		var observed []string
 		for _, line := range got {
@@ -293,9 +293,9 @@ func TestScriptScheduleMatchesStraightLine(t *testing.T) {
 				observed = append(observed, line)
 			}
 		}
-		wheel, _ := scriptStorm(seed, true, false)
-		if w, h := strings.Join(wheel, "\n"), strings.Join(observed, "\n"); w != h {
-			t.Errorf("seed %d: the stepped storm on the wheel and on the reference heap observed different runs", seed)
+		prod, _ := scriptStorm(seed, true, false)
+		if q, h := strings.Join(prod, "\n"), strings.Join(observed, "\n"); q != h {
+			t.Errorf("seed %d: the stepped storm on the event queue and on the reference heap observed different runs", seed)
 		}
 	}
 	t.Logf("switches over 12 storms: %d straight-line, %d stepped", straightSwitches, steppedSwitches)

@@ -13,8 +13,8 @@ package sim
 // timeout that does fire is dispatched where its event would have been.
 //
 // The heap holds what is in flight — a few dozen entries at the open loop's
-// saturated rungs, where the wheel used to carry every 2 s call timeout for
-// 2 s after its call had returned, 119 000 of them — so a sift is a few
+// saturated rungs, where the scheduler used to carry every 2 s call timeout
+// for 2 s after its call had returned, 119 000 of them — so a sift is a few
 // levels over hot cache lines: 0.6 % of an openloop-pm-mix CPU profile.
 
 // tmoLess orders armed processes by their timeout's (at, seq).
