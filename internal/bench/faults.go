@@ -201,20 +201,28 @@ func faultCells(cfg FaultConfig) []FaultCell {
 // and every byte of Table and Violations — assemble identically at any
 // parallelism.
 func (r Runner) FaultMatrix(cfg FaultConfig) FaultMatrix {
-	mtbf := sim.Time(cfg.MTBFDays) * 24 * sim.Time(time.Hour)
-	m := FaultMatrix{Config: cfg, Budget: avail.MTTRBudget(mtbf, cfg.Nines), Cells: faultCells(cfg)}
-	r.forEach(len(m.Cells), func(i int) {
-		c := &m.Cells[i]
-		c.judge(m.Budget, faultinject.Run(faultinject.ScenarioConfig{
-			Durability: c.Durability,
-			Txns:       cfg.Txns,
-			Seed:       cfg.Seed,
-			Plan:       c.Plan,
-			Pace:       cfg.Pace,
-			TwoPhase:   c.TwoPhase,
-		}))
-	})
+	m := newFaultMatrix(cfg)
+	r.forEach(len(m.Cells), m.run)
 	return m
+}
+
+// newFaultMatrix lays the matrix out, no cell run yet.
+func newFaultMatrix(cfg FaultConfig) FaultMatrix {
+	mtbf := sim.Time(cfg.MTBFDays) * 24 * sim.Time(time.Hour)
+	return FaultMatrix{Config: cfg, Budget: avail.MTTRBudget(mtbf, cfg.Nines), Cells: faultCells(cfg)}
+}
+
+// run crashes cell i's scenario and grades it in place.
+func (m *FaultMatrix) run(i int) {
+	c := &m.Cells[i]
+	c.judge(m.Budget, faultinject.Run(faultinject.ScenarioConfig{
+		Durability: c.Durability,
+		Txns:       m.Config.Txns,
+		Seed:       m.Config.Seed,
+		Plan:       c.Plan,
+		Pace:       m.Config.Pace,
+		TwoPhase:   c.TwoPhase,
+	}))
 }
 
 // judge recovers a crashed scenario and grades the cell: the

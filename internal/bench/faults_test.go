@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -80,5 +81,79 @@ func TestFaultMatrixReportsFailures(t *testing.T) {
 	}
 	if got, want := m.Violations(), "disk/none/-: committed key 7 lost\ndisk/none/-: history: torn write\n"; got != want {
 		t.Errorf("Violations() = %q, want %q", got, want)
+	}
+}
+
+// sweepPoint is one chaos cell of the seed sweep: `cmd/faults -txns N
+// -chaos 1 -seed S`.
+type sweepPoint struct {
+	txns int
+	seed int64
+}
+
+// pairLost names the chaos cells whose plan kills a primary and then fails
+// its backup's CPU inside TakeoverDelay: both members of one pair are
+// gone, and the takeover-bound invariant reports it. Whether that is a
+// fault the store must survive or an availability event the verdict should
+// name is ROADMAP item 1's open decision; until it is taken these are the
+// sweep's only tolerated failures.
+var pairLost = map[sweepPoint]bool{{8, 43}: true, {8, 61}: true, {32, 29}: true}
+
+// TestChaosSeedSweep runs the chaos cell of `cmd/faults -txns N -chaos 1
+// -seed S` for S = 1..64 at N = 8 and 32. Every seed passes or is a listed
+// pair-lost cell failing only on the takeover bound: a new failing seed
+// fails the test, and so does a listed one that starts to pass (shrink the
+// list). No cell may lose an acknowledged commit or find a log unreadable:
+// drop the poison in ods.Txn.Commit and seeds 10, 12, 25, 36, 40, 48, 50,
+// 54 and 60 say "committed key lost" at 8 transactions (twelve seeds at
+// 32); read pmm.ErrNotFound as ErrNoLog in recovery.fromPM and seed 40
+// says "region not found".
+func TestChaosSeedSweep(t *testing.T) {
+	var points []sweepPoint
+	for _, txns := range []int{8, 32} {
+		for seed := int64(1); seed <= 64; seed++ {
+			points = append(points, sweepPoint{txns, seed})
+		}
+	}
+	cells := make([]FaultCell, len(points))
+	Runner{}.forEach(len(points), func(i int) {
+		cfg := gateFaults
+		cfg.Txns, cfg.Seed = points[i].txns, points[i].seed
+		m := newFaultMatrix(cfg)
+		chaos := len(m.Cells) - 1
+		m.run(chaos)
+		cells[i] = m.Cells[chaos]
+	})
+	for i, c := range cells {
+		at := fmt.Sprintf("txns %d seed %d", points[i].txns, points[i].seed)
+		if c.Firings == 0 {
+			t.Errorf("%s: the chaos plan fired no fault", at)
+		}
+		if !pairLost[points[i]] {
+			if len(c.Fails) > 0 {
+				t.Errorf("%s fails: %v", at, c.Fails)
+			}
+			continue
+		}
+		if len(c.Fails) == 0 {
+			t.Errorf("%s passes now: take it off the pair-lost list", at)
+		}
+		for _, f := range c.Fails {
+			if !strings.Contains(f, "did not take over within") {
+				t.Errorf("%s: pair-lost cell fails on more than the takeover bound: %s", at, f)
+			}
+		}
+	}
+}
+
+// BenchmarkFaultMatrix is the gate matrix as a host-cost instrument: one
+// 64-cell seed-1 matrix per op on one worker — 64 stores built, crashed,
+// recovered and checked (-benchmem for what that allocates).
+func BenchmarkFaultMatrix(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m := (Runner{Parallelism: 1}).FaultMatrix(gateFaults); !m.Passed() {
+			b.Fatalf("matrix failed:\n%s", m.Violations())
+		}
 	}
 }

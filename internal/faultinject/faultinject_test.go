@@ -19,7 +19,7 @@ func fingerprint(res *Result) string {
 }
 
 // runAndCheck executes a scenario, recovers, and fails the test on any
-// invariant violation.
+// invariant or history-checker violation.
 func runAndCheck(t *testing.T, cfg ScenarioConfig) *Result {
 	t.Helper()
 	res := Run(cfg)
@@ -29,6 +29,9 @@ func runAndCheck(t *testing.T, cfg ScenarioConfig) *Result {
 	}
 	if v := res.Violations(rb); len(v) > 0 {
 		t.Fatalf("invariant violations: %v", v)
+	}
+	if hv := res.CheckHistory(rb).Violations; len(hv) > 0 {
+		t.Fatalf("history violations: %v", hv)
 	}
 	res.Store.Eng.Shutdown()
 	return res
@@ -103,6 +106,35 @@ func TestCPUFailMidRunSurvivable(t *testing.T) {
 				t.Error("TMF pair recorded no takeover after its primary CPU failed")
 			}
 		})
+	}
+}
+
+// The minimal plan behind ROADMAP item 1: one cpufail, no restore, of each
+// CPU that hosts service primaries (CPU 0 carries TMF, so Begin retries
+// through its takeover; CPUs 1 and 2 carry only DP2/ADP primaries, so the
+// workload runs on into the outage), before the first commit, mid-stream
+// and near the end of the 160 ms workload. Until the backups register, an
+// insert to the failed CPU's shard never reaches an inbox: the transaction
+// must abort, not commit without the write ("committed key lost"), and a
+// log region whose ADP died before its first append must recover as an
+// empty trail ("region not found", the 4 ms PM cells).
+func TestSingleCPUFailOfEveryServiceCPU(t *testing.T) {
+	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability} {
+		for cpu := 0; cpu < 3; cpu++ {
+			for _, at := range []sim.Time{4 * sim.Millisecond, 50 * sim.Millisecond, 90 * sim.Millisecond} {
+				t.Run(fmt.Sprintf("%s/cpu%d/%v", d, cpu, at), func(t *testing.T) {
+					plan := Plan{{Kind: CPUFail, Target: cpu, When: Trigger{At: at}}}
+					res := runAndCheck(t, ScenarioConfig{Durability: d, Txns: 8, Seed: 1, Plan: plan, Pace: 20 * sim.Millisecond})
+					if got := len(res.Injector.Firings()); got != 1 {
+						t.Errorf("fired %d faults, want 1: %v", got, res.Injector.Firings())
+					}
+					if len(res.Committed)+len(res.Unresolved) != 8*4 {
+						t.Errorf("%d committed + %d unresolved keys, want every one of the %d issued in a bucket",
+							len(res.Committed), len(res.Unresolved), 8*4)
+					}
+				})
+			}
+		}
 	}
 }
 

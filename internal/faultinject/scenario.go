@@ -4,6 +4,7 @@
 package faultinject
 
 import (
+	"bytes"
 	"fmt"
 
 	"persistmem/internal/cluster"
@@ -148,7 +149,7 @@ func Start(cfg ScenarioConfig) *Pending {
 			keys := make([]uint64, 0, 4)
 			for j := 0; j < 4; j++ {
 				key := uint64(i*10 + j + 1)
-				txn.InsertAsync("TRADES", key, []byte(fmt.Sprintf("row-%d", key)))
+				txn.InsertAsync("TRADES", key, recovery.RowBody(key))
 				keys = append(keys, key)
 				record(txn, key)
 			}
@@ -237,7 +238,7 @@ func (res *Result) Violations(rb *recovery.Rebuilt) []string {
 		body, ok := rb.Get("TRADES", key)
 		if !ok {
 			v = append(v, fmt.Sprintf("committed key %d lost", key))
-		} else if string(body) != fmt.Sprintf("row-%d", key) {
+		} else if !bytes.Equal(body, recovery.RowBody(key)) {
 			v = append(v, fmt.Sprintf("committed key %d has corrupt body %q", key, body))
 		}
 	}
@@ -247,7 +248,7 @@ func (res *Result) Violations(rb *recovery.Rebuilt) []string {
 		}
 	}
 	for _, key := range res.Unresolved {
-		if body, ok := rb.Get("TRADES", key); ok && string(body) != fmt.Sprintf("row-%d", key) {
+		if body, ok := rb.Get("TRADES", key); ok && !bytes.Equal(body, recovery.RowBody(key)) {
 			v = append(v, fmt.Sprintf("unresolved key %d has corrupt body %q", key, body))
 		}
 	}

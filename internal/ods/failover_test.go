@@ -1,7 +1,9 @@
 package ods
 
 import (
+	"errors"
 	"sort"
+	"strings"
 	"testing"
 
 	"persistmem/internal/cluster"
@@ -116,5 +118,85 @@ func TestCPUFailTakeoverRebackupWithMetricsAndHistory(t *testing.T) {
 	for _, err := range opts.Metrics.CheckConservation() {
 		t.Errorf("conservation: %v", err)
 	}
+	s.Shutdown()
+}
+
+// TestFailedSendPoisonsTxn: while a failed CPU's names are out of the
+// registry (the backup is TakeoverDelay from registering them) an
+// InsertAsync to a DP2 that lived there never reaches an inbox. The
+// scenario workloads drop that error, so the transaction must remember it:
+// Commit aborts and reports it instead of committing a transaction that is
+// missing a write, the ledger files an abort, and the next Begin starts
+// clean. Without the poison the first Commit below returns nil.
+func TestFailedSendPoisonsTxn(t *testing.T) {
+	opts := smallOptions(PMDurability)
+	opts.Metrics = metrics.NewRegistry()
+	s := Build(opts)
+
+	const key = 7
+	name := s.DP2Name("TRADES", s.PartitionOf("TRADES", key))
+	cpu := s.DP2s[name].Pair().PrimaryCPU()
+	if cpu == s.TMF.Pair().PrimaryCPU() {
+		t.Fatalf("%s shares CPU %d with the TMF primary; Begin would fail before the insert does", name, cpu)
+	}
+	runClient(s, func(se *Session) {
+		s.Cl.CPU(cpu).Fail()
+		txn, err := se.Begin()
+		if err != nil {
+			t.Fatalf("Begin with CPU %d down: %v", cpu, err)
+		}
+		sendErr := txn.InsertAsync("TRADES", key, []byte("lost"))
+		if sendErr == nil {
+			t.Fatalf("InsertAsync reached %s on failed CPU %d", name, cpu)
+		}
+		txn.InsertAsync("TRADES", key+2, []byte("lost too")) // same partition; the first error is the one kept
+		err = txn.Commit()
+		if !errors.Is(err, ErrInsertFailed) || !strings.Contains(err.Error(), sendErr.Error()) {
+			t.Fatalf("Commit after a failed send = %v, want ErrInsertFailed wrapping %q", err, sendErr)
+		}
+		if err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
+			t.Errorf("second Commit = %v, want ErrTxnDone (the first aborted)", err)
+		}
+		if a := opts.Metrics.Txns.Aborted.Value(); a != 1 {
+			t.Errorf("ledger aborted = %d, want 1", a)
+		}
+
+		se.p.Wait(s.Cl.Config().TakeoverDelay + 100*sim.Millisecond)
+		txn, err = se.Begin()
+		if err != nil {
+			t.Fatalf("Begin after takeover: %v", err)
+		}
+		if err := txn.InsertAsync("TRADES", key, []byte("kept")); err != nil {
+			t.Fatalf("InsertAsync after takeover: %v", err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatalf("Commit after takeover inherited the poison: %v", err)
+		}
+		if body, err := se.ReadBrowse("TRADES", key); err != nil || string(body) != "kept" {
+			t.Errorf("row after the clean commit = %q, %v", body, err)
+		}
+	})
+	for _, err := range opts.Metrics.CheckConservation() {
+		t.Errorf("conservation: %v", err)
+	}
+	s.Shutdown()
+}
+
+// TestUnknownFilePoisonsTxn: the other way an InsertAsync can lose its
+// write before any DP2 sees it.
+func TestUnknownFilePoisonsTxn(t *testing.T) {
+	s := Build(smallOptions(DiskDurability))
+	runClient(s, func(se *Session) {
+		txn, err := se.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.InsertAsync("NOSUCH", 1, []byte("x")); !errors.Is(err, ErrUnknownFile) {
+			t.Fatalf("InsertAsync into an unconfigured file = %v, want ErrUnknownFile", err)
+		}
+		if err := txn.Commit(); !errors.Is(err, ErrInsertFailed) {
+			t.Errorf("Commit = %v, want ErrInsertFailed", err)
+		}
+	})
 	s.Shutdown()
 }

@@ -52,6 +52,10 @@ type Session struct {
 	insfree  []*dp2.InsertReq //simlint:box -- insert-request pool
 	cmtfree  []*tmf.CommitReq //simlint:box -- commit-request pool
 
+	// insErr is why the open transaction is poisoned (Txn.failed): the first
+	// InsertAsync that never reached a DP2. Begin clears it.
+	insErr error
+
 	// twoPhase opts this session's multi-shard commits into the
 	// cross-shard outcome-record protocol (see tmf.CommitReq.TwoPhase).
 	// Single-shard commits always take the plain path.
@@ -128,6 +132,9 @@ type Txn struct {
 	sess *Session
 	id   audit.TxnID
 	done bool
+	// failed poisons the transaction: an insert never reached its DP2, so
+	// Commit must abort instead of committing without that write.
+	failed bool
 
 	// BeginAt is the virtual time the transaction started (for response-
 	// time measurement).
@@ -153,6 +160,7 @@ func (se *Session) Begin() (*Txn, error) {
 	se.emit(resp.Txn, trace.Begin, "")
 	clear(se.involved)
 	se.pending = se.pending[:0]
+	se.insErr = nil
 	return &Txn{
 		sess:    se,
 		id:      resp.Txn,
@@ -165,7 +173,9 @@ func (t *Txn) ID() audit.TxnID { return t.id }
 
 // InsertAsync issues an insert without waiting for its completion — the
 // benchmark's "asynchronous inserts" (§4.3). Completions are collected by
-// WaitPending or Commit.
+// WaitPending or Commit. An error here means the insert reached no DP2;
+// the transaction is poisoned and its Commit will abort, so a caller that
+// fires and forgets still cannot commit without the write.
 //
 //simlint:hotpath
 func (t *Txn) InsertAsync(file string, key uint64, body []byte) error {
@@ -175,7 +185,7 @@ func (t *Txn) InsertAsync(file string, key uint64, body []byte) error {
 	se := t.sess
 	names, ok := se.s.dpNames[file]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownFile, file) //simlint:allow hotalloc -- misconfiguration path, cold
+		return t.fail(fmt.Errorf("%w: %q", ErrUnknownFile, file)) //simlint:allow hotalloc -- misconfiguration path, cold
 	}
 	name := names[se.s.PartitionOf(file, key)]
 	req := se.newInsertReq()
@@ -184,8 +194,10 @@ func (t *Txn) InsertAsync(file string, key uint64, body []byte) error {
 	sig, err := se.p.CallAsync(name, 64+len(body), req)
 	if err != nil {
 		// The send never reached an inbox; the box is immediately reusable.
+		// The caller may drop this error (fire-and-forget inserts collected
+		// at Commit), so the transaction remembers it.
 		se.freeInsertReq(req)
-		return err
+		return t.fail(err)
 	}
 	se.involved[name] = true
 	se.pending = append(se.pending, pendingIns{sig: sig, req: req})
@@ -194,6 +206,17 @@ func (t *Txn) InsertAsync(file string, key uint64, body []byte) error {
 		se.emit(t.id, trace.InsertIssue, fmt.Sprintf("%s key=%d %dB", name, key, len(body)))
 	}
 	return nil
+}
+
+// fail poisons the transaction with its first lost insert and hands err
+// back for the caller to return.
+//
+//simlint:hotpath
+func (t *Txn) fail(err error) error {
+	if !t.failed {
+		t.failed, t.sess.insErr = true, err
+	}
+	return err
 }
 
 // Insert issues an insert and waits for its completion.
@@ -240,7 +263,9 @@ func (t *Txn) Read(file string, key uint64) ([]byte, error) {
 }
 
 // Commit waits for pending inserts, then drives the commit protocol. On
-// any failure the transaction is aborted and an error returned.
+// any failure — a pending insert's, or an earlier InsertAsync's whose
+// insert never reached a DP2 — the transaction is aborted and an error
+// returned.
 //
 //simlint:hotpath
 func (t *Txn) Commit() error {
@@ -252,6 +277,10 @@ func (t *Txn) Commit() error {
 	if err := t.WaitPending(); err != nil {
 		t.Abort()
 		return err
+	}
+	if t.failed {
+		t.Abort()
+		return fmt.Errorf("%w: %v", ErrInsertFailed, se.insErr) //simlint:allow hotalloc -- insert-failure path, cold
 	}
 	t.done = true
 	if se.tracer != nil {

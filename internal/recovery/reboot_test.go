@@ -1,9 +1,13 @@
 package recovery
 
 import (
+	"errors"
 	"testing"
 
+	"persistmem/internal/cluster"
 	"persistmem/internal/ods"
+	"persistmem/internal/pmclient"
+	"persistmem/internal/tmf"
 )
 
 // A disk-durability store must be recoverable after a true reboot — power
@@ -50,5 +54,48 @@ func TestRebootIdempotentBeforeRecoverPM(t *testing.T) {
 		t.Fatalf("RecoverPM after explicit reboot: %v", err)
 	}
 	checkGroundTruth(t, rb, res)
+	res.Store.Eng.Shutdown()
+}
+
+// recoverRegions reboots the scenario and runs FromPM over the named log
+// regions through the PM manager registered as pmmName.
+func recoverRegions(res ScenarioResult, pmmName string, regions []string) (rep Report, rb *Rebuilt, err error) {
+	res.Reboot()
+	res.Store.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
+		rep, rb, err = FromPM(p, pmclient.Attach(res.Store.Cl, pmmName), regions, tmf.TCBRegionName, Options{})
+	})
+	res.Store.Eng.Run()
+	return rep, rb, err
+}
+
+// A log region the PM manager answers "not found" for was never created:
+// its writer died before its first append, so its trail is empty and the
+// written regions beside it recover exactly as they do alone. That verdict
+// needs the manager's answer — with no manager to ask, the same region
+// list is an unreadable log.
+func TestFromPMReadsNeverCreatedRegionAsEmpty(t *testing.T) {
+	res := RunScenario(ods.PMDurability, 5, 1)
+	if len(res.Errs) > 0 {
+		t.Fatalf("workload errors: %v", res.Errs)
+	}
+	written := res.logRegions()
+	want, _, err := recoverRegions(res, ods.PMVolumeName, written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := append([]string{written[0], "$ADP9-log"}, written[1:]...)
+	got, rb, err := recoverRegions(res, ods.PMVolumeName, regions)
+	if err != nil {
+		t.Fatalf("FromPM with a never-created region: %v", err)
+	}
+	checkGroundTruth(t, rb, res)
+	got.MTTR, want.MTTR = 0, 0 // asking the manager about the extra name takes time
+	if got != want {
+		t.Errorf("report with the empty trail = %+v, want %+v", got, want)
+	}
+
+	if _, _, err := recoverRegions(res, "$NOPMM", regions); !errors.Is(err, ErrNoLog) {
+		t.Errorf("FromPM through an unreachable PM manager = %v, want ErrNoLog", err)
+	}
 	res.Store.Eng.Shutdown()
 }

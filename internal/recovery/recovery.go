@@ -30,6 +30,7 @@ import (
 	"persistmem/internal/cluster"
 	"persistmem/internal/disk"
 	"persistmem/internal/pmclient"
+	"persistmem/internal/pmm"
 	"persistmem/internal/sim"
 	"persistmem/internal/tmf"
 )
@@ -303,7 +304,8 @@ func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off in
 // suffices. The caller provides a recovery process bound to a cluster
 // with a live PMM (restarted after the crash), the PM volume handle, the
 // log region names, and the TCB region name ("" to force the two-pass
-// disk-style analysis over PM, for apples-to-apples ablation).
+// disk-style analysis over PM, for apples-to-apples ablation). A log region
+// the PMM has never heard of is an empty trail, not an error.
 func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options) (Report, *Rebuilt, error) {
 	return fromPM(p, vol, logRegions, tcbRegion, opts, new(scratch))
 }
@@ -334,6 +336,12 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 	streams := make([][]byte, 0, len(logRegions))
 	for _, name := range logRegions {
 		r, err := vol.Open(p, name)
+		if errors.Is(err, pmm.ErrNotFound) {
+			// The PMM answered and has no such region: the log's writer died
+			// before its first append created it, so the trail is empty. An
+			// unreachable PMM is any other error and stays ErrNoLog.
+			continue
+		}
 		if err != nil {
 			return rep, nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}

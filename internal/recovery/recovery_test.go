@@ -190,3 +190,16 @@ func TestRebuiltAccessors(t *testing.T) {
 		t.Errorf("Rows = %d", rb.Rows())
 	}
 }
+
+// RowBody is the scenarios' row image: the bytes fmt.Sprintf("row-%d")
+// gave, in one allocation.
+func TestRowBody(t *testing.T) {
+	for _, key := range []uint64{0, 7, 41, 1000003, 1<<64 - 1} {
+		if got, want := RowBody(key), fmt.Sprintf("row-%d", key); string(got) != want {
+			t.Errorf("RowBody(%d) = %q, want %q", key, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { RowBody(39994) }); n != 1 {
+		t.Errorf("RowBody allocates %v times, want 1", n)
+	}
+}

@@ -1,8 +1,10 @@
 package recovery
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"persistmem/internal/cluster"
 	"persistmem/internal/ods"
@@ -41,6 +43,14 @@ func ScenarioOptions(d ods.Durability, seed int64) ods.Options {
 	return opts
 }
 
+// RowBody is the body every crash scenario commits under key, "row-<key>",
+// built on the stack and copied out once: one right-sized allocation an
+// insert where fmt.Sprintf plus a []byte conversion made three.
+func RowBody(key uint64) []byte {
+	var tmp [len("row-") + 20]byte // a uint64 has at most 20 digits
+	return bytes.Clone(strconv.AppendUint(append(tmp[:0], "row-"...), key, 10))
+}
+
 // RunScenario builds a data-retaining store with the given durability,
 // commits txns transactions of 4 inserts each into a single 4-partition
 // file, leaves a fifth-plus-one transaction in flight, and power-fails
@@ -61,7 +71,7 @@ func RunScenario(d ods.Durability, txns int, seed int64) ScenarioResult {
 			}
 			for j := 0; j < 4; j++ {
 				key := uint64(i*10 + j + 1)
-				txn.InsertAsync("TRADES", key, []byte(fmt.Sprintf("row-%d", key)))
+				txn.InsertAsync("TRADES", key, RowBody(key))
 				res.Committed = append(res.Committed, key)
 			}
 			if err := txn.Commit(); err != nil {

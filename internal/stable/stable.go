@@ -9,6 +9,7 @@
 package stable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -17,13 +18,17 @@ import (
 // configured capacity.
 var ErrOutOfRange = errors.New("stable: access out of range")
 
-const defaultPageSize = 64 << 10
+// pageSize is the unit of materialisation. It is a constant sized to the
+// traffic the devices see (DESIGN.md, device store): log appends and audit
+// flushes of at most a few hundred bytes, scattered over regions that stay
+// almost entirely unwritten, so a page much larger than a write is mostly
+// allocation and zeroing nobody reads.
+const pageSize = 16 << 10
 
 // Store is a sparse, fixed-capacity byte store. The zero value is not
 // usable; create one with New.
 type Store struct {
 	capacity int64
-	pageSize int
 	pages    map[int64][]byte // page index -> page contents
 
 	// discard, when set, makes writes update only size accounting — used
@@ -41,7 +46,6 @@ func New(capacity int64) *Store {
 	}
 	return &Store{
 		capacity: capacity,
-		pageSize: defaultPageSize,
 		pages:    make(map[int64][]byte),
 	}
 }
@@ -79,18 +83,13 @@ func (s *Store) WriteAt(off int64, data []byte) error {
 		return nil
 	}
 	for len(data) > 0 {
-		pi := off / int64(s.pageSize)
-		po := int(off % int64(s.pageSize))
-		n := s.pageSize - po
-		if n > len(data) {
-			n = len(data)
-		}
+		pi, po := off/pageSize, int(off%pageSize)
 		page, ok := s.pages[pi]
 		if !ok {
-			page = make([]byte, s.pageSize)
+			page = make([]byte, pageSize)
 			s.pages[pi] = page
 		}
-		copy(page[po:po+n], data[:n])
+		n := copy(page[po:], data)
 		data = data[n:]
 		off += int64(n)
 	}
@@ -98,23 +97,20 @@ func (s *Store) WriteAt(off int64, data []byte) error {
 }
 
 // ReadAt fills buf from byte offset off; unwritten ranges read as zeros.
+// Every byte of buf is overwritten, whatever it held: a never-written page
+// costs one clear of its span, so a read of empty space is priced by its
+// length in memclr, not in loop iterations.
 func (s *Store) ReadAt(off int64, buf []byte) error {
 	if err := s.check(off, len(buf)); err != nil {
 		return err
 	}
 	for len(buf) > 0 {
-		pi := off / int64(s.pageSize)
-		po := int(off % int64(s.pageSize))
-		n := s.pageSize - po
-		if n > len(buf) {
-			n = len(buf)
-		}
+		pi, po := off/pageSize, int(off%pageSize)
+		n := min(pageSize-po, len(buf))
 		if page, ok := s.pages[pi]; ok {
-			copy(buf[:n], page[po:po+n])
+			copy(buf[:n], page[po:])
 		} else {
-			for i := 0; i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		off += int64(n)
@@ -141,43 +137,29 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
-// Equal reports whether two stores have identical logical contents.
+// Equal reports whether two stores have identical logical contents: a
+// page one store never materialised equals an all-zero page of the other.
 func (s *Store) Equal(o *Store) bool {
 	if s.capacity != o.capacity {
 		return false
 	}
-	seen := make(map[int64]bool)
-	//simlint:ordered -- builds a lookup set; insertion order is invisible
-	for pi := range s.pages {
-		seen[pi] = true
-	}
-	//simlint:ordered -- builds a lookup set; insertion order is invisible
-	for pi := range o.pages {
-		seen[pi] = true
-	}
-	a := make([]byte, s.pageSize)
-	b := make([]byte, s.pageSize)
+	zero := make([]byte, pageSize)
+	return s.matches(o, zero) && o.matches(s, zero)
+}
+
+// matches reports whether every page s holds reads the same in o.
+func (s *Store) matches(o *Store, zero []byte) bool {
 	//simlint:ordered -- equality result is independent of comparison order
-	for pi := range seen {
-		s.pageAt(pi, a)
-		o.pageAt(pi, b)
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
+	for pi, page := range s.pages {
+		other, ok := o.pages[pi]
+		if !ok {
+			other = zero
+		}
+		if !bytes.Equal(page, other) {
+			return false
 		}
 	}
 	return true
-}
-
-func (s *Store) pageAt(pi int64, buf []byte) {
-	if page, ok := s.pages[pi]; ok {
-		copy(buf, page)
-		return
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
 }
 
 // PagesAllocated reports how many pages the store has materialized.

@@ -35,8 +35,8 @@ func TestUnwrittenReadsZero(t *testing.T) {
 
 func TestCrossPageBoundary(t *testing.T) {
 	s := New(1 << 20)
-	// Straddle the 64K page boundary.
-	off := int64(defaultPageSize - 10)
+	// Straddle the first page boundary.
+	off := int64(pageSize - 10)
 	data := make([]byte, 100)
 	for i := range data {
 		data[i] = byte(i + 1)
@@ -84,6 +84,12 @@ func TestDiscard(t *testing.T) {
 	}
 	if s.PagesAllocated() != 0 {
 		t.Error("discard store allocated pages")
+	}
+	if !s.Discarding() || New(1).Discarding() {
+		t.Error("Discarding does not tell a discard store from a retaining one")
+	}
+	if s.Len() != 1<<20 {
+		t.Errorf("Len = %d, want the capacity %d", s.Len(), 1<<20)
 	}
 }
 
@@ -166,4 +172,114 @@ func TestStoreMatchesFlatBufferProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Property: ReadAt overwrites every byte of its destination, whatever it
+// held — written spans, never-written spans and reads mixing both across
+// page boundaries come back exactly as a flat reference buffer holds them.
+// Recovery reads chunk after chunk into one reused scratch and relies on
+// never-written space arriving as zeros, not as the previous chunk.
+func TestReadAtIntoDirtyBufferProperty(t *testing.T) {
+	const capacity = 8 * pageSize
+	type span struct {
+		Off, Len uint32
+	}
+	type op struct {
+		Off  uint32
+		Data []byte
+	}
+	prop := func(writes []op, reads []span, dirt byte) bool {
+		s := New(capacity)
+		ref := make([]byte, capacity)
+		for _, w := range writes {
+			data := w.Data
+			if len(data) == 0 {
+				continue
+			}
+			off := int64(w.Off) % (capacity - int64(len(data)))
+			if err := s.WriteAt(off, data); err != nil {
+				return false
+			}
+			copy(ref[off:], data)
+		}
+		// Generated spans up to three pages long at any alignment, then
+		// the whole store (every page, written or not).
+		for i := range reads {
+			reads[i].Len %= 3 * pageSize
+		}
+		reads = append(reads, span{0, capacity})
+		for _, r := range reads {
+			n := int64(r.Len)
+			off := int64(r.Off) % (capacity - n + 1)
+			got := bytes.Repeat([]byte{dirt | 1}, int(n))
+			if err := s.ReadAt(off, got); err != nil || !bytes.Equal(got, ref[off:off+n]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Equal is about logical contents: a page materialised by a write of zeros
+// equals a page never written, on either side.
+func TestEqualIgnoresMaterialisedZeroPages(t *testing.T) {
+	a, b := New(1<<20), New(1<<20)
+	a.WriteAt(3*pageSize+5, []byte("same"))
+	b.WriteAt(3*pageSize+5, []byte("same"))
+	a.WriteAt(7*pageSize, make([]byte, 100))
+	if a.PagesAllocated() == b.PagesAllocated() {
+		t.Fatal("the zero write materialised no page; the test would be vacuous")
+	}
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Error("a store with an all-zero page differs from one without it")
+	}
+	b.WriteAt(9*pageSize, []byte{1})
+	if a.Equal(b) || b.Equal(a) {
+		t.Error("a page only one side holds, with data in it, compared Equal")
+	}
+}
+
+// BenchmarkReadAtSparse is recovery's access pattern: a 1 MiB chunk read
+// of a log region holding one 512-byte write. The cost should be that of
+// clearing 1 MiB, not of visiting it a byte at a time.
+func BenchmarkReadAtSparse(b *testing.B) {
+	s := New(32 << 20)
+	s.WriteAt(0, make([]byte, 512))
+	buf := make([]byte, 1<<20)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.ReadAt(0, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteAtSmall is the log writers' access pattern: 64-byte
+// sequential appends. pages/op is what each append materialises; the
+// region is erased every 4 MiB so the benchmark holds no more than that.
+func BenchmarkWriteAtSmall(b *testing.B) {
+	const region = 4 << 20
+	s := New(region)
+	rec := make([]byte, 64)
+	var off int64
+	pages := 0
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if off == region {
+			pages += s.PagesAllocated()
+			s.Zero()
+			off = 0
+		}
+		if err := s.WriteAt(off, rec); err != nil {
+			b.Fatal(err)
+		}
+		off += int64(len(rec))
+	}
+	b.ReportMetric(float64(pages+s.PagesAllocated())/float64(b.N), "pages/op")
 }
