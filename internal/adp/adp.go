@@ -81,10 +81,17 @@ type Config struct {
 }
 
 // protocol messages
+//
+// A request sent as a pointer is a box its sender pools: the server writes
+// the response into the box's Resp field and replies with the pointer
+// itself (pointer-shaped, so the reply allocates nothing), and the sender
+// reads Resp before recycling the box. A request sent by value (tests, cold
+// paths) gets its response as a boxed value.
 type (
 	// AppendReq adds pre-encoded audit records to the trail.
 	AppendReq struct {
 		Data []byte
+		Resp AppendResp
 	}
 	// AppendResp acknowledges an append. In PM mode the bytes are already
 	// durable; in Disk mode they are buffered and backup-protected.
@@ -101,6 +108,7 @@ type (
 	CommitReq struct {
 		Txn     audit.TxnID
 		Outcome []byte
+		Resp    CommitResp
 	}
 	// CommitResp reports the durable commit.
 	CommitResp struct {
@@ -114,6 +122,7 @@ type (
 	// FlushReq asks for durability through UpTo.
 	FlushReq struct {
 		UpTo audit.LSN
+		Resp FlushResp
 	}
 	// FlushResp acknowledges durability through Durable.
 	FlushResp struct {
@@ -262,6 +271,39 @@ type flushWaiter struct {
 	enq  sim.Time      // when the waiter joined the boxcar
 }
 
+// The reply helpers answer a request in the form it arrived in: into the
+// sender's box, or by value.
+
+//simlint:hotpath
+func replyAppend(ev cluster.Envelope, resp AppendResp) {
+	if box, ok := ev.Payload.(*AppendReq); ok {
+		box.Resp = resp
+		ev.Reply(box) //simlint:allow hotalloc -- *AppendReq is pointer-shaped: no box is allocated
+		return
+	}
+	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): the hot senders pool their boxes
+}
+
+//simlint:hotpath
+func replyCommit(ev cluster.Envelope, resp CommitResp) {
+	if box, ok := ev.Payload.(*CommitReq); ok {
+		box.Resp = resp
+		ev.Reply(box) //simlint:allow hotalloc -- *CommitReq is pointer-shaped: no box is allocated
+		return
+	}
+	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): the hot senders pool their boxes
+}
+
+//simlint:hotpath
+func replyFlush(ev cluster.Envelope, resp FlushResp) {
+	if box, ok := ev.Payload.(*FlushReq); ok {
+		box.Resp = resp
+		ev.Reply(box) //simlint:allow hotalloc -- *FlushReq is pointer-shaped: no box is allocated
+		return
+	}
+	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): the hot senders pool their boxes
+}
+
 func (a *ADP) serve(ctx *cluster.PairCtx) {
 	st := &adpState{}
 	if ctx.Restored != nil {
@@ -305,7 +347,8 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 			// Requests arrive as values (tests, legacy callers) or as
 			// pointers into their senders' free lists (the zero-alloc client
 			// paths); a pointer box is recycled by its sender only after the
-			// reply, so dereferencing here is safe.
+			// reply, so dereferencing here — and writing the response into
+			// it — is safe.
 			switch req := ev.Payload.(type) {
 			case *AppendReq:
 				a.handleAppend(ctx, st, region, ev, req.Data)
@@ -356,18 +399,15 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 			// boxcar, keeping In == Flushed + Pending balanced; only waiters
 			// lost to a killed primary stay Pending.
 			a.m.OnWaiterFlushed(durableAt - w.enq)
-			if err != nil {
-				if w.kind == audit.RecCommit {
-					w.ev.Reply(CommitResp{Err: err})
-				} else {
-					w.ev.Reply(FlushResp{Err: err})
-				}
-				continue
-			}
-			if w.kind == audit.RecCommit {
-				w.ev.Reply(CommitResp{LSN: w.upTo})
-			} else {
-				w.ev.Reply(FlushResp{Durable: st.durableLSN})
+			switch {
+			case w.kind == audit.RecCommit && err != nil:
+				replyCommit(w.ev, CommitResp{Err: err})
+			case w.kind == audit.RecCommit:
+				replyCommit(w.ev, CommitResp{LSN: w.upTo})
+			case err != nil:
+				replyFlush(w.ev, FlushResp{Err: err})
+			default:
+				replyFlush(w.ev, FlushResp{Durable: st.durableLSN})
 			}
 		}
 	}
@@ -378,7 +418,7 @@ func (a *ADP) handleAppend(ctx *cluster.PairCtx, st *adpState, region *pmclient.
 	end, err := a.append(ctx, st, region, data)
 	a.stats.Appends++
 	a.stats.AppendBytes += int64(len(data))
-	ev.Reply(AppendResp{End: end, Err: err}) //simlint:allow hotalloc -- reply carries a per-call LSN; one box per audit batch (not per txn) is accepted
+	replyAppend(ev, AppendResp{End: end, Err: err})
 }
 
 //simlint:hotpath
@@ -390,7 +430,7 @@ func (a *ADP) handleCommit(ctx *cluster.PairCtx, st *adpState, region *pmclient.
 	*scratch = audit.AppendRecord((*scratch)[:0], &rec)
 	end, err := a.append(ctx, st, region, *scratch)
 	if err != nil {
-		ev.Reply(CommitResp{Err: err}) //simlint:allow hotalloc -- append-failure path, cold
+		replyCommit(ev, CommitResp{Err: err})
 		return waiters
 	}
 	a.stats.Commits++

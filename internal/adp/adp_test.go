@@ -325,3 +325,48 @@ func TestModeString(t *testing.T) {
 		t.Errorf("mode strings: %q %q", Disk.String(), PM.String())
 	}
 }
+
+// A request sent as a pointer is its sender's pooled box: the response comes
+// back written into the box's Resp field and the reply is the box itself,
+// which allocates nothing. A request sent by value still gets its response
+// as a value. Both forms of all three requests, on both backends' append
+// path (the disk one buffers, so the flush and the commit really wait).
+func TestPointerRequestsAreAnsweredInTheirBox(t *testing.T) {
+	eng, cl, _, _ := diskHarness(t, nil)
+	data := appendRecords(1, 2, 256)
+	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
+		areq := &AppendReq{Data: data}
+		raw, err := p.Call("$ADP0", len(data), areq)
+		if err != nil || raw != interface{}(areq) {
+			t.Fatalf("append: reply %T %v, err %v; want the request box back", raw, raw, err)
+		}
+		if areq.Resp.Err != nil || areq.Resp.End != audit.LSN(len(data)) {
+			t.Errorf("append box carries %+v, want End %d", areq.Resp, len(data))
+		}
+		freq := &FlushReq{UpTo: areq.Resp.End}
+		if raw, err = p.Call("$ADP0", 48, freq); err != nil || raw != interface{}(freq) {
+			t.Fatalf("flush: reply %T, err %v; want the request box back", raw, err)
+		}
+		if freq.Resp.Err != nil || freq.Resp.Durable < areq.Resp.End {
+			t.Errorf("flush box carries %+v, want durable through %d", freq.Resp, areq.Resp.End)
+		}
+		creq := &CommitReq{Txn: 1}
+		if raw, err = p.Call("$ADP0", 64, creq); err != nil || raw != interface{}(creq) {
+			t.Fatalf("commit: reply %T, err %v; want the request box back", raw, err)
+		}
+		if creq.Resp.Err != nil || creq.Resp.LSN <= areq.Resp.End {
+			t.Errorf("commit box carries %+v, want an LSN past the append's %d", creq.Resp, areq.Resp.End)
+		}
+		// By value: a boxed value, and the LSNs keep counting.
+		raw, err = p.Call("$ADP0", 64, CommitReq{Txn: 2})
+		if resp, ok := raw.(CommitResp); err != nil || !ok || resp.Err != nil || resp.LSN <= creq.Resp.LSN {
+			t.Errorf("by-value commit: reply %T %+v, err %v", raw, raw, err)
+		}
+		raw, err = p.Call("$ADP0", 48, FlushReq{})
+		if resp, ok := raw.(FlushResp); err != nil || !ok || resp.Err != nil {
+			t.Errorf("by-value flush: reply %T %+v, err %v", raw, raw, err)
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
+}

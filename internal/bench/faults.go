@@ -49,6 +49,10 @@ type FaultCell struct {
 	MTTR      sim.Time
 	BytesRead int64
 	Fails     []string
+	// PairsLost names the service pairs the plan took both members of (a
+	// primary, then its backup's CPU inside the takeover delay). Such a cell
+	// still passes or fails on its invariants; the verdict says what it lost.
+	PairsLost []string
 }
 
 // FaultMatrix is a swept (durability × fault × phase) matrix of
@@ -244,6 +248,7 @@ func (c *FaultCell) judge(budget sim.Time, res *faultinject.Result) {
 	}
 	c.Resolved = rep.OutcomeResolved
 	c.InDoubt = rep.InDoubt
+	c.PairsLost = res.Injector.PairsLost
 	c.Firings = len(res.Injector.Firings())
 	c.Committed = len(res.Committed)
 	c.TxnErrs = res.TxnErrs
@@ -272,6 +277,9 @@ func (m FaultMatrix) Table() string {
 	failed := 0
 	for _, c := range m.Cells {
 		verdict := "PASS"
+		if len(c.PairsLost) > 0 {
+			verdict = "PASS (pair lost: " + strings.Join(c.PairsLost, ", ") + ")"
+		}
 		if len(c.Fails) > 0 {
 			failed++
 			verdict = "FAIL: " + c.Fails[0]

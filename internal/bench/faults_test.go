@@ -75,9 +75,11 @@ func TestFaultMatrixReportsFailures(t *testing.T) {
 
 	m.Cells = m.Cells[:2]
 	m.Cells[0].Fails = []string{"committed key 7 lost", "history: torn write"}
-	m.Cells[1].Fails = nil
+	m.Cells[1].Fails, m.Cells[1].PairsLost = nil, []string{"$ADP0", "$TMF"}
 	if tbl := m.Table(); !strings.Contains(tbl, "FAIL: committed key 7 lost (+1 more)\n") || !strings.Contains(tbl, "\n1/2 cells passed\n") {
 		t.Errorf("table hides the failure:\n%s", tbl)
+	} else if !strings.Contains(tbl, "  PASS (pair lost: $ADP0, $TMF)\n") {
+		t.Errorf("table hides the lost pairs of a passing cell:\n%s", tbl)
 	}
 	if got, want := m.Violations(), "disk/none/-: committed key 7 lost\ndisk/none/-: history: torn write\n"; got != want {
 		t.Errorf("Violations() = %q, want %q", got, want)
@@ -91,27 +93,32 @@ type sweepPoint struct {
 	seed int64
 }
 
-// pairLost names the chaos cells whose plan kills a primary and then fails
-// its backup's CPU inside TakeoverDelay: both members of one pair are
-// gone, and the takeover-bound invariant reports it. Whether that is a
-// fault the store must survive or an availability event the verdict should
-// name is ROADMAP item 1's open decision; until it is taken these are the
-// sweep's only tolerated failures.
-var pairLost = map[sweepPoint]bool{{8, 43}: true, {8, 61}: true, {32, 29}: true}
+// lostPairs names the pair each of the sweep's double-fault cells loses:
+// the plan kills a primary, then fails its backup's CPU inside TakeoverDelay
+// and restores it before the takeover check. The injector names the pair
+// (Injector.PairsLost) instead of reporting a missed takeover, the cell's
+// verdict reads "PASS (pair lost: $ADP0)", and the cell is held to
+// everything else. Pinned so that the verdict is neither handed to a cell
+// that lost no pair nor silently stops being exercised.
+var lostPairs = map[sweepPoint]string{
+	{8, 43}: "$DP-TRADES-3", {8, 61}: "$ADP0", {8, 167}: "$ADP0", {8, 197}: "$DP-TRADES-1",
+	{32, 29}: "$ADP1", {32, 70}: "$TMF", {32, 197}: "$DP-TRADES-1", {32, 225}: "$DP-TRADES-3",
+}
 
 // TestChaosSeedSweep runs the chaos cell of `cmd/faults -txns N -chaos 1
-// -seed S` for S = 1..64 at N = 8 and 32. Every seed passes or is a listed
-// pair-lost cell failing only on the takeover bound: a new failing seed
-// fails the test, and so does a listed one that starts to pass (shrink the
-// list). No cell may lose an acknowledged commit or find a log unreadable:
-// drop the poison in ods.Txn.Commit and seeds 10, 12, 25, 36, 40, 48, 50,
-// 54 and 60 say "committed key lost" at 8 transactions (twelve seeds at
-// 32); read pmm.ErrNotFound as ErrNoLog in recovery.fromPM and seed 40
-// says "region not found".
+// -seed S` for S = 1..256 at N = 8 and 32. Every cell fires a fault and
+// passes: none may lose an acknowledged commit, find a log unreadable or
+// miss a takeover whose backup host stayed up. Drop the poison in
+// ods.Txn.Commit and seeds 10, 12, 25, 36, 40, 48, 50, 54 and 60 say
+// "committed key lost" at 8 transactions (twelve seeds at 32); read
+// pmm.ErrNotFound as ErrNoLog in recovery.fromPM and seed 40 says "region
+// not found"; excuse only a backup host that is down at check time in
+// faultinject.expectTakeoverOf and the lostPairs cells say "did not take over
+// within 400ms".
 func TestChaosSeedSweep(t *testing.T) {
 	var points []sweepPoint
 	for _, txns := range []int{8, 32} {
-		for seed := int64(1); seed <= 64; seed++ {
+		for seed := int64(1); seed <= 256; seed++ {
 			points = append(points, sweepPoint{txns, seed})
 		}
 	}
@@ -129,19 +136,11 @@ func TestChaosSeedSweep(t *testing.T) {
 		if c.Firings == 0 {
 			t.Errorf("%s: the chaos plan fired no fault", at)
 		}
-		if !pairLost[points[i]] {
-			if len(c.Fails) > 0 {
-				t.Errorf("%s fails: %v", at, c.Fails)
-			}
-			continue
+		if len(c.Fails) > 0 {
+			t.Errorf("%s fails: %v", at, c.Fails)
 		}
-		if len(c.Fails) == 0 {
-			t.Errorf("%s passes now: take it off the pair-lost list", at)
-		}
-		for _, f := range c.Fails {
-			if !strings.Contains(f, "did not take over within") {
-				t.Errorf("%s: pair-lost cell fails on more than the takeover bound: %s", at, f)
-			}
+		if got, want := strings.Join(c.PairsLost, ", "), lostPairs[points[i]]; got != want {
+			t.Errorf("%s: pairs lost %q, want %q", at, got, want)
 		}
 	}
 }

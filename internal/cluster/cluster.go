@@ -141,8 +141,9 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 			ep:    cl.fab.Attach(servernet.EndpointID(i), fmt.Sprintf("cpu%d", i)),
 			exec:  eng.NewResource(fmt.Sprintf("cpu%d-exec", i), 1),
 			up:    true,
-			procs: make(map[*Process]struct{}),
+			procs: make(map[*sim.Proc]struct{}),
 		}
+		cpu.reap = func(sp *sim.Proc) { delete(cpu.procs, sp) }
 		cl.cpus = append(cl.cpus, cpu)
 	}
 	cl.nextDevEP = servernet.EndpointID(cfg.CPUs + 1000)
@@ -191,7 +192,7 @@ func (cl *Cluster) AttachDevice(name string) *servernet.Endpoint {
 // Register binds name to a process's inbox, making it reachable via Send
 // and Call. Re-registering a name moves it (takeover re-routing).
 func (cl *Cluster) Register(name string, proc *Process) {
-	cl.registry[name] = &registration{cpu: proc.cpu, inbox: proc.Inbox}
+	cl.registry[name] = &registration{cpu: proc.cpu, inbox: proc.Inbox()}
 }
 
 // Unregister removes a name binding.
@@ -235,10 +236,17 @@ type CPU struct {
 	ep    *servernet.Endpoint
 	exec  *sim.Resource
 	up    bool
-	procs map[*Process]struct{}
+	procs map[*sim.Proc]struct{}
+	// reap drops an exited process from procs: one func value, installed as
+	// the reaper of every process the CPU spawns.
+	reap func(sp *sim.Proc)
 
 	// Stats
 	ComputeTime sim.Time
+	// Failures counts the halts the CPU has taken. Read before and after a
+	// window it tells whether the CPU went down inside it, which Up — true
+	// again after a Restore — cannot.
+	Failures int
 }
 
 // Index returns the CPU number.
@@ -260,15 +268,16 @@ func (c *CPU) Fail() {
 		return
 	}
 	c.up = false
+	c.Failures++
 	c.ep.Fail()
-	victims := make([]*Process, 0, len(c.procs))
+	victims := make([]*sim.Proc, 0, len(c.procs))
 	//simlint:ordered -- collected into a slice and sorted by spawn id below
 	for p := range c.procs {
 		victims = append(victims, p)
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].proc.ID() < victims[j].proc.ID() })
+	sort.Slice(victims, func(i, j int) bool { return victims[i].ID() < victims[j].ID() })
 	for _, p := range victims {
-		p.proc.Kill()
+		p.Kill()
 	}
 	//simlint:ordered -- pure deletes; no effect depends on visit order
 	for name, r := range c.cl.registry {
@@ -291,10 +300,22 @@ func (c *CPU) Restore() {
 
 // Process is a simulated OS process bound to a CPU.
 type Process struct {
-	cpu   *CPU
-	name  string
-	proc  *sim.Proc
-	Inbox *sim.Chan
+	cpu  *CPU
+	name string
+	proc *sim.Proc
+	// inbox is nil until Inbox first asks for it: most processes are
+	// per-request continuations that call out and never receive.
+	inbox *sim.Chan
+}
+
+// Inbox returns the channel the message system delivers the process's
+// envelopes into, creating it on first use — by Register, so a message can
+// only ever be routed to an inbox that exists, or by the first receive.
+func (p *Process) Inbox() *sim.Chan {
+	if p.inbox == nil {
+		p.inbox = p.cpu.cl.eng.NewChan(p.name + "-inbox")
+	}
+	return p.inbox
 }
 
 // Spawn starts body as a process named name on this CPU.
@@ -302,16 +323,12 @@ func (c *CPU) Spawn(name string, body func(p *Process)) *Process {
 	if !c.up {
 		panic("cluster: Spawn on failed CPU " + fmt.Sprint(c.index))
 	}
-	pr := &Process{
-		cpu:   c,
-		name:  name,
-		Inbox: c.cl.eng.NewChan(name + "-inbox"),
-	}
+	pr := &Process{cpu: c, name: name}
 	pr.proc = c.cl.eng.Spawn(name, func(sp *sim.Proc) {
 		body(pr)
 	})
-	c.procs[pr] = struct{}{}
-	pr.proc.OnExit(func() { delete(c.procs, pr) })
+	c.procs[pr.proc] = struct{}{}
+	pr.proc.SetReaper(c.reap)
 	return pr
 }
 

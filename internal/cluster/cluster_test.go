@@ -669,3 +669,96 @@ func TestCallAsyncAwaitReply(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// A process gets its inbox when something can first deliver to it or first
+// asks it for a message, not at Spawn: the per-request continuations (commit
+// coordinators, lock waiters) call out and never receive. Nothing can be
+// lost in between, because a name only routes once Register has created the
+// inbox it routes to.
+func TestInboxCreatedOnFirstUse(t *testing.T) {
+	eng, cl := newTestCluster(1)
+	var got []interface{}
+	srv := cl.CPU(1).Spawn("server", func(p *Process) {
+		p.Wait(sim.Millisecond) // three messages arrive before the first Recv
+		for len(got) < 3 {
+			got = append(got, p.Recv().Payload)
+		}
+	})
+	if srv.inbox != nil {
+		t.Error("Spawn created an inbox before anything could use it")
+	}
+	cl.Register("server", srv)
+	if srv.inbox == nil {
+		t.Fatal("Register left the name routing to no inbox")
+	}
+	caller := cl.CPU(0).Spawn("caller", func(p *Process) {
+		for i := 0; i < 3; i++ {
+			if err := p.Send("server", 64, i); err != nil {
+				t.Errorf("Send %d: %v", i, err)
+			}
+		}
+	})
+	eng.Run()
+	if fmt.Sprint(got) != "[0 1 2]" {
+		t.Errorf("server received %v, want the three messages sent before its first Recv, in order", got)
+	}
+	if caller.inbox != nil {
+		t.Error("a process that only sends was given an inbox")
+	}
+	// An unregistered process's first receive creates its own.
+	idle := cl.CPU(0).Spawn("idle", func(p *Process) {
+		if _, ok := p.TryRecv(); ok {
+			t.Error("TryRecv on a fresh process returned a message")
+		}
+	})
+	eng.Run()
+	if idle.inbox == nil {
+		t.Error("TryRecv left the process without an inbox")
+	}
+	eng.Shutdown()
+}
+
+// CPU.Fail retires a CPU's processes in spawn order, and for each one the
+// CPU's own bookkeeping (the reaper that drops it from the live set) runs
+// ahead of the callbacks registered with OnExit — a pair's takeover hook
+// among them — exactly as when the bookkeeping was the first of those
+// callbacks.
+func TestCPUFailExitHooksInSpawnOrder(t *testing.T) {
+	eng, cl := newTestCluster(1)
+	cpu := cl.CPU(2)
+	const n = 8
+	var exits []string
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("proc%d", i)
+		pr := cpu.Spawn(name, func(p *Process) { p.Recv() }) // parks for good
+		pr.Sim().OnExit(func() {
+			if _, live := cpu.procs[pr.Sim()]; live {
+				t.Errorf("%s: OnExit callback ran before the CPU dropped the process from its live set", name)
+			}
+			exits = append(exits, name)
+		})
+	}
+	eng.RunUntil(eng.Now()) // every process starts and parks
+	live := len(cpu.procs)
+	cpu.Fail()
+	eng.Run()
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("proc%d", i)
+	}
+	if fmt.Sprint(exits) != fmt.Sprint(want) {
+		t.Errorf("exit order %v, want spawn order %v", exits, want)
+	}
+	if len(cpu.procs) != 0 {
+		t.Errorf("%d of %d processes still in the failed CPU's live set", len(cpu.procs), live)
+	}
+	if cpu.Failures != 1 {
+		t.Errorf("Failures = %d after one Fail, want 1", cpu.Failures)
+	}
+	cpu.Fail() // already down: not another halt
+	cpu.Restore()
+	if cpu.Failures != 1 || !cpu.Up() {
+		t.Errorf("Failures = %d, Up = %v after a no-op Fail and a Restore; want 1, true", cpu.Failures, cpu.Up())
+	}
+	eng.Shutdown()
+}

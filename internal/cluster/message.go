@@ -7,7 +7,7 @@ import (
 	"persistmem/internal/sim"
 )
 
-// Envelope is what a registered process receives in its Inbox for
+// Envelope is what a registered process receives in its inbox for
 // messages sent through the message system. Inboxes carry *Envelope
 // boxes drawn from the cluster's free list; the receive helpers copy the
 // envelope out and recycle the box, so user code only ever sees values.
@@ -125,12 +125,12 @@ func (p *Process) open(v interface{}) Envelope {
 //
 //simlint:hotpath
 func (p *Process) Recv() Envelope {
-	return p.open(p.Inbox.Recv(p.proc))
+	return p.open(p.Inbox().Recv(p.proc))
 }
 
 // RecvTimeout blocks for at most d; ok is false on timeout.
 func (p *Process) RecvTimeout(d sim.Time) (Envelope, bool) {
-	v, ok := p.Inbox.RecvTimeout(p.proc, d)
+	v, ok := p.Inbox().RecvTimeout(p.proc, d)
 	if !ok {
 		return Envelope{}, false
 	}
@@ -142,7 +142,7 @@ func (p *Process) RecvTimeout(d sim.Time) (Envelope, bool) {
 //
 //simlint:hotpath
 func (p *Process) TryRecv() (Envelope, bool) {
-	v, ok := p.Inbox.TryRecv()
+	v, ok := p.Inbox().TryRecv()
 	if !ok {
 		return Envelope{}, false
 	}

@@ -38,6 +38,7 @@ func (ctx *PairCtx) Checkpoint(sz int, state interface{}) error {
 type Pair struct {
 	cl      *Cluster
 	name    string
+	bakName string // the backup's registered name: name + ".bak", built once
 	svc     func(ctx *PairCtx)
 	primCPU int
 	backCPU int
@@ -74,7 +75,7 @@ func (cl *Cluster) StartPairAbsorb(name string, primCPU, backCPU int, svc func(c
 	if primCPU == backCPU {
 		panic("cluster: process pair requires distinct CPUs")
 	}
-	pr := &Pair{cl: cl, name: name, svc: svc, primCPU: primCPU, backCPU: backCPU, absorb: absorb}
+	pr := &Pair{cl: cl, name: name, bakName: name + ".bak", svc: svc, primCPU: primCPU, backCPU: backCPU, absorb: absorb}
 	pr.startBackup(backCPU)
 	pr.startPrimary(primCPU, nil, false)
 	return pr
@@ -142,13 +143,13 @@ func (pr *Pair) startBackup(cpu int) {
 	c := pr.cl.CPU(cpu)
 	bname := fmt.Sprintf("%s-b%d", pr.name, pr.gen+1)
 	pr.backup = c.Spawn(bname, func(p *Process) {
-		p.Inbox.Serve(p.proc, func(v interface{}) {
+		p.Inbox().Serve(p.proc, func(v interface{}) {
 			ev := p.open(v)
 			pr.state = pr.absorb(pr.state, ev.Payload)
 			ev.Reply(nil)
 		})
 	})
-	pr.cl.Register(pr.name+".bak", pr.backup)
+	pr.cl.Register(pr.bakName, pr.backup)
 }
 
 // checkpoint implements PairCtx.Checkpoint.
@@ -168,7 +169,7 @@ func (pr *Pair) CheckpointFrom(p *Process, sz int, delta interface{}) error {
 		pr.state = pr.absorb(pr.state, delta)
 		return nil
 	}
-	if _, err := p.Call(pr.name+".bak", sz, delta); err != nil {
+	if _, err := p.Call(pr.bakName, sz, delta); err != nil {
 		return err
 	}
 	pr.Checkpoints++
@@ -191,7 +192,7 @@ func (pr *Pair) scheduleTakeover() {
 		// on the backup CPU with the checkpointed state. NSK would also
 		// re-create a backup when a CPU returns; modeled by Rebackup.
 		pr.backup.Kill()
-		pr.cl.Unregister(pr.name + ".bak")
+		pr.cl.Unregister(pr.bakName)
 		pr.backup = nil
 		pr.Takeovers++
 		pr.startPrimary(pr.backCPU, pr.state, true)
@@ -222,7 +223,7 @@ func (pr *Pair) Rebackup(cpu int) {
 	}
 	if pr.backup != nil && !pr.backup.Done() {
 		pr.backup.Kill()
-		pr.cl.Unregister(pr.name + ".bak")
+		pr.cl.Unregister(pr.bakName)
 	}
 	pr.startBackup(cpu)
 }

@@ -337,7 +337,7 @@ func TestBlockingCallInsideServePanics(t *testing.T) {
 		}
 	}))
 	srv := cl.CPU(0).Spawn("bad-server", func(p *Process) {
-		p.Inbox.Serve(p.Sim(), func(v interface{}) { p.Call("echo", 64, nil) })
+		p.Inbox().Serve(p.Sim(), func(v interface{}) { p.Call("echo", 64, nil) })
 	})
 	cl.Register("bad-server", srv)
 	cl.CPU(0).Spawn("client", func(p *Process) { p.Send("bad-server", 64, nil) })

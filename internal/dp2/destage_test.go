@@ -99,6 +99,88 @@ func TestDestageOversizeRowBehindStaleEntry(t *testing.T) {
 	eng.Shutdown()
 }
 
+// Rows come from ten-row slabs, and the destage and eviction queues tell a
+// live entry from a stale one by comparing *row pointers, so a slab must
+// hand every row out exactly once: a key aborted and inserted again gets a
+// new row, and the first insert's queue entry stays stale. Were the slot
+// reused, that entry would match again and the row be destaged twice.
+func TestDestageSkipsTheAbortedRowOfAReinsertedKey(t *testing.T) {
+	eng, cl, _ := harness(t, func(c *Config) {
+		c.WritebackMaxBytes = 64 << 10
+		c.WritebackInterval = 10 * sim.Millisecond
+		c.MaxCacheBytes = 1 // evict after destage: the read comes from the volume
+	})
+	sizes := map[uint64]int{1: 3 << 10, 2: 2 << 10}
+	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+		call(t, p, InsertReq{Txn: 1, Key: 1, Body: bytes.Repeat([]byte{0xEE}, 1<<10)})
+		call(t, p, EndTxnReq{Txn: 1, Commit: false})
+		call(t, p, InsertReq{Txn: 2, Key: 1, Body: rowBody(1, sizes[1])})
+		call(t, p, InsertReq{Txn: 2, Key: 2, Body: rowBody(2, sizes[2])})
+		call(t, p, EndTxnReq{Txn: 2, Commit: true})
+		p.Wait(settle)
+		st := call(t, p, StateReq{}).(Stats)
+		if want := int64(sizes[1] + sizes[2]); st.Writebacks != 1 || st.WrittenBack != want || st.DirtyBytes != 0 {
+			t.Errorf("Writebacks = %d, WrittenBack = %d, DirtyBytes = %d; want 1, %d, 0: the aborted row's entry was not skipped",
+				st.Writebacks, st.WrittenBack, st.DirtyBytes, want)
+		}
+		if st.Evictions != 2 {
+			t.Errorf("Evictions = %d, want both committed rows out of the cache, each once", st.Evictions)
+		}
+		readBackAll(t, p, sizes)
+	})
+	eng.Run()
+	eng.Shutdown()
+}
+
+// TestSlabRowsAreHandedOutOnce holds the same property at the state image,
+// across slab boundaries and for the backup's absorbed copy: every insert
+// gets a row no other insert has, the primary's image and the backup's
+// share none, and a slab costs one allocation per rowSlab inserts.
+func TestSlabRowsAreHandedOutOnce(t *testing.T) {
+	eng, _, d := harness(t, nil)
+	defer eng.Shutdown()
+	prim := newState()
+	var back interface{}
+	seen := map[*row]uint64{}
+	note := func(st *dpState, key uint64) {
+		r, ok := st.tree.Get(key)
+		if !ok {
+			t.Fatalf("key %d missing from the image", key)
+		}
+		if prev, dup := seen[r]; dup {
+			t.Fatalf("key %d was handed the row key %d holds", key, prev)
+		}
+		seen[r] = key
+	}
+	const n = 3*rowSlab + 1
+	for key := uint64(1); key <= n; key++ {
+		delta := insertDelta{txn: 1, key: key, blen: 64}
+		prim.applyInsert(delta, false)
+		back = d.absorb(back, &delta)
+		note(prim, key)
+		note(back.(*dpState), key)
+	}
+	// Abort and reinsert: new rows on both sides, the old ones still queued.
+	prim.applyEnd(endDelta{txn: 1})
+	back = d.absorb(back, &endDelta{txn: 1})
+	redo := insertDelta{txn: 2, key: n, blen: 64}
+	prim.applyInsert(redo, false)
+	back = d.absorb(back, &redo)
+	note(prim, n)
+	note(back.(*dpState), n)
+	if got := prim.dirtyq.len(); got != n+1 {
+		t.Errorf("dirty queue holds %d entries, want %d: one per insert, stale ones included", got, n+1)
+	}
+	perSlab := testing.AllocsPerRun(100, func() {
+		for i := 0; i < rowSlab; i++ {
+			prim.newRow()
+		}
+	})
+	if perSlab != 1 {
+		t.Errorf("%d rows cost %.0f allocations, want one slab", rowSlab, perSlab)
+	}
+}
+
 func TestDestageRequeuesWhileVolumeDown(t *testing.T) {
 	sizes := map[uint64]int{1: 2 << 10, 2: 5 << 10, 3: 2 << 10, 4: 12 << 10}
 	eng, cl, d := harness(t, func(c *Config) {

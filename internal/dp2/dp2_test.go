@@ -420,17 +420,15 @@ func TestAuditRecordsCarryAfterImages(t *testing.T) {
 	srv := cl.CPU(0).Spawn("fakeadp", func(p *cluster.Process) {
 		for {
 			ev := p.Recv()
-			var data []byte
-			switch req := ev.Payload.(type) {
-			case adp.AppendReq:
-				data = req.Data
-			case *adp.AppendReq:
-				data = req.Data
-			default:
+			// The DP2 sends its audit in a pooled box and reads the reply
+			// out of it.
+			req, ok := ev.Payload.(*adp.AppendReq)
+			if !ok {
 				continue
 			}
-			frames = append(frames, data...)
-			ev.Reply(adp.AppendResp{End: audit.LSN(len(frames))})
+			frames = append(frames, req.Data...)
+			req.Resp = adp.AppendResp{End: audit.LSN(len(frames))}
+			ev.Reply(req)
 		}
 	})
 	cl.Register("$FAKE", srv)

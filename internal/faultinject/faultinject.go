@@ -177,8 +177,14 @@ type Injector struct {
 
 	// TakeoverViolations describes every service pair whose backup did
 	// not re-register within the takeover bound after a primary-killing
-	// fault. Empty after a clean run.
+	// fault although its host stayed up. Empty after a clean run.
 	TakeoverViolations []string
+	// PairsLost names, in check order, every service pair that lost its
+	// primary to a fault and then its backup's CPU before the takeover was
+	// due: both members gone, an outage of that service rather than a
+	// broken takeover. What must still hold for such a run is what holds
+	// for every run — no acknowledged commit lost after recovery.
+	PairsLost []string
 }
 
 // pairRef pairs a service name with its process-pair handle, in a
@@ -351,31 +357,35 @@ func (inj *Injector) expectTakeovers(cpu int) {
 
 // expectTakeoverOf checks, TakeoverDelay plus a small slack after the
 // fault, that the pair's backup took over. Pairs that are already down
-// or unprotected are skipped at arm time, and a backup whose own CPU is
-// dead at check time is excused — both are double faults the paper does
-// not claim to survive; single-fault outcomes are still caught by the
-// scenario's ground-truth invariants. What remains is the §1.3 claim
-// itself: a protected pair with a healthy backup host must complete its
-// takeover within the bound.
+// or unprotected are skipped at arm time, and a backup whose own CPU
+// halted at any time between the fault and the check — down still, or
+// restored since: the backup process died with it either way — is recorded
+// as a lost pair, not a violation. Both are double faults the paper does
+// not claim to survive; their outcomes are still held to the scenario's
+// ground-truth invariants. What remains is the §1.3 claim itself: a
+// protected pair whose backup host stayed up must complete its takeover
+// within the bound — a backup lost any other way is a violation.
 func (inj *Injector) expectTakeoverOf(pr pairRef) {
 	p := pr.pair
 	if !p.Up() || !p.Protected() {
 		return
 	}
 	backCPU := p.BackupCPU()
-	if !inj.s.Cl.CPU(backCPU).Up() {
+	host := inj.s.Cl.CPU(backCPU)
+	if !host.Up() {
 		return
 	}
 	eng := inj.s.Eng
 	bound := inj.s.Cl.Config().TakeoverDelay
 	at := eng.Now()
-	armTakeovers := p.Takeovers
+	armTakeovers, armFailures := p.Takeovers, host.Failures
 	name := pr.name
 	eng.Schedule(at+bound+takeoverCheckSlack, func() {
 		switch {
 		case inj.disarmed:
-		case !inj.s.Cl.CPU(backCPU).Up(): // backup host died too: excused
 		case p.Takeovers > armTakeovers: // promotion happened
+		case host.Failures > armFailures: // backup host halted too
+			inj.PairsLost = append(inj.PairsLost, name)
 		default:
 			inj.TakeoverViolations = append(inj.TakeoverViolations,
 				fmt.Sprintf("%s: backup on CPU %d did not take over within %v of the fault at %v",

@@ -62,9 +62,16 @@ func TestStoreSetupAllocationBudget(t *testing.T) {
 
 // txnBudgetAllocs is the most heap objects one more committed hot-stock
 // transaction (8 x 4 KB inserts, one driver) may cost once every free list
-// is warm: 51.8 on disk audit and 53.0 on PM today. The per-subsystem
-// split is `benchmark --trace 1`'s allocs_per_txn.* metrics.
-const txnBudgetAllocs = 56
+// is warm: 9.2 on disk audit and on PM today, all of them things somebody
+// keeps — the commit coordinator (its Process, its sim.Proc, its name, its
+// body and the closure that runs it: 5), the session's Txn handle (1), 1.6
+// row slabs (16 rows, primary and backup, ten to a slab) and, the rest, the
+// B-tree's node splits. It was 51.8 / 53.0 while every reply was boxed,
+// every row its own object and a spawn ten objects; boxing any one reply
+// again (BeginResp, the smallest: one a transaction) reads 10.2 and trips
+// it. The per-subsystem split is `benchmark --trace 1`'s allocs_per_txn.*
+// metrics.
+const txnBudgetAllocs = 10
 
 // hotStockAllocs returns the heap objects one fresh store's hot-stock run
 // of txns transactions allocates, set-up included.

@@ -43,13 +43,16 @@ type Session struct {
 	// Per-session scratch, reused across the one-at-a-time transactions:
 	// the involved-DP2 set, the in-flight insert list, and free lists for
 	// the request boxes the data plane sends. A request box is recycled
-	// only once its reply arrived (the server is done with it by then);
-	// on a call timeout the box may still sit in a server inbox and is
-	// abandoned to the garbage collector instead.
+	// only once its reply arrived (the server is done with it by then, and
+	// the monitor's replies are the box itself with the response written
+	// into it); on a call timeout the box may still sit in a server inbox
+	// — a late reply would write into it — and is abandoned to the garbage
+	// collector instead.
 	involved map[string]bool
 	pending  []pendingIns
 	names    []string
 	insfree  []*dp2.InsertReq //simlint:box -- insert-request pool
+	begfree  []*tmf.BeginReq  //simlint:box -- begin-request pool
 	cmtfree  []*tmf.CommitReq //simlint:box -- commit-request pool
 
 	// insErr is why the open transaction is poisoned (Txn.failed): the first
@@ -86,6 +89,22 @@ func (se *Session) freeInsertReq(r *dp2.InsertReq) {
 }
 
 //simlint:hotpath
+func (se *Session) newBeginReq() *tmf.BeginReq {
+	if n := len(se.begfree); n > 0 {
+		r := se.begfree[n-1]
+		se.begfree = se.begfree[:n-1]
+		return r
+	}
+	return &tmf.BeginReq{}
+}
+
+//simlint:hotpath
+func (se *Session) freeBeginReq(r *tmf.BeginReq) {
+	*r = tmf.BeginReq{}
+	se.begfree = append(se.begfree, r)
+}
+
+//simlint:hotpath
 func (se *Session) newCommitReq() *tmf.CommitReq {
 	if n := len(se.cmtfree); n > 0 {
 		r := se.cmtfree[n-1]
@@ -97,7 +116,7 @@ func (se *Session) newCommitReq() *tmf.CommitReq {
 
 //simlint:hotpath
 func (se *Session) freeCommitReq(r *tmf.CommitReq) {
-	r.DP2s = nil
+	r.DP2s, r.Resp = nil, tmf.CommitResp{}
 	se.cmtfree = append(se.cmtfree, r)
 }
 
@@ -142,13 +161,18 @@ type Txn struct {
 }
 
 // Begin starts a transaction.
+//
+//simlint:hotpath
 func (se *Session) Begin() (*Txn, error) {
 	t0 := se.p.Now()
-	raw, err := se.p.Call(se.s.TMF.Name(), 48, tmf.BeginReq{})
-	if err != nil {
+	req := se.newBeginReq()
+	//simlint:allow hotalloc -- *tmf.BeginReq is pointer-shaped: no box is allocated
+	if _, err := se.p.Call(se.s.TMF.Name(), 48, req); err != nil {
+		// The monitor may still hold the box: abandoned, not recycled.
 		return nil, err
 	}
-	resp := raw.(tmf.BeginResp)
+	resp := req.Resp
+	se.freeBeginReq(req)
 	if resp.Err != nil {
 		return nil, resp.Err
 	}
@@ -292,7 +316,7 @@ func (t *Txn) Commit() error {
 	req.TwoPhase = se.twoPhase && len(req.DP2s) > 1 // always assigned: the box is recycled
 	se.cp.Mark(uint64(t.id), metrics.MarkCommitSend, se.p.Now())
 	//simlint:allow hotalloc -- *tmf.CommitReq is pointer-shaped: no box is allocated
-	raw, err := se.p.Call(se.s.TMF.Name(), 64+16*len(se.involved), req)
+	_, err := se.p.Call(se.s.TMF.Name(), 64+16*len(se.involved), req)
 	if err != nil {
 		// The coordinator may still be using the box; abandon it. The
 		// outcome is unknown at the client — the commit record may or may
@@ -301,14 +325,16 @@ func (t *Txn) Commit() error {
 		se.cp.Drop(uint64(t.id))
 		return err
 	}
-	// Reply received: the coordinator finished with the request before
-	// replying, so the box and its DP2s slice are reusable.
+	// Reply received — the box itself, carrying the response: the
+	// coordinator finished with the request before replying, so the box and
+	// its DP2s slice are reusable.
+	cerr := req.Resp.Err
 	se.names = req.DP2s[:0]
 	se.freeCommitReq(req)
-	if resp := raw.(tmf.CommitResp); resp.Err != nil {
+	if cerr != nil {
 		se.tx.OnAbort()
 		se.cp.Drop(uint64(t.id))
-		return resp.Err
+		return cerr
 	}
 	se.cp.Mark(uint64(t.id), metrics.MarkCommitDone, se.p.Now())
 	ph, folded := se.cp.Complete(uint64(t.id))

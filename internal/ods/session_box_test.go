@@ -3,11 +3,15 @@ package ods
 import (
 	"fmt"
 	"testing"
+
+	"persistmem/internal/tmf"
 )
 
 // Pins the request-box lifecycle that boxcheck (simlint) verifies
-// statically: a session recycles its insert and commit request boxes once
-// the replies arrive, so back-to-back transactions run on pooled boxes.
+// statically: a session recycles its begin, insert and commit request boxes
+// once the replies arrive — the monitor's replies being the boxes themselves
+// with the response written in — so back-to-back transactions run on pooled
+// boxes.
 
 func TestSessionRequestBoxesRecycledAcrossTxns(t *testing.T) {
 	s := Build(smallOptions(DiskDurability))
@@ -32,10 +36,13 @@ func TestSessionRequestBoxesRecycledAcrossTxns(t *testing.T) {
 		if insPool == 0 {
 			t.Fatal("insfree empty after all insert replies arrived; boxes were not recycled")
 		}
-		if cmtPool != 1 {
-			t.Fatalf("cmtfree holds %d boxes after commit, want 1", cmtPool)
+		if cmtPool != 1 || len(se.begfree) != 1 {
+			t.Fatalf("cmtfree holds %d boxes and begfree %d after one transaction, want 1 and 1", cmtPool, len(se.begfree))
 		}
-		recycled := se.cmtfree[0]
+		recycled, begun := se.cmtfree[0], se.begfree[0]
+		if begun.Resp != (tmf.BeginResp{}) || recycled.Resp != (tmf.CommitResp{}) {
+			t.Errorf("pooled boxes still carry their last responses: %+v, %+v", begun.Resp, recycled.Resp)
+		}
 		// An identical transaction must run on the recycled boxes: the
 		// pools return to exactly the same size, and the commit request
 		// is the same box.
@@ -46,6 +53,9 @@ func TestSessionRequestBoxesRecycledAcrossTxns(t *testing.T) {
 		}
 		if se.cmtfree[0] != recycled {
 			t.Errorf("second commit did not reuse the recycled commit-request box")
+		}
+		if len(se.begfree) != 1 || se.begfree[0] != begun {
+			t.Errorf("second begin did not reuse the recycled begin-request box (pool %d)", len(se.begfree))
 		}
 	})
 	s.Eng.Shutdown()

@@ -63,8 +63,9 @@ type Proc struct {
 	tmoSeq uint64
 	tmoIdx int32
 
-	// onExit callbacks run (in engine context) when the process finishes
-	// or is killed.
+	// reaper, the spawner's exit hook, and then the onExit callbacks run (in
+	// engine context) when the process finishes or is killed.
+	reaper func(p *Proc)
 	onExit []func()
 }
 
@@ -114,6 +115,13 @@ func (p *Proc) Done() bool { return p.state == procDone }
 
 // OnExit registers fn to run when the process finishes or is killed.
 func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
+
+// SetReaper installs the spawner's exit hook: fn runs with p when p finishes
+// or is killed, ahead of every OnExit callback. It is handed the process, so
+// a layer that spawns a process per request keeps one func value for all of
+// them, where an OnExit closure and the slice holding it are two allocations
+// a spawn.
+func (p *Proc) SetReaper(fn func(p *Proc)) { p.reaper = fn }
 
 // startProc handles a start event: it marks p running and reports true (the
 // dispatcher must transfer control to p, which whoever switches to it gives
@@ -241,6 +249,10 @@ func (e *Engine) retire(p *Proc) {
 		e.tracef("retire %s", p.name)
 	}
 	delete(e.procs, p)
+	if fn := p.reaper; fn != nil {
+		p.reaper = nil
+		fn(p)
+	}
 	for _, fn := range p.onExit {
 		fn()
 	}

@@ -103,3 +103,31 @@ func TestShutdownReleasesCoroutines(t *testing.T) {
 		t.Errorf("goroutines: %d before, %d after 200 engines were shut down", before, after)
 	}
 }
+
+// TestReaperRunsAheadOfExitCallbacks: the spawner's hook (SetReaper) fires
+// once, with its process, before any OnExit callback — where the closure it
+// replaces sat, first in the list — and processes retire in spawn order
+// under Shutdown whichever kind of hook they carry. One func value serves
+// every process.
+func TestReaperRunsAheadOfExitCallbacks(t *testing.T) {
+	eng := NewEngine(1)
+	var log []string
+	reap := func(p *Proc) { log = append(log, "reap "+p.Name()) }
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("proc%d", i)
+		p := eng.Spawn(name, func(sp *Proc) {
+			eng.NewSignal().Wait(sp) // parks forever; only Kill unwinds it
+		})
+		p.OnExit(func() { log = append(log, "exit "+name) })
+		p.SetReaper(reap) // installed after OnExit, still first to run
+	}
+	done := eng.Spawn("done", func(sp *Proc) {}) // finishes on its own
+	done.SetReaper(reap)
+	eng.RunUntil(eng.Now())
+	eng.Shutdown()
+	want := []string{"reap done",
+		"reap proc0", "exit proc0", "reap proc1", "exit proc1", "reap proc2", "exit proc2"}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("hooks ran as %v, want %v", log, want)
+	}
+}

@@ -10,15 +10,19 @@ import (
 // tcbMagic marks a live control-block entry.
 const tcbMagic = 0x54434231 // "TCB1"
 
-// EncodeTCB builds one fine-grained transaction control block entry:
-// magic (4) | txn (8) | state (1) | pad (7) | crc (4) = 24 bytes.
-func EncodeTCB(txn audit.TxnID, state uint8) []byte {
-	e := make([]byte, TCBEntrySize)
+// AppendTCB appends one fine-grained transaction control block entry to dst:
+// magic (4) | txn (8) | state (1) | pad (7) | crc (4) = 24 bytes. A writer
+// that keeps a buffer encodes without allocating; the entry is built in
+// place because a local array handed to the checksum escapes to the heap.
+func AppendTCB(dst []byte, txn audit.TxnID, state uint8) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, TCBEntrySize)...)
+	e := dst[n:]
 	binary.LittleEndian.PutUint32(e[0:], tcbMagic)
 	binary.LittleEndian.PutUint64(e[4:], uint64(txn))
 	e[12] = state
 	binary.LittleEndian.PutUint32(e[20:], crc32.ChecksumIEEE(e[:20]))
-	return e
+	return dst
 }
 
 // DecodeTCB parses one entry; ok is false for empty or corrupt slots.

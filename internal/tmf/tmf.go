@@ -73,7 +73,7 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// TCB entry layout: see EncodeTCB.
+// TCB entry layout: see AppendTCB.
 const TCBEntrySize = 24
 
 // Transaction outcomes recorded in control blocks.
@@ -87,9 +87,16 @@ const (
 const TCBRegionName = "tmf-tcb"
 
 // protocol messages
+//
+// BeginReq and CommitReq sent as pointers are boxes their sender pools: the
+// monitor writes the response into the box's Resp field and replies with
+// the pointer itself, which allocates nothing; the sender reads Resp before
+// recycling the box. Sent by value (tests) they get a boxed value reply.
 type (
 	// BeginReq starts a transaction.
-	BeginReq struct{}
+	BeginReq struct {
+		Resp BeginResp
+	}
 	// BeginResp returns the new transaction id.
 	BeginResp struct {
 		Txn audit.TxnID
@@ -105,6 +112,7 @@ type (
 		Txn      audit.TxnID
 		DP2s     []string
 		TwoPhase bool
+		Resp     CommitResp
 	}
 	// CommitResp reports the outcome; on error the transaction aborted.
 	CommitResp struct {
@@ -230,11 +238,32 @@ type TMF struct {
 	hist *metrics.TxnHistory
 }
 
-// Pre-boxed success replies (read-only after init).
-var (
-	commitRespOK interface{} = CommitResp{}
-	abortRespOK  interface{} = AbortResp{}
-)
+// abortRespOK is the pre-boxed success reply to an abort (read-only after
+// init).
+var abortRespOK interface{} = AbortResp{}
+
+// replyBegin and replyCommit answer a request in the form it arrived in:
+// into the sender's box, or by value.
+
+//simlint:hotpath
+func replyBegin(ev cluster.Envelope, resp BeginResp) {
+	if box, ok := ev.Payload.(*BeginReq); ok {
+		box.Resp = resp
+		ev.Reply(box) //simlint:allow hotalloc -- *BeginReq is pointer-shaped: no box is allocated
+		return
+	}
+	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): sessions pool their boxes
+}
+
+//simlint:hotpath
+func replyCommit(ev cluster.Envelope, resp CommitResp) {
+	if box, ok := ev.Payload.(*CommitReq); ok {
+		box.Resp = resp
+		ev.Reply(box) //simlint:allow hotalloc -- *CommitReq is pointer-shaped: no box is allocated
+		return
+	}
+	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): sessions pool their boxes
+}
 
 // commitScratch is one coordinator's working set: completion signals,
 // the request boxes it sends to DP2s and ADPs, and the per-commit ADP
@@ -250,6 +279,7 @@ type commitScratch struct {
 	adpLSNs map[string]audit.LSN
 	adps    []string
 	outbuf  []byte // reused outcome-record encode buffer
+	tcbbuf  []byte // reused control-block entry encode buffer
 	dirty   bool
 }
 
@@ -432,21 +462,25 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 		tcb = t.openTCB(ctx)
 	}
 
+	// tcbbuf holds the serve loop's own control-block entries (the Active
+	// mark at begin); coordinators encode into their scratch.
+	var tcbbuf []byte
+
 	for {
 		ev := ctx.Recv()
 		ctx.Compute(t.cfg.RequestCPU)
 		switch req := ev.Payload.(type) {
-		case BeginReq:
+		case *BeginReq, BeginReq:
 			txn := st.nextTxn
 			st.nextTxn++
 			st.active[txn] = true
 			t.stats.Begins++
 			t.checkpointBegin(ctx.Process, txn)
 			if tcb != nil {
-				t.writeTCB(ctx.Process, tcb, txn, TCBActive)
+				t.writeTCB(ctx.Process, tcb, &tcbbuf, txn, TCBActive)
 			}
 			t.hist.OnBegin(uint64(txn), ctx.Process.Now())
-			ev.Reply(BeginResp{Txn: txn})
+			replyBegin(ev, BeginResp{Txn: txn})
 		case *CommitReq:
 			t.handleCommit(ctx, st, tcb, ev, *req)
 		case CommitReq:
@@ -470,7 +504,7 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 // the monitor (and group-commit at the ADPs).
 func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Region, ev cluster.Envelope, req CommitReq) {
 	if !st.active[req.Txn] {
-		ev.Reply(CommitResp{Err: fmt.Errorf("%w: %d", ErrUnknownTxn, req.Txn)})
+		replyCommit(ev, CommitResp{Err: fmt.Errorf("%w: %d", ErrUnknownTxn, req.Txn)})
 		return
 	}
 	delete(st.active, req.Txn)
@@ -484,11 +518,7 @@ func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Reg
 			t.stats.Aborts++
 		}
 		t.checkpointOutcome(p, req.Txn, err == nil)
-		if err == nil {
-			ev.Reply(commitRespOK)
-		} else {
-			ev.Reply(CommitResp{Err: err})
-		}
+		replyCommit(ev, CommitResp{Err: err})
 		t.releaseScratch(sc)
 		if err == nil && t.commitHook != nil {
 			t.commitHook(t.stats.Commits)
@@ -549,17 +579,17 @@ func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *com
 			sc.creq.Outcome = sc.outbuf
 		}
 		//simlint:allow hotalloc -- *adp.CommitReq is pointer-shaped: no box is allocated
-		raw, cerr := p.Call(master, 64+len(sc.creq.Outcome), &sc.creq)
+		_, cerr := p.Call(master, 64+len(sc.creq.Outcome), &sc.creq)
 		if cerr != nil {
 			sc.dirty = true // the master may still hold the request box
 			t.rollback(p, sc, req.Txn, req.DP2s)
 			//simlint:allow hotalloc -- commit-failure path, cold
 			return fmt.Errorf("%w: master log: %v", ErrCommitFailed, cerr)
 		}
-		if resp := raw.(adp.CommitResp); resp.Err != nil {
+		if rerr := sc.creq.Resp.Err; rerr != nil {
 			t.rollback(p, sc, req.Txn, req.DP2s)
 			//simlint:allow hotalloc -- commit-failure path, cold
-			return fmt.Errorf("%w: master log: %v", ErrCommitFailed, resp.Err)
+			return fmt.Errorf("%w: master log: %v", ErrCommitFailed, rerr)
 		}
 	}
 	t.cp.Mark(uint64(req.Txn), metrics.MarkCommitDurable, p.Now())
@@ -567,7 +597,7 @@ func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *com
 	// Fine-grained outcome in PM, before externalizing the commit. For
 	// PMDirect stores (no audit streams) this is the commit point.
 	if tcb != nil {
-		t.writeTCB(p, tcb, req.Txn, TCBCommitted)
+		t.writeTCB(p, tcb, &sc.tcbbuf, req.Txn, TCBCommitted)
 	}
 	t.cp.Mark(uint64(req.Txn), metrics.MarkTCBWritten, p.Now())
 	t.hist.OnOutcome(uint64(req.Txn), true, p.Now())
@@ -617,13 +647,13 @@ func (t *TMF) flushDataAudit(p *cluster.Process, sc *commitScratch, txn audit.Tx
 		sc.sigs = append(sc.sigs, sig)
 	}
 	clear(sc.adpLSNs)
-	for _, sig := range sc.sigs {
-		raw, err := p.AwaitReply(sig)
-		if err != nil {
+	for i, sig := range sc.sigs {
+		// The reply is the i-th request box itself, carrying the response.
+		if _, err := p.AwaitReply(sig); err != nil {
 			sc.dirty = true
 			return err
 		}
-		resp := raw.(dp2.FlushAuditResp)
+		resp := &sc.freqs[i].Resp
 		if resp.Err != nil {
 			sc.dirty = true
 			return resp.Err
@@ -654,15 +684,14 @@ func (t *TMF) flushDataAudit(p *cluster.Process, sc *commitScratch, txn audit.Tx
 		}
 		sc.sigs = append(sc.sigs, sig)
 	}
-	for _, sig := range sc.sigs {
-		raw, err := p.AwaitReply(sig)
-		if err != nil {
+	for i, sig := range sc.sigs {
+		if _, err := p.AwaitReply(sig); err != nil {
 			sc.dirty = true
 			return err
 		}
-		if resp := raw.(adp.FlushResp); resp.Err != nil {
+		if rerr := sc.flreqs[i].Resp.Err; rerr != nil {
 			sc.dirty = true
-			return resp.Err
+			return rerr
 		}
 	}
 	return nil
@@ -673,7 +702,7 @@ func (t *TMF) flushDataAudit(p *cluster.Process, sc *commitScratch, txn audit.Tx
 func (t *TMF) coordinateAbort(p *cluster.Process, tcb *pmclient.Region, sc *commitScratch, req AbortReq) {
 	t.rollback(p, sc, req.Txn, req.DP2s)
 	if tcb != nil {
-		t.writeTCB(p, tcb, req.Txn, TCBAborted)
+		t.writeTCB(p, tcb, &sc.tcbbuf, req.Txn, TCBAborted)
 	}
 }
 
@@ -725,12 +754,14 @@ func adpOf(p *cluster.Process, dp2Name string) string {
 	return raw.(dp2.FlushAuditResp).ADP
 }
 
-// writeTCB records a transaction outcome in the PM control-block region.
-func (t *TMF) writeTCB(p *cluster.Process, tcb *pmclient.Region, txn audit.TxnID, state uint8) {
-	entry := EncodeTCB(txn, state)
+// writeTCB records a transaction outcome in the PM control-block region,
+// encoding the entry into the writer's own buffer: the region write blocks,
+// so concurrent writers must not share one.
+func (t *TMF) writeTCB(p *cluster.Process, tcb *pmclient.Region, buf *[]byte, txn audit.TxnID, state uint8) {
+	*buf = AppendTCB((*buf)[:0], txn, state)
 	slots := tcb.Size() / TCBEntrySize
 	off := int64(uint64(txn)%uint64(slots)) * TCBEntrySize
-	if err := tcb.Write(p, off, entry); err == nil {
+	if err := tcb.Write(p, off, *buf); err == nil {
 		t.stats.TCBWrites++
 	}
 }

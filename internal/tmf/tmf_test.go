@@ -103,6 +103,12 @@ func TestCommitUnknownTxn(t *testing.T) {
 		if !errors.Is(raw.(CommitResp).Err, ErrUnknownTxn) {
 			t.Errorf("err = %v, want ErrUnknownTxn", raw.(CommitResp).Err)
 		}
+		// Sent as a pointer, the request is the sender's box and the error
+		// comes back in it.
+		box := &CommitReq{Txn: 999}
+		if raw, _ := p.Call("$TMF", 64, box); raw != interface{}(box) || !errors.Is(box.Resp.Err, ErrUnknownTxn) {
+			t.Errorf("boxed commit: reply %T, Resp.Err = %v; want the box back carrying ErrUnknownTxn", raw, box.Resp.Err)
+		}
 		raw2, _ := p.Call("$TMF", 64, AbortReq{Txn: 999})
 		if !errors.Is(raw2.(AbortResp).Err, ErrUnknownTxn) {
 			t.Errorf("abort err = %v", raw2.(AbortResp).Err)
@@ -222,7 +228,7 @@ func TestStateReport(t *testing.T) {
 }
 
 func TestTCBEncodeDecode(t *testing.T) {
-	e := EncodeTCB(42, TCBCommitted)
+	e := AppendTCB(nil, 42, TCBCommitted)
 	if len(e) != TCBEntrySize {
 		t.Fatalf("entry size %d", len(e))
 	}
@@ -246,9 +252,9 @@ func TestTCBEncodeDecode(t *testing.T) {
 
 func TestScanTCBs(t *testing.T) {
 	img := make([]byte, 10*TCBEntrySize)
-	copy(img[0:], EncodeTCB(1, TCBCommitted))
-	copy(img[3*TCBEntrySize:], EncodeTCB(2, TCBAborted))
-	copy(img[7*TCBEntrySize:], EncodeTCB(3, TCBActive))
+	copy(img[0:], AppendTCB(nil, 1, TCBCommitted))
+	copy(img[3*TCBEntrySize:], AppendTCB(nil, 2, TCBAborted))
+	copy(img[7*TCBEntrySize:], AppendTCB(nil, 3, TCBActive))
 	out := ScanTCBs(img)
 	if len(out) != 3 || out[1] != TCBCommitted || out[2] != TCBAborted || out[3] != TCBActive {
 		t.Errorf("ScanTCBs = %v", out)
@@ -262,11 +268,32 @@ func TestTCBRoundTripProperty(t *testing.T) {
 		st := state%3 + 1
 		img := make([]byte, 32*TCBEntrySize)
 		off := int(slot%32) * TCBEntrySize
-		copy(img[off:], EncodeTCB(audit.TxnID(txn), st))
+		copy(img[off:], AppendTCB(nil, audit.TxnID(txn), st))
 		out := ScanTCBs(img)
 		return len(out) == 1 && out[audit.TxnID(txn)] == st
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// AppendTCB appends into the caller's buffer, entry after entry, and
+// allocates nothing when the buffer has room — the monitor encodes two a
+// transaction.
+func TestAppendTCBReusesItsBuffer(t *testing.T) {
+	buf := make([]byte, 0, 2*TCBEntrySize)
+	buf = AppendTCB(buf, 7, TCBActive)
+	buf = AppendTCB(buf, 1<<40, TCBCommitted)
+	if len(buf) != 2*TCBEntrySize {
+		t.Fatalf("two entries take %d bytes, want %d", len(buf), 2*TCBEntrySize)
+	}
+	if txn, state, ok := DecodeTCB(buf); !ok || txn != 7 || state != TCBActive {
+		t.Errorf("first entry decodes as %d, %d, %v", txn, state, ok)
+	}
+	if txn, state, ok := DecodeTCB(buf[TCBEntrySize:]); !ok || txn != 1<<40 || state != TCBCommitted {
+		t.Errorf("second entry decodes as %d, %d, %v", txn, state, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = AppendTCB(buf[:0], 9, TCBAborted) }); n != 0 {
+		t.Errorf("AppendTCB into a buffer with room allocates %.0f objects", n)
 	}
 }
