@@ -82,11 +82,10 @@ type Config struct {
 
 // protocol messages
 //
-// A request sent as a pointer is a box its sender pools: the server writes
-// the response into the box's Resp field and replies with the pointer
-// itself (pointer-shaped, so the reply allocates nothing), and the sender
-// reads Resp before recycling the box. A request sent by value (tests, cold
-// paths) gets its response as a boxed value.
+// A message is a box: it is sent as a pointer, its sender owns it from the
+// send to the reply, the server writes the response into its Resp field and
+// replies with the box itself. A box whose call failed or timed out is never
+// reused, so a late reply writes only into a box nobody reads.
 type (
 	// AppendReq adds pre-encoded audit records to the trail.
 	AppendReq struct {
@@ -115,7 +114,8 @@ type (
 		LSN audit.LSN
 		Err error
 	}
-	// AbortReq appends an abort record (lazily durable).
+	// AbortReq appends an abort record (lazily durable); the reply is the
+	// bare box.
 	AbortReq struct {
 		Txn audit.TxnID
 	}
@@ -130,7 +130,9 @@ type (
 		Err     error
 	}
 	// StateReq asks for a Stats snapshot (tests and harnesses).
-	StateReq struct{}
+	StateReq struct {
+		Resp Stats
+	}
 )
 
 // Stats describes an ADP's activity.
@@ -263,45 +265,12 @@ func (a *ADP) Stop() { a.pair.Stop() }
 // RegionName returns the PM log region name for this ADP.
 func (a *ADP) RegionName() string { return a.cfg.Name + "-log" }
 
-// waiter is a pending commit/flush reply.
+// flushWaiter is a pending commit/flush reply; ev.Payload is its request box
+// (*CommitReq or *FlushReq).
 type flushWaiter struct {
 	upTo audit.LSN
 	ev   cluster.Envelope
-	kind audit.RecType // RecCommit for commits, 0 for plain flushes
-	enq  sim.Time      // when the waiter joined the boxcar
-}
-
-// The reply helpers answer a request in the form it arrived in: into the
-// sender's box, or by value.
-
-//simlint:hotpath
-func replyAppend(ev cluster.Envelope, resp AppendResp) {
-	if box, ok := ev.Payload.(*AppendReq); ok {
-		box.Resp = resp
-		ev.Reply(box) //simlint:allow hotalloc -- *AppendReq is pointer-shaped: no box is allocated
-		return
-	}
-	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): the hot senders pool their boxes
-}
-
-//simlint:hotpath
-func replyCommit(ev cluster.Envelope, resp CommitResp) {
-	if box, ok := ev.Payload.(*CommitReq); ok {
-		box.Resp = resp
-		ev.Reply(box) //simlint:allow hotalloc -- *CommitReq is pointer-shaped: no box is allocated
-		return
-	}
-	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): the hot senders pool their boxes
-}
-
-//simlint:hotpath
-func replyFlush(ev cluster.Envelope, resp FlushResp) {
-	if box, ok := ev.Payload.(*FlushReq); ok {
-		box.Resp = resp
-		ev.Reply(box) //simlint:allow hotalloc -- *FlushReq is pointer-shaped: no box is allocated
-		return
-	}
-	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): the hot senders pool their boxes
+	enq  sim.Time // when the waiter joined the boxcar
 }
 
 func (a *ADP) serve(ctx *cluster.PairCtx) {
@@ -344,37 +313,26 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 		waiters = waiters[:0]
 		for _, ev := range batch {
 			ctx.Compute(a.cfg.RequestCPU)
-			// Requests arrive as values (tests, legacy callers) or as
-			// pointers into their senders' free lists (the zero-alloc client
-			// paths); a pointer box is recycled by its sender only after the
-			// reply, so dereferencing here — and writing the response into
-			// it — is safe.
+			// A request is its sender's box, recycled only after the reply, so
+			// reading it here — and writing the response into it — is safe.
 			switch req := ev.Payload.(type) {
 			case *AppendReq:
-				a.handleAppend(ctx, st, region, ev, req.Data)
-			case AppendReq:
-				a.handleAppend(ctx, st, region, ev, req.Data)
+				a.handleAppend(ctx, st, region, ev, req)
 			case *CommitReq:
-				waiters = a.handleCommit(ctx, st, region, &scratch, waiters, ev, req.Txn, req.Outcome)
-			case CommitReq:
-				waiters = a.handleCommit(ctx, st, region, &scratch, waiters, ev, req.Txn, req.Outcome)
+				waiters = a.handleCommit(ctx, st, region, &scratch, waiters, ev, req)
 			case *AbortReq:
-				a.handleAbort(ctx, st, region, &scratch, ev, req.Txn)
-			case AbortReq:
-				a.handleAbort(ctx, st, region, &scratch, ev, req.Txn)
+				a.handleAbort(ctx, st, region, &scratch, ev, req)
 			case *FlushReq:
 				a.m.OnWaiterIn()
 				waiters = append(waiters, flushWaiter{upTo: req.UpTo, ev: ev, enq: ctx.Process.Now()})
-			case FlushReq:
-				a.m.OnWaiterIn()
-				waiters = append(waiters, flushWaiter{upTo: req.UpTo, ev: ev, enq: ctx.Process.Now()})
-			case StateReq:
-				s := a.stats
-				s.NextLSN = st.nextLSN
-				s.DurableLSN = st.durableLSN
-				ev.Reply(s)
+			case *StateReq:
+				req.Resp = a.stats
+				req.Resp.NextLSN = st.nextLSN
+				req.Resp.DurableLSN = st.durableLSN
+				ev.Reply(req)
 			default:
-				ev.Reply(FlushResp{Err: fmt.Errorf("adp: unknown request %T", req)})
+				// Every sender is in this repository: a programming error.
+				panic(fmt.Sprintf("adp: unknown request %T", req))
 			}
 		}
 
@@ -399,51 +357,56 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 			// boxcar, keeping In == Flushed + Pending balanced; only waiters
 			// lost to a killed primary stay Pending.
 			a.m.OnWaiterFlushed(durableAt - w.enq)
-			switch {
-			case w.kind == audit.RecCommit && err != nil:
-				replyCommit(w.ev, CommitResp{Err: err})
-			case w.kind == audit.RecCommit:
-				replyCommit(w.ev, CommitResp{LSN: w.upTo})
-			case err != nil:
-				replyFlush(w.ev, FlushResp{Err: err})
-			default:
-				replyFlush(w.ev, FlushResp{Durable: st.durableLSN})
+			switch req := w.ev.Payload.(type) {
+			case *CommitReq:
+				req.Resp = CommitResp{Err: err}
+				if err == nil {
+					req.Resp.LSN = w.upTo
+				}
+			case *FlushReq:
+				req.Resp = FlushResp{Err: err}
+				if err == nil {
+					req.Resp.Durable = st.durableLSN
+				}
 			}
+			w.ev.Reply(w.ev.Payload)
 		}
 	}
 }
 
 //simlint:hotpath
-func (a *ADP) handleAppend(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, ev cluster.Envelope, data []byte) {
-	end, err := a.append(ctx, st, region, data)
+func (a *ADP) handleAppend(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, ev cluster.Envelope, req *AppendReq) {
+	end, err := a.append(ctx, st, region, req.Data)
 	a.stats.Appends++
-	a.stats.AppendBytes += int64(len(data))
-	replyAppend(ev, AppendResp{End: end, Err: err})
+	a.stats.AppendBytes += int64(len(req.Data))
+	req.Resp = AppendResp{End: end, Err: err}
+	ev.Reply(req)
 }
 
 //simlint:hotpath
-func (a *ADP) handleCommit(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, scratch *[]byte, waiters []flushWaiter, ev cluster.Envelope, txn audit.TxnID, outcome []byte) []flushWaiter {
-	rec := audit.Record{Type: audit.RecCommit, Txn: txn}
-	if len(outcome) > 0 {
-		rec.Type, rec.Body = audit.RecOutcome, outcome
+func (a *ADP) handleCommit(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, scratch *[]byte, waiters []flushWaiter, ev cluster.Envelope, req *CommitReq) []flushWaiter {
+	rec := audit.Record{Type: audit.RecCommit, Txn: req.Txn}
+	if len(req.Outcome) > 0 {
+		rec.Type, rec.Body = audit.RecOutcome, req.Outcome
 	}
 	*scratch = audit.AppendRecord((*scratch)[:0], &rec)
 	end, err := a.append(ctx, st, region, *scratch)
 	if err != nil {
-		replyCommit(ev, CommitResp{Err: err})
+		req.Resp = CommitResp{Err: err}
+		ev.Reply(req)
 		return waiters
 	}
 	a.stats.Commits++
 	a.m.OnWaiterIn()
-	return append(waiters, flushWaiter{upTo: end, ev: ev, kind: audit.RecCommit, enq: ctx.Process.Now()})
+	return append(waiters, flushWaiter{upTo: end, ev: ev, enq: ctx.Process.Now()})
 }
 
-func (a *ADP) handleAbort(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, scratch *[]byte, ev cluster.Envelope, txn audit.TxnID) {
-	rec := audit.Record{Type: audit.RecAbort, Txn: txn}
+func (a *ADP) handleAbort(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, scratch *[]byte, ev cluster.Envelope, req *AbortReq) {
+	rec := audit.Record{Type: audit.RecAbort, Txn: req.Txn}
 	*scratch = audit.AppendRecord((*scratch)[:0], &rec)
 	a.append(ctx, st, region, *scratch)
 	a.stats.Aborts++
-	ev.Reply(FlushResp{Durable: st.durableLSN})
+	ev.Reply(req)
 }
 
 // append adds encoded records to the trail. Disk mode buffers; PM mode
@@ -543,7 +506,7 @@ func (a *ADP) checkpoint(ctx *cluster.PairCtx, st *adpState, deltaBytes int, res
 	d.nextLSN = st.nextLSN
 	d.durableLSN = st.durableLSN
 	d.bufStart = st.bufStart
-	if err := ctx.Checkpoint(sz, d); err == nil { //simlint:allow hotalloc -- *ckDelta is pointer-shaped: no box is allocated
+	if err := ctx.Checkpoint(sz, d); err == nil {
 		// Absorbed (or folded into the shadow state) synchronously. On
 		// error the delta may still sit undelivered in the backup's inbox,
 		// so the box cannot be recycled.

@@ -1,6 +1,8 @@
 package adp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"persistmem/internal/audit"
@@ -58,11 +60,7 @@ func TestDiskAppendThenCommitFlushes(t *testing.T) {
 	eng, cl, _, vol := diskHarness(t, nil)
 	data := appendRecords(1, 4, 1024)
 	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
-		raw, err := p.Call("$ADP0", len(data), AppendReq{Data: data})
-		if err != nil {
-			t.Fatalf("append: %v", err)
-		}
-		resp := raw.(AppendResp)
+		resp := call(t, p, len(data), &AppendReq{Data: data}).Resp
 		if resp.Err != nil || resp.End != audit.LSN(len(data)) {
 			t.Fatalf("append resp = %+v", resp)
 		}
@@ -70,12 +68,7 @@ func TestDiskAppendThenCommitFlushes(t *testing.T) {
 		if st := stateOf(t, p); st.DurableLSN != 0 {
 			t.Errorf("durable before commit: %v", st.DurableLSN)
 		}
-		craw, err := p.Call("$ADP0", 64, CommitReq{Txn: 1})
-		if err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-		cresp := craw.(CommitResp)
-		if cresp.Err != nil {
+		if cresp := call(t, p, 64, &CommitReq{Txn: 1}).Resp; cresp.Err != nil {
 			t.Fatalf("commit resp err: %v", cresp.Err)
 		}
 		st := stateOf(t, p)
@@ -101,13 +94,23 @@ func TestDiskAppendThenCommitFlushes(t *testing.T) {
 	eng.Shutdown()
 }
 
+// call sends the request box req to the ADP and hands it back once the reply
+// — the box itself, carrying the response — has arrived.
+func call[R any](t *testing.T, p *cluster.Process, sz int, req *R) *R {
+	t.Helper()
+	raw, err := p.Call("$ADP0", sz, req)
+	if err != nil {
+		t.Fatalf("call %T: %v", req, err)
+	}
+	if raw != interface{}(req) {
+		t.Fatalf("call %T: the reply is %T %v, want the request box itself", req, raw, raw)
+	}
+	return req
+}
+
 func stateOf(t *testing.T, p *cluster.Process) Stats {
 	t.Helper()
-	raw, err := p.Call("$ADP0", 32, StateReq{})
-	if err != nil {
-		t.Fatalf("state: %v", err)
-	}
-	return raw.(Stats)
+	return call(t, p, 32, &StateReq{}).Resp
 }
 
 func TestDiskGroupCommit(t *testing.T) {
@@ -118,9 +121,9 @@ func TestDiskGroupCommit(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		txn := audit.TxnID(i + 1)
 		cl.CPU(2).Spawn("committer", func(p *cluster.Process) {
-			p.Call("$ADP0", 1024, AppendReq{Data: appendRecords(txn, 1, 512)})
-			raw, err := p.Call("$ADP0", 64, CommitReq{Txn: txn})
-			if err != nil || raw.(CommitResp).Err != nil {
+			p.Call("$ADP0", 1024, &AppendReq{Data: appendRecords(txn, 1, 512)})
+			creq := &CommitReq{Txn: txn}
+			if _, err := p.Call("$ADP0", 64, creq); err != nil || creq.Resp.Err != nil {
 				t.Errorf("commit %d failed", txn)
 				return
 			}
@@ -148,8 +151,8 @@ func TestNoGroupCommitFlushesPerCommit(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		txn := audit.TxnID(i + 1)
 		cl.CPU(2).Spawn("committer", func(p *cluster.Process) {
-			p.Call("$ADP0", 512, AppendReq{Data: appendRecords(txn, 1, 256)})
-			p.Call("$ADP0", 64, CommitReq{Txn: txn})
+			p.Call("$ADP0", 512, &AppendReq{Data: appendRecords(txn, 1, 256)})
+			p.Call("$ADP0", 64, &CommitReq{Txn: txn})
 		})
 	}
 	eng.Run()
@@ -166,12 +169,8 @@ func TestPMAppendDurableImmediately(t *testing.T) {
 	eng, cl, a, dev := pmHarness(t, 1<<20)
 	data := appendRecords(1, 2, 2048)
 	cl.CPU(1).Spawn("client", func(p *cluster.Process) {
-		raw, err := p.Call("$ADP0", len(data), AppendReq{Data: data})
-		if err != nil {
-			t.Fatalf("append: %v", err)
-		}
-		if raw.(AppendResp).Err != nil {
-			t.Fatalf("append err: %v", raw.(AppendResp).Err)
+		if err := call(t, p, len(data), &AppendReq{Data: data}).Resp.Err; err != nil {
+			t.Fatalf("append err: %v", err)
 		}
 		st := stateOf(t, p)
 		if st.DurableLSN != audit.LSN(len(data)) {
@@ -182,7 +181,7 @@ func TestPMAppendDurableImmediately(t *testing.T) {
 		}
 		// Commit is a fast no-flush acknowledgment.
 		start := p.Now()
-		p.Call("$ADP0", 64, CommitReq{Txn: 1})
+		p.Call("$ADP0", 64, &CommitReq{Txn: 1})
 		if took := p.Now() - start; took > sim.Millisecond {
 			t.Errorf("PM commit took %v, want sub-millisecond", took)
 		}
@@ -204,9 +203,8 @@ func TestPMLogWrapsRing(t *testing.T) {
 	cl.CPU(1).Spawn("client", func(p *cluster.Process) {
 		for i := 0; i < 3; i++ {
 			data := appendRecords(audit.TxnID(i), 1, 4000)
-			raw, err := p.Call("$ADP0", len(data), AppendReq{Data: data})
-			if err != nil || raw.(AppendResp).Err != nil {
-				t.Fatalf("append %d: %v / %v", i, err, raw)
+			if err := call(t, p, len(data), &AppendReq{Data: data}).Resp.Err; err != nil {
+				t.Fatalf("append %d: %v", i, err)
 			}
 		}
 		st := stateOf(t, p)
@@ -222,8 +220,7 @@ func TestDiskTakeoverKeepsUnflushedAudit(t *testing.T) {
 	eng, cl, a, vol := diskHarness(t, nil)
 	data := appendRecords(7, 3, 1024)
 	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
-		raw, err := p.Call("$ADP0", len(data), AppendReq{Data: data})
-		if err != nil || raw.(AppendResp).Err != nil {
+		if err := call(t, p, len(data), &AppendReq{Data: data}).Resp.Err; err != nil {
 			t.Fatalf("append: %v", err)
 		}
 		// Software fault kills the primary; the checkpointed buffer moves
@@ -231,8 +228,8 @@ func TestDiskTakeoverKeepsUnflushedAudit(t *testing.T) {
 		a.Pair().KillPrimary()
 		deadline := p.Now() + 5*sim.Second
 		for {
-			raw, err := p.Call("$ADP0", 64, CommitReq{Txn: 7})
-			if err == nil && raw.(CommitResp).Err == nil {
+			creq := &CommitReq{Txn: 7}
+			if _, err := p.Call("$ADP0", 64, creq); err == nil && creq.Resp.Err == nil {
 				break
 			}
 			if p.Now() > deadline {
@@ -264,15 +261,9 @@ func TestDiskTakeoverKeepsUnflushedAudit(t *testing.T) {
 func TestAbortIsLazy(t *testing.T) {
 	eng, cl, _, _ := diskHarness(t, nil)
 	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
-		p.Call("$ADP0", 256, AppendReq{Data: appendRecords(9, 1, 64)})
+		p.Call("$ADP0", 256, &AppendReq{Data: appendRecords(9, 1, 64)})
 		start := p.Now()
-		raw, err := p.Call("$ADP0", 64, AbortReq{Txn: 9})
-		if err != nil {
-			t.Fatalf("abort: %v", err)
-		}
-		if resp := raw.(FlushResp); resp.Err != nil {
-			t.Fatalf("abort resp: %v", resp.Err)
-		}
+		call(t, p, 64, &AbortReq{Txn: 9})
 		if took := p.Now() - start; took > sim.Millisecond {
 			t.Errorf("abort took %v; should not wait for a flush", took)
 		}
@@ -289,13 +280,8 @@ func TestFlushReqHonorsLSN(t *testing.T) {
 	eng, cl, _, _ := diskHarness(t, nil)
 	data := appendRecords(3, 2, 512)
 	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
-		raw, _ := p.Call("$ADP0", len(data), AppendReq{Data: data})
-		end := raw.(AppendResp).End
-		fraw, err := p.Call("$ADP0", 64, FlushReq{UpTo: end})
-		if err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		resp := fraw.(FlushResp)
+		end := call(t, p, len(data), &AppendReq{Data: data}).Resp.End
+		resp := call(t, p, 64, &FlushReq{UpTo: end}).Resp
 		if resp.Err != nil || resp.Durable < end {
 			t.Errorf("flush resp = %+v, want durable >= %v", resp, end)
 		}
@@ -326,47 +312,19 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// A request sent as a pointer is its sender's pooled box: the response comes
-// back written into the box's Resp field and the reply is the box itself,
-// which allocates nothing. A request sent by value still gets its response
-// as a value. Both forms of all three requests, on both backends' append
-// path (the disk one buffers, so the flush and the commit really wait).
-func TestPointerRequestsAreAnsweredInTheirBox(t *testing.T) {
+// A payload the server does not know is a programming error, and loud: once
+// senders read their own box and ignore Call's value, a request sent by value
+// that was answered with some error struct would look like success.
+func TestUnknownRequestPanics(t *testing.T) {
 	eng, cl, _, _ := diskHarness(t, nil)
-	data := appendRecords(1, 2, 256)
 	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
-		areq := &AppendReq{Data: data}
-		raw, err := p.Call("$ADP0", len(data), areq)
-		if err != nil || raw != interface{}(areq) {
-			t.Fatalf("append: reply %T %v, err %v; want the request box back", raw, raw, err)
-		}
-		if areq.Resp.Err != nil || areq.Resp.End != audit.LSN(len(data)) {
-			t.Errorf("append box carries %+v, want End %d", areq.Resp, len(data))
-		}
-		freq := &FlushReq{UpTo: areq.Resp.End}
-		if raw, err = p.Call("$ADP0", 48, freq); err != nil || raw != interface{}(freq) {
-			t.Fatalf("flush: reply %T, err %v; want the request box back", raw, err)
-		}
-		if freq.Resp.Err != nil || freq.Resp.Durable < areq.Resp.End {
-			t.Errorf("flush box carries %+v, want durable through %d", freq.Resp, areq.Resp.End)
-		}
-		creq := &CommitReq{Txn: 1}
-		if raw, err = p.Call("$ADP0", 64, creq); err != nil || raw != interface{}(creq) {
-			t.Fatalf("commit: reply %T, err %v; want the request box back", raw, err)
-		}
-		if creq.Resp.Err != nil || creq.Resp.LSN <= areq.Resp.End {
-			t.Errorf("commit box carries %+v, want an LSN past the append's %d", creq.Resp, areq.Resp.End)
-		}
-		// By value: a boxed value, and the LSNs keep counting.
-		raw, err = p.Call("$ADP0", 64, CommitReq{Txn: 2})
-		if resp, ok := raw.(CommitResp); err != nil || !ok || resp.Err != nil || resp.LSN <= creq.Resp.LSN {
-			t.Errorf("by-value commit: reply %T %+v, err %v", raw, raw, err)
-		}
-		raw, err = p.Call("$ADP0", 48, FlushReq{})
-		if resp, ok := raw.(FlushResp); err != nil || !ok || resp.Err != nil {
-			t.Errorf("by-value flush: reply %T %+v, err %v", raw, raw, err)
-		}
+		p.Send("$ADP0", 64, AppendReq{Data: []byte("x")}) // not a box
 	})
+	defer eng.Shutdown()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "adp: unknown request adp.AppendReq") {
+			t.Errorf("a by-value request: Run panicked with %q, want the server to name the type it cannot serve", msg)
+		}
+	}()
 	eng.Run()
-	eng.Shutdown()
 }

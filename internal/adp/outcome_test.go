@@ -18,14 +18,8 @@ func TestCommitWithOutcomeWritesOutcomeRecord(t *testing.T) {
 	data := appendRecords(1, 2, 256)
 	outcome := []byte("opaque-outcome-body")
 	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
-		if _, err := p.Call("$ADP0", len(data), AppendReq{Data: data}); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-		raw, err := p.Call("$ADP0", 64+len(outcome), CommitReq{Txn: 1, Outcome: outcome})
-		if err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-		if resp := raw.(CommitResp); resp.Err != nil {
+		call(t, p, len(data), &AppendReq{Data: data})
+		if resp := call(t, p, 64+len(outcome), &CommitReq{Txn: 1, Outcome: outcome}).Resp; resp.Err != nil {
 			t.Fatalf("commit resp err: %v", resp.Err)
 		}
 	})

@@ -155,8 +155,9 @@ func checkHotComposite(p *Pass, lit *ast.CompositeLit) {
 }
 
 // boxes reports whether assigning expr to a destination of type dst wraps a
-// concrete value in an interface. Untyped nil and values that are already
-// interfaces do not allocate.
+// concrete value in an interface and allocates for it. Untyped nil and values
+// that are already interfaces do not; neither does a pointer, map, chan or
+// func, which the interface's data word stores directly.
 func boxes(info *types.Info, expr ast.Expr, dst types.Type) bool {
 	if dst == nil || !isInterface(dst) {
 		return false
@@ -165,7 +166,10 @@ func boxes(info *types.Info, expr ast.Expr, dst types.Type) bool {
 	if src == nil || isInterface(src) {
 		return false
 	}
-	if b, ok := src.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
+	switch u := src.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() != types.UntypedNil
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
 		return false
 	}
 	return true

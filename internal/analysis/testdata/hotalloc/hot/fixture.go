@@ -48,6 +48,16 @@ func hot(i int, args []interface{}) {
 	var e2 interface{} = e
 	_ = e2
 
+	// Pointer-shaped operands sit in the interface's data word: no box. A
+	// struct value of the same type is still copied to the heap.
+	b := box{label: "x"}
+	sink(&b)
+	sink(map[int]int(nil))
+	sink(make(chan int))
+	sink(cold)
+	e = &b
+	sink(b) // want `argument boxes .*box into interface\{\}`
+
 	//simlint:allow hotalloc -- fixture: demonstrates generic suppression
 	_ = fmt.Sprint(i)
 }

@@ -762,3 +762,31 @@ func TestCPUFailExitHooksInSpawnOrder(t *testing.T) {
 	}
 	eng.Shutdown()
 }
+
+// serveOrDefer is shaped like the servers' handlers: it answers at once on
+// the fast path and builds a continuation that answers later on the other.
+//
+//go:noinline
+func serveOrDefer(ev Envelope, later *func()) {
+	if later != nil {
+		*later = func() { ev.Reply(nil) }
+		return
+	}
+	ev.Reply(nil)
+}
+
+// An envelope captured by a closure that replies stays on the stack: Reply
+// has a value receiver, so the capture is by value and only the branch that
+// builds the continuation pays for it. With a pointer receiver the call takes
+// the envelope's address, the capture turns by-reference and every envelope
+// handled is heap-allocated at function entry — one object per request on the
+// fast path too.
+func TestRepliedEnvelopeCapturedByClosureDoesNotEscape(t *testing.T) {
+	ev := Envelope{From: "client"}
+	if n := testing.AllocsPerRun(100, func() { serveOrDefer(ev, nil) }); n != 0 {
+		t.Errorf("the fast path allocated %.0f objects per envelope, want 0: Envelope.Reply takes its receiver's address again", n)
+	}
+	var later func()
+	serveOrDefer(ev, &later)
+	later() // a one-way send: the reply is a no-op
+}

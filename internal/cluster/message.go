@@ -24,15 +24,20 @@ type Envelope struct {
 // Reply answers a Call with value v; for one-way sends it is a no-op.
 // Replying twice to the same envelope panics (a server bug).
 //
+// The receiver is a value on purpose: a server continuation that replies
+// captures its envelope, and a pointer-receiver call there would take the
+// envelope's address, make the capture by reference and move every handled
+// envelope to the heap (one allocation a request, DESIGN.md §5).
+//
 //simlint:hotpath
-func (ev *Envelope) Reply(v interface{}) {
+func (ev Envelope) Reply(v interface{}) {
 	if ev.reply != nil {
 		ev.reply.Trigger(v)
 	}
 }
 
 // WantsReply reports whether the sender is blocked in Call.
-func (ev *Envelope) WantsReply() bool { return ev.reply != nil }
+func (ev Envelope) WantsReply() bool { return ev.reply != nil }
 
 // Send delivers a one-way message of wire size sz to the process
 // registered under name. It returns ErrNoProcess if the name is unbound
@@ -172,6 +177,6 @@ func (c *CPU) forward(v interface{}) {
 		dst, ev := frame.dst, frame.ev
 		cl.freeFrame(frame)
 		// Process inboxes are unbounded: the envelope is never refused.
-		dst.TrySend(ev) //simlint:allow hotalloc -- *Envelope into interface{} is pointer-shaped: no box is allocated
+		dst.TrySend(ev)
 	}
 }

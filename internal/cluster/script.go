@@ -66,7 +66,7 @@ func (p *Process) run(s *script) error {
 	} else {
 		s.phase = scriptQueued
 	}
-	sp.ParkScript(s) //simlint:allow hotalloc -- *script into sim.Stepper is pointer-shaped: no box is allocated
+	sp.ParkScript(s)
 	if s.frame == nil {
 		return nil
 	}
@@ -132,7 +132,7 @@ func (s *script) post(sp *sim.Proc) (done bool) {
 	ev.reply = s.reply
 	if s.to.cpu == p.cpu {
 		// Process inboxes are unbounded: the envelope is never refused.
-		s.to.inbox.TrySend(ev) //simlint:allow hotalloc -- *Envelope into interface{} is pointer-shaped: no box is allocated
+		s.to.inbox.TrySend(ev)
 		return true
 	}
 	frame := cl.newFrame()
@@ -140,5 +140,5 @@ func (s *script) post(sp *sim.Proc) (done bool) {
 	frame.ev = ev
 	s.frame = frame
 	s.phase = scriptTransfer
-	return cl.fab.BeginSend(&s.xfer, sp, p.cpu.ep.ID(), s.to.cpu.ep.ID(), s.sz, frame) //simlint:allow hotalloc -- *routedFrame is pointer-shaped: no box is allocated
+	return cl.fab.BeginSend(&s.xfer, sp, p.cpu.ep.ID(), s.to.cpu.ep.ID(), s.sz, frame)
 }

@@ -26,7 +26,7 @@ func rowBody(key uint64, n int) []byte {
 func readBackAll(t *testing.T, p *cluster.Process, sizes map[uint64]int) {
 	t.Helper()
 	for key, n := range sizes {
-		resp := call(t, p, ReadReq{Key: key}).(ReadResp)
+		resp := call(t, p, &ReadReq{Key: key}).Resp
 		if resp.Err != nil {
 			t.Errorf("read %d: %v", key, resp.Err)
 			continue
@@ -48,14 +48,14 @@ func TestDestageOversizeRowGoesAlone(t *testing.T) {
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		var total int64
 		for key := uint64(1); key <= 5; key++ {
-			if resp := call(t, p, InsertReq{Txn: 1, Key: key, Body: rowBody(key, sizes[key])}).(InsertResp); resp.Err != nil {
+			if resp := call(t, p, &InsertReq{Txn: 1, Key: key, Body: rowBody(key, sizes[key])}).Resp; resp.Err != nil {
 				t.Fatalf("insert %d: %v", key, resp.Err)
 			}
 			total += int64(sizes[key])
 		}
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
 		p.Wait(settle)
-		st := call(t, p, StateReq{}).(Stats)
+		st := call(t, p, &StateReq{}).Resp
 		// Batches in queue order under an 8 KB budget: {1}, {2} alone and
 		// oversize, {3,4}, {5} alone and oversize.
 		if st.Writebacks != 4 || st.WrittenBack != total || st.DirtyBytes != 0 {
@@ -65,7 +65,7 @@ func TestDestageOversizeRowGoesAlone(t *testing.T) {
 			t.Errorf("Evictions = %d, want all 5 rows out of the cache", st.Evictions)
 		}
 		readBackAll(t, p, sizes)
-		if st = call(t, p, StateReq{}).(Stats); st.CacheMisses == 0 {
+		if st = call(t, p, &StateReq{}).Resp; st.CacheMisses == 0 {
 			t.Error("no read came from the data volume")
 		}
 	})
@@ -84,12 +84,12 @@ func TestDestageOversizeRowBehindStaleEntry(t *testing.T) {
 	})
 	sizes := map[uint64]int{2: 10 << 10}
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 1, Body: rowBody(1, 1<<10)})
-		call(t, p, EndTxnReq{Txn: 1, Commit: false})
-		call(t, p, InsertReq{Txn: 2, Key: 2, Body: rowBody(2, sizes[2])})
-		call(t, p, EndTxnReq{Txn: 2, Commit: true})
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: rowBody(1, 1<<10)})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: false})
+		call(t, p, &InsertReq{Txn: 2, Key: 2, Body: rowBody(2, sizes[2])})
+		call(t, p, &EndTxnReq{Txn: 2, Commit: true})
 		p.Wait(settle)
-		st := call(t, p, StateReq{}).(Stats)
+		st := call(t, p, &StateReq{}).Resp
 		if st.Writebacks != 1 || st.WrittenBack != int64(sizes[2]) || st.DirtyBytes != 0 {
 			t.Errorf("Writebacks = %d, WrittenBack = %d, DirtyBytes = %d; want 1, %d, 0", st.Writebacks, st.WrittenBack, st.DirtyBytes, sizes[2])
 		}
@@ -112,13 +112,13 @@ func TestDestageSkipsTheAbortedRowOfAReinsertedKey(t *testing.T) {
 	})
 	sizes := map[uint64]int{1: 3 << 10, 2: 2 << 10}
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 1, Body: bytes.Repeat([]byte{0xEE}, 1<<10)})
-		call(t, p, EndTxnReq{Txn: 1, Commit: false})
-		call(t, p, InsertReq{Txn: 2, Key: 1, Body: rowBody(1, sizes[1])})
-		call(t, p, InsertReq{Txn: 2, Key: 2, Body: rowBody(2, sizes[2])})
-		call(t, p, EndTxnReq{Txn: 2, Commit: true})
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: bytes.Repeat([]byte{0xEE}, 1<<10)})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: false})
+		call(t, p, &InsertReq{Txn: 2, Key: 1, Body: rowBody(1, sizes[1])})
+		call(t, p, &InsertReq{Txn: 2, Key: 2, Body: rowBody(2, sizes[2])})
+		call(t, p, &EndTxnReq{Txn: 2, Commit: true})
 		p.Wait(settle)
-		st := call(t, p, StateReq{}).(Stats)
+		st := call(t, p, &StateReq{}).Resp
 		if want := int64(sizes[1] + sizes[2]); st.Writebacks != 1 || st.WrittenBack != want || st.DirtyBytes != 0 {
 			t.Errorf("Writebacks = %d, WrittenBack = %d, DirtyBytes = %d; want 1, %d, 0: the aborted row's entry was not skipped",
 				st.Writebacks, st.WrittenBack, st.DirtyBytes, want)
@@ -193,12 +193,12 @@ func TestDestageRequeuesWhileVolumeDown(t *testing.T) {
 		vol.Fail()
 		var total int64
 		for key := uint64(1); key <= 4; key++ {
-			call(t, p, InsertReq{Txn: 1, Key: key, Body: rowBody(key, sizes[key])})
+			call(t, p, &InsertReq{Txn: 1, Key: key, Body: rowBody(key, sizes[key])})
 			total += int64(sizes[key])
 		}
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
 		p.Wait(settle) // dozens of failed intervals
-		st := call(t, p, StateReq{}).(Stats)
+		st := call(t, p, &StateReq{}).Resp
 		if st.Writebacks != 0 || st.WrittenBack != 0 || st.DirtyBytes != total || st.Evictions != 0 {
 			t.Errorf("volume down: Writebacks = %d, WrittenBack = %d, DirtyBytes = %d, Evictions = %d; want 0, 0, %d, 0",
 				st.Writebacks, st.WrittenBack, st.DirtyBytes, st.Evictions, total)
@@ -208,7 +208,7 @@ func TestDestageRequeuesWhileVolumeDown(t *testing.T) {
 
 		vol.Restore()
 		p.Wait(settle)
-		st = call(t, p, StateReq{}).(Stats)
+		st = call(t, p, &StateReq{}).Resp
 		// {1,2}, {3} (4 does not fit beside it), {4} alone and oversize —
 		// the same batches, in the same order, as if nothing had failed.
 		if st.Writebacks != 3 || st.WrittenBack != total || st.DirtyBytes != 0 {
@@ -216,7 +216,7 @@ func TestDestageRequeuesWhileVolumeDown(t *testing.T) {
 		}
 		misses := st.CacheMisses
 		readBackAll(t, p, sizes)
-		if st = call(t, p, StateReq{}).(Stats); st.CacheMisses != misses+int64(len(sizes)) {
+		if st = call(t, p, &StateReq{}).Resp; st.CacheMisses != misses+int64(len(sizes)) {
 			t.Errorf("CacheMisses went %d -> %d, want every row fetched from the volume", misses, st.CacheMisses)
 		}
 	})

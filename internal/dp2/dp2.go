@@ -126,12 +126,18 @@ func (c *Config) applyDefaults() {
 }
 
 // protocol messages
+//
+// A message is a box: it is sent as a pointer, its sender owns it from the
+// send to the reply, the server writes the response into its Resp field and
+// replies with the box itself. A box whose call failed or timed out is never
+// reused, so a late reply writes only into a box nobody reads.
 type (
 	// InsertReq inserts a row under a transaction.
 	InsertReq struct {
 		Txn  audit.TxnID
 		Key  uint64
 		Body []byte
+		Resp InsertResp
 	}
 	// InsertResp acknowledges an insert (applied and backup-protected,
 	// not yet durable — durability happens at commit).
@@ -141,8 +147,9 @@ type (
 	// ReadReq reads a row; Txn 0 is a browse (lock-free) read, otherwise
 	// a Shared lock is taken and held until the transaction ends.
 	ReadReq struct {
-		Txn audit.TxnID
-		Key uint64
+		Txn  audit.TxnID
+		Key  uint64
+		Resp ReadResp
 	}
 	// ReadResp carries the row.
 	ReadResp struct {
@@ -153,8 +160,7 @@ type (
 	// preparation). Prepare additionally writes a durable prepare record
 	// for Txn — this participant's vote in a cross-shard two-phase
 	// commit: all of the transaction's data records on this shard are
-	// durable once the flush covers it. Sent as a pointer it is a box its
-	// sender pools, and the response comes back in Resp (see replyFlush).
+	// durable once the flush covers it.
 	FlushAuditReq struct {
 		Txn     audit.TxnID
 		Prepare bool
@@ -168,15 +174,15 @@ type (
 		Err error
 	}
 	// EndTxnReq finishes a transaction at this DP2: release its locks,
-	// and on abort undo its inserts.
+	// and on abort undo its inserts. The reply is the bare box.
 	EndTxnReq struct {
 		Txn    audit.TxnID
 		Commit bool
 	}
-	// EndTxnResp acknowledges the end.
-	EndTxnResp struct{}
 	// StateReq asks for a Stats snapshot.
-	StateReq struct{}
+	StateReq struct {
+		Resp Stats
+	}
 )
 
 // Stats describes a DP2's activity.
@@ -425,25 +431,6 @@ type DP2 struct {
 	stats Stats
 }
 
-// Pre-boxed success replies: Reply takes an interface{}, and converting
-// a non-zero-size struct boxes it per call. These are written once at
-// init and only ever read, so sharing them across engines is safe.
-var insertRespOK interface{} = InsertResp{}
-
-// replyFlush answers a FlushAuditReq in the form it arrived in: into the
-// sender's box (the pointer itself is the reply, so nothing is allocated),
-// or by value for a by-value request (tests, tmf's rollback lookup).
-//
-//simlint:hotpath
-func replyFlush(ev cluster.Envelope, resp FlushAuditResp) {
-	if box, ok := ev.Payload.(*FlushAuditReq); ok {
-		box.Resp = resp
-		ev.Reply(box) //simlint:allow hotalloc -- *FlushAuditReq is pointer-shaped: no box is allocated
-		return
-	}
-	ev.Reply(resp) //simlint:allow hotalloc -- by-value request, cold: the commit path pools its boxes
-}
-
 //simlint:hotpath
 func (d *DP2) newInsertDelta(v insertDelta) *insertDelta {
 	if n := len(d.insfree); n > 0 {
@@ -579,12 +566,6 @@ func (d *DP2) absorb(cur, delta interface{}) interface{} {
 		st.applyEnd(*dl)
 	case *lsnDelta:
 		st.lsn = dl.lsn
-	case insertDelta:
-		st.applyInsert(dl, d.cfg.RetainData)
-	case endDelta:
-		st.applyEnd(dl)
-	case lsnDelta:
-		st.lsn = dl.lsn
 	case *dpState:
 		st = dl // full-state resync
 	}
@@ -636,45 +617,37 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 
 	for {
 		ev := ctx.Recv()
-		// Requests arrive both as values (tests, legacy callers) and as
-		// pointers into their senders' free lists (the zero-alloc client
-		// paths); the sender recycles a pointer box only after the reply,
-		// so dereferencing here is safe.
+		// A request is its sender's box, recycled only after the reply, so
+		// reading it here — and writing the response into it — is safe.
 		switch req := ev.Payload.(type) {
 		case *InsertReq:
-			d.handleInsert(ctx, st, lm, &auditBuf, ev, *req)
-		case InsertReq:
 			d.handleInsert(ctx, st, lm, &auditBuf, ev, req)
-		case ReadReq:
-			d.handleRead(ctx, st, lm, ev, req)
 		case *ReadReq:
-			d.handleRead(ctx, st, lm, ev, *req)
+			d.handleRead(ctx, st, lm, ev, req)
 		case *FlushAuditReq:
-			d.handleFlush(ctx, st, &auditBuf, ev, *req)
-		case FlushAuditReq:
-			d.handleFlush(ctx, st, &auditBuf, ev, req)
+			req.Resp = d.flushAudit(ctx, st, &auditBuf, req)
+			ev.Reply(req)
 		case *EndTxnReq:
-			d.handleEnd(ctx, st, lm, ev, *req)
-		case EndTxnReq:
 			d.handleEnd(ctx, st, lm, ev, req)
-		case StateReq:
-			s := d.stats
-			s.CacheRows = st.tree.Len()
-			s.DirtyBytes = st.dirty
-			s.CacheBytes = st.cacheBytes
-			ev.Reply(s)
+		case *StateReq:
+			req.Resp = d.stats
+			req.Resp.CacheRows = st.tree.Len()
+			req.Resp.DirtyBytes = st.dirty
+			req.Resp.CacheBytes = st.cacheBytes
+			ev.Reply(req)
 		default:
-			ev.Reply(InsertResp{Err: fmt.Errorf("dp2: unknown request %T", req)})
+			// Every sender is in this repository: a programming error.
+			panic(fmt.Sprintf("dp2: unknown request %T", req))
 		}
 	}
 }
 
-// handleFlush serves a FlushAuditReq: push pending audit to the ADP and
+// flushAudit serves a FlushAuditReq: push pending audit to the ADP and
 // name the LSN the trail must reach for commit. A prepare vote rides the
 // same flush: the prepare record is appended ahead of the send (Classic)
 // or written straight to this DP2's PM log (PMDirect), so the reported
 // LSN — or the synchronous PM write — covers it.
-func (d *DP2) handleFlush(ctx *cluster.PairCtx, st *dpState, auditBuf *[]byte, ev cluster.Envelope, req FlushAuditReq) {
+func (d *DP2) flushAudit(ctx *cluster.PairCtx, st *dpState, auditBuf *[]byte, req *FlushAuditReq) FlushAuditResp {
 	if req.Prepare {
 		d.hist.OnPrepare(uint64(req.Txn), d.cfg.Name, ctx.Process.Now())
 		rec := audit.Record{
@@ -686,52 +659,43 @@ func (d *DP2) handleFlush(ctx *cluster.PairCtx, st *dpState, auditBuf *[]byte, e
 			err := d.logToPM(ctx.Process, st, enc)
 			d.freeEnc(enc)
 			if err != nil {
-				replyFlush(ev, FlushAuditResp{Err: err})
-				return
+				return FlushAuditResp{Err: err}
 			}
 			d.checkpointLSN(ctx.Process, lsnDelta{lsn: st.lsn})
-			replyFlush(ev, FlushAuditResp{})
-			return
+			return FlushAuditResp{}
 		}
 		*auditBuf = audit.AppendRecord(*auditBuf, &rec)
 	}
 	if d.cfg.Mode == PMDirect {
 		// Nothing to flush: every change is already persistent.
-		replyFlush(ev, FlushAuditResp{})
-		return
+		return FlushAuditResp{}
 	}
 	lsn, err := d.sendAudit(ctx, auditBuf)
-	replyFlush(ev, FlushAuditResp{ADP: d.cfg.ADPName, LSN: lsn, Err: err})
+	return FlushAuditResp{ADP: d.cfg.ADPName, LSN: lsn, Err: err}
 }
 
 //simlint:hotpath
-func (d *DP2) handleInsert(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, auditBuf *[]byte, ev cluster.Envelope, req InsertReq) {
+func (d *DP2) handleInsert(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, auditBuf *[]byte, ev cluster.Envelope, req *InsertReq) {
 	ctx.Compute(d.cfg.InsertCPU)
 	if canGrantNow(lm, req.Key, req.Txn) {
 		// Fast path: the acquire grants without blocking.
 		lm.Acquire(ctx.Sim(), req.Key, req.Txn, locks.Exclusive, d.cfg.LockTimeout)
-		d.completeInsert(ctx, ctx.Process, st, auditBuf, ev, req)
+		req.Resp = InsertResp{Err: d.completeInsert(ctx, ctx.Process, st, auditBuf, req)}
+		ev.Reply(req)
 		return
 	}
-	d.insertAfterLock(ctx, st, lm, auditBuf, ev, req)
-}
-
-// insertAfterLock is handleInsert's conflict path: the insert completes in
-// a continuation so the serve loop keeps draining (the lock holder's EndTxn
-// must get through). It is its own function because the continuation
-// captures ev and req, and a captured parameter is heap-allocated at
-// function entry — inside handleInsert that was one Envelope per insert on
-// the fast path too. Inlining it back would undo that.
-//
-//go:noinline
-func (d *DP2) insertAfterLock(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, auditBuf *[]byte, ev cluster.Envelope, req InsertReq) {
+	// Conflict path: the insert completes in a continuation so the serve loop
+	// keeps draining (the lock holder's EndTxn must get through).
+	//simlint:allow hotalloc -- built on the conflict path only; ev is captured by value (Envelope.Reply's receiver), so the fast path pays nothing for it
 	ctx.CPU().Spawn(d.waiterName, func(p *cluster.Process) {
-		if err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Exclusive, d.cfg.LockTimeout); err != nil {
+		err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Exclusive, d.cfg.LockTimeout)
+		if err != nil {
 			d.stats.LockTimeouts++
-			ev.Reply(InsertResp{Err: err})
-			return
+		} else {
+			err = d.completeInsert(ctx, p, st, auditBuf, req)
 		}
-		d.completeInsert(ctx, p, st, auditBuf, ev, req)
+		req.Resp = InsertResp{Err: err}
+		ev.Reply(req)
 	})
 }
 
@@ -746,19 +710,19 @@ func canGrantNow(lm *locks.Manager, key uint64, txn audit.TxnID) bool {
 	return lm.QueueLen(key) == 0 && lm.HolderCount(key) == 0
 }
 
-// completeInsert runs after the row lock is held. p is the process doing
-// the waiting (the primary itself on the fast path, a continuation on the
-// conflict path); state mutations are safe because the simulation is
-// cooperatively scheduled.
+// completeInsert runs after the row lock is held and returns the insert's
+// outcome for its caller to reply with. p is the process doing the waiting
+// (the primary itself on the fast path, a continuation on the conflict
+// path); state mutations are safe because the simulation is cooperatively
+// scheduled.
 //
 //simlint:hotpath
-func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpState, auditBuf *[]byte, ev cluster.Envelope, req InsertReq) {
+func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpState, auditBuf *[]byte, req *InsertReq) error {
 	istart := p.Now()
 	if st.tree.Has(req.Key) {
 		d.stats.DuplicateKeys++
 		//simlint:allow hotalloc -- duplicate-key rejection, cold
-		ev.Reply(InsertResp{Err: fmt.Errorf("%w: %s/%d key %d", ErrDuplicateKey, d.cfg.File, d.cfg.Partition, req.Key)})
-		return
+		return fmt.Errorf("%w: %s/%d key %d", ErrDuplicateKey, d.cfg.File, d.cfg.Partition, req.Key)
 	}
 	delta := insertDelta{txn: req.Txn, key: req.Key, body: req.Body, blen: len(req.Body)}
 	st.applyInsert(delta, d.cfg.RetainData)
@@ -792,8 +756,7 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 			st.dirty -= int64(len(req.Body))
 			st.cacheBytes -= int64(len(req.Body))
 			d.stats.IntegrityFaults++
-			ev.Reply(InsertResp{Err: err}) //simlint:allow hotalloc -- corruption-detected path, cold
-			return
+			return err
 		}
 	}
 	if d.cfg.Mode == PMDirect {
@@ -810,13 +773,11 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 			}
 			st.dirty -= int64(len(req.Body))
 			st.cacheBytes -= int64(len(req.Body))
-			ev.Reply(InsertResp{Err: err}) //simlint:allow hotalloc -- PM-write-failure path, cold
-			return
+			return err
 		}
 		d.checkpointLSN(p, lsnDelta{lsn: st.lsn})
 		d.mInsert.Record(p.Now() - istart)
-		ev.Reply(insertRespOK)
-		return
+		return nil
 	}
 	*auditBuf = audit.AppendRecord(*auditBuf, &rec)
 	if len(*auditBuf) >= d.cfg.AuditSendBytes {
@@ -826,16 +787,15 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 	// Checkpoint before externalizing (§1.3).
 	cstart := p.Now()
 	dl := d.newInsertDelta(delta)
-	//simlint:allow hotalloc -- *insertDelta is pointer-shaped: no box is allocated
 	if d.pair.CheckpointFrom(p, 48+len(req.Body), dl) == nil {
 		d.insfree = append(d.insfree, dl)
 	}
 	d.mCheckpoint.Record(p.Now() - cstart)
 	d.mInsert.Record(p.Now() - istart)
-	ev.Reply(insertRespOK)
+	return nil
 }
 
-func (d *DP2) handleRead(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req ReadReq) {
+func (d *DP2) handleRead(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req *ReadReq) {
 	ctx.Compute(d.cfg.ReadCPU)
 	if req.Txn == 0 {
 		d.finishRead(ctx, st, ev, req) // browse access: no lock
@@ -847,18 +807,12 @@ func (d *DP2) handleRead(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, e
 		d.finishRead(ctx, st, ev, req)
 		return
 	}
-	d.readAfterLock(ctx, st, lm, ev, req)
-}
-
-// readAfterLock is handleRead's conflict path, a function of its own for
-// insertAfterLock's reason: its continuation captures ev and req.
-//
-//go:noinline
-func (d *DP2) readAfterLock(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req ReadReq) {
+	// Conflict path: wait for the lock in a continuation, as handleInsert does.
 	ctx.CPU().Spawn(d.rwaiterName, func(p *cluster.Process) {
 		if err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Shared, d.cfg.LockTimeout); err != nil {
 			d.stats.LockTimeouts++
-			ev.Reply(ReadResp{Err: err})
+			req.Resp = ReadResp{Err: err}
+			ev.Reply(req)
 			return
 		}
 		d.finishRead(ctx, st, ev, req)
@@ -866,50 +820,51 @@ func (d *DP2) readAfterLock(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager
 }
 
 // finishRead runs once the read may proceed (lock held, or a browse).
-func (d *DP2) finishRead(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, req ReadReq) {
+func (d *DP2) finishRead(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, req *ReadReq) {
 	r, ok := st.tree.Get(req.Key)
 	if !ok {
-		ev.Reply(ReadResp{Err: fmt.Errorf("%w: key %d", ErrNotFound, req.Key)})
+		req.Resp = ReadResp{Err: fmt.Errorf("%w: key %d", ErrNotFound, req.Key)}
+		ev.Reply(req)
 		return
 	}
 	if r.resident {
 		d.stats.Reads++
-		ev.Reply(ReadResp{Body: r.body})
+		req.Resp = ReadResp{Body: r.body}
+		ev.Reply(req)
 		return
 	}
 	d.stats.CacheMisses++
-	d.readMiss(ctx, st, ev, req.Key, r)
+	d.readMiss(ctx, st, ev, req, r)
 }
 
 // readMiss fetches an evicted row from the data volume in a continuation,
-// so the serve loop keeps draining during the (millisecond-scale) I/O. It
-// captures ev, so it too stays out of line.
-//
-//go:noinline
-func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, key uint64, r *row) {
+// so the serve loop keeps draining during the (millisecond-scale) I/O.
+func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, req *ReadReq, r *row) {
 	ctx.CPU().Spawn(d.missName, func(mp *cluster.Process) {
 		buf := make([]byte, r.blen)
 		if err := d.cfg.Volume.Read(mp.Sim(), r.volOff, buf); err != nil {
-			ev.Reply(ReadResp{Err: err})
+			req.Resp = ReadResp{Err: err}
+			ev.Reply(req)
 			return
 		}
 		// Re-admit unless someone else already did.
-		if cur, ok := st.tree.Get(key); ok && cur == r && !r.resident {
+		if cur, ok := st.tree.Get(req.Key); ok && cur == r && !r.resident {
 			if d.cfg.RetainData {
 				r.body = buf
 			}
 			r.resident = true
 			st.cacheBytes += int64(r.blen)
-			st.cleanq.push(queueEnt{key: key, r: r})
+			st.cleanq.push(queueEnt{key: req.Key, r: r})
 			d.evict(st)
 		}
 		d.stats.Reads++
-		ev.Reply(ReadResp{Body: buf})
+		req.Resp = ReadResp{Body: buf}
+		ev.Reply(req)
 	})
 }
 
 //simlint:hotpath
-func (d *DP2) handleEnd(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req EndTxnReq) {
+func (d *DP2) handleEnd(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req *EndTxnReq) {
 	ctx.Compute(5 * sim.Microsecond)
 	if !req.Commit {
 		d.stats.Aborted += int64(len(st.undo[req.Txn]))
@@ -930,17 +885,16 @@ func (d *DP2) handleEnd(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev
 		d.logToPM(ctx.Process, st, enc)
 		d.freeEnc(enc)
 		d.checkpointLSN(ctx.Process, lsnDelta{lsn: st.lsn})
-		ev.Reply(EndTxnResp{}) //simlint:allow hotalloc -- EndTxnResp is zero-size: the runtime boxes it for free
+		ev.Reply(req)
 		return
 	}
 	cstart := ctx.Process.Now()
 	dl := d.newEndDelta(delta)
-	//simlint:allow hotalloc -- *endDelta is pointer-shaped: no box is allocated
 	if d.pair.CheckpointFrom(ctx.Process, 24, dl) == nil {
 		d.endfree = append(d.endfree, dl)
 	}
 	d.mCheckpoint.Record(ctx.Process.Now() - cstart)
-	ev.Reply(EndTxnResp{}) //simlint:allow hotalloc -- EndTxnResp is zero-size: the runtime boxes it for free
+	ev.Reply(req)
 }
 
 // sendAudit pushes the pending audit buffer to the ADP from the primary.
@@ -959,7 +913,6 @@ func (d *DP2) sendAuditFrom(ctx *cluster.PairCtx, p *cluster.Process, auditBuf *
 	*auditBuf = nil
 	astart := p.Now()
 	areq := d.newAppendReq(data)
-	//simlint:allow hotalloc -- *adp.AppendReq is pointer-shaped: no box is allocated
 	_, err := p.Call(d.cfg.ADPName, len(data), areq)
 	if err != nil {
 		// Put the audit back so commit can retry after ADP takeover. The
@@ -996,7 +949,6 @@ func (d *DP2) sendAuditFrom(ctx *cluster.PairCtx, p *cluster.Process, auditBuf *
 func (d *DP2) checkpointLSN(p *cluster.Process, v lsnDelta) {
 	cstart := p.Now()
 	dl := d.newLSNDelta(v)
-	//simlint:allow hotalloc -- *lsnDelta is pointer-shaped: no box is allocated
 	if d.pair.CheckpointFrom(p, 32, dl) == nil {
 		d.lsnfree = append(d.lsnfree, dl)
 	}

@@ -21,9 +21,9 @@ func TestDeltaBoxesRecycledAfterCheckpoint(t *testing.T) {
 	runTxn := func(txn audit.TxnID, base uint64) {
 		cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 			for i := uint64(0); i < 4; i++ {
-				call(t, p, InsertReq{Txn: txn, Key: base + i, Body: []byte("x")})
+				call(t, p, &InsertReq{Txn: txn, Key: base + i, Body: []byte("x")})
 			}
-			call(t, p, EndTxnReq{Txn: txn, Commit: true})
+			call(t, p, &EndTxnReq{Txn: txn, Commit: true})
 		})
 		eng.Run()
 	}
@@ -49,8 +49,8 @@ func TestAppendReqBoxRecycledAfterADPReply(t *testing.T) {
 	eng, cl, d := harness(t, nil)
 	flush := func(txn audit.TxnID, key uint64) {
 		cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-			call(t, p, InsertReq{Txn: txn, Key: key, Body: make([]byte, 512)})
-			resp := call(t, p, FlushAuditReq{Txn: txn}).(FlushAuditResp)
+			call(t, p, &InsertReq{Txn: txn, Key: key, Body: make([]byte, 512)})
+			resp := call(t, p, &FlushAuditReq{Txn: txn}).Resp
 			if resp.Err != nil {
 				t.Fatalf("flush audit: %v", resp.Err)
 			}
@@ -112,16 +112,16 @@ func TestLateAppendReplyLandsInAbandonedBox(t *testing.T) {
 		Volume: disk.New(eng, "$DATA", disk.DefaultConfig(), 64<<20), ADPName: "$SLOW",
 	})
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 1, Body: make([]byte, 512)})
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: make([]byte, 512)})
 		// This flush rides the stalled append: both calls time out.
-		if _, err := p.Call("$DP-F-0", 128, FlushAuditReq{Txn: 1}); err == nil {
+		if _, err := p.Call("$DP-F-0", 128, &FlushAuditReq{Txn: 1}); err == nil {
 			t.Error("the flush behind a stalled log writer returned before its timeout")
 		}
 		p.Wait(2 * cl.Config().CallTimeout) // the late reply has been sent by now
 		if len(d.appfree) != 0 {
 			t.Errorf("appfree holds %d boxes after a timed-out append, want none: the box may still be written", len(d.appfree))
 		}
-		resp := call(t, p, FlushAuditReq{Txn: 1}).(FlushAuditResp)
+		resp := call(t, p, &FlushAuditReq{Txn: 1}).Resp
 		if resp.Err != nil || resp.LSN != audit.LSN(trail) || trail == 0 {
 			t.Errorf("retried flush = %+v with %d bytes on the trail", resp, trail)
 		}

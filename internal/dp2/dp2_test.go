@@ -2,6 +2,8 @@ package dp2
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"persistmem/internal/adp"
@@ -34,27 +36,32 @@ func harness(t *testing.T, tweak func(*Config)) (*sim.Engine, *cluster.Cluster, 
 	return eng, cl, Start(cl, cfg)
 }
 
-func call(t *testing.T, p *cluster.Process, req interface{}) interface{} {
+// call sends the request box req to the DP2 and hands it back once the reply
+// — the box itself, carrying the response — has arrived.
+func call[R any](t *testing.T, p *cluster.Process, req *R) *R {
 	t.Helper()
 	raw, err := p.Call("$DP-F-0", 128, req)
 	if err != nil {
 		t.Fatalf("call %T: %v", req, err)
 	}
-	return raw
+	if raw != interface{}(req) {
+		t.Fatalf("call %T: the reply is %T %v, want the request box itself", req, raw, raw)
+	}
+	return req
 }
 
 func TestInsertAndRead(t *testing.T) {
 	eng, cl, _ := harness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		resp := call(t, p, InsertReq{Txn: 1, Key: 5, Body: []byte("hello")}).(InsertResp)
+		resp := call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("hello")}).Resp
 		if resp.Err != nil {
 			t.Fatalf("insert: %v", resp.Err)
 		}
-		rresp := call(t, p, ReadReq{Txn: 0, Key: 5}).(ReadResp)
+		rresp := call(t, p, &ReadReq{Txn: 0, Key: 5}).Resp
 		if rresp.Err != nil || string(rresp.Body) != "hello" {
 			t.Errorf("read = %q, %v", rresp.Body, rresp.Err)
 		}
-		missing := call(t, p, ReadReq{Txn: 0, Key: 99}).(ReadResp)
+		missing := call(t, p, &ReadReq{Txn: 0, Key: 99}).Resp
 		if !errors.Is(missing.Err, ErrNotFound) {
 			t.Errorf("missing read: %v, want ErrNotFound", missing.Err)
 		}
@@ -66,9 +73,9 @@ func TestInsertAndRead(t *testing.T) {
 func TestDuplicateKeyRejected(t *testing.T) {
 	eng, cl, d := harness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 5, Body: []byte("x")})
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
-		resp := call(t, p, InsertReq{Txn: 2, Key: 5, Body: []byte("y")}).(InsertResp)
+		call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("x")})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
+		resp := call(t, p, &InsertReq{Txn: 2, Key: 5, Body: []byte("y")}).Resp
 		if !errors.Is(resp.Err, ErrDuplicateKey) {
 			t.Errorf("dup insert: %v, want ErrDuplicateKey", resp.Err)
 		}
@@ -83,9 +90,9 @@ func TestDuplicateKeyRejected(t *testing.T) {
 func TestAbortUndo(t *testing.T) {
 	eng, cl, d := harness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 10, Body: []byte("doomed")})
-		call(t, p, EndTxnReq{Txn: 1, Commit: false})
-		resp := call(t, p, ReadReq{Key: 10}).(ReadResp)
+		call(t, p, &InsertReq{Txn: 1, Key: 10, Body: []byte("doomed")})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: false})
+		resp := call(t, p, &ReadReq{Key: 10}).Resp
 		if !errors.Is(resp.Err, ErrNotFound) {
 			t.Errorf("read after abort: %v", resp.Err)
 		}
@@ -105,20 +112,20 @@ func TestLockConflictWaitsForHolder(t *testing.T) {
 	var t2Done sim.Time
 	var t1End sim.Time
 	cl.CPU(3).Spawn("txn1", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 5, Body: []byte("first")})
+		call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("first")})
 		p.Wait(50 * sim.Millisecond)
 		t1End = p.Now()
-		call(t, p, EndTxnReq{Txn: 1, Commit: false}) // abort frees the key
+		call(t, p, &EndTxnReq{Txn: 1, Commit: false}) // abort frees the key
 	})
 	cl.CPU(2).Spawn("txn2", func(p *cluster.Process) {
 		p.Wait(5 * sim.Millisecond)
-		resp := call(t, p, InsertReq{Txn: 2, Key: 5, Body: []byte("second")}).(InsertResp)
+		resp := call(t, p, &InsertReq{Txn: 2, Key: 5, Body: []byte("second")}).Resp
 		if resp.Err != nil {
 			t.Errorf("waiting insert failed: %v", resp.Err)
 			return
 		}
 		t2Done = p.Now()
-		call(t, p, EndTxnReq{Txn: 2, Commit: true})
+		call(t, p, &EndTxnReq{Txn: 2, Commit: true})
 	})
 	eng.Run()
 	if t2Done < t1End {
@@ -130,12 +137,12 @@ func TestLockConflictWaitsForHolder(t *testing.T) {
 func TestLockTimeout(t *testing.T) {
 	eng, cl, d := harness(t, func(c *Config) { c.LockTimeout = 20 * sim.Millisecond })
 	cl.CPU(3).Spawn("holder", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 5, Body: []byte("x")})
+		call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("x")})
 		// Never ends; the waiter must time out.
 	})
 	cl.CPU(2).Spawn("waiter", func(p *cluster.Process) {
 		p.Wait(time5ms)
-		resp := call(t, p, InsertReq{Txn: 2, Key: 5, Body: []byte("y")}).(InsertResp)
+		resp := call(t, p, &InsertReq{Txn: 2, Key: 5, Body: []byte("y")}).Resp
 		if !errors.Is(resp.Err, locks.ErrLockTimeout) {
 			t.Errorf("err = %v, want ErrLockTimeout", resp.Err)
 		}
@@ -152,8 +159,8 @@ const time5ms = 5 * sim.Millisecond
 func TestFlushAuditReportsADPAndLSN(t *testing.T) {
 	eng, cl, _ := harness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 1, Body: make([]byte, 1024)})
-		resp := call(t, p, FlushAuditReq{Txn: 1}).(FlushAuditResp)
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: make([]byte, 1024)})
+		resp := call(t, p, &FlushAuditReq{Txn: 1}).Resp
 		if resp.Err != nil {
 			t.Fatalf("flush audit: %v", resp.Err)
 		}
@@ -164,7 +171,7 @@ func TestFlushAuditReportsADPAndLSN(t *testing.T) {
 			t.Error("LSN = 0 after unsent audit")
 		}
 		// Second flush with nothing pending reports LSN 0 (nothing new).
-		resp2 := call(t, p, FlushAuditReq{Txn: 1}).(FlushAuditResp)
+		resp2 := call(t, p, &FlushAuditReq{Txn: 1}).Resp
 		if resp2.LSN != 0 {
 			t.Errorf("second flush LSN = %v, want 0", resp2.LSN)
 		}
@@ -179,7 +186,7 @@ func TestAuditThresholdForwarding(t *testing.T) {
 	eng, cl, d := harness(t, func(c *Config) { c.AuditSendBytes = 4096 })
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		for i := 0; i < 4; i++ {
-			call(t, p, InsertReq{Txn: 1, Key: uint64(i), Body: make([]byte, 2048)})
+			call(t, p, &InsertReq{Txn: 1, Key: uint64(i), Body: make([]byte, 2048)})
 		}
 	})
 	eng.Run()
@@ -194,28 +201,28 @@ func TestTransactionalReadTakesSharedLock(t *testing.T) {
 	var writerDone sim.Time
 	var readerRelease sim.Time
 	cl.CPU(3).Spawn("reader", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 5, Body: []byte("v")})
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
+		call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("v")})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
 		// Txn 2 reads key 5 with a shared lock and holds it 40ms.
-		resp := call(t, p, ReadReq{Txn: 2, Key: 5}).(ReadResp)
+		resp := call(t, p, &ReadReq{Txn: 2, Key: 5}).Resp
 		if resp.Err != nil {
 			t.Fatalf("txn read: %v", resp.Err)
 		}
 		p.Wait(40 * sim.Millisecond)
 		readerRelease = p.Now()
-		call(t, p, EndTxnReq{Txn: 2, Commit: true})
+		call(t, p, &EndTxnReq{Txn: 2, Commit: true})
 	})
 	cl.CPU(2).Spawn("writer", func(p *cluster.Process) {
 		p.Wait(25 * sim.Millisecond)
 		// Deleting/updating would need X; our only writer op is insert,
 		// which conflicts via the same lock key. A duplicate insert will
 		// fail — but only AFTER the shared lock is released.
-		resp := call(t, p, InsertReq{Txn: 3, Key: 5, Body: []byte("w")}).(InsertResp)
+		resp := call(t, p, &InsertReq{Txn: 3, Key: 5, Body: []byte("w")}).Resp
 		writerDone = p.Now()
 		if !errors.Is(resp.Err, ErrDuplicateKey) {
 			t.Errorf("writer got %v, want ErrDuplicateKey", resp.Err)
 		}
-		call(t, p, EndTxnReq{Txn: 3, Commit: false})
+		call(t, p, &EndTxnReq{Txn: 3, Commit: false})
 	})
 	eng.Run()
 	if writerDone < readerRelease {
@@ -229,10 +236,10 @@ func TestStateReport(t *testing.T) {
 	eng, cl, _ := harness(t, nil)
 	var st Stats
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 1, Body: make([]byte, 4096)})
-		call(t, p, InsertReq{Txn: 1, Key: 2, Body: make([]byte, 4096)})
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
-		st = call(t, p, StateReq{}).(Stats)
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: make([]byte, 4096)})
+		call(t, p, &InsertReq{Txn: 1, Key: 2, Body: make([]byte, 4096)})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
+		st = call(t, p, &StateReq{}).Resp
 	})
 	eng.Run()
 	if st.Inserts != 2 || st.CacheRows != 2 || st.InsertBytes != 8192 {
@@ -244,14 +251,14 @@ func TestStateReport(t *testing.T) {
 func TestTakeoverRebuildsFromDeltas(t *testing.T) {
 	eng, cl, d := harness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 11, Body: []byte("survives")})
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
+		call(t, p, &InsertReq{Txn: 1, Key: 11, Body: []byte("survives")})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
 		d.Pair().KillPrimary()
 		deadline := p.Now() + 5*sim.Second
 		for {
-			raw, err := p.Call("$DP-F-0", 64, ReadReq{Key: 11})
-			if err == nil {
-				resp := raw.(ReadResp)
+			req := &ReadReq{Key: 11}
+			if _, err := p.Call("$DP-F-0", 64, req); err == nil {
+				resp := req.Resp
 				if resp.Err != nil || string(resp.Body) != "survives" {
 					t.Errorf("post-takeover read = %q, %v", resp.Body, resp.Err)
 				}
@@ -288,12 +295,12 @@ func TestDupAndCompareBlocksCorruptAudit(t *testing.T) {
 		RetainData: true, Checker: checker,
 	})
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		resp := call(t, p, InsertReq{Txn: 1, Key: 5, Body: []byte("x")}).(InsertResp)
+		resp := call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("x")}).Resp
 		if !errors.Is(resp.Err, integrity.ErrMiscompare) {
 			t.Errorf("insert under SDC: %v, want ErrMiscompare", resp.Err)
 		}
 		// Nothing applied: the key is still free for a clean retry.
-		rr := call(t, p, ReadReq{Key: 5}).(ReadResp)
+		rr := call(t, p, &ReadReq{Key: 5}).Resp
 		if !errors.Is(rr.Err, ErrNotFound) {
 			t.Errorf("read after rejected insert: %v, want ErrNotFound", rr.Err)
 		}
@@ -317,11 +324,11 @@ func TestDupAndCompareCleanPathUnaffected(t *testing.T) {
 		RetainData: true, Checker: integrity.New(cl, integrity.DefaultConfig()),
 	})
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		resp := call(t, p, InsertReq{Txn: 1, Key: 5, Body: []byte("clean")}).(InsertResp)
+		resp := call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("clean")}).Resp
 		if resp.Err != nil {
 			t.Fatalf("clean D&C insert: %v", resp.Err)
 		}
-		rr := call(t, p, ReadReq{Key: 5}).(ReadResp)
+		rr := call(t, p, &ReadReq{Key: 5}).Resp
 		if rr.Err != nil || string(rr.Body) != "clean" {
 			t.Errorf("read = %q, %v", rr.Body, rr.Err)
 		}
@@ -344,15 +351,15 @@ func TestCacheEvictionAndVolumeReadBack(t *testing.T) {
 			for i := range body {
 				body[i] = byte(k + 1)
 			}
-			resp := call(t, p, InsertReq{Txn: 1, Key: k, Body: body}).(InsertResp)
+			resp := call(t, p, &InsertReq{Txn: 1, Key: k, Body: body}).Resp
 			if resp.Err != nil {
 				t.Fatalf("insert %d: %v", k, resp.Err)
 			}
 		}
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
 		// Let the destager run and evict.
 		p.Wait(500 * sim.Millisecond)
-		st := call(t, p, StateReq{}).(Stats)
+		st := call(t, p, &StateReq{}).Resp
 		if st.Evictions == 0 {
 			t.Fatalf("no evictions with 8KB budget and 32KB of rows: %+v", st)
 		}
@@ -362,7 +369,7 @@ func TestCacheEvictionAndVolumeReadBack(t *testing.T) {
 		// Every row reads back with its exact contents — some from cache,
 		// some via volume fetch.
 		for k := uint64(0); k < 8; k++ {
-			resp := call(t, p, ReadReq{Key: k}).(ReadResp)
+			resp := call(t, p, &ReadReq{Key: k}).Resp
 			if resp.Err != nil {
 				t.Fatalf("read %d: %v", k, resp.Err)
 			}
@@ -370,7 +377,7 @@ func TestCacheEvictionAndVolumeReadBack(t *testing.T) {
 				t.Errorf("row %d content wrong after eviction round trip", k)
 			}
 		}
-		st = call(t, p, StateReq{}).(Stats)
+		st = call(t, p, &StateReq{}).Resp
 		if st.CacheMisses == 0 {
 			t.Error("no cache misses recorded; eviction path untested")
 		}
@@ -384,9 +391,9 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 	eng, cl, d := harness(t, func(c *Config) { c.WritebackInterval = 10 * sim.Millisecond })
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		for k := uint64(0); k < 8; k++ {
-			call(t, p, InsertReq{Txn: 1, Key: k, Body: make([]byte, 4096)})
+			call(t, p, &InsertReq{Txn: 1, Key: k, Body: make([]byte, 4096)})
 		}
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
 		p.Wait(500 * sim.Millisecond)
 	})
 	eng.Run()
@@ -399,10 +406,10 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 func TestAbortedRowsNotDestaged(t *testing.T) {
 	eng, cl, d := harness(t, func(c *Config) { c.WritebackInterval = 10 * sim.Millisecond })
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 1, Body: make([]byte, 4096)})
-		call(t, p, EndTxnReq{Txn: 1, Commit: false}) // abort before destage
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: make([]byte, 4096)})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: false}) // abort before destage
 		p.Wait(500 * sim.Millisecond)
-		st := call(t, p, StateReq{}).(Stats)
+		st := call(t, p, &StateReq{}).Resp
 		if st.DirtyBytes != 0 {
 			t.Errorf("DirtyBytes = %d after abort", st.DirtyBytes)
 		}
@@ -439,11 +446,11 @@ func TestAuditRecordsCarryAfterImages(t *testing.T) {
 		ADPName: "$FAKE", RetainData: true,
 	})
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		raw, err := p.Call("$DP-G-0", 128, InsertReq{Txn: 4, Key: 77, Body: []byte("image")})
-		if err != nil || raw.(InsertResp).Err != nil {
-			t.Fatalf("insert: %v %v", err, raw)
+		ins := &InsertReq{Txn: 4, Key: 77, Body: []byte("image")}
+		if _, err := p.Call("$DP-G-0", 128, ins); err != nil || ins.Resp.Err != nil {
+			t.Fatalf("insert: %v %v", err, ins.Resp.Err)
 		}
-		p.Call("$DP-G-0", 64, FlushAuditReq{Txn: 4})
+		p.Call("$DP-G-0", 64, &FlushAuditReq{Txn: 4})
 	})
 	eng.Run()
 	s := audit.NewScanner(frames)
@@ -459,4 +466,21 @@ func TestAuditRecordsCarryAfterImages(t *testing.T) {
 		t.Error("insert after-image not found in emitted audit")
 	}
 	eng.Shutdown()
+}
+
+// A payload the server does not know is a programming error, and loud: once
+// senders read their own box and ignore Call's value, a request sent by value
+// that was answered with some error struct would look like success.
+func TestUnknownRequestPanics(t *testing.T) {
+	eng, cl, _ := harness(t, nil)
+	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+		p.Send("$DP-F-0", 128, InsertReq{Txn: 1, Key: 1}) // not a box
+	})
+	defer eng.Shutdown()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "dp2: unknown request dp2.InsertReq") {
+			t.Errorf("a by-value request: Run panicked with %q, want the server to name the type it cannot serve", msg)
+		}
+	}()
+	eng.Run()
 }

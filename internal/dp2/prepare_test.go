@@ -28,13 +28,13 @@ func TestPrepareFlushWritesDurablePrepareRecord(t *testing.T) {
 		RetainData: true,
 	})
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 1, Body: []byte("xs")})
-		resp := call(t, p, FlushAuditReq{Txn: 1, Prepare: true}).(FlushAuditResp)
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: []byte("xs")})
+		resp := call(t, p, &FlushAuditReq{Txn: 1, Prepare: true}).Resp
 		if resp.Err != nil || resp.LSN == 0 || resp.ADP != "$ADP0" {
 			t.Fatalf("prepare flush resp = %+v", resp)
 		}
 		// Make the stream durable the way the coordinator would.
-		if _, err := p.Call("$ADP0", 64, adp.CommitReq{Txn: 1}); err != nil {
+		if _, err := p.Call("$ADP0", 64, &adp.CommitReq{Txn: 1}); err != nil {
 			t.Fatalf("adp commit: %v", err)
 		}
 	})
@@ -86,9 +86,9 @@ func pmDirectHarness(t *testing.T) (*sim.Engine, *cluster.Cluster, *DP2) {
 func TestPMDirectPrepareLandsInPMLog(t *testing.T) {
 	eng, cl, d := pmDirectHarness(t)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, InsertReq{Txn: 1, Key: 1, Body: []byte("xs")})
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: []byte("xs")})
 		before := d.Stats().PMLogBytes
-		resp := call(t, p, FlushAuditReq{Txn: 1, Prepare: true}).(FlushAuditResp)
+		resp := call(t, p, &FlushAuditReq{Txn: 1, Prepare: true}).Resp
 		if resp.Err != nil || resp.LSN != 0 {
 			t.Fatalf("pmdirect prepare flush resp = %+v", resp)
 		}
@@ -96,16 +96,12 @@ func TestPMDirectPrepareLandsInPMLog(t *testing.T) {
 			t.Errorf("prepare wrote no PM log bytes (%d -> %d)", before, after)
 		}
 		// A plain (non-prepare) flush has nothing to do.
-		plain := call(t, p, FlushAuditReq{Txn: 1}).(FlushAuditResp)
+		plain := call(t, p, &FlushAuditReq{Txn: 1}).Resp
 		if plain.Err != nil || plain.LSN != 0 || plain.ADP != "" {
 			t.Errorf("pmdirect plain flush resp = %+v", plain)
 		}
-		call(t, p, EndTxnReq{Txn: 1, Commit: true})
-		body, err := p.Call("$DP-F-0", 128, ReadReq{Key: 1})
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if r := body.(ReadResp); r.Err != nil || string(r.Body) != "xs" {
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
+		if r := call(t, p, &ReadReq{Key: 1}).Resp; r.Err != nil || string(r.Body) != "xs" {
 			t.Errorf("read back = %+v", r)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"persistmem/internal/cluster"
 	"persistmem/internal/hotstock"
 	"persistmem/internal/ods"
 	"persistmem/internal/recovery"
@@ -106,6 +107,52 @@ func TestTxnAllocationBudget(t *testing.T) {
 				t.Errorf("a committed transaction costs %.1f allocations, budget %d: a hot-path box or buffer stopped being recycled", perTxn, txnBudgetAllocs)
 			}
 		})
+	}
+}
+
+// TestBrowseReadAllocationBudget holds a browse read at no heap objects once
+// the session's read box and the transport's free lists are warm: the request
+// is a pooled box, the reply is that box, and the row comes back as a slice of
+// the DP2's cache. Sent by value again the read costs 2 (the boxed request
+// and the boxed ReadResp) and trips this.
+func TestBrowseReadAllocationBudget(t *testing.T) {
+	opts := ods.DefaultOptions()
+	opts.RetainData = true
+	s := ods.Build(opts)
+	defer s.Shutdown()
+	const reads = 1000
+	var mallocs uint64
+	s.Cl.CPU(3).Spawn("reader", func(p *cluster.Process) {
+		se := s.NewSession(p)
+		txn, err := se.Begin()
+		if err != nil {
+			t.Errorf("Begin: %v", err)
+			return
+		}
+		txn.InsertAsync("FILE0", 1, []byte("row"))
+		if err := txn.Commit(); err != nil {
+			t.Errorf("Commit: %v", err)
+			return
+		}
+		read := func(n int) {
+			for i := 0; i < n; i++ {
+				if body, err := se.ReadBrowse("FILE0", 1); err != nil || string(body) != "row" {
+					t.Errorf("ReadBrowse = %q, %v", body, err)
+					return
+				}
+			}
+		}
+		read(10) // warm the box pool and the transport's free lists
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read(reads)
+		runtime.ReadMemStats(&after)
+		mallocs = after.Mallocs - before.Mallocs
+	})
+	s.Run(1)
+	t.Logf("%d allocations over %d browse reads", mallocs, reads)
+	if mallocs > 0 {
+		t.Errorf("%d browse reads cost %d allocations, want none: the read request or its reply is boxed again", reads, mallocs)
 	}
 }
 

@@ -540,20 +540,18 @@ func TestStatsRequests(t *testing.T) {
 		txn, _ := se.Begin()
 		txn.InsertAsync("TRADES", 1, []byte("x"))
 		txn.Commit()
-		raw, err := se.p.Call(s.TMF.Name(), 32, tmf.StateReq{})
-		if err != nil {
+		treq := &tmf.StateReq{}
+		if _, err := se.p.Call(s.TMF.Name(), 32, treq); err != nil {
 			t.Fatalf("TMF state: %v", err)
 		}
-		st := raw.(tmf.Stats)
-		if st.Begins != 1 || st.Commits != 1 || st.ActiveTxns != 0 {
+		if st := treq.Resp; st.Begins != 1 || st.Commits != 1 || st.ActiveTxns != 0 {
 			t.Errorf("TMF stats = %+v", st)
 		}
-		draw, err := se.p.Call(s.DP2Name("TRADES", s.PartitionOf("TRADES", 1)), 32, dp2.StateReq{})
-		if err != nil {
+		dreq := &dp2.StateReq{}
+		if _, err := se.p.Call(s.DP2Name("TRADES", s.PartitionOf("TRADES", 1)), 32, dreq); err != nil {
 			t.Fatalf("DP2 state: %v", err)
 		}
-		ds := draw.(dp2.Stats)
-		if ds.Inserts != 1 || ds.CacheRows != 1 {
+		if ds := dreq.Resp; ds.Inserts != 1 || ds.CacheRows != 1 {
 			t.Errorf("DP2 stats = %+v", ds)
 		}
 	})

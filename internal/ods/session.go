@@ -43,15 +43,16 @@ type Session struct {
 	// Per-session scratch, reused across the one-at-a-time transactions:
 	// the involved-DP2 set, the in-flight insert list, and free lists for
 	// the request boxes the data plane sends. A request box is recycled
-	// only once its reply arrived (the server is done with it by then, and
-	// the monitor's replies are the box itself with the response written
-	// into it); on a call timeout the box may still sit in a server inbox
-	// — a late reply would write into it — and is abandoned to the garbage
-	// collector instead.
+	// only once its reply arrived (the reply is the box itself with the
+	// response written into it, and the server is done with it by then); on
+	// a call timeout the box may still sit in a server inbox — a late reply
+	// would write into it — and is abandoned to the garbage collector
+	// instead.
 	involved map[string]bool
 	pending  []pendingIns
 	names    []string
 	insfree  []*dp2.InsertReq //simlint:box -- insert-request pool
+	rdfree   []*dp2.ReadReq   //simlint:box -- read-request pool
 	begfree  []*tmf.BeginReq  //simlint:box -- begin-request pool
 	cmtfree  []*tmf.CommitReq //simlint:box -- commit-request pool
 
@@ -86,6 +87,22 @@ func (se *Session) newInsertReq() *dp2.InsertReq {
 func (se *Session) freeInsertReq(r *dp2.InsertReq) {
 	*r = dp2.InsertReq{}
 	se.insfree = append(se.insfree, r)
+}
+
+//simlint:hotpath
+func (se *Session) newReadReq() *dp2.ReadReq {
+	if n := len(se.rdfree); n > 0 {
+		r := se.rdfree[n-1]
+		se.rdfree = se.rdfree[:n-1]
+		return r
+	}
+	return &dp2.ReadReq{}
+}
+
+//simlint:hotpath
+func (se *Session) freeReadReq(r *dp2.ReadReq) {
+	*r = dp2.ReadReq{}
+	se.rdfree = append(se.rdfree, r)
 }
 
 //simlint:hotpath
@@ -166,7 +183,6 @@ type Txn struct {
 func (se *Session) Begin() (*Txn, error) {
 	t0 := se.p.Now()
 	req := se.newBeginReq()
-	//simlint:allow hotalloc -- *tmf.BeginReq is pointer-shaped: no box is allocated
 	if _, err := se.p.Call(se.s.TMF.Name(), 48, req); err != nil {
 		// The monitor may still hold the box: abandoned, not recycled.
 		return nil, err
@@ -214,7 +230,6 @@ func (t *Txn) InsertAsync(file string, key uint64, body []byte) error {
 	name := names[se.s.PartitionOf(file, key)]
 	req := se.newInsertReq()
 	req.Txn, req.Key, req.Body = t.id, key, body
-	//simlint:allow hotalloc -- *dp2.InsertReq is pointer-shaped: no box is allocated
 	sig, err := se.p.CallAsync(name, 64+len(body), req)
 	if err != nil {
 		// The send never reached an inbox; the box is immediately reusable.
@@ -259,8 +274,7 @@ func (t *Txn) WaitPending() error {
 	var firstErr error
 	se := t.sess
 	for _, pi := range se.pending {
-		raw, err := se.p.AwaitReply(pi.sig)
-		if err != nil {
+		if _, err := se.p.AwaitReply(pi.sig); err != nil {
 			// Timed out: the DP2 may still hold the request box, so it
 			// cannot be recycled.
 			if firstErr == nil {
@@ -268,10 +282,10 @@ func (t *Txn) WaitPending() error {
 			}
 			continue
 		}
-		se.freeInsertReq(pi.req)
-		if resp := raw.(dp2.InsertResp); resp.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%w: %v", ErrInsertFailed, resp.Err) //simlint:allow hotalloc -- insert-failure path, cold
+		if rerr := pi.req.Resp.Err; rerr != nil && firstErr == nil {
+			firstErr = fmt.Errorf("%w: %v", ErrInsertFailed, rerr) //simlint:allow hotalloc -- insert-failure path, cold
 		}
+		se.freeInsertReq(pi.req)
 		se.emit(t.id, trace.InsertDone, "")
 	}
 	se.pending = se.pending[:0]
@@ -315,7 +329,6 @@ func (t *Txn) Commit() error {
 	req.Txn, req.DP2s = t.id, se.setToList()
 	req.TwoPhase = se.twoPhase && len(req.DP2s) > 1 // always assigned: the box is recycled
 	se.cp.Mark(uint64(t.id), metrics.MarkCommitSend, se.p.Now())
-	//simlint:allow hotalloc -- *tmf.CommitReq is pointer-shaped: no box is allocated
 	_, err := se.p.Call(se.s.TMF.Name(), 64+16*len(se.involved), req)
 	if err != nil {
 		// The coordinator may still be using the box; abandon it. The
@@ -356,9 +369,8 @@ func (t *Txn) Abort() error {
 	t.done = true
 	se := t.sess
 	se.cp.Drop(uint64(t.id))
-	raw, err := se.p.Call(se.s.TMF.Name(), 64+16*len(se.involved),
-		tmf.AbortReq{Txn: t.id, DP2s: se.setToList()})
-	if err != nil {
+	req := &tmf.AbortReq{Txn: t.id, DP2s: se.setToList()} // cold: not pooled
+	if _, err := se.p.Call(se.s.TMF.Name(), 64+16*len(se.involved), req); err != nil {
 		// The abort call itself failed; the monitor will eventually time
 		// the transaction out, but the client never saw the outcome.
 		se.tx.OnUnresolved()
@@ -367,8 +379,8 @@ func (t *Txn) Abort() error {
 	// Even a monitor-side abort error (e.g. the transaction was already
 	// resolved by a timeout) is a known not-committed outcome here.
 	se.tx.OnAbort()
-	if resp := raw.(tmf.AbortResp); resp.Err != nil {
-		return resp.Err
+	if req.Resp.Err != nil {
+		return req.Resp.Err
 	}
 	se.emit(t.id, trace.AbortDone, "")
 	return nil
@@ -386,11 +398,14 @@ func (se *Session) read(txn audit.TxnID, file string, key uint64, t *Txn) ([]byt
 		return nil, fmt.Errorf("%w: %q", ErrUnknownFile, file)
 	}
 	name := names[se.s.PartitionOf(file, key)]
-	raw, err := se.p.Call(name, 64, dp2.ReadReq{Txn: txn, Key: key})
-	if err != nil {
+	req := se.newReadReq()
+	req.Txn, req.Key = txn, key
+	if _, err := se.p.Call(name, 64, req); err != nil {
+		// The DP2 may still hold the box: abandoned, not recycled.
 		return nil, err
 	}
-	resp := raw.(dp2.ReadResp)
+	resp := req.Resp
+	se.freeReadReq(req)
 	if resp.Err != nil {
 		return nil, resp.Err
 	}

@@ -248,7 +248,7 @@ func (t *Transfer) complete() (done bool) {
 		m.Payload = t.payload
 		t.payload = nil
 		// Endpoint inboxes are unbounded: the message is never refused.
-		dst.Inbox.TrySend(m) //simlint:allow hotalloc -- *Message into interface{} is pointer-shaped: no box is allocated
+		dst.Inbox.TrySend(m)
 		return true
 	}
 	e, err := dst.lookup(t.nva, n)
@@ -333,7 +333,7 @@ func (f *Fabric) freeTransfer(t *Transfer) {
 func (f *Fabric) park(p *sim.Proc, t *Transfer, done bool) error {
 	defer f.freeTransfer(t)
 	if !done {
-		p.ParkScript(t) //simlint:allow hotalloc -- *Transfer into sim.Stepper is pointer-shaped: no box is allocated
+		p.ParkScript(t)
 	}
 	return t.err
 }

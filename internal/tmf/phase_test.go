@@ -50,17 +50,17 @@ func TestAbsorbDeltas(t *testing.T) {
 	if !st.active[5] || st.nextTxn != 6 {
 		t.Errorf("after begin 5: active=%v nextTxn=%d", st.active, st.nextTxn)
 	}
-	st = tm.absorb(st, beginDelta{txn: 9}).(*tmfState)
+	st = tm.absorb(st, &beginDelta{txn: 9}).(*tmfState)
 	if !st.active[9] || st.nextTxn != 10 {
-		t.Errorf("after begin 9 by value: active=%v nextTxn=%d", st.active, st.nextTxn)
+		t.Errorf("after begin 9: active=%v nextTxn=%d", st.active, st.nextTxn)
 	}
 	st = tm.absorb(st, &outcomeDelta{txn: 5}).(*tmfState)
 	if st.active[5] {
 		t.Error("outcome delta did not retire txn 5")
 	}
-	st = tm.absorb(st, outcomeDelta{txn: 9}).(*tmfState)
+	st = tm.absorb(st, &outcomeDelta{txn: 9}).(*tmfState)
 	if st.active[9] {
-		t.Error("outcome delta by value did not retire txn 9")
+		t.Error("outcome delta did not retire txn 9")
 	}
 	full := newState()
 	full.nextTxn = 42

@@ -88,10 +88,10 @@ const TCBRegionName = "tmf-tcb"
 
 // protocol messages
 //
-// BeginReq and CommitReq sent as pointers are boxes their sender pools: the
-// monitor writes the response into the box's Resp field and replies with
-// the pointer itself, which allocates nothing; the sender reads Resp before
-// recycling the box. Sent by value (tests) they get a boxed value reply.
+// A message is a box: it is sent as a pointer, its sender owns it from the
+// send to the reply, the monitor writes the response into its Resp field and
+// replies with the box itself. A box whose call failed or timed out is never
+// reused, so a late reply writes only into a box nobody reads.
 type (
 	// BeginReq starts a transaction.
 	BeginReq struct {
@@ -122,13 +122,16 @@ type (
 	AbortReq struct {
 		Txn  audit.TxnID
 		DP2s []string
+		Resp AbortResp
 	}
 	// AbortResp acknowledges the rollback.
 	AbortResp struct {
 		Err error
 	}
 	// StateReq asks for a Stats snapshot.
-	StateReq struct{}
+	StateReq struct {
+		Resp Stats
+	}
 )
 
 // Stats describes monitor activity.
@@ -238,33 +241,6 @@ type TMF struct {
 	hist *metrics.TxnHistory
 }
 
-// abortRespOK is the pre-boxed success reply to an abort (read-only after
-// init).
-var abortRespOK interface{} = AbortResp{}
-
-// replyBegin and replyCommit answer a request in the form it arrived in:
-// into the sender's box, or by value.
-
-//simlint:hotpath
-func replyBegin(ev cluster.Envelope, resp BeginResp) {
-	if box, ok := ev.Payload.(*BeginReq); ok {
-		box.Resp = resp
-		ev.Reply(box) //simlint:allow hotalloc -- *BeginReq is pointer-shaped: no box is allocated
-		return
-	}
-	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): sessions pool their boxes
-}
-
-//simlint:hotpath
-func replyCommit(ev cluster.Envelope, resp CommitResp) {
-	if box, ok := ev.Payload.(*CommitReq); ok {
-		box.Resp = resp
-		ev.Reply(box) //simlint:allow hotalloc -- *CommitReq is pointer-shaped: no box is allocated
-		return
-	}
-	ev.Reply(resp) //simlint:allow hotalloc -- by-value request (tests): sessions pool their boxes
-}
-
 // commitScratch is one coordinator's working set: completion signals,
 // the request boxes it sends to DP2s and ADPs, and the per-commit ADP
 // LSN table. If any call times out, a server may still reference one of
@@ -350,7 +326,6 @@ func (t *TMF) checkpointBegin(p *cluster.Process, txn audit.TxnID) {
 		dl = new(beginDelta)
 	}
 	dl.txn = txn
-	//simlint:allow hotalloc -- *beginDelta is pointer-shaped: no box is allocated
 	if t.pair.CheckpointFrom(p, 16, dl) == nil {
 		t.begfree = append(t.begfree, dl)
 	}
@@ -366,7 +341,6 @@ func (t *TMF) checkpointOutcome(p *cluster.Process, txn audit.TxnID, commit bool
 		dl = new(outcomeDelta)
 	}
 	dl.txn, dl.commit = txn, commit
-	//simlint:allow hotalloc -- *outcomeDelta is pointer-shaped: no box is allocated
 	if t.pair.CheckpointFrom(p, 24, dl) == nil {
 		t.outfree = append(t.outfree, dl)
 	}
@@ -436,14 +410,7 @@ func (t *TMF) absorb(cur, delta interface{}) interface{} {
 		if d.txn >= st.nextTxn {
 			st.nextTxn = d.txn + 1
 		}
-	case beginDelta:
-		st.active[d.txn] = true
-		if d.txn >= st.nextTxn {
-			st.nextTxn = d.txn + 1
-		}
 	case *outcomeDelta:
-		delete(st.active, d.txn)
-	case outcomeDelta:
 		delete(st.active, d.txn)
 	case *tmfState:
 		st = d
@@ -470,7 +437,7 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 		ev := ctx.Recv()
 		ctx.Compute(t.cfg.RequestCPU)
 		switch req := ev.Payload.(type) {
-		case *BeginReq, BeginReq:
+		case *BeginReq:
 			txn := st.nextTxn
 			st.nextTxn++
 			st.active[txn] = true
@@ -480,21 +447,19 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 				t.writeTCB(ctx.Process, tcb, &tcbbuf, txn, TCBActive)
 			}
 			t.hist.OnBegin(uint64(txn), ctx.Process.Now())
-			replyBegin(ev, BeginResp{Txn: txn})
+			req.Resp = BeginResp{Txn: txn}
+			ev.Reply(req)
 		case *CommitReq:
-			t.handleCommit(ctx, st, tcb, ev, *req)
-		case CommitReq:
 			t.handleCommit(ctx, st, tcb, ev, req)
 		case *AbortReq:
-			t.handleAbort(ctx, st, tcb, ev, *req)
-		case AbortReq:
 			t.handleAbort(ctx, st, tcb, ev, req)
-		case StateReq:
-			s := t.stats
-			s.ActiveTxns = len(st.active)
-			ev.Reply(s)
+		case *StateReq:
+			req.Resp = t.stats
+			req.Resp.ActiveTxns = len(st.active)
+			ev.Reply(req)
 		default:
-			ev.Reply(CommitResp{Err: fmt.Errorf("tmf: unknown request %T", req)})
+			// Every sender is in this repository: a programming error.
+			panic(fmt.Sprintf("tmf: unknown request %T", req))
 		}
 	}
 }
@@ -502,9 +467,10 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 // handleCommit validates a commit request and hands it to a spawned
 // coordinator continuation so concurrent transactions pipeline through
 // the monitor (and group-commit at the ADPs).
-func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Region, ev cluster.Envelope, req CommitReq) {
+func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Region, ev cluster.Envelope, req *CommitReq) {
 	if !st.active[req.Txn] {
-		replyCommit(ev, CommitResp{Err: fmt.Errorf("%w: %d", ErrUnknownTxn, req.Txn)})
+		req.Resp = CommitResp{Err: fmt.Errorf("%w: %d", ErrUnknownTxn, req.Txn)}
+		ev.Reply(req)
 		return
 	}
 	delete(st.active, req.Txn)
@@ -518,7 +484,8 @@ func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Reg
 			t.stats.Aborts++
 		}
 		t.checkpointOutcome(p, req.Txn, err == nil)
-		replyCommit(ev, CommitResp{Err: err})
+		req.Resp = CommitResp{Err: err}
+		ev.Reply(req)
 		t.releaseScratch(sc)
 		if err == nil && t.commitHook != nil {
 			t.commitHook(t.stats.Commits)
@@ -527,9 +494,10 @@ func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Reg
 }
 
 // handleAbort is handleCommit's rollback twin.
-func (t *TMF) handleAbort(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Region, ev cluster.Envelope, req AbortReq) {
+func (t *TMF) handleAbort(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Region, ev cluster.Envelope, req *AbortReq) {
 	if !st.active[req.Txn] {
-		ev.Reply(AbortResp{Err: fmt.Errorf("%w: %d", ErrUnknownTxn, req.Txn)})
+		req.Resp = AbortResp{Err: fmt.Errorf("%w: %d", ErrUnknownTxn, req.Txn)}
+		ev.Reply(req)
 		return
 	}
 	delete(st.active, req.Txn)
@@ -538,7 +506,8 @@ func (t *TMF) handleAbort(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Regi
 		t.coordinateAbort(p, tcb, sc, req)
 		t.stats.Aborts++
 		t.checkpointOutcome(p, req.Txn, false)
-		ev.Reply(abortRespOK)
+		req.Resp = AbortResp{}
+		ev.Reply(req)
 		t.releaseScratch(sc)
 	})
 }
@@ -547,7 +516,7 @@ func (t *TMF) handleAbort(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Regi
 // error it rolls the transaction back and reports failure.
 //
 //simlint:hotpath
-func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *commitScratch, req CommitReq) error {
+func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *commitScratch, req *CommitReq) error {
 	t.cp.Mark(uint64(req.Txn), metrics.MarkCoordStart, p.Now())
 	var seq int64
 	if req.TwoPhase {
@@ -578,7 +547,6 @@ func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *com
 			sc.outbuf = AppendOutcome(sc.outbuf[:0], TCBCommitted, req.DP2s)
 			sc.creq.Outcome = sc.outbuf
 		}
-		//simlint:allow hotalloc -- *adp.CommitReq is pointer-shaped: no box is allocated
 		_, cerr := p.Call(master, 64+len(sc.creq.Outcome), &sc.creq)
 		if cerr != nil {
 			sc.dirty = true // the master may still hold the request box
@@ -638,7 +606,6 @@ func (t *TMF) flushDataAudit(p *cluster.Process, sc *commitScratch, txn audit.Tx
 		r := sc.flushReq(i)
 		r.Txn = txn
 		r.Prepare = prepare // always assigned: the box is recycled across commits
-		//simlint:allow hotalloc -- *dp2.FlushAuditReq is pointer-shaped: no box is allocated
 		sig, err := p.CallAsync(name, 48, r)
 		if err != nil {
 			sc.dirty = true
@@ -676,7 +643,6 @@ func (t *TMF) flushDataAudit(p *cluster.Process, sc *commitScratch, txn audit.Tx
 	for i, name := range adps[1:] {
 		r := sc.adpFlushReq(i)
 		r.UpTo = sc.adpLSNs[name]
-		//simlint:allow hotalloc -- *adp.FlushReq is pointer-shaped: no box is allocated
 		sig, err := p.CallAsync(name, 48, r)
 		if err != nil {
 			sc.dirty = true
@@ -699,7 +665,7 @@ func (t *TMF) flushDataAudit(p *cluster.Process, sc *commitScratch, txn audit.Tx
 
 // coordinateAbort rolls back at the DP2s and lazily notes the abort in
 // each involved audit stream.
-func (t *TMF) coordinateAbort(p *cluster.Process, tcb *pmclient.Region, sc *commitScratch, req AbortReq) {
+func (t *TMF) coordinateAbort(p *cluster.Process, tcb *pmclient.Region, sc *commitScratch, req *AbortReq) {
 	t.rollback(p, sc, req.Txn, req.DP2s)
 	if tcb != nil {
 		t.writeTCB(p, tcb, &sc.tcbbuf, req.Txn, TCBAborted)
@@ -718,7 +684,7 @@ func (t *TMF) rollback(p *cluster.Process, sc *commitScratch, txn audit.TxnID, d
 			continue
 		}
 		seen[adpName] = true
-		p.Send(adpName, 48, adp.AbortReq{Txn: txn})
+		p.Send(adpName, 48, &adp.AbortReq{Txn: txn})
 	}
 }
 
@@ -730,7 +696,6 @@ func (t *TMF) endAll(p *cluster.Process, sc *commitScratch, txn audit.TxnID, dp2
 	for i, name := range dp2s {
 		r := sc.endReq(i)
 		r.Txn, r.Commit = txn, commit
-		//simlint:allow hotalloc -- *dp2.EndTxnReq is pointer-shaped: no box is allocated
 		if sig, err := p.CallAsync(name, 48, r); err == nil {
 			sc.sigs = append(sc.sigs, sig)
 		}
@@ -747,11 +712,11 @@ func (t *TMF) endAll(p *cluster.Process, sc *commitScratch, txn audit.TxnID, dp2
 // on the rollback path. Failures are ignored — the DP2 may be mid-
 // takeover, and abort records are advisory.
 func adpOf(p *cluster.Process, dp2Name string) string {
-	raw, err := p.Call(dp2Name, 32, dp2.FlushAuditReq{})
-	if err != nil {
+	req := &dp2.FlushAuditReq{}
+	if _, err := p.Call(dp2Name, 32, req); err != nil {
 		return ""
 	}
-	return raw.(dp2.FlushAuditResp).ADP
+	return req.Resp.ADP
 }
 
 // writeTCB records a transaction outcome in the PM control-block region,

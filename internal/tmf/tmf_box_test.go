@@ -48,15 +48,10 @@ func TestLateCommitReplyLandsInAbandonedScratch(t *testing.T) {
 	part := cl.CPU(1).Spawn("fakedp", func(p *cluster.Process) {
 		for {
 			ev := p.Recv()
-			switch req := ev.Payload.(type) {
-			case *dp2.FlushAuditReq:
+			if req, ok := ev.Payload.(*dp2.FlushAuditReq); ok { // a commit's flush, or adpOf's lookup on the rollback path
 				req.Resp = dp2.FlushAuditResp{ADP: "$SLOW", LSN: 32}
-				ev.Reply(req)
-			case dp2.FlushAuditReq: // adpOf's lookup on the rollback path
-				ev.Reply(dp2.FlushAuditResp{ADP: "$SLOW"})
-			default:
-				ev.Reply(dp2.EndTxnResp{})
 			}
+			ev.Reply(ev.Payload)
 		}
 	})
 	cl.Register("$DP-F-0", part)

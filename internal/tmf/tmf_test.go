@@ -2,6 +2,8 @@ package tmf
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -39,13 +41,23 @@ func harness(t *testing.T, withTCB bool) (*sim.Engine, *cluster.Cluster, *TMF) {
 	return eng, cl, Start(cl, cfg)
 }
 
+// call sends the request box req to the server named dst and hands it back
+// once the reply — the box itself, carrying the response — has arrived.
+func call[R any](t *testing.T, p *cluster.Process, dst string, sz int, req *R) *R {
+	t.Helper()
+	raw, err := p.Call(dst, sz, req)
+	if err != nil {
+		t.Fatalf("call %s %T: %v", dst, req, err)
+	}
+	if raw != interface{}(req) {
+		t.Fatalf("call %s %T: the reply is %T %v, want the request box itself", dst, req, raw, raw)
+	}
+	return req
+}
+
 func begin(t *testing.T, p *cluster.Process) audit.TxnID {
 	t.Helper()
-	raw, err := p.Call("$TMF", 48, BeginReq{})
-	if err != nil {
-		t.Fatalf("begin: %v", err)
-	}
-	resp := raw.(BeginResp)
+	resp := call(t, p, "$TMF", 48, &BeginReq{}).Resp
 	if resp.Err != nil {
 		t.Fatalf("begin resp: %v", resp.Err)
 	}
@@ -59,15 +71,10 @@ func TestBeginCommitCycle(t *testing.T) {
 		if txn == 0 {
 			t.Fatal("zero txn id")
 		}
-		raw, _ := p.Call("$DP-F-0", 128, dp2.InsertReq{Txn: txn, Key: 1, Body: []byte("v")})
-		if raw.(dp2.InsertResp).Err != nil {
-			t.Fatalf("insert: %v", raw)
+		if err := call(t, p, "$DP-F-0", 128, &dp2.InsertReq{Txn: txn, Key: 1, Body: []byte("v")}).Resp.Err; err != nil {
+			t.Fatalf("insert: %v", err)
 		}
-		craw, err := p.Call("$TMF", 64, CommitReq{Txn: txn, DP2s: []string{"$DP-F-0"}})
-		if err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-		if resp := craw.(CommitResp); resp.Err != nil {
+		if resp := call(t, p, "$TMF", 64, &CommitReq{Txn: txn, DP2s: []string{"$DP-F-0"}}).Resp; resp.Err != nil {
 			t.Fatalf("commit resp: %v", resp.Err)
 		}
 	})
@@ -89,7 +96,7 @@ func TestMonotonicTxnIDs(t *testing.T) {
 				t.Errorf("txn ids not increasing: %d after %d", txn, prev)
 			}
 			prev = txn
-			p.Call("$TMF", 64, AbortReq{Txn: txn, DP2s: nil})
+			p.Call("$TMF", 64, &AbortReq{Txn: txn, DP2s: nil})
 		}
 	})
 	eng.Run()
@@ -99,19 +106,11 @@ func TestMonotonicTxnIDs(t *testing.T) {
 func TestCommitUnknownTxn(t *testing.T) {
 	eng, cl, _ := harness(t, false)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		raw, _ := p.Call("$TMF", 64, CommitReq{Txn: 999})
-		if !errors.Is(raw.(CommitResp).Err, ErrUnknownTxn) {
-			t.Errorf("err = %v, want ErrUnknownTxn", raw.(CommitResp).Err)
+		if err := call(t, p, "$TMF", 64, &CommitReq{Txn: 999}).Resp.Err; !errors.Is(err, ErrUnknownTxn) {
+			t.Errorf("err = %v, want ErrUnknownTxn", err)
 		}
-		// Sent as a pointer, the request is the sender's box and the error
-		// comes back in it.
-		box := &CommitReq{Txn: 999}
-		if raw, _ := p.Call("$TMF", 64, box); raw != interface{}(box) || !errors.Is(box.Resp.Err, ErrUnknownTxn) {
-			t.Errorf("boxed commit: reply %T, Resp.Err = %v; want the box back carrying ErrUnknownTxn", raw, box.Resp.Err)
-		}
-		raw2, _ := p.Call("$TMF", 64, AbortReq{Txn: 999})
-		if !errors.Is(raw2.(AbortResp).Err, ErrUnknownTxn) {
-			t.Errorf("abort err = %v", raw2.(AbortResp).Err)
+		if err := call(t, p, "$TMF", 64, &AbortReq{Txn: 999}).Resp.Err; !errors.Is(err, ErrUnknownTxn) {
+			t.Errorf("abort err = %v", err)
 		}
 	})
 	eng.Run()
@@ -122,10 +121,9 @@ func TestDoubleCommitRejected(t *testing.T) {
 	eng, cl, _ := harness(t, false)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		txn := begin(t, p)
-		p.Call("$TMF", 64, CommitReq{Txn: txn})
-		raw, _ := p.Call("$TMF", 64, CommitReq{Txn: txn})
-		if !errors.Is(raw.(CommitResp).Err, ErrUnknownTxn) {
-			t.Errorf("second commit: %v, want ErrUnknownTxn", raw.(CommitResp).Err)
+		p.Call("$TMF", 64, &CommitReq{Txn: txn})
+		if err := call(t, p, "$TMF", 64, &CommitReq{Txn: txn}).Resp.Err; !errors.Is(err, ErrUnknownTxn) {
+			t.Errorf("second commit: %v, want ErrUnknownTxn", err)
 		}
 	})
 	eng.Run()
@@ -136,9 +134,8 @@ func TestEmptyTxnCommits(t *testing.T) {
 	eng, cl, _ := harness(t, false)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		txn := begin(t, p)
-		raw, err := p.Call("$TMF", 64, CommitReq{Txn: txn, DP2s: nil})
-		if err != nil || raw.(CommitResp).Err != nil {
-			t.Errorf("empty commit failed: %v %v", err, raw)
+		if err := call(t, p, "$TMF", 64, &CommitReq{Txn: txn, DP2s: nil}).Resp.Err; err != nil {
+			t.Errorf("empty commit failed: %v", err)
 		}
 	})
 	eng.Run()
@@ -149,18 +146,16 @@ func TestAbortReleasesLocksAtDP2(t *testing.T) {
 	eng, cl, _ := harness(t, false)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		txn := begin(t, p)
-		p.Call("$DP-F-0", 128, dp2.InsertReq{Txn: txn, Key: 7, Body: []byte("a")})
-		raw, err := p.Call("$TMF", 64, AbortReq{Txn: txn, DP2s: []string{"$DP-F-0"}})
-		if err != nil || raw.(AbortResp).Err != nil {
-			t.Fatalf("abort: %v %v", err, raw)
+		p.Call("$DP-F-0", 128, &dp2.InsertReq{Txn: txn, Key: 7, Body: []byte("a")})
+		if err := call(t, p, "$TMF", 64, &AbortReq{Txn: txn, DP2s: []string{"$DP-F-0"}}).Resp.Err; err != nil {
+			t.Fatalf("abort: %v", err)
 		}
 		// The key is free again.
 		txn2 := begin(t, p)
-		raw2, _ := p.Call("$DP-F-0", 128, dp2.InsertReq{Txn: txn2, Key: 7, Body: []byte("b")})
-		if raw2.(dp2.InsertResp).Err != nil {
-			t.Errorf("insert after abort: %v", raw2.(dp2.InsertResp).Err)
+		if err := call(t, p, "$DP-F-0", 128, &dp2.InsertReq{Txn: txn2, Key: 7, Body: []byte("b")}).Resp.Err; err != nil {
+			t.Errorf("insert after abort: %v", err)
 		}
-		p.Call("$TMF", 64, CommitReq{Txn: txn2, DP2s: []string{"$DP-F-0"}})
+		p.Call("$TMF", 64, &CommitReq{Txn: txn2, DP2s: []string{"$DP-F-0"}})
 	})
 	eng.Run()
 	eng.Shutdown()
@@ -175,9 +170,9 @@ func TestConcurrentCommitsPipeline(t *testing.T) {
 		key := uint64(100 + i)
 		cl.CPU(2+i).Spawn("client", func(p *cluster.Process) {
 			txn := begin(t, p)
-			p.Call("$DP-F-0", 128, dp2.InsertReq{Txn: txn, Key: key, Body: []byte("v")})
-			raw, err := p.Call("$TMF", 64, CommitReq{Txn: txn, DP2s: []string{"$DP-F-0"}})
-			if err == nil && raw.(CommitResp).Err == nil {
+			p.Call("$DP-F-0", 128, &dp2.InsertReq{Txn: txn, Key: key, Body: []byte("v")})
+			req := &CommitReq{Txn: txn, DP2s: []string{"$DP-F-0"}}
+			if _, err := p.Call("$TMF", 64, req); err == nil && req.Resp.Err == nil {
 				done++
 			}
 		})
@@ -196,10 +191,10 @@ func TestTCBWritesOnOutcomes(t *testing.T) {
 	eng, cl, tm := harness(t, true)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		txn := begin(t, p)
-		p.Call("$DP-F-0", 128, dp2.InsertReq{Txn: txn, Key: 1, Body: []byte("v")})
-		p.Call("$TMF", 64, CommitReq{Txn: txn, DP2s: []string{"$DP-F-0"}})
+		p.Call("$DP-F-0", 128, &dp2.InsertReq{Txn: txn, Key: 1, Body: []byte("v")})
+		p.Call("$TMF", 64, &CommitReq{Txn: txn, DP2s: []string{"$DP-F-0"}})
 		txn2 := begin(t, p)
-		p.Call("$TMF", 64, AbortReq{Txn: txn2})
+		p.Call("$TMF", 64, &AbortReq{Txn: txn2})
 	})
 	eng.Run()
 	// begin(2) + commit(1) + abort(1) = 4 TCB writes.
@@ -214,11 +209,7 @@ func TestStateReport(t *testing.T) {
 	var st Stats
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		begin(t, p) // left active
-		raw, err := p.Call("$TMF", 32, StateReq{})
-		if err != nil {
-			t.Fatalf("state: %v", err)
-		}
-		st = raw.(Stats)
+		st = call(t, p, "$TMF", 32, &StateReq{}).Resp
 	})
 	eng.Run()
 	if st.Begins != 1 || st.ActiveTxns != 1 {
@@ -296,4 +287,21 @@ func TestAppendTCBReusesItsBuffer(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { buf = AppendTCB(buf[:0], 9, TCBAborted) }); n != 0 {
 		t.Errorf("AppendTCB into a buffer with room allocates %.0f objects", n)
 	}
+}
+
+// A payload the server does not know is a programming error, and loud: once
+// senders read their own box and ignore Call's value, a request sent by value
+// that was answered with some error struct would look like success.
+func TestUnknownRequestPanics(t *testing.T) {
+	eng, cl, _ := harness(t, false)
+	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+		p.Send("$TMF", 64, CommitReq{Txn: 1}) // not a box
+	})
+	defer eng.Shutdown()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "tmf: unknown request tmf.CommitReq") {
+			t.Errorf("a by-value request: Run panicked with %q, want the server to name the type it cannot serve", msg)
+		}
+	}()
+	eng.Run()
 }
