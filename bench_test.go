@@ -14,9 +14,11 @@ import (
 	"testing"
 
 	"persistmem/internal/bench"
+	"persistmem/internal/faultinject"
 	"persistmem/internal/hotstock"
 	"persistmem/internal/ods"
 	"persistmem/internal/recovery"
+	"persistmem/internal/sim"
 )
 
 // BenchmarkFigure1 regenerates Figure 1 (response-time speedup with PM vs
@@ -98,6 +100,39 @@ func BenchmarkClaimMTTR(b *testing.B) {
 		}
 		b.ReportMetric(diskRep.MTTR.Millis(), "diskMTTR-ms")
 		b.ReportMetric(pmRep.MTTR.Millis(), "pmMTTR-ms")
+	}
+}
+
+// BenchmarkFaultCell measures one `-txns 8` fault-matrix cell, store to
+// verdict: build, a CPU-0 failure after the fourth commit, the crash,
+// recovery, the invariants and the history check. Its ns, B and allocs per
+// op are what a matrix pays for each cell it adds.
+func BenchmarkFaultCell(b *testing.B) {
+	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability} {
+		b.Run(d.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := faultinject.Run(faultinject.ScenarioConfig{
+					Durability: d, Txns: 8, Seed: 1, Pace: 20 * sim.Millisecond,
+					Plan: faultinject.Plan{
+						{Kind: faultinject.CPUFail, Target: 0, When: faultinject.Trigger{AfterCommits: 4}},
+						{Kind: faultinject.CPURestore, Target: 0, When: faultinject.Trigger{AfterCommits: 4, Delay: 300 * sim.Millisecond}},
+					},
+				})
+				rep, rb, err := res.Recover(recovery.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if bad := res.Violations(rb); len(bad) > 0 {
+					b.Fatalf("violations: %v", bad)
+				}
+				if hv := res.CheckHistory(rb).Violations; len(hv) > 0 {
+					b.Fatalf("history: %v", hv)
+				}
+				res.Store.Shutdown()
+				b.ReportMetric(rep.MTTR.Millis(), "MTTR-ms")
+			}
+		})
 	}
 }
 

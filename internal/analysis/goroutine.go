@@ -18,6 +18,8 @@ import (
 // goroutine for the iterator. The kernel's own coroutine machinery
 // (internal/sim/proc.go) is built on exactly that; its one call site
 // carries a //simlint:allow goroutine directive with the justification.
+// The only other one is internal/stable's sync/atomic import, for the
+// single-slot spare read buffer that recoveries hand on across engines.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc: "forbid go statements, iter.Pull, select, sync primitives, and real " +

@@ -18,3 +18,11 @@ func TestGoroutinePool(t *testing.T) {
 	analysistest.Run(t, "testdata/goroutine/pool", analysis.Goroutine,
 		analysistest.Config{SimCritical: true, RealConcOK: true})
 }
+
+// TestGoroutineSpare holds the one exemption outside the kernel to its own
+// line: stable's annotated sync/atomic import passes, the same import
+// without a directive elsewhere in the package does not.
+func TestGoroutineSpare(t *testing.T) {
+	analysistest.Run(t, "testdata/goroutine/spare", analysis.Goroutine,
+		analysistest.Config{SimCritical: true})
+}

@@ -1,7 +1,7 @@
-// Package hist provides a log-linear latency histogram (HDR-style): fixed
-// memory, ~3% relative error, arbitrary virtual-time magnitudes. The
-// benchmark tools use it to report percentile response times without
-// retaining every sample.
+// Package hist provides a log-linear latency histogram (HDR-style): memory
+// that follows the magnitudes recorded, ~3% relative error, arbitrary
+// virtual-time magnitudes. The benchmark tools use it to report percentile
+// response times without retaining every sample.
 package hist
 
 import (
@@ -16,13 +16,19 @@ const (
 	// subBuckets linearly subdivide each power-of-two magnitude.
 	subBuckets     = 32
 	subBucketsLog2 = 5
-	// maxExponent covers values up to 2^62.
-	maxExponent = 63
+	// numBuckets is bucketOf's range: one more than the largest int64 maps to.
+	numBuckets = (64 - subBucketsLog2) * subBuckets
 )
 
-// H is a latency histogram. The zero value is ready to use.
+// H is a latency histogram. The zero value is ready to use. It holds
+// buckets only for the magnitudes it has seen: counts is a contiguous window
+// of whole magnitudes starting at bucket base, widened when a sample falls
+// outside it. A copy shares the window with its original until one of them
+// widens or is Reset, so copy an H to read it once the original records no
+// more — a struct holding one does not compare with ==.
 type H struct {
-	counts [maxExponent * subBuckets]int64
+	base   int     // bucket index of counts[0], a multiple of subBuckets
+	counts []int64 // a whole number of magnitudes
 	count  int64
 	sum    sim.Time
 	min    sim.Time
@@ -54,6 +60,30 @@ func lowOf(i int) int64 {
 	return (int64(subBuckets) + int64(sub)) << uint(block)
 }
 
+// widen grows the window to hold buckets lo up to hi, in whole magnitudes.
+// A side that grows at least doubles the window, as append does, so a
+// distribution spread over k magnitudes costs log k windows, not k.
+func (h *H) widen(lo, hi int) {
+	lo, hi = lo&^(subBuckets-1), hi|(subBuckets-1)
+	n := len(h.counts)
+	if n == 0 {
+		h.base = lo
+	}
+	if lo < h.base {
+		lo = max(0, min(lo, h.base-n))
+	} else {
+		lo = h.base
+	}
+	if end := h.base + n - 1; hi > end {
+		hi = min(numBuckets-1, max(hi, end+n))
+	} else {
+		hi = end
+	}
+	counts := make([]int64, hi-lo+1)
+	copy(counts[h.base-lo:], h.counts)
+	h.base, h.counts = lo, counts
+}
+
 // Record adds one sample.
 func (h *H) Record(v sim.Time) {
 	if h.count == 0 || v < h.min {
@@ -64,7 +94,11 @@ func (h *H) Record(v sim.Time) {
 	}
 	h.count++
 	h.sum += v
-	h.counts[bucketOf(int64(v))]++
+	b := bucketOf(int64(v))
+	if uint(b-h.base) >= uint(len(h.counts)) {
+		h.widen(b, b)
+	}
+	h.counts[b-h.base]++
 }
 
 // Count returns the number of samples.
@@ -101,7 +135,7 @@ func (h *H) Percentile(p float64) sim.Time {
 	for i, c := range h.counts {
 		seen += c
 		if seen > target {
-			v := lowOf(i)
+			v := lowOf(h.base + i)
 			if sim.Time(v) < h.min {
 				return h.min
 			}
@@ -127,8 +161,11 @@ func (h *H) Merge(other *H) {
 	}
 	h.count += other.count
 	h.sum += other.sum
+	if lo, hi := other.base, other.base+len(other.counts)-1; lo < h.base || hi >= h.base+len(h.counts) {
+		h.widen(lo, hi)
+	}
 	for i, c := range other.counts {
-		h.counts[i] += c
+		h.counts[other.base-h.base+i] += c
 	}
 }
 
@@ -165,7 +202,7 @@ func (h *H) Bars(width int) string {
 			c += h.counts[i+j]
 		}
 		if c > 0 {
-			blocks = append(blocks, block{low: sim.Time(lowOf(i)), count: c})
+			blocks = append(blocks, block{low: sim.Time(lowOf(h.base + i)), count: c})
 		}
 	}
 	var peak int64

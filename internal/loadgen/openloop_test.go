@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"reflect"
 	"testing"
 
 	"persistmem/internal/metrics"
@@ -120,7 +121,7 @@ func TestOpenLoopDeterministic(t *testing.T) {
 		t.Errorf("sojourn differs: %v vs %v", a.Sojourn.Mean(), b.Sojourn.Mean())
 	}
 	for i := range a.Shards {
-		if a.Shards[i] != b.Shards[i] {
+		if !reflect.DeepEqual(a.Shards[i], b.Shards[i]) { // every bucket of the shard's sojourn histogram
 			t.Errorf("shard %d differs: %+v vs %+v", i, a.Shards[i], b.Shards[i])
 		}
 	}

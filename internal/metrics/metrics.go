@@ -23,6 +23,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -267,6 +268,14 @@ type Registry struct {
 	hists    []*LatencyHist
 	checks   []check
 
+	// counterSlab and histSlab are the unissued tails of the current
+	// slabs: an instrument is handed out once and lives as long as the
+	// registry, so the two kinds a registry holds dozens of come
+	// instrumentSlab to an allocation instead of one each, and their index
+	// above grows a slab at a time with them.
+	counterSlab []Counter
+	histSlab    []LatencyHist
+
 	// Subsystem bundles, created eagerly so wiring is field access.
 	Txns      *TxnAccounting
 	Locks     *LockSpans
@@ -285,6 +294,10 @@ type Registry struct {
 	History *TxnHistory
 }
 
+// instrumentSlab is how many counters or histograms a registry allocates at
+// a time: NewRegistry's bundles register 26 and 24, one slab of each.
+const instrumentSlab = 32
+
 // NewRegistry returns a registry with every subsystem bundle and its
 // conservation laws registered.
 func NewRegistry() *Registry {
@@ -302,10 +315,24 @@ func NewRegistry() *Registry {
 	return r
 }
 
+// register hands out the next instrument of *slab and files it in *index,
+// starting a fresh slab, and room in the index for it, when the last is used
+// up.
+func register[T any](slab *[]T, index *[]*T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, instrumentSlab)
+		*index = slices.Grow(*index, instrumentSlab)
+	}
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	*index = append(*index, p)
+	return p
+}
+
 // Counter registers and returns a new named counter.
 func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{name: name}
-	r.counters = append(r.counters, c)
+	c := register(&r.counterSlab, &r.counters)
+	c.name = name
 	return c
 }
 
@@ -325,8 +352,8 @@ func (r *Registry) Util(name string) *Util {
 
 // Hist registers and returns a new named latency histogram.
 func (r *Registry) Hist(name string) *LatencyHist {
-	h := &LatencyHist{name: name}
-	r.hists = append(r.hists, h)
+	h := register(&r.histSlab, &r.hists)
+	h.name = name
 	return h
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -277,5 +278,46 @@ func TestLoadSpansConservation(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("phantom start not flagged: %v", errs)
+	}
+}
+
+// Counters and histograms are handed out of per-registry slabs: each is its
+// own instrument with its own name and state, across a slab boundary too,
+// and a kind costs an allocation a slab, not one an instrument. NewRegistry's
+// own bundles must fit one slab of each kind, which is what instrumentSlab
+// is sized for.
+func TestInstrumentsComeFromSlabs(t *testing.T) {
+	std := NewRegistry()
+	if len(std.counters) > instrumentSlab || len(std.hists) > instrumentSlab {
+		t.Errorf("NewRegistry registers %d counters and %d histograms: a slab of %d no longer holds a kind",
+			len(std.counters), len(std.hists), instrumentSlab)
+	}
+
+	r := &Registry{}
+	const n = 2*instrumentSlab + 1
+	for i := 0; i < n; i++ {
+		r.Counter(fmt.Sprintf("c%d", i)).Add(int64(i))
+		r.Hist(fmt.Sprintf("h%d", i)).Record(sim.Time(i) * sim.Microsecond)
+	}
+	for i := 0; i < n; i++ {
+		if c := r.counters[i]; c.Name() != fmt.Sprintf("c%d", i) || c.Value() != int64(i) {
+			t.Errorf("counter %d is %q = %d", i, c.Name(), c.Value())
+		}
+		if h := r.hists[i]; h.Name() != fmt.Sprintf("h%d", i) || h.Count() != 1 || h.Sum() != sim.Time(i)*sim.Microsecond {
+			t.Errorf("histogram %d is %q: n=%d sum=%v", i, h.Name(), h.Count(), h.Sum())
+		}
+	}
+
+	perSlab := testing.AllocsPerRun(50, func() {
+		r := &Registry{}
+		for i := 0; i < instrumentSlab; i++ {
+			r.Counter("c")
+			r.Hist("h")
+		}
+	})
+	// Two slabs, each with its stretch of the index (and, under -race, the
+	// registry and its first slab pointer): not one an instrument.
+	if perSlab > 6 {
+		t.Errorf("%d counters and %[1]d histograms cost %.0f allocations, want at most 6", instrumentSlab, perSlab)
 	}
 }

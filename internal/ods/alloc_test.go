@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"persistmem/internal/cluster"
+	"persistmem/internal/faultinject"
 	"persistmem/internal/hotstock"
 	"persistmem/internal/ods"
 	"persistmem/internal/recovery"
+	"persistmem/internal/sim"
 )
 
 // setupBudgetBytes is the most a store may allocate to be built and brought
@@ -56,6 +58,64 @@ func TestStoreSetupAllocationBudget(t *testing.T) {
 			t.Logf("set-up allocated %d KB", got>>10)
 			if got > setupBudgetBytes {
 				t.Errorf("Build + first Run allocated %d bytes, budget %d: something sizes a buffer before it has work for it", got, setupBudgetBytes)
+			}
+		})
+	}
+}
+
+// faultCellBudgetBytes is the most one more cell of the `-txns 8` fault
+// matrix may allocate, store to verdict: 300 KB on disk audit and 470–490 KB
+// on PM today, most of it the 16 KiB device pages its log writes touch. It
+// was 2.1 MB while every recovery zeroed a 1 MiB read buffer of its own,
+// every PM manager cold start a 128 KiB one (two a PM cell) and every
+// registry 24 × 16 KB of histogram buckets; any one of the three back trips
+// it.
+const faultCellBudgetBytes = 640 << 10
+
+// faultCellAlloc returns the bytes one fault-matrix cell allocates: build,
+// faulted run, crash, recovery and both checks.
+func faultCellAlloc(t *testing.T, d ods.Durability) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pend := faultinject.Start(faultinject.ScenarioConfig{
+		Durability: d, Txns: 8, Seed: 1, Pace: 20 * sim.Millisecond,
+		Plan: faultinject.Plan{
+			{Kind: faultinject.CPUFail, Target: 0, When: faultinject.Trigger{AfterCommits: 4}},
+			{Kind: faultinject.CPURestore, Target: 0, When: faultinject.Trigger{AfterCommits: 4, Delay: 300 * sim.Millisecond}},
+		},
+	})
+	pend.Engine().Run()
+	res := pend.Result()
+	_, rb, err := res.Recover(recovery.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := res.Violations(rb)
+	for _, hv := range res.CheckHistory(rb).Violations {
+		bad = append(bad, "history: "+hv.String())
+	}
+	runtime.ReadMemStats(&after)
+	res.Store.Shutdown()
+	if len(bad) > 0 || len(res.Committed) == 0 {
+		t.Fatalf("cell committed %d keys, violations %v: the budget only means something over a passing cell", len(res.Committed), bad)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFaultCellAllocationBudget holds the second and later cells of a fault
+// matrix, the ones that find the process's spare read buffer, to
+// faultCellBudgetBytes each.
+func TestFaultCellAllocationBudget(t *testing.T) {
+	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability, ods.PMDirectDurability} {
+		t.Run(d.String(), func(t *testing.T) {
+			faultCellAlloc(t, d) // the first cell allocates the buffer the rest hand on
+			for i := 0; i < 3; i++ {
+				got := faultCellAlloc(t, d)
+				t.Logf("cell allocated %d KB", got>>10)
+				if got > faultCellBudgetBytes {
+					t.Errorf("a fault cell allocated %d bytes, budget %d: something sizes a buffer by its capacity, not by what the cell put in it", got, faultCellBudgetBytes)
+				}
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"persistmem/internal/npmu"
 	"persistmem/internal/servernet"
 	"persistmem/internal/sim"
+	"persistmem/internal/stable"
 )
 
 // Manager errors (returned to clients inside Resp.Err).
@@ -445,7 +446,13 @@ func (m *Manager) loadBest(ctx *cluster.PairCtx) *VolumeState {
 	fab := m.cl.Fabric()
 	from := ctx.CPU().Endpoint().ID()
 	var best *VolumeState
-	buf := make([]byte, MetaSlotBytes)
+	// DecodeMeta keeps nothing of the image it parses, so the process's
+	// spare read buffer serves, handed on once the last read has returned.
+	buf := stable.TakeScratch()
+	if len(buf) < MetaSlotBytes {
+		buf = make([]byte, MetaSlotBytes)
+	}
+	buf = buf[:MetaSlotBytes]
 	for _, d := range m.devices() {
 		for slot := uint64(0); slot < 2; slot++ {
 			nva := uint32(slotOffset(slot))
@@ -461,5 +468,6 @@ func (m *Manager) loadBest(ctx *cluster.PairCtx) *VolumeState {
 			}
 		}
 	}
+	stable.HandOn(buf)
 	return best
 }

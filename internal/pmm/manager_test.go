@@ -7,6 +7,7 @@ import (
 	"persistmem/internal/cluster"
 	"persistmem/internal/npmu"
 	"persistmem/internal/sim"
+	"persistmem/internal/stable"
 )
 
 // TestManagerLifecycle drives the management protocol end to end against
@@ -67,4 +68,87 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	m.Stop()
 	eng.Run()
+}
+
+// A cold start reads its four metadata slots into whatever buffer the last
+// device reader in the process handed on. Here that buffer holds a valid
+// slot image of a newer generation naming a region this volume never had:
+// a manager over blank devices must still format an empty volume, one whose
+// devices are off the fabric must decode nothing, and one over a written
+// volume must find its own table — each hands the buffer on again.
+func TestColdStartIgnoresWhatTheSpareHolds(t *testing.T) {
+	stale := NewVolumeState("$PM0")
+	stale.Gen = 99
+	stale.Regions["ghost"] = &RegionMeta{Name: "ghost", Owner: "nobody", Offset: MetaBytes, Size: 1 << 20}
+	img, err := EncodeMeta(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handOnStale := func() {
+		buf := make([]byte, 1<<20)
+		for off := 0; off+len(img) <= len(buf); off += MetaSlotBytes {
+			copy(buf[off:], img)
+		}
+		stable.TakeScratch()
+		stable.HandOn(buf)
+	}
+	list := func(t *testing.T, cl *cluster.Cluster) (regions []RegionMeta) {
+		cl.CPU(2).Spawn("client", func(p *cluster.Process) {
+			v, err := p.Call("$PM0", 128, ListReq{})
+			if err != nil {
+				t.Errorf("list: %v", err)
+				return
+			}
+			regions = v.(Resp).Regions
+		})
+		cl.Engine().Run()
+		return regions
+	}
+	rig := func(t *testing.T) (*cluster.Cluster, *npmu.Device, *npmu.Device) {
+		cfg := cluster.DefaultConfig()
+		cfg.CPUs = 3
+		cl := cluster.New(sim.NewEngine(1), cfg)
+		t.Cleanup(cl.Engine().Shutdown)
+		return cl, npmu.New(cl, "npmu-a", 16<<20), npmu.New(cl, "npmu-b", 16<<20)
+	}
+
+	t.Run("blank devices", func(t *testing.T) {
+		cl, prim, mirr := rig(t)
+		handOnStale()
+		m := Start(cl, "$PM0", 0, 1, prim, mirr)
+		if got := list(t, cl); len(got) != 0 || m.Recoveries != 0 {
+			t.Errorf("a blank volume came up with regions %v after %d recoveries", got, m.Recoveries)
+		}
+		if len(stable.TakeScratch()) != 1<<20 {
+			t.Error("the cold start did not hand the buffer on")
+		}
+	})
+	t.Run("devices off the fabric", func(t *testing.T) {
+		cl, prim, mirr := rig(t)
+		prim.Fail()
+		mirr.Fail()
+		handOnStale()
+		m := Start(cl, "$PM0", 0, 1, prim, mirr)
+		if got := list(t, cl); len(got) != 0 || m.Recoveries != 0 {
+			t.Errorf("an unreadable volume came up with regions %v after %d recoveries", got, m.Recoveries)
+		}
+	})
+	t.Run("written volume", func(t *testing.T) {
+		cl, prim, mirr := rig(t)
+		first := Start(cl, "$PM0", 0, 1, prim, mirr)
+		cl.CPU(2).Spawn("client", func(p *cluster.Process) {
+			if v, err := p.Call("$PM0", 128, CreateReq{Name: "log0", Size: 1 << 20, Owner: "test"}); err != nil || v.(Resp).Err != nil {
+				t.Errorf("create: %v %v", err, v)
+			}
+		})
+		cl.Engine().Run()
+		first.Stop()
+		cl.Engine().Run()
+		handOnStale()
+		m := Start(cl, "$PM0", 0, 1, prim, mirr)
+		got := list(t, cl)
+		if len(got) != 1 || got[0].Name != "log0" || m.Recoveries != 1 {
+			t.Errorf("the restarted manager found regions %v after %d recoveries, want log0 after 1", got, m.Recoveries)
+		}
+	})
 }

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"persistmem/internal/audit"
+	"persistmem/internal/btree"
 	"persistmem/internal/cluster"
 	"persistmem/internal/ods"
 	"persistmem/internal/pmclient"
@@ -162,6 +165,18 @@ func TestReadStreamReportsUnreadableLog(t *testing.T) {
 	}
 }
 
+// recoveryPaths are the three ways a trail is read: off the audit disks, and
+// out of PM with and without the TCB region.
+var recoveryPaths = []struct {
+	name   string
+	d      ods.Durability
+	useTCB bool
+}{
+	{"disk", ods.DiskDurability, false},
+	{"pm/tcb=true", ods.PMDurability, true},
+	{"pm/tcb=false", ods.PMDurability, false},
+}
+
 // TestRebuiltOwnsItsBytes scribbles over the recovery's scratch buffer once
 // FromDisk/FromPM have returned: the rebuilt image must not alias it (nor,
 // through the analysis, the streams copied out of it).
@@ -175,43 +190,147 @@ func TestRebuiltOwnsItsBytes(t *testing.T) {
 			sc.buf[i] = 0xFF
 		}
 	}
-	t.Run("disk", func(t *testing.T) {
-		res := RunScenario(ods.DiskDurability, 12, 1)
-		defer res.Store.Eng.Shutdown()
-		sc := new(scratch)
-		var rb *Rebuilt
-		var err error
-		res.Store.Eng.Spawn("recover-disk", func(p *sim.Proc) {
-			_, rb, err = fromDisk(p, res.Store.AuditVolumes, Options{}, sc)
-		})
-		res.Store.Eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scribble(t, sc)
-		checkGroundTruth(t, rb, res)
-	})
-	for _, useTCB := range []bool{true, false} {
-		t.Run(fmt.Sprintf("pm/tcb=%v", useTCB), func(t *testing.T) {
-			res := RunScenario(ods.PMDurability, 12, 1)
+	for _, tc := range recoveryPaths {
+		t.Run(tc.name, func(t *testing.T) {
+			res := RunScenario(tc.d, 12, 1)
 			defer res.Store.Eng.Shutdown()
-			res.Reboot()
 			sc := new(scratch)
-			var rb *Rebuilt
-			var err error
-			res.Store.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
-				tcb := ""
-				if useTCB {
-					tcb = tmf.TCBRegionName
-				}
-				_, rb, err = fromPM(p, pmclient.Attach(res.Store.Cl, ods.PMVolumeName), res.logRegions(), tcb, Options{}, sc)
-			})
-			res.Store.Eng.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, rb := recoverWith(t, res, tc.useTCB, sc)
 			scribble(t, sc)
 			checkGroundTruth(t, rb, res)
 		})
 	}
+}
+
+// recoverWith runs the durability mode's recovery of a crashed scenario over
+// the given scratch, through the unexported entry points FromDisk and FromPM
+// wrap.
+func recoverWith(t *testing.T, res ScenarioResult, useTCB bool, sc *scratch) (rep Report, rb *Rebuilt) {
+	t.Helper()
+	var err error
+	if res.Store.Opts.Durability == ods.DiskDurability {
+		res.Store.Eng.Spawn("recover-disk", func(p *sim.Proc) {
+			rep, rb, err = fromDisk(p, res.Store.AuditVolumes, Options{}, sc)
+		})
+	} else {
+		res.Reboot()
+		res.Store.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
+			tcb := ""
+			if useTCB {
+				tcb = tmf.TCBRegionName
+			}
+			rep, rb, err = fromPM(p, pmclient.Attach(res.Store.Cl, ods.PMVolumeName), res.logRegions(), tcb, Options{}, sc)
+		})
+	}
+	res.Store.Eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, rb
+}
+
+// image flattens a rebuilt database into "file/key=body" lines, files and
+// keys in order.
+func image(rb *Rebuilt) []string {
+	var files []string
+	for name := range rb.Files {
+		files = append(files, name)
+	}
+	sort.Strings(files)
+	var rows []string
+	for _, name := range files {
+		rb.Files[name].Ascend(0, ^uint64(0), func(it btree.Item[[]byte]) bool {
+			rows = append(rows, fmt.Sprintf("%s/%d=%s", name, it.Key, it.Value))
+			return true
+		})
+	}
+	return rows
+}
+
+// TestDirtyScratchRecoversTheSameImage is the entry side of
+// TestRebuiltOwnsItsBytes: a recovery is handed whatever buffer the last
+// reader in the process left behind, so what that buffer holds — 0xFF
+// throughout, or the whole valid trail of a longer run of another store —
+// must not reach the report or the image. Each crashed store is recovered
+// once, from a scratch no reader has touched, as the reference.
+func TestDirtyScratchRecoversTheSameImage(t *testing.T) {
+	for _, tc := range recoveryPaths {
+		t.Run(tc.name, func(t *testing.T) {
+			crashed := func(txns int, seed int64) ScenarioResult {
+				res := RunScenario(tc.d, txns, seed)
+				if len(res.Errs) > 0 {
+					t.Fatalf("workload errors: %v", res.Errs)
+				}
+				t.Cleanup(res.Store.Eng.Shutdown)
+				return res
+			}
+			ref := crashed(12, 1)
+			wantRep, wantRb := recoverWith(t, ref, tc.useTCB, &scratch{buf: []byte{}})
+			checkGroundTruth(t, wantRb, ref)
+			want := image(wantRb)
+
+			// The longer trail: five times the transactions, another seed.
+			used := &scratch{buf: []byte{}}
+			long := crashed(60, 2)
+			_, longRb := recoverWith(t, long, tc.useTCB, used)
+			checkGroundTruth(t, longRb, long)
+
+			for name, sc := range map[string]*scratch{
+				"0xFF":                         {buf: bytes.Repeat([]byte{0xFF}, 3<<20)},
+				"left by a longer valid trail": used,
+			} {
+				res := crashed(12, 1)
+				rep, rb := recoverWith(t, res, tc.useTCB, sc)
+				if rep != wantRep {
+					t.Errorf("%s scratch: report %+v, from an untouched scratch %+v", name, rep, wantRep)
+				}
+				if got := image(rb); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s scratch: image of %d rows differs from the untouched scratch's %d", name, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentRecoveriesShareOneSpare runs eight crash-and-recover
+// scenarios on eight goroutines, as bench's worker pool does: whoever
+// finishes hands its buffer on through the process's one spare slot, whoever
+// starts next takes it or allocates, and every image is its own store's
+// ground truth. Under -race it also holds that a buffer is never in two
+// recoveries at once.
+func TestConcurrentRecoveriesShareOneSpare(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				d := ods.DiskDurability
+				if g%2 == 1 {
+					d = ods.PMDurability
+				}
+				res := RunScenario(d, 4+2*g+round, int64(1+g))
+				var rb *Rebuilt
+				var err error
+				if d == ods.DiskDurability {
+					_, rb, err = res.RecoverDisk(Options{})
+				} else {
+					_, rb, err = res.RecoverPM(Options{}, g%4 == 1)
+				}
+				switch {
+				case len(res.Errs) > 0:
+					t.Errorf("goroutine %d round %d: workload errors: %v", g, round, res.Errs)
+				case err != nil:
+					t.Errorf("goroutine %d round %d: %v", g, round, err)
+				default:
+					checkGroundTruth(t, rb, res)
+					if rb.Rows() != len(res.Committed) {
+						t.Errorf("goroutine %d round %d: %d rows recovered, %d committed", g, round, rb.Rows(), len(res.Committed))
+					}
+				}
+				res.Store.Eng.Shutdown()
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"persistmem/internal/cluster"
+	"persistmem/internal/npmu"
 	"persistmem/internal/ods"
 	"persistmem/internal/pmclient"
+	"persistmem/internal/pmm"
 	"persistmem/internal/tmf"
 )
 
@@ -98,4 +100,54 @@ func TestFromPMReadsNeverCreatedRegionAsEmpty(t *testing.T) {
 		t.Errorf("FromPM through an unreachable PM manager = %v, want ErrNoLog", err)
 	}
 	res.Store.Eng.Shutdown()
+}
+
+// A log region whose both replicas are unreadable fails the recovery with
+// ErrNoLog — and is closed again on that path too: the PM manager must not
+// keep the dead recovery's CPU in the region's open set, where it would pin
+// the region (Delete answers ErrBusy) and keep its window mapped. Once the
+// devices are back, Delete gets past the open check: it succeeds after a
+// fabric outage, and after a power cycle fails later, at the metadata write
+// (the manager's own windows went with the power).
+func TestFromPMClosesRegionItCannotRead(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		off, on    func(*npmu.Device)
+		wantDelete error
+	}{
+		{"power", (*npmu.Device).PowerFail, (*npmu.Device).Restore, pmm.ErrVolumeDown},
+		{"fabric", (*npmu.Device).Fail, (*npmu.Device).Recover, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := RunScenario(ods.PMDurability, 5, 1)
+			if len(res.Errs) > 0 {
+				t.Fatalf("workload errors: %v", res.Errs)
+			}
+			s := res.Store
+			defer s.Eng.Shutdown()
+			res.Reboot()
+			s.Eng.Run() // the PM manager's cold start reads the devices; the outage comes after it
+			tc.off(s.NPMUPrimary)
+			tc.off(s.NPMUMirror)
+			region := res.logRegions()[0]
+			var err error
+			s.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
+				_, _, err = FromPM(p, pmclient.Attach(s.Cl, ods.PMVolumeName), []string{region}, "", Options{})
+			})
+			s.Eng.Run()
+			if !errors.Is(err, ErrNoLog) {
+				t.Fatalf("FromPM with both mirrors off = %v, want ErrNoLog", err)
+			}
+
+			tc.on(s.NPMUPrimary)
+			tc.on(s.NPMUMirror)
+			s.Cl.CPU(2).Spawn("delete", func(p *cluster.Process) {
+				err = pmclient.Attach(s.Cl, ods.PMVolumeName).Delete(p, region)
+			})
+			s.Eng.Run()
+			if !errors.Is(err, tc.wantDelete) {
+				t.Errorf("Delete of %s after the failed recovery = %v, want %v (ErrBusy: the recovery left it open)", region, err, tc.wantDelete)
+			}
+		})
+	}
 }

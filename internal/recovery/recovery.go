@@ -32,6 +32,7 @@ import (
 	"persistmem/internal/pmclient"
 	"persistmem/internal/pmm"
 	"persistmem/internal/sim"
+	"persistmem/internal/stable"
 	"persistmem/internal/tmf"
 )
 
@@ -227,15 +228,36 @@ func redo(p *sim.Proc, opts Options, an *analysis, rep *Report) (*Rebuilt, map[a
 // image) is read into it and scanned there; what a recovery keeps of a
 // stream — the valid record prefix of the winning replica — is copied out
 // before the next read reuses the buffer. Nothing that outlives the
-// recovery may alias it.
+// recovery may alias it, and a recovery that returns hands it on to the
+// process's next device reader (one killed part-way drops it). Only bytes a
+// read of this recovery wrote are ever scanned, so a buffer that arrives
+// dirty from a longer trail recovers what a fresh one does.
 type scratch struct{ buf []byte }
+
+// reserve makes buf at least end bytes long, keeping its first keep bytes.
+// The first reservation takes the process's spare buffer, if there is one —
+// at the first read and not at entry, because a PM recovery is spawned in
+// the instant the rebooted PM manager starts reading its metadata slots
+// into that same spare, and its first read comes after the manager has
+// answered an Open, so after the manager handed the buffer on.
+func (sc *scratch) reserve(keep, end int) {
+	if sc.buf == nil {
+		sc.buf = stable.TakeScratch()
+	}
+	if end > len(sc.buf) {
+		sc.buf = append(sc.buf[:keep], make([]byte, end-keep)...)
+	}
+}
 
 // FromDisk recovers from audit disk volumes. The full trail area of each
 // volume is read sequentially and scanned twice: once to discover
 // transaction outcomes (the "heuristic searching" the paper decries) and
 // once to redo.
 func FromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options) (Report, *Rebuilt, error) {
-	return fromDisk(p, volumes, opts, new(scratch))
+	sc := new(scratch)
+	rep, rb, err := fromDisk(p, volumes, opts, sc)
+	stable.HandOn(sc.buf)
+	return rep, rb, err
 }
 
 func fromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options, sc *scratch) (Report, *Rebuilt, error) {
@@ -280,9 +302,7 @@ func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off in
 			n = capacity - off
 		}
 		end := int(off + n)
-		if end > len(sc.buf) {
-			sc.buf = append(sc.buf[:off], make([]byte, n)...)
-		}
+		sc.reserve(int(off), end)
 		if err := readChunk(off, sc.buf[off:end]); err != nil {
 			return 0, 0, fmt.Errorf("%w: %v", ErrNoLog, err)
 		}
@@ -307,7 +327,10 @@ func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off in
 // disk-style analysis over PM, for apples-to-apples ablation). A log region
 // the PMM has never heard of is an empty trail, not an error.
 func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options) (Report, *Rebuilt, error) {
-	return fromPM(p, vol, logRegions, tcbRegion, opts, new(scratch))
+	sc := new(scratch)
+	rep, rb, err := fromPM(p, vol, logRegions, tcbRegion, opts, sc)
+	stable.HandOn(sc.buf)
+	return rep, rb, err
 }
 
 func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options, sc *scratch) (Report, *Rebuilt, error) {
@@ -320,9 +343,7 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 	if tcbRegion != "" {
 		r, err := vol.Open(p, tcbRegion)
 		if err == nil {
-			if int64(len(sc.buf)) < r.Size() {
-				sc.buf = make([]byte, r.Size())
-			}
+			sc.reserve(0, int(r.Size()))
 			img := sc.buf[:r.Size()]
 			if err := readPMStream(p, r, img, opts); err == nil {
 				rep.BytesRead += r.Size()
@@ -346,12 +367,12 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 			return rep, nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}
 		data, n, err := readLogReplicas(p, r, opts, sc)
+		r.Close(p)
 		if err != nil {
 			return rep, nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}
 		rep.BytesRead += n
 		streams = append(streams, data)
-		r.Close(p)
 	}
 
 	if !rep.UsedTCB {

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic" //simlint:allow goroutine -- the spare read buffer below: one slot swapped whole between readers, its contents trusted by nobody
 )
 
 // ErrOutOfRange is returned when an access falls outside the store's
@@ -116,6 +117,36 @@ func (s *Store) ReadAt(off int64, buf []byte) error {
 		off += int64(n)
 	}
 	return nil
+}
+
+// maxSpare is the largest read buffer worth keeping for the next reader:
+// four of recovery's 1 MiB chunks. A longer trail's buffer goes to the
+// collector.
+const maxSpare = 4 << 20
+
+// spare is the process's one idle read buffer, or nil: what the last device
+// reader to finish handed on. A single slot, swapped whole — engines on
+// other goroutines (bench's worker pool) that find it empty allocate as they
+// always did, and which of them found it full shows in allocation counts
+// only, because whoever takes it reads into it before looking at it and
+// ReadAt overwrites every byte of its destination.
+var spare atomic.Pointer[[]byte]
+
+// TakeScratch returns the spare read buffer at its full length, contents
+// arbitrary, or nil when there is none.
+func TakeScratch() []byte {
+	if b := spare.Swap(nil); b != nil {
+		return (*b)[:cap(*b)]
+	}
+	return nil
+}
+
+// HandOn leaves buf for the next TakeScratch. The caller is done with it: no
+// read into it is in flight and nothing the caller keeps points into it.
+func HandOn(buf []byte) {
+	if cap(buf) > 0 && cap(buf) <= maxSpare {
+		spare.Store(&buf)
+	}
 }
 
 // Zero erases all contents, as when a volatile device loses power.

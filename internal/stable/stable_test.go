@@ -3,6 +3,8 @@ package stable
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -282,4 +284,65 @@ func BenchmarkWriteAtSmall(b *testing.B) {
 		off += int64(len(rec))
 	}
 	b.ReportMetric(float64(pages+s.PagesAllocated())/float64(b.N), "pages/op")
+}
+
+// The spare is one slot: what is handed on is what the next taker gets, at
+// its full length and whatever it holds, exactly once; a buffer too large to
+// be worth keeping, or none at all, leaves the slot as it was.
+func TestSpareIsHandedOnOnce(t *testing.T) {
+	TakeScratch() // whatever an earlier test left
+	if got := TakeScratch(); got != nil {
+		t.Fatalf("an empty slot gave a %d-byte buffer", len(got))
+	}
+	buf := bytes.Repeat([]byte{0xAB}, 1<<20)
+	HandOn(buf[:100])
+	got := TakeScratch()
+	if len(got) != 1<<20 || &got[0] != &buf[0] || got[1<<20-1] != 0xAB {
+		t.Errorf("took %d bytes, want the 1 MiB buffer handed on, as it was left", len(got))
+	}
+	if again := TakeScratch(); again != nil {
+		t.Errorf("the spare was handed out twice")
+	}
+
+	HandOn(buf)
+	HandOn(nil)                      // a reader that never needed a buffer
+	HandOn(make([]byte, maxSpare+1)) // and one whose trail was very long
+	if got := TakeScratch(); len(got) != 1<<20 || &got[0] != &buf[0] {
+		t.Errorf("a nil or oversized hand-on displaced the spare: took %d bytes", len(got))
+	}
+	HandOn(make([]byte, maxSpare))
+	if got := TakeScratch(); len(got) != maxSpare {
+		t.Errorf("a %d-byte buffer was not kept: took %d bytes", maxSpare, len(got))
+	}
+}
+
+// Eight goroutines take, fill, check and hand on, as bench's workers'
+// recoveries do: a buffer is in one pair of hands at a time (under -race, an
+// unsynchronised hand-over is a reported race; without it, a foreign byte).
+func TestSpareUnderConcurrentReaders(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(id byte) {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				buf := TakeScratch()
+				if buf == nil {
+					buf = make([]byte, 4096)
+				}
+				for i := range buf {
+					buf[i] = id
+				}
+				runtime.Gosched()
+				for i, b := range buf {
+					if b != id {
+						t.Errorf("reader %d found byte %d = %#x in the buffer it holds", id, i, b)
+						return
+					}
+				}
+				HandOn(buf)
+			}
+		}(byte(g + 1))
+	}
+	wg.Wait()
 }
