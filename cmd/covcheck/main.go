@@ -15,8 +15,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path"
 	"sort"
@@ -29,36 +31,50 @@ import (
 const slack = 0.3
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, reports to stdout and stderr, and
+// returns the exit code — 0 when every package meets its floor, 1 when one
+// does not, 2 on a usage, profile or floor-file error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("covcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		profile = flag.String("profile", "cover.out", "coverprofile to read")
-		floors  = flag.String("floors", "COVERAGE.json", "per-package floor file")
-		update  = flag.Bool("update", false, "rewrite the floor file to current coverage")
+		profile = fs.String("profile", "cover.out", "coverprofile to read")
+		floors  = fs.String("floors", "COVERAGE.json", "per-package floor file")
+		update  = fs.Bool("update", false, "rewrite the floor file to current coverage")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cov, err := parseProfile(*profile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "covcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "covcheck: %v\n", err)
+		return 2
 	}
 	if len(cov) == 0 {
-		fmt.Fprintln(os.Stderr, "covcheck: profile contains no statements")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "covcheck: profile contains no statements")
+		return 2
 	}
 
 	if *update {
 		if err := writeFloors(*floors, cov); err != nil {
-			fmt.Fprintf(os.Stderr, "covcheck: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "covcheck: %v\n", err)
+			return 2
 		}
-		fmt.Printf("covcheck: wrote %d package floors to %s\n", len(cov), *floors)
-		return
+		fmt.Fprintf(stdout, "covcheck: wrote %d package floors to %s\n", len(cov), *floors)
+		return 0
 	}
 
 	want, err := readFloors(*floors)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "covcheck: %v (run with -update to create it)\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "covcheck: %v (run with -update to create it)\n", err)
+		return 2
 	}
 
 	failures := 0
@@ -66,25 +82,26 @@ func main() {
 		floor := want[pkg]
 		got, ok := cov[pkg]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "covcheck: FAIL %-44s floor %5.1f%% but package absent from profile (deleted? re-baseline with -update)\n", pkg, floor)
+			fmt.Fprintf(stderr, "covcheck: FAIL %-44s floor %5.1f%% but package absent from profile (deleted? re-baseline with -update)\n", pkg, floor)
 			failures++
 			continue
 		}
 		if got+slack < floor {
-			fmt.Fprintf(os.Stderr, "covcheck: FAIL %-44s %5.1f%% < floor %5.1f%%\n", pkg, got, floor)
+			fmt.Fprintf(stderr, "covcheck: FAIL %-44s %5.1f%% < floor %5.1f%%\n", pkg, got, floor)
 			failures++
 		}
 	}
 	for _, pkg := range sortedKeys(cov) {
 		if _, ok := want[pkg]; !ok {
-			fmt.Printf("covcheck: note %-44s %5.1f%% has no floor yet (add with -update)\n", pkg, cov[pkg])
+			fmt.Fprintf(stdout, "covcheck: note %-44s %5.1f%% has no floor yet (add with -update)\n", pkg, cov[pkg])
 		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "covcheck: %d package(s) below floor\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "covcheck: %d package(s) below floor\n", failures)
+		return 1
 	}
-	fmt.Printf("covcheck: %d packages at or above their floors\n", len(want))
+	fmt.Fprintf(stdout, "covcheck: %d packages at or above their floors\n", len(want))
+	return 0
 }
 
 // parseProfile reads a coverprofile and returns statement coverage

@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,25 +25,39 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, prints the chosen experiments to
+// stdout and returns the exit code — 0 on success, 1 when a -check shape
+// check failed, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
 	names := make([]string, len(bench.Experiments))
 	for i, e := range bench.Experiments {
 		names[i] = e.Name
 	}
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig      = flag.String("fig", "all", "which experiment: all, "+strings.Join(names, ", "))
-		scale    = flag.String("scale", "quick", "run scale: full (paper, 32000 records/driver), quick, smoke")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		csv      = flag.Bool("csv", false, "emit CSV instead of tables (figures 1 and 2)")
-		check    = flag.Bool("check", false, "run shape checks and exit non-zero on failure")
-		breakdn  = flag.Bool("breakdown", false, "emit the commit-latency decomposition (per-phase p50/p99 per durability config)")
-		parallel = flag.Int("parallel", 0, "sweep cells simulated concurrently (0 = one per CPU, 1 = sequential); output is identical at any setting")
+		fig      = fs.String("fig", "all", "which experiment: all, "+strings.Join(names, ", "))
+		scale    = fs.String("scale", "quick", "run scale: full (paper, 32000 records/driver), quick, smoke")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		csv      = fs.Bool("csv", false, "emit CSV instead of tables (figures 1 and 2)")
+		check    = fs.Bool("check", false, "run shape checks and exit non-zero on failure")
+		breakdn  = fs.Bool("breakdown", false, "emit the commit-latency decomposition (per-phase p50/p99 per durability config)")
+		parallel = fs.Int("parallel", 0, "sweep cells simulated concurrently (0 = one per CPU, 1 = sequential); output is identical at any setting")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	runner := bench.Runner{Parallelism: *parallel}
 	sc, err := bench.ParseScale(*scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	failures := 0
@@ -49,13 +65,13 @@ func main() {
 	// has one — and counts its shape breaks.
 	emit := func(res bench.Result) {
 		if c, ok := res.(interface{ CSV() string }); ok && *csv {
-			fmt.Print(c.CSV())
+			fmt.Fprint(stdout, c.CSV())
 		} else {
-			fmt.Println(res.Table())
+			fmt.Fprintln(stdout, res.Table())
 		}
 		if *check {
 			for _, err := range res.CheckShape() {
-				fmt.Fprintf(os.Stderr, "SHAPE: %v\n", err)
+				fmt.Fprintf(stderr, "SHAPE: %v\n", err)
 				failures++
 			}
 		}
@@ -70,7 +86,8 @@ func main() {
 		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "%d shape check(s) failed\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "%d shape check(s) failed\n", failures)
+		return 1
 	}
+	return 0
 }

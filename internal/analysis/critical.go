@@ -10,8 +10,8 @@ const modulePath = "persistmem"
 // Everything under persistmem/internal/ runs inside (or produces the inputs
 // of) the deterministic simulation, so it is sim-critical: no wall clock,
 // no global randomness, no unordered map walks, no real concurrency.
-// Commands and examples are drivers *around* the simulation — they time
-// wall-clock runs, write files, and parse flags — so they are exempt.
+// Commands are drivers *around* the simulation — they time wall-clock
+// runs, write files, and parse flags — so they are exempt.
 //
 // internal/bench is the one sim-critical package allowed real concurrency:
 // its worker pool fans independent engines out across OS threads, which is

@@ -155,7 +155,8 @@ func (b Breakdown) CSV() string {
 // CheckShape verifies the decomposition's required properties: the phase
 // sums tile the client-visible total exactly, every transaction folded
 // cleanly, no conservation law broke, and the durable-write phases
-// dominate on disk while shrinking on PM (the paper's whole point).
+// dominate on disk — outweighing the issue phase, §2's "long pole" — while
+// shrinking on PM (the paper's whole point).
 func (b Breakdown) CheckShape() []error {
 	var errs []error
 	share := func(row BreakdownRow, names ...string) float64 {
@@ -196,6 +197,11 @@ func (b Breakdown) CheckShape() []error {
 	if diskFlush < 0.5 {
 		errs = append(errs, fmt.Errorf(
 			"breakdown: disk flush phases carry only %.0f%% of commit latency; expected to dominate", 100*diskFlush))
+	}
+	if diskIssue := share(byDur[ods.DiskDurability], "issue"); diskIssue >= diskFlush {
+		errs = append(errs, fmt.Errorf(
+			"breakdown: disk issue phase %.0f%% not below its flush phases' %.0f%%; making the effects durable must be the long pole",
+			100*diskIssue, 100*diskFlush))
 	}
 	if pmFlush >= diskFlush {
 		errs = append(errs, fmt.Errorf(

@@ -170,9 +170,6 @@ func (s *System) Spawn(cpu int, name string, body func(c *Client)) {
 // virtual time.
 func (s *System) Run() sim.Time { return s.Eng.Run() }
 
-// RunFor advances virtual time by at most d.
-func (s *System) RunFor(d sim.Time) sim.Time { return s.Eng.RunUntil(s.Eng.Now() + d) }
-
 // PowerFail simulates pulling the plug on the whole machine: all CPUs
 // halt (volatile state is lost) and all PM devices power-cycle. Hardware
 // NPMUs keep their contents; PMP prototypes lose them.

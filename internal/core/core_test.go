@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"persistmem/internal/ods"
-	"persistmem/internal/sim"
 )
 
 func TestPMOnlySystemRoundTrip(t *testing.T) {
@@ -145,27 +144,6 @@ func TestDiskOnlySystem(t *testing.T) {
 		}
 	})
 	sys.Run()
-	sys.Eng.Shutdown()
-}
-
-func TestRunFor(t *testing.T) {
-	sys := NewSystem(DefaultConfig())
-	stopped := false
-	sys.Spawn(2, "sleeper", func(c *Client) {
-		c.Wait(10 * sim.Second)
-		stopped = true
-	})
-	sys.RunFor(sim.Second)
-	if stopped {
-		t.Error("RunFor overran its budget")
-	}
-	if sys.Eng.Now() > 10*sim.Second {
-		t.Errorf("Now = %v", sys.Eng.Now())
-	}
-	sys.Run()
-	if !stopped {
-		t.Error("sleeper never finished")
-	}
 	sys.Eng.Shutdown()
 }
 

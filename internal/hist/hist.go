@@ -7,7 +7,6 @@ package hist
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"persistmem/internal/sim"
 )
@@ -179,42 +178,4 @@ func (h *H) Summary() string {
 	}
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
 		h.count, h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.max)
-}
-
-// Bars renders a coarse text distribution across powers of two, for
-// terminal output.
-func (h *H) Bars(width int) string {
-	if h.count == 0 {
-		return "no samples\n"
-	}
-	if width <= 0 {
-		width = 40
-	}
-	// Aggregate per power-of-two block.
-	type block struct {
-		low   sim.Time
-		count int64
-	}
-	var blocks []block
-	for i := 0; i < len(h.counts); i += subBuckets {
-		var c int64
-		for j := 0; j < subBuckets; j++ {
-			c += h.counts[i+j]
-		}
-		if c > 0 {
-			blocks = append(blocks, block{low: sim.Time(lowOf(h.base + i)), count: c})
-		}
-	}
-	var peak int64
-	for _, b := range blocks {
-		if b.count > peak {
-			peak = b.count
-		}
-	}
-	var sb strings.Builder
-	for _, b := range blocks {
-		n := int(b.count * int64(width) / peak)
-		fmt.Fprintf(&sb, "%12v  %-*s %d\n", b.low, width, strings.Repeat("#", n), b.count)
-	}
-	return sb.String()
 }

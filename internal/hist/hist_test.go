@@ -3,7 +3,6 @@ package hist
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -109,21 +108,6 @@ func TestReset(t *testing.T) {
 	h.Reset()
 	if h.Count() != 0 || h.Max() != 0 {
 		t.Error("Reset incomplete")
-	}
-}
-
-func TestBars(t *testing.T) {
-	var h H
-	for i := 0; i < 100; i++ {
-		h.Record(sim.Millisecond)
-	}
-	h.Record(sim.Second)
-	out := h.Bars(20)
-	if !strings.Contains(out, "#") {
-		t.Errorf("Bars output:\n%s", out)
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 2 {
-		t.Errorf("expected 2 populated blocks:\n%s", out)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"persistmem/internal/sim"
@@ -95,41 +94,6 @@ func (h *refH) Summary() string {
 		h.count, h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.max)
 }
 
-func (h *refH) Bars(width int) string {
-	if h.count == 0 {
-		return "no samples\n"
-	}
-	if width <= 0 {
-		width = 40
-	}
-	type block struct {
-		low   sim.Time
-		count int64
-	}
-	var blocks []block
-	for i := 0; i < len(h.counts); i += subBuckets {
-		var c int64
-		for j := 0; j < subBuckets; j++ {
-			c += h.counts[i+j]
-		}
-		if c > 0 {
-			blocks = append(blocks, block{low: sim.Time(lowOf(i)), count: c})
-		}
-	}
-	var peak int64
-	for _, b := range blocks {
-		if b.count > peak {
-			peak = b.count
-		}
-	}
-	var sb strings.Builder
-	for _, b := range blocks {
-		n := int(b.count * int64(width) / peak)
-		fmt.Fprintf(&sb, "%12v  %-*s %d\n", b.low, width, strings.Repeat("#", n), b.count)
-	}
-	return sb.String()
-}
-
 const hour = 60 * sim.Minute
 
 // pair is an H and the reference fed the same samples.
@@ -158,11 +122,6 @@ func sameAnswers(t *testing.T, what string, h *H, ref *refH) {
 	}
 	if got, want := h.Summary(), ref.Summary(); got != want {
 		t.Errorf("%s: Summary = %q, reference %q", what, got, want)
-	}
-	for _, w := range []int{0, 7, 40} {
-		if got, want := h.Bars(w), ref.Bars(w); got != want {
-			t.Errorf("%s: Bars(%d) =\n%s reference\n%s", what, w, got, want)
-		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"persistmem/internal/cluster"
 	"persistmem/internal/ods"
 	"persistmem/internal/sim"
-	"persistmem/internal/trace"
 )
 
 // Params configures one hot-stock run.
@@ -33,8 +32,6 @@ type Params struct {
 	InsertsPerTxn int
 	// RecordBytes is the record size (4096 in the paper).
 	RecordBytes int
-	// Tracer, when set, records every driver's transaction timelines.
-	Tracer *trace.Recorder
 }
 
 // TxnKB names the transaction size the way the paper's figures do.
@@ -135,7 +132,6 @@ func RunOn(s *ods.Store, params Params) Result {
 		cpu := d % s.Opts.CPUs
 		s.Cl.CPU(cpu).Spawn(fmt.Sprintf("driver%d", d), func(p *cluster.Process) {
 			se := s.NewSession(p)
-			se.SetTracer(params.Tracer)
 			res := DriverResult{Driver: d}
 			resps := make([]sim.Time, 0, txns)
 			nextKey := uint64(d)<<40 | 1

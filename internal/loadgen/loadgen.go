@@ -1,202 +1,6 @@
-// Package loadgen drives workloads against the online data store. It has
-// two drivers:
-//
-//   - the closed-loop driver (this file): N concurrent sessions, each
-//     issuing its next transaction when the previous one completes — the
-//     tool for sizing a configuration under a self-limiting load;
-//   - the open-loop saturation harness (openloop.go): a deterministic
-//     arrival process, Zipf key skew over sharded partitions, and a
-//     virtual-client pool whose offered load is decoupled from the
-//     completion rate — the tool for finding the saturation knee.
+// Package loadgen drives workloads against the online data store with an
+// open-loop saturation harness (openloop.go): a deterministic arrival
+// process (arrival.go), Zipf key skew over sharded partitions, and a
+// virtual-client pool whose offered load is decoupled from the completion
+// rate — the tool for finding the saturation knee.
 package loadgen
-
-import (
-	"fmt"
-
-	"persistmem/internal/cluster"
-	"persistmem/internal/hist"
-	"persistmem/internal/ods"
-	"persistmem/internal/sim"
-)
-
-// Config shapes one closed-loop load run.
-type Config struct {
-	// Clients is the number of concurrent sessions (spread round-robin
-	// over the CPUs).
-	Clients int
-	// Duration is the measurement window in virtual time.
-	Duration sim.Time
-	// OpsPerTxn is the number of data operations per transaction.
-	OpsPerTxn int
-	// ReadFraction in [0,1] is the probability an operation is a browse
-	// read of a previously committed key rather than an insert.
-	ReadFraction float64
-	// ValueBytes sizes inserted values.
-	ValueBytes int
-}
-
-// DefaultConfig returns a small insert-heavy mix.
-func DefaultConfig() Config {
-	return Config{
-		Clients:      2,
-		Duration:     2 * sim.Second,
-		OpsPerTxn:    8,
-		ReadFraction: 0.2,
-		ValueBytes:   1024,
-	}
-}
-
-// Result aggregates a closed-loop run.
-//
-// Counter taxonomy (disjoint by construction): every transaction
-// attempt lands in exactly one of Commits, Aborts or Errors, so
-//
-//	Txns == Commits + Aborts + Errors
-//
-// Commits are transactions whose Commit returned nil. Aborts ended in a
-// known not-committed outcome: an insert failure followed by a client
-// abort, or a Commit that returned an error. Errors never became a
-// transaction at all (Begin failed). Reads and ReadErrors count browse
-// read operations — an op-level ledger, deliberately outside the
-// txn-level identity.
-type Result struct {
-	// Elapsed is the measurement window: the longest span any client
-	// spent from its own start to its last completion. It is a duration,
-	// not an absolute virtual timestamp, so throughput is correct even
-	// when the engine had advanced before the run began.
-	Elapsed sim.Time
-
-	Txns    int64
-	Commits int64
-	Aborts  int64
-	Errors  int64
-
-	Inserts    int64
-	Reads      int64
-	ReadErrors int64
-
-	CommitLatency hist.H
-	ReadLatency   hist.H
-}
-
-// TxnPerSec returns committed transactions per virtual second of the
-// measurement window.
-func (r Result) TxnPerSec() float64 {
-	if r.Elapsed == 0 {
-		return 0
-	}
-	return float64(r.Commits) / r.Elapsed.Seconds()
-}
-
-// String renders the run summary.
-func (r Result) String() string {
-	return fmt.Sprintf(
-		"elapsed %v: %d txns = %d commits (%.1f/s) + %d aborts + %d errors; %d inserts, %d reads (%d read errors)\n  commit: %s\n  read:   %s",
-		r.Elapsed, r.Txns, r.Commits, r.TxnPerSec(), r.Aborts, r.Errors,
-		r.Inserts, r.Reads, r.ReadErrors,
-		r.CommitLatency.Summary(), r.ReadLatency.Summary())
-}
-
-// Run drives the closed-loop workload against an idle store and returns
-// aggregated results. Deterministic for a given store seed and config.
-// The store's engine need not be fresh: the measurement window is
-// relative to each client's start, so a pre-warmed engine reports the
-// same throughput as a cold one.
-func Run(s *ods.Store, cfg Config) Result {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 1
-	}
-	if cfg.OpsPerTxn <= 0 {
-		cfg.OpsPerTxn = 1
-	}
-	files := make([]string, len(s.Opts.Files))
-	for i, f := range s.Opts.Files {
-		files[i] = f.Name
-	}
-
-	results := make([]Result, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		c := c
-		cpu := c % s.Opts.CPUs
-		rng := s.Eng.DeriveRand(fmt.Sprintf("loadgen-%d", c))
-		s.Cl.CPU(cpu).Spawn(fmt.Sprintf("load%d", c), func(p *cluster.Process) {
-			res := &results[c]
-			se := s.NewSession(p)
-			start := p.Now()
-			deadline := start + cfg.Duration
-			nextKey := uint64(c)<<40 | 1
-			var written []uint64
-			staged := make([]uint64, 0, cfg.OpsPerTxn)
-			body := make([]byte, cfg.ValueBytes)
-			for p.Now() < deadline {
-				txnStart := p.Now()
-				res.Txns++
-				txn, err := se.Begin()
-				if err != nil {
-					res.Errors++
-					p.Wait(10 * sim.Millisecond)
-					continue
-				}
-				failed := false
-				staged = staged[:0]
-				for i := 0; i < cfg.OpsPerTxn; i++ {
-					if len(written) > 0 && rng.Float64() < cfg.ReadFraction {
-						key := written[rng.Intn(len(written))]
-						rstart := p.Now()
-						if _, err := se.ReadBrowse(files[int(key)%len(files)], key); err != nil {
-							res.ReadErrors++
-						} else {
-							res.Reads++
-							res.ReadLatency.Record(p.Now() - rstart)
-						}
-						continue
-					}
-					file := files[int(nextKey)%len(files)]
-					if err := txn.InsertAsync(file, nextKey, body); err != nil {
-						failed = true
-						break
-					}
-					staged = append(staged, nextKey)
-					nextKey++
-				}
-				if failed {
-					txn.Abort()
-					res.Aborts++
-					continue
-				}
-				if err := txn.Commit(); err != nil {
-					res.Aborts++
-					continue
-				}
-				// Keys join the read working set only once their
-				// transaction committed: a key staged by an aborted
-				// transaction must never be browsed.
-				written = append(written, staged...)
-				res.Inserts += int64(len(staged))
-				res.Commits++
-				res.CommitLatency.Record(p.Now() - txnStart)
-			}
-			res.Elapsed = p.Now() - start
-		})
-	}
-
-	s.Eng.Run()
-
-	var out Result
-	for i := range results {
-		r := &results[i]
-		out.Txns += r.Txns
-		out.Commits += r.Commits
-		out.Aborts += r.Aborts
-		out.Errors += r.Errors
-		out.Inserts += r.Inserts
-		out.Reads += r.Reads
-		out.ReadErrors += r.ReadErrors
-		out.CommitLatency.Merge(&r.CommitLatency)
-		out.ReadLatency.Merge(&r.ReadLatency)
-		if r.Elapsed > out.Elapsed {
-			out.Elapsed = r.Elapsed
-		}
-	}
-	return out
-}

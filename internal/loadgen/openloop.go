@@ -1,9 +1,9 @@
 // Open-loop, shard-aware saturation harness.
 //
-// The closed-loop driver in loadgen.go issues a new transaction only
-// when the previous one completes, so its offered load can never exceed
-// the store's capacity and the latency it reports hides queueing
-// entirely. The open-loop harness decouples the two: an arrival process
+// A closed-loop driver issues a new transaction only when the previous
+// one completes, so its offered load can never exceed the store's
+// capacity and the latency it reports hides queueing entirely. The
+// open-loop harness decouples the two: an arrival process
 // (Poisson or bursty MMPP) generates transaction arrivals on a virtual
 // clock for a modeled population of logical clients, each arrival is
 // routed by key skew to its DP2 partition's admission queue, and a

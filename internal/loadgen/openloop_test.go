@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"persistmem/internal/cluster"
+	"persistmem/internal/faultinject"
 	"persistmem/internal/metrics"
 	"persistmem/internal/ods"
 	"persistmem/internal/sim"
@@ -69,6 +71,13 @@ func TestOpenLoopProducesWork(t *testing.T) {
 	if r.ReadErrors != 0 {
 		t.Errorf("%d read errors browsing committed keys", r.ReadErrors)
 	}
+	if r.ReadLatency.Count() != r.Reads {
+		t.Errorf("read samples %d != reads %d", r.ReadLatency.Count(), r.Reads)
+	}
+	// Browse reads are fast (no durability on the path).
+	if r.ReadLatency.Mean() > r.Service.Mean() {
+		t.Errorf("read mean %v above service mean %v", r.ReadLatency.Mean(), r.Service.Mean())
+	}
 	checkIdentities(t, &r)
 	if len(r.Shards) != 4 {
 		t.Fatalf("got %d shard ledgers, want 4", len(r.Shards))
@@ -125,6 +134,59 @@ func TestOpenLoopDeterministic(t *testing.T) {
 			t.Errorf("shard %d differs: %+v vs %+v", i, a.Shards[i], b.Shards[i])
 		}
 	}
+}
+
+// TestAbortedKeysNeverBrowsed pins the working-set rule: a mid-run fault
+// makes some commits fail, and the keys those transactions staged must
+// never enter a shard's read working set. Browse reads inside the
+// takeover window fail whatever key they pick, so the rule is checked
+// after the run: every key in every working set reads back.
+func TestAbortedKeysNeverBrowsed(t *testing.T) {
+	s := shardedStore(ods.DiskDurability, 23, 4)
+	// Kill the primary of one DP2 partition mid-run: transactions that
+	// touch it during the takeover window fail. Most failures are commit
+	// timeouts whose transaction did commit; the offered load is past the
+	// disk store's capacity so that a backlog is in flight and some inserts
+	// time out too, which really aborts their transactions.
+	plan := faultinject.Plan{
+		{Kind: faultinject.ProcessKill, Service: s.DP2Name("TRADES", 0), When: faultinject.Trigger{At: 100 * sim.Millisecond}},
+	}
+	inj := faultinject.Arm(s, plan)
+	cfg := DefaultOpenConfig()
+	cfg.Rate = 1500
+	cfg.Window = sim.Second
+	cfg.ReadFraction = 0.5
+	pend := StartOpen(s, cfg)
+	s.Eng.Run()
+	r := pend.Collect()
+	if len(inj.Firings()) != 1 {
+		t.Fatalf("fault did not fire: %v", inj.Firings())
+	}
+	if r.Aborts == 0 {
+		t.Fatal("no aborts despite a DP2 primary kill mid-run")
+	}
+	if r.Reads == 0 {
+		t.Error("no reads at 50% read fraction")
+	}
+	checkIdentities(t, &r)
+
+	var keys, missing int
+	s.Cl.CPU(1).Spawn("check-working-sets", func(p *cluster.Process) {
+		se := s.NewSession(p)
+		for _, sh := range pend.shards {
+			for _, k := range sh.written {
+				keys++
+				if _, err := se.ReadBrowse("TRADES", k); err != nil {
+					missing++
+				}
+			}
+		}
+	})
+	s.Eng.Run()
+	if keys == 0 || missing != 0 {
+		t.Errorf("%d of %d working-set keys do not read back — keys from failed transactions leaked into the working set", missing, keys)
+	}
+	s.Eng.Shutdown()
 }
 
 // TestOpenLoopHotShard: Zipf skew routes low keys — and so low-numbered

@@ -242,24 +242,6 @@ func monotone(at *[numMarks]sim.Time) bool {
 	return true
 }
 
-// FormatPhases renders one transaction's decomposition as a compact
-// single line of the non-zero phases (for trace timelines). Cold path.
-func FormatPhases(tp *TxnPhases) string {
-	var b []byte
-	for i, d := range tp.Phase {
-		if d == 0 {
-			continue
-		}
-		b = append(b, PhaseNames[i]...)
-		b = append(b, '=')
-		b = append(b, d.String()...)
-		b = append(b, ' ')
-	}
-	b = append(b, "total="...)
-	b = append(b, tp.Total.String()...)
-	return string(b)
-}
-
 // Open reports the number of transactions with marks recorded but
 // neither completed nor dropped (in-flight at observation time).
 func (cp *CommitPath) Open() int {

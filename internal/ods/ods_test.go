@@ -3,14 +3,12 @@ package ods
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"persistmem/internal/cluster"
 	"persistmem/internal/dp2"
 	"persistmem/internal/sim"
 	"persistmem/internal/tmf"
-	"persistmem/internal/trace"
 )
 
 // smallOptions returns a compact store for tests: 2 files × 2 partitions
@@ -494,42 +492,6 @@ func TestTransactionsSurviveFabricPathFailure(t *testing.T) {
 	})
 	if s.Cl.Fabric().PathOps[1] == 0 {
 		t.Error("no traffic crossed the Y fabric after X failed")
-	}
-	s.Eng.Shutdown()
-}
-
-func TestTracerRecordsTimelines(t *testing.T) {
-	// The tracer's issue/commit decomposition demonstrates §2's "long
-	// pole": with disk audit, the commit phase dominates the issue phase.
-	s := Build(smallOptions(DiskDurability))
-	rec := trace.New(0)
-	runClient(s, func(se *Session) {
-		se.SetTracer(rec)
-		for i := 0; i < 3; i++ {
-			txn, _ := se.Begin()
-			for j := 0; j < 4; j++ {
-				txn.InsertAsync("TRADES", uint64(i*10+j), make([]byte, 4096))
-			}
-			if err := txn.Commit(); err != nil {
-				t.Fatalf("commit: %v", err)
-			}
-		}
-	})
-	if rec.Len() == 0 {
-		t.Fatal("tracer recorded nothing")
-	}
-	issue, commit, txns := rec.Breakdown()
-	if txns != 3 {
-		t.Fatalf("breakdown covered %d txns", txns)
-	}
-	if commit <= issue {
-		t.Errorf("disk commit phase (%v) should dominate issue phase (%v)", commit, issue)
-	}
-	tl := rec.Timeline(rec.Txns()[0])
-	for _, want := range []string{"insert-issue", "commit-start", "commit-done"} {
-		if !strings.Contains(tl, want) {
-			t.Errorf("timeline missing %q:\n%s", want, tl)
-		}
 	}
 	s.Eng.Shutdown()
 }

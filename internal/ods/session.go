@@ -11,7 +11,6 @@ import (
 	"persistmem/internal/metrics"
 	"persistmem/internal/sim"
 	"persistmem/internal/tmf"
-	"persistmem/internal/trace"
 )
 
 // Session errors.
@@ -30,9 +29,6 @@ var (
 type Session struct {
 	s *Store
 	p *cluster.Process
-
-	// tracer, when set, records the session's transaction timelines.
-	tracer *trace.Recorder
 
 	// cp and tx are the store registry's commit-path recorder and
 	// transaction ledger (nil when the store has no metrics attached;
@@ -137,20 +133,10 @@ func (se *Session) freeCommitReq(r *tmf.CommitReq) {
 	se.cmtfree = append(se.cmtfree, r)
 }
 
-// SetTracer attaches a timeline recorder to the session (nil detaches).
-func (se *Session) SetTracer(r *trace.Recorder) { se.tracer = r }
-
 // SetTwoPhase opts the session's multi-shard commits into (or out of)
 // the cross-shard two-phase outcome-record protocol. Commits touching a
 // single DP2 are unaffected either way.
 func (se *Session) SetTwoPhase(on bool) { se.twoPhase = on }
-
-// emit records a trace event if a tracer is attached.
-func (se *Session) emit(txn audit.TxnID, kind trace.Kind, detail string) {
-	if se.tracer != nil {
-		se.tracer.Emit(txn, kind, se.p.Now(), detail)
-	}
-}
 
 // NewSession binds a client process to the store.
 func (s *Store) NewSession(p *cluster.Process) *Session {
@@ -197,7 +183,6 @@ func (se *Session) Begin() (*Txn, error) {
 	se.cp.Mark(uint64(resp.Txn), metrics.MarkBeginCall, t0)
 	se.cp.Mark(uint64(resp.Txn), metrics.MarkBeginDone, se.p.Now())
 	se.tx.OnBegin()
-	se.emit(resp.Txn, trace.Begin, "")
 	clear(se.involved)
 	se.pending = se.pending[:0]
 	se.insErr = nil
@@ -240,10 +225,6 @@ func (t *Txn) InsertAsync(file string, key uint64, body []byte) error {
 	}
 	se.involved[name] = true
 	se.pending = append(se.pending, pendingIns{sig: sig, req: req})
-	if se.tracer != nil { // skip the detail formatting on the untraced hot path
-		//simlint:allow hotalloc -- only runs with a tracer attached (debugging, not benchmarks)
-		se.emit(t.id, trace.InsertIssue, fmt.Sprintf("%s key=%d %dB", name, key, len(body)))
-	}
 	return nil
 }
 
@@ -286,7 +267,6 @@ func (t *Txn) WaitPending() error {
 			firstErr = fmt.Errorf("%w: %v", ErrInsertFailed, rerr) //simlint:allow hotalloc -- insert-failure path, cold
 		}
 		se.freeInsertReq(pi.req)
-		se.emit(t.id, trace.InsertDone, "")
 	}
 	se.pending = se.pending[:0]
 	return firstErr
@@ -321,10 +301,6 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("%w: %v", ErrInsertFailed, se.insErr) //simlint:allow hotalloc -- insert-failure path, cold
 	}
 	t.done = true
-	if se.tracer != nil {
-		//simlint:allow hotalloc -- only runs with a tracer attached (debugging, not benchmarks)
-		se.emit(t.id, trace.CommitStart, fmt.Sprintf("%d DP2s", len(se.involved)))
-	}
 	req := se.newCommitReq()
 	req.Txn, req.DP2s = t.id, se.setToList()
 	req.TwoPhase = se.twoPhase && len(req.DP2s) > 1 // always assigned: the box is recycled
@@ -350,13 +326,8 @@ func (t *Txn) Commit() error {
 		return cerr
 	}
 	se.cp.Mark(uint64(t.id), metrics.MarkCommitDone, se.p.Now())
-	ph, folded := se.cp.Complete(uint64(t.id))
+	se.cp.Complete(uint64(t.id))
 	se.tx.OnCommit()
-	if se.tracer != nil && folded {
-		//simlint:allow hotalloc -- only runs with a tracer attached (debugging, not benchmarks)
-		se.emit(t.id, trace.CommitPhases, metrics.FormatPhases(&ph))
-	}
-	se.emit(t.id, trace.CommitDone, "")
 	return nil
 }
 
@@ -379,11 +350,7 @@ func (t *Txn) Abort() error {
 	// Even a monitor-side abort error (e.g. the transaction was already
 	// resolved by a timeout) is a known not-committed outcome here.
 	se.tx.OnAbort()
-	if req.Resp.Err != nil {
-		return req.Resp.Err
-	}
-	se.emit(t.id, trace.AbortDone, "")
-	return nil
+	return req.Resp.Err
 }
 
 // ReadBrowse performs a lock-free (browse access, §1.1) read outside any
