@@ -136,6 +136,46 @@ func BenchmarkFaultCell(b *testing.B) {
 	}
 }
 
+// BenchmarkRecovery measures the three 4000-transaction recoveries of the
+// benchmark's fault-recover workload alone: off the audit disks, and out of
+// PM with the outcome scan and with the TCB region. Each iteration builds and
+// crashes its store with the timer stopped; B/op and allocs/op are the
+// recovery's, reboot included, and MTTR-ms its virtual time.
+func BenchmarkRecovery(b *testing.B) {
+	for _, path := range []struct {
+		name   string
+		d      ods.Durability
+		useTCB bool
+	}{
+		{"disk", ods.DiskDurability, false},
+		{"pm-scan", ods.PMDurability, false},
+		{"pm-tcb", ods.PMDurability, true},
+	} {
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				res := recovery.RunScenario(path.d, 4000, 1)
+				b.StartTimer()
+				var rep recovery.Report
+				var err error
+				if path.d == ods.DiskDurability {
+					rep, _, err = res.RecoverDisk(recovery.Options{})
+				} else {
+					rep, _, err = res.RecoverPM(recovery.Options{}, path.useTCB)
+				}
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Store.Eng.Shutdown()
+				b.StartTimer()
+				b.ReportMetric(rep.MTTR.Millis(), "MTTR-ms")
+			}
+		})
+	}
+}
+
 // BenchmarkClaimWriteAmp regenerates the C3 write-amplification table
 // (§3.4): bytes moved per inserted row for durability, disk vs PM
 // configuration. Reported metric: the log writer's backup-checkpoint

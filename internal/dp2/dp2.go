@@ -8,7 +8,6 @@
 package dp2
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -121,9 +120,19 @@ func (c *Config) applyDefaults() {
 		c.WritebackInterval = 100 * sim.Millisecond
 	}
 	if c.WritebackMaxBytes == 0 {
-		c.WritebackMaxBytes = 2 << 20
+		c.WritebackMaxBytes = writebackBudget
 	}
 }
+
+// writebackBudget is the default destage batch budget, and the size of
+// zeroBlock.
+const writebackBudget = 2 << 20
+
+// zeroBlock is what a DP2 that keeps no row bodies destages: its batch is
+// all zeros by construction, so it writes a slice of this block instead of
+// growing a buffer of its own. Nothing writes to it — Volume.Write only
+// reads its data — so engines on other goroutines share it without a race.
+var zeroBlock [writebackBudget]byte
 
 // protocol messages
 //
@@ -313,7 +322,7 @@ type dpState struct {
 	alloc      int64 // next volume offset for destage
 
 	dirtyq entQueue // rows awaiting destage, in insert order
-	cleanq entQueue // destaged rows eligible for eviction, FIFO
+	cleanq entQueue // destaged rows eligible for eviction, FIFO; empty unless evicting
 
 	// rows is the unissued tail of the current slab. A row is handed out
 	// once and never reused, so *row identity — what the queues compare to
@@ -854,7 +863,9 @@ func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, r
 			}
 			r.resident = true
 			st.cacheBytes += int64(r.blen)
-			st.cleanq.push(queueEnt{key: req.Key, r: r})
+			if d.evicting() {
+				st.cleanq.push(queueEnt{key: req.Key, r: r})
+			}
 			d.evict(st)
 		}
 		d.stats.Reads++
@@ -1023,13 +1034,11 @@ func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
 		rec := s.Record()
 		switch rec.Type {
 		case audit.RecInsert:
-			// rec.Body aliases img; a retained row owns its bytes.
-			body := rec.Body
-			if d.cfg.RetainData {
-				body = bytes.Clone(body)
-			}
+			// rec.Body aliases img, capacity clipped at the frame: img is
+			// this rebuild's own and nothing else writes it, so a retained
+			// row keeps its slice of img.
 			st.applyInsert(insertDelta{
-				txn: rec.Txn, key: rec.Key, body: body, blen: len(body),
+				txn: rec.Txn, key: rec.Key, body: rec.Body, blen: len(rec.Body),
 			}, d.cfg.RetainData)
 		case audit.RecCommit:
 			st.applyEnd(endDelta{txn: rec.Txn, commit: true})
@@ -1049,7 +1058,8 @@ func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
 //
 // The batch is assembled first and the write buffer sized to it
 // (destageBufLen), so a destager allocates what its load needs: nothing
-// while idle, a few KB under a trickle.
+// while idle, a few KB under a trickle. A DP2 that keeps no bodies needs
+// none: it writes a slice of zeroBlock.
 func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 	var buf []byte       // grown to the largest batch so far
 	var batch []queueEnt // reused across batches
@@ -1082,22 +1092,30 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 				st.dirty = 0
 				break
 			}
-			if n > int64(len(buf)) {
-				buf = make([]byte, destageBufLen(int64(len(buf)), n, budget))
-			}
-			for _, ent := range batch {
-				if ent.r.body != nil {
-					copy(buf[ent.r.volOff-batchStart:], ent.r.body)
+			var out []byte
+			if !d.cfg.RetainData && n <= int64(len(zeroBlock)) {
+				out = zeroBlock[:n]
+			} else {
+				if n > int64(len(buf)) {
+					buf = make([]byte, destageBufLen(int64(len(buf)), n, budget))
 				}
+				for _, ent := range batch {
+					if ent.r.body != nil {
+						copy(buf[ent.r.volOff-batchStart:], ent.r.body)
+					}
+				}
+				out = buf[:n]
 			}
-			if err := d.cfg.Volume.Write(p.Sim(), batchStart, buf[:n]); err != nil {
+			if err := d.cfg.Volume.Write(p.Sim(), batchStart, out); err != nil {
 				// Volume down: requeue and retry next interval.
 				st.dirtyq.prepend(batch)
 				continue
 			}
 			for _, ent := range batch {
 				ent.r.dirty = false
-				st.cleanq.push(ent)
+				if d.evicting() {
+					st.cleanq.push(ent)
+				}
 			}
 			st.alloc = batchStart + n
 			st.dirty -= n
@@ -1119,10 +1137,16 @@ func destageBufLen(have, need, budget int64) int64 {
 	return min(max(need, 2*have), max(need, budget))
 }
 
+// evicting reports whether the cache is bounded. Only then does anything pop
+// cleanq, so only then does a destaged or re-admitted row join it.
+//
+//simlint:hotpath
+func (d *DP2) evicting() bool { return d.cfg.MaxCacheBytes > 0 }
+
 // evict enforces the cache budget by dropping the oldest clean rows'
 // bodies; their metadata stays so reads can fetch them from the volume.
 func (d *DP2) evict(st *dpState) {
-	if d.cfg.MaxCacheBytes <= 0 {
+	if !d.evicting() {
 		return
 	}
 	for st.cacheBytes > d.cfg.MaxCacheBytes && st.cleanq.len() > 0 {

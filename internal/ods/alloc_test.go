@@ -134,9 +134,9 @@ func TestFaultCellAllocationBudget(t *testing.T) {
 // metrics.
 const txnBudgetAllocs = 10
 
-// hotStockAllocs returns the heap objects one fresh store's hot-stock run
-// of txns transactions allocates, set-up included.
-func hotStockAllocs(t *testing.T, d ods.Durability, txns int) uint64 {
+// hotStockAlloc returns the heap objects and bytes one fresh store's
+// hot-stock run of txns transactions allocates, set-up included.
+func hotStockAlloc(t *testing.T, d ods.Durability, txns int) (objects, bytes uint64) {
 	opts := ods.DefaultOptions()
 	opts.Durability = d
 	var before, after runtime.MemStats
@@ -148,7 +148,7 @@ func hotStockAllocs(t *testing.T, d ods.Durability, txns int) uint64 {
 	if got := r.Drivers[0].Txns; got != txns {
 		t.Fatalf("%d of %d transactions committed: the budget only means something over committed work", got, txns)
 	}
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestTxnAllocationBudget holds the data plane's steady-state allocation
@@ -159,12 +159,50 @@ func hotStockAllocs(t *testing.T, d ods.Durability, txns int) uint64 {
 func TestTxnAllocationBudget(t *testing.T) {
 	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability} {
 		t.Run(d.String(), func(t *testing.T) {
-			hotStockAllocs(t, d, 100) // warm package-level state
-			short, long := hotStockAllocs(t, d, 500), hotStockAllocs(t, d, 1000)
+			hotStockAlloc(t, d, 100) // warm package-level state
+			short, _ := hotStockAlloc(t, d, 500)
+			long, _ := hotStockAlloc(t, d, 1000)
 			perTxn := float64(long-short) / 500
 			t.Logf("%.1f allocs per committed transaction", perTxn)
 			if perTxn > txnBudgetAllocs {
 				t.Errorf("a committed transaction costs %.1f allocations, budget %d: a hot-path box or buffer stopped being recycled", perTxn, txnBudgetAllocs)
+			}
+		})
+	}
+}
+
+// txnBudgetBytes is the most bytes one more committed hot-stock transaction
+// (as txnBudgetAllocs) may cost: 2330–2345 on disk audit and on PM today,
+// 2585–2595 while every destaged row joined a clean queue that nothing pops
+// in a store that never evicts.
+const txnBudgetBytes = 2450
+
+// runBudgetBytes is the most bytes a transaction of the whole 1000-transaction
+// run may cost, set-up included: 2630–2680 today. A destage buffer grows once,
+// early, toward its batch budget, so the difference of two runs cancels it and
+// only this sees it: 3780 on disk and 8920 on PM while a DP2 that keeps no row
+// bodies still grew a zero-filled buffer to write them from (4060 / 9210 with
+// the clean queue as well).
+const runBudgetBytes = 3000
+
+// TestTxnByteBudget is the byte side of TestTxnAllocationBudget: an object
+// count cannot see one large buffer. It holds the same 1000-minus-500
+// difference to txnBudgetBytes and the 1000-transaction run itself to
+// runBudgetBytes a transaction. Bytes are deterministic to a few per
+// transaction (the runtime's own allocations), so both budgets are tight.
+func TestTxnByteBudget(t *testing.T) {
+	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability} {
+		t.Run(d.String(), func(t *testing.T) {
+			hotStockAlloc(t, d, 100) // warm package-level state
+			_, short := hotStockAlloc(t, d, 500)
+			_, long := hotStockAlloc(t, d, 1000)
+			perTxn, perRunTxn := float64(long-short)/500, float64(long)/1000
+			t.Logf("%.0f bytes per committed transaction, %.0f a transaction of the whole run", perTxn, perRunTxn)
+			if perTxn > txnBudgetBytes {
+				t.Errorf("a committed transaction costs %.0f bytes, budget %d: something keeps a per-row entry nobody reads", perTxn, txnBudgetBytes)
+			}
+			if perRunTxn > runBudgetBytes {
+				t.Errorf("the 1000-transaction run costs %.0f bytes a transaction, budget %d: some service grows a buffer it need not", perRunTxn, runBudgetBytes)
 			}
 		})
 	}

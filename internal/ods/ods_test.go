@@ -435,6 +435,8 @@ func TestPMDirectHasNoLogWriters(t *testing.T) {
 	s.Eng.Shutdown()
 }
 
+// The rebuilt rows are slices of the image the rebuild read out of PM, so
+// every one of them is read back, not just the first.
 func TestPMDirectTakeoverRebuildsFromPM(t *testing.T) {
 	s := Build(smallOptions(PMDirectDurability))
 	runClient(s, func(se *Session) {
@@ -442,6 +444,17 @@ func TestPMDirectTakeoverRebuildsFromPM(t *testing.T) {
 		txn.InsertAsync("TRADES", 2, []byte("persisted once")) // partition 0
 		if err := txn.Commit(); err != nil {
 			t.Fatalf("commit: %v", err)
+		}
+		rebuilt := func(k uint64) string { return fmt.Sprintf("row %d, rebuilt from PM", k) }
+		more := []uint64{6, 8, 10, 12, 14, 16, 18, 20} // partition 0
+		for _, keys := range [][]uint64{more[:4], more[4:]} {
+			txn, _ := se.Begin()
+			for _, k := range keys {
+				txn.InsertAsync("TRADES", k, []byte(rebuilt(k)))
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
 		}
 		// An aborted transaction's row must stay dead across the rebuild.
 		txn2, _ := se.Begin()
@@ -459,6 +472,11 @@ func TestPMDirectTakeoverRebuildsFromPM(t *testing.T) {
 		}
 		if string(body) != "persisted once" {
 			t.Errorf("row after rebuild = %q", body)
+		}
+		for _, k := range more {
+			if body, err := se.ReadBrowse("TRADES", k); err != nil || string(body) != rebuilt(k) {
+				t.Errorf("row %d after rebuild = %q, %v; want %q", k, body, err, rebuilt(k))
+			}
 		}
 		if _, err := se.ReadBrowse("TRADES", 4); err == nil {
 			t.Error("aborted row resurrected by PM rebuild")

@@ -1,0 +1,110 @@
+package recovery
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"persistmem/internal/btree"
+	"persistmem/internal/ods"
+	"persistmem/internal/stable"
+)
+
+// recoveryBudgetBytes is the most a 4000-transaction recovery (16 000 rows,
+// the size of the benchmark fault-recover workload's three) may allocate per
+// row it recovers, on each of recoveryPaths. Today a row costs 145–146 B on
+// all three: its share of the kept stream copy, of the B-tree and of the
+// analysis maps. It cost 522–523 B while analysis kept every data record by
+// value in a slice that grew a quarter at a time and redo cloned each body;
+// the by-value slice alone reads 508.
+const recoveryBudgetBytes = 200
+
+// recoverScenario runs the path's recovery of a crashed scenario.
+func recoverScenario(t *testing.T, res ScenarioResult, d ods.Durability, useTCB bool) *Rebuilt {
+	t.Helper()
+	var rb *Rebuilt
+	var err error
+	if d == ods.DiskDurability {
+		_, rb, err = res.RecoverDisk(Options{})
+	} else {
+		_, rb, err = res.RecoverPM(Options{}, useTCB)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rb
+}
+
+// TestRecoveryAllocationBudget holds what a recovery allocates per row it
+// recovers: reboot, the reads, analysis, redo and the image, with the
+// process's spare read buffer warm.
+func TestRecoveryAllocationBudget(t *testing.T) {
+	warm := RunScenario(ods.DiskDurability, 4, 1) // leaves a spare read buffer behind
+	recoverScenario(t, warm, ods.DiskDurability, false)
+	warm.Store.Eng.Shutdown()
+	for _, tc := range recoveryPaths {
+		t.Run(tc.name, func(t *testing.T) {
+			res := RunScenario(tc.d, 4000, 1)
+			defer res.Store.Eng.Shutdown()
+			if len(res.Errs) > 0 {
+				t.Fatalf("workload errors: %v", res.Errs)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rb := recoverScenario(t, res, tc.d, tc.useTCB)
+			runtime.ReadMemStats(&after)
+			if rb.Rows() != len(res.Committed) {
+				t.Fatalf("%d rows recovered, %d committed: the budget only means something over a whole image", rb.Rows(), len(res.Committed))
+			}
+			perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rb.Rows())
+			t.Logf("%.0f bytes per recovered row, %d rows", perRow, rb.Rows())
+			if perRow > recoveryBudgetBytes {
+				t.Errorf("a recovered row costs %.0f bytes, budget %d: recovery copies what it already owns", perRow, recoveryBudgetBytes)
+			}
+		})
+	}
+}
+
+// TestRecoveredRowsOutliveTheScratch holds that a recovered row's body is
+// recovery's own stream copy and never the process's spare read buffer: once
+// somebody has filled the spare with 0xFF, and once a second recovery of a
+// shorter trail has read into it, every row of the first image still reads
+// "row-<key>". Appending to a returned body must not reach the next row's
+// bytes either.
+func TestRecoveredRowsOutliveTheScratch(t *testing.T) {
+	for _, tc := range recoveryPaths {
+		t.Run(tc.name, func(t *testing.T) {
+			first := RunScenario(tc.d, 60, 1)
+			defer first.Store.Eng.Shutdown()
+			rb := recoverScenario(t, first, tc.d, tc.useTCB)
+
+			spare := stable.TakeScratch()
+			if len(spare) == 0 {
+				t.Fatal("the recovery handed on no read buffer")
+			}
+			for i := range spare {
+				spare[i] = 0xFF
+			}
+			stable.HandOn(spare)
+			checkGroundTruth(t, rb, first)
+			second := RunScenario(tc.d, 12, 2)
+			defer second.Store.Eng.Shutdown()
+			recoverScenario(t, second, tc.d, tc.useTCB)
+
+			checkGroundTruth(t, rb, first)
+			if rb.Rows() != len(first.Committed) {
+				t.Errorf("%d rows in the first image, %d committed", rb.Rows(), len(first.Committed))
+			}
+
+			// 128 bytes run past a body's CRC, a commit record and the next
+			// insert's header into that insert's body.
+			tail := bytes.Repeat([]byte{0xEE}, 128)
+			rb.Files["TRADES"].Ascend(0, ^uint64(0), func(it btree.Item[[]byte]) bool {
+				_ = append(it.Value, tail...)
+				return true
+			})
+			checkGroundTruth(t, rb, first)
+		})
+	}
+}

@@ -118,7 +118,7 @@ func TestInDoubtStreamResolution(t *testing.T) {
 		opts.defaults()
 		scanStream(p, opts, stream, an, &rep.RecordsScanned)
 		resolveInDoubt(an, &rep)
-		rb, _ = redo(p, opts, an, &rep)
+		rb, _ = redo(p, opts, [][]byte{stream}, an, &rep)
 	})
 	eng.Run()
 

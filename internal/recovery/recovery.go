@@ -111,21 +111,18 @@ func (r *Rebuilt) Rows() int {
 	return n
 }
 
-// analysis classifies transactions from scanned records. data holds the
-// data records by value, in trail order; their Body fields alias the kept
-// streams, which therefore live until redo has copied what it keeps.
+// analysis classifies transactions from scanned records. It keeps no data
+// records: redo rescans the streams for them.
 type analysis struct {
 	outcome  map[audit.TxnID]uint8 // tmf.TCBCommitted / TCBAborted
 	prepared map[audit.TxnID]bool  // cross-shard prepare votes seen
-	data     []audit.Record
 }
 
 func newAnalysis() *analysis {
 	return &analysis{outcome: make(map[audit.TxnID]uint8), prepared: make(map[audit.TxnID]bool)}
 }
 
-// note folds one scanned record into the analysis. rec is the scanner's
-// own record, so a data record is kept by value.
+// note folds one scanned record's outcome evidence into the analysis.
 func (an *analysis) note(rec *audit.Record) {
 	switch rec.Type {
 	case audit.RecCommit:
@@ -140,8 +137,6 @@ func (an *analysis) note(rec *audit.Record) {
 		if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
 			an.outcome[rec.Txn] = o.State
 		}
-	case audit.RecInsert, audit.RecUpdate, audit.RecDelete:
-		an.data = append(an.data, *rec)
 	}
 }
 
@@ -184,41 +179,48 @@ func resolveInDoubt(an *analysis, rep *Report) {
 	}
 }
 
-// redo applies committed data records to fresh trees, returning the set
-// of transactions that had data records.
-func redo(p *sim.Proc, opts Options, an *analysis, rep *Report) (*Rebuilt, map[audit.TxnID]bool) {
+// redo rescans the streams and applies committed data records to fresh trees,
+// returning the set of transactions that had data records. The streams are
+// this recovery's own copies, not its scratch: a row keeps its slice of one.
+func redo(p *sim.Proc, opts Options, streams [][]byte, an *analysis, rep *Report) (*Rebuilt, map[audit.TxnID]bool) {
 	rb := &Rebuilt{Files: make(map[string]*btree.Tree[[]byte])}
 	seen := make(map[audit.TxnID]bool)
-	for i := range an.data {
-		rec := &an.data[i]
-		p.Wait(opts.CPUPerRecord)
-		rep.RecordsScanned++
-		if an.outcome[rec.Txn] != tmf.TCBCommitted {
+	for _, data := range streams {
+		s := audit.NewScanner(data)
+		for s.Next() {
+			rec := s.Record()
+			if rec.Type != audit.RecInsert && rec.Type != audit.RecUpdate && rec.Type != audit.RecDelete {
+				continue // outcome evidence: the analysis has it
+			}
+			p.Wait(opts.CPUPerRecord)
+			rep.RecordsScanned++
+			if an.outcome[rec.Txn] != tmf.TCBCommitted {
+				if !seen[rec.Txn] {
+					seen[rec.Txn] = true
+					if an.outcome[rec.Txn] == tmf.TCBAborted {
+						rep.Aborted++
+					} else {
+						rep.InFlight++
+					}
+				}
+				continue
+			}
 			if !seen[rec.Txn] {
 				seen[rec.Txn] = true
-				if an.outcome[rec.Txn] == tmf.TCBAborted {
-					rep.Aborted++
-				} else {
-					rep.InFlight++
-				}
+				rep.Committed++
 			}
-			continue
-		}
-		if !seen[rec.Txn] {
-			seen[rec.Txn] = true
-			rep.Committed++
-		}
-		t := rb.Files[rec.File]
-		if t == nil {
-			t = btree.New[[]byte]()
-			rb.Files[rec.File] = t
-		}
-		if rec.Type == audit.RecDelete {
-			t.Delete(rec.Key)
-		} else {
-			// The image outlives the streams: it owns its bytes.
-			t.Set(rec.Key, bytes.Clone(rec.Body))
-			rep.RowsRedone++
+			t := rb.Files[rec.File]
+			if t == nil {
+				t = btree.New[[]byte]()
+				rb.Files[rec.File] = t
+			}
+			if rec.Type == audit.RecDelete {
+				t.Delete(rec.Key)
+			} else {
+				n := len(rec.Body) // capped: an append cannot reach the next record
+				t.Set(rec.Key, rec.Body[:n:n])
+				rep.RowsRedone++
+			}
 		}
 	}
 	return rb, seen
@@ -283,7 +285,7 @@ func fromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options, sc *scratch) (R
 	}
 	resolveInDoubt(an, &rep)
 	// Pass 2: redo.
-	rb, _ := redo(p, opts, an, &rep)
+	rb, _ := redo(p, opts, streams, an, &rep)
 	rep.MTTR = p.Now() - start
 	return rep, rb, nil
 }
@@ -375,26 +377,23 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 		streams = append(streams, data)
 	}
 
-	if !rep.UsedTCB {
-		// No control blocks: fall back to the outcome-discovery pass.
-		for _, data := range streams {
-			scanStream(p.Sim(), opts, data, an, &rep.RecordsScanned)
-		}
-		an.data = an.data[:0]
-	}
-	// Single (or second) pass: collect data records and redo. Outcome
-	// records encountered along the way are authoritative — the TCB table
-	// is a bounded, wrapping structure sized for *concurrent* transactions
-	// (its job is naming the in-flight ones without a search), so trail
-	// outcomes override possibly-overwritten TCB slots.
 	for _, data := range streams {
+		if !rep.UsedTCB {
+			// No control blocks: fall back to the outcome-discovery pass.
+			scanStream(p.Sim(), opts, data, an, &rep.RecordsScanned)
+			continue
+		}
+		// Single pass, charged in redo. Trail outcomes override the TCB
+		// table: a bounded, wrapping structure sized for *concurrent*
+		// transactions (its job is naming the in-flight ones without a
+		// search), whose slots may have been overwritten.
 		s := audit.NewScanner(data)
 		for s.Next() {
 			an.note(s.Record())
 		}
 	}
 	resolveInDoubt(an, &rep)
-	rb, seen := redo(p.Sim(), opts, an, &rep)
+	rb, seen := redo(p.Sim(), opts, streams, an, &rep)
 	if rep.UsedTCB {
 		// Fine-grained knowledge: control blocks name in-flight
 		// transactions even when none of their audit reached the durable
