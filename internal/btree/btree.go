@@ -5,7 +5,20 @@
 // The implementation is a classic order-m B-tree with preemptive splitting
 // on the way down, supporting point lookup, insert/replace, delete and
 // in-order range scans.
+//
+// A full child with room in its left sibling lends before it splits: when
+// the key being inserted sorts above the child's first item, that item
+// rotates up through the parent's separator into the sibling, and the child
+// takes the key. Every insert the workloads issue appends at the right edge
+// of its partition (hot-stock record ids, loadgen's per-shard sequences,
+// the recovery scenario's keys), where a plain split leaves the left half
+// at 31 of 63 slots for good; lending fills every leaf but the last two at
+// each edge. Split and root-growth nodes are born at full capacity and a
+// vacated slot is always zeroed, so a node never regrows and never pins a
+// value it no longer holds.
 package btree
+
+import "slices"
 
 // degree is the minimum child count of an internal node (order 2*degree).
 const degree = 32
@@ -79,39 +92,65 @@ func (t *Tree[V]) Has(key uint64) bool {
 	return ok
 }
 
+// newNode returns an empty node with room for a full node's items, and for
+// its children too when internal, so it never regrows.
+func newNode[V any](internal bool) *node[V] {
+	n := &node[V]{items: make([]Item[V], 0, maxKeys)}
+	if internal {
+		n.children = make([]*node[V], 0, maxKeys+1)
+	}
+	return n
+}
+
 // splitChild splits n.children[i] (which must be full) around its median.
 func (n *node[V]) splitChild(i int) {
 	child := n.children[i]
 	mid := maxKeys / 2
 	median := child.items[mid]
 
-	right := &node[V]{}
+	right := newNode[V](!child.leaf())
 	right.items = append(right.items, child.items[mid+1:]...)
+	clear(child.items[mid:])
 	child.items = child.items[:mid]
 	if !child.leaf() {
 		right.children = append(right.children, child.children[mid+1:]...)
+		clear(child.children[mid+1:])
 		child.children = child.children[:mid+1]
 	}
 
-	n.items = append(n.items, Item[V]{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = median
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
+	n.items = slices.Insert(n.items, i, median)
+	n.children = slices.Insert(n.children, i+1, right)
+}
+
+// lendLeft rotates n.children[i]'s first item up through the separator into
+// its left sibling, which must have room, and with it the first child when
+// internal. Set lends to make room in a full child instead of splitting it;
+// fixChild lends to top up an underfull left sibling.
+func (n *node[V]) lendLeft(i int) {
+	child, left := n.children[i], n.children[i-1]
+	left.items = append(left.items, n.items[i-1])
+	n.items[i-1] = child.items[0]
+	child.items = slices.Delete(child.items, 0, 1)
+	if !child.leaf() {
+		left.children = append(left.children, child.children[0])
+		child.children = slices.Delete(child.children, 0, 1)
+	}
 }
 
 // Set inserts or replaces the value under key, reporting whether the key
 // was newly inserted.
 func (t *Tree[V]) Set(key uint64, value V) bool {
 	if t.root == nil {
+		// The first leaf grows by append, so a tree of a few rows costs
+		// what it holds; only split-born nodes start at full size.
 		t.root = &node[V]{items: []Item[V]{{Key: key, Value: value}}}
 		t.size = 1
 		return true
 	}
 	if len(t.root.items) == maxKeys {
 		old := t.root
-		t.root = &node[V]{children: []*node[V]{old}}
+		t.root = newNode[V](true)
+		t.root.children = append(t.root.children, old)
 		t.root.splitChild(0)
 	}
 	n := t.root
@@ -122,20 +161,22 @@ func (t *Tree[V]) Set(key uint64, value V) bool {
 			return false
 		}
 		if n.leaf() {
-			n.items = append(n.items, Item[V]{})
-			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = Item[V]{Key: key, Value: value}
+			n.items = slices.Insert(n.items, i, Item[V]{Key: key, Value: value})
 			t.size++
 			return true
 		}
-		if len(n.children[i].items) == maxKeys {
-			n.splitChild(i)
-			if key == n.items[i].Key {
-				n.items[i].Value = value
-				return false
-			}
-			if key > n.items[i].Key {
-				i++
+		if child := n.children[i]; len(child.items) == maxKeys {
+			if i > 0 && len(n.children[i-1].items) < maxKeys && key > child.items[0].Key {
+				n.lendLeft(i)
+			} else {
+				n.splitChild(i)
+				if key == n.items[i].Key {
+					n.items[i].Value = value
+					return false
+				}
+				if key > n.items[i].Key {
+					i++
+				}
 			}
 		}
 		n = n.children[i]
@@ -167,7 +208,7 @@ func (n *node[V]) delete(key uint64) bool {
 		if !eq {
 			return false
 		}
-		n.items = append(n.items[:i], n.items[i+1:]...)
+		n.items = slices.Delete(n.items, i, i+1)
 		return true
 	}
 	if eq {
@@ -218,29 +259,19 @@ func (n *node[V]) fixChild(i int) {
 	if i > 0 && len(n.children[i-1].items) > minKeys {
 		// Rotate right: left sibling's max moves up, separator moves down.
 		child, left := n.children[i], n.children[i-1]
-		child.items = append(child.items, Item[V]{})
-		copy(child.items[1:], child.items)
-		child.items[0] = n.items[i-1]
-		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
+		last := len(left.items) - 1
+		child.items = slices.Insert(child.items, 0, n.items[i-1])
+		n.items[i-1] = left.items[last]
+		left.items = slices.Delete(left.items, last, last+1)
 		if !left.leaf() {
-			child.children = append(child.children, nil)
-			copy(child.children[1:], child.children)
-			child.children[0] = left.children[len(left.children)-1]
-			left.children = left.children[:len(left.children)-1]
+			child.children = slices.Insert(child.children, 0, left.children[last+1])
+			left.children = slices.Delete(left.children, last+1, last+2)
 		}
 		return
 	}
 	if i < len(n.children)-1 && len(n.children[i+1].items) > minKeys {
-		// Rotate left.
-		child, right := n.children[i], n.children[i+1]
-		child.items = append(child.items, n.items[i])
-		n.items[i] = right.items[0]
-		right.items = append(right.items[:0], right.items[1:]...)
-		if !right.leaf() {
-			child.children = append(child.children, right.children[0])
-			right.children = append(right.children[:0], right.children[1:]...)
-		}
+		// Rotate left: the right sibling lends its first item.
+		n.lendLeft(i + 1)
 		return
 	}
 	if i == len(n.children)-1 {
@@ -255,8 +286,8 @@ func (n *node[V]) merge(i int) {
 	child.items = append(child.items, n.items[i])
 	child.items = append(child.items, right.items...)
 	child.children = append(child.children, right.children...)
-	n.items = append(n.items[:i], n.items[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
+	n.items = slices.Delete(n.items, i, i+1)
+	n.children = slices.Delete(n.children, i+1, i+2)
 }
 
 // Ascend calls fn for every item with key in [from, to] in increasing key

@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -152,63 +153,228 @@ func TestLargeSequentialInsert(t *testing.T) {
 	}
 }
 
+// model is a tree beside the map it must behave like.
+type model struct {
+	tr  *Tree[[]byte]
+	ref map[uint64][]byte
+}
+
+func newModel() *model { return &model{tr: New[[]byte](), ref: make(map[uint64][]byte)} }
+
+// apply sets or deletes k in both, reporting whether the tree answered as
+// the map did.
+func (m *model) apply(k uint64, del bool) bool {
+	_, had := m.ref[k]
+	if del {
+		delete(m.ref, k)
+		return m.tr.Delete(k) == had
+	}
+	v := []byte(fmt.Sprint(k))
+	m.ref[k] = v
+	return m.tr.Set(k, v) == !had
+}
+
+// agrees checks the tree's structure, size and in-order scan against the map.
+func (m *model) agrees() bool {
+	m.tr.CheckInvariants()
+	if m.tr.Len() != len(m.ref) {
+		return false
+	}
+	var keys []uint64
+	for k := range m.ref {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var scanned []uint64
+	m.tr.Ascend(0, ^uint64(0), func(it Item[[]byte]) bool {
+		scanned = append(scanned, it.Key)
+		return true
+	})
+	return fmt.Sprint(keys) == fmt.Sprint(scanned)
+}
+
 // Property: the tree behaves exactly like a map plus sortedness, under an
 // arbitrary interleaving of sets and deletes.
 func TestTreeMatchesMapProperty(t *testing.T) {
-	type op struct {
-		Key uint64
-		Del bool
-	}
-	prop := func(ops []op) bool {
-		tr := New[[]byte]()
-		ref := make(map[uint64][]byte)
-		for _, o := range ops {
-			k := o.Key % 512 // force collisions
-			if o.Del {
-				delRef := false
-				if _, ok := ref[k]; ok {
-					delete(ref, k)
-					delRef = true
-				}
-				if tr.Delete(k) != delRef {
-					return false
-				}
-			} else {
-				v := []byte(fmt.Sprint(k))
-				isNewRef := false
-				if _, ok := ref[k]; !ok {
-					isNewRef = true
-				}
-				ref[k] = v
-				if tr.Set(k, v) != isNewRef {
+	t.Run("random", func(t *testing.T) {
+		type op struct {
+			Key uint64
+			Del bool
+		}
+		prop := func(ops []op) bool {
+			m := newModel()
+			for _, o := range ops {
+				if !m.apply(o.Key%512, o.Del) { // force collisions
 					return false
 				}
 			}
+			return m.agrees()
 		}
-		tr.CheckInvariants()
-		if tr.Len() != len(ref) {
-			return false
+		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+			t.Error(err)
 		}
-		var keys []uint64
-		for k := range ref {
-			keys = append(keys, k)
+	})
+	// The shape every workload inserts in: ascending runs at the right edge
+	// of up to four interleaved streams, deep enough that full internal
+	// nodes lend too, with runs of deletes mixed in that merge nodes which
+	// were lent to.
+	t.Run("appends", func(t *testing.T) {
+		type op struct {
+			Stream uint8
+			Del    bool
+			At     uint32 // where a delete run starts, modulo the stream's length
+			N      uint16 // run length, modulo 2048: a few runs grow a third level
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		var scanned []uint64
-		tr.Ascend(0, ^uint64(0), func(it Item[[]byte]) bool {
-			scanned = append(scanned, it.Key)
-			return true
-		})
-		return fmt.Sprint(keys) == fmt.Sprint(scanned)
+		prop := func(ops []op) bool {
+			m := newModel()
+			var next [4]uint64
+			for _, o := range ops {
+				s := o.Stream % 4
+				start, n := next[s], uint64(o.N%2048)
+				if o.Del {
+					start = uint64(o.At) % (next[s] + 1)
+				} else {
+					next[s] += n
+				}
+				for k := start; k < start+n; k++ {
+					if !m.apply(uint64(s)<<32|k, o.Del) {
+						return false
+					}
+				}
+				m.tr.CheckInvariants()
+			}
+			return m.agrees()
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// eachNode calls fn on every node of t.
+func eachNode[V any](t *Tree[V], fn func(*node[V])) {
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
+		fn(n)
+		for _, c := range n.children {
+			walk(c)
+		}
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	if t.root != nil {
+		walk(t.root)
 	}
 }
 
+// TestVacatedSlotsAreCleared holds that no node pins a value past its
+// length: splits, leaf deletes, rotations in both directions and merges each
+// zero the slots they vacate, so an aborted row (or the body it retains) is
+// garbage once the tree lets go of it.
+func TestVacatedSlotsAreCleared(t *testing.T) {
+	tr := New[*int]()
+	v := new(int)
+	check := func(phase string) {
+		t.Helper()
+		tr.CheckInvariants()
+		eachNode(tr, func(n *node[*int]) {
+			for _, it := range n.items[len(n.items):cap(n.items)] {
+				if it != (Item[*int]{}) {
+					t.Fatalf("%s: a node keeps item %d past its length", phase, it.Key)
+				}
+			}
+			for _, c := range n.children[len(n.children):cap(n.children)] {
+				if c != nil {
+					t.Fatalf("%s: a node keeps a child past its length", phase)
+				}
+			}
+		})
+	}
+	// An internal node's lend leaves its slot vacated only until the next
+	// leaf split below it, so look often.
+	for k := uint64(0); k < 10000; k++ {
+		tr.Set(k, v)
+		if k%100 == 0 {
+			check("appends")
+		}
+	}
+	for k := uint64(0); k < 10000; k += 3 {
+		tr.Delete(k)
+	}
+	check("every third key deleted")
+	// Abort-shaped: a run appended at the edge, then deleted again.
+	for round := uint64(0); round < 20; round++ {
+		for k := uint64(10000); k < 10100; k++ {
+			tr.Set(k, v)
+		}
+		for k := uint64(10099); k >= 10050; k-- {
+			tr.Delete(k)
+		}
+	}
+	check("aborted tails")
+	for k := uint64(2000); k < 8000; k++ {
+		tr.Delete(k)
+	}
+	check("a range deleted")
+}
+
+// leafFill returns the share of t's leaf slots that hold an item.
+func leafFill[V any](t *Tree[V]) float64 {
+	var items, leaves int
+	eachNode(t, func(n *node[V]) {
+		if n.leaf() {
+			items += len(n.items)
+			leaves++
+		}
+	})
+	return float64(items) / float64(leaves*maxKeys)
+}
+
+// TestAppendsFillLeaves holds the lending rule to what it is for: under the
+// append shapes of the workloads, leaves fill before they split, and the
+// tree costs about one full leaf's bytes per 63 items. With the plain 31/31
+// split every leaf but the last stays half full, and a split node regrows
+// its items by append: 56 B an item.
+func TestAppendsFillLeaves(t *testing.T) {
+	const n = 100000
+	for _, tc := range []struct {
+		name string
+		key  func(i uint64) uint64
+	}{
+		{"one ascending stream", func(i uint64) uint64 { return i }},
+		// The hot-stock drivers' d<<40|n, two drivers taking turns.
+		{"two interleaved streams", func(i uint64) uint64 { return i%2<<40 | i/2 }},
+		// A loadgen shard's keys: its own sequence and the cross-shard
+		// blocks of the three other homes, each seq*nShards+shard.
+		{"four strided streams", func(i uint64) uint64 { return (i%4<<40+i/4)*4 + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := New[*int]()
+			v := new(int)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := uint64(0); i < n; i++ {
+				tr.Set(tc.key(i), v)
+			}
+			runtime.ReadMemStats(&after)
+			tr.CheckInvariants()
+			fill := leafFill(tr)
+			perItem := float64(after.TotalAlloc-before.TotalAlloc) / n
+			t.Logf("leaves %.1f %% full, %.1f B an item", 100*fill, perItem)
+			if fill < 0.95 {
+				t.Errorf("leaves are %.1f %% full, want at least 95 %%: a full node split instead of lending", 100*fill)
+			}
+			if perItem > 20 {
+				t.Errorf("%.1f B an item, want at most 20: nodes are half empty or regrow", perItem)
+			}
+		})
+	}
+}
+
+// BenchmarkTreeInsertSequential reports the bytes an ascending insert costs
+// the tree (B/op: one insert an op).
 func BenchmarkTreeInsertSequential(b *testing.B) {
 	tr := New[[]byte]()
 	val := make([]byte, 16)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Set(uint64(i), val)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"persistmem/internal/audit"
 	"persistmem/internal/cluster"
@@ -182,6 +183,18 @@ func TestSlabRowsAreHandedOutOnce(t *testing.T) {
 	})
 	if perSlab != 1 {
 		t.Errorf("%d rows cost %.0f allocations, want one slab", rowSlab, perSlab)
+	}
+}
+
+// TestRowSlabIsOneSizeClass pins the row at 40 bytes and its slab at 480,
+// an allocator size class: a field that widens the row, or a reordering that
+// pads it back to 48, rounds every slab up to 512 and trips this.
+func TestRowSlabIsOneSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(row{}); got != 40 {
+		t.Errorf("a row is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof([rowSlab]row{}); got != 480 {
+		t.Errorf("a slab is %d bytes, want 480", got)
 	}
 }
 

@@ -240,18 +240,19 @@ type endDelta struct {
 // a later read brings them back from the data volume.
 type row struct {
 	body     []byte // payload when resident and retained
-	blen     int
-	dirty    bool  // not yet destaged to the volume
-	resident bool  // counted in the cache budget
-	volOff   int64 // location on the data volume once destaged
+	volOff   int64  // location on the data volume once destaged
+	blen     uint32 // body length, the width an audit record gives it
+	dirty    bool   // not yet destaged to the volume
+	resident bool   // counted in the cache budget
 }
 
-// rowSlab is how many rows a DP2 allocates at a time. Ten rows are 480
-// bytes, an exact allocator size class: one object per ten inserts at the
-// bytes ten separate rows cost. The constant is sized to the allocator, not
-// a knob: a 32-row slab (1536 B) crosses the 512-byte small-object header
-// threshold and allocated 2.5 % more bytes per hot-stock run than no slab.
-const rowSlab = 10
+// rowSlab is how many rows a DP2 allocates at a time. Twelve 40-byte rows
+// are 480 bytes, an exact allocator size class: one object per twelve
+// inserts at the bytes twelve separate rows cost. The constant is sized to
+// the allocator, not a knob: a 32-row slab of the 48-byte rows there were
+// (1536 B) crossed the 512-byte small-object header threshold and allocated
+// 2.5 % more bytes per hot-stock run than no slab.
+const rowSlab = 12
 
 // queueEnt pairs a key with the row it referred to when queued, so queue
 // consumers can skip entries whose row has since been replaced (abort +
@@ -360,7 +361,7 @@ func (st *dpState) newRow() *row {
 //simlint:hotpath
 func (st *dpState) applyInsert(d insertDelta, retain bool) {
 	r := st.newRow()
-	r.blen, r.dirty, r.resident = d.blen, true, true
+	r.blen, r.dirty, r.resident = uint32(d.blen), true, true
 	if retain {
 		r.body = d.body
 	}

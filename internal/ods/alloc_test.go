@@ -123,16 +123,18 @@ func TestFaultCellAllocationBudget(t *testing.T) {
 
 // txnBudgetAllocs is the most heap objects one more committed hot-stock
 // transaction (8 x 4 KB inserts, one driver) may cost once every free list
-// is warm: 9.2 on disk audit and on PM today, all of them things somebody
+// is warm: 7.9 on disk audit and on PM today, all of them things somebody
 // keeps — the commit coordinator (its Process, its sim.Proc, its name, its
-// body and the closure that runs it: 5), the session's Txn handle (1), 1.6
-// row slabs (16 rows, primary and backup, ten to a slab) and, the rest, the
-// B-tree's node splits. It was 51.8 / 53.0 while every reply was boxed,
+// body and the closure that runs it: 5), the session's Txn handle (1), 1.3
+// row slabs (16 rows, primary and backup, twelve to a slab) and, the rest,
+// 0.6, the B-tree's node splits (a node and its items, one leaf per 63 rows
+// on each side). It was 9.2 while a split left half a leaf empty and regrew
+// the other half by append, and 51.8 / 53.0 while every reply was boxed,
 // every row its own object and a spawn ten objects; boxing any one reply
-// again (BeginResp, the smallest: one a transaction) reads 10.2 and trips
-// it. The per-subsystem split is `benchmark --trace 1`'s allocs_per_txn.*
+// again (BeginResp, the smallest: one a transaction) reads 8.9 and trips it.
+// The per-subsystem split is `benchmark --trace 1`'s allocs_per_txn.*
 // metrics.
-const txnBudgetAllocs = 10
+const txnBudgetAllocs = 8.5
 
 // hotStockAlloc returns the heap objects and bytes one fresh store's
 // hot-stock run of txns transactions allocates, set-up included.
@@ -165,25 +167,27 @@ func TestTxnAllocationBudget(t *testing.T) {
 			perTxn := float64(long-short) / 500
 			t.Logf("%.1f allocs per committed transaction", perTxn)
 			if perTxn > txnBudgetAllocs {
-				t.Errorf("a committed transaction costs %.1f allocations, budget %d: a hot-path box or buffer stopped being recycled", perTxn, txnBudgetAllocs)
+				t.Errorf("a committed transaction costs %.1f allocations, budget %.1f: a hot-path box or buffer stopped being recycled", perTxn, txnBudgetAllocs)
 			}
 		})
 	}
 }
 
 // txnBudgetBytes is the most bytes one more committed hot-stock transaction
-// (as txnBudgetAllocs) may cost: 2330–2345 on disk audit and on PM today,
+// (as txnBudgetAllocs) may cost: 1580–1585 on disk audit and on PM today,
+// 2330–2345 while B-tree leaves split half full and rows were 48 bytes, and
 // 2585–2595 while every destaged row joined a clean queue that nothing pops
 // in a store that never evicts.
-const txnBudgetBytes = 2450
+const txnBudgetBytes = 1650
 
 // runBudgetBytes is the most bytes a transaction of the whole 1000-transaction
-// run may cost, set-up included: 2630–2680 today. A destage buffer grows once,
+// run may cost, set-up included: 1945–1980 today, 2630–2680 with the
+// half-full leaves and 48-byte rows. A destage buffer grows once,
 // early, toward its batch budget, so the difference of two runs cancels it and
 // only this sees it: 3780 on disk and 8920 on PM while a DP2 that keeps no row
 // bodies still grew a zero-filled buffer to write them from (4060 / 9210 with
 // the clean queue as well).
-const runBudgetBytes = 3000
+const runBudgetBytes = 2100
 
 // TestTxnByteBudget is the byte side of TestTxnAllocationBudget: an object
 // count cannot see one large buffer. It holds the same 1000-minus-500
