@@ -332,6 +332,25 @@ func (c *CPU) Spawn(name string, body func(p *Process)) *Process {
 	return pr
 }
 
+// Restart starts a finished process again on its CPU, as sim.Proc.Restart
+// does: a new spawn id, the same name and body, back in the CPU's live set.
+// It panics on a failed CPU, and on a process that has an inbox, because an
+// envelope still queued there would reach the next run.
+//
+//simlint:hotpath
+func (p *Process) Restart() {
+	c := p.cpu
+	if !c.up {
+		panic("cluster: Restart of " + p.name + " on a failed CPU")
+	}
+	if p.inbox != nil {
+		panic("cluster: Restart of " + p.name + ", which has an inbox")
+	}
+	p.proc.Restart()
+	c.procs[p.proc] = struct{}{}
+	p.proc.SetReaper(c.reap)
+}
+
 // Name returns the process name.
 func (p *Process) Name() string { return p.name }
 

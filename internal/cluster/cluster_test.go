@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"persistmem/internal/sim"
@@ -728,9 +729,7 @@ func TestCPUFailExitHooksInSpawnOrder(t *testing.T) {
 	cpu := cl.CPU(2)
 	const n = 8
 	var exits []string
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("proc%d", i)
-		pr := cpu.Spawn(name, func(p *Process) { p.Recv() }) // parks for good
+	onExit := func(name string, pr *Process) {
 		pr.Sim().OnExit(func() {
 			if _, live := cpu.procs[pr.Sim()]; live {
 				t.Errorf("%s: OnExit callback ran before the CPU dropped the process from its live set", name)
@@ -738,14 +737,33 @@ func TestCPUFailExitHooksInSpawnOrder(t *testing.T) {
 			exits = append(exits, name)
 		})
 	}
+	// Spawned first and finished at once, then restarted after the others:
+	// it dies in its new spawn order, last.
+	first := true
+	restarted := cpu.Spawn("restarted", func(p *Process) {
+		if first {
+			first = false
+			return
+		}
+		p.Wait(sim.Second) // parked when the CPU fails
+	})
+	eng.RunUntil(eng.Now())
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("proc%d", i)
+		pr := cpu.Spawn(name, func(p *Process) { p.Recv() }) // parks for good
+		onExit(name, pr)
+	}
+	restarted.Restart()
+	onExit("restarted", restarted)
 	eng.RunUntil(eng.Now()) // every process starts and parks
 	live := len(cpu.procs)
 	cpu.Fail()
 	eng.Run()
-	want := make([]string, n)
+	want := make([]string, n, n+1)
 	for i := range want {
 		want[i] = fmt.Sprintf("proc%d", i)
 	}
+	want = append(want, "restarted")
 	if fmt.Sprint(exits) != fmt.Sprint(want) {
 		t.Errorf("exit order %v, want spawn order %v", exits, want)
 	}
@@ -759,6 +777,37 @@ func TestCPUFailExitHooksInSpawnOrder(t *testing.T) {
 	cpu.Restore()
 	if cpu.Failures != 1 || !cpu.Up() {
 		t.Errorf("Failures = %d, Up = %v after a no-op Fail and a Restore; want 1, true", cpu.Failures, cpu.Up())
+	}
+	eng.Shutdown()
+}
+
+// TestProcessRestartRefuses: a process is restarted only onto a live CPU, and
+// only if it has no inbox an envelope could still be queued in.
+func TestProcessRestartRefuses(t *testing.T) {
+	eng, cl := newTestCluster(1)
+	mustPanic := func(what, want string, pr *Process) {
+		t.Helper()
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+				t.Errorf("Restart %s panicked with %q, want %q", what, msg, want)
+			}
+		}()
+		pr.Restart()
+	}
+	mailbox := cl.CPU(0).Spawn("mailbox", func(p *Process) { p.TryRecv() })
+	worker := cl.CPU(1).Spawn("worker", func(p *Process) {})
+	eng.Run()
+	mustPanic("of a process with an inbox", "has an inbox", mailbox)
+	cl.CPU(1).Fail()
+	mustPanic("on a failed CPU", "failed CPU", worker)
+	cl.CPU(1).Restore()
+	worker.Restart()
+	if _, live := cl.CPU(1).procs[worker.Sim()]; !live {
+		t.Error("a restarted process is not in its CPU's live set")
+	}
+	eng.Run()
+	if _, live := cl.CPU(1).procs[worker.Sim()]; live || !worker.Done() {
+		t.Error("a restarted process that finished is still in its CPU's live set")
 	}
 	eng.Shutdown()
 }

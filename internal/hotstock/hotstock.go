@@ -143,9 +143,15 @@ func RunOn(s *ods.Store, params Params) Result {
 					res.Errors++
 					continue
 				}
+				// An insert that reaches no DP2 poisons the transaction and its
+				// Commit reports the failure, so the rest are not sent; their
+				// keys are used up all the same, so every later key stays put.
+				poisoned := false
 				for _, f := range files {
 					for i := 0; i < perFile; i++ {
-						txn.InsertAsync(f, nextKey, body)
+						if !poisoned {
+							poisoned = txn.InsertAsync(f, nextKey, body) != nil
+						}
 						nextKey++
 					}
 				}

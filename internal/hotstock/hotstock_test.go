@@ -109,6 +109,48 @@ func TestDeterministicResults(t *testing.T) {
 	}
 }
 
+// TestPoisonedTxnSendsNoMoreInserts: an insert to a stopped DP2 reaches no
+// DP2 and poisons its transaction, so the driver sends that DP2 one insert,
+// not perFile, sends none to the files after it, and goes straight to Commit,
+// which aborts. The skipped keys are still used up: the next transaction's
+// rows go where a run without the failure would put them.
+func TestPoisonedTxnSendsNoMoreInserts(t *testing.T) {
+	opts := ods.DefaultOptions()
+	opts.Files = []ods.FileSpec{
+		{Name: "FILE0", Partitions: 4},
+		{Name: "STOPPED", Partitions: 1},
+		{Name: "AFTER", Partitions: 1},
+	}
+	params := Params{Drivers: 1, RecordsPerDriver: 18, InsertsPerTxn: 6, RecordBytes: 64}
+	s := ods.Build(opts)
+	defer s.Shutdown()
+	s.DP2s[s.DP2Name("STOPPED", 0)].Stop()
+	r := RunOn(s, params)
+
+	const txns, perFile = 3, 2
+	if d := r.Drivers[0]; d.Txns != 0 || d.Errors != txns {
+		t.Errorf("driver committed %d and failed %d, want 0 and %d", d.Txns, d.Errors, txns)
+	}
+	if st := s.TMF.Stats(); st.Aborts != txns {
+		t.Errorf("the monitor aborted %d transactions, want %d", st.Aborts, txns)
+	}
+	if n := s.DP2s[s.DP2Name("AFTER", 0)].Stats().Inserts; n != 0 {
+		t.Errorf("the file after the stopped one received %d inserts, want none", n)
+	}
+	// FILE0's keys of transaction k are 1+6k and 2+6k, whatever failed in k-1.
+	want := make([]int64, s.Partitions("FILE0"))
+	for k := uint64(0); k < txns; k++ {
+		for i := uint64(0); i < perFile; i++ {
+			want[s.PartitionOf("FILE0", 1+6*k+i)]++
+		}
+	}
+	for part, n := range want {
+		if got := s.DP2s[s.DP2Name("FILE0", part)].Stats().Inserts; got != n {
+			t.Errorf("FILE0 partition %d received %d inserts, want %d: a key moved", part, got, n)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	mustPanic := func(name string, p Params) {
 		t.Helper()

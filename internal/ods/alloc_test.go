@@ -123,18 +123,18 @@ func TestFaultCellAllocationBudget(t *testing.T) {
 
 // txnBudgetAllocs is the most heap objects one more committed hot-stock
 // transaction (8 x 4 KB inserts, one driver) may cost once every free list
-// is warm: 7.9 on disk audit and on PM today, all of them things somebody
-// keeps — the commit coordinator (its Process, its sim.Proc, its name, its
-// body and the closure that runs it: 5), the session's Txn handle (1), 1.3
-// row slabs (16 rows, primary and backup, twelve to a slab) and, the rest,
-// 0.6, the B-tree's node splits (a node and its items, one leaf per 63 rows
-// on each side). It was 9.2 while a split left half a leaf empty and regrew
-// the other half by append, and 51.8 / 53.0 while every reply was boxed,
-// every row its own object and a spawn ten objects; boxing any one reply
-// again (BeginResp, the smallest: one a transaction) reads 8.9 and trips it.
-// The per-subsystem split is `benchmark --trace 1`'s allocs_per_txn.*
-// metrics.
-const txnBudgetAllocs = 8.5
+// is warm: 2.9 on disk audit and on PM today, all of them things somebody
+// keeps — the session's Txn handle (1), 1.3 row slabs (16 rows, primary and
+// backup, twelve to a slab) and, the rest, 0.6, the B-tree's node splits (a
+// node and its items, one leaf per 63 rows on each side). It was 7.9 while
+// the monitor spawned a coordinator per commit (its Process, its sim.Proc, its
+// name, its body and the closure that runs it: 5), 9.2 while a split left half
+// a leaf empty and regrew the other half by append, and 51.8 / 53.0 while
+// every reply was boxed, every row its own object and a spawn ten objects.
+// Building the coordinator's name per commit again reads 3.9 and trips it; so
+// does boxing any one reply (BeginResp, the smallest: one a transaction). The
+// per-subsystem split is `benchmark --trace 1`'s allocs_per_txn.* metrics.
+const txnBudgetAllocs = 3.5
 
 // hotStockAlloc returns the heap objects and bytes one fresh store's
 // hot-stock run of txns transactions allocates, set-up included.
@@ -174,20 +174,21 @@ func TestTxnAllocationBudget(t *testing.T) {
 }
 
 // txnBudgetBytes is the most bytes one more committed hot-stock transaction
-// (as txnBudgetAllocs) may cost: 1580–1585 on disk audit and on PM today,
-// 2330–2345 while B-tree leaves split half full and rows were 48 bytes, and
-// 2585–2595 while every destaged row joined a clean queue that nothing pops
-// in a store that never evicts.
-const txnBudgetBytes = 1650
+// (as txnBudgetAllocs) may cost: 1221–1222 on disk audit and on PM today,
+// 1580–1585 while every commit spawned its coordinator, 2330–2345 while B-tree
+// leaves split half full and rows were 48 bytes, and 2585–2595 while every
+// destaged row joined a clean queue that nothing pops in a store that never
+// evicts.
+const txnBudgetBytes = 1300
 
 // runBudgetBytes is the most bytes a transaction of the whole 1000-transaction
-// run may cost, set-up included: 1945–1980 today, 2630–2680 with the
-// half-full leaves and 48-byte rows. A destage buffer grows once,
-// early, toward its batch budget, so the difference of two runs cancels it and
-// only this sees it: 3780 on disk and 8920 on PM while a DP2 that keeps no row
-// bodies still grew a zero-filled buffer to write them from (4060 / 9210 with
-// the clean queue as well).
-const runBudgetBytes = 2100
+// run may cost, set-up included: 1585–1616 today, 1945–1980 with a coordinator
+// spawned per commit, 2630–2680 with the half-full leaves and 48-byte rows. A
+// destage buffer grows once, early, toward its batch budget, so the difference
+// of two runs cancels it and only this sees it: 3780 on disk and 8920 on PM
+// while a DP2 that keeps no row bodies still grew a zero-filled buffer to
+// write them from (4060 / 9210 with the clean queue as well).
+const runBudgetBytes = 1700
 
 // TestTxnByteBudget is the byte side of TestTxnAllocationBudget: an object
 // count cannot see one large buffer. It holds the same 1000-minus-500

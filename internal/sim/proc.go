@@ -77,15 +77,39 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 
 // SpawnAt creates a process that starts at absolute time at.
 func (e *Engine) SpawnAt(at Time, name string, body func(p *Proc)) *Proc {
-	e.nprocs++
-	p := &Proc{
-		eng:  e,
-		name: name,
-		id:   e.nprocs,
-		body: body,
+	p := &Proc{eng: e, name: name, body: body}
+	e.start(p, at)
+	return p
+}
+
+// Restart starts a finished process again, as a new process: it takes the
+// next spawn id, keeps its name and body, and its start event goes exactly
+// where a Spawn here would put one. The park stamp carries on from the last
+// run, so a wake-up, waiter entry or signal waiter that run left behind stays
+// stale. A layer that would spawn a process per request keeps one and
+// restarts it instead. Restart panics unless the process is done.
+//
+//simlint:hotpath
+func (p *Proc) Restart() {
+	if p.state != procDone {
+		panic("sim: Restart of process " + p.name + ", which has not finished")
 	}
+	p.state = procNew
+	p.killed, p.started = false, false
+	p.rxVal, p.rxOK = nil, false
+	p.step = nil
+	p.eng.start(p, p.eng.now)
+}
+
+// start gives p the next spawn id, adds it to the live set and schedules its
+// start at absolute time at: the one start path of Spawn and Restart.
+//
+//simlint:hotpath
+func (e *Engine) start(p *Proc, at Time) {
+	e.nprocs++
+	p.id = e.nprocs
 	e.procs[p] = struct{}{}
-	// The start is a wake-shaped event carrying startEventID, so spawning
+	// The start is a wake-shaped event carrying startEventID, so starting
 	// allocates no closure; it follows the same (at, seq) order a
 	// Schedule here would have.
 	if at < e.now {
@@ -93,15 +117,14 @@ func (e *Engine) SpawnAt(at Time, name string, body func(p *Proc)) *Proc {
 	}
 	e.seq++
 	e.push(event{at: at, seq: e.seq, p: p, id: startEventID})
-	return p
 }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
 // ID returns the process's spawn sequence number (1 for the first process
-// spawned on the engine). It is the stable order for iterating process
-// sets deterministically.
+// spawned on the engine; a Restart draws a new one). It is the stable order
+// for iterating process sets deterministically.
 func (p *Proc) ID() uint64 { return p.id }
 
 // Engine returns the engine this process belongs to.

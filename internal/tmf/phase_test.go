@@ -68,32 +68,3 @@ func TestAbsorbDeltas(t *testing.T) {
 		t.Error("full-state delta not adopted")
 	}
 }
-
-func TestCommitScratchPool(t *testing.T) {
-	var tm TMF
-	sc := tm.takeScratch()
-	if sc == nil || sc.adpLSNs == nil {
-		t.Fatal("fresh scratch not initialized")
-	}
-	if r := sc.endReq(2); r == nil || len(sc.ereqs) != 3 {
-		t.Errorf("endReq growth: %d reqs", len(sc.ereqs))
-	}
-	if r := sc.adpFlushReq(1); r == nil || len(sc.flreqs) != 2 {
-		t.Errorf("adpFlushReq growth: %d reqs", len(sc.flreqs))
-	}
-	sc.adpLSNs["$ADP2"] = 7
-	sc.adpLSNs["$ADP0"] = 3
-	if got := sc.sortedADPs(); len(got) != 2 || got[0] != "$ADP0" || got[1] != "$ADP2" {
-		t.Errorf("sortedADPs = %v", got)
-	}
-
-	tm.releaseScratch(sc)
-	if reused := tm.takeScratch(); reused != sc {
-		t.Error("clean scratch not reused")
-	}
-	sc.dirty = true
-	tm.releaseScratch(sc) // dirty: a timed-out call may still hold a box
-	if reused := tm.takeScratch(); reused == sc {
-		t.Error("dirty scratch returned to the pool")
-	}
-}

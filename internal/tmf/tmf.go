@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"persistmem/internal/adp"
 	"persistmem/internal/audit"
@@ -222,17 +221,15 @@ type TMF struct {
 	// twoPhaseSeq numbers two-phase commit attempts for the phase hook.
 	twoPhaseSeq int64
 
-	// Free lists. Commit coordinators run concurrently (they interleave
-	// at blocking points), so scratch is checked out per coordinator and
-	// returned when it finishes — never shared. The delta boxes are
-	// recycled once CheckpointFrom returns nil (absorbed by then).
-	scfree  []*commitScratch //simlint:box -- coordinator scratch pool
-	begfree []*beginDelta    //simlint:box -- begin-delta pool
-	outfree []*outcomeDelta  //simlint:box -- outcome-delta pool
+	// The delta boxes are recycled once CheckpointFrom returns nil (absorbed
+	// by then).
+	begfree []*beginDelta   //simlint:box -- begin-delta pool
+	outfree []*outcomeDelta //simlint:box -- outcome-delta pool
 
-	// Spawn-name scratch (the serve loop is one process) and prefixes.
-	namebuf                   []byte
-	commitPrefix, abortPrefix string
+	// pool is the serving incarnation's idle coordinators, and ncoord counts
+	// the coordinators every incarnation has spawned, to name them.
+	pool   *coordPool
+	ncoord int
 
 	// cp records commit critical-path marks (nil when unmetered); hist
 	// records protocol events for the atomicity checker (nil when the
@@ -241,12 +238,32 @@ type TMF struct {
 	hist *metrics.TxnHistory
 }
 
-// commitScratch is one coordinator's working set: completion signals,
-// the request boxes it sends to DP2s and ADPs, and the per-commit ADP
-// LSN table. If any call times out, a server may still reference one of
-// the boxes, so the whole scratch is abandoned (dirty) instead of being
-// returned to the pool.
-type commitScratch struct {
+// coordPool holds one serve incarnation's finished coordinators. They were
+// all spawned on that incarnation's CPU, and a takeover's new primary starts
+// an empty pool of its own, so a pooled coordinator is always restarted on
+// the CPU of the serve loop that hands it a request.
+type coordPool struct {
+	idle []*coordinator
+}
+
+// coordinator runs commits and aborts one at a time: a process the serve
+// loop keeps and restarts for each request instead of spawning one, with its
+// working set — completion signals, the request boxes it sends to DP2s and
+// ADPs, and the per-commit ADP LSN table. If any call times out, a server
+// may still reference one of the boxes, so a dirty coordinator is abandoned
+// instead of going back to its pool; so is one whose process was killed.
+type coordinator struct {
+	t    *TMF
+	pool *coordPool
+	proc *cluster.Process
+
+	// The request slot: commit or abort, the envelope to answer it on and
+	// the incarnation's control-block region.
+	commit *CommitReq
+	abort  *AbortReq
+	ev     cluster.Envelope
+	tcb    *pmclient.Region
+
 	sigs    []*sim.Signal
 	freqs   []*dp2.FlushAuditReq
 	ereqs   []*dp2.EndTxnReq
@@ -260,60 +277,96 @@ type commitScratch struct {
 }
 
 //simlint:hotpath
-func (sc *commitScratch) flushReq(i int) *dp2.FlushAuditReq {
-	for len(sc.freqs) <= i {
-		sc.freqs = append(sc.freqs, new(dp2.FlushAuditReq))
+func (c *coordinator) flushReq(i int) *dp2.FlushAuditReq {
+	for len(c.freqs) <= i {
+		c.freqs = append(c.freqs, new(dp2.FlushAuditReq))
 	}
-	return sc.freqs[i]
+	return c.freqs[i]
 }
 
 //simlint:hotpath
-func (sc *commitScratch) endReq(i int) *dp2.EndTxnReq {
-	for len(sc.ereqs) <= i {
-		sc.ereqs = append(sc.ereqs, new(dp2.EndTxnReq))
+func (c *coordinator) endReq(i int) *dp2.EndTxnReq {
+	for len(c.ereqs) <= i {
+		c.ereqs = append(c.ereqs, new(dp2.EndTxnReq))
 	}
-	return sc.ereqs[i]
+	return c.ereqs[i]
 }
 
 //simlint:hotpath
-func (sc *commitScratch) adpFlushReq(i int) *adp.FlushReq {
-	for len(sc.flreqs) <= i {
-		sc.flreqs = append(sc.flreqs, new(adp.FlushReq))
+func (c *coordinator) adpFlushReq(i int) *adp.FlushReq {
+	for len(c.flreqs) <= i {
+		c.flreqs = append(c.flreqs, new(adp.FlushReq))
 	}
-	return sc.flreqs[i]
+	return c.flreqs[i]
 }
 
 // sortedADPs lists the LSN table's streams in name order (deterministic
-// message order), built in the scratch's reused slice.
+// message order), built in the coordinator's reused slice.
 //
 //simlint:hotpath
-func (sc *commitScratch) sortedADPs() []string {
-	sc.adps = sc.adps[:0]
+func (c *coordinator) sortedADPs() []string {
+	c.adps = c.adps[:0]
 	//simlint:ordered -- collected into a slice and sorted below
-	for k := range sc.adpLSNs {
-		sc.adps = append(sc.adps, k)
+	for k := range c.adpLSNs {
+		c.adps = append(c.adps, k)
 	}
-	sort.Strings(sc.adps)
-	return sc.adps
+	sort.Strings(c.adps)
+	return c.adps
 }
 
+// startCoord hands a commit or an abort (the other is nil) to an idle
+// coordinator of pool and restarts it, or spawns a new one on cpu when none
+// is idle. Either way the process's start event goes where a spawn's would.
+//
 //simlint:hotpath
-func (t *TMF) takeScratch() *commitScratch {
-	if n := len(t.scfree); n > 0 {
-		sc := t.scfree[n-1]
-		t.scfree = t.scfree[:n-1]
-		sc.dirty = false
-		return sc
+func (t *TMF) startCoord(cpu *cluster.CPU, pool *coordPool, tcb *pmclient.Region, ev cluster.Envelope, commit *CommitReq, abort *AbortReq) {
+	n := len(pool.idle)
+	if n == 0 {
+		c := &coordinator{t: t, pool: pool, commit: commit, abort: abort, ev: ev, tcb: tcb, adpLSNs: make(map[string]audit.LSN)}
+		t.ncoord++
+		//simlint:allow hotalloc -- pool miss: the name lives as long as the coordinator
+		c.proc = cpu.Spawn(fmt.Sprintf("%s-coord-%d", t.cfg.Name, t.ncoord), c.run)
+		return
 	}
-	return &commitScratch{adpLSNs: make(map[string]audit.LSN)}
+	c := pool.idle[n-1]
+	pool.idle[n-1] = nil
+	pool.idle = pool.idle[:n-1]
+	c.commit, c.abort, c.ev, c.tcb = commit, abort, ev, tcb
+	c.proc.Restart()
 }
 
+// run is a coordinator's body, bound once: it coordinates the request in its
+// slot, replies, and — at the very end, after the commit hook — goes back to
+// its pool unless it is dirty or was killed.
+//
 //simlint:hotpath
-func (t *TMF) releaseScratch(sc *commitScratch) {
-	if sc.dirty {
-		return // a call timed out; a server may still hold a box
+func (c *coordinator) run(p *cluster.Process) {
+	t := c.t
+	if req := c.commit; req != nil {
+		err := t.coordinateCommit(p, c, req)
+		if err == nil {
+			t.stats.Commits++
+		} else {
+			t.stats.Aborts++
+		}
+		t.checkpointOutcome(p, req.Txn, err == nil)
+		req.Resp = CommitResp{Err: err}
+		c.ev.Reply(req)
+		if err == nil && t.commitHook != nil {
+			t.commitHook(t.stats.Commits)
+		}
+	} else {
+		req := c.abort
+		t.coordinateAbort(p, c, req)
+		t.stats.Aborts++
+		t.checkpointOutcome(p, req.Txn, false)
+		req.Resp = AbortResp{}
+		c.ev.Reply(req)
 	}
-	t.scfree = append(t.scfree, sc)
+	c.commit, c.abort, c.ev, c.tcb = nil, nil, cluster.Envelope{}, nil
+	if !c.dirty && !p.Sim().Killed() {
+		c.pool.idle = append(c.pool.idle, c)
+	}
 }
 
 //simlint:hotpath
@@ -346,13 +399,6 @@ func (t *TMF) checkpointOutcome(p *cluster.Process, txn audit.TxnID, commit bool
 	}
 }
 
-// spawnName builds "<prefix><txn>" in the serve loop's scratch buffer
-// (one string allocation — Spawn retains the name).
-func (t *TMF) spawnName(prefix string, txn audit.TxnID) string {
-	t.namebuf = strconv.AppendUint(append(t.namebuf[:0], prefix...), uint64(txn), 10)
-	return string(t.namebuf)
-}
-
 // Start launches the transaction monitor process pair.
 func Start(cl *cluster.Cluster, cfg Config) *TMF {
 	if cfg.Name == "" {
@@ -371,8 +417,6 @@ func Start(cl *cluster.Cluster, cfg Config) *TMF {
 		t.cp = cfg.Metrics.Commit
 		t.hist = cfg.Metrics.History
 	}
-	t.commitPrefix = cfg.Name + "-commit-"
-	t.abortPrefix = cfg.Name + "-abort-"
 	t.pair = cl.StartPairAbsorb(cfg.Name, cfg.PrimaryCPU, cfg.BackupCPU, t.serve, t.absorb)
 	return t
 }
@@ -430,8 +474,11 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 	}
 
 	// tcbbuf holds the serve loop's own control-block entries (the Active
-	// mark at begin); coordinators encode into their scratch.
+	// mark at begin); coordinators encode into their own buffers.
 	var tcbbuf []byte
+
+	pool := &coordPool{}
+	t.pool = pool
 
 	for {
 		ev := ctx.Recv()
@@ -450,9 +497,9 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 			req.Resp = BeginResp{Txn: txn}
 			ev.Reply(req)
 		case *CommitReq:
-			t.handleCommit(ctx, st, tcb, ev, req)
+			t.handleCommit(ctx, st, pool, tcb, ev, req)
 		case *AbortReq:
-			t.handleAbort(ctx, st, tcb, ev, req)
+			t.handleAbort(ctx, st, pool, tcb, ev, req)
 		case *StateReq:
 			req.Resp = t.stats
 			req.Resp.ActiveTxns = len(st.active)
@@ -464,10 +511,10 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 	}
 }
 
-// handleCommit validates a commit request and hands it to a spawned
-// coordinator continuation so concurrent transactions pipeline through
-// the monitor (and group-commit at the ADPs).
-func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Region, ev cluster.Envelope, req *CommitReq) {
+// handleCommit validates a commit request and hands it to a coordinator
+// process so concurrent transactions pipeline through the monitor (and
+// group-commit at the ADPs).
+func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, pool *coordPool, tcb *pmclient.Region, ev cluster.Envelope, req *CommitReq) {
 	if !st.active[req.Txn] {
 		req.Resp = CommitResp{Err: fmt.Errorf("%w: %d", ErrUnknownTxn, req.Txn)}
 		ev.Reply(req)
@@ -475,48 +522,25 @@ func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Reg
 	}
 	delete(st.active, req.Txn)
 	t.cp.Mark(uint64(req.Txn), metrics.MarkMonitorRecv, ctx.Process.Now())
-	ctx.CPU().Spawn(t.spawnName(t.commitPrefix, req.Txn), func(p *cluster.Process) {
-		sc := t.takeScratch()
-		err := t.coordinateCommit(p, tcb, sc, req)
-		if err == nil {
-			t.stats.Commits++
-		} else {
-			t.stats.Aborts++
-		}
-		t.checkpointOutcome(p, req.Txn, err == nil)
-		req.Resp = CommitResp{Err: err}
-		ev.Reply(req)
-		t.releaseScratch(sc)
-		if err == nil && t.commitHook != nil {
-			t.commitHook(t.stats.Commits)
-		}
-	})
+	t.startCoord(ctx.CPU(), pool, tcb, ev, req, nil)
 }
 
 // handleAbort is handleCommit's rollback twin.
-func (t *TMF) handleAbort(ctx *cluster.PairCtx, st *tmfState, tcb *pmclient.Region, ev cluster.Envelope, req *AbortReq) {
+func (t *TMF) handleAbort(ctx *cluster.PairCtx, st *tmfState, pool *coordPool, tcb *pmclient.Region, ev cluster.Envelope, req *AbortReq) {
 	if !st.active[req.Txn] {
 		req.Resp = AbortResp{Err: fmt.Errorf("%w: %d", ErrUnknownTxn, req.Txn)}
 		ev.Reply(req)
 		return
 	}
 	delete(st.active, req.Txn)
-	ctx.CPU().Spawn(t.spawnName(t.abortPrefix, req.Txn), func(p *cluster.Process) {
-		sc := t.takeScratch()
-		t.coordinateAbort(p, tcb, sc, req)
-		t.stats.Aborts++
-		t.checkpointOutcome(p, req.Txn, false)
-		req.Resp = AbortResp{}
-		ev.Reply(req)
-		t.releaseScratch(sc)
-	})
+	t.startCoord(ctx.CPU(), pool, tcb, ev, nil, req)
 }
 
 // coordinateCommit runs the two-phase commit for one transaction. On any
 // error it rolls the transaction back and reports failure.
 //
 //simlint:hotpath
-func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *commitScratch, req *CommitReq) error {
+func (t *TMF) coordinateCommit(p *cluster.Process, c *coordinator, req *CommitReq) error {
 	t.cp.Mark(uint64(req.Txn), metrics.MarkCoordStart, p.Now())
 	var seq int64
 	if req.TwoPhase {
@@ -526,8 +550,8 @@ func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *com
 	}
 	// Phase 1: gather and flush every involved audit stream; under the
 	// cross-shard protocol every participant durably votes prepare here.
-	if err := t.flushDataAudit(p, sc, req.Txn, req.DP2s, req.TwoPhase); err != nil {
-		t.rollback(p, sc, req.Txn, req.DP2s)
+	if err := t.flushDataAudit(p, c, req.Txn, req.DP2s, req.TwoPhase); err != nil {
+		t.rollback(p, c, req.Txn, req.DP2s)
 		//simlint:allow hotalloc -- commit-failure path, cold
 		return fmt.Errorf("%w: %v", ErrCommitFailed, err)
 	}
@@ -538,24 +562,24 @@ func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *com
 
 	// Phase 2: commit record in the master log — an outcome record
 	// naming state and participants when two-phase.
-	adps := sc.sortedADPs()
+	adps := c.sortedADPs()
 	if len(adps) > 0 {
 		master := adps[0]
-		sc.creq.Txn = req.Txn
-		sc.creq.Outcome = nil
+		c.creq.Txn = req.Txn
+		c.creq.Outcome = nil
 		if req.TwoPhase {
-			sc.outbuf = AppendOutcome(sc.outbuf[:0], TCBCommitted, req.DP2s)
-			sc.creq.Outcome = sc.outbuf
+			c.outbuf = AppendOutcome(c.outbuf[:0], TCBCommitted, req.DP2s)
+			c.creq.Outcome = c.outbuf
 		}
-		_, cerr := p.Call(master, 64+len(sc.creq.Outcome), &sc.creq)
+		_, cerr := p.Call(master, 64+len(c.creq.Outcome), &c.creq)
 		if cerr != nil {
-			sc.dirty = true // the master may still hold the request box
-			t.rollback(p, sc, req.Txn, req.DP2s)
+			c.dirty = true // the master may still hold the request box
+			t.rollback(p, c, req.Txn, req.DP2s)
 			//simlint:allow hotalloc -- commit-failure path, cold
 			return fmt.Errorf("%w: master log: %v", ErrCommitFailed, cerr)
 		}
-		if rerr := sc.creq.Resp.Err; rerr != nil {
-			t.rollback(p, sc, req.Txn, req.DP2s)
+		if rerr := c.creq.Resp.Err; rerr != nil {
+			t.rollback(p, c, req.Txn, req.DP2s)
 			//simlint:allow hotalloc -- commit-failure path, cold
 			return fmt.Errorf("%w: master log: %v", ErrCommitFailed, rerr)
 		}
@@ -564,8 +588,8 @@ func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *com
 
 	// Fine-grained outcome in PM, before externalizing the commit. For
 	// PMDirect stores (no audit streams) this is the commit point.
-	if tcb != nil {
-		t.writeTCB(p, tcb, &sc.tcbbuf, req.Txn, TCBCommitted)
+	if c.tcb != nil {
+		t.writeTCB(p, c.tcb, &c.tcbbuf, req.Txn, TCBCommitted)
 	}
 	t.cp.Mark(uint64(req.Txn), metrics.MarkTCBWritten, p.Now())
 	t.hist.OnOutcome(uint64(req.Txn), true, p.Now())
@@ -576,7 +600,7 @@ func (t *TMF) coordinateCommit(p *cluster.Process, tcb *pmclient.Region, sc *com
 	}
 
 	// Release locks and retire the transaction at the DP2s.
-	t.endAll(p, sc, req.Txn, req.DP2s, true)
+	t.endAll(p, c, req.Txn, req.DP2s, true)
 	t.cp.Mark(uint64(req.Txn), metrics.MarkLocksReleased, p.Now())
 	if req.TwoPhase {
 		t.firePhase(PhaseDone, req.Txn, seq)
@@ -594,69 +618,69 @@ func (t *TMF) firePhase(phase CommitPhase, txn audit.TxnID, seq int64) {
 }
 
 // flushDataAudit implements phase 1: each DP2 pushes pending audit and
-// reports (ADP, LSN) into sc.adpLSNs; then each distinct non-master
+// reports (ADP, LSN) into c.adpLSNs; then each distinct non-master
 // stream is flushed. The master stream's flush rides on the phase-2
-// commit record. Any early error return marks the scratch dirty: requests
+// commit record. Any early error return marks the coordinator dirty: requests
 // may still be outstanding, so their boxes cannot be recycled.
 //
 //simlint:hotpath
-func (t *TMF) flushDataAudit(p *cluster.Process, sc *commitScratch, txn audit.TxnID, dp2s []string, prepare bool) error {
-	sc.sigs = sc.sigs[:0]
+func (t *TMF) flushDataAudit(p *cluster.Process, c *coordinator, txn audit.TxnID, dp2s []string, prepare bool) error {
+	c.sigs = c.sigs[:0]
 	for i, name := range dp2s {
-		r := sc.flushReq(i)
+		r := c.flushReq(i)
 		r.Txn = txn
 		r.Prepare = prepare // always assigned: the box is recycled across commits
 		sig, err := p.CallAsync(name, 48, r)
 		if err != nil {
-			sc.dirty = true
+			c.dirty = true
 			return err
 		}
-		sc.sigs = append(sc.sigs, sig)
+		c.sigs = append(c.sigs, sig)
 	}
-	clear(sc.adpLSNs)
-	for i, sig := range sc.sigs {
+	clear(c.adpLSNs)
+	for i, sig := range c.sigs {
 		// The reply is the i-th request box itself, carrying the response.
 		if _, err := p.AwaitReply(sig); err != nil {
-			sc.dirty = true
+			c.dirty = true
 			return err
 		}
-		resp := &sc.freqs[i].Resp
+		resp := &c.freqs[i].Resp
 		if resp.Err != nil {
-			sc.dirty = true
+			c.dirty = true
 			return resp.Err
 		}
 		if resp.ADP == "" {
 			continue // PMDirect DP2: its changes are already persistent
 		}
-		if resp.LSN > sc.adpLSNs[resp.ADP] {
-			sc.adpLSNs[resp.ADP] = resp.LSN
-		} else if _, seen := sc.adpLSNs[resp.ADP]; !seen {
-			sc.adpLSNs[resp.ADP] = resp.LSN
+		if resp.LSN > c.adpLSNs[resp.ADP] {
+			c.adpLSNs[resp.ADP] = resp.LSN
+		} else if _, seen := c.adpLSNs[resp.ADP]; !seen {
+			c.adpLSNs[resp.ADP] = resp.LSN
 		}
 	}
 
-	adps := sc.sortedADPs()
+	adps := c.sortedADPs()
 	if len(adps) <= 1 {
 		return nil // single stream: phase 2 flush covers it
 	}
-	sc.sigs = sc.sigs[:0]
+	c.sigs = c.sigs[:0]
 	for i, name := range adps[1:] {
-		r := sc.adpFlushReq(i)
-		r.UpTo = sc.adpLSNs[name]
+		r := c.adpFlushReq(i)
+		r.UpTo = c.adpLSNs[name]
 		sig, err := p.CallAsync(name, 48, r)
 		if err != nil {
-			sc.dirty = true
+			c.dirty = true
 			return err
 		}
-		sc.sigs = append(sc.sigs, sig)
+		c.sigs = append(c.sigs, sig)
 	}
-	for i, sig := range sc.sigs {
+	for i, sig := range c.sigs {
 		if _, err := p.AwaitReply(sig); err != nil {
-			sc.dirty = true
+			c.dirty = true
 			return err
 		}
-		if rerr := sc.flreqs[i].Resp.Err; rerr != nil {
-			sc.dirty = true
+		if rerr := c.flreqs[i].Resp.Err; rerr != nil {
+			c.dirty = true
 			return rerr
 		}
 	}
@@ -665,18 +689,18 @@ func (t *TMF) flushDataAudit(p *cluster.Process, sc *commitScratch, txn audit.Tx
 
 // coordinateAbort rolls back at the DP2s and lazily notes the abort in
 // each involved audit stream.
-func (t *TMF) coordinateAbort(p *cluster.Process, tcb *pmclient.Region, sc *commitScratch, req *AbortReq) {
-	t.rollback(p, sc, req.Txn, req.DP2s)
-	if tcb != nil {
-		t.writeTCB(p, tcb, &sc.tcbbuf, req.Txn, TCBAborted)
+func (t *TMF) coordinateAbort(p *cluster.Process, c *coordinator, req *AbortReq) {
+	t.rollback(p, c, req.Txn, req.DP2s)
+	if c.tcb != nil {
+		t.writeTCB(p, c.tcb, &c.tcbbuf, req.Txn, TCBAborted)
 	}
 }
 
 // rollback undoes the transaction at every DP2 and writes abort records.
 // Cold path: its own allocations are left alone.
-func (t *TMF) rollback(p *cluster.Process, sc *commitScratch, txn audit.TxnID, dp2s []string) {
+func (t *TMF) rollback(p *cluster.Process, c *coordinator, txn audit.TxnID, dp2s []string) {
 	t.hist.OnOutcome(uint64(txn), false, p.Now())
-	t.endAll(p, sc, txn, dp2s, false)
+	t.endAll(p, c, txn, dp2s, false)
 	seen := map[string]bool{}
 	for _, name := range dp2s {
 		adpName := adpOf(p, name)
@@ -691,19 +715,19 @@ func (t *TMF) rollback(p *cluster.Process, sc *commitScratch, txn audit.TxnID, d
 // endAll tells every DP2 the outcome and waits for lock release.
 //
 //simlint:hotpath
-func (t *TMF) endAll(p *cluster.Process, sc *commitScratch, txn audit.TxnID, dp2s []string, commit bool) {
-	sc.sigs = sc.sigs[:0]
+func (t *TMF) endAll(p *cluster.Process, c *coordinator, txn audit.TxnID, dp2s []string, commit bool) {
+	c.sigs = c.sigs[:0]
 	for i, name := range dp2s {
-		r := sc.endReq(i)
+		r := c.endReq(i)
 		r.Txn, r.Commit = txn, commit
 		if sig, err := p.CallAsync(name, 48, r); err == nil {
-			sc.sigs = append(sc.sigs, sig)
+			c.sigs = append(c.sigs, sig)
 		}
 		// A send failure never reached an inbox; the box stays reusable.
 	}
-	for _, sig := range sc.sigs {
+	for _, sig := range c.sigs {
 		if _, err := p.AwaitReply(sig); err != nil {
-			sc.dirty = true // the DP2 may still hold the request box
+			c.dirty = true // the DP2 may still hold the request box
 		}
 	}
 }

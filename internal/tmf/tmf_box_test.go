@@ -11,13 +11,13 @@ import (
 )
 
 // A late reply never lands in a live box. The master log's reply to the
-// coordinator's commit record is the request box itself — commitScratch.creq
-// — with the response written into it, so a scratch whose call timed out
-// must stay out of the pool for good: here the log writer stalls past
-// CallTimeout on the first commit record and answers a second later, into a
-// scratch nobody reads any more. The next commit gets a fresh scratch, whose
+// coordinator's commit record is the request box itself — coordinator.creq —
+// with the response written into it, so a coordinator whose call timed out
+// must never be restarted: here the log writer stalls past CallTimeout on the
+// first commit record and answers a second later, into a coordinator nobody
+// runs any more. The next commit gets a newly spawned coordinator, whose
 // request arrives with Resp untouched, and only that one is pooled.
-func TestLateCommitReplyLandsInAbandonedScratch(t *testing.T) {
+func TestTimedOutCoordinatorIsNeverRestarted(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cl := cluster.New(eng, cluster.DefaultConfig())
 	const late = audit.LSN(999999)
@@ -29,7 +29,7 @@ func TestLateCommitReplyLandsInAbandonedScratch(t *testing.T) {
 			if !ok {
 				continue // the rollback's one-way abort record
 			}
-			if req.Resp != (adp.CommitResp{}) {
+			if len(boxes) < 2 && req.Resp != (adp.CommitResp{}) { // a restarted coordinator's box carries its last answer
 				t.Errorf("commit record %d arrived with Resp %+v already written", len(boxes), req.Resp)
 			}
 			boxes = append(boxes, req)
@@ -68,25 +68,27 @@ func TestLateCommitReplyLandsInAbandonedScratch(t *testing.T) {
 			t.Error("the commit behind a stalled master log returned before its timeout")
 		}
 		p.Wait(2 * cl.Config().CallTimeout) // the late reply has been sent by now
-		if len(tm.scfree) != 0 {
-			t.Errorf("scfree holds %d scratches after a timed-out commit record, want none: its box may still be written", len(tm.scfree))
+		if n := len(tm.pool.idle); n != 0 {
+			t.Errorf("the pool holds %d coordinators after a timed-out commit record, want none: its box may still be written", n)
 		}
-		if resp, err := commit(); err != nil || resp.Err != nil {
-			t.Errorf("the next commit: %v, %v", err, resp.Err)
+		for i := 0; i < 3; i++ {
+			if resp, err := commit(); err != nil || resp.Err != nil {
+				t.Errorf("commit %d after the stall: %v, %v", i, err, resp.Err)
+			}
 		}
 	})
 	eng.Run()
-	if len(boxes) != 2 || boxes[0] == boxes[1] {
-		t.Fatalf("the master log saw boxes %p: want two distinct ones, the timed-out one never re-issued", boxes)
+	if len(boxes) != 4 || boxes[0] == boxes[1] || boxes[1] != boxes[3] {
+		t.Fatalf("the master log saw boxes %p: want the timed-out one never re-issued and the next coordinator's for the rest", boxes)
 	}
 	if boxes[0].Resp.LSN != late {
-		t.Errorf("the late reply wrote %+v into the abandoned scratch, want LSN %d", boxes[0].Resp, late)
+		t.Errorf("the late reply wrote %+v into the abandoned coordinator, want LSN %d", boxes[0].Resp, late)
 	}
-	if len(tm.scfree) != 1 || &tm.scfree[0].creq != boxes[1] {
-		t.Errorf("scfree = %p, want only the scratch whose reply arrived", tm.scfree)
+	if len(tm.pool.idle) != 1 || &tm.pool.idle[0].creq != boxes[1] || tm.ncoord != 2 {
+		t.Errorf("pool = %p after %d spawns, want only the second coordinator, spawned once and restarted", tm.pool.idle, tm.ncoord)
 	}
-	if st := tm.Stats(); st.Commits != 1 || st.Aborts != 1 {
-		t.Errorf("stats = %+v, want one commit and one abort", st)
+	if st := tm.Stats(); st.Commits != 3 || st.Aborts != 1 {
+		t.Errorf("stats = %+v, want three commits and one abort", st)
 	}
 	eng.Shutdown()
 }
