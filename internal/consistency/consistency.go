@@ -1,7 +1,7 @@
 // Package consistency is the offline atomicity/serializability checker
 // behind the cross-shard fault matrix. It consumes the deterministic
-// transaction-protocol history recorded by metrics.TxnHistory
-// (begin/prepare/outcome/apply events), the per-transaction intended
+// transaction-protocol events a metrics.TxnStream retains
+// (begin/prepare/outcome/apply), the per-transaction intended
 // writes the workload issued, and a visibility probe over the final
 // (usually recovered) database image, and decides whether the execution
 // was atomic and serializable:
@@ -89,12 +89,13 @@ type txnView struct {
 }
 
 // Check runs every rule over the recorded history. events is the
-// recorder's append-ordered stream (the cooperative scheduler makes the
-// append order the global protocol order); ops are the workload's
+// stream's append-ordered events (the cooperative scheduler makes the
+// append order the global protocol order) — kinds other than the four
+// protocol events are skipped; ops are the workload's
 // intended writes; visible probes the final database image. A nil
 // visible skips the atomicity rules (protocol and serializability
 // checks still run).
-func Check(events []metrics.HistEvent, ops []Op, visible func(file string, key uint64) bool) Result {
+func Check(events []metrics.TxnEvent, ops []Op, visible func(file string, key uint64) bool) Result {
 	var res Result
 
 	views := map[uint64]*txnView{}
@@ -107,20 +108,22 @@ func Check(events []metrics.HistEvent, ops []Op, visible func(file string, key u
 		return v
 	}
 	for i, ev := range events {
-		v := view(ev.Txn)
 		switch ev.Kind {
-		case metrics.HistBegin:
-			if v.beginIdx < 0 {
+		case metrics.TxnBegin:
+			if v := view(ev.Txn); v.beginIdx < 0 {
 				v.beginIdx = i
 			}
-		case metrics.HistPrepare:
+		case metrics.TxnPrepare:
+			v := view(ev.Txn)
 			v.prepares = append(v.prepares, shardEvt{shard: ev.Shard, idx: i})
-		case metrics.HistOutcome:
+		case metrics.TxnOutcome:
+			v := view(ev.Txn)
 			v.outcomeCount++
 			if v.outcomeCount == 1 {
 				v.outcomeIdx, v.outcomeCommit = i, ev.Commit
 			}
-		case metrics.HistApply:
+		case metrics.TxnApply:
+			v := view(ev.Txn)
 			v.applies = append(v.applies, shardEvt{shard: ev.Shard, idx: i, commit: ev.Commit})
 		}
 	}

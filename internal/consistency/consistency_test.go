@@ -7,8 +7,8 @@ import (
 )
 
 // h builds a history event without ceremony.
-func h(txn uint64, kind metrics.HistKind, shard string, commit bool) metrics.HistEvent {
-	return metrics.HistEvent{Txn: txn, Kind: kind, Shard: shard, Commit: commit}
+func h(txn uint64, kind metrics.TxnKind, shard string, commit bool) metrics.TxnEvent {
+	return metrics.TxnEvent{Txn: txn, Kind: kind, Shard: shard, Commit: commit}
 }
 
 // visSet builds a visibility probe from the rows present in the image.
@@ -33,13 +33,13 @@ func rules(res Result) map[string]int {
 }
 
 func TestCleanTwoPhaseHistoryPasses(t *testing.T) {
-	events := []metrics.HistEvent{
-		h(1, metrics.HistBegin, "", false),
-		h(1, metrics.HistPrepare, "$DP-A", false),
-		h(1, metrics.HistPrepare, "$DP-B", false),
-		h(1, metrics.HistOutcome, "", true),
-		h(1, metrics.HistApply, "$DP-A", true),
-		h(1, metrics.HistApply, "$DP-B", true),
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnBegin, "", false),
+		h(1, metrics.TxnPrepare, "$DP-A", false),
+		h(1, metrics.TxnPrepare, "$DP-B", false),
+		h(1, metrics.TxnOutcome, "", true),
+		h(1, metrics.TxnApply, "$DP-A", true),
+		h(1, metrics.TxnApply, "$DP-B", true),
 	}
 	ops := []Op{
 		{Txn: 1, File: "TRADES", Key: 10, Shard: "$DP-A"},
@@ -55,12 +55,30 @@ func TestCleanTwoPhaseHistoryPasses(t *testing.T) {
 	}
 }
 
+// The checker reads only the four protocol kinds: a stream's ladder marks
+// and client endings neither examine a transaction nor shift the rules.
+func TestCheckSkipsNonProtocolKinds(t *testing.T) {
+	events := []metrics.TxnEvent{
+		h(2, metrics.MarkBeginCall, "", false),
+		h(1, metrics.TxnBegin, "", false),
+		h(1, metrics.MarkCommitSend, "", false),
+		h(1, metrics.TxnOutcome, "", true),
+		h(2, metrics.TxnUnresolved, "", false),
+		h(1, metrics.TxnApply, "$DP-A", true),
+		h(1, metrics.MarkCommitDone, "", false),
+	}
+	res := Check(events, []Op{{Txn: 1, File: "TRADES", Key: 10, Shard: "$DP-A"}}, visSet([2]interface{}{"TRADES", uint64(10)}))
+	if !res.Ok() || res.Checked != 1 {
+		t.Fatalf("checked %d transactions, violations %v; want 1 and none", res.Checked, res.Violations)
+	}
+}
+
 func TestAbortedTxnRowsMustBeInvisible(t *testing.T) {
-	events := []metrics.HistEvent{
-		h(1, metrics.HistBegin, "", false),
-		h(1, metrics.HistPrepare, "$DP-A", false),
-		h(1, metrics.HistOutcome, "", false),
-		h(1, metrics.HistApply, "$DP-A", false),
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnBegin, "", false),
+		h(1, metrics.TxnPrepare, "$DP-A", false),
+		h(1, metrics.TxnOutcome, "", false),
+		h(1, metrics.TxnApply, "$DP-A", false),
 	}
 	ops := []Op{{Txn: 1, File: "TRADES", Key: 10, Shard: "$DP-A"}}
 	// The row leaked into the image despite the abort.
@@ -72,11 +90,11 @@ func TestAbortedTxnRowsMustBeInvisible(t *testing.T) {
 }
 
 func TestCommittedTxnRowsMustAllBeVisible(t *testing.T) {
-	events := []metrics.HistEvent{
-		h(1, metrics.HistBegin, "", false),
-		h(1, metrics.HistOutcome, "", true),
-		h(1, metrics.HistApply, "$DP-A", true),
-		h(1, metrics.HistApply, "$DP-B", true),
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnBegin, "", false),
+		h(1, metrics.TxnOutcome, "", true),
+		h(1, metrics.TxnApply, "$DP-A", true),
+		h(1, metrics.TxnApply, "$DP-B", true),
 	}
 	ops := []Op{
 		{Txn: 1, File: "TRADES", Key: 10, Shard: "$DP-A"},
@@ -92,10 +110,10 @@ func TestCommittedTxnRowsMustAllBeVisible(t *testing.T) {
 
 func TestNoOutcomeMustBeAllOrNothing(t *testing.T) {
 	// Coordinator died mid-protocol: prepares recorded, no outcome event.
-	events := []metrics.HistEvent{
-		h(1, metrics.HistBegin, "", false),
-		h(1, metrics.HistPrepare, "$DP-A", false),
-		h(1, metrics.HistPrepare, "$DP-B", false),
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnBegin, "", false),
+		h(1, metrics.TxnPrepare, "$DP-A", false),
+		h(1, metrics.TxnPrepare, "$DP-B", false),
 	}
 	ops := []Op{
 		{Txn: 1, File: "TRADES", Key: 10, Shard: "$DP-A"},
@@ -130,13 +148,13 @@ func TestNoOutcomeMustBeAllOrNothing(t *testing.T) {
 }
 
 func TestProtocolGrammarViolations(t *testing.T) {
-	events := []metrics.HistEvent{
-		h(1, metrics.HistApply, "$DP-A", true), // apply before any outcome
-		h(1, metrics.HistBegin, "", false),
-		h(1, metrics.HistOutcome, "", true),
-		h(1, metrics.HistPrepare, "$DP-B", false), // prepare after outcome
-		h(1, metrics.HistOutcome, "", true),       // duplicate outcome
-		h(1, metrics.HistApply, "$DP-B", false),   // direction mismatch
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnApply, "$DP-A", true), // apply before any outcome
+		h(1, metrics.TxnBegin, "", false),
+		h(1, metrics.TxnOutcome, "", true),
+		h(1, metrics.TxnPrepare, "$DP-B", false), // prepare after outcome
+		h(1, metrics.TxnOutcome, "", true),       // duplicate outcome
+		h(1, metrics.TxnApply, "$DP-B", false),   // direction mismatch
 	}
 	res := Check(events, nil, nil)
 	got := rules(res)
@@ -150,9 +168,9 @@ func TestProtocolGrammarViolations(t *testing.T) {
 }
 
 func TestApplyWithoutOutcome(t *testing.T) {
-	events := []metrics.HistEvent{
-		h(1, metrics.HistBegin, "", false),
-		h(1, metrics.HistApply, "$DP-A", true),
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnBegin, "", false),
+		h(1, metrics.TxnApply, "$DP-A", true),
 	}
 	res := Check(events, nil, nil)
 	if rules(res)["apply-without-outcome"] != 1 {
@@ -164,13 +182,13 @@ func TestSerializabilityWitnessFollowsApplyOrder(t *testing.T) {
 	// Txn 2 applies before txn 1 on the shard owning the contended row,
 	// so the witnessed order must place 2 first even though ids say
 	// otherwise.
-	events := []metrics.HistEvent{
-		h(1, metrics.HistBegin, "", false),
-		h(2, metrics.HistBegin, "", false),
-		h(2, metrics.HistOutcome, "", true),
-		h(2, metrics.HistApply, "$DP-A", true),
-		h(1, metrics.HistOutcome, "", true),
-		h(1, metrics.HistApply, "$DP-A", true),
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnBegin, "", false),
+		h(2, metrics.TxnBegin, "", false),
+		h(2, metrics.TxnOutcome, "", true),
+		h(2, metrics.TxnApply, "$DP-A", true),
+		h(1, metrics.TxnOutcome, "", true),
+		h(1, metrics.TxnApply, "$DP-A", true),
 	}
 	ops := []Op{
 		{Txn: 1, File: "TRADES", Key: 10, Shard: "$DP-A"},
@@ -190,13 +208,13 @@ func TestSerializationCycleDetected(t *testing.T) {
 	// Two rows on two shards with opposite apply orders: txn 1 before
 	// txn 2 on $DP-A's row, txn 2 before txn 1 on $DP-B's row. No serial
 	// order satisfies both.
-	events := []metrics.HistEvent{
-		h(1, metrics.HistOutcome, "", true),
-		h(2, metrics.HistOutcome, "", true),
-		h(1, metrics.HistApply, "$DP-A", true),
-		h(2, metrics.HistApply, "$DP-B", true),
-		h(2, metrics.HistApply, "$DP-A", true),
-		h(1, metrics.HistApply, "$DP-B", true),
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnOutcome, "", true),
+		h(2, metrics.TxnOutcome, "", true),
+		h(1, metrics.TxnApply, "$DP-A", true),
+		h(2, metrics.TxnApply, "$DP-B", true),
+		h(2, metrics.TxnApply, "$DP-A", true),
+		h(1, metrics.TxnApply, "$DP-B", true),
 	}
 	ops := []Op{
 		{Txn: 1, File: "TRADES", Key: 10, Shard: "$DP-A"},
@@ -214,13 +232,13 @@ func TestSerializationCycleDetected(t *testing.T) {
 func TestDisjointKeysImposeNoOrder(t *testing.T) {
 	// Same interleaving as the cycle test but on disjoint rows: no
 	// conflict, no cycle, id-ordered witness.
-	events := []metrics.HistEvent{
-		h(1, metrics.HistOutcome, "", true),
-		h(2, metrics.HistOutcome, "", true),
-		h(1, metrics.HistApply, "$DP-A", true),
-		h(2, metrics.HistApply, "$DP-B", true),
-		h(2, metrics.HistApply, "$DP-A", true),
-		h(1, metrics.HistApply, "$DP-B", true),
+	events := []metrics.TxnEvent{
+		h(1, metrics.TxnOutcome, "", true),
+		h(2, metrics.TxnOutcome, "", true),
+		h(1, metrics.TxnApply, "$DP-A", true),
+		h(2, metrics.TxnApply, "$DP-B", true),
+		h(2, metrics.TxnApply, "$DP-A", true),
+		h(1, metrics.TxnApply, "$DP-B", true),
 	}
 	ops := []Op{
 		{Txn: 1, File: "TRADES", Key: 10, Shard: "$DP-A"},

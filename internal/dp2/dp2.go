@@ -434,9 +434,9 @@ type DP2 struct {
 	mInsert     *metrics.LatencyHist
 	mCheckpoint *metrics.LatencyHist
 	mAuditSend  *metrics.LatencyHist
-	// hist records protocol events (prepare votes, outcome applies) for
-	// the atomicity checker; nil unless the registry enabled history.
-	hist *metrics.TxnHistory
+	// txns receives protocol events (prepare votes, outcome applies) for
+	// the atomicity checker.
+	txns *metrics.TxnStream
 
 	stats Stats
 }
@@ -539,7 +539,7 @@ func Start(cl *cluster.Cluster, cfg Config) *DP2 {
 		d.mInsert = cfg.Metrics.DP2.Insert
 		d.mCheckpoint = cfg.Metrics.DP2.Checkpoint
 		d.mAuditSend = cfg.Metrics.DP2.AuditSend
-		d.hist = cfg.Metrics.History
+		d.txns = cfg.Metrics.Commit
 	}
 	d.waiterName = cfg.Name + "-waiter"
 	d.rwaiterName = cfg.Name + "-rwaiter"
@@ -659,7 +659,7 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 // LSN — or the synchronous PM write — covers it.
 func (d *DP2) flushAudit(ctx *cluster.PairCtx, st *dpState, auditBuf *[]byte, req *FlushAuditReq) FlushAuditResp {
 	if req.Prepare {
-		d.hist.OnPrepare(uint64(req.Txn), d.cfg.Name, ctx.Process.Now())
+		d.txns.Record(uint64(req.Txn), metrics.TxnPrepare, d.cfg.Name, false, ctx.Process.Now())
 		rec := audit.Record{
 			Type: audit.RecPrepare, Txn: req.Txn,
 			File: d.cfg.File, Partition: d.cfg.Partition,
@@ -883,7 +883,7 @@ func (d *DP2) handleEnd(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev
 	}
 	delta := endDelta{txn: req.Txn, commit: req.Commit}
 	st.applyEnd(delta)
-	d.hist.OnApply(uint64(req.Txn), d.cfg.Name, req.Commit, ctx.Process.Now())
+	d.txns.Record(uint64(req.Txn), metrics.TxnApply, d.cfg.Name, req.Commit, ctx.Process.Now())
 	lm.ReleaseAll(req.Txn)
 	if d.cfg.Mode == PMDirect {
 		// Note the local outcome in the PM log so a takeover's cache

@@ -295,3 +295,53 @@ func TestChaosPlanHoldsInvariants(t *testing.T) {
 		})
 	}
 }
+
+// The first firings of AuditVolumeFail and EndpointFail: every audit volume
+// under disk durability and both NPMU devices under the PM modes, failed
+// after the first, fourth and eighth commit and restored 5 ms or 500 ms
+// later. Every outage must hold the invariants and the history checker
+// (no acknowledged commit is lost) and log its fail. An audit volume down
+// across the rest of the workload fails every later commit; none is
+// acknowledged. A mirrored NPMU rides out the loss of either device.
+func TestAuditVolumeAndEndpointOutages(t *testing.T) {
+	const txns = 8
+	targets := []struct {
+		d          ods.Durability
+		fail, back Kind
+		n          int
+	}{
+		{ods.DiskDurability, AuditVolumeFail, AuditVolumeRestore, 4},
+		{ods.PMDurability, EndpointFail, EndpointRecover, 2},
+		{ods.PMDirectDurability, EndpointFail, EndpointRecover, 2},
+	}
+	cells := 0
+	for _, tg := range targets {
+		for v := 0; v < tg.n; v++ {
+			for _, after := range []int{1, 4, 8} {
+				for _, restore := range []sim.Time{5 * sim.Millisecond, 500 * sim.Millisecond} {
+					cells++
+					res := runAndCheck(t, ScenarioConfig{Durability: tg.d, Txns: txns, Seed: 1, Pace: 20 * sim.Millisecond,
+						Plan: Plan{
+							{Kind: tg.fail, Target: v, When: Trigger{AfterCommits: int64(after)}},
+							{Kind: tg.back, Target: v, When: Trigger{AfterCommits: int64(after), Delay: restore}},
+						}})
+					name := fmt.Sprintf("%v/%v(%d)/after %d/restore %v", tg.d, tg.fail, v, after, restore)
+					if f := res.Injector.Firings(); len(f) == 0 || f[0].Fault.Kind != tg.fail {
+						t.Errorf("%s: firings %v, want the fail first", name, f)
+					}
+					committed := len(res.Committed) / 4
+					want := txns
+					if tg.d == ods.DiskDurability && restore > 5*sim.Millisecond {
+						want = after
+					}
+					if committed != want || res.TxnErrs != txns-want {
+						t.Errorf("%s: %d commits and %d errors, want %d and %d", name, committed, res.TxnErrs, want, txns-want)
+					}
+				}
+			}
+		}
+	}
+	if cells != 48 {
+		t.Errorf("%d cells, want 48", cells)
+	}
+}

@@ -74,6 +74,30 @@ func TestPhasedTriggerKillsInsideWindow(t *testing.T) {
 	res.Store.Eng.Shutdown()
 }
 
+// The fault matrix's xs-part/apply cell kills a participant mid-apply: the
+// session files that commit unresolved while the monitor is still working
+// on it. The monitor's later commit-path marks must open no table of their
+// own, so at the crash the stream's open tables are exactly the one
+// transaction the workload left in flight, as the ledger counts it.
+func TestApplyKillLeavesNoOrphanTable(t *testing.T) {
+	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability, ods.PMDirectDurability} {
+		for seed := int64(1); seed <= 3; seed++ {
+			res := Run(ScenarioConfig{Durability: d, Txns: 8, Seed: seed, Pace: 20 * sim.Millisecond, TwoPhase: true,
+				Plan: Plan{{Kind: ProcessKill, Service: "$DP-TRADES-1", When: Trigger{AtPhase: tmf.PhaseApplyStart, AtSeq: 4}}}})
+			ts := res.Metrics.Commit
+			inFlight := ts.Begun.Value() - ts.Committed.Value() - ts.Aborted.Value() - ts.Unresolved.Value()
+			if len(res.Injector.Firings()) != 1 || ts.Unresolved.Value() == 0 {
+				t.Errorf("%v seed %d: %d firings, %d unresolved: the kill must cost a commit its outcome",
+					d, seed, len(res.Injector.Firings()), ts.Unresolved.Value())
+			}
+			if ts.Open() != 1 || inFlight != 1 {
+				t.Errorf("%v seed %d: %d open tables, ledger in flight %d, want 1 and 1", d, seed, ts.Open(), inFlight)
+			}
+			res.Store.Eng.Shutdown()
+		}
+	}
+}
+
 // A phased fault whose two-phase sequence number never occurs must stay
 // armed and silent — the run is indistinguishable from an uninjected one.
 func TestPhasedTriggerUnmatchedSeqNeverFires(t *testing.T) {

@@ -62,9 +62,9 @@ type Result struct {
 	// laws are written with occupancy terms, so they must balance even at
 	// a crash point — Violations checks every one.
 	Metrics *metrics.Registry
-	// History is the protocol event stream every scenario records, the
-	// input to the atomicity checker.
-	History *metrics.TxnHistory
+	// History is the registry's transaction stream with its protocol
+	// events retained — every scenario's input to the atomicity checker.
+	History *metrics.TxnStream
 	// Ops lists every write the workload issued, per transaction — the
 	// checker's ground truth for all-or-nothing visibility.
 	Ops []consistency.Op

@@ -1,8 +1,10 @@
 // Package metrics is the deterministic observability layer for the whole
 // simulated stack: a registry of counters, gauges, virtual-time-weighted
 // utilization trackers and latency histograms that subsystems record into,
-// plus the commit critical-path span recorder (commitpath.go) that
-// explains where commit time goes, phase by phase.
+// plus the per-transaction stream (stream.go) whose views are the
+// client's transaction ledger, the commit critical-path ladder that
+// explains where commit time goes, phase by phase, and the protocol
+// events the atomicity checker reads.
 //
 // Two rules govern every instrument:
 //
@@ -24,8 +26,6 @@ package metrics
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"persistmem/internal/hist"
 	"persistmem/internal/sim"
@@ -277,7 +277,8 @@ type Registry struct {
 	histSlab    []LatencyHist
 
 	// Subsystem bundles, created eagerly so wiring is field access.
-	Txns      *TxnAccounting
+	// Commit is the per-transaction stream (stream.go).
+	Commit    *TxnStream
 	Locks     *LockSpans
 	DP2       *DP2Spans
 	ADP       *ADPSpans
@@ -285,24 +286,17 @@ type Registry struct {
 	DataDisk  *DiskSpans
 	Net       *NetSpans
 	PM        *PMSpans
-	Commit    *CommitPath
 	Load      *LoadSpans
-
-	// History is the transaction-protocol event recorder behind the
-	// offline atomicity checker. Nil (and free) unless EnableHistory was
-	// called; see history.go.
-	History *TxnHistory
 }
 
 // instrumentSlab is how many counters or histograms a registry allocates at
-// a time: NewRegistry's bundles register 26 and 24, one slab of each.
+// a time: NewRegistry's bundles register 17 and 24, one slab of each.
 const instrumentSlab = 32
 
 // NewRegistry returns a registry with every subsystem bundle and its
 // conservation laws registered.
 func NewRegistry() *Registry {
 	r := &Registry{}
-	r.Txns = newTxnAccounting(r)
 	r.Locks = newLockSpans(r)
 	r.DP2 = newDP2Spans(r)
 	r.ADP = newADPSpans(r)
@@ -310,7 +304,9 @@ func NewRegistry() *Registry {
 	r.DataDisk = newDiskSpans(r, "disk.data")
 	r.Net = newNetSpans(r)
 	r.PM = newPMSpans(r)
-	r.Commit = newCommitPath(r)
+	// After the slab-registered bundles: the stream files its histograms in
+	// the index room their first slab grew.
+	r.Commit = newTxnStream(r)
 	r.Load = newLoadSpans(r)
 	return r
 }
@@ -378,116 +374,6 @@ func (r *Registry) CheckConservation() []error {
 		}
 	}
 	return errs
-}
-
-// Dump renders every instrument with a non-zero observation, sorted by
-// name, one per line — the debugging view of the whole registry.
-func (r *Registry) Dump(now sim.Time) string {
-	if r == nil {
-		return ""
-	}
-	var lines []string
-	for _, c := range r.counters {
-		if c.v != 0 {
-			lines = append(lines, fmt.Sprintf("%-24s %d", c.name, c.v))
-		}
-	}
-	for _, g := range r.gauges {
-		if g.v != 0 {
-			lines = append(lines, fmt.Sprintf("%-24s %d", g.name, g.v))
-		}
-	}
-	for _, u := range r.utils {
-		if u.busy != 0 || u.level != 0 {
-			lines = append(lines, fmt.Sprintf("%-24s busy=%.4f mean_level=%.3f", u.name, u.Busy(now), u.MeanLevel(now)))
-		}
-	}
-	for _, h := range r.hists {
-		if h.Count() != 0 {
-			lines = append(lines, fmt.Sprintf("%-24s n=%d mean=%v p50=%v p99=%v max=%v",
-				h.name, h.Count(), h.Mean(), h.Percentile(50), h.Percentile(99), h.Max()))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
-// TxnAccounting is the client-visible transaction ledger, counted at the
-// session layer so it is exact even across takeovers and faults. The
-// conservation law is
-//
-//	Begun == Committed + Aborted + Unresolved + InFlight
-//
-// where Unresolved counts commits/aborts whose call failed outright (the
-// outcome is unknown at the client — the commit record may or may not
-// have become durable).
-type TxnAccounting struct {
-	Begun, Committed, Aborted, Unresolved *Counter
-	InFlight                              *Gauge
-}
-
-func newTxnAccounting(r *Registry) *TxnAccounting {
-	t := &TxnAccounting{
-		Begun:      r.Counter("txn.begun"),
-		Committed:  r.Counter("txn.committed"),
-		Aborted:    r.Counter("txn.aborted"),
-		Unresolved: r.Counter("txn.unresolved"),
-		InFlight:   r.Gauge("txn.in_flight"),
-	}
-	r.AddCheck("txn-conservation", func() error {
-		resolved := t.Committed.Value() + t.Aborted.Value() + t.Unresolved.Value() + t.InFlight.Value()
-		if t.Begun.Value() != resolved {
-			return fmt.Errorf("begun %d != committed %d + aborted %d + unresolved %d + in-flight %d",
-				t.Begun.Value(), t.Committed.Value(), t.Aborted.Value(), t.Unresolved.Value(), t.InFlight.Value())
-		}
-		return nil
-	})
-	return t
-}
-
-// OnBegin records a successful Begin. Nil-safe.
-//
-//simlint:hotpath
-func (t *TxnAccounting) OnBegin() {
-	if t == nil {
-		return
-	}
-	t.Begun.Inc()
-	t.InFlight.Inc()
-}
-
-// OnCommit records a transaction whose Commit returned nil. Nil-safe.
-//
-//simlint:hotpath
-func (t *TxnAccounting) OnCommit() {
-	if t == nil {
-		return
-	}
-	t.Committed.Inc()
-	t.InFlight.Dec()
-}
-
-// OnAbort records a transaction that ended in a known abort. Nil-safe.
-//
-//simlint:hotpath
-func (t *TxnAccounting) OnAbort() {
-	if t == nil {
-		return
-	}
-	t.Aborted.Inc()
-	t.InFlight.Dec()
-}
-
-// OnUnresolved records a transaction whose outcome is unknown at the
-// client (the commit or abort call itself failed). Nil-safe.
-//
-//simlint:hotpath
-func (t *TxnAccounting) OnUnresolved() {
-	if t == nil {
-		return
-	}
-	t.Unresolved.Inc()
-	t.InFlight.Dec()
 }
 
 // LockSpans instruments the lock managers' wait queues. The conservation

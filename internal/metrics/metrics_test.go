@@ -34,20 +34,13 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Max() != 0 {
 		t.Fatal("nil hist has observations")
 	}
-	var cp *CommitPath
-	cp.Mark(1, MarkBeginCall, 0)
-	cp.Drop(1)
-	if _, folded := cp.Complete(1); folded {
-		t.Fatal("nil commit path folded a transaction")
+	var ts *TxnStream
+	for k := MarkBeginCall; k <= TxnApply; k++ {
+		ts.Record(1, k, "$DP-TRADES-0", true, 0)
 	}
-	if cp.Open() != 0 {
-		t.Fatal("nil commit path has open transactions")
+	if ts.Open() != 0 || ts.Len() != 0 || ts.Events() != nil || ts.PhaseStats() != nil || ts.TotalStat().Count != 0 {
+		t.Fatal("nil stream has state")
 	}
-	var tx *TxnAccounting
-	tx.OnBegin()
-	tx.OnCommit()
-	tx.OnAbort()
-	tx.OnUnresolved()
 	var ls *LockSpans
 	ls.OnEnter()
 	ls.OnGranted(1)
@@ -58,9 +51,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	if errs := r.CheckConservation(); errs != nil {
 		t.Fatal("nil registry reported violations")
-	}
-	if r.Dump(0) != "" {
-		t.Fatal("nil registry dumped output")
 	}
 }
 
@@ -108,70 +98,63 @@ func TestLatencyHistExactSum(t *testing.T) {
 
 func TestCommitPathFoldsAndConserves(t *testing.T) {
 	r := NewRegistry()
-	cp := r.Commit
-	cp.Retain = true
+	ts := r.Commit
 
 	// One clean transaction: strictly increasing marks.
-	for m := 0; m < NumPhases+1; m++ {
-		cp.Mark(1, m, sim.Time(10*(m+1)))
+	for m := MarkBeginCall; m <= MarkCommitDone; m++ {
+		ts.Record(1, m, "", false, sim.Time(10*(m+1)))
 	}
-	tp, folded := cp.Complete(1)
-	if !folded {
-		t.Fatal("clean transaction did not fold")
-	}
-	var sum sim.Time
-	for _, ph := range tp.Phase {
-		if ph != 10 {
-			t.Fatalf("phase = %v, want 10", ph)
+	for _, ps := range ts.PhaseStats() {
+		if ps.Count != 1 || ps.Sum != 10 {
+			t.Fatalf("phase %s: n=%d sum=%v, want 1 sample of 10", ps.Name, ps.Count, ps.Sum)
 		}
-		sum += ph
 	}
-	if sum != tp.Total || tp.Total != sim.Time(10*NumPhases) {
-		t.Fatalf("sum %v total %v", sum, tp.Total)
-	}
-
-	// A dropped transaction leaves the histograms untouched.
-	cp.Mark(2, MarkBeginCall, 5)
-	cp.Drop(2)
-
-	// A transaction with a missing mark counts Incomplete, not Completed.
-	cp.Mark(3, MarkBeginCall, 1)
-	cp.Mark(3, MarkCommitDone, 99)
-	if _, folded := cp.Complete(3); folded {
-		t.Fatal("gap-marked transaction folded")
+	if tot := ts.TotalStat(); tot.Count != 1 || tot.Sum != sim.Time(10*NumPhases) {
+		t.Fatalf("total: n=%d sum=%v, want 1 sample of %v", tot.Count, tot.Sum, sim.Time(10*NumPhases))
 	}
 
-	// Completing an unknown transaction is a no-op.
-	if _, folded := cp.Complete(77); folded {
-		t.Fatal("unknown transaction folded")
-	}
+	// An aborted and an unresolved transaction leave the histograms
+	// untouched.
+	ts.Record(2, MarkBeginCall, "", false, 5)
+	ts.Record(2, TxnAborted, "", false, 6)
+	ts.Record(4, MarkBeginCall, "", false, 5)
+	ts.Record(4, TxnUnresolved, "", false, 7)
 
-	if cp.Completed.Value() != 1 || cp.Dropped.Value() != 1 || cp.Incomplete.Value() != 1 {
-		t.Fatalf("completed=%d dropped=%d incomplete=%d, want 1/1/1",
-			cp.Completed.Value(), cp.Dropped.Value(), cp.Incomplete.Value())
+	// A commit with a missing mark counts Incomplete, not in the ladder.
+	ts.Record(3, MarkBeginCall, "", false, 1)
+	ts.Record(3, MarkCommitDone, "", false, 99)
+
+	// Protocol events touch neither the ledger nor the ladder, and are not
+	// kept unless history is enabled.
+	ts.Record(5, TxnBegin, "", false, 1)
+	ts.Record(5, TxnOutcome, "", true, 2)
+
+	if got := [...]int64{ts.Begun.Value(), ts.Committed.Value(), ts.Aborted.Value(), ts.Unresolved.Value(), ts.Incomplete.Value()}; got != [...]int64{4, 2, 1, 1, 1} {
+		t.Fatalf("begun/committed/aborted/unresolved/incomplete = %v, want [4 2 1 1 1]", got)
 	}
-	if cp.Open() != 0 {
-		t.Fatalf("open = %d, want 0", cp.Open())
+	if ts.TotalStat().Count != 1 {
+		t.Fatalf("ladder folded %d transactions, want 1", ts.TotalStat().Count)
+	}
+	if ts.Open() != 0 || ts.Len() != 0 {
+		t.Fatalf("open = %d, retained = %d, want 0 and 0", ts.Open(), ts.Len())
 	}
 	if errs := r.CheckConservation(); len(errs) != 0 {
 		t.Fatalf("conservation violated: %v", errs)
-	}
-	if len(cp.Txns) != 1 {
-		t.Fatalf("retained %d, want 1", len(cp.Txns))
 	}
 }
 
 func TestConservationLawsDetectViolations(t *testing.T) {
 	r := NewRegistry()
-	// Healthy: balanced ledger.
-	r.Txns.OnBegin()
-	r.Txns.OnCommit()
+	// Healthy: balanced ledger, and one transaction in flight.
+	r.Commit.Record(1, MarkBeginCall, "", false, 0)
+	r.Commit.Record(1, MarkCommitDone, "", false, 1)
+	r.Commit.Record(2, MarkBeginCall, "", false, 2)
 	if errs := r.CheckConservation(); len(errs) != 0 {
 		t.Fatalf("balanced ledger flagged: %v", errs)
 	}
-	// Violate: a commit counted without its in-flight decrement (the
-	// paired OnCommit can't break the law; a raw counter bump can).
-	r.Txns.Committed.Inc()
+	// Violate: a commit counted without its table closing (an ending
+	// filed through Record can't break the law; a raw counter bump can).
+	r.Commit.Committed.Inc()
 	errs := r.CheckConservation()
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "txn-conservation") {
 		t.Fatalf("unbalanced ledger not flagged: %v", errs)
@@ -199,26 +182,6 @@ func TestConservationLawsDetectViolations(t *testing.T) {
 	r3.ADP.Flushed.Inc() // flush without its pending decrement: broken
 	if errs := r3.CheckConservation(); len(errs) == 0 {
 		t.Fatal("spurious flush not flagged")
-	}
-}
-
-func TestDumpSortedAndNonZeroOnly(t *testing.T) {
-	r := NewRegistry()
-	r.Txns.OnBegin()
-	r.Txns.OnCommit()
-	r.DP2.Insert.Record(250)
-	out := r.Dump(1000)
-	if !strings.Contains(out, "txn.begun") || !strings.Contains(out, "dp2.insert") {
-		t.Fatalf("dump missing instruments:\n%s", out)
-	}
-	if strings.Contains(out, "locks.wait") {
-		t.Fatalf("dump includes zero-valued instrument:\n%s", out)
-	}
-	lines := strings.Split(out, "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] > lines[i] {
-			t.Fatalf("dump not sorted: %q > %q", lines[i-1], lines[i])
-		}
 	}
 }
 

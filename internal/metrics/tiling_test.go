@@ -2,6 +2,7 @@ package metrics_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"persistmem/internal/hotstock"
@@ -11,10 +12,10 @@ import (
 )
 
 // runInstrumented executes a small hot-stock run with span metrics
-// attached and per-transaction decompositions retained.
+// attached and the protocol events retained.
 func runInstrumented(seed int64, d ods.Durability) (*metrics.Registry, hotstock.Result) {
 	reg := metrics.NewRegistry()
-	reg.Commit.Retain = true
+	reg.EnableHistory()
 	opts := ods.DefaultOptions()
 	opts.Seed = seed
 	opts.Durability = d
@@ -31,10 +32,11 @@ func runInstrumented(seed int64, d ods.Durability) (*metrics.Registry, hotstock.
 	return reg, res
 }
 
-// TestPhaseDecompositionTilesCommitLatency is the tiling property: for
-// every committed transaction, across seeds and durability configs, the
-// phase durations sum exactly — to the tick — to the client-visible
-// begin→commit interval. No gaps, no overlaps, no sampling error.
+// TestPhaseDecompositionTilesCommitLatency is the tiling property: across
+// seeds and durability configs, every committed transaction folds into the
+// ladder, and the phase sums add up exactly — to the tick — to the sum of
+// the client-visible begin→commit intervals. No gaps, no overlaps, no
+// sampling error.
 func TestPhaseDecompositionTilesCommitLatency(t *testing.T) {
 	for _, d := range []ods.Durability{ods.DiskDurability, ods.PMDurability, ods.PMDirectDurability} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -42,9 +44,9 @@ func TestPhaseDecompositionTilesCommitLatency(t *testing.T) {
 				reg, res := runInstrumented(seed, d)
 				cp := reg.Commit
 
-				committed := 0
+				committed := int64(0)
 				for _, dr := range res.Drivers {
-					committed += dr.Txns
+					committed += int64(dr.Txns)
 					if dr.Errors != 0 {
 						t.Fatalf("driver %d saw %d errors; tiling needs a clean run", dr.Driver, dr.Errors)
 					}
@@ -52,8 +54,8 @@ func TestPhaseDecompositionTilesCommitLatency(t *testing.T) {
 				if committed == 0 {
 					t.Fatal("no transactions committed")
 				}
-				if got := len(cp.Txns); got != committed {
-					t.Fatalf("retained %d decompositions, committed %d", got, committed)
+				if got := cp.TotalStat().Count; got != committed || cp.Committed.Value() != committed {
+					t.Fatalf("folded %d decompositions, ledger %d, committed %d", got, cp.Committed.Value(), committed)
 				}
 				if n := cp.Incomplete.Value(); n != 0 {
 					t.Fatalf("%d transactions folded incomplete", n)
@@ -61,19 +63,9 @@ func TestPhaseDecompositionTilesCommitLatency(t *testing.T) {
 				if n := cp.Open(); n != 0 {
 					t.Fatalf("%d transactions left open after the run", n)
 				}
-
-				for _, tp := range cp.Txns {
-					var sum sim.Time
-					for _, ph := range tp.Phase {
-						if ph < 0 {
-							t.Fatalf("txn %d: negative phase duration %v", tp.Txn, ph)
-						}
-						sum += ph
-					}
-					visible := tp.At[len(tp.At)-1] - tp.At[0]
-					if sum != tp.Total || tp.Total != visible {
-						t.Fatalf("txn %d: phases sum to %v, Total %v, client-visible %v; must all be equal",
-							tp.Txn, sum, tp.Total, visible)
+				for _, ps := range cp.PhaseStats() {
+					if ps.Count != committed {
+						t.Fatalf("phase %s has %d samples, want %d", ps.Name, ps.Count, committed)
 					}
 				}
 
@@ -96,18 +88,16 @@ func TestPhaseDecompositionTilesCommitLatency(t *testing.T) {
 }
 
 // TestDecompositionDeterministic pins that two identically-seeded
-// instrumented runs produce byte-identical decompositions: metering must
-// not perturb or randomize the simulation.
+// instrumented runs produce byte-identical decompositions and protocol
+// events: metering must not perturb or randomize the simulation.
 func TestDecompositionDeterministic(t *testing.T) {
 	regA, _ := runInstrumented(7, ods.DiskDurability)
 	regB, _ := runInstrumented(7, ods.DiskDurability)
-	a, b := regA.Commit.Txns, regB.Commit.Txns
-	if len(a) != len(b) {
-		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
+	a, b := regA.Commit, regB.Commit
+	if !slices.Equal(a.PhaseStats(), b.PhaseStats()) || a.TotalStat() != b.TotalStat() {
+		t.Fatalf("decompositions differ between identical runs:\n%+v\n%+v", a.PhaseStats(), b.PhaseStats())
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("txn %d decomposition differs between identical runs:\n%+v\n%+v", a[i].Txn, a[i], b[i])
-		}
+	if a.Len() == 0 || !slices.Equal(a.Events(), b.Events()) {
+		t.Fatalf("retained events differ between identical runs (%d vs %d)", a.Len(), b.Len())
 	}
 }

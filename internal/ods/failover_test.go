@@ -12,7 +12,7 @@ import (
 )
 
 // TestCPUFailTakeoverRebackupWithMetricsAndHistory: a store built with a
-// metrics registry and a transaction-history recorder survives a whole
+// metrics registry and protocol-event retention survives a whole
 // CPU failing — every pair with its primary there takes over, commits
 // resume, the reloaded CPU is re-paired with Rebackup, and the
 // instruments stay consistent through all of it.
@@ -157,7 +157,7 @@ func TestFailedSendPoisonsTxn(t *testing.T) {
 		if err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
 			t.Errorf("second Commit = %v, want ErrTxnDone (the first aborted)", err)
 		}
-		if a := opts.Metrics.Txns.Aborted.Value(); a != 1 {
+		if a := opts.Metrics.Commit.Aborted.Value(); a != 1 {
 			t.Errorf("ledger aborted = %d, want 1", a)
 		}
 

@@ -30,11 +30,9 @@ type Session struct {
 	s *Store
 	p *cluster.Process
 
-	// cp and tx are the store registry's commit-path recorder and
-	// transaction ledger (nil when the store has no metrics attached;
-	// every method on them nil-short-circuits).
-	cp *metrics.CommitPath
-	tx *metrics.TxnAccounting
+	// txns is the store registry's per-transaction stream (nil when the
+	// store has no metrics attached; Record nil-short-circuits).
+	txns *metrics.TxnStream
 
 	// Per-session scratch, reused across the one-at-a-time transactions:
 	// the involved-DP2 set, the in-flight insert list, and free lists for
@@ -142,7 +140,7 @@ func (se *Session) SetTwoPhase(on bool) { se.twoPhase = on }
 func (s *Store) NewSession(p *cluster.Process) *Session {
 	se := &Session{s: s, p: p, involved: make(map[string]bool)}
 	if m := s.Opts.Metrics; m != nil {
-		se.cp, se.tx = m.Commit, m.Txns
+		se.txns = m.Commit
 	}
 	return se
 }
@@ -180,9 +178,8 @@ func (se *Session) Begin() (*Txn, error) {
 	}
 	// The txn id only exists now; attribute the pre-call timestamp
 	// retroactively so the begin RPC is part of the decomposition.
-	se.cp.Mark(uint64(resp.Txn), metrics.MarkBeginCall, t0)
-	se.cp.Mark(uint64(resp.Txn), metrics.MarkBeginDone, se.p.Now())
-	se.tx.OnBegin()
+	se.txns.Record(uint64(resp.Txn), metrics.MarkBeginCall, "", false, t0)
+	se.txns.Record(uint64(resp.Txn), metrics.MarkBeginDone, "", false, se.p.Now())
 	clear(se.involved)
 	se.pending = se.pending[:0]
 	se.insErr = nil
@@ -291,7 +288,7 @@ func (t *Txn) Commit() error {
 		return ErrTxnDone
 	}
 	se := t.sess
-	se.cp.Mark(uint64(t.id), metrics.MarkCommitCall, se.p.Now())
+	se.txns.Record(uint64(t.id), metrics.MarkCommitCall, "", false, se.p.Now())
 	if err := t.WaitPending(); err != nil {
 		t.Abort()
 		return err
@@ -304,14 +301,13 @@ func (t *Txn) Commit() error {
 	req := se.newCommitReq()
 	req.Txn, req.DP2s = t.id, se.setToList()
 	req.TwoPhase = se.twoPhase && len(req.DP2s) > 1 // always assigned: the box is recycled
-	se.cp.Mark(uint64(t.id), metrics.MarkCommitSend, se.p.Now())
+	se.txns.Record(uint64(t.id), metrics.MarkCommitSend, "", false, se.p.Now())
 	_, err := se.p.Call(se.s.TMF.Name(), 64+16*len(se.involved), req)
 	if err != nil {
 		// The coordinator may still be using the box; abandon it. The
 		// outcome is unknown at the client — the commit record may or may
 		// not have become durable — so the ledger files it unresolved.
-		se.tx.OnUnresolved()
-		se.cp.Drop(uint64(t.id))
+		se.txns.Record(uint64(t.id), metrics.TxnUnresolved, "", false, se.p.Now())
 		return err
 	}
 	// Reply received — the box itself, carrying the response: the
@@ -321,13 +317,10 @@ func (t *Txn) Commit() error {
 	se.names = req.DP2s[:0]
 	se.freeCommitReq(req)
 	if cerr != nil {
-		se.tx.OnAbort()
-		se.cp.Drop(uint64(t.id))
+		se.txns.Record(uint64(t.id), metrics.TxnAborted, "", false, se.p.Now())
 		return cerr
 	}
-	se.cp.Mark(uint64(t.id), metrics.MarkCommitDone, se.p.Now())
-	se.cp.Complete(uint64(t.id))
-	se.tx.OnCommit()
+	se.txns.Record(uint64(t.id), metrics.MarkCommitDone, "", false, se.p.Now())
 	return nil
 }
 
@@ -339,17 +332,16 @@ func (t *Txn) Abort() error {
 	t.WaitPending() // drain; outcomes no longer matter
 	t.done = true
 	se := t.sess
-	se.cp.Drop(uint64(t.id))
 	req := &tmf.AbortReq{Txn: t.id, DP2s: se.setToList()} // cold: not pooled
 	if _, err := se.p.Call(se.s.TMF.Name(), 64+16*len(se.involved), req); err != nil {
 		// The abort call itself failed; the monitor will eventually time
 		// the transaction out, but the client never saw the outcome.
-		se.tx.OnUnresolved()
+		se.txns.Record(uint64(t.id), metrics.TxnUnresolved, "", false, se.p.Now())
 		return err
 	}
 	// Even a monitor-side abort error (e.g. the transaction was already
 	// resolved by a timeout) is a known not-committed outcome here.
-	se.tx.OnAbort()
+	se.txns.Record(uint64(t.id), metrics.TxnAborted, "", false, se.p.Now())
 	return req.Resp.Err
 }
 

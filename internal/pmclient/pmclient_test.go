@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"persistmem/internal/cluster"
+	"persistmem/internal/metrics"
 	"persistmem/internal/npmu"
 	"persistmem/internal/pmm"
 	"persistmem/internal/servernet"
@@ -698,4 +699,98 @@ func TestServernetPermZeroValueDenies(t *testing.T) {
 	})
 	eng.Run()
 	eng.Shutdown()
+}
+
+// ReadReplica reads exactly one device, with no failover: it refuses a
+// replica the volume does not have, an access outside the region and a
+// closed handle, and with one device detached its replica fails while its
+// partner's still returns the written bytes.
+func TestReadReplicaFailurePaths(t *testing.T) {
+	h := newHarness(t, 1)
+	h.runClient(t, 2, func(p *cluster.Process) {
+		h.vol.Create(p, "r", 4096)
+		r, _ := h.vol.Open(p, "r")
+		if r.Name() != "r" || r.Size() != 4096 || r.Info().Name != "r" || r.Replicas() != 2 {
+			t.Fatalf("handle %q size %d info %+v replicas %d", r.Name(), r.Size(), r.Info(), r.Replicas())
+		}
+		if err := r.Write(p, 0, []byte("replica")); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 7)
+		for _, replica := range []int{-1, 2} {
+			if err := r.ReadReplica(p, replica, 0, buf); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("replica %d: %v, want ErrOutOfRange", replica, err)
+			}
+		}
+		if err := r.ReadReplica(p, 0, 4090, buf); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("read past the region end: %v, want ErrOutOfRange", err)
+		}
+		h.prim.Fail()
+		if err := r.ReadReplica(p, 0, 0, buf); err == nil {
+			t.Error("read of the detached primary's replica succeeded")
+		}
+		if err := r.ReadReplica(p, 1, 0, buf); err != nil || string(buf) != "replica" {
+			t.Errorf("mirror replica with the primary detached: %q, %v", buf, err)
+		}
+		if r.PrimaryReadFailures != 0 {
+			t.Errorf("ReadReplica fell over: PrimaryReadFailures = %d", r.PrimaryReadFailures)
+		}
+		h.prim.Recover()
+		r.Close(p)
+		if err := r.ReadReplica(p, 1, 0, buf); !errors.Is(err, ErrClosed) {
+			t.Errorf("read on a closed handle: %v, want ErrClosed", err)
+		}
+	})
+	h.eng.Shutdown()
+}
+
+// An unmirrored volume (the same device passed twice) has one replica.
+func TestUnmirroredRegionHasOneReplica(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := cluster.DefaultConfig()
+	cfg.CPUs = 5
+	cl := cluster.New(eng, cfg)
+	dev := npmu.New(cl, "npmu-a", 16<<20)
+	pmm.Start(cl, "$PM1", 0, 1, dev, dev)
+	vol := Attach(cl, "$PM1")
+	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
+		vol.Create(p, "r", 4096)
+		r, _ := vol.Open(p, "r")
+		if r.Replicas() != 1 {
+			t.Errorf("unmirrored replicas = %d, want 1", r.Replicas())
+		}
+		r.Write(p, 0, []byte("single"))
+		buf := make([]byte, 6)
+		if err := r.ReadReplica(p, 1, 0, buf); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("replica 1 of an unmirrored volume: %v, want ErrOutOfRange", err)
+		}
+		if err := r.ReadReplica(p, 0, 0, buf); err != nil || string(buf) != "single" {
+			t.Errorf("replica 0: %q, %v", buf, err)
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
+}
+
+// SetMetrics attaches the write spans to a handle and SetMetrics(nil)
+// detaches them: later writes record nothing.
+func TestSetMetricsNilDetaches(t *testing.T) {
+	h := newHarness(t, 1)
+	pm := metrics.NewRegistry().PM
+	h.runClient(t, 2, func(p *cluster.Process) {
+		h.vol.Create(p, "r", 4096)
+		r, _ := h.vol.Open(p, "r")
+		r.SetMetrics(pm)
+		r.Write(p, 0, make([]byte, 64))
+		r.SetMetrics(nil)
+		r.Write(p, 64, make([]byte, 64))
+		if r.Writes != 2 {
+			t.Errorf("handle counted %d writes, want 2", r.Writes)
+		}
+	})
+	if pm.Writes.Value() != 1 || pm.Bytes.Value() != 64 || pm.Write.Count() != 1 {
+		t.Errorf("spans recorded %d writes, %d bytes, %d samples; want 1, 64, 1",
+			pm.Writes.Value(), pm.Bytes.Value(), pm.Write.Count())
+	}
+	h.eng.Shutdown()
 }

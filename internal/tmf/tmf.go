@@ -231,11 +231,9 @@ type TMF struct {
 	pool   *coordPool
 	ncoord int
 
-	// cp records commit critical-path marks (nil when unmetered); hist
-	// records protocol events for the atomicity checker (nil when the
-	// registry has no history enabled).
-	cp   *metrics.CommitPath
-	hist *metrics.TxnHistory
+	// txns is the registry's per-transaction stream: commit-path marks and
+	// protocol events (nil when unmetered).
+	txns *metrics.TxnStream
 }
 
 // coordPool holds one serve incarnation's finished coordinators. They were
@@ -414,8 +412,7 @@ func Start(cl *cluster.Cluster, cfg Config) *TMF {
 	}
 	t := &TMF{cl: cl, cfg: cfg}
 	if cfg.Metrics != nil {
-		t.cp = cfg.Metrics.Commit
-		t.hist = cfg.Metrics.History
+		t.txns = cfg.Metrics.Commit
 	}
 	t.pair = cl.StartPairAbsorb(cfg.Name, cfg.PrimaryCPU, cfg.BackupCPU, t.serve, t.absorb)
 	return t
@@ -493,7 +490,7 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 			if tcb != nil {
 				t.writeTCB(ctx.Process, tcb, &tcbbuf, txn, TCBActive)
 			}
-			t.hist.OnBegin(uint64(txn), ctx.Process.Now())
+			t.txns.Record(uint64(txn), metrics.TxnBegin, "", false, ctx.Process.Now())
 			req.Resp = BeginResp{Txn: txn}
 			ev.Reply(req)
 		case *CommitReq:
@@ -521,7 +518,7 @@ func (t *TMF) handleCommit(ctx *cluster.PairCtx, st *tmfState, pool *coordPool, 
 		return
 	}
 	delete(st.active, req.Txn)
-	t.cp.Mark(uint64(req.Txn), metrics.MarkMonitorRecv, ctx.Process.Now())
+	t.txns.Record(uint64(req.Txn), metrics.MarkMonitorRecv, "", false, ctx.Process.Now())
 	t.startCoord(ctx.CPU(), pool, tcb, ev, req, nil)
 }
 
@@ -541,7 +538,7 @@ func (t *TMF) handleAbort(ctx *cluster.PairCtx, st *tmfState, pool *coordPool, t
 //
 //simlint:hotpath
 func (t *TMF) coordinateCommit(p *cluster.Process, c *coordinator, req *CommitReq) error {
-	t.cp.Mark(uint64(req.Txn), metrics.MarkCoordStart, p.Now())
+	t.txns.Record(uint64(req.Txn), metrics.MarkCoordStart, "", false, p.Now())
 	var seq int64
 	if req.TwoPhase {
 		t.twoPhaseSeq++
@@ -555,7 +552,7 @@ func (t *TMF) coordinateCommit(p *cluster.Process, c *coordinator, req *CommitRe
 		//simlint:allow hotalloc -- commit-failure path, cold
 		return fmt.Errorf("%w: %v", ErrCommitFailed, err)
 	}
-	t.cp.Mark(uint64(req.Txn), metrics.MarkDataFlushed, p.Now())
+	t.txns.Record(uint64(req.Txn), metrics.MarkDataFlushed, "", false, p.Now())
 	if req.TwoPhase {
 		t.firePhase(PhasePrepared, req.Txn, seq)
 	}
@@ -584,15 +581,15 @@ func (t *TMF) coordinateCommit(p *cluster.Process, c *coordinator, req *CommitRe
 			return fmt.Errorf("%w: master log: %v", ErrCommitFailed, rerr)
 		}
 	}
-	t.cp.Mark(uint64(req.Txn), metrics.MarkCommitDurable, p.Now())
+	t.txns.Record(uint64(req.Txn), metrics.MarkCommitDurable, "", false, p.Now())
 
 	// Fine-grained outcome in PM, before externalizing the commit. For
 	// PMDirect stores (no audit streams) this is the commit point.
 	if c.tcb != nil {
 		t.writeTCB(p, c.tcb, &c.tcbbuf, req.Txn, TCBCommitted)
 	}
-	t.cp.Mark(uint64(req.Txn), metrics.MarkTCBWritten, p.Now())
-	t.hist.OnOutcome(uint64(req.Txn), true, p.Now())
+	t.txns.Record(uint64(req.Txn), metrics.MarkTCBWritten, "", false, p.Now())
+	t.txns.Record(uint64(req.Txn), metrics.TxnOutcome, "", true, p.Now())
 	if req.TwoPhase {
 		t.stats.TwoPhaseCommits++
 		t.firePhase(PhaseOutcomeDurable, req.Txn, seq)
@@ -601,7 +598,7 @@ func (t *TMF) coordinateCommit(p *cluster.Process, c *coordinator, req *CommitRe
 
 	// Release locks and retire the transaction at the DP2s.
 	t.endAll(p, c, req.Txn, req.DP2s, true)
-	t.cp.Mark(uint64(req.Txn), metrics.MarkLocksReleased, p.Now())
+	t.txns.Record(uint64(req.Txn), metrics.MarkLocksReleased, "", false, p.Now())
 	if req.TwoPhase {
 		t.firePhase(PhaseDone, req.Txn, seq)
 	}
@@ -699,7 +696,7 @@ func (t *TMF) coordinateAbort(p *cluster.Process, c *coordinator, req *AbortReq)
 // rollback undoes the transaction at every DP2 and writes abort records.
 // Cold path: its own allocations are left alone.
 func (t *TMF) rollback(p *cluster.Process, c *coordinator, txn audit.TxnID, dp2s []string) {
-	t.hist.OnOutcome(uint64(txn), false, p.Now())
+	t.txns.Record(uint64(txn), metrics.TxnOutcome, "", false, p.Now())
 	t.endAll(p, c, txn, dp2s, false)
 	seen := map[string]bool{}
 	for _, name := range dp2s {
