@@ -1,7 +1,7 @@
 // Saturation sweep: open-loop throughput-vs-p99 curves per durability
 // config, shard-count scaling under skewed overload, and data-volume
-// scaling — ROADMAP item 1's extension of the paper's closed-loop
-// 4-CPU testbed to a partitioned store driven past its knee.
+// scaling — an extension of the paper's closed-loop 4-CPU testbed to a
+// partitioned store driven past its knee.
 //
 // Every cell builds a private store and drives it with the open-loop
 // harness (loadgen.RunOpen) at a configured offered load; results

@@ -234,11 +234,12 @@ func (res *Result) Violations(rb *recovery.Rebuilt) []string {
 	if rb == nil {
 		return []string{"no recovered image"}
 	}
+	var want [recovery.RowBodyMax]byte
 	for _, key := range res.Committed {
 		body, ok := rb.Get("TRADES", key)
 		if !ok {
 			v = append(v, fmt.Sprintf("committed key %d lost", key))
-		} else if !bytes.Equal(body, recovery.RowBody(key)) {
+		} else if !bytes.Equal(body, recovery.AppendRowBody(want[:0], key)) {
 			v = append(v, fmt.Sprintf("committed key %d has corrupt body %q", key, body))
 		}
 	}
@@ -248,7 +249,7 @@ func (res *Result) Violations(rb *recovery.Rebuilt) []string {
 		}
 	}
 	for _, key := range res.Unresolved {
-		if body, ok := rb.Get("TRADES", key); ok && !bytes.Equal(body, recovery.RowBody(key)) {
+		if body, ok := rb.Get("TRADES", key); ok && !bytes.Equal(body, recovery.AppendRowBody(want[:0], key)) {
 			v = append(v, fmt.Sprintf("unresolved key %d has corrupt body %q", key, body))
 		}
 	}

@@ -64,13 +64,13 @@ func TestStoreSetupAllocationBudget(t *testing.T) {
 }
 
 // faultCellBudgetBytes is the most one more cell of the `-txns 8` fault
-// matrix may allocate, store to verdict: 300 KB on disk audit and 470–490 KB
-// on PM today, most of it the 16 KiB device pages its log writes touch. It
-// was 2.1 MB while every recovery zeroed a 1 MiB read buffer of its own,
+// matrix may allocate, store to verdict: 195 KB on disk audit, 280 KB on PM
+// and 255 KB on PMDirect today. It was 291 / 484 / 460 KB while the device
+// pages its log writes touch were 16 KiB, which trips it on both PM cells,
+// and 2.1 MB while every recovery zeroed a 1 MiB read buffer of its own,
 // every PM manager cold start a 128 KiB one (two a PM cell) and every
-// registry 24 × 16 KB of histogram buckets; any one of the three back trips
-// it.
-const faultCellBudgetBytes = 640 << 10
+// registry 24 × 16 KB of histogram buckets.
+const faultCellBudgetBytes = 320 << 10
 
 // faultCellAlloc returns the bytes one fault-matrix cell allocates: build,
 // faulted run, crash, recovery and both checks.

@@ -12,13 +12,14 @@ import (
 
 // recoveryBudgetBytes is the most a 4000-transaction recovery (16 000 rows,
 // the size of the benchmark fault-recover workload's three) may allocate per
-// row it recovers, on each of recoveryPaths. Today a row costs 130–131 B on
+// row it recovers, on each of recoveryPaths. Today a row costs 120–122 B on
 // all three: its share of the kept stream copy, of the B-tree and of the
-// analysis maps. It cost 145–146 B while the B-tree's leaves split half full
-// and regrew by append, and 522–523 B while analysis kept every data record
-// by value in a slice that grew a quarter at a time and redo cloned each
-// body; the by-value slice alone reads 508.
-const recoveryBudgetBytes = 140
+// analysis maps. It cost 130–131 B while redo's seen set grew from empty
+// instead of being sized from the analysis, 145–146 B while the B-tree's
+// leaves split half full and regrew by append, and 522–523 B while analysis
+// kept every data record by value in a slice that grew a quarter at a time
+// and redo cloned each body; the by-value slice alone reads 508.
+const recoveryBudgetBytes = 130
 
 // recoverScenario runs the path's recovery of a crashed scenario.
 func recoverScenario(t *testing.T, res ScenarioResult, d ods.Durability, useTCB bool) *Rebuilt {

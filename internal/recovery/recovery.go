@@ -184,7 +184,7 @@ func resolveInDoubt(an *analysis, rep *Report) {
 // this recovery's own copies, not its scratch: a row keeps its slice of one.
 func redo(p *sim.Proc, opts Options, streams [][]byte, an *analysis, rep *Report) (*Rebuilt, map[audit.TxnID]bool) {
 	rb := &Rebuilt{Files: make(map[string]*btree.Tree[[]byte])}
-	seen := make(map[audit.TxnID]bool)
+	seen := make(map[audit.TxnID]bool, len(an.outcome))
 	for _, data := range streams {
 		s := audit.NewScanner(data)
 		for s.Next() {

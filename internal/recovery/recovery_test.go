@@ -192,14 +192,29 @@ func TestRebuiltAccessors(t *testing.T) {
 }
 
 // RowBody is the scenarios' row image: the bytes fmt.Sprintf("row-%d")
-// gave, in one allocation.
+// gave, in one allocation; AppendRowBody into a RowBodyMax stack buffer
+// gives the same bytes in none.
 func TestRowBody(t *testing.T) {
+	var buf [RowBodyMax]byte
 	for _, key := range []uint64{0, 7, 41, 1000003, 1<<64 - 1} {
-		if got, want := RowBody(key), fmt.Sprintf("row-%d", key); string(got) != want {
+		want := fmt.Sprintf("row-%d", key)
+		if got := RowBody(key); string(got) != want {
 			t.Errorf("RowBody(%d) = %q, want %q", key, got, want)
+		}
+		if got := AppendRowBody(buf[:0], key); string(got) != want || cap(got) != RowBodyMax {
+			t.Errorf("AppendRowBody(%d) = %q (cap %d), want %q in the stack buffer", key, got, cap(got), want)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { RowBody(39994) }); n != 1 {
 		t.Errorf("RowBody allocates %v times, want 1", n)
+	}
+	body := RowBody(39994)
+	if n := testing.AllocsPerRun(100, func() {
+		var want [RowBodyMax]byte
+		if !bytes.Equal(body, AppendRowBody(want[:0], 39994)) {
+			t.Fatal("RowBody and AppendRowBody disagree")
+		}
+	}); n != 0 {
+		t.Errorf("comparing against AppendRowBody on the stack allocates %v times, want 0", n)
 	}
 }

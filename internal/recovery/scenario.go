@@ -43,12 +43,23 @@ func ScenarioOptions(d ods.Durability, seed int64) ods.Options {
 	return opts
 }
 
-// RowBody is the body every crash scenario commits under key, "row-<key>",
-// built on the stack and copied out once: one right-sized allocation an
-// insert where fmt.Sprintf plus a []byte conversion made three.
+// RowBodyMax is the longest body RowBody returns: "row-" and the 20 digits
+// of the largest uint64.
+const RowBodyMax = len("row-") + 20
+
+// AppendRowBody appends the body every crash scenario commits under key,
+// "row-<key>", to dst. A checker comparing against it with a stack buffer of
+// RowBodyMax bytes allocates nothing.
+func AppendRowBody(dst []byte, key uint64) []byte {
+	return strconv.AppendUint(append(dst, "row-"...), key, 10)
+}
+
+// RowBody is AppendRowBody built on the stack and copied out once: one
+// right-sized allocation an insert where fmt.Sprintf plus a []byte
+// conversion made three.
 func RowBody(key uint64) []byte {
-	var tmp [len("row-") + 20]byte // a uint64 has at most 20 digits
-	return bytes.Clone(strconv.AppendUint(append(tmp[:0], "row-"...), key, 10))
+	var tmp [RowBodyMax]byte
+	return bytes.Clone(AppendRowBody(tmp[:0], key))
 }
 
 // RunScenario builds a data-retaining store with the given durability,
@@ -59,7 +70,7 @@ func RowBody(key uint64) []byte {
 func RunScenario(d ods.Durability, txns int, seed int64) ScenarioResult {
 	s := ods.Build(ScenarioOptions(d, seed))
 
-	res := ScenarioResult{Store: s}
+	res := ScenarioResult{Store: s, Committed: make([]uint64, 0, 4*txns)}
 	crashNow := s.Eng.NewChan("crash")
 	s.Cl.CPU(3).Spawn("workload", func(p *cluster.Process) {
 		se := s.NewSession(p)

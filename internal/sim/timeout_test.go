@@ -71,7 +71,7 @@ func wantTranscript(t *testing.T, got, want []string) {
 // wake-up, behind everything already queued for the instant, so `after`
 // still runs before s does and finds s parked, but its hand-off comes too
 // late: the wake-up that reaches s first is the timeout's, and the
-// hand-off's arrives stale — value included, then as now (ROADMAP item 1
+// hand-off's arrives stale — value included, then as now (ROADMAP item 3
 // lists it as a lead).
 func TestTimeoutFiresInEventOrder(t *testing.T) {
 	got := onBothSchedulers(t, 1, func(e *Engine, note func(string, ...interface{})) {

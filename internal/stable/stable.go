@@ -23,8 +23,10 @@ var ErrOutOfRange = errors.New("stable: access out of range")
 // traffic the devices see (DESIGN.md, device store): log appends and audit
 // flushes of at most a few hundred bytes, scattered over regions that stay
 // almost entirely unwritten, so a page much larger than a write is mostly
-// allocation and zeroing nobody reads.
-const pageSize = 16 << 10
+// allocation and zeroing nobody reads. 4 KiB is where halving stops paying:
+// a smaller page saves under 2 MB a fault-recover rep and costs more pages
+// under a dense log.
+const pageSize = 4 << 10
 
 // Store is a sparse, fixed-capacity byte store. The zero value is not
 // usable; create one with New.
