@@ -262,51 +262,105 @@ type queueEnt struct {
 	r   *row
 }
 
-// entQueue is a head-indexed FIFO of queue entries. Popping advances a
-// cursor instead of reslicing, and pushes compact the backing array once
-// the dead prefix dominates, so steady-state queue churn does not regrow
-// the backing allocation once per entry.
+// entQueue is a FIFO of queue entries held in blocks, oldest first. A push
+// fills the last block and starts a new one when it is full, so no push
+// copies what is already queued, and a backup's dirtyq, which nothing
+// pops, costs its length once. A pop clears its slot, so the queue pins
+// no row it has handed out, and an exhausted full-size block is kept as the
+// one spare, so a primary's steady insert/destage churn allocates nothing.
 type entQueue struct {
-	buf  []queueEnt
-	head int
+	blocks [][]queueEnt // pushes fill the last; blocks before it are full
+	head   int          // next entry to pop in blocks[0]
+	n      int          // entries queued
+	spare  []queueEnt   // one exhausted entBlockMax block, empty
 }
 
-//simlint:hotpath
-func (q *entQueue) len() int { return len(q.buf) - q.head }
+// A block holds 2^k−1 entries, from entBlockMin up to entBlockMax, each
+// block twice the one before it. From 63 entries on, a block and the 8-byte
+// header a pointerful object over 512 B carries fill a power-of-two size
+// class exactly: entBlockMax's 2047 × 16 B + 8 B is 32 KiB, the largest
+// small object.
+const (
+	entBlockMin = 15
+	entBlockMax = 2047
+)
 
 //simlint:hotpath
-func (q *entQueue) front() *queueEnt { return &q.buf[q.head] }
+func (q *entQueue) len() int { return q.n }
+
+//simlint:hotpath
+func (q *entQueue) front() *queueEnt { return &q.blocks[0][q.head] }
 
 //simlint:hotpath
 func (q *entQueue) pop() queueEnt {
-	e := q.buf[q.head]
-	q.buf[q.head] = queueEnt{} // unpin the row
+	b := q.blocks[0]
+	e := b[q.head]
+	b[q.head] = queueEnt{} // unpin the row
 	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
+	q.n--
+	switch {
+	case q.n == 0:
+		// Empty: only this block is left, and it is refilled from its start.
+		q.blocks[0], q.head = b[:0], 0
+	case q.head == len(b):
+		if cap(b) == entBlockMax && q.spare == nil {
+			q.spare = b[:0]
+		}
+		k := copy(q.blocks, q.blocks[1:])
+		q.blocks[k] = nil
+		q.blocks, q.head = q.blocks[:k], 0
 	}
 	return e
 }
 
 //simlint:hotpath
 func (q *entQueue) push(e queueEnt) {
-	if q.head > 0 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = queueEnt{}
-		}
-		q.buf, q.head = q.buf[:n], 0
+	last := len(q.blocks) - 1
+	if last < 0 || len(q.blocks[last]) == cap(q.blocks[last]) {
+		q.blocks = append(q.blocks, q.newBlock())
+		last++
 	}
-	q.buf = append(q.buf, e)
+	q.blocks[last] = append(q.blocks[last], e)
+	q.n++
+}
+
+// newBlock returns an empty block for the tail: the next capacity on the
+// ladder past the current tail's, the spare when that is entBlockMax.
+func (q *entQueue) newBlock() []queueEnt {
+	c := entBlockMin
+	if k := len(q.blocks); k > 0 {
+		for c <= cap(q.blocks[k-1]) && c < entBlockMax {
+			c = 2*c + 1
+		}
+	}
+	if c == entBlockMax && q.spare != nil {
+		b := q.spare
+		q.spare = nil
+		return b
+	}
+	return make([]queueEnt, 0, c)
 }
 
 // prepend re-queues a failed batch ahead of the remaining entries. Only
-// the volume-down retry path uses it, so a fresh backing array is fine.
+// the volume-down retry path uses it. A batch just popped from the front
+// block goes back into the slots it left; otherwise the batch and the rest
+// of the front block become a new front block.
 func (q *entQueue) prepend(ents []queueEnt) {
-	nb := make([]queueEnt, 0, len(ents)+q.len())
-	nb = append(nb, ents...)
-	nb = append(nb, q.buf[q.head:]...)
-	q.buf, q.head = nb, 0
+	if len(ents) == 0 {
+		return
+	}
+	if len(q.blocks) == 0 {
+		q.blocks = append(q.blocks, nil)
+	}
+	if q.head >= len(ents) {
+		q.head -= len(ents)
+		copy(q.blocks[0][q.head:], ents)
+	} else {
+		rest := q.blocks[0][q.head:]
+		nb := make([]queueEnt, 0, len(ents)+len(rest))
+		q.blocks[0], q.head = append(append(nb, ents...), rest...), 0
+	}
+	q.n += len(ents)
 }
 
 // dpState is the disk process's volatile image, mirrored at the backup by

@@ -210,12 +210,39 @@ type arrival struct {
 	key    uint64
 }
 
+// keyBlock is how many keys a block of a working set holds: 4096 keys are
+// 32 KiB, the largest small size class, and pointer-free.
+const keyBlock = 4096
+
+// keySet is a shard's read working set: committed keys in commit order,
+// read by index. It grows a fixed block at a time, so an add never copies
+// the keys already held.
+type keySet struct {
+	blocks []*[keyBlock]uint64
+	n      int
+}
+
+//simlint:hotpath
+func (s *keySet) len() int { return s.n }
+
+//simlint:hotpath
+func (s *keySet) at(i int) uint64 { return s.blocks[i/keyBlock][i%keyBlock] }
+
+//simlint:hotpath
+func (s *keySet) add(k uint64) {
+	if s.n == len(s.blocks)*keyBlock {
+		s.blocks = append(s.blocks, new([keyBlock]uint64))
+	}
+	s.blocks[s.n/keyBlock][s.n%keyBlock] = k
+	s.n++
+}
+
 // openShard is one partition's queue and ledger.
 type openShard struct {
 	q       *sim.Chan
 	stats   ShardStats
-	written []uint64 // committed keys, the shard's read working set
-	nextSeq uint64   // per-shard insert-key sequence
+	written keySet // committed keys, the shard's read working set
+	nextSeq uint64 // per-shard insert-key sequence
 	// crossSeq numbers this home shard's cross-shard inserts. Each home
 	// shard owns a disjoint block of the sequence space (see runTxn), so
 	// cross-shard keys synthesized by different homes never collide with
@@ -463,8 +490,8 @@ func (op *OpenPending) runTxn(p *cluster.Process, se *ods.Session, st *openShard
 	se.SetTwoPhase(cross)
 	failed := false
 	for i := 0; i < cfg.OpsPerTxn; i++ {
-		if len(st.written) > 0 && rng.Float64() < cfg.ReadFraction {
-			key := st.written[rng.Intn(len(st.written))]
+		if st.written.len() > 0 && rng.Float64() < cfg.ReadFraction {
+			key := st.written.at(rng.Intn(st.written.len()))
 			rstart := p.Now()
 			if _, err := se.ReadBrowse(cfg.File, key); err != nil {
 				res.ReadErrors++
@@ -507,14 +534,12 @@ func (op *OpenPending) runTxn(p *cluster.Process, se *ods.Session, st *openShard
 	// Only now do the inserted keys join the shard's read working set —
 	// a key staged by an aborted transaction must never be browsed —
 	// and only home-shard keys: the working set stays shard-local.
-	if !cross {
-		st.written = append(st.written, staged...)
-	} else {
+	if cross {
 		res.CrossCommits++
-		for _, k := range staged {
-			if k%nShards == uint64(shard) {
-				st.written = append(st.written, k)
-			}
+	}
+	for _, k := range staged {
+		if !cross || k%nShards == uint64(shard) {
+			st.written.add(k)
 		}
 	}
 	res.Commits++

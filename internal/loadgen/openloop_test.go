@@ -174,7 +174,8 @@ func TestAbortedKeysNeverBrowsed(t *testing.T) {
 	s.Cl.CPU(1).Spawn("check-working-sets", func(p *cluster.Process) {
 		se := s.NewSession(p)
 		for _, sh := range pend.shards {
-			for _, k := range sh.written {
+			for i := 0; i < sh.written.len(); i++ {
+				k := sh.written.at(i)
 				keys++
 				if _, err := se.ReadBrowse("TRADES", k); err != nil {
 					missing++
@@ -187,6 +188,45 @@ func TestAbortedKeysNeverBrowsed(t *testing.T) {
 		t.Errorf("%d of %d working-set keys do not read back — keys from failed transactions leaked into the working set", missing, keys)
 	}
 	s.Eng.Shutdown()
+}
+
+// TestWorkingSetHoldsCommittedHomeKeysInOrder: with one worker a shard and
+// no aborts, a shard commits its local insert keys in sequence order, so
+// the i-th key of its working set is the i-th key it synthesized — across
+// keySet block boundaries, and including the home-shard keys of two-phase
+// commits (the keys those route to other shards stay out).
+func TestWorkingSetHoldsCommittedHomeKeysInOrder(t *testing.T) {
+	const nShards = 4
+	s := shardedStore(ods.PMDurability, 3, nShards)
+	cfg := DefaultOpenConfig()
+	cfg.Rate = 500
+	cfg.Window = 2 * sim.Second
+	cfg.WorkersPerShard = 1
+	cfg.OpsPerTxn = 32
+	cfg.ValueBytes = 64
+	cfg.CrossShardPct = 50
+	pend := StartOpen(s, cfg)
+	s.Eng.Run()
+	r := pend.Collect()
+	s.Eng.Shutdown()
+	if r.Aborts != 0 || r.Errors != 0 || r.CrossCommits == 0 {
+		t.Fatalf("%d aborts, %d errors, %d two-phase commits; the test wants 0, 0 and some", r.Aborts, r.Errors, r.CrossCommits)
+	}
+	longest := 0
+	for shard, sh := range pend.shards {
+		if n := sh.written.len(); uint64(n) != sh.nextSeq {
+			t.Errorf("shard %d: %d keys in the working set, %d home-shard keys committed", shard, n, sh.nextSeq)
+		}
+		for i := 0; i < sh.written.len(); i++ {
+			if got, want := sh.written.at(i), uint64(i)*nShards+uint64(shard); got != want {
+				t.Fatalf("shard %d: key %d of the working set is %d, want %d", shard, i, got, want)
+			}
+		}
+		longest = max(longest, sh.written.len())
+	}
+	if longest <= keyBlock {
+		t.Fatalf("longest working set is %d keys, the test wants more than one %d-key block", longest, keyBlock)
+	}
 }
 
 // TestOpenLoopHotShard: Zipf skew routes low keys — and so low-numbered

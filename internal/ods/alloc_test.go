@@ -174,21 +174,23 @@ func TestTxnAllocationBudget(t *testing.T) {
 }
 
 // txnBudgetBytes is the most bytes one more committed hot-stock transaction
-// (as txnBudgetAllocs) may cost: 1221–1222 on disk audit and on PM today,
+// (as txnBudgetAllocs) may cost: 959–960 on disk audit and on PM today,
+// 1221–1222 while the backup's never-popped dirty queue regrew by append,
 // 1580–1585 while every commit spawned its coordinator, 2330–2345 while B-tree
 // leaves split half full and rows were 48 bytes, and 2585–2595 while every
 // destaged row joined a clean queue that nothing pops in a store that never
 // evicts.
-const txnBudgetBytes = 1300
+const txnBudgetBytes = 1000
 
 // runBudgetBytes is the most bytes a transaction of the whole 1000-transaction
-// run may cost, set-up included: 1585–1616 today, 1945–1980 with a coordinator
-// spawned per commit, 2630–2680 with the half-full leaves and 48-byte rows. A
+// run may cost, set-up included: 1434–1466 today, 1585–1616 while the backup's
+// dirty queue regrew by append, 1945–1980 with a coordinator spawned per
+// commit, 2630–2680 with the half-full leaves and 48-byte rows. A
 // destage buffer grows once, early, toward its batch budget, so the difference
 // of two runs cancels it and only this sees it: 3780 on disk and 8920 on PM
 // while a DP2 that keeps no row bodies still grew a zero-filled buffer to
 // write them from (4060 / 9210 with the clean queue as well).
-const runBudgetBytes = 1700
+const runBudgetBytes = 1550
 
 // TestTxnByteBudget is the byte side of TestTxnAllocationBudget: an object
 // count cannot see one large buffer. It holds the same 1000-minus-500
