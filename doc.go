@@ -15,8 +15,8 @@
 // trail, recovery), the paper's hot-stock benchmark, and harnesses that
 // regenerate both of the paper's figures.
 //
-// Start with internal/core for the assembled system, its Example for a
-// first program, and cmd/figures to regenerate the evaluation. The
-// architecture and experiment index live in DESIGN.md; measured results
-// in EXPERIMENTS.md.
+// Start with internal/pmclient's Examples for a first program on the PM
+// node, internal/ods for the assembled store, and cmd/figures to
+// regenerate the evaluation. The architecture and experiment index live
+// in DESIGN.md; measured results in EXPERIMENTS.md.
 package persistmem

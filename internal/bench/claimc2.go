@@ -44,15 +44,11 @@ func RunClaimC2(seed int64, scale Scale) ClaimC2 {
 	return Runner{}.ClaimC2(seed, scale)
 }
 
-// ClaimC2 runs the experiment at the scale's transaction count.
+// ClaimC2 crashes a store with the scale's transaction count committed and
+// one in flight, once per recovery path, and recovers it. The three
+// scenarios are independent cells run with the Runner's parallelism.
 func (r Runner) ClaimC2(seed int64, scale Scale) ClaimC2 {
-	return r.ClaimC2Txns(seed, max(scale.RecordsPerDriver/8, 20))
-}
-
-// ClaimC2Txns crashes a store with txns committed transactions and one in
-// flight, once per recovery path, and recovers it. The three scenarios are
-// independent cells run with the Runner's parallelism.
-func (r Runner) ClaimC2Txns(seed int64, txns int) ClaimC2 {
+	txns := max(scale.RecordsPerDriver/8, 20)
 	c := ClaimC2{Txns: txns}
 	r.forEach(len(c.Paths), func(i int) {
 		path := c2Paths[i]

@@ -170,3 +170,24 @@ func BenchmarkFaultMatrix(b *testing.B) {
 		}
 	}
 }
+
+// MTTRBudget inverts the availability equation: recovering exactly within
+// the budget leaves the asked-for 10^-nines of unavailability,
+// mttr/(mtbf+mttr); overshooting it twentyfold loses the class.
+func TestMTTRBudget(t *testing.T) {
+	month := 30 * 24 * 3600 * sim.Second
+	budget := MTTRBudget(month, 5)
+	if budget < 25*sim.Second || budget > 27*sim.Second {
+		t.Errorf("5-nines budget at monthly MTBF = %v, want ~26s", budget)
+	}
+	unavailable := func(mttr sim.Time) float64 { return float64(mttr) / float64(month+mttr) }
+	if u := unavailable(budget); u > 1e-5*(1+1e-9) {
+		t.Errorf("recovering within budget leaves %g unavailable, want <= 1e-5", u)
+	}
+	if u := unavailable(20 * budget); u <= 1e-5 {
+		t.Errorf("recovering at 20x budget leaves only %g unavailable", u)
+	}
+	if MTTRBudget(0, 5) != 0 || MTTRBudget(month, 0) != 0 {
+		t.Error("degenerate inputs must yield a zero budget")
+	}
+}

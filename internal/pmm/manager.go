@@ -264,19 +264,16 @@ func (m *Manager) handleDelete(ctx *cluster.PairCtx, st *VolumeState, req Delete
 }
 
 // handleResilver copies every region extent from the primary device to
-// the mirror (or the reverse if the primary is the one that was down),
-// restoring full redundancy. The copy flows through the PMM's CPU as
-// RDMA reads and writes in chunks, so it costs realistic fabric time and
-// bandwidth. Client region access continues throughout — resilvering is
-// an online repair.
+// the mirror, restoring full redundancy; with either device powered off
+// or off the fabric it refuses with ErrVolumeDown. The copy flows through
+// the PMM's CPU as RDMA reads and writes in chunks, so it costs realistic
+// fabric time and bandwidth. Client region access continues throughout —
+// resilvering is an online repair.
 func (m *Manager) handleResilver(ctx *cluster.PairCtx, st *VolumeState) ResilverResp {
 	if m.primDev == m.mirrDev {
 		return ResilverResp{} // unmirrored volume: nothing to repair
 	}
 	src, dst := m.primDev, m.mirrDev
-	if !src.Powered() || !src.Endpoint().Up() {
-		src, dst = dst, src
-	}
 	if !src.Powered() || !src.Endpoint().Up() || !dst.Powered() || !dst.Endpoint().Up() {
 		return ResilverResp{Err: ErrVolumeDown}
 	}

@@ -80,9 +80,7 @@ func extent(t *testing.T, d *npmu.Device, off int64, n int) []byte {
 
 // TestResilverRefusesWhileADeviceIsAway: with either device off the fabric
 // or powered off, there is nothing whole to copy to or from. The repair
-// says ErrVolumeDown and writes nothing, whichever device is away — when it
-// is the primary, the mirror becomes the source and the primary, the
-// destination, is the device still missing.
+// says ErrVolumeDown and writes nothing, whichever device is away.
 func TestResilverRefusesWhileADeviceIsAway(t *testing.T) {
 	for _, tc := range []struct {
 		name       string

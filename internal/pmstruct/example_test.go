@@ -3,9 +3,13 @@ package pmstruct_test
 import (
 	"fmt"
 
-	"persistmem/internal/core"
+	"persistmem/internal/cluster"
+	"persistmem/internal/npmu"
+	"persistmem/internal/pmclient"
 	"persistmem/internal/pmheap"
+	"persistmem/internal/pmm"
 	"persistmem/internal/pmstruct"
+	"persistmem/internal/sim"
 )
 
 // customers is how many records Example loads into the map.
@@ -17,86 +21,97 @@ const customers = 500
 // because every link is a region offset. It also contrasts the cost of
 // one selective read with a bulk read of the whole structure.
 func Example() {
-	sys := core.NewSystem(core.DefaultConfig())
-	fmt.Println(sys.Describe())
+	// A 4-CPU node with a mirrored pair of hardware NPMUs under the PMM
+	// process pair $PM1 (§3).
+	eng := sim.NewEngine(1)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	prim, mirr := npmu.New(cl, "npmu-a", 256<<20), npmu.New(cl, "npmu-b", 256<<20)
+	pmm.Start(cl, "$PM1", 0, 1, prim, mirr)
+	vol := pmclient.Attach(cl, "$PM1")
 
 	// Phase 1: CPU 2 builds the structure.
-	sys.Spawn(2, "loader", func(c *core.Client) {
-		if err := c.Volume.Create(c.Process, "customers", 4<<20); err != nil {
+	cl.CPU(2).Spawn("loader", func(p *cluster.Process) {
+		if err := vol.Create(p, "customers", 4<<20); err != nil {
 			fmt.Println("create:", err)
 			return
 		}
-		r, err := c.Volume.Open(c.Process, "customers")
+		r, err := vol.Open(p, "customers")
 		if err != nil {
 			fmt.Println("open:", err)
 			return
 		}
-		heap, err := pmheap.Format(c.Process, r)
+		heap, err := pmheap.Format(p, r)
 		if err != nil {
 			fmt.Println("format:", err)
 			return
 		}
-		m, err := pmstruct.CreateMap(c.Process, heap, 128)
+		m, err := pmstruct.CreateMap(p, heap, 128)
 		if err != nil {
 			fmt.Println("create map:", err)
 			return
 		}
-		start := c.Now()
+		start := p.Now()
 		for id := uint64(1); id <= customers; id++ {
 			rec := fmt.Sprintf("customer-%04d|plan=gold|balance=%d", id, id*37)
-			if err := m.Put(c.Process, id, []byte(rec)); err != nil {
+			if err := m.Put(p, id, []byte(rec)); err != nil {
 				fmt.Println("put:", err)
 				return
 			}
 		}
 		fmt.Printf("loaded %d records into PM in %v (%d KB used)\n",
-			customers, c.Now()-start, heap.Used()/1024)
+			customers, p.Now()-start, heap.Used()/1024)
 	})
-	sys.Run()
+	eng.Run()
 
-	// Catastrophe between phases.
-	sys.PowerFail()
-	sys.Reboot()
+	// Catastrophe between phases: the node and both NPMUs lose power, then
+	// a fresh PMM recovers the region table from durable metadata.
+	cl.PowerFail()
+	prim.PowerFail()
+	mirr.PowerFail()
+	eng.RunUntil(eng.Now())
+	prim.Restore()
+	mirr.Restore()
+	cl.RestorePower()
+	pmm.Start(cl, "$PM1", 0, 1, prim, mirr)
 	fmt.Println("power failed and rebooted")
 
 	// Phase 2: CPU 3 — a different address space, after the crash — reads
 	// the exact same structure.
-	sys.Spawn(3, "reader", func(c *core.Client) {
-		r, err := c.Volume.Open(c.Process, "customers")
+	cl.CPU(3).Spawn("reader", func(p *cluster.Process) {
+		r, err := vol.Open(p, "customers")
 		if err != nil {
 			fmt.Println("reopen:", err)
 			return
 		}
-		heap, err := pmheap.Open(c.Process, r)
+		heap, err := pmheap.Open(p, r)
 		if err != nil {
 			fmt.Println("heap open:", err)
 			return
 		}
-		m, err := pmstruct.OpenMap(c.Process, heap)
+		m, err := pmstruct.OpenMap(p, heap)
 		if err != nil {
 			fmt.Println("map open:", err)
 			return
 		}
 
-		start := c.Now()
-		v, err := m.Get(c.Process, 123)
+		start := p.Now()
+		v, err := m.Get(p, 123)
 		if err != nil {
 			fmt.Println("get:", err)
 			return
 		}
-		getTime := c.Now() - start
+		getTime := p.Now() - start
 		fmt.Printf("selective read of one record: %q in %v\n", v, getTime)
 
-		start = c.Now()
+		start = p.Now()
 		n := 0
-		m.Snapshot(c.Process, func(uint64, []byte) bool { n++; return true })
+		m.Snapshot(p, func(uint64, []byte) bool { n++; return true })
 		fmt.Printf("bulk read of all %d records: %v (%.0fx the one-record cost)\n",
-			n, c.Now()-start, float64(c.Now()-start)/float64(getTime))
+			n, p.Now()-start, float64(p.Now()-start)/float64(getTime))
 	})
-	sys.Run()
+	eng.Run()
 
 	// Output:
-	// 4 CPUs; hardware NPMU mirrored pair (256 MB each); no ODS; seed 1
 	// loaded 500 records into PM in 130.4ms (32 KB used)
 	// power failed and rebooted
 	// selective read of one record: "customer-0123|plan=gold|balance=4551" in 174us
