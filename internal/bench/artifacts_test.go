@@ -57,6 +57,29 @@ func TestFiguresArtifactSkeleton(t *testing.T) {
 	checkSkeleton(t, "figures_full.txt", "go run ./cmd/figures -fig all -scale full > figures_full.txt", b.String())
 }
 
+// TestC2ArtifactMatchesFullScale holds figures_full.txt's C2 block to the
+// table ClaimC2 prints at full scale (three 4 000-transaction crashes, about
+// a second), byte for byte: the skeleton gate masks every number, so without
+// this one the committed MTTRs could drift from what the code measures.
+func TestC2ArtifactMatchesFullScale(t *testing.T) {
+	committed, err := os.ReadFile(filepath.Join("..", "..", "figures_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(committed)
+	start := strings.Index(s, "Claim C2:")
+	if start < 0 {
+		t.Fatal("figures_full.txt has no Claim C2 block")
+	}
+	block := s[start:]
+	if end := strings.Index(block, "\n\n"); end >= 0 {
+		block = block[:end+1]
+	}
+	if got := RunClaimC2(1, Full).Table(); got != block {
+		t.Errorf("figures_full.txt's C2 block is stale (regenerate with `go run ./cmd/figures -fig all -scale full > figures_full.txt`):\n--- measured ---\n%s--- figures_full.txt ---\n%s", got, block)
+	}
+}
+
 // TestSaturationArtifactSkeleton holds saturation_full.txt to what
 // `cmd/loadgen` prints today.
 func TestSaturationArtifactSkeleton(t *testing.T) {

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -19,12 +20,14 @@ import (
 )
 
 // readStreamReference is the algorithm readStream replaced, kept as the
-// test's reference: a fresh buffer per chunk, appended to the stream, and
-// the whole stream rescanned from offset 0 after every chunk.
+// test's oracle for the stream bytes: a fresh buffer per chunk, appended to
+// the stream, the whole stream rescanned from offset 0 after every chunk, and
+// a stop only once the trail's end lies half a chunk inside what was read (a
+// torn tail reads to the device's end).
 func readStreamReference(capacity int64, opts Options, readChunk func(off int64, buf []byte) error) ([]byte, int64, error) {
 	var data []byte
 	var off int64
-	for off < capacity && off < opts.MaxLogBytes {
+	for off < capacity {
 		n := int64(opts.ChunkBytes)
 		if off+n > capacity {
 			n = capacity - off
@@ -69,6 +72,20 @@ func buildLog(t *testing.T, size, bodyLen int) []byte {
 	return log
 }
 
+// frameWithin returns the offset of log's first frame that lies wholly in
+// [lo, hi).
+func frameWithin(t *testing.T, log []byte, lo, hi int) int {
+	t.Helper()
+	s := audit.NewScanner(log)
+	for s.Next() {
+		if int(s.LSN()) >= lo && s.Offset() <= hi {
+			return int(s.LSN())
+		}
+	}
+	t.Fatalf("no frame lies wholly in [%d, %d)", lo, hi)
+	return 0
+}
+
 type readCall struct {
 	Off int64
 	Len int
@@ -85,42 +102,108 @@ func device(image []byte, capacity int, reads *[]readCall) func(off int64, buf [
 	}
 }
 
+// reachedEdge reports whether a scan that stops at valid, over media read up
+// to edge, had to read on: fewer than a frame header left before the edge,
+// or a frame that runs past it.
+func reachedEdge(media []byte, valid, edge int) bool {
+	if edge-valid < frameHeader {
+		return true
+	}
+	return valid+frameHeader+int(binary.LittleEndian.Uint32(media[valid:])) > edge
+}
+
 func TestReadStreamMatchesRescanningReference(t *testing.T) {
-	for _, chunk := range []int{64, 4 << 10, 1 << 20} {
+	// readStream reads audit's frame length prefix itself: hold the two to
+	// one layout.
+	if f := audit.AppendRecord(nil, &audit.Record{File: "TRADES"}); frameHeader+int(binary.LittleEndian.Uint32(f)) != len(f) {
+		t.Fatalf("a %d-byte frame declares %d bytes after a %d-byte prefix", len(f), binary.LittleEndian.Uint32(f), frameHeader)
+	}
+	for _, chunk := range []int{64, 4 << 10, 64 << 10, 1 << 20} {
 		body := chunk / 9 // frames that do not divide a chunk
 		type tc struct {
 			name     string
 			log      []byte
 			capacity int
-			maxLog   int64
+			// reads and refReads, when set, are the exact numbers of reads
+			// the stop rule and the reference issue.
+			reads, refReads int
 		}
 		straddle := buildLog(t, 2*chunk+chunk/2, body)
 		torn := append([]byte(nil), straddle...)
 		torn[len(torn)-6] ^= 0xFF // inside the last frame's body or CRC
+
+		// A torn frame wholly inside the third chunk, with log behind it.
+		inside := buildLog(t, 4*chunk, body)
+		tear := frameWithin(t, inside, 2*chunk, 3*chunk)
+		inside[tear+frameHeader+2] ^= 0xFF
+
+		// A length prefix claiming more than the device holds.
+		huge := binary.LittleEndian.AppendUint32(buildLog(t, chunk+chunk/2, body), uint32(8*chunk))
+
 		cases := []tc{
 			{name: "record straddles a chunk boundary, zero tail", log: straddle, capacity: 6 * chunk},
 			{name: "torn tail", log: torn, capacity: 6 * chunk},
 			{name: "torn tail at the end of the device", log: torn[:len(torn)-3], capacity: len(torn) - 3},
-			{name: "log ends exactly on a chunk boundary", log: buildLog(t, 2*chunk, body), capacity: 6 * chunk},
-			{name: "log ends just inside the stop margin", log: buildLog(t, chunk+chunk/2, body), capacity: 6 * chunk},
-			{name: "empty log", log: nil, capacity: 6 * chunk},
-			{name: "log fills a device that is not a whole number of chunks", log: buildLog(t, 3*chunk+chunk/3, body), capacity: 3*chunk + chunk/3},
-			{name: "MaxLogBytes cuts the read short", log: buildLog(t, 4*chunk, body), capacity: 6 * chunk, maxLog: int64(2 * chunk)},
+			{name: "log ends exactly on a chunk boundary", log: buildLog(t, 2*chunk, body), capacity: 6 * chunk, reads: 3},
+			{name: "log ends just inside the stop margin", log: buildLog(t, chunk+chunk/2, body), capacity: 6 * chunk, reads: 2}, // the reference's half chunk
+			{name: "empty log", log: nil, capacity: 6 * chunk, reads: 1},
+			{name: "log fills a device that is not a whole number of chunks", log: buildLog(t, 3*chunk+chunk/3, body), capacity: 3*chunk + chunk/3, reads: 4},
+			{name: "tear wholly inside a chunk", log: inside, capacity: 6 * chunk, reads: tear/chunk + 1, refReads: 6},
+			{name: "zero header 3 bytes before the chunk edge", log: buildLog(t, 2*chunk-3, body), capacity: 6 * chunk, reads: 3},
+			{name: "zero header wholly inside the chunk's last 4 bytes", log: buildLog(t, 2*chunk-4, body), capacity: 6 * chunk, reads: 2},
+			{name: "length runs past the device", log: huge, capacity: 6 * chunk, reads: 2, refReads: 6},
+			{name: "log ends 2 bytes short of a chunk boundary", log: buildLog(t, 2*chunk-2, body), capacity: 6 * chunk, reads: 3},
+			{name: "log ends 2 bytes short of the device's end", log: buildLog(t, 3*chunk-2, body), capacity: 3 * chunk, reads: 3},
 		}
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("chunk=%d/%s", chunk, c.name), func(t *testing.T) {
-				opts := Options{ChunkBytes: chunk, MaxLogBytes: c.maxLog}
+				opts := Options{ChunkBytes: chunk}
 				opts.defaults()
 
-				var wantReads []readCall
-				wantData, wantRead, err := readStreamReference(int64(c.capacity), opts, device(c.log, c.capacity, &wantReads))
+				var refReads []readCall
+				wantData, refRead, err := readStreamReference(int64(c.capacity), opts, device(c.log, c.capacity, &refReads))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if c.refReads != 0 && len(refReads) != c.refReads {
+					t.Errorf("the reference issued %d reads, want %d", len(refReads), c.refReads)
 				}
 				ref := audit.NewScanner(wantData)
 				for ref.Next() {
 				}
 				wantStream := wantData[:ref.Offset()]
+				media := make([]byte, c.capacity)
+				copy(media, c.log)
+
+				check := func(t *testing.T, sc *scratch) {
+					t.Helper()
+					var reads []readCall
+					valid, read, err := readStream(sc, int64(c.capacity), opts, device(c.log, c.capacity, &reads))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(sc.buf[:valid], wantStream) {
+						t.Errorf("stream: %d valid bytes, reference %d", valid, len(wantStream))
+					}
+					var sum int64
+					for _, r := range reads {
+						sum += int64(r.Len)
+					}
+					if sum != read {
+						t.Errorf("bytes read = %d, the reads issued %v add up to %d", read, reads, sum)
+					}
+					// At most one chunk past the valid prefix, unless the
+					// read before the last left the scan at its edge.
+					if prev := int(read) - reads[len(reads)-1].Len; read > int64(valid+chunk) && !reachedEdge(media, valid, prev) {
+						t.Errorf("read %d bytes for a %d-byte stream in %d reads: more than one chunk past it", read, valid, len(reads))
+					}
+					if read > refRead {
+						t.Errorf("read %d bytes, more than the reference's %d", read, refRead)
+					}
+					if c.reads != 0 && len(reads) != c.reads {
+						t.Errorf("%d reads, want %d", len(reads), c.reads)
+					}
+				}
 
 				// A scratch an earlier, longer stream left dirty: nothing
 				// stale in it may reach the scan.
@@ -129,30 +212,30 @@ func TestReadStreamMatchesRescanningReference(t *testing.T) {
 				for off := 0; off+len(stale) <= len(sc.buf); off += chunk {
 					copy(sc.buf[off:], stale) // a whole frame wherever a read can end
 				}
-				var reads []readCall
-				valid, read, err := readStream(sc, int64(c.capacity), opts, device(c.log, c.capacity, &reads))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sc.buf[:valid], wantStream) {
-					t.Errorf("stream: %d valid bytes, reference %d", valid, len(wantStream))
-				}
-				if read != wantRead {
-					t.Errorf("bytes read = %d, reference %d", read, wantRead)
-				}
-				if !reflect.DeepEqual(reads, wantReads) {
-					t.Errorf("reads issued = %v, reference %v", reads, wantReads)
-				}
-
-				// And from a cold scratch, which grows chunk by chunk.
-				cold := new(scratch)
-				reads = reads[:0]
-				valid, read, err = readStream(cold, int64(c.capacity), opts, device(c.log, c.capacity, &reads))
-				if err != nil || !bytes.Equal(cold.buf[:valid], wantStream) || read != wantRead || !reflect.DeepEqual(reads, wantReads) {
-					t.Errorf("cold scratch: valid %d read %d reads %v err %v; reference %d %d %v", valid, read, reads, err, len(wantStream), wantRead, wantReads)
-				}
+				check(t, sc)
+				// And from a cold scratch, which grows as the reads need.
+				check(t, new(scratch))
 			})
 		}
+	}
+}
+
+// TestScratchGrowsByDoubling holds reserve's growth: from a floor of
+// scratchFloor, doubling, keeping what was read.
+func TestScratchGrowsByDoubling(t *testing.T) {
+	sc := &scratch{buf: []byte{}}
+	sc.reserve(0, 64<<10)
+	if len(sc.buf) != scratchFloor {
+		t.Fatalf("first reservation: %d bytes, want the floor %d", len(sc.buf), scratchFloor)
+	}
+	sc.buf[scratchFloor-1] = 7
+	sc.reserve(scratchFloor, scratchFloor+1)
+	if len(sc.buf) != 2*scratchFloor || sc.buf[scratchFloor-1] != 7 {
+		t.Errorf("grown to %d bytes, kept byte %d: want %d and 7", len(sc.buf), sc.buf[scratchFloor-1], 2*scratchFloor)
+	}
+	sc.reserve(0, 5*scratchFloor)
+	if len(sc.buf) != 8*scratchFloor {
+		t.Errorf("grown to %d bytes, want %d", len(sc.buf), 8*scratchFloor)
 	}
 }
 
@@ -333,4 +416,44 @@ func TestConcurrentRecoveriesShareOneSpare(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestReadSizeChangesOnlyTheCost recovers the same crashed store at three
+// read sizes on each recovery path: the size moves MTTR and the bytes read,
+// never the image or what the analysis found. At 4 KiB the TCB image takes
+// several reads.
+func TestReadSizeChangesOnlyTheCost(t *testing.T) {
+	for _, tc := range recoveryPaths {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []string
+			var wantRep Report
+			for i, chunk := range []int{4 << 10, 64 << 10, 1 << 20} {
+				res := RunScenario(tc.d, 60, 1)
+				var rep Report
+				var rb *Rebuilt
+				var err error
+				if tc.d == ods.DiskDurability {
+					rep, rb, err = res.RecoverDisk(Options{ChunkBytes: chunk})
+				} else {
+					rep, rb, err = res.RecoverPM(Options{ChunkBytes: chunk}, tc.useTCB)
+				}
+				res.Store.Eng.Shutdown()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGroundTruth(t, rb, res)
+				rep.MTTR, rep.BytesRead = 0, 0
+				if i == 0 {
+					want, wantRep = image(rb), rep
+					continue
+				}
+				if rep != wantRep {
+					t.Errorf("chunk %d: report %+v, at 4 KiB %+v", chunk, rep, wantRep)
+				}
+				if got := image(rb); !reflect.DeepEqual(got, want) {
+					t.Errorf("chunk %d: image of %d rows differs from 4 KiB's %d", chunk, len(got), len(want))
+				}
+			}
+		})
+	}
 }

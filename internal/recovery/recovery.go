@@ -21,6 +21,7 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -41,23 +42,19 @@ var ErrNoLog = errors.New("recovery: log unreadable")
 
 // Options tunes the recovery procedure.
 type Options struct {
-	// ChunkBytes is the read granularity from the log device.
+	// ChunkBytes is the read granularity from the log device, 64 KiB by
+	// default (EXPERIMENTS.md, Claim C2, has the read-size table).
 	ChunkBytes int
 	// CPUPerRecord is the analysis/redo cost per audit record.
 	CPUPerRecord sim.Time
-	// MaxLogBytes bounds how much of each stream is examined.
-	MaxLogBytes int64
 }
 
 func (o *Options) defaults() {
 	if o.ChunkBytes == 0 {
-		o.ChunkBytes = 1 << 20
+		o.ChunkBytes = 64 << 10
 	}
 	if o.CPUPerRecord == 0 {
 		o.CPUPerRecord = 2 * sim.Microsecond
-	}
-	if o.MaxLogBytes == 0 {
-		o.MaxLogBytes = 1 << 30
 	}
 }
 
@@ -236,18 +233,30 @@ func redo(p *sim.Proc, opts Options, streams [][]byte, an *analysis, rep *Report
 // dirty from a longer trail recovers what a fresh one does.
 type scratch struct{ buf []byte }
 
+// scratchFloor is the least a scratch grows to: the first read of a small
+// trail then leaves behind a buffer a larger one can reuse.
+const scratchFloor = 1 << 20
+
 // reserve makes buf at least end bytes long, keeping its first keep bytes.
-// The first reservation takes the process's spare buffer, if there is one —
-// at the first read and not at entry, because a PM recovery is spawned in
-// the instant the rebooted PM manager starts reading its metadata slots
-// into that same spare, and its first read comes after the manager has
-// answered an Open, so after the manager handed the buffer on.
+// It grows by doubling from scratchFloor, so a trail read chunk by chunk
+// regrows its buffer a few times, not once a chunk. The first reservation
+// takes the process's spare buffer, if there is one — at the first read and
+// not at entry, because a PM recovery is spawned in the instant the rebooted
+// PM manager starts reading its metadata slots into that same spare, and its
+// first read comes after the manager has answered an Open, so after the
+// manager handed the buffer on.
 func (sc *scratch) reserve(keep, end int) {
 	if sc.buf == nil {
 		sc.buf = stable.TakeScratch()
 	}
 	if end > len(sc.buf) {
-		sc.buf = append(sc.buf[:keep], make([]byte, end-keep)...)
+		n := max(len(sc.buf), scratchFloor)
+		for n < end {
+			n *= 2
+		}
+		grown := make([]byte, n)
+		copy(grown, sc.buf[:keep])
+		sc.buf = grown
 	}
 }
 
@@ -290,32 +299,42 @@ func fromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options, sc *scratch) (R
 	return rep, rb, nil
 }
 
+// frameHeader is the size of an audit frame's little-endian u32 length
+// prefix; the length it holds excludes the prefix itself.
+const frameHeader = 4
+
 // readStream reads a log area chunk by chunk straight into sc.buf, stopping
-// once the trail's end lies well inside what has been read, and returns the
-// length of the valid record prefix (sc.buf[:valid] is the stream) and the
-// bytes read. Each chunk resumes the end-of-trail scan at the last record
+// as soon as more bytes cannot move where the end-of-trail scan stops, and
+// returns the length of the valid record prefix (sc.buf[:valid] is the
+// stream) and the bytes read. Each chunk resumes the scan at the last record
 // boundary: a frame the previous chunk cut short is retried whole, and
 // nothing already validated is scanned again.
+//
+// The scan is settled when it stopped on a zero length prefix (a clean end),
+// on a frame wholly inside what was read (a torn one: its check reads only
+// its own bytes), or on a frame whose declared length runs past the device.
+// Only a scan that reached the read's edge — fewer than frameHeader bytes
+// left, or a frame that runs past them — reads on.
 func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off int64, buf []byte) error) (valid int, read int64, err error) {
 	var off int64
-	for off < capacity && off < opts.MaxLogBytes {
-		n := int64(opts.ChunkBytes)
-		if off+n > capacity {
-			n = capacity - off
-		}
+	for off < capacity {
+		n := min(int64(opts.ChunkBytes), capacity-off)
 		end := int(off + n)
 		sc.reserve(int(off), end)
 		if err := readChunk(off, sc.buf[off:end]); err != nil {
 			return 0, 0, fmt.Errorf("%w: %v", ErrNoLog, err)
 		}
 		off += n
-		// Stop once the tail of what we have is clearly past the log end.
 		s := audit.NewScanner(sc.buf[valid:end])
 		for s.Next() {
 		}
 		valid += s.Offset()
-		if s.Err() == nil && valid < end-opts.ChunkBytes/2 {
-			break
+		if end-valid >= frameHeader {
+			length := int64(binary.LittleEndian.Uint32(sc.buf[valid:]))
+			frameEnd := int64(valid) + frameHeader + length
+			if length == 0 || frameEnd <= int64(end) || frameEnd > capacity {
+				break
+			}
 		}
 	}
 	return valid, off, nil
@@ -448,10 +467,7 @@ func readLogReplicas(p *cluster.Process, r *pmclient.Region, opts Options, sc *s
 // readPMStream fills buf from the region in RDMA-sized chunks.
 func readPMStream(p *cluster.Process, r *pmclient.Region, buf []byte, opts Options) error {
 	for off := 0; off < len(buf); off += opts.ChunkBytes {
-		end := off + opts.ChunkBytes
-		if end > len(buf) {
-			end = len(buf)
-		}
+		end := min(off+opts.ChunkBytes, len(buf))
 		if err := r.Read(p, int64(off), buf[off:end]); err != nil {
 			return err
 		}

@@ -122,8 +122,8 @@ func (s *Store) ReadAt(off int64, buf []byte) error {
 }
 
 // maxSpare is the largest read buffer worth keeping for the next reader:
-// four of recovery's 1 MiB chunks. A longer trail's buffer goes to the
-// collector.
+// four times the 1 MiB floor recovery grows its scratch from. A longer
+// trail's buffer goes to the collector.
 const maxSpare = 4 << 20
 
 // spare is the process's one idle read buffer, or nil: what the last device

@@ -244,9 +244,9 @@ func TestEqualIgnoresMaterialisedZeroPages(t *testing.T) {
 	}
 }
 
-// BenchmarkReadAtSparse is recovery's access pattern: a 1 MiB chunk read
-// of a log region holding one 512-byte write. The cost should be that of
-// clearing 1 MiB, not of visiting it a byte at a time.
+// BenchmarkReadAtSparse is a sparse read: 1 MiB of a log region holding one
+// 512-byte write. The cost should be that of clearing 1 MiB, not of visiting
+// it a byte at a time.
 func BenchmarkReadAtSparse(b *testing.B) {
 	s := New(32 << 20)
 	s.WriteAt(0, make([]byte, 512))

@@ -30,10 +30,10 @@ rm -f simlint.json
 go test -coverprofile=/tmp/persistmem-cover.out ./...
 go run ./cmd/covcheck -profile /tmp/persistmem-cover.out
 rm -f /tmp/persistmem-cover.out
-# The slowest package under the race detector is internal/bench at ~4.2
-# minutes on a 2-vCPU host (whole script 5m01s; the 512-cell chaos sweep is
-# ~40 s of it), inside the 10-minute per-package default with better than
-# 2x headroom.
+# The slowest package under the race detector is internal/bench at ~3.2
+# minutes on a 2-vCPU host (3m09s; the 512-cell chaos sweep is ~40 s of it,
+# TestC2ArtifactMatchesFullScale's three 4000-transaction recoveries ~15 s),
+# inside the 10-minute per-package default with better than 3x headroom.
 go test -race ./...
 
 if command -v govulncheck >/dev/null 2>&1; then
