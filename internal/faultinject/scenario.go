@@ -210,7 +210,6 @@ func (res *Result) Recover(opts recovery.Options) (recovery.Report, *recovery.Re
 	s.Cl.Fabric().RestorePath(0)
 	s.Cl.Fabric().RestorePath(1)
 	if s.Opts.Durability == ods.DiskDurability {
-		res.Reboot()
 		return res.RecoverDisk(opts)
 	}
 	return res.RecoverPM(opts, true)

@@ -11,7 +11,6 @@ import (
 	"persistmem/internal/pmclient"
 	"persistmem/internal/pmm"
 	"persistmem/internal/recovery"
-	"persistmem/internal/sim"
 	"persistmem/internal/tmf"
 )
 
@@ -214,7 +213,8 @@ func recoverStore(t *testing.T, s *ods.Store, d ods.Durability) *recovery.Rebuil
 	t.Helper()
 	var rb *recovery.Rebuilt
 	if d == ods.DiskDurability {
-		s.Eng.Spawn("recover-disk", func(p *sim.Proc) {
+		s.Cl.RestorePower()
+		s.Cl.CPU(2).Spawn("recover-disk", func(p *cluster.Process) {
 			var err error
 			_, rb, err = recovery.FromDisk(p, s.AuditVolumes, recovery.Options{})
 			if err != nil {

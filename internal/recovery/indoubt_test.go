@@ -1,9 +1,11 @@
 package recovery
 
 import (
+	"fmt"
 	"testing"
 
 	"persistmem/internal/audit"
+	"persistmem/internal/cluster"
 	"persistmem/internal/sim"
 	"persistmem/internal/tmf"
 )
@@ -15,8 +17,8 @@ import (
 // abort — never redo, never a third state.
 
 func TestInDoubtPresumedAbortWithoutOutcome(t *testing.T) {
-	an := newAnalysis()
-	an.prepared[7] = true
+	an := new(analysis)
+	an.prepare(7)
 	var rep Report
 	resolveInDoubt(an, &rep)
 	if got := an.outcome[7]; got != tmf.TCBAborted {
@@ -28,9 +30,9 @@ func TestInDoubtPresumedAbortWithoutOutcome(t *testing.T) {
 }
 
 func TestInDoubtResolvedByCommitOutcome(t *testing.T) {
-	an := newAnalysis()
-	an.prepared[7] = true
-	an.outcome[7] = tmf.TCBCommitted
+	an := new(analysis)
+	an.prepare(7)
+	an.decide(7, tmf.TCBCommitted)
 	var rep Report
 	resolveInDoubt(an, &rep)
 	if got := an.outcome[7]; got != tmf.TCBCommitted {
@@ -42,9 +44,9 @@ func TestInDoubtResolvedByCommitOutcome(t *testing.T) {
 }
 
 func TestInDoubtResolvedByAbortOutcome(t *testing.T) {
-	an := newAnalysis()
-	an.prepared[7] = true
-	an.outcome[7] = tmf.TCBAborted
+	an := new(analysis)
+	an.prepare(7)
+	an.decide(7, tmf.TCBAborted)
 	var rep Report
 	resolveInDoubt(an, &rep)
 	if got := an.outcome[7]; got != tmf.TCBAborted {
@@ -59,9 +61,9 @@ func TestInDoubtActiveTCBStateIsStillPresumedAbort(t *testing.T) {
 	// A TCB slot caught in TCBActive is not a decision: the coordinator
 	// died before the commit point, so the prepared participant must
 	// still resolve to presumed abort.
-	an := newAnalysis()
-	an.prepared[7] = true
-	an.outcome[7] = tmf.TCBActive
+	an := new(analysis)
+	an.prepare(7)
+	an.decide(7, tmf.TCBActive)
 	var rep Report
 	resolveInDoubt(an, &rep)
 	if got := an.outcome[7]; got != tmf.TCBAborted {
@@ -72,71 +74,108 @@ func TestInDoubtActiveTCBStateIsStillPresumedAbort(t *testing.T) {
 	}
 }
 
-// TestInDoubtStreamResolution drives the full scan → resolve → redo path
-// over a synthetic audit stream holding one transaction of each kind:
-// txn 1 prepared with a durable commit outcome (rows must be redone),
-// txn 2 prepared with a durable abort outcome (rows discarded), txn 3
-// prepared with no outcome at all (presumed abort, rows discarded).
-func TestInDoubtStreamResolution(t *testing.T) {
-	var stream []byte
+// inDoubtFixture is one transaction of each kind: txn 1 prepared with a
+// durable commit outcome (rows must be redone), txn 2 prepared with a
+// durable abort outcome (rows discarded), txn 3 prepared with no outcome at
+// all (presumed abort, rows discarded), txn 4 never prepared and aborted
+// (rows discarded). Split, the first three transactions' records go to a
+// stream each and both outcome records, with txn 4, to a fourth, as a
+// coordinator's outcome lands on its own log writer's trail, not on its
+// participants'; otherwise all of it is one stream.
+func inDoubtFixture(split bool) [][]byte {
+	streams := make([][]byte, 4)
+	add := func(i int, rec *audit.Record) {
+		if !split {
+			i = 0
+		}
+		streams[i] = audit.AppendRecord(streams[i], rec)
+	}
 	row := func(txn audit.TxnID, key uint64) {
-		stream = audit.AppendRecord(stream, &audit.Record{
-			Type: audit.RecInsert, Txn: txn, File: "TRADES", Key: key, Body: []byte("v"),
-		})
+		add(int(txn)-1, &audit.Record{Type: audit.RecInsert, Txn: txn, File: "TRADES", Key: key, Body: []byte("v")})
 	}
 	prep := func(txn audit.TxnID) {
-		stream = audit.AppendRecord(stream, &audit.Record{Type: audit.RecPrepare, Txn: txn})
+		add(int(txn)-1, &audit.Record{Type: audit.RecPrepare, Txn: txn})
 	}
 	outcome := func(txn audit.TxnID, state uint8) {
-		stream = audit.AppendRecord(stream, &audit.Record{
+		add(3, &audit.Record{
 			Type: audit.RecOutcome, Txn: txn,
 			Body: tmf.AppendOutcome(nil, state, []string{"$DP-TRADES-0", "$DP-TRADES-1"}),
 		})
 	}
 	prep(1)
 	row(1, 10)
-	stream = audit.AppendRecord(stream, &audit.Record{
-		Type: audit.RecUpdate, Txn: 1, File: "TRADES", Key: 10, Body: []byte("v2"),
-	})
+	add(0, &audit.Record{Type: audit.RecUpdate, Txn: 1, File: "TRADES", Key: 10, Body: []byte("v2")})
 	row(1, 11)
-	stream = audit.AppendRecord(stream, &audit.Record{
-		Type: audit.RecDelete, Txn: 1, File: "TRADES", Key: 11,
-	})
+	add(0, &audit.Record{Type: audit.RecDelete, Txn: 1, File: "TRADES", Key: 11})
 	prep(2)
 	row(2, 20)
 	prep(3)
 	row(3, 30)
 	outcome(1, tmf.TCBCommitted)
 	outcome(2, tmf.TCBAborted)
+	add(3, &audit.Record{Type: audit.RecInsert, Txn: 4, File: "TRADES", Key: 40, Body: []byte("v")})
+	add(3, &audit.Record{Type: audit.RecAbort, Txn: 4})
+	if !split {
+		return streams[:1]
+	}
+	return streams
+}
 
+// recoverFixture runs the passes that follow the reads — analysis charged
+// as on the disk path, the barrier, redo — over hand-built streams on a fresh
+// four-CPU node: the workers spread over its CPUs or, serial, all on CPU 0.
+func recoverFixture(t *testing.T, streams [][]byte, serial bool) (Report, *Rebuilt) {
+	t.Helper()
 	eng := sim.NewEngine(1)
+	defer eng.Shutdown()
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	cpus := nodeCPUs(cl)
+	if serial {
+		cpus = cpus[:1]
+	}
 	var rep Report
 	var rb *Rebuilt
-	eng.Spawn("recover", func(p *sim.Proc) {
-		an := newAnalysis()
+	var err error
+	cl.CPU(0).Spawn("recover", func(p *cluster.Process) {
 		var opts Options
 		opts.defaults()
-		scanStream(p, opts, stream, an, &rep.RecordsScanned)
-		resolveInDoubt(an, &rep)
-		rb, _ = redo(p, opts, [][]byte{stream}, an, &rep)
+		rb, _, err = recoverStreams(p, cpus, opts, streams, new(analysis), true, &rep)
+		rep.MTTR = p.Now()
 	})
 	eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, rb
+}
 
-	if rep.OutcomeResolved != 2 || rep.InDoubt != 1 {
-		t.Errorf("report = {OutcomeResolved: %d, InDoubt: %d}, want {2, 1}", rep.OutcomeResolved, rep.InDoubt)
-	}
-	if body, ok := rb.Get("TRADES", 10); !ok || string(body) != "v2" {
-		t.Errorf("committed txn's row = %q, %v after redo; want updated image", body, ok)
-	}
-	for _, key := range []uint64{11, 20, 30} {
-		if _, ok := rb.Get("TRADES", key); ok {
-			t.Errorf("row %d (deleted or aborted/in-doubt) visible after redo", key)
+// TestInDoubtStreamResolution drives the full scan → resolve → redo path
+// over the in-doubt fixture, in one stream and split over four with the
+// outcomes apart from the data they decide, each both with its workers
+// spread over the node's CPUs and serial on one.
+func TestInDoubtStreamResolution(t *testing.T) {
+	for _, split := range []bool{false, true} {
+		for _, serial := range []bool{false, true} {
+			t.Run(fmt.Sprintf("split=%v/serial=%v", split, serial), func(t *testing.T) {
+				rep, rb := recoverFixture(t, inDoubtFixture(split), serial)
+				if rep.OutcomeResolved != 2 || rep.InDoubt != 1 {
+					t.Errorf("report = {OutcomeResolved: %d, InDoubt: %d}, want {2, 1}", rep.OutcomeResolved, rep.InDoubt)
+				}
+				if body, ok := rb.Get("TRADES", 10); !ok || string(body) != "v2" {
+					t.Errorf("committed txn's row = %q, %v after redo; want updated image", body, ok)
+				}
+				for _, key := range []uint64{11, 20, 30, 40} {
+					if _, ok := rb.Get("TRADES", key); ok {
+						t.Errorf("row %d (deleted or aborted/in-doubt) visible after redo", key)
+					}
+				}
+				if rb.Rows() != 1 {
+					t.Errorf("rebuilt image holds %d rows, want 1", rb.Rows())
+				}
+				if rep.Committed != 1 || rep.Aborted != 3 {
+					t.Errorf("classified {Committed: %d, Aborted: %d}, want {1, 3}", rep.Committed, rep.Aborted)
+				}
+			})
 		}
-	}
-	if rb.Rows() != 1 {
-		t.Errorf("rebuilt image holds %d rows, want 1", rb.Rows())
-	}
-	if rep.Committed != 1 || rep.Aborted != 2 {
-		t.Errorf("classified {Committed: %d, Aborted: %d}, want {1, 2}", rep.Committed, rep.Aborted)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"persistmem/internal/cluster"
 	"persistmem/internal/ods"
 	"persistmem/internal/pmclient"
-	"persistmem/internal/sim"
 	"persistmem/internal/tmf"
 )
 
@@ -278,7 +277,7 @@ func TestRebuiltOwnsItsBytes(t *testing.T) {
 			res := RunScenario(tc.d, 12, 1)
 			defer res.Store.Eng.Shutdown()
 			sc := new(scratch)
-			_, rb := recoverWith(t, res, tc.useTCB, sc)
+			_, rb := recoverWith(t, res, tc.useTCB, sc, false)
 			scribble(t, sc)
 			checkGroundTruth(t, rb, res)
 		})
@@ -287,24 +286,28 @@ func TestRebuiltOwnsItsBytes(t *testing.T) {
 
 // recoverWith runs the durability mode's recovery of a crashed scenario over
 // the given scratch, through the unexported entry points FromDisk and FromPM
-// wrap.
-func recoverWith(t *testing.T, res ScenarioResult, useTCB bool, sc *scratch) (rep Report, rb *Rebuilt) {
+// wrap, with the workers on every CPU of the node — or, serial, all on the
+// recovering process's own CPU, one after another.
+func recoverWith(t *testing.T, res ScenarioResult, useTCB bool, sc *scratch, serial bool) (rep Report, rb *Rebuilt) {
 	t.Helper()
-	var err error
-	if res.Store.Opts.Durability == ods.DiskDurability {
-		res.Store.Eng.Spawn("recover-disk", func(p *sim.Proc) {
-			rep, rb, err = fromDisk(p, res.Store.AuditVolumes, Options{}, sc)
-		})
-	} else {
-		res.Reboot()
-		res.Store.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
-			tcb := ""
-			if useTCB {
-				tcb = tmf.TCBRegionName
-			}
-			rep, rb, err = fromPM(p, pmclient.Attach(res.Store.Cl, ods.PMVolumeName), res.logRegions(), tcb, Options{}, sc)
-		})
+	res.Reboot()
+	cl := res.Store.Cl
+	cpus := nodeCPUs(cl)
+	if serial {
+		cpus = []*cluster.CPU{cl.CPU(2)}
 	}
+	var err error
+	cl.CPU(2).Spawn("recover", func(p *cluster.Process) {
+		if res.Store.Opts.Durability == ods.DiskDurability {
+			rep, rb, err = fromDisk(p, res.Store.AuditVolumes, Options{}, sc, cpus)
+			return
+		}
+		tcb := ""
+		if useTCB {
+			tcb = tmf.TCBRegionName
+		}
+		rep, rb, err = fromPM(p, pmclient.Attach(cl, ods.PMVolumeName), res.logRegions(), tcb, Options{}, sc, cpus)
+	})
 	res.Store.Eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -348,14 +351,14 @@ func TestDirtyScratchRecoversTheSameImage(t *testing.T) {
 				return res
 			}
 			ref := crashed(12, 1)
-			wantRep, wantRb := recoverWith(t, ref, tc.useTCB, &scratch{buf: []byte{}})
+			wantRep, wantRb := recoverWith(t, ref, tc.useTCB, &scratch{buf: []byte{}}, false)
 			checkGroundTruth(t, wantRb, ref)
 			want := image(wantRb)
 
 			// The longer trail: five times the transactions, another seed.
 			used := &scratch{buf: []byte{}}
 			long := crashed(60, 2)
-			_, longRb := recoverWith(t, long, tc.useTCB, used)
+			_, longRb := recoverWith(t, long, tc.useTCB, used, false)
 			checkGroundTruth(t, longRb, long)
 
 			for name, sc := range map[string]*scratch{
@@ -363,7 +366,7 @@ func TestDirtyScratchRecoversTheSameImage(t *testing.T) {
 				"left by a longer valid trail": used,
 			} {
 				res := crashed(12, 1)
-				rep, rb := recoverWith(t, res, tc.useTCB, sc)
+				rep, rb := recoverWith(t, res, tc.useTCB, sc, false)
 				if rep != wantRep {
 					t.Errorf("%s scratch: report %+v, from an untouched scratch %+v", name, rep, wantRep)
 				}

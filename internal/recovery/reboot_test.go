@@ -12,9 +12,8 @@ import (
 	"persistmem/internal/tmf"
 )
 
-// A disk-durability store must be recoverable after a true reboot — power
-// restored first, FromDisk second — not only straight from the powered-off
-// state.
+// A disk-durability store must be recoverable after an explicit reboot:
+// RecoverDisk reboots internally too, and the second reboot is a no-op.
 func TestRecoverDiskAfterReboot(t *testing.T) {
 	res := RunScenario(ods.DiskDurability, 5, 7)
 	if len(res.Errs) > 0 {

@@ -16,7 +16,10 @@
 //
 // Both paths rebuild the key-sequenced file caches from committed insert
 // after-images; in-flight and aborted transactions are discarded
-// (presumed abort).
+// (presumed abort). The recovering process reads every trail itself; the
+// passes over them run on one worker process per trail, spread over the
+// node's CPUs, so a pass takes as long as its longest trail's share of a
+// CPU.
 package recovery
 
 import (
@@ -40,12 +43,17 @@ import (
 // ErrNoLog means a log source could not be read at all.
 var ErrNoLog = errors.New("recovery: log unreadable")
 
+// ErrWorkerLost means a recovery worker was killed — its CPU failed — before
+// it finished its trail, so the recovery has no whole image to return.
+var ErrWorkerLost = errors.New("recovery: worker lost")
+
 // Options tunes the recovery procedure.
 type Options struct {
 	// ChunkBytes is the read granularity from the log device, 64 KiB by
 	// default (EXPERIMENTS.md, Claim C2, has the read-size table).
 	ChunkBytes int
-	// CPUPerRecord is the analysis/redo cost per audit record.
+	// CPUPerRecord is the analysis/redo cost per audit record, charged to
+	// the CPU of the worker that scans the record's trail.
 	CPUPerRecord sim.Time
 }
 
@@ -109,42 +117,69 @@ func (r *Rebuilt) Rows() int {
 }
 
 // analysis classifies transactions from scanned records. It keeps no data
-// records: redo rescans the streams for them.
+// records: redo rescans the streams for them. The zero analysis is empty: its
+// maps are made at its first outcome or vote, so a stream with neither — a
+// participant's trail on the TCB path — costs its worker nothing.
 type analysis struct {
 	outcome  map[audit.TxnID]uint8 // tmf.TCBCommitted / TCBAborted
 	prepared map[audit.TxnID]bool  // cross-shard prepare votes seen
 }
 
-func newAnalysis() *analysis {
-	return &analysis{outcome: make(map[audit.TxnID]uint8), prepared: make(map[audit.TxnID]bool)}
+// decide records txn's outcome, overriding any earlier one.
+func (an *analysis) decide(txn audit.TxnID, state uint8) {
+	if an.outcome == nil {
+		an.outcome = make(map[audit.TxnID]uint8)
+	}
+	an.outcome[txn] = state
+}
+
+// prepare records txn's cross-shard prepare vote.
+func (an *analysis) prepare(txn audit.TxnID) {
+	if an.prepared == nil {
+		an.prepared = make(map[audit.TxnID]bool)
+	}
+	an.prepared[txn] = true
 }
 
 // note folds one scanned record's outcome evidence into the analysis.
 func (an *analysis) note(rec *audit.Record) {
 	switch rec.Type {
 	case audit.RecCommit:
-		an.outcome[rec.Txn] = tmf.TCBCommitted
+		an.decide(rec.Txn, tmf.TCBCommitted)
 	case audit.RecAbort:
-		an.outcome[rec.Txn] = tmf.TCBAborted
+		an.decide(rec.Txn, tmf.TCBAborted)
 	case audit.RecPrepare:
-		an.prepared[rec.Txn] = true
+		an.prepare(rec.Txn)
 	case audit.RecOutcome:
 		// The coordinator's durable decision for a cross-shard
 		// transaction — authoritative over anything else seen so far.
 		if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
-			an.outcome[rec.Txn] = o.State
+			an.decide(rec.Txn, o.State)
 		}
 	}
 }
 
-// scanStream walks one log stream's bytes, feeding records into the
-// analysis and charging CPU per record.
-func scanStream(p *sim.Proc, opts Options, data []byte, an *analysis, count *int64) {
+// scan notes every record of one stream and returns how many it read.
+func (an *analysis) scan(data []byte) int64 {
+	var n int64
 	s := audit.NewScanner(data)
 	for s.Next() {
-		*count++
-		p.Wait(opts.CPUPerRecord)
+		n++
 		an.note(s.Record())
+	}
+	return n
+}
+
+// merge folds a later stream's analysis into an, leaving what one scan of
+// an's records followed by later's would have: later's outcomes override.
+func (an *analysis) merge(later *analysis) {
+	//simlint:ordered -- one write per key; later's own order cannot matter
+	for txn, o := range later.outcome {
+		an.decide(txn, o)
+	}
+	//simlint:ordered -- set union
+	for txn := range later.prepared {
+		an.prepare(txn)
 	}
 }
 
@@ -170,57 +205,222 @@ func resolveInDoubt(an *analysis, rep *Report) {
 			// Prepared on some shard, no outcome record on any stream and
 			// no decided TCB state: the coordinator died inside the
 			// in-doubt window before the commit point. Presumed abort.
-			an.outcome[txn] = tmf.TCBAborted
+			an.decide(txn, tmf.TCBAborted)
 			rep.InDoubt++
 		}
 	}
 }
 
-// redo rescans the streams and applies committed data records to fresh trees,
-// returning the set of transactions that had data records. The streams are
-// this recovery's own copies, not its scratch: a row keeps its slice of one.
-func redo(p *sim.Proc, opts Options, streams [][]byte, an *analysis, rep *Report) (*Rebuilt, map[audit.TxnID]bool) {
-	rb := &Rebuilt{Files: make(map[string]*btree.Tree[[]byte])}
-	seen := make(map[audit.TxnID]bool, len(an.outcome))
-	for _, data := range streams {
-		s := audit.NewScanner(data)
-		for s.Next() {
-			rec := s.Record()
-			if rec.Type != audit.RecInsert && rec.Type != audit.RecUpdate && rec.Type != audit.RecDelete {
-				continue // outcome evidence: the analysis has it
-			}
-			p.Wait(opts.CPUPerRecord)
-			rep.RecordsScanned++
-			if an.outcome[rec.Txn] != tmf.TCBCommitted {
-				if !seen[rec.Txn] {
-					seen[rec.Txn] = true
-					if an.outcome[rec.Txn] == tmf.TCBAborted {
-						rep.Aborted++
-					} else {
-						rep.InFlight++
-					}
-				}
-				continue
-			}
+// redo applies one stream's committed data records to rb and returns how
+// many data records it examined. seen, the transactions that had data
+// records, is shared by every stream's redo, so a cross-shard transaction
+// whose rows sit in several streams is classified once. The stream is this
+// recovery's own copy, not its scratch: a row keeps its slice of it.
+func redo(data []byte, an *analysis, rb *Rebuilt, seen map[audit.TxnID]bool, rep *Report) int64 {
+	var records int64
+	s := audit.NewScanner(data)
+	for s.Next() {
+		rec := s.Record()
+		if rec.Type != audit.RecInsert && rec.Type != audit.RecUpdate && rec.Type != audit.RecDelete {
+			continue // outcome evidence: the analysis has it
+		}
+		records++
+		if an.outcome[rec.Txn] != tmf.TCBCommitted {
 			if !seen[rec.Txn] {
 				seen[rec.Txn] = true
-				rep.Committed++
+				if an.outcome[rec.Txn] == tmf.TCBAborted {
+					rep.Aborted++
+				} else {
+					rep.InFlight++
+				}
 			}
-			t := rb.Files[rec.File]
-			if t == nil {
-				t = btree.New[[]byte]()
-				rb.Files[rec.File] = t
-			}
-			if rec.Type == audit.RecDelete {
-				t.Delete(rec.Key)
-			} else {
-				n := len(rec.Body) // capped: an append cannot reach the next record
-				t.Set(rec.Key, rec.Body[:n:n])
-				rep.RowsRedone++
-			}
+			continue
+		}
+		if !seen[rec.Txn] {
+			seen[rec.Txn] = true
+			rep.Committed++
+		}
+		t := rb.Files[rec.File]
+		if t == nil {
+			t = btree.New[[]byte]()
+			rb.Files[rec.File] = t
+		}
+		if rec.Type == audit.RecDelete {
+			t.Delete(rec.Key)
+		} else {
+			n := len(rec.Body) // capped: an append cannot reach the next record
+			t.Set(rec.Key, rec.Body[:n:n])
+			rep.RowsRedone++
 		}
 	}
-	return rb, seen
+	return records
+}
+
+// recoverStreams runs the passes that follow the reads over the kept
+// streams, on one worker per stream (crew.start places them):
+//
+//  1. analysis: each worker notes its stream's outcome evidence into an
+//     analysis of its own, charging CPUPerRecord a record when scanCharged
+//     (the outcome-discovery pass of the disk and PM-scan paths; with TCBs
+//     the records are noted free and charged once, in redo). The first
+//     stream's worker notes straight over an — what the caller already knows,
+//     the TCB table or nothing — exactly as one serial scan would; the later
+//     streams' analyses are merged over it in stream order, so an outcome's
+//     precedence never depends on which worker finished first;
+//  2. the barrier, then resolveInDoubt: an outcome record may sit in another
+//     stream than the data it decides, so no redo starts before every stream
+//     is analysed;
+//  3. redo: each worker applies its stream's committed records to the one
+//     image and charges CPUPerRecord a data record. A key's records all live
+//     in one stream (one DP2 writes one trail), so its redo order is the
+//     serial one.
+//
+// It returns the image and the transactions that had data records.
+func recoverStreams(p *cluster.Process, cpus []*cluster.CPU, opts Options, streams [][]byte, an *analysis, scanCharged bool, rep *Report) (*Rebuilt, map[audit.TxnID]bool, error) {
+	parts := make([]analysis, len(streams)) // parts[0] stays empty: stream 0 is noted into an
+	rb := &Rebuilt{Files: make(map[string]*btree.Tree[[]byte])}
+	var seen map[audit.TxnID]bool
+	c := newCrew(p, len(streams))
+	c.start(cpus, func(w *cluster.Process, i int) {
+		part := an
+		if i > 0 {
+			part = &parts[i]
+		}
+		n := part.scan(streams[i])
+		if scanCharged {
+			rep.RecordsScanned += n
+			charge(w, n, opts)
+		}
+		if !c.barrier(w) {
+			return
+		}
+		n = redo(streams[i], an, rb, seen, rep)
+		rep.RecordsScanned += n
+		charge(w, n, opts)
+	})
+	if !c.wait(p) {
+		return nil, nil, ErrWorkerLost
+	}
+	for i := 1; i < len(parts); i++ {
+		an.merge(&parts[i])
+	}
+	resolveInDoubt(an, rep)
+	seen = make(map[audit.TxnID]bool, len(an.outcome))
+	c.release()
+	if !c.wait(p) {
+		return nil, nil, ErrWorkerLost
+	}
+	return rb, seen, nil
+}
+
+// charge holds the worker's CPU for n records' worth of recovery work: one
+// hold a stream and pass, queueing behind any other worker on that CPU.
+func charge(w *cluster.Process, n int64, opts Options) {
+	if n > 0 {
+		w.Compute(sim.Time(n) * opts.CPUPerRecord)
+	}
+}
+
+// crew is one recovery's workers, one process per stream, and the two
+// meetings the recovering process holds with them: the barrier after
+// analysis and their end. A worker killed before its end — its CPU failed —
+// fails the meeting in progress, so the recovering process returns an error
+// instead of waiting on the dead worker or returning part of an image.
+type crew struct {
+	n        int
+	pending  int         // workers yet to reach the current meeting
+	finished int         // workers whose body returned
+	exited   int         // workers that exited, killed or not
+	lost     bool        // a worker exited without its body returning
+	met      *sim.Signal // the current meeting is complete, or lost
+	resume   *sim.Signal // the go-ahead past the barrier
+	eng      *sim.Engine
+}
+
+func newCrew(p *cluster.Process, n int) *crew {
+	eng := p.Cluster().Engine()
+	return &crew{n: n, pending: n, met: eng.NewSignal(), resume: eng.NewSignal(), eng: eng}
+}
+
+// start runs body(w, i) for each of the crew's n streams on a worker process
+// w of its own, stream i on the i-th of cpus that is up (round-robin); cpus
+// holds the recovering process's own CPU, so one is. A worker sees only what
+// body closes over — the recovery's kept stream copies, never its scratch.
+func (c *crew) start(cpus []*cluster.CPU, body func(w *cluster.Process, i int)) {
+	up := make([]*cluster.CPU, 0, len(cpus))
+	for _, cpu := range cpus {
+		if cpu.Up() {
+			up = append(up, cpu)
+		}
+	}
+	exit := c.exit
+	for i := range c.n {
+		w := up[i%len(up)].Spawn("recover-worker", func(w *cluster.Process) {
+			body(w, i)
+			c.finished++
+		})
+		w.Sim().OnExit(exit)
+	}
+}
+
+// exit runs as each worker exits. A worker's body returned just before its
+// exit unless the worker was killed: then exits outnumber returns.
+func (c *crew) exit() {
+	c.exited++
+	if c.exited > c.finished {
+		c.lost = true
+		if !c.met.Fired() {
+			c.met.Trigger(nil)
+		}
+		return
+	}
+	c.arrive()
+}
+
+// arrive counts a worker in at the current meeting.
+func (c *crew) arrive() {
+	c.pending--
+	if c.pending == 0 && !c.met.Fired() {
+		c.met.Trigger(nil)
+	}
+}
+
+// barrier is a worker's side of the meeting after analysis: it reports
+// whether the recovery goes on.
+func (c *crew) barrier(w *cluster.Process) bool {
+	c.arrive()
+	c.resume.Wait(w.Sim())
+	return !c.lost
+}
+
+// wait is the recovering process's side of a meeting: it returns once every
+// worker is there, true, or once one is lost, false — and then sends the
+// workers waiting at the barrier on to their end.
+func (c *crew) wait(p *cluster.Process) bool {
+	if c.pending > 0 && !c.lost {
+		c.met.Wait(p.Sim())
+	}
+	if c.lost && !c.resume.Fired() {
+		c.resume.Trigger(nil)
+	}
+	return !c.lost
+}
+
+// release opens the end meeting and lets the workers past the barrier.
+func (c *crew) release() {
+	c.pending = c.n
+	c.met = c.eng.NewSignal()
+	c.resume.Trigger(nil)
+}
+
+// nodeCPUs lists every CPU of the node: a recovery's workers go to those of
+// them that are up when each pass starts.
+func nodeCPUs(cl *cluster.Cluster) []*cluster.CPU {
+	cpus := make([]*cluster.CPU, cl.NumCPUs())
+	for i := range cpus {
+		cpus[i] = cl.CPU(i)
+	}
+	return cpus
 }
 
 // scratch is one recovery's read buffer. Every stream replica (and the TCB
@@ -260,27 +460,26 @@ func (sc *scratch) reserve(keep, end int) {
 	}
 }
 
-// FromDisk recovers from audit disk volumes. The full trail area of each
-// volume is read sequentially and scanned twice: once to discover
-// transaction outcomes (the "heuristic searching" the paper decries) and
-// once to redo.
-func FromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options) (Report, *Rebuilt, error) {
+// FromDisk recovers from audit disk volumes. The recovering process reads
+// the full trail area of each volume sequentially; then one worker per trail
+// scans it twice, on the node's CPUs: once to discover transaction outcomes
+// (the "heuristic searching" the paper decries) and once to redo.
+func FromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options) (Report, *Rebuilt, error) {
 	sc := new(scratch)
-	rep, rb, err := fromDisk(p, volumes, opts, sc)
+	rep, rb, err := fromDisk(p, volumes, opts, sc, nodeCPUs(p.Cluster()))
 	stable.HandOn(sc.buf)
 	return rep, rb, err
 }
 
-func fromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options, sc *scratch) (Report, *Rebuilt, error) {
+func fromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options, sc *scratch, cpus []*cluster.CPU) (Report, *Rebuilt, error) {
 	opts.defaults()
 	var rep Report
 	start := p.Now()
-	an := newAnalysis()
 
 	streams := make([][]byte, 0, len(volumes))
 	for _, v := range volumes {
 		valid, n, err := readStream(sc, v.Capacity(), opts, func(off int64, buf []byte) error {
-			return v.Read(p, off, buf)
+			return v.Read(p.Sim(), off, buf)
 		})
 		if err != nil {
 			return rep, nil, err
@@ -288,13 +487,10 @@ func fromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options, sc *scratch) (R
 		rep.BytesRead += n
 		streams = append(streams, bytes.Clone(sc.buf[:valid]))
 	}
-	// Pass 1: outcome discovery across every stream.
-	for _, data := range streams {
-		scanStream(p, opts, data, an, &rep.RecordsScanned)
+	rb, _, err := recoverStreams(p, cpus, opts, streams, new(analysis), true, &rep)
+	if err != nil {
+		return rep, nil, err
 	}
-	resolveInDoubt(an, &rep)
-	// Pass 2: redo.
-	rb, _ := redo(p, opts, streams, an, &rep)
 	rep.MTTR = p.Now() - start
 	return rep, rb, nil
 }
@@ -342,23 +538,24 @@ func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off in
 
 // FromPM recovers from NPMU-resident log regions via the PM client
 // library, consulting the TCB region for outcomes so a single pass
-// suffices. The caller provides a recovery process bound to a cluster
-// with a live PMM (restarted after the crash), the PM volume handle, the
-// log region names, and the TCB region name ("" to force the two-pass
-// disk-style analysis over PM, for apples-to-apples ablation). A log region
-// the PMM has never heard of is an empty trail, not an error.
+// suffices; as in FromDisk, the recovering process reads and one worker
+// per trail runs the passes. The caller provides a recovery process bound
+// to a cluster with a live PMM (restarted after the crash), the PM volume
+// handle, the log region names, and the TCB region name ("" to force the
+// two-pass disk-style analysis over PM, for apples-to-apples ablation). A
+// log region the PMM has never heard of is an empty trail, not an error.
 func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options) (Report, *Rebuilt, error) {
 	sc := new(scratch)
-	rep, rb, err := fromPM(p, vol, logRegions, tcbRegion, opts, sc)
+	rep, rb, err := fromPM(p, vol, logRegions, tcbRegion, opts, sc, nodeCPUs(p.Cluster()))
 	stable.HandOn(sc.buf)
 	return rep, rb, err
 }
 
-func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options, sc *scratch) (Report, *Rebuilt, error) {
+func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options, sc *scratch, cpus []*cluster.CPU) (Report, *Rebuilt, error) {
 	opts.defaults()
 	var rep Report
 	start := p.Now()
-	an := newAnalysis()
+	an := new(analysis)
 
 	// Fine-grained outcomes first.
 	if tcbRegion != "" {
@@ -396,23 +593,15 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 		streams = append(streams, data)
 	}
 
-	for _, data := range streams {
-		if !rep.UsedTCB {
-			// No control blocks: fall back to the outcome-discovery pass.
-			scanStream(p.Sim(), opts, data, an, &rep.RecordsScanned)
-			continue
-		}
-		// Single pass, charged in redo. Trail outcomes override the TCB
-		// table: a bounded, wrapping structure sized for *concurrent*
-		// transactions (its job is naming the in-flight ones without a
-		// search), whose slots may have been overwritten.
-		s := audit.NewScanner(data)
-		for s.Next() {
-			an.note(s.Record())
-		}
+	// Without control blocks the outcome-discovery pass is charged. With
+	// them the single pass is charged in redo, and trail outcomes still
+	// override the TCB table: a bounded, wrapping structure sized for
+	// *concurrent* transactions (its job is naming the in-flight ones
+	// without a search), whose slots may have been overwritten.
+	rb, seen, err := recoverStreams(p, cpus, opts, streams, an, !rep.UsedTCB, &rep)
+	if err != nil {
+		return rep, nil, err
 	}
-	resolveInDoubt(an, &rep)
-	rb, seen := redo(p.Sim(), opts, streams, an, &rep)
 	if rep.UsedTCB {
 		// Fine-grained knowledge: control blocks name in-flight
 		// transactions even when none of their audit reached the durable

@@ -68,7 +68,13 @@ func RowBody(key uint64) []byte {
 // the whole node (CPUs and PM devices). The returned store is powered off
 // and ready for FromDisk/FromPM measurement.
 func RunScenario(d ods.Durability, txns int, seed int64) ScenarioResult {
-	s := ods.Build(ScenarioOptions(d, seed))
+	return runScenario(ScenarioOptions(d, seed), txns)
+}
+
+// runScenario is RunScenario's workload and crash on a store built from
+// opts.
+func runScenario(opts ods.Options, txns int) ScenarioResult {
+	s := ods.Build(opts)
 
 	res := ScenarioResult{Store: s, Committed: make([]uint64, 0, 4*txns)}
 	crashNow := s.Eng.NewChan("crash")
@@ -162,12 +168,14 @@ func (r ScenarioResult) logRegions() []string {
 	return regions
 }
 
-// RecoverDisk runs FromDisk against the scenario's audit volumes.
+// RecoverDisk reboots and runs FromDisk against the scenario's audit
+// volumes.
 func (r ScenarioResult) RecoverDisk(opts Options) (Report, *Rebuilt, error) {
+	r.Reboot()
 	var rep Report
 	var rb *Rebuilt
 	var err error
-	r.Store.Eng.Spawn("recover-disk", func(p *sim.Proc) {
+	r.Store.Cl.CPU(2).Spawn("recover-disk", func(p *cluster.Process) {
 		rep, rb, err = FromDisk(p, r.Store.AuditVolumes, opts)
 	})
 	r.Store.Eng.Run()

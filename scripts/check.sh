@@ -30,10 +30,10 @@ rm -f simlint.json
 go test -coverprofile=/tmp/persistmem-cover.out ./...
 go run ./cmd/covcheck -profile /tmp/persistmem-cover.out
 rm -f /tmp/persistmem-cover.out
-# The slowest package under the race detector is internal/bench at ~3.2
-# minutes on a 2-vCPU host (3m09s; the 512-cell chaos sweep is ~40 s of it,
-# TestC2ArtifactMatchesFullScale's three 4000-transaction recoveries ~15 s),
-# inside the 10-minute per-package default with better than 3x headroom.
+# The slowest package under the race detector is internal/bench at ~2
+# minutes on a 2-vCPU host (118 s; the 512-cell chaos sweep is ~8 s of it,
+# TestC2ArtifactMatchesFullScale's three 4000-transaction recoveries ~8 s),
+# inside the 10-minute per-package default with better than 5x headroom.
 go test -race ./...
 
 if command -v govulncheck >/dev/null 2>&1; then
