@@ -73,6 +73,7 @@ func TestClaimC2CheckShapeDetectsBreaks(t *testing.T) {
 		c.Paths[0] = C2Path{Name: "disk", Rows: 80, Report: recovery.Report{MTTR: 140 * sim.Millisecond, RecordsScanned: 180}}
 		c.Paths[1] = C2Path{Name: "pm", Rows: 80, Report: recovery.Report{MTTR: 80 * sim.Millisecond, RecordsScanned: 180}}
 		c.Paths[2] = C2Path{Name: "pm+tcb", Rows: 80, Report: recovery.Report{MTTR: 75 * sim.Millisecond, RecordsScanned: 80, UsedTCB: true}}
+		c.Paths[3] = C2Path{Name: "pm-direct+tcb", Rows: 80, Report: recovery.Report{MTTR: 78 * sim.Millisecond, RecordsScanned: 84, UsedTCB: true}}
 		return c
 	}
 	if errs := healthy().CheckShape(); len(errs) != 0 {
@@ -84,6 +85,8 @@ func TestClaimC2CheckShapeDetectsBreaks(t *testing.T) {
 		"PM no faster than disk":    func(c *ClaimC2) { c.Paths[2].Report.MTTR = c.Paths[0].Report.MTTR },
 		"TCBs scan as many records": func(c *ClaimC2) { c.Paths[2].Report.RecordsScanned = 180 },
 		"TCB region unused":         func(c *ClaimC2) { c.Paths[2].Report.UsedTCB = false },
+		"PM direct's image differs": func(c *ClaimC2) { c.Paths[3].Rows = 76 },
+		"PM direct read no TCBs":    func(c *ClaimC2) { c.Paths[3].Report.UsedTCB = false },
 	}
 	for name, mutate := range breaks {
 		c := healthy()

@@ -12,8 +12,9 @@ import (
 type ClaimC2 struct {
 	Txns int
 	// Paths holds one measurement per recovery path: disk scan, PM scan
-	// without TCBs, PM with TCBs.
-	Paths [3]C2Path
+	// without TCBs, PM with TCBs, and PM direct (§3.4's end vision: DP2s
+	// persist rows in their own PM logs, no ADP) with TCBs.
+	Paths [4]C2Path
 }
 
 // C2Path is one recovery path's measurement.
@@ -27,8 +28,8 @@ type C2Path struct {
 	Err error
 }
 
-// c2Paths are the three recovery paths, in table order.
-var c2Paths = [3]struct {
+// c2Paths are the four recovery paths, in table order.
+var c2Paths = [4]struct {
 	name   string
 	d      ods.Durability
 	useTCB bool
@@ -36,6 +37,7 @@ var c2Paths = [3]struct {
 	{"disk audit, log scan", ods.DiskDurability, false},
 	{"PM audit, log scan (no TCB)", ods.PMDurability, false},
 	{"PM audit + fine-grained TCBs", ods.PMDurability, true},
+	{"PM direct + fine-grained TCBs", ods.PMDirectDurability, true},
 }
 
 // RunClaimC2 runs the crash scenario against each recovery path with
@@ -45,7 +47,7 @@ func RunClaimC2(seed int64, scale Scale) ClaimC2 {
 }
 
 // ClaimC2 crashes a store with the scale's transaction count committed and
-// one in flight, once per recovery path, and recovers it. The three
+// one in flight, once per recovery path, and recovers it. The four
 // scenarios are independent cells run with the Runner's parallelism.
 func (r Runner) ClaimC2(seed int64, scale Scale) ClaimC2 {
 	txns := max(scale.RecordsPerDriver/8, 20)
@@ -79,7 +81,7 @@ func (r Runner) ClaimC2(seed int64, scale Scale) ClaimC2 {
 	return c
 }
 
-// RowsAgree reports whether all three paths rebuilt the same committed
+// RowsAgree reports whether all four paths rebuilt the same committed
 // image; a path that failed agrees with nothing.
 func (c ClaimC2) RowsAgree() bool {
 	for _, p := range c.Paths {
@@ -103,7 +105,8 @@ func (c ClaimC2) Table() string {
 }
 
 // CheckShape verifies the claim's direction: PM recovery beats disk, TCBs
-// cut the records examined, and all paths rebuild the same image.
+// cut the records examined and are read on both TCB paths, and all paths
+// rebuild the same image.
 func (c ClaimC2) CheckShape() []error {
 	var errs []error
 	for _, p := range c.Paths {
@@ -122,8 +125,10 @@ func (c ClaimC2) CheckShape() []error {
 		errs = append(errs, fmt.Errorf("claimC2: TCBs did not reduce records scanned (%d vs %d)",
 			tcb.RecordsScanned, noTCB.RecordsScanned))
 	}
-	if !tcb.UsedTCB {
-		errs = append(errs, fmt.Errorf("claimC2: TCB path did not use the TCB region"))
+	for _, p := range c.Paths[2:] {
+		if !p.Report.UsedTCB {
+			errs = append(errs, fmt.Errorf("claimC2: %s did not use the TCB region", p.Name))
+		}
 	}
 	return errs
 }

@@ -258,6 +258,11 @@ func (c *CPU) Endpoint() *servernet.Endpoint { return c.ep }
 // Up reports whether the CPU is running.
 func (c *CPU) Up() bool { return c.up }
 
+// InUse reports whether a process holds the CPU's execution resource now:
+// 1 mid-Compute, else 0. At quiescence it must be 0 — a process killed
+// mid-Compute releases the CPU with its death.
+func (c *CPU) InUse() int { return c.exec.InUse() }
+
 // Fail halts the CPU: all its processes are killed (their volatile state
 // is lost with them), its fabric endpoint stops responding, and names
 // registered to it are dropped. Processes die in spawn order — each kill

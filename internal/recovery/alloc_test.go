@@ -7,7 +7,6 @@ import (
 
 	"persistmem/internal/btree"
 	"persistmem/internal/ods"
-	"persistmem/internal/stable"
 )
 
 // recoveryBudgetBytes is the most a 4000-transaction recovery (16 000 rows,
@@ -41,7 +40,7 @@ func recoverScenario(t *testing.T, res ScenarioResult, d ods.Durability, useTCB 
 // recovers: reboot, the reads, analysis, redo and the image, with the
 // process's spare read buffer warm.
 func TestRecoveryAllocationBudget(t *testing.T) {
-	warm := RunScenario(ods.DiskDurability, 4, 1) // leaves a spare read buffer behind
+	warm := RunScenario(ods.DiskDurability, 4, 1) // leaves a spare read buffer per worker behind
 	recoverScenario(t, warm, ods.DiskDurability, false)
 	warm.Store.Eng.Shutdown()
 	for _, tc := range recoveryPaths {
@@ -69,11 +68,11 @@ func TestRecoveryAllocationBudget(t *testing.T) {
 }
 
 // TestRecoveredRowsOutliveTheScratch holds that a recovered row's body is
-// recovery's own stream copy and never the process's spare read buffer: once
-// somebody has filled the spare with 0xFF, and once a second recovery of a
-// shorter trail has read into it, every row of the first image still reads
-// "row-<key>". Appending to a returned body must not reach the next row's
-// bytes either.
+// recovery's own stream copy and never one of the process's spare read
+// buffers: once somebody has filled every spare with 0xFF, and once a second
+// recovery of a shorter trail has read into them, every row of the first
+// image still reads "row-<key>". Appending to a returned body must not reach
+// the next row's bytes either.
 func TestRecoveredRowsOutliveTheScratch(t *testing.T) {
 	for _, tc := range recoveryPaths {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,14 +80,9 @@ func TestRecoveredRowsOutliveTheScratch(t *testing.T) {
 			defer first.Store.Eng.Shutdown()
 			rb := recoverScenario(t, first, tc.d, tc.useTCB)
 
-			spare := stable.TakeScratch()
-			if len(spare) == 0 {
+			if scribbleSpares() == 0 {
 				t.Fatal("the recovery handed on no read buffer")
 			}
-			for i := range spare {
-				spare[i] = 0xFF
-			}
-			stable.HandOn(spare)
 			checkGroundTruth(t, rb, first)
 			second := RunScenario(tc.d, 12, 2)
 			defer second.Store.Eng.Shutdown()

@@ -122,7 +122,8 @@ func inDoubtFixture(split bool) [][]byte {
 }
 
 // recoverFixture runs the passes that follow the reads — analysis charged
-// as on the disk path, the barrier, redo — over hand-built streams on a fresh
+// as on the disk path, the barrier, redo — over hand-built streams, which
+// each worker "reads" in no time, on a fresh
 // four-CPU node: the workers spread over its CPUs or, serial, all on CPU 0.
 func recoverFixture(t *testing.T, streams [][]byte, serial bool) (Report, *Rebuilt) {
 	t.Helper()
@@ -139,7 +140,8 @@ func recoverFixture(t *testing.T, streams [][]byte, serial bool) (Report, *Rebui
 	cl.CPU(0).Spawn("recover", func(p *cluster.Process) {
 		var opts Options
 		opts.defaults()
-		rb, _, err = recoverStreams(p, cpus, opts, streams, new(analysis), true, &rep)
+		read := func(_ *cluster.Process, i int, _ *scratch) ([]byte, int64, error) { return streams[i], 0, nil }
+		rb, _, err = recoverStreams(p, cpus, opts, len(streams), read, new(analysis), true, &rep)
 		rep.MTTR = p.Now()
 	})
 	eng.Run()

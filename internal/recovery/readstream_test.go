@@ -15,6 +15,7 @@ import (
 	"persistmem/internal/cluster"
 	"persistmem/internal/ods"
 	"persistmem/internal/pmclient"
+	"persistmem/internal/stable"
 	"persistmem/internal/tmf"
 )
 
@@ -259,36 +260,53 @@ var recoveryPaths = []struct {
 	{"pm/tcb=false", ods.PMDurability, false},
 }
 
-// TestRebuiltOwnsItsBytes scribbles over the recovery's scratch buffer once
-// FromDisk/FromPM have returned: the rebuilt image must not alias it (nor,
-// through the analysis, the streams copied out of it).
-func TestRebuiltOwnsItsBytes(t *testing.T) {
-	scribble := func(t *testing.T, sc *scratch) {
-		t.Helper()
-		if len(sc.buf) == 0 {
-			t.Fatal("recovery did not use its scratch")
-		}
-		for i := range sc.buf {
-			sc.buf[i] = 0xFF
-		}
+// drainSpares empties the process's spare read buffers and returns them.
+func drainSpares() [][]byte {
+	var bufs [][]byte
+	for b := stable.TakeScratch(); b != nil; b = stable.TakeScratch() {
+		bufs = append(bufs, b)
 	}
+	return bufs
+}
+
+// scribbleSpares fills every spare read buffer of the process with 0xFF and
+// hands each back, returning how many there were.
+func scribbleSpares() int {
+	bufs := drainSpares()
+	for _, b := range bufs {
+		for i := range b {
+			b[i] = 0xFF
+		}
+		stable.HandOn(b)
+	}
+	return len(bufs)
+}
+
+// TestRebuiltOwnsItsBytes scribbles over every read buffer the recovery
+// handed on — the recovering process's and each worker's, all back among the
+// process's spares — once FromDisk/FromPM have returned: the rebuilt image
+// must not alias any of them (nor, through the analysis, the streams copied
+// out of them).
+func TestRebuiltOwnsItsBytes(t *testing.T) {
 	for _, tc := range recoveryPaths {
 		t.Run(tc.name, func(t *testing.T) {
 			res := RunScenario(tc.d, 12, 1)
 			defer res.Store.Eng.Shutdown()
-			sc := new(scratch)
-			_, rb := recoverWith(t, res, tc.useTCB, sc, false)
-			scribble(t, sc)
+			drainSpares() // every spare left afterwards is one this recovery read into
+			_, rb := recoverWith(t, res, tc.useTCB, false)
+			if scribbleSpares() == 0 {
+				t.Fatal("the recovery handed on no read buffer")
+			}
 			checkGroundTruth(t, rb, res)
 		})
 	}
 }
 
-// recoverWith runs the durability mode's recovery of a crashed scenario over
-// the given scratch, through the unexported entry points FromDisk and FromPM
-// wrap, with the workers on every CPU of the node — or, serial, all on the
-// recovering process's own CPU, one after another.
-func recoverWith(t *testing.T, res ScenarioResult, useTCB bool, sc *scratch, serial bool) (rep Report, rb *Rebuilt) {
+// recoverWith runs the durability mode's recovery of a crashed scenario
+// through the unexported entry points FromDisk and FromPM wrap, with the
+// workers on every CPU of the node — or, serial, all on the recovering
+// process's own CPU, one after another.
+func recoverWith(t *testing.T, res ScenarioResult, useTCB bool, serial bool) (rep Report, rb *Rebuilt) {
 	t.Helper()
 	res.Reboot()
 	cl := res.Store.Cl
@@ -299,14 +317,14 @@ func recoverWith(t *testing.T, res ScenarioResult, useTCB bool, sc *scratch, ser
 	var err error
 	cl.CPU(2).Spawn("recover", func(p *cluster.Process) {
 		if res.Store.Opts.Durability == ods.DiskDurability {
-			rep, rb, err = fromDisk(p, res.Store.AuditVolumes, Options{}, sc, cpus)
+			rep, rb, err = fromDisk(p, res.Store.AuditVolumes, Options{}, cpus)
 			return
 		}
 		tcb := ""
 		if useTCB {
 			tcb = tmf.TCBRegionName
 		}
-		rep, rb, err = fromPM(p, pmclient.Attach(cl, ods.PMVolumeName), res.logRegions(), tcb, Options{}, sc, cpus)
+		rep, rb, err = fromPM(p, pmclient.Attach(cl, ods.PMVolumeName), res.logRegions(), tcb, Options{}, cpus)
 	})
 	res.Store.Eng.Run()
 	if err != nil {
@@ -333,12 +351,17 @@ func image(rb *Rebuilt) []string {
 	return rows
 }
 
+// dirtySpares is how many buffers a test leaves among the process's spares
+// to be sure a recovery reads into nothing else: more than the recovering
+// process and the four workers take.
+const dirtySpares = 8
+
 // TestDirtyScratchRecoversTheSameImage is the entry side of
-// TestRebuiltOwnsItsBytes: a recovery is handed whatever buffer the last
-// reader in the process left behind, so what that buffer holds — 0xFF
-// throughout, or the whole valid trail of a longer run of another store —
-// must not reach the report or the image. Each crashed store is recovered
-// once, from a scratch no reader has touched, as the reference.
+// TestRebuiltOwnsItsBytes: every reader of a recovery is handed whatever
+// buffer an earlier reader in the process left behind, so what those buffers
+// hold — 0xFF throughout, or the whole valid trails of a longer run of
+// another store — must not reach the report or the image. Each crashed store
+// is recovered once, with no spares to take, as the reference.
 func TestDirtyScratchRecoversTheSameImage(t *testing.T) {
 	for _, tc := range recoveryPaths {
 		t.Run(tc.name, func(t *testing.T) {
@@ -351,40 +374,49 @@ func TestDirtyScratchRecoversTheSameImage(t *testing.T) {
 				return res
 			}
 			ref := crashed(12, 1)
-			wantRep, wantRb := recoverWith(t, ref, tc.useTCB, &scratch{buf: []byte{}}, false)
+			drainSpares()
+			wantRep, wantRb := recoverWith(t, ref, tc.useTCB, false)
 			checkGroundTruth(t, wantRb, ref)
 			want := image(wantRb)
 
-			// The longer trail: five times the transactions, another seed.
-			used := &scratch{buf: []byte{}}
-			long := crashed(60, 2)
-			_, longRb := recoverWith(t, long, tc.useTCB, used, false)
-			checkGroundTruth(t, longRb, long)
-
-			for name, sc := range map[string]*scratch{
-				"0xFF":                         {buf: bytes.Repeat([]byte{0xFF}, 3<<20)},
-				"left by a longer valid trail": used,
+			for _, dirty := range []struct {
+				name string
+				fill func()
+			}{
+				{"0xFF", func() {
+					for range dirtySpares {
+						stable.HandOn(bytes.Repeat([]byte{0xFF}, scratchFloor))
+					}
+				}},
+				{"left by a longer valid trail", func() {
+					// Five times the transactions, another seed.
+					long := crashed(60, 2)
+					_, longRb := recoverWith(t, long, tc.useTCB, false)
+					checkGroundTruth(t, longRb, long)
+				}},
 			} {
+				drainSpares()
+				dirty.fill()
 				res := crashed(12, 1)
-				rep, rb := recoverWith(t, res, tc.useTCB, sc, false)
+				rep, rb := recoverWith(t, res, tc.useTCB, false)
 				if rep != wantRep {
-					t.Errorf("%s scratch: report %+v, from an untouched scratch %+v", name, rep, wantRep)
+					t.Errorf("%s spares: report %+v, with none %+v", dirty.name, rep, wantRep)
 				}
 				if got := image(rb); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s scratch: image of %d rows differs from the untouched scratch's %d", name, len(got), len(want))
+					t.Errorf("%s spares: image of %d rows differs from the reference's %d", dirty.name, len(got), len(want))
 				}
 			}
 		})
 	}
 }
 
-// TestConcurrentRecoveriesShareOneSpare runs eight crash-and-recover
-// scenarios on eight goroutines, as bench's worker pool does: whoever
-// finishes hands its buffer on through the process's one spare slot, whoever
-// starts next takes it or allocates, and every image is its own store's
-// ground truth. Under -race it also holds that a buffer is never in two
-// recoveries at once.
-func TestConcurrentRecoveriesShareOneSpare(t *testing.T) {
+// TestConcurrentRecoveriesShareTheSpares runs eight crash-and-recover
+// scenarios on eight goroutines, as bench's worker pool does: every reader
+// that finishes — a recovering process or one of its workers — hands its
+// buffer on through the process's spare slots, every reader that starts
+// takes one or allocates, and every image is its own store's ground truth.
+// Under -race it also holds that a buffer is never in two readers at once.
+func TestConcurrentRecoveriesShareTheSpares(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"persistmem/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"persistmem/internal/ods"
 	"persistmem/internal/pmclient"
 	"persistmem/internal/pmm"
+	"persistmem/internal/sim"
 	"persistmem/internal/tmf"
 )
 
@@ -104,18 +106,24 @@ func TestFromPMReadsNeverCreatedRegionAsEmpty(t *testing.T) {
 // A log region whose both replicas are unreadable fails the recovery with
 // ErrNoLog — and is closed again on that path too: the PM manager must not
 // keep the dead recovery's CPU in the region's open set, where it would pin
-// the region (Delete answers ErrBusy) and keep its window mapped. Once the
-// devices are back, Delete gets past the open check: it succeeds after a
-// fabric outage, and after a power cycle fails later, at the metadata write
-// (the manager's own windows went with the power).
+// the region (Delete answers ErrBusy) and keep its window mapped. The store's
+// four regions are recovered: with both devices off (power, fabric) every
+// trail fails and the error names the first; with the devices up and only
+// trail 3 unreadable (one), the error names trail 3. Either way each worker
+// closes the region it opened. Once the devices are back, Delete of every
+// region gets past the open check: it succeeds after a fabric outage or with
+// one trail unreadable, and after a power cycle fails later, at the metadata
+// write (the manager's own windows went with the power).
 func TestFromPMClosesRegionItCannotRead(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		off, on    func(*npmu.Device)
+		bad        int // the trail the error names
 		wantDelete error
 	}{
-		{"power", (*npmu.Device).PowerFail, (*npmu.Device).Restore, pmm.ErrVolumeDown},
-		{"fabric", (*npmu.Device).Fail, (*npmu.Device).Recover, nil},
+		{"power", (*npmu.Device).PowerFail, (*npmu.Device).Restore, 0, pmm.ErrVolumeDown},
+		{"fabric", (*npmu.Device).Fail, (*npmu.Device).Recover, 0, nil},
+		{"one", nil, nil, 3, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := RunScenario(ods.PMDurability, 5, 1)
@@ -126,26 +134,42 @@ func TestFromPMClosesRegionItCannotRead(t *testing.T) {
 			defer s.Eng.Shutdown()
 			res.Reboot()
 			s.Eng.Run() // the PM manager's cold start reads the devices; the outage comes after it
-			tc.off(s.NPMUPrimary)
-			tc.off(s.NPMUMirror)
-			region := res.logRegions()[0]
+			if tc.off != nil {
+				tc.off(s.NPMUPrimary)
+				tc.off(s.NPMUMirror)
+			}
+			regions := res.logRegions()
 			var err error
 			s.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
-				_, _, err = FromPM(p, pmclient.Attach(s.Cl, ods.PMVolumeName), []string{region}, "", Options{})
+				_, _, err = FromPM(p, pmclient.Attach(s.Cl, ods.PMVolumeName), regions, "", Options{})
 			})
+			if tc.off == nil {
+				// Withdraw trail 3's window from its worker's CPU, 3, right
+				// after the worker's Open: the four Opens reach the manager
+				// first, and it serves them in turn, so this Close is served
+				// as the worker gets its answer and before its first read.
+				s.Cl.CPU(1).Spawn("revoke", func(p *cluster.Process) {
+					p.Wait(100 * sim.Microsecond)
+					_, _ = p.Call(ods.PMVolumeName, 64, pmm.CloseReq{Name: regions[3], ClientCPU: 3})
+				})
+			}
 			s.Eng.Run()
-			if !errors.Is(err, ErrNoLog) {
-				t.Fatalf("FromPM with both mirrors off = %v, want ErrNoLog", err)
+			if !errors.Is(err, ErrNoLog) || !strings.Contains(err.Error(), regions[tc.bad]) {
+				t.Fatalf("FromPM = %v, want ErrNoLog for %s", err, regions[tc.bad])
 			}
 
-			tc.on(s.NPMUPrimary)
-			tc.on(s.NPMUMirror)
-			s.Cl.CPU(2).Spawn("delete", func(p *cluster.Process) {
-				err = pmclient.Attach(s.Cl, ods.PMVolumeName).Delete(p, region)
-			})
-			s.Eng.Run()
-			if !errors.Is(err, tc.wantDelete) {
-				t.Errorf("Delete of %s after the failed recovery = %v, want %v (ErrBusy: the recovery left it open)", region, err, tc.wantDelete)
+			if tc.on != nil {
+				tc.on(s.NPMUPrimary)
+				tc.on(s.NPMUMirror)
+			}
+			for _, region := range regions {
+				s.Cl.CPU(2).Spawn("delete", func(p *cluster.Process) {
+					err = pmclient.Attach(s.Cl, ods.PMVolumeName).Delete(p, region)
+				})
+				s.Eng.Run()
+				if !errors.Is(err, tc.wantDelete) {
+					t.Errorf("Delete of %s after the failed recovery = %v, want %v (ErrBusy: the recovery left it open)", region, err, tc.wantDelete)
+				}
 			}
 		})
 	}

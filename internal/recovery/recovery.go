@@ -16,10 +16,10 @@
 //
 // Both paths rebuild the key-sequenced file caches from committed insert
 // after-images; in-flight and aborted transactions are discarded
-// (presumed abort). The recovering process reads every trail itself; the
-// passes over them run on one worker process per trail, spread over the
-// node's CPUs, so a pass takes as long as its longest trail's share of a
-// CPU.
+// (presumed abort). One worker process per trail, spread over the node's
+// CPUs, reads its trail and runs the passes over it, so the reads overlap
+// across devices (PM trail i reads mirror i mod 2 first, so both NPMUs serve
+// at once) and a pass takes as long as its longest trail's share of a CPU.
 package recovery
 
 import (
@@ -256,37 +256,59 @@ func redo(data []byte, an *analysis, rb *Rebuilt, seen map[audit.TxnID]bool, rep
 	return records
 }
 
-// recoverStreams runs the passes that follow the reads over the kept
-// streams, on one worker per stream (crew.start places them):
+// trailReader reads trail i on worker w into sc and returns what the
+// recovery keeps of it — its own copy of the valid record prefix, never sc's
+// bytes — and the bytes read. A trail that does not exist reads as nil.
+type trailReader func(w *cluster.Process, i int, sc *scratch) ([]byte, int64, error)
+
+// recoverStreams recovers from trails trails, on one worker per trail
+// (crew.start places them). Each worker
 //
-//  1. analysis: each worker notes its stream's outcome evidence into an
-//     analysis of its own, charging CPUPerRecord a record when scanCharged
-//     (the outcome-discovery pass of the disk and PM-scan paths; with TCBs
-//     the records are noted free and charged once, in redo). The first
-//     stream's worker notes straight over an — what the caller already knows,
-//     the TCB table or nothing — exactly as one serial scan would; the later
-//     streams' analyses are merged over it in stream order, so an outcome's
+//  1. reads its trail with read, into a scratch of its own drawn from the
+//     process's spares, and hands that scratch on as soon as the kept prefix
+//     is copied out of it;
+//  2. analysis: notes its stream's outcome evidence into an analysis of its
+//     own, charging CPUPerRecord a record when scanCharged (the
+//     outcome-discovery pass of the disk and PM-scan paths; with TCBs the
+//     records are noted free and charged once, in redo). The first stream's
+//     worker notes straight over an — what the caller already knows, the TCB
+//     table or nothing — exactly as one serial scan would; the later streams'
+//     analyses are merged over it in stream order, so an outcome's
 //     precedence never depends on which worker finished first;
-//  2. the barrier, then resolveInDoubt: an outcome record may sit in another
+//  3. the barrier, then resolveInDoubt: an outcome record may sit in another
 //     stream than the data it decides, so no redo starts before every stream
 //     is analysed;
-//  3. redo: each worker applies its stream's committed records to the one
-//     image and charges CPUPerRecord a data record. A key's records all live
-//     in one stream (one DP2 writes one trail), so its redo order is the
-//     serial one.
+//  4. redo: applies its stream's committed records to the one image and
+//     charges CPUPerRecord a data record. A key's records all live in one
+//     stream (one DP2 writes one trail), so its redo order is the serial one.
 //
-// It returns the image and the transactions that had data records.
-func recoverStreams(p *cluster.Process, cpus []*cluster.CPU, opts Options, streams [][]byte, an *analysis, scanCharged bool, rep *Report) (*Rebuilt, map[audit.TxnID]bool, error) {
-	parts := make([]analysis, len(streams)) // parts[0] stays empty: stream 0 is noted into an
+// A trail that cannot be read fails the recovery at the barrier with its
+// error — the lowest-indexed trail's, when several fail — and sends the
+// workers home. It returns the image and the transactions that had data
+// records.
+func recoverStreams(p *cluster.Process, cpus []*cluster.CPU, opts Options, trails int, read trailReader, an *analysis, scanCharged bool, rep *Report) (*Rebuilt, map[audit.TxnID]bool, error) {
+	parts := make([]analysis, trails) // parts[0] stays empty: stream 0 is noted into an
 	rb := &Rebuilt{Files: make(map[string]*btree.Tree[[]byte])}
 	var seen map[audit.TxnID]bool
-	c := newCrew(p, len(streams))
+	var readErr error
+	failed := trails // the lowest-indexed trail that could not be read
+	c := newCrew(p, trails)
 	c.start(cpus, func(w *cluster.Process, i int) {
+		sc := new(scratch)
+		stream, n, err := read(w, i, sc)
+		stable.HandOn(sc.buf)
+		if err != nil {
+			if i < failed {
+				failed, readErr = i, err
+			}
+			return // its exit counts it in at the barrier
+		}
+		rep.BytesRead += n
 		part := an
 		if i > 0 {
 			part = &parts[i]
 		}
-		n := part.scan(streams[i])
+		n = part.scan(stream)
 		if scanCharged {
 			rep.RecordsScanned += n
 			charge(w, n, opts)
@@ -294,12 +316,16 @@ func recoverStreams(p *cluster.Process, cpus []*cluster.CPU, opts Options, strea
 		if !c.barrier(w) {
 			return
 		}
-		n = redo(streams[i], an, rb, seen, rep)
+		n = redo(stream, an, rb, seen, rep)
 		rep.RecordsScanned += n
 		charge(w, n, opts)
 	})
 	if !c.wait(p) {
 		return nil, nil, ErrWorkerLost
+	}
+	if readErr != nil {
+		c.dismiss()
+		return nil, nil, readErr
 	}
 	for i := 1; i < len(parts); i++ {
 		an.merge(&parts[i])
@@ -321,17 +347,20 @@ func charge(w *cluster.Process, n int64, opts Options) {
 	}
 }
 
-// crew is one recovery's workers, one process per stream, and the two
+// crew is one recovery's workers, one process per trail, and the two
 // meetings the recovering process holds with them: the barrier after
 // analysis and their end. A worker killed before its end — its CPU failed —
 // fails the meeting in progress, so the recovering process returns an error
-// instead of waiting on the dead worker or returning part of an image.
+// instead of waiting on the dead worker or returning part of an image. A
+// recovering process that exits — killed, or returning early — sends the
+// workers home at their next meeting.
 type crew struct {
 	n        int
 	pending  int         // workers yet to reach the current meeting
 	finished int         // workers whose body returned
 	exited   int         // workers that exited, killed or not
 	lost     bool        // a worker exited without its body returning
+	home     bool        // the recovery stops at the barrier
 	met      *sim.Signal // the current meeting is complete, or lost
 	resume   *sim.Signal // the go-ahead past the barrier
 	eng      *sim.Engine
@@ -339,13 +368,16 @@ type crew struct {
 
 func newCrew(p *cluster.Process, n int) *crew {
 	eng := p.Cluster().Engine()
-	return &crew{n: n, pending: n, met: eng.NewSignal(), resume: eng.NewSignal(), eng: eng}
+	c := &crew{n: n, pending: n, met: eng.NewSignal(), resume: eng.NewSignal(), eng: eng}
+	p.Sim().OnExit(c.dismiss)
+	return c
 }
 
-// start runs body(w, i) for each of the crew's n streams on a worker process
-// w of its own, stream i on the i-th of cpus that is up (round-robin); cpus
+// start runs body(w, i) for each of the crew's n trails on a worker process
+// w of its own, trail i on the i-th of cpus that is up (round-robin); cpus
 // holds the recovering process's own CPU, so one is. A worker sees only what
-// body closes over — the recovery's kept stream copies, never its scratch.
+// body closes over and the scratch it draws itself — never another worker's
+// or the recovering process's.
 func (c *crew) start(cpus []*cluster.CPU, body func(w *cluster.Process, i int)) {
 	up := make([]*cluster.CPU, 0, len(cpus))
 	for _, cpu := range cpus {
@@ -369,6 +401,7 @@ func (c *crew) exit() {
 	c.exited++
 	if c.exited > c.finished {
 		c.lost = true
+		c.dismiss()
 		if !c.met.Fired() {
 			c.met.Trigger(nil)
 		}
@@ -390,18 +423,23 @@ func (c *crew) arrive() {
 func (c *crew) barrier(w *cluster.Process) bool {
 	c.arrive()
 	c.resume.Wait(w.Sim())
-	return !c.lost
+	return !c.home
+}
+
+// dismiss sends the workers home: those waiting at the barrier now, and the
+// rest as they reach it.
+func (c *crew) dismiss() {
+	c.home = true
+	if !c.resume.Fired() {
+		c.resume.Trigger(nil)
+	}
 }
 
 // wait is the recovering process's side of a meeting: it returns once every
-// worker is there, true, or once one is lost, false — and then sends the
-// workers waiting at the barrier on to their end.
+// worker is there, true, or once one is lost, false.
 func (c *crew) wait(p *cluster.Process) bool {
 	if c.pending > 0 && !c.lost {
 		c.met.Wait(p.Sim())
-	}
-	if c.lost && !c.resume.Fired() {
-		c.resume.Trigger(nil)
 	}
 	return !c.lost
 }
@@ -423,14 +461,15 @@ func nodeCPUs(cl *cluster.Cluster) []*cluster.CPU {
 	return cpus
 }
 
-// scratch is one recovery's read buffer. Every stream replica (and the TCB
-// image) is read into it and scanned there; what a recovery keeps of a
-// stream — the valid record prefix of the winning replica — is copied out
-// before the next read reuses the buffer. Nothing that outlives the
-// recovery may alias it, and a recovery that returns hands it on to the
-// process's next device reader (one killed part-way drops it). Only bytes a
-// read of this recovery wrote are ever scanned, so a buffer that arrives
-// dirty from a longer trail recovers what a fresh one does.
+// scratch is one reader's read buffer: the recovering process's for the TCB
+// image, each worker's for its trail. Every replica the reader reads is read
+// into it and scanned there; what the recovery keeps of a trail — the valid
+// record prefix of the winning replica — is copied out before the next read
+// reuses the buffer. Nothing that outlives the read may alias it, and a
+// reader that is done hands it on to the process's next device reader (one
+// killed part-way drops it). Only bytes a read of this reader wrote are ever
+// scanned, so a buffer that arrives dirty from a longer trail recovers what a
+// fresh one does.
 type scratch struct{ buf []byte }
 
 // scratchFloor is the least a scratch grows to: the first read of a small
@@ -440,11 +479,11 @@ const scratchFloor = 1 << 20
 // reserve makes buf at least end bytes long, keeping its first keep bytes.
 // It grows by doubling from scratchFloor, so a trail read chunk by chunk
 // regrows its buffer a few times, not once a chunk. The first reservation
-// takes the process's spare buffer, if there is one — at the first read and
-// not at entry, because a PM recovery is spawned in the instant the rebooted
-// PM manager starts reading its metadata slots into that same spare, and its
+// takes one of the process's spare buffers, if there is one — at the first
+// read and not at entry, because a PM recovery is spawned in the instant the
+// rebooted PM manager starts reading its metadata slots into a spare, and its
 // first read comes after the manager has answered an Open, so after the
-// manager handed the buffer on.
+// manager handed that buffer on.
 func (sc *scratch) reserve(keep, end int) {
 	if sc.buf == nil {
 		sc.buf = stable.TakeScratch()
@@ -460,34 +499,29 @@ func (sc *scratch) reserve(keep, end int) {
 	}
 }
 
-// FromDisk recovers from audit disk volumes. The recovering process reads
-// the full trail area of each volume sequentially; then one worker per trail
-// scans it twice, on the node's CPUs: once to discover transaction outcomes
-// (the "heuristic searching" the paper decries) and once to redo.
+// FromDisk recovers from audit disk volumes. One worker per volume, on the
+// node's CPUs, reads the trail area sequentially and scans it twice: once to
+// discover transaction outcomes (the "heuristic searching" the paper decries)
+// and once to redo.
 func FromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options) (Report, *Rebuilt, error) {
-	sc := new(scratch)
-	rep, rb, err := fromDisk(p, volumes, opts, sc, nodeCPUs(p.Cluster()))
-	stable.HandOn(sc.buf)
-	return rep, rb, err
+	return fromDisk(p, volumes, opts, nodeCPUs(p.Cluster()))
 }
 
-func fromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options, sc *scratch, cpus []*cluster.CPU) (Report, *Rebuilt, error) {
+func fromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options, cpus []*cluster.CPU) (Report, *Rebuilt, error) {
 	opts.defaults()
 	var rep Report
 	start := p.Now()
-
-	streams := make([][]byte, 0, len(volumes))
-	for _, v := range volumes {
+	read := func(w *cluster.Process, i int, sc *scratch) ([]byte, int64, error) {
+		v := volumes[i]
 		valid, n, err := readStream(sc, v.Capacity(), opts, func(off int64, buf []byte) error {
-			return v.Read(p.Sim(), off, buf)
+			return v.Read(w.Sim(), off, buf)
 		})
 		if err != nil {
-			return rep, nil, err
+			return nil, 0, err
 		}
-		rep.BytesRead += n
-		streams = append(streams, bytes.Clone(sc.buf[:valid]))
+		return bytes.Clone(sc.buf[:valid]), n, nil
 	}
-	rb, _, err := recoverStreams(p, cpus, opts, streams, new(analysis), true, &rep)
+	rb, _, err := recoverStreams(p, cpus, opts, len(volumes), read, new(analysis), true, &rep)
 	if err != nil {
 		return rep, nil, err
 	}
@@ -538,29 +572,30 @@ func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off in
 
 // FromPM recovers from NPMU-resident log regions via the PM client
 // library, consulting the TCB region for outcomes so a single pass
-// suffices; as in FromDisk, the recovering process reads and one worker
-// per trail runs the passes. The caller provides a recovery process bound
-// to a cluster with a live PMM (restarted after the crash), the PM volume
-// handle, the log region names, and the TCB region name ("" to force the
-// two-pass disk-style analysis over PM, for apples-to-apples ablation). A
-// log region the PMM has never heard of is an empty trail, not an error.
+// suffices; as in FromDisk, one worker per trail, on the node's CPUs, reads
+// it — opening the region from its own CPU — and runs the passes. The
+// caller provides a recovery process bound to a cluster with a live PMM
+// (restarted after the crash), the PM volume handle, the log region names,
+// and the TCB region name ("" to force the two-pass disk-style analysis over
+// PM, for apples-to-apples ablation). A log region the PMM has never heard
+// of is an empty trail, not an error.
 func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options) (Report, *Rebuilt, error) {
-	sc := new(scratch)
-	rep, rb, err := fromPM(p, vol, logRegions, tcbRegion, opts, sc, nodeCPUs(p.Cluster()))
-	stable.HandOn(sc.buf)
-	return rep, rb, err
+	return fromPM(p, vol, logRegions, tcbRegion, opts, nodeCPUs(p.Cluster()))
 }
 
-func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options, sc *scratch, cpus []*cluster.CPU) (Report, *Rebuilt, error) {
+func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options, cpus []*cluster.CPU) (Report, *Rebuilt, error) {
 	opts.defaults()
 	var rep Report
 	start := p.Now()
 	an := new(analysis)
 
-	// Fine-grained outcomes first.
+	// Fine-grained outcomes first, read by the recovering process before any
+	// worker starts; its scratch goes back to the spares before any worker
+	// takes one.
 	if tcbRegion != "" {
 		r, err := vol.Open(p, tcbRegion)
 		if err == nil {
+			sc := new(scratch)
 			sc.reserve(0, int(r.Size()))
 			img := sc.buf[:r.Size()]
 			if err := readPMStream(p, r, img, opts); err == nil {
@@ -568,29 +603,29 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 				an.outcome = tmf.ScanTCBs(img)
 				rep.UsedTCB = true
 			}
+			stable.HandOn(sc.buf)
 			r.Close(p)
 		}
 	}
 
-	streams := make([][]byte, 0, len(logRegions))
-	for _, name := range logRegions {
-		r, err := vol.Open(p, name)
+	read := func(w *cluster.Process, i int, sc *scratch) ([]byte, int64, error) {
+		name := logRegions[i]
+		r, err := vol.Open(w, name)
 		if errors.Is(err, pmm.ErrNotFound) {
 			// The PMM answered and has no such region: the log's writer died
 			// before its first append created it, so the trail is empty. An
 			// unreachable PMM is any other error and stays ErrNoLog.
-			continue
+			return nil, 0, nil
 		}
 		if err != nil {
-			return rep, nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
+			return nil, 0, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}
-		data, n, err := readLogReplicas(p, r, opts, sc)
-		r.Close(p)
+		data, n, err := readLogReplicas(w, r, i, opts, sc)
+		r.Close(w)
 		if err != nil {
-			return rep, nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
+			return nil, 0, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}
-		rep.BytesRead += n
-		streams = append(streams, data)
+		return data, n, nil
 	}
 
 	// Without control blocks the outcome-discovery pass is charged. With
@@ -598,7 +633,7 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 	// override the TCB table: a bounded, wrapping structure sized for
 	// *concurrent* transactions (its job is naming the in-flight ones
 	// without a search), whose slots may have been overwritten.
-	rb, seen, err := recoverStreams(p, cpus, opts, streams, an, !rep.UsedTCB, &rep)
+	rb, seen, err := recoverStreams(p, cpus, opts, len(logRegions), read, an, !rep.UsedTCB, &rep)
 	if err != nil {
 		return rep, nil, err
 	}
@@ -619,20 +654,25 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 
 // readLogReplicas reads a log region's stream from each device of the
 // mirrored pair independently and keeps the replica whose valid record
-// prefix scans furthest. Log writes are strictly sequential appends, and
-// the PM write path succeeds whenever at least one mirror accepted the
-// data — so a device that power-failed mid-run holds a truncated prefix
-// (its partner carried the writes alone while it was away), and trusting
-// the primary blindly would silently drop committed transactions. A
-// replica that cannot be read at all (device still down) is skipped as
-// long as its partner is readable. Every replica is read into the scratch;
-// only a replica that beats the best so far is copied out of it.
-func readLogReplicas(p *cluster.Process, r *pmclient.Region, opts Options, sc *scratch) ([]byte, int64, error) {
+// prefix scans furthest — of equal ones, the lower replica's. Log writes are
+// strictly sequential appends, and the PM write path succeeds whenever at
+// least one mirror accepted the data — so a device that power-failed mid-run
+// holds a truncated prefix (its partner carried the writes alone while it
+// was away), and trusting the primary blindly would silently drop committed
+// transactions. A replica that cannot be read at all (device still down) is
+// skipped as long as its partner is readable. Trail i reads replica i mod
+// the replica count first, so the workers of a recovery start on both
+// devices at once instead of queueing on the primary. Every replica is read
+// into the scratch; only a replica that beats the best so far is copied out
+// of it.
+func readLogReplicas(p *cluster.Process, r *pmclient.Region, trail int, opts Options, sc *scratch) ([]byte, int64, error) {
 	var best []byte
-	bestValid := -1
+	bestValid, bestRep := -1, 0
 	var total int64
 	var firstErr error
-	for rep := 0; rep < r.Replicas(); rep++ {
+	replicas := r.Replicas()
+	for k := range replicas {
+		rep := (trail + k) % replicas
 		valid, n, err := readStream(sc, r.Size(), opts, func(off int64, buf []byte) error {
 			return r.ReadReplica(p, rep, off, buf)
 		})
@@ -643,8 +683,8 @@ func readLogReplicas(p *cluster.Process, r *pmclient.Region, opts Options, sc *s
 			continue
 		}
 		total += n
-		if valid > bestValid {
-			bestValid, best = valid, append(best[:0], sc.buf[:valid]...)
+		if valid > bestValid || valid == bestValid && rep < bestRep {
+			bestValid, bestRep, best = valid, rep, append(best[:0], sc.buf[:valid]...)
 		}
 	}
 	if bestValid < 0 {

@@ -12,7 +12,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync/atomic" //simlint:allow goroutine -- the spare read buffer below: one slot swapped whole between readers, its contents trusted by nobody
+	"sync/atomic" //simlint:allow goroutine -- the spare read buffers below: slots swapped whole between readers, their contents trusted by nobody
 )
 
 // ErrOutOfRange is returned when an access falls outside the store's
@@ -126,28 +126,41 @@ func (s *Store) ReadAt(off int64, buf []byte) error {
 // trail's buffer goes to the collector.
 const maxSpare = 4 << 20
 
-// spare is the process's one idle read buffer, or nil: what the last device
-// reader to finish handed on. A single slot, swapped whole — engines on
-// other goroutines (bench's worker pool) that find it empty allocate as they
-// always did, and which of them found it full shows in allocation counts
-// only, because whoever takes it reads into it before looking at it and
-// ReadAt overwrites every byte of its destination.
-var spare atomic.Pointer[[]byte]
+// spareSlots is how many idle read buffers the process keeps: one for each
+// worker of a recovery of the widest store built (eight trails) — the
+// recovering process hands its own on before any worker takes one.
+const spareSlots = 8
 
-// TakeScratch returns the spare read buffer at its full length, contents
+// spares are the process's idle read buffers: what the last device readers
+// to finish handed on. Each slot is swapped whole — readers that find every
+// slot empty, on this engine or on another goroutine's (bench's worker
+// pool), allocate as they always did, and which of them found one full shows
+// in allocation counts only, because whoever takes a buffer reads into it
+// before looking at it and ReadAt overwrites every byte of its destination.
+var spares [spareSlots]atomic.Pointer[[]byte]
+
+// TakeScratch returns a spare read buffer at its full length, contents
 // arbitrary, or nil when there is none.
 func TakeScratch() []byte {
-	if b := spare.Swap(nil); b != nil {
-		return (*b)[:cap(*b)]
+	for i := range spares {
+		if b := spares[i].Swap(nil); b != nil {
+			return (*b)[:cap(*b)]
+		}
 	}
 	return nil
 }
 
-// HandOn leaves buf for the next TakeScratch. The caller is done with it: no
+// HandOn leaves buf for a later TakeScratch, in the first empty slot; with
+// every slot full it goes to the collector. The caller is done with it: no
 // read into it is in flight and nothing the caller keeps points into it.
 func HandOn(buf []byte) {
-	if cap(buf) > 0 && cap(buf) <= maxSpare {
-		spare.Store(&buf)
+	if cap(buf) == 0 || cap(buf) > maxSpare {
+		return
+	}
+	for i := range spares {
+		if spares[i].CompareAndSwap(nil, &buf) {
+			return
+		}
 	}
 }
 

@@ -286,13 +286,22 @@ func BenchmarkWriteAtSmall(b *testing.B) {
 	b.ReportMetric(float64(pages+s.PagesAllocated())/float64(b.N), "pages/op")
 }
 
-// The spare is one slot: what is handed on is what the next taker gets, at
-// its full length and whatever it holds, exactly once; a buffer too large to
-// be worth keeping, or none at all, leaves the slot as it was.
+// drainSpares empties the pool and returns what it held.
+func drainSpares() [][]byte {
+	var bufs [][]byte
+	for b := TakeScratch(); b != nil; b = TakeScratch() {
+		bufs = append(bufs, b)
+	}
+	return bufs
+}
+
+// A spare is handed out once: what is handed on is what a taker gets, at its
+// full length and whatever it holds; a buffer too large to be worth keeping,
+// or none at all, leaves the pool as it was.
 func TestSpareIsHandedOnOnce(t *testing.T) {
-	TakeScratch() // whatever an earlier test left
+	drainSpares() // whatever an earlier test left
 	if got := TakeScratch(); got != nil {
-		t.Fatalf("an empty slot gave a %d-byte buffer", len(got))
+		t.Fatalf("an empty pool gave a %d-byte buffer", len(got))
 	}
 	buf := bytes.Repeat([]byte{0xAB}, 1<<20)
 	HandOn(buf[:100])
@@ -345,4 +354,55 @@ func TestSpareUnderConcurrentReaders(t *testing.T) {
 		}(byte(g + 1))
 	}
 	wg.Wait()
+}
+
+// The pool is bounded: however many readers hand on at once, it keeps at
+// most spareSlots buffers, none over maxSpare, and never one buffer twice.
+// Eight goroutines hand on buffers of their own and one shared oversized one
+// while taking and handing back what they find (under -race, a slot written
+// and read without synchronisation is a reported race).
+func TestSparePoolIsBounded(t *testing.T) {
+	drainSpares()
+	for range 2 * spareSlots {
+		HandOn(make([]byte, 4096))
+	}
+	if n := len(drainSpares()); n != spareSlots {
+		t.Fatalf("%d buffers handed on to an empty pool, %d kept: want its %d slots", 2*spareSlots, n, spareSlots)
+	}
+
+	big := make([]byte, maxSpare+1)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				HandOn(make([]byte, 4096))
+				HandOn(big)
+				if b := TakeScratch(); b != nil {
+					if cap(b) > maxSpare {
+						t.Errorf("took a %d-byte buffer, over maxSpare", cap(b))
+						return
+					}
+					runtime.Gosched()
+					HandOn(b)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	kept := drainSpares()
+	if len(kept) > spareSlots {
+		t.Errorf("the pool kept %d buffers, it has %d slots", len(kept), spareSlots)
+	}
+	seen := make(map[*byte]bool)
+	for _, b := range kept {
+		if cap(b) > maxSpare {
+			t.Errorf("the pool kept a %d-byte buffer, over maxSpare", cap(b))
+		}
+		if seen[&b[0]] {
+			t.Errorf("the pool held one buffer in two slots")
+		}
+		seen[&b[0]] = true
+	}
 }

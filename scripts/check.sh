@@ -30,10 +30,11 @@ rm -f simlint.json
 go test -coverprofile=/tmp/persistmem-cover.out ./...
 go run ./cmd/covcheck -profile /tmp/persistmem-cover.out
 rm -f /tmp/persistmem-cover.out
-# The slowest package under the race detector is internal/bench at ~2
-# minutes on a 2-vCPU host (118 s; the 512-cell chaos sweep is ~8 s of it,
-# TestC2ArtifactMatchesFullScale's three 4000-transaction recoveries ~8 s),
-# inside the 10-minute per-package default with better than 5x headroom.
+# The slowest package under the race detector is internal/bench at under
+# 1.5 minutes on a 2-vCPU host (78 s; the 512-cell chaos sweep is ~5 s of
+# it, TestC2ArtifactMatchesFullScale's four 4000-transaction recoveries
+# ~6 s), inside the 10-minute per-package default with better than 5x
+# headroom.
 go test -race ./...
 
 if command -v govulncheck >/dev/null 2>&1; then
