@@ -107,13 +107,19 @@ var lostPairs = map[sweepPoint]string{
 
 // vacuous lists the sweep's cells that commit nothing: the workload stalls
 // behind its first fault for as long as it runs, so the cell passes without
-// having put one acknowledged commit at risk. All ten are at 8 transactions.
-// Pinned both ways (FaultCell.Committed == 0 ⇔ listed), so a change that
-// stalls more workloads past their faults — the sweep turning vacuous — trips
-// the test, and so does one that makes a listed cell do work.
+// having put one acknowledged commit at risk. All eleven are at 8
+// transactions. Pinned both ways (FaultCell.Committed == 0 ⇔ listed), so a
+// change that stalls more workloads past their faults — the sweep turning
+// vacuous — trips the test, and so does one that makes a listed cell do work.
+// Seed 141 shows how: its primary NPMU power-fails at 1.27 ms and returns at
+// 31.3 ms, so the first begin's TCB write, at 20 ms, waits out the fabric's
+// 50 ms ack timeout on the dead primary and returns at 70.1 ms — just after
+// CPU 1 failed (69.5 ms) and took $DP-TRADES-1 away for the 400 ms takeover
+// delay, longer than the rest of the run.
 var vacuous = map[sweepPoint]bool{
 	{8, 25}: true, {8, 31}: true, {8, 40}: true, {8, 43}: true, {8, 50}: true,
-	{8, 175}: true, {8, 194}: true, {8, 230}: true, {8, 251}: true, {8, 254}: true,
+	{8, 141}: true, {8, 175}: true, {8, 194}: true, {8, 230}: true, {8, 251}: true,
+	{8, 254}: true,
 }
 
 // TestChaosSeedSweep runs the chaos cell of `cmd/faults -txns N -chaos 1

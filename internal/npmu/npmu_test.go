@@ -171,3 +171,95 @@ func TestBadCapacityPanics(t *testing.T) {
 	}()
 	New(cl, "bad", 0)
 }
+
+// A discard device times like a hardware NPMU but keeps nothing: a write
+// succeeds and a read of it returns zeros.
+func TestDiscardDeviceKeepsNothing(t *testing.T) {
+	eng, cl := newTestSetup(1)
+	dev := NewDiscard(cl, "npmu-discard", 1<<20)
+	if dev.Name() != "npmu-discard" || dev.Capacity() != 1<<20 || dev.Volatile() || !dev.Store().Discarding() {
+		t.Fatalf("discard device: name=%q capacity=%d volatile=%v discarding=%v",
+			dev.Name(), dev.Capacity(), dev.Volatile(), dev.Store().Discarding())
+	}
+	mapAll(dev)
+	eng.Spawn("client", func(p *sim.Proc) {
+		from := cl.CPU(0).Endpoint().ID()
+		if err := cl.Fabric().RDMAWrite(p, from, dev.EndpointID(), 64, []byte("dropped")); err != nil {
+			t.Errorf("RDMAWrite: %v", err)
+		}
+		buf := []byte("garbage")
+		if err := cl.Fabric().RDMARead(p, from, dev.EndpointID(), 64, buf); err != nil {
+			t.Errorf("RDMARead: %v", err)
+		}
+		if !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Errorf("discard device read back %q, want zeros", buf)
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
+}
+
+// Powered follows PowerFail and Restore, and each is a no-op when the
+// device is already in the state it asks for: a second power loss is not
+// a second power cycle.
+func TestPowerFailAndRestoreAreIdempotent(t *testing.T) {
+	eng, cl := newTestSetup(1)
+	dev := New(cl, "npmu0", 1<<20)
+	if !dev.Powered() {
+		t.Fatal("a new device is not powered")
+	}
+	dev.Restore()
+	if !dev.Powered() || !dev.Endpoint().Up() {
+		t.Error("Restore of a powered device took it down")
+	}
+	dev.PowerFail()
+	dev.PowerFail()
+	if dev.Powered() || dev.Endpoint().Up() || dev.PowerCycles != 1 {
+		t.Errorf("after two power losses: powered=%v up=%v cycles=%d, want false false 1",
+			dev.Powered(), dev.Endpoint().Up(), dev.PowerCycles)
+	}
+	dev.Restore()
+	if !dev.Powered() || !dev.Endpoint().Up() {
+		t.Error("Restore did not bring the device back")
+	}
+	eng.Shutdown()
+}
+
+// A volatile PMP comes back from a power loss powered and reachable but
+// empty: once its window is programmed again, a read finds zeros where the
+// data was, and a read while it was off timed out.
+func TestPMPRestoreComesBackEmpty(t *testing.T) {
+	eng, cl := newTestSetup(1)
+	dev := NewPMP(cl, "pmp0", 1<<20)
+	mapAll(dev)
+	from := cl.CPU(0).Endpoint().ID()
+	eng.Spawn("writer", func(p *sim.Proc) {
+		if err := cl.Fabric().RDMAWrite(p, from, dev.EndpointID(), 512, []byte("volatile")); err != nil {
+			t.Errorf("RDMAWrite: %v", err)
+		}
+	})
+	eng.Run()
+	dev.PowerFail()
+	eng.Spawn("reader-while-off", func(p *sim.Proc) {
+		if err := cl.Fabric().RDMARead(p, from, dev.EndpointID(), 512, make([]byte, 8)); err != servernet.ErrEndpointDown {
+			t.Errorf("read of a powered-off PMP: %v, want ErrEndpointDown", err)
+		}
+	})
+	eng.Run()
+	dev.Restore()
+	if !dev.Powered() || dev.Endpoint().Translations() != 0 {
+		t.Fatalf("restored PMP: powered=%v translations=%d, want true 0", dev.Powered(), dev.Endpoint().Translations())
+	}
+	mapAll(dev)
+	eng.Spawn("reader", func(p *sim.Proc) {
+		buf := []byte("leftover")
+		if err := cl.Fabric().RDMARead(p, from, dev.EndpointID(), 512, buf); err != nil {
+			t.Errorf("RDMARead: %v", err)
+		}
+		if !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Errorf("restored PMP read back %q, want zeros", buf)
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
+}

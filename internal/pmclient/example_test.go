@@ -128,7 +128,7 @@ func Example_checkpoint() {
 	// Output:
 	// sequence service, 200 updates, CPU failure halfway:
 	//
-	// message checkpointing: final=200,    400 KB shipped to backup, 415.9ms
+	// message checkpointing: final=200,    400 KB shipped to backup, 411.6ms
 	// PM fine-grained state: final=200,      3 KB written to PM,     512.5ms
 	//
 	// PM moved 128x fewer bytes and needs no dedicated backup process.
@@ -268,40 +268,40 @@ func Example_administration() {
 	// Output:
 	// system: hardware NPMUs
 	//
-	// [   4.635ms] created regions app-log (8MB) and app-state (64KB)
-	// [   4.683ms]   region app-log    owner=admin    offset=0x40000 size=8388608
-	// [   4.683ms]   region app-state  owner=admin    offset=0x840000 size=65536
-	// [   4.794ms] synchronous mirrored write of 13 bytes took 34.8us (durable on return)
-	// [   4.794ms] killed the PMM primary's CPU
-	// [   4.829ms] region write succeeded during the PMM outage (one-sided RDMA)
-	// [   404.9ms] management plane back after takeover (takeovers=1)
-	// [   454.9ms] write succeeded with the mirror down (volume degraded)
-	// [   595.2ms] resilvered the replaced mirror: 8260 KB copied, redundancy restored
+	// [     330us] created regions app-log (8MB) and app-state (64KB)
+	// [     377us]   region app-log    owner=admin    offset=0x40000 size=8388608
+	// [     377us]   region app-state  owner=admin    offset=0x840000 size=65536
+	// [     488us] synchronous mirrored write of 13 bytes took 34.8us (durable on return)
+	// [     488us] killed the PMM primary's CPU
+	// [     523us] region write succeeded during the PMM outage (one-sided RDMA)
+	// [   400.6ms] management plane back after takeover (takeovers=1)
+	// [   450.6ms] write succeeded with the mirror down (volume degraded)
+	// [   590.9ms] resilvered the replaced mirror: 8260 KB copied, redundancy restored
 	//
-	// [   595.2ms] POWER FAILURE (node and devices)
-	// [   595.2ms] rebooted; PMM recovering metadata from NPMU
-	// [   599.6ms] recovered 3 region(s) from durable metadata:
-	// [   599.6ms]   region app-log    offset=0x40000 size=8388608
-	// [   599.6ms]   region app-state  offset=0x840000 size=65536
-	// [   599.6ms]   region probe      offset=0x850000 size=4096
-	// [   599.7ms] read back "checkpoint #1" across the power cycle
+	// [   590.9ms] POWER FAILURE (node and devices)
+	// [   590.9ms] rebooted; PMM recovering metadata from NPMU
+	// [     591ms] recovered 3 region(s) from durable metadata:
+	// [     591ms]   region app-log    offset=0x40000 size=8388608
+	// [     591ms]   region app-state  offset=0x840000 size=65536
+	// [     591ms]   region probe      offset=0x850000 size=4096
+	// [   591.1ms] read back "checkpoint #1" across the power cycle
 	//
 	// system: PMP prototype
 	//
-	// [   4.685ms] created regions app-log (8MB) and app-state (64KB)
-	// [   4.733ms]   region app-log    owner=admin    offset=0x40000 size=8388608
-	// [   4.733ms]   region app-state  owner=admin    offset=0x840000 size=65536
-	// [   4.854ms] synchronous mirrored write of 13 bytes took 44.8us (durable on return)
-	// [   4.854ms] killed the PMM primary's CPU
-	// [   4.899ms] region write succeeded during the PMM outage (one-sided RDMA)
-	// [     405ms] management plane back after takeover (takeovers=1)
-	// [     455ms] write succeeded with the mirror down (volume degraded)
-	// [   595.6ms] resilvered the replaced mirror: 8260 KB copied, redundancy restored
+	// [     380us] created regions app-log (8MB) and app-state (64KB)
+	// [     427us]   region app-log    owner=admin    offset=0x40000 size=8388608
+	// [     427us]   region app-state  owner=admin    offset=0x840000 size=65536
+	// [     548us] synchronous mirrored write of 13 bytes took 44.8us (durable on return)
+	// [     548us] killed the PMM primary's CPU
+	// [     593us] region write succeeded during the PMM outage (one-sided RDMA)
+	// [   400.7ms] management plane back after takeover (takeovers=1)
+	// [   450.7ms] write succeeded with the mirror down (volume degraded)
+	// [   591.3ms] resilvered the replaced mirror: 8260 KB copied, redundancy restored
 	//
-	// [   595.6ms] POWER FAILURE (node and devices)
-	// [   595.6ms] rebooted; PMM recovering metadata from NPMU
-	// [   600.1ms] recovered 0 region(s) from durable metadata:
-	// [   600.1ms]   (none — the PMP prototype is volatile, exactly as §4.2 warns)
+	// [   591.3ms] POWER FAILURE (node and devices)
+	// [   591.3ms] rebooted; PMM recovering metadata from NPMU
+	// [   591.5ms] recovered 0 region(s) from durable metadata:
+	// [   591.5ms]   (none — the PMP prototype is volatile, exactly as §4.2 warns)
 }
 
 // administer narrates Example_administration's walkthrough on hardware

@@ -437,7 +437,10 @@ func (m *Manager) recoverOrFormat(ctx *cluster.PairCtx) *VolumeState {
 }
 
 // loadBest reads all four metadata slots (two per device) over RDMA and
-// returns the decoded state with the highest generation, or nil.
+// returns the decoded state with the highest generation, or nil. Each slot
+// costs a header read and, when the header carries the magic and a length
+// that fits the slot, a read of the payload it declares: a cold start reads
+// a few hundred bytes, not four whole slots.
 func (m *Manager) loadBest(ctx *cluster.PairCtx) *VolumeState {
 	m.programManagement(ctx)
 	fab := m.cl.Fabric()
@@ -453,10 +456,18 @@ func (m *Manager) loadBest(ctx *cluster.PairCtx) *VolumeState {
 	for _, d := range m.devices() {
 		for slot := uint64(0); slot < 2; slot++ {
 			nva := uint32(slotOffset(slot))
-			if err := fab.RDMARead(ctx.Sim(), from, d.EndpointID(), nva, buf); err != nil {
+			if err := fab.RDMARead(ctx.Sim(), from, d.EndpointID(), nva, buf[:metaHeaderBytes]); err != nil {
 				continue
 			}
-			st, err := DecodeMeta(buf)
+			plen, ok := metaPayloadLen(buf)
+			if !ok {
+				continue
+			}
+			img := buf[:metaHeaderBytes+plen]
+			if err := fab.RDMARead(ctx.Sim(), from, d.EndpointID(), nva+metaHeaderBytes, img[metaHeaderBytes:]); err != nil {
+				continue
+			}
+			st, err := DecodeMeta(img)
 			if err != nil {
 				continue
 			}

@@ -1,6 +1,7 @@
 package pmm
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -75,16 +76,25 @@ func TestManagerLifecycle(t *testing.T) {
 // slot image of a newer generation naming a region this volume never had:
 // a manager over blank devices must still format an empty volume, one whose
 // devices are off the fabric must decode nothing, and one over a written
-// volume must find its own table — each hands the buffer on again.
+// volume must find its own table — each hands the buffer on again. When
+// the spare holds another volume's image with a longer payload, its bytes
+// sit just past the payload each slot header declares: the cold start must
+// decode only what it read.
 func TestColdStartIgnoresWhatTheSpareHolds(t *testing.T) {
-	stale := NewVolumeState("$PM0")
-	stale.Gen = 99
-	stale.Regions["ghost"] = &RegionMeta{Name: "ghost", Owner: "nobody", Offset: MetaBytes, Size: 1 << 20}
-	img, err := EncodeMeta(stale)
-	if err != nil {
-		t.Fatal(err)
+	staleImage := func(volume string, regions ...string) []byte {
+		stale := NewVolumeState(volume)
+		stale.Gen = 99
+		for i, n := range regions {
+			stale.Regions[n] = &RegionMeta{Name: n, Owner: "nobody", Offset: MetaBytes + int64(i)<<20, Size: 1 << 20}
+		}
+		img, err := EncodeMeta(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
 	}
-	handOnStale := func() {
+	img := staleImage("$PM0", "ghost")
+	handOn := func(img []byte) {
 		buf := make([]byte, 1<<20)
 		for off := 0; off+len(img) <= len(buf); off += MetaSlotBytes {
 			copy(buf[off:], img)
@@ -114,7 +124,7 @@ func TestColdStartIgnoresWhatTheSpareHolds(t *testing.T) {
 
 	t.Run("blank devices", func(t *testing.T) {
 		cl, prim, mirr := rig(t)
-		handOnStale()
+		handOn(img)
 		m := Start(cl, "$PM0", 0, 1, prim, mirr)
 		if got := list(t, cl); len(got) != 0 || m.Recoveries != 0 {
 			t.Errorf("a blank volume came up with regions %v after %d recoveries", got, m.Recoveries)
@@ -127,13 +137,13 @@ func TestColdStartIgnoresWhatTheSpareHolds(t *testing.T) {
 		cl, prim, mirr := rig(t)
 		prim.Fail()
 		mirr.Fail()
-		handOnStale()
+		handOn(img)
 		m := Start(cl, "$PM0", 0, 1, prim, mirr)
 		if got := list(t, cl); len(got) != 0 || m.Recoveries != 0 {
 			t.Errorf("an unreadable volume came up with regions %v after %d recoveries", got, m.Recoveries)
 		}
 	})
-	t.Run("written volume", func(t *testing.T) {
+	written := func(t *testing.T) (*cluster.Cluster, *npmu.Device, *npmu.Device) {
 		cl, prim, mirr := rig(t)
 		first := Start(cl, "$PM0", 0, 1, prim, mirr)
 		cl.CPU(2).Spawn("client", func(p *cluster.Process) {
@@ -144,11 +154,32 @@ func TestColdStartIgnoresWhatTheSpareHolds(t *testing.T) {
 		cl.Engine().Run()
 		first.Stop()
 		cl.Engine().Run()
-		handOnStale()
+		return cl, prim, mirr
+	}
+	t.Run("written volume", func(t *testing.T) {
+		cl, prim, mirr := written(t)
+		handOn(img)
 		m := Start(cl, "$PM0", 0, 1, prim, mirr)
 		got := list(t, cl)
 		if len(got) != 1 || got[0].Name != "log0" || m.Recoveries != 1 {
 			t.Errorf("the restarted manager found regions %v after %d recoveries, want log0 after 1", got, m.Recoveries)
+		}
+	})
+	t.Run("written volume, longer image of another volume", func(t *testing.T) {
+		cl, prim, mirr := written(t)
+		other := staleImage("$PM9-elsewhere", "ghost0", "ghost1", "ghost2")
+		handOn(other)
+		m := Start(cl, "$PM0", 0, 1, prim, mirr)
+		got := list(t, cl)
+		if len(got) != 1 || got[0].Name != "log0" || m.Recoveries != 1 {
+			t.Errorf("the restarted manager found regions %v after %d recoveries, want log0 after 1", got, m.Recoveries)
+		}
+		own, err := EncodeMeta(&VolumeState{Volume: "$PM0", Regions: map[string]*RegionMeta{"log0": {Name: "log0", Owner: "test", Offset: MetaBytes, Size: 1 << 20}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf := stable.TakeScratch(); len(own) >= len(other) || !bytes.Equal(buf[len(own):len(other)], other[len(own):]) {
+			t.Error("no stale bytes sat just past the payload the slot headers declare")
 		}
 	})
 }

@@ -27,6 +27,9 @@ const (
 	MetaBytes = 2 * MetaSlotBytes
 
 	metaMagic = "PMVOLMET"
+	// metaHeaderBytes is a slot's header: magic, generation, payload
+	// length and CRC.
+	metaHeaderBytes = 24
 )
 
 // Metadata decode errors.
@@ -241,6 +244,16 @@ func DecodeMeta(img []byte) (*VolumeState, error) {
 		}
 	}
 	return st, nil
+}
+
+// metaPayloadLen returns the payload length a slot header declares, and
+// false when the header has no magic or declares more than the slot holds.
+func metaPayloadLen(hdr []byte) (int, bool) {
+	if string(hdr[:8]) != metaMagic {
+		return 0, false
+	}
+	plen := int(binary.LittleEndian.Uint32(hdr[16:]))
+	return plen, plen <= MetaSlotBytes-metaHeaderBytes
 }
 
 // slotOffset returns the device offset of metadata slot i (0 or 1).
