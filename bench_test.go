@@ -136,11 +136,13 @@ func BenchmarkFaultCell(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures the three 4000-transaction recoveries of the
-// benchmark's fault-recover workload alone: off the audit disks, and out of
-// PM with the outcome scan and with the TCB region. Each iteration builds and
-// crashes its store with the timer stopped; B/op and allocs/op are the
-// recovery's, reboot included, and MTTR-ms its virtual time.
+// BenchmarkRecovery measures Claim C2's four 4000-transaction recoveries
+// alone: the benchmark fault-recover workload's three — off the audit disks,
+// and out of the PM audit trails with the outcome scan and with the TCB
+// region — and PM direct's, out of the per-DP2 PM logs with the TCB region.
+// Each iteration builds and crashes its store with the timer stopped; B/op
+// and allocs/op are the recovery's, reboot included, and MTTR-ms its virtual
+// time.
 func BenchmarkRecovery(b *testing.B) {
 	for _, path := range []struct {
 		name   string
@@ -150,6 +152,7 @@ func BenchmarkRecovery(b *testing.B) {
 		{"disk", ods.DiskDurability, false},
 		{"pm-scan", ods.PMDurability, false},
 		{"pm-tcb", ods.PMDurability, true},
+		{"pmdirect-tcb", ods.PMDirectDurability, true},
 	} {
 		b.Run(path.name, func(b *testing.B) {
 			b.ReportAllocs()

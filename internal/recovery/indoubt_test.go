@@ -21,7 +21,7 @@ func TestInDoubtPresumedAbortWithoutOutcome(t *testing.T) {
 	an.prepare(7)
 	var rep Report
 	resolveInDoubt(an, &rep)
-	if got := an.outcome[7]; got != tmf.TCBAborted {
+	if got := an.outcome(7); got != tmf.TCBAborted {
 		t.Errorf("prepared txn with no outcome resolved to state %d, want TCBAborted", got)
 	}
 	if rep.InDoubt != 1 || rep.OutcomeResolved != 0 {
@@ -35,7 +35,7 @@ func TestInDoubtResolvedByCommitOutcome(t *testing.T) {
 	an.decide(7, tmf.TCBCommitted)
 	var rep Report
 	resolveInDoubt(an, &rep)
-	if got := an.outcome[7]; got != tmf.TCBCommitted {
+	if got := an.outcome(7); got != tmf.TCBCommitted {
 		t.Errorf("outcome flipped to %d, want TCBCommitted kept", got)
 	}
 	if rep.InDoubt != 0 || rep.OutcomeResolved != 1 {
@@ -49,7 +49,7 @@ func TestInDoubtResolvedByAbortOutcome(t *testing.T) {
 	an.decide(7, tmf.TCBAborted)
 	var rep Report
 	resolveInDoubt(an, &rep)
-	if got := an.outcome[7]; got != tmf.TCBAborted {
+	if got := an.outcome(7); got != tmf.TCBAborted {
 		t.Errorf("outcome flipped to %d, want TCBAborted kept", got)
 	}
 	if rep.InDoubt != 0 || rep.OutcomeResolved != 1 {
@@ -66,7 +66,7 @@ func TestInDoubtActiveTCBStateIsStillPresumedAbort(t *testing.T) {
 	an.decide(7, tmf.TCBActive)
 	var rep Report
 	resolveInDoubt(an, &rep)
-	if got := an.outcome[7]; got != tmf.TCBAborted {
+	if got := an.outcome(7); got != tmf.TCBAborted {
 		t.Errorf("active-state prepared txn resolved to %d, want TCBAborted", got)
 	}
 	if rep.InDoubt != 1 || rep.OutcomeResolved != 0 {
@@ -121,12 +121,70 @@ func inDoubtFixture(split bool) [][]byte {
 	return streams
 }
 
-// recoverFixture runs the passes that follow the reads — analysis charged
-// as on the disk path, the barrier, redo — over hand-built streams, which
-// each worker "reads" in no time, on a fresh
-// four-CPU node: the workers spread over its CPUs or, serial, all on CPU 0.
+// recoverFixture runs recoverStreams with the analysis charged, as on the
+// disk path, over hand-built streams, one replica each, which each worker
+// reads in no time, on a fresh four-CPU node: the workers spread over its
+// CPUs or, serial, all on CPU 0.
 func recoverFixture(t *testing.T, streams [][]byte, serial bool) (Report, *Rebuilt) {
 	t.Helper()
+	trails := make([][][]byte, len(streams))
+	for i, s := range streams {
+		trails[i] = [][]byte{s}
+	}
+	rep, rb, err := recoverLogs(trails, nil, Options{}, 0, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, rb
+}
+
+// imageLog is a hand-built trail: its replicas' byte images, zero past
+// their end up to capacity bytes; every read waits perRead first.
+type imageLog struct {
+	reps     [][]byte
+	capacity int
+	perRead  sim.Time
+}
+
+func (l *imageLog) replicas() int          { return len(l.reps) }
+func (l *imageLog) size() int64            { return int64(l.capacity) }
+func (l *imageLog) close(*cluster.Process) {}
+func (l *imageLog) wrap(err error) error   { return err }
+func (l *imageLog) readReplica(p *cluster.Process, r int, off int64, buf []byte) error {
+	p.Wait(l.perRead)
+	clear(buf)
+	if off < int64(len(l.reps[r])) {
+		copy(buf, l.reps[r][off:])
+	}
+	return nil
+}
+
+// fixtureOpener opens each trail as an imageLog.
+func fixtureOpener(trails [][][]byte, capacity int, perRead sim.Time) logOpener {
+	return func(_ *cluster.Process, i int) (trailLog, error) {
+		return &imageLog{reps: trails[i], capacity: capacity, perRead: perRead}, nil
+	}
+}
+
+// fixtureCapacity is the device size hand-built trails are read from: 4 KiB
+// past the longest replica.
+func fixtureCapacity(trails [][][]byte) int {
+	n := 0
+	for _, reps := range trails {
+		for _, r := range reps {
+			n = max(n, len(r))
+		}
+	}
+	return n + 4<<10
+}
+
+// recoverLogs runs recoverStreams over hand-built trails on a fresh
+// four-CPU node, the workers spread over its CPUs or, serial, all on CPU 0.
+// With a TCB table the analysis is the TCB path's (redo charged, records
+// the table decides redone as they land); without one it is charged as on
+// the disk path. Each read waits perRead, so a trail of several chunks
+// arrives over time. MTTR is the virtual time recoverStreams took.
+func recoverLogs(trails [][][]byte, tcb map[audit.TxnID]uint8, opts Options, perRead sim.Time, serial bool) (Report, *Rebuilt, error) {
 	eng := sim.NewEngine(1)
 	defer eng.Shutdown()
 	cl := cluster.New(eng, cluster.DefaultConfig())
@@ -134,21 +192,22 @@ func recoverFixture(t *testing.T, streams [][]byte, serial bool) (Report, *Rebui
 	if serial {
 		cpus = cpus[:1]
 	}
+	capacity := fixtureCapacity(trails)
 	var rep Report
 	var rb *Rebuilt
 	var err error
 	cl.CPU(0).Spawn("recover", func(p *cluster.Process) {
-		var opts Options
 		opts.defaults()
-		read := func(_ *cluster.Process, i int, _ *scratch) ([]byte, int64, error) { return streams[i], 0, nil }
-		rb, _, err = recoverStreams(p, cpus, opts, len(streams), read, new(analysis), true, &rep)
+		an := new(analysis)
+		for txn, state := range tcb {
+			an.decide(txn, state)
+		}
+		rb, err = recoverStreams(p, cpus, opts, len(trails), fixtureOpener(trails, capacity, perRead), an, tcb == nil, &rep)
+		rep.UsedTCB = tcb != nil
 		rep.MTTR = p.Now()
 	})
 	eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, rb
+	return rep, rb, err
 }
 
 // TestInDoubtStreamResolution drives the full scan → resolve → redo path

@@ -26,7 +26,10 @@ func sameButMTTR(a, b Report) bool {
 // after another on a single CPU: the same rows and bodies, the same Report
 // but for MTTR, which the spread recovery must beat. A key's records all sit
 // in one trail, so spreading the trails cannot reorder its redo; this is the
-// check that they do.
+// check that they do. Over hand-built trails — the in-doubt fixture, and
+// streamed ones whose early redo stands or is discarded — both must also
+// rebuild exactly what the read-then-scan recovery the pipeline replaced
+// rebuilds, with its Report but for MTTR.
 func TestParallelRecoveryEqualsSerial(t *testing.T) {
 	for _, tc := range recoveryPaths {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,24 +56,42 @@ func TestParallelRecoveryEqualsSerial(t *testing.T) {
 		if !slices.Equal(image(rb), image(wantRb)) || !sameButMTTR(rep, wantRep) {
 			t.Errorf("in-doubt fixture (split %v): spread %+v %q, serial %+v %q", split, rep, image(rb), wantRep, image(wantRb))
 		}
+		var trails [][][]byte
+		for _, stream := range inDoubtFixture(split) {
+			trails = append(trails, [][]byte{stream})
+		}
+		if oracleRep, oracle := readThenScan(trails, nil, Options{}); !slices.Equal(image(rb), oracle) || !sameButMTTR(rep, oracleRep) {
+			t.Errorf("in-doubt fixture (split %v): streamed %+v %q, read-then-scan %+v %q", split, rep, image(rb), oracleRep, oracle)
+		}
+	}
+	for _, f := range fixtures() {
+		t.Run(f.name, func(t *testing.T) {
+			wantRep, want := readThenScan(f.trails, f.tcb, streamOpts)
+			for _, serial := range []bool{false, true} {
+				rep, rows := recoverFixtureStreamed(t, f, serial)
+				if !slices.Equal(rows, want) || !sameButMTTR(rep, wantRep) {
+					t.Errorf("serial %v: streamed %+v %q, read-then-scan %+v %q", serial, rep, rows, wantRep, want)
+				}
+			}
+		})
 	}
 }
 
 // recoverPath runs RecoverDisk or RecoverPM with TCBs, by durability.
-func recoverPath(res ScenarioResult) (Report, *Rebuilt, error) {
+func recoverPath(res ScenarioResult, opts Options) (Report, *Rebuilt, error) {
 	if res.Store.Opts.Durability == ods.DiskDurability {
-		return res.RecoverDisk(Options{})
+		return res.RecoverDisk(opts)
 	}
-	return res.RecoverPM(Options{}, true)
+	return res.RecoverPM(opts, true)
 }
 
 // cleanRecovery is a clean recovery's report of the 100-transaction
 // scenario the loss tests crash, on a twin store of their own.
-func cleanRecovery(t *testing.T, d ods.Durability) Report {
+func cleanRecovery(t *testing.T, d ods.Durability, opts Options) Report {
 	t.Helper()
 	twin := RunScenario(d, 100, 1)
 	defer twin.Store.Eng.Shutdown()
-	rep, _, err := recoverPath(twin)
+	rep, _, err := recoverPath(twin, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +101,7 @@ func cleanRecovery(t *testing.T, d ods.Durability) Report {
 // checkRerun holds a store whose recovery was cut short: no recovery process
 // is left parked, every CPU is free, and a second recovery rebuilds every
 // committed row with a clean recovery's report.
-func checkRerun(t *testing.T, res ScenarioResult, clean Report) {
+func checkRerun(t *testing.T, res ScenarioResult, clean Report, opts Options) {
 	t.Helper()
 	for _, name := range res.Store.Eng.BlockedProcs() {
 		if strings.HasPrefix(name, "recover") {
@@ -92,7 +113,7 @@ func checkRerun(t *testing.T, res ScenarioResult, clean Report) {
 			t.Errorf("CPU %d held by %d processes at quiescence", i, n)
 		}
 	}
-	rep, rb, err := recoverPath(res)
+	rep, rb, err := recoverPath(res, opts)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -103,38 +124,55 @@ func checkRerun(t *testing.T, res ScenarioResult, clean Report) {
 }
 
 // TestWorkerLossFailsRecovery fails the CPU of one recovery worker in the
-// middle of a pass: its read, on the disk and PM + TCB paths; the disk
-// path's analysis, before the barrier; and redo, the last. The recovery must
-// return ErrWorkerLost — not ErrNoLog, not hang on the dead worker, not hand
-// back a partial image, and not leave the other workers parked at the
-// barrier — and, once the CPU is restored, a second recovery of the same
-// store must rebuild every committed row, though on the PM path the dead
-// worker's region is still open at the PM manager.
+// middle of its work: while the other workers wait for it at the open
+// meeting, on the PM + TCB path; in its read, on the disk and PM + TCB
+// paths, and while its read-ahead process reads on; in the disk path's
+// analysis, before the barrier; and in redo — after the barrier on disk, as
+// each chunk lands with TCBs. The recovery must return ErrWorkerLost — not
+// ErrNoLog, not hang on the dead worker, not hand back a partial image, and
+// not leave the other workers parked at a meeting or a read-ahead process
+// behind — and, once the CPU is restored, a second recovery of the same store
+// must rebuild every committed row, though on the PM path the dead worker's
+// region is still open at the PM manager.
 func TestWorkerLossFailsRecovery(t *testing.T) {
 	// 100 transactions: 101 records in each trail, and 100 commit records
-	// more in trail 0. On disk the four trails are read in the first 10.3 ms
-	// of 10.91, then analysis takes 402 µs on trail 0 and every redo 202 µs;
-	// on PM + TCB trail 3's read runs from 5.0 to 8.5 ms of 8.75. Trail 3's
-	// worker runs on CPU 3.
+	// more in trail 0. On disk the four trails are read in the first 10.31 ms
+	// of 10.91, then analysis takes 400 µs on trail 0 and 200 µs on the
+	// others, and every redo after the barrier 200 µs. On PM + TCB (3.54 ms)
+	// the workers open their regions from 0.83 to 1.04 ms, trail 0's and 1's
+	// workers waiting at the open meeting from 0.89 and 0.94 ms; trail 3
+	// reads its two replicas from 1.04 to 2.67 ms, redoes them until 2.87 ms
+	// and waits at the barrier from 3.27 ms. Read in 4 KiB chunks (1.59 ms),
+	// trail 3's first chunk is in at 1.34 ms and its read-ahead process
+	// reads on until 1.56 ms. Trail 3's worker, and its reader, run on CPU 3.
 	for _, tc := range []struct {
 		name   string
 		d      ods.Durability
+		chunk  int
 		before sim.Time // how long before a clean recovery's end CPU 3 fails
 	}{
-		{"disk/read", ods.DiskDurability, 5 * sim.Millisecond},
-		{"disk/redo", ods.DiskDurability, 100 * sim.Microsecond},
-		{"disk/analysis", ods.DiskDurability, 500 * sim.Microsecond},
-		{"pm/tcb=true/read", ods.PMDurability, 1 * sim.Millisecond},
-		{"pm/tcb=true/redo", ods.PMDurability, 100 * sim.Microsecond},
+		{"disk/read", ods.DiskDurability, 0, 5 * sim.Millisecond},
+		{"disk/redo", ods.DiskDurability, 0, 100 * sim.Microsecond},
+		{"disk/analysis", ods.DiskDurability, 0, 500 * sim.Microsecond},
+		{"pm/tcb=true/open", ods.PMDurability, 0, 2600 * sim.Microsecond},
+		{"pm/tcb=true/read", ods.PMDurability, 0, 1 * sim.Millisecond},
+		{"pm/tcb=true/read-ahead", ods.PMDurability, 4 << 10, 140 * sim.Microsecond},
+		{"pm/tcb=true/redo", ods.PMDurability, 0, 700 * sim.Microsecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clean := cleanRecovery(t, tc.d)
+			opts := Options{ChunkBytes: tc.chunk}
+			clean := cleanRecovery(t, tc.d, opts)
 			res := RunScenario(tc.d, 100, 1)
 			defer res.Store.Eng.Shutdown()
+			reading := false // a read-ahead process was mid-read when CPU 3 failed
 			res.Store.Eng.Schedule(res.Store.Eng.Now()+clean.MTTR-tc.before, func() {
+				reading = slices.Contains(res.Store.Eng.BlockedProcs(), "recover-reader")
 				res.Store.Cl.CPU(3).Fail()
 			})
-			_, rb, err := recoverPath(res)
+			_, rb, err := recoverPath(res, opts)
+			if want := tc.chunk != 0; reading != want {
+				t.Errorf("a read-ahead process was mid-read when CPU 3 failed: %v, want %v", reading, want)
+			}
 			if !errors.Is(err, ErrWorkerLost) {
 				t.Fatalf("recovery with a worker's CPU failed mid-pass returned %v, want ErrWorkerLost", err)
 			}
@@ -142,7 +180,7 @@ func TestWorkerLossFailsRecovery(t *testing.T) {
 				t.Fatalf("a failed recovery returned an image of %d rows", rb.Rows())
 			}
 			res.Store.Cl.CPU(3).Restore()
-			checkRerun(t, res, clean)
+			checkRerun(t, res, clean, opts)
 		})
 	}
 }
@@ -157,9 +195,9 @@ func TestWorkerLossFailsRecovery(t *testing.T) {
 func TestRecoveringProcessLossSendsWorkersHome(t *testing.T) {
 	// Timings as in TestWorkerLossFailsRecovery. On disk all four workers
 	// read 5 ms before the end, and 300 µs before it workers 1–3 wait at the
-	// barrier while worker 0 analyses; on PM + TCB all four read 3 ms before
-	// the end, and 1 ms before it workers 0 and 1 wait at the barrier while 2
-	// and 3 read.
+	// barrier while worker 0 analyses; on PM + TCB all four read 1.5 ms before
+	// the end, and 240 µs before it workers 0 and 3 wait at the barrier while
+	// 1 and 2 redo their trails.
 	for _, tc := range []struct {
 		d      ods.Durability
 		phase  string
@@ -167,10 +205,10 @@ func TestRecoveringProcessLossSendsWorkersHome(t *testing.T) {
 	}{
 		{ods.DiskDurability, "read", 5 * sim.Millisecond},
 		{ods.DiskDurability, "barrier", 300 * sim.Microsecond},
-		{ods.PMDurability, "read", 3 * sim.Millisecond},
-		{ods.PMDurability, "barrier", sim.Millisecond},
+		{ods.PMDurability, "read", 1500 * sim.Microsecond},
+		{ods.PMDurability, "barrier", 240 * sim.Microsecond},
 	} {
-		clean := cleanRecovery(t, tc.d)
+		clean := cleanRecovery(t, tc.d, Options{})
 		for _, cpu := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%v/%s/cpu=%v", tc.d, tc.phase, cpu), func(t *testing.T) {
 				res := RunScenario(tc.d, 100, 1)
@@ -198,7 +236,7 @@ func TestRecoveringProcessLossSendsWorkersHome(t *testing.T) {
 					t.Fatal("the recovery finished before its process was killed")
 				}
 				res.Store.Cl.CPU(2).Restore()
-				checkRerun(t, res, clean)
+				checkRerun(t, res, clean, Options{})
 			})
 		}
 	}
@@ -215,11 +253,12 @@ func streamsOptions(streams int) ods.Options {
 	return opts
 }
 
-// redoPhase measures how long a PM + TCB recovery of the streams store
-// spends in redo, its one charged pass, at CPUPerRecord c: the MTTR at 2c
-// less the MTTR at c, since only redo's charge depends on c. It returns the
-// records redo charged too.
-func redoPhase(t *testing.T, streams int, c sim.Time) (sim.Time, int64) {
+// chargePhase measures how long a PM + TCB recovery of the streams store
+// spends on its charged work at CPUPerRecord c: the MTTR at 2c less the MTTR
+// at c. Only the charge depends on c, so once the CPUs bind — the charge
+// outlasts the reads it overlaps — that difference is the charge's critical
+// path. It returns the records the recovery charged too.
+func chargePhase(t *testing.T, streams int, c sim.Time) (sim.Time, int64) {
 	t.Helper()
 	var mttr [2]sim.Time
 	var records int64
@@ -239,18 +278,20 @@ func redoPhase(t *testing.T, streams int, c sim.Time) (sim.Time, int64) {
 }
 
 // TestRecoverySpeedupCappedByCPUs holds the workers to the node's four CPUs:
-// eight trails overlap four at a time, so their redo takes no less than a
-// quarter of the serial charge, and a store with one trail takes exactly the
-// serial charge.
+// eight trails overlap four at a time, so their charged work takes no less
+// than a quarter of the serial charge, and a store with one trail takes
+// exactly the serial charge. At the default 2 µs a record, most of these
+// small trails' redo hides behind their reads — what the streamed recovery is
+// for — so the test charges 20 µs a record, where the CPUs bind.
 func TestRecoverySpeedupCappedByCPUs(t *testing.T) {
-	const c = 2 * sim.Microsecond
-	phase, records := redoPhase(t, 8, c)
+	const c = 20 * sim.Microsecond
+	phase, records := chargePhase(t, 8, c)
 	serial := sim.Time(records) * c
 	if phase < serial/4 || phase >= serial {
-		t.Errorf("8 trails on 4 CPUs: redo took %v of a %v serial charge, want at least a quarter and less than all", phase, serial)
+		t.Errorf("8 trails on 4 CPUs: the charge took %v of a %v serial charge, want at least a quarter and less than all", phase, serial)
 	}
-	phase, records = redoPhase(t, 1, c)
+	phase, records = chargePhase(t, 1, c)
 	if serial := sim.Time(records) * c; phase != serial {
-		t.Errorf("1 trail: redo took %v, the serial charge of %d records is %v", phase, records, serial)
+		t.Errorf("1 trail: the charge took %v, the serial charge of %d records is %v", phase, records, serial)
 	}
 }

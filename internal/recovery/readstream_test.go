@@ -19,7 +19,29 @@ import (
 	"persistmem/internal/tmf"
 )
 
-// readStreamReference is the algorithm readStream replaced, kept as the
+// readStream reads a whole log area with streamCursor.step, as a trail's
+// reader reads each replica, and returns the length of the valid record
+// prefix (sc.buf[:valid] is the stream) and the bytes read.
+func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off int64, buf []byte) error) (valid int, read int64, err error) {
+	var c streamCursor
+	for c.off < capacity {
+		settled, err := c.step(sc, capacity, opts, chunkFunc(readChunk))
+		if err != nil {
+			return 0, 0, err
+		}
+		if settled {
+			break
+		}
+	}
+	return c.valid, c.off, nil
+}
+
+// chunkFunc is a chunkReader that is a function.
+type chunkFunc func(off int64, buf []byte) error
+
+func (f chunkFunc) readChunk(off int64, buf []byte) error { return f(off, buf) }
+
+// readStreamReference is the algorithm the chunk reads replaced, kept as the
 // test's oracle for the stream bytes: a fresh buffer per chunk, appended to
 // the stream, the whole stream rescanned from offset 0 after every chunk, and
 // a stop only once the trail's end lies half a chunk inside what was read (a
@@ -248,8 +270,9 @@ func TestReadStreamReportsUnreadableLog(t *testing.T) {
 	}
 }
 
-// recoveryPaths are the three ways a trail is read: off the audit disks, and
-// out of PM with and without the TCB region.
+// recoveryPaths are Claim C2's four recovery paths: off the audit disks, out
+// of the PM audit trails with and without the TCB region, and out of the
+// per-DP2 PM logs with it.
 var recoveryPaths = []struct {
 	name   string
 	d      ods.Durability
@@ -258,6 +281,7 @@ var recoveryPaths = []struct {
 	{"disk", ods.DiskDurability, false},
 	{"pm/tcb=true", ods.PMDurability, true},
 	{"pm/tcb=false", ods.PMDurability, false},
+	{"pmdirect/tcb=true", ods.PMDirectDurability, true},
 }
 
 // drainSpares empties the process's spare read buffers and returns them.
@@ -283,10 +307,10 @@ func scribbleSpares() int {
 }
 
 // TestRebuiltOwnsItsBytes scribbles over every read buffer the recovery
-// handed on — the recovering process's and each worker's, all back among the
-// process's spares — once FromDisk/FromPM have returned: the rebuilt image
-// must not alias any of them (nor, through the analysis, the streams copied
-// out of them).
+// handed on — the recovering process's and each trail reader's, all back
+// among the process's spares — once FromDisk/FromPM have returned: the
+// rebuilt image must not alias any of them (nor, through the analysis, the
+// segments copied out of them).
 func TestRebuiltOwnsItsBytes(t *testing.T) {
 	for _, tc := range recoveryPaths {
 		t.Run(tc.name, func(t *testing.T) {
@@ -334,26 +358,35 @@ func recoverWith(t *testing.T, res ScenarioResult, useTCB bool, serial bool) (re
 }
 
 // image flattens a rebuilt database into "file/key=body" lines, files and
-// keys in order.
+// keys in order, whichever trail's trees hold them.
 func image(rb *Rebuilt) []string {
 	var files []string
-	for name := range rb.Files {
+	for name := range rb.files {
 		files = append(files, name)
 	}
 	sort.Strings(files)
 	var rows []string
 	for _, name := range files {
-		rb.Files[name].Ascend(0, ^uint64(0), func(it btree.Item[[]byte]) bool {
+		var items []btree.Item[[]byte]
+		for _, t := range rb.files[name] {
+			if t != nil {
+				t.Ascend(0, ^uint64(0), func(it btree.Item[[]byte]) bool {
+					items = append(items, it)
+					return true
+				})
+			}
+		}
+		sort.Slice(items, func(i, j int) bool { return items[i].Key < items[j].Key })
+		for _, it := range items {
 			rows = append(rows, fmt.Sprintf("%s/%d=%s", name, it.Key, it.Value))
-			return true
-		})
+		}
 	}
 	return rows
 }
 
 // dirtySpares is how many buffers a test leaves among the process's spares
 // to be sure a recovery reads into nothing else: more than the recovering
-// process and the four workers take.
+// process and the four trails' readers take.
 const dirtySpares = 8
 
 // TestDirtyScratchRecoversTheSameImage is the entry side of
@@ -412,7 +445,7 @@ func TestDirtyScratchRecoversTheSameImage(t *testing.T) {
 
 // TestConcurrentRecoveriesShareTheSpares runs eight crash-and-recover
 // scenarios on eight goroutines, as bench's worker pool does: every reader
-// that finishes — a recovering process or one of its workers — hands its
+// that finishes — a recovering process or a trail's reader — hands its
 // buffer on through the process's spare slots, every reader that starts
 // takes one or allocates, and every image is its own store's ground truth.
 // Under -race it also holds that a buffer is never in two readers at once.

@@ -174,3 +174,21 @@ func TestFromPMClosesRegionItCannotRead(t *testing.T) {
 		})
 	}
 }
+
+// An audit volume that cannot be read fails FromDisk with ErrNoLog and no
+// image, once every worker has met at the barrier: the other trails' reads
+// and analysis do not stand in for the missing one.
+func TestFromDiskReportsUnreadableVolume(t *testing.T) {
+	res := RunScenario(ods.DiskDurability, 5, 1)
+	defer res.Store.Eng.Shutdown()
+	res.Store.AuditVolumes[2].Fail()
+	_, rb, err := res.RecoverDisk(Options{})
+	if !errors.Is(err, ErrNoLog) || rb != nil {
+		t.Fatalf("FromDisk with audit volume 2 failed = %v, image %v; want ErrNoLog and no image", err, rb)
+	}
+	for _, name := range res.Store.Eng.BlockedProcs() {
+		if strings.HasPrefix(name, "recover") {
+			t.Errorf("%s left waiting after the failed recovery", name)
+		}
+	}
+}

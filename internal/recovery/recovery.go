@@ -16,10 +16,15 @@
 //
 // Both paths rebuild the key-sequenced file caches from committed insert
 // after-images; in-flight and aborted transactions are discarded
-// (presumed abort). One worker process per trail, spread over the node's
-// CPUs, reads its trail and runs the passes over it, so the reads overlap
-// across devices (PM trail i reads mirror i mod 2 first, so both NPMUs serve
-// at once) and a pass takes as long as its longest trail's share of a CPU.
+// (presumed abort). Recovery is one streamed pipeline: one worker process per
+// trail, spread over the node's CPUs, opens its trail, reads it — past the
+// first chunk through a read-ahead process, so the device keeps reading while
+// the CPU works — and works on each chunk as it lands: the outcome-discovery
+// pass without TCBs, and with them the redo of every record whose transaction
+// the TCB image already names committed. The reads overlap across devices (PM
+// trail i reads mirror i mod 2 first, so both NPMUs serve at once), and all
+// that waits for the barrier after the last chunk is what the trails
+// themselves must decide.
 package recovery
 
 import (
@@ -27,7 +32,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"persistmem/internal/audit"
 	"persistmem/internal/btree"
@@ -91,54 +97,125 @@ type Report struct {
 	OutcomeResolved int
 }
 
-// Rebuilt holds the recovered database image: one tree per file, merged
-// across partitions (keys are globally unique in this system).
+// Rebuilt holds the recovered database image. Each trail's rows are a tree
+// per file of their own: one DP2 writes one trail, so no key is in two of
+// them, and a worker redoes its trail as it lands without splitting the
+// leaves another worker's inserts filled.
 type Rebuilt struct {
-	Files map[string]*btree.Tree[[]byte]
+	files  map[string][]*btree.Tree[[]byte] // by file, then trail
+	trails int
 }
 
 // Get reads a recovered row.
 func (r *Rebuilt) Get(file string, key uint64) ([]byte, bool) {
-	t := r.Files[file]
-	if t == nil {
-		return nil, false
+	for _, t := range r.files[file] {
+		if t == nil {
+			continue
+		}
+		if body, ok := t.Get(key); ok {
+			return body, true
+		}
 	}
-	return t.Get(key)
+	return nil, false
 }
 
 // Rows counts all recovered rows.
 func (r *Rebuilt) Rows() int {
 	n := 0
 	//simlint:ordered -- commutative count
-	for _, t := range r.Files {
-		n += t.Len()
+	for _, ts := range r.files {
+		for _, t := range ts {
+			if t != nil {
+				n += t.Len()
+			}
+		}
 	}
 	return n
 }
 
+// txnPage is how many transactions share one page of the analysis table.
+const txnPage = 256
+
+// Bits of a transaction's byte in the analysis table: its outcome (a tmf.TCB*
+// state, 0 while none is known), whether it voted prepare, and whether redo
+// has met a data record of it.
+const (
+	stateBits   uint8 = 3
+	preparedBit uint8 = 4
+	seenBit     uint8 = 8
+)
+
 // analysis classifies transactions from scanned records. It keeps no data
-// records: redo rescans the streams for them. The zero analysis is empty: its
-// maps are made at its first outcome or vote, so a stream with neither — a
-// participant's trail on the TCB path — costs its worker nothing.
+// records: redo rescans the streams for them. Each transaction it has heard
+// of is one byte of a page the table keys by the transaction's id over
+// txnPage: the monitor numbers transactions densely, so the few thousand of
+// a recovery share a few pages instead of holding a map entry each. The
+// zero analysis is empty.
 type analysis struct {
-	outcome  map[audit.TxnID]uint8 // tmf.TCBCommitted / TCBAborted
-	prepared map[audit.TxnID]bool  // cross-shard prepare votes seen
+	pages    map[audit.TxnID]*[txnPage]uint8
+	prepared []audit.TxnID // cross-shard prepare votes, each once, in the order seen
+	// aborted is set once any trail notes an abort: only then can the
+	// merged outcomes contradict a redo the TCB image allowed early.
+	aborted bool
+}
+
+// slot returns txn's byte, making its page if it has none.
+func (an *analysis) slot(txn audit.TxnID) *uint8 {
+	if an.pages == nil {
+		an.pages = make(map[audit.TxnID]*[txnPage]uint8)
+	}
+	pg := an.pages[txn/txnPage]
+	if pg == nil {
+		pg = new([txnPage]uint8)
+		an.pages[txn/txnPage] = pg
+	}
+	return &pg[txn%txnPage]
+}
+
+// outcome returns txn's outcome: a tmf.TCB* state, or 0 if none is known.
+func (an *analysis) outcome(txn audit.TxnID) uint8 {
+	if pg := an.pages[txn/txnPage]; pg != nil {
+		return pg[txn%txnPage] & stateBits
+	}
+	return 0
 }
 
 // decide records txn's outcome, overriding any earlier one.
 func (an *analysis) decide(txn audit.TxnID, state uint8) {
-	if an.outcome == nil {
-		an.outcome = make(map[audit.TxnID]uint8)
-	}
-	an.outcome[txn] = state
+	b := an.slot(txn)
+	*b = *b&^stateBits | state&stateBits
 }
 
 // prepare records txn's cross-shard prepare vote.
 func (an *analysis) prepare(txn audit.TxnID) {
-	if an.prepared == nil {
-		an.prepared = make(map[audit.TxnID]bool)
+	if b := an.slot(txn); *b&preparedBit == 0 {
+		*b |= preparedBit
+		an.prepared = append(an.prepared, txn)
 	}
-	an.prepared[txn] = true
+}
+
+// see marks that redo met a data record of txn and reports whether it is the
+// first.
+func (an *analysis) see(txn audit.TxnID) bool {
+	b := an.slot(txn)
+	first := *b&seenBit == 0
+	*b |= seenBit
+	return first
+}
+
+// activeUnseen counts the transactions the TCB image names active that had
+// no data record in any trail.
+func (an *analysis) activeUnseen() int {
+	n := 0
+	//simlint:ordered -- commutative count
+	for _, pg := range an.pages {
+		for _, b := range pg {
+			if b&stateBits == tmf.TCBActive && b&seenBit == 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // note folds one scanned record's outcome evidence into the analysis.
@@ -148,6 +225,7 @@ func (an *analysis) note(rec *audit.Record) {
 		an.decide(rec.Txn, tmf.TCBCommitted)
 	case audit.RecAbort:
 		an.decide(rec.Txn, tmf.TCBAborted)
+		an.aborted = true
 	case audit.RecPrepare:
 		an.prepare(rec.Txn)
 	case audit.RecOutcome:
@@ -155,31 +233,8 @@ func (an *analysis) note(rec *audit.Record) {
 		// transaction — authoritative over anything else seen so far.
 		if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
 			an.decide(rec.Txn, o.State)
+			an.aborted = an.aborted || o.State == tmf.TCBAborted
 		}
-	}
-}
-
-// scan notes every record of one stream and returns how many it read.
-func (an *analysis) scan(data []byte) int64 {
-	var n int64
-	s := audit.NewScanner(data)
-	for s.Next() {
-		n++
-		an.note(s.Record())
-	}
-	return n
-}
-
-// merge folds a later stream's analysis into an, leaving what one scan of
-// an's records followed by later's would have: later's outcomes override.
-func (an *analysis) merge(later *analysis) {
-	//simlint:ordered -- one write per key; later's own order cannot matter
-	for txn, o := range later.outcome {
-		an.decide(txn, o)
-	}
-	//simlint:ordered -- set union
-	for txn := range later.prepared {
-		an.prepare(txn)
 	}
 }
 
@@ -191,14 +246,10 @@ func resolveInDoubt(an *analysis, rep *Report) {
 	if len(an.prepared) == 0 {
 		return
 	}
-	txns := make([]audit.TxnID, 0, len(an.prepared))
-	//simlint:ordered -- collected into a slice and sorted below
-	for txn := range an.prepared {
-		txns = append(txns, txn)
-	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
+	txns := slices.Clone(an.prepared)
+	slices.Sort(txns)
 	for _, txn := range txns {
-		switch an.outcome[txn] {
+		switch an.outcome(txn) {
 		case tmf.TCBCommitted, tmf.TCBAborted:
 			rep.OutcomeResolved++
 		default:
@@ -211,156 +262,580 @@ func resolveInDoubt(an *analysis, rep *Report) {
 	}
 }
 
-// redo applies one stream's committed data records to rb and returns how
-// many data records it examined. seen, the transactions that had data
-// records, is shared by every stream's redo, so a cross-shard transaction
-// whose rows sit in several streams is classified once. The stream is this
-// recovery's own copy, not its scratch: a row keeps its slice of it.
-func redo(data []byte, an *analysis, rb *Rebuilt, seen map[audit.TxnID]bool, rep *Report) int64 {
-	var records int64
-	s := audit.NewScanner(data)
+// isData reports whether rec changes a row, as opposed to carrying outcome
+// evidence.
+func isData(rec *audit.Record) bool {
+	return rec.Type == audit.RecInsert || rec.Type == audit.RecUpdate || rec.Type == audit.RecDelete
+}
+
+// apply redoes one data record of trail i on the image and reports whether
+// it set a row. A row keeps its slice of the recovery's own stream copy,
+// capped so an append cannot reach the next record.
+func (r *Rebuilt) apply(i int, rec *audit.Record) bool {
+	ts := r.files[rec.File]
+	if ts == nil {
+		ts = make([]*btree.Tree[[]byte], r.trails)
+		r.files[rec.File] = ts
+	}
+	t := ts[i]
+	if t == nil {
+		t = btree.New[[]byte]()
+		ts[i] = t
+	}
+	if rec.Type == audit.RecDelete {
+		t.Delete(rec.Key)
+		return false
+	}
+	n := len(rec.Body)
+	t.Set(rec.Key, rec.Body[:n:n])
+	return true
+}
+
+// trailLog is one trail as the worker that recovers it opened it: replicas
+// copies of the same log, each size bytes long, read chunk by chunk from the
+// process given.
+type trailLog interface {
+	replicas() int
+	size() int64
+	readReplica(p *cluster.Process, replica int, off int64, buf []byte) error
+	close(p *cluster.Process)
+	// wrap names the trail in the error that left it unreadable.
+	wrap(err error) error
+}
+
+// logOpener opens trail i from worker w; a trail that does not exist opens
+// as nil.
+type logOpener func(w *cluster.Process, i int) (trailLog, error)
+
+// diskLog is an audit volume's trail area.
+type diskLog struct{ v *disk.Volume }
+
+func (d diskLog) replicas() int          { return 1 }
+func (d diskLog) size() int64            { return d.v.Capacity() }
+func (d diskLog) close(*cluster.Process) {}
+func (d diskLog) wrap(err error) error   { return err }
+func (d diskLog) readReplica(p *cluster.Process, _ int, off int64, buf []byte) error {
+	return d.v.Read(p.Sim(), off, buf)
+}
+
+// pmLog is a log region, one replica on each device of its mirrored pair.
+type pmLog struct{ r *pmclient.Region }
+
+func (l pmLog) replicas() int            { return l.r.Replicas() }
+func (l pmLog) size() int64              { return l.r.Size() }
+func (l pmLog) close(p *cluster.Process) { l.r.Close(p) }
+func (l pmLog) wrap(err error) error {
+	return fmt.Errorf("%w: %s: %v", ErrNoLog, l.r.Name(), err)
+}
+func (l pmLog) readReplica(p *cluster.Process, replica int, off int64, buf []byte) error {
+	return l.r.ReadReplica(p, replica, off, buf)
+}
+
+// Early-redo key filters: a trail one chunk settles gets the small one, kept
+// in its trail; a trail read ahead gets the large one. A false hit only
+// defers a record that could have gone early.
+const (
+	smallFilterWords = 16   // 1 Ki bits
+	aheadFilterWords = 1024 // 64 Ki bits
+)
+
+// trail is one trail of a recovery in flight. Its reader — the worker
+// itself, then a read-ahead process — reads the trail's replicas in turn into
+// one scratch and keeps the stream as record-aligned segments: the first
+// replica's valid records as each chunk validates them, then whatever a later
+// replica that agrees with them adds. Trail i reads replica i mod the replica
+// count first, so the workers of a recovery start on both devices at once.
+// Its worker works on each segment as it lands.
+type trail struct {
+	// Written by the reader.
+	log      trailLog
+	sc       scratch
+	reader   *cluster.Process // the worker, then its read-ahead
+	k        int              // replicas begun, the current one included
+	cur      streamCursor     // the current replica's read
+	best     int              // the best replica's valid prefix; -1 before one reads whole
+	bestRep  int
+	bestKept bool // segs begin with the best replica's valid prefix
+	firstErr error
+	segs     [][]byte // the kept stream, cut where each chunk's records end
+	seg0     [4][]byte
+	kept     int    // bytes in segs
+	done     bool   // every replica has been read
+	discard  bool   // the early work does not stand (see finish)
+	keep     int    // on discard: the length of the stream the trail keeps
+	winner   []byte // on discard: that stream, when segs do not hold it
+	read     int64  // bytes read from replicas that read whole
+	err      error
+	wake     *sim.Signal // the worker waits on it for the next segment
+	ahead    bool        // a read-ahead process reads past the first chunk
+
+	// Written by the worker.
+	i        int      // the trail's index
+	taken    int      // segments worked on
+	records  int      // data records met
+	deferred []uint64 // bit k: the k-th data record waits for the barrier
+	def0     [1]uint64
+	filter   []uint64 // keys with a deferred record, hashed
+	small    [smallFilterWords]uint64
+	rows     int  // rows set early
+	serial   bool // nothing was redone early: every data record waits
+}
+
+// readChunk reads the current replica at off, from the reader.
+func (tr *trail) readChunk(off int64, buf []byte) error {
+	return tr.log.readReplica(tr.reader, tr.replica(), off, buf)
+}
+
+// replica is the replica being read.
+func (tr *trail) replica() int { return (tr.i + tr.k - 1) % tr.log.replicas() }
+
+// chunk reads the trail's next chunk from p and reports whether there is
+// more to read. A replica's read ends where streamCursor.step settles, or at its
+// first failed read, which leaves it out of the choice as if unreadable.
+func (tr *trail) chunk(p *cluster.Process, opts Options) bool {
+	tr.reader = p
+	lo := tr.cur.valid
+	settled, err := tr.cur.step(&tr.sc, tr.log.size(), opts, tr)
+	if err != nil {
+		if tr.firstErr == nil {
+			tr.firstErr = err
+		}
+	} else {
+		tr.landed(lo, tr.cur.valid)
+		if !settled {
+			return true
+		}
+		tr.read += tr.cur.off
+		if v, rep := tr.cur.valid, tr.replica(); v > tr.best || v == tr.best && rep < tr.bestRep {
+			tr.best, tr.bestRep, tr.bestKept = v, rep, !tr.discard
+			if tr.discard {
+				tr.winner = bytes.Clone(tr.sc.buf[:v])
+			}
+		}
+	}
+	if tr.k == tr.log.replicas() {
+		return false
+	}
+	tr.k++
+	tr.cur = streamCursor{}
+	return true
+}
+
+// landed keeps what a chunk validated, [lo, hi) of the current replica: the
+// part past the kept stream is published as a segment of its own, if the
+// part before it agrees with the kept bytes. Replicas that differ inside
+// their common valid prefix end the early work.
+func (tr *trail) landed(lo, hi int) {
+	if tr.discard || hi == lo {
+		return
+	}
+	if m := min(hi, tr.kept); lo < m && !tr.matches(lo, tr.sc.buf[lo:m]) {
+		tr.discard = true
+		return
+	}
+	if hi > tr.kept {
+		tr.publish(bytes.Clone(tr.sc.buf[max(lo, tr.kept):hi]))
+	}
+}
+
+// finish ends the trail's read: it hands the scratch on, settles which
+// stream the trail keeps — the replica whose valid prefix scans furthest, of
+// equal ones the lower replica's — and wakes the worker. When the segments
+// are not exactly that stream (the replicas disagreed, or a replica that
+// failed part-way had extended them), the early work is discarded and the
+// trail keeps the winner's bytes.
+func (tr *trail) finish() {
+	stable.HandOn(tr.sc.buf)
+	tr.sc.buf = nil
+	switch {
+	case tr.best < 0:
+		tr.err = tr.log.wrap(tr.firstErr)
+	case tr.discard || tr.kept != tr.best:
+		tr.discard, tr.keep = true, tr.best
+	}
+	tr.done = true
+	tr.poke()
+}
+
+// publish appends a kept segment and wakes the worker.
+func (tr *trail) publish(seg []byte) {
+	tr.segs = append(tr.segs, seg)
+	tr.kept += len(seg)
+	tr.poke()
+}
+
+// poke wakes the worker if it waits for a segment.
+func (tr *trail) poke() {
+	if tr.wake != nil && !tr.wake.Fired() {
+		tr.wake.Trigger(nil)
+	}
+}
+
+// matches reports whether b equals the kept stream's bytes from off on.
+func (tr *trail) matches(off int, b []byte) bool {
+	for _, seg := range tr.segs {
+		if off >= len(seg) {
+			off -= len(seg)
+			continue
+		}
+		n := min(len(seg)-off, len(b))
+		if !bytes.Equal(seg[off:off+n], b[:n]) {
+			return false
+		}
+		b, off = b[n:], 0
+		if len(b) == 0 {
+			break
+		}
+	}
+	return true
+}
+
+// truncate cuts the kept stream to its first n bytes.
+func (tr *trail) truncate(n int) {
+	for i, seg := range tr.segs {
+		if n <= len(seg) {
+			tr.segs[i] = seg[:n]
+			tr.segs = tr.segs[:i+1]
+			return
+		}
+		n -= len(seg)
+	}
+}
+
+// hash places key in the trail's filter.
+func (tr *trail) hash(key uint64) (word int, bit uint64) {
+	h := (key * 0x9E3779B97F4A7C15) >> (64 - bits.Len(uint(64*len(tr.filter))) + 1)
+	return int(h >> 6), 1 << (h & 63)
+}
+
+// held reports whether key may have a deferred record.
+func (tr *trail) held(key uint64) bool {
+	if tr.filter == nil {
+		return false
+	}
+	w, b := tr.hash(key)
+	return tr.filter[w]&b != 0
+}
+
+// hold defers the k-th data record, of key, for the barrier.
+func (tr *trail) hold(k int, key uint64) {
+	if tr.deferred == nil {
+		tr.deferred = tr.def0[:]
+	}
+	for len(tr.deferred) <= k>>6 {
+		tr.deferred = append(tr.deferred, 0)
+	}
+	tr.deferred[k>>6] |= 1 << (k & 63)
+	if tr.filter == nil {
+		if tr.ahead {
+			tr.filter = make([]uint64, aheadFilterWords)
+		} else {
+			tr.filter = tr.small[:]
+		}
+	}
+	w, b := tr.hash(key)
+	tr.filter[w] |= b
+}
+
+// late reports whether the k-th data record was held for the barrier.
+func (tr *trail) late(k int) bool {
+	return tr.serial || k>>6 < len(tr.deferred) && tr.deferred[k>>6]&(1<<(k&63)) != 0
+}
+
+// early works on one segment as it lands, before the barrier, and returns
+// the records its CPU time is charged for. With the analysis charged (no
+// TCBs), that is every record: the outcome-discovery pass. With TCBs it
+// redoes each data record whose transaction the TCB image names committed —
+// a state the monitor writes only once the master commit record is durable,
+// so no trail can override it — unless a deferred record of the same key came
+// before it; every other data record is deferred, in trail order, to the
+// barrier. An's outcomes are the TCB image's alone until the barrier.
+func (tr *trail) early(seg []byte, an *analysis, rb *Rebuilt) int64 {
+	var n int64
+	s := audit.NewScanner(seg)
 	for s.Next() {
 		rec := s.Record()
-		if rec.Type != audit.RecInsert && rec.Type != audit.RecUpdate && rec.Type != audit.RecDelete {
-			continue // outcome evidence: the analysis has it
+		if tr.serial {
+			n++
+			continue
 		}
-		records++
-		if an.outcome[rec.Txn] != tmf.TCBCommitted {
-			if !seen[rec.Txn] {
-				seen[rec.Txn] = true
-				if an.outcome[rec.Txn] == tmf.TCBAborted {
+		if !isData(rec) {
+			continue
+		}
+		k := tr.records
+		tr.records++
+		if an.outcome(rec.Txn) != tmf.TCBCommitted || tr.held(rec.Key) {
+			tr.hold(k, rec.Key)
+			continue
+		}
+		n++
+		if rb.apply(tr.i, rec) {
+			tr.rows++
+		}
+	}
+	return n
+}
+
+// stream reads the trail from worker w — its first chunk itself, the rest
+// from a read-ahead process on w's CPU unless that chunk settles the trail —
+// and works on each segment as it lands, until the last one is in; whoever
+// read the trail closes it once done with it. If the
+// trail then keeps other bytes than it worked on, it discards that work: the
+// early redo is dropped, or the charged analysis run again over the stream
+// kept.
+func (tr *trail) stream(w *cluster.Process, lg trailLog, opts Options, an *analysis, rb *Rebuilt) {
+	tr.log, tr.k, tr.best, tr.segs = lg, 1, -1, tr.seg0[:0]
+	more := tr.chunk(w, opts)
+	if more && tr.k == 1 {
+		tr.ahead = true
+		w.CPU().Spawn("recover-reader", func(r *cluster.Process) {
+			for tr.chunk(r, opts) {
+			}
+			tr.finish()
+			lg.close(r)
+		})
+	} else {
+		for more {
+			more = tr.chunk(w, opts)
+		}
+		tr.finish()
+		// Closed once the trail's work is done: a close waits on the PM
+		// manager's CPU, which another worker's early redo may hold.
+		defer lg.close(w)
+	}
+	eng := w.Cluster().Engine()
+	for {
+		if tr.taken < len(tr.segs) {
+			tr.taken++
+			charge(w, tr.early(tr.segs[tr.taken-1], an, rb), opts)
+			continue
+		}
+		if tr.done {
+			break
+		}
+		tr.wake = eng.NewSignal()
+		tr.wake.Wait(w.Sim())
+		eng.FreeSignal(tr.wake)
+		tr.wake = nil
+	}
+	if !tr.discard {
+		return
+	}
+	analysed := tr.serial // the early work was the charged analysis
+	if !analysed {
+		tr.undo(rb)
+	}
+	if tr.bestKept {
+		tr.truncate(tr.keep)
+	} else {
+		tr.segs = append(tr.segs[:0], tr.winner)
+	}
+	if analysed {
+		for _, seg := range tr.segs {
+			charge(w, tr.early(seg, an, rb), opts)
+		}
+	}
+}
+
+// undo drops every row the trail's early redo set — the trail's own trees —
+// so the serial redo that follows starts from the image it would have.
+func (tr *trail) undo(rb *Rebuilt) {
+	//simlint:ordered -- one trail's slot of each file, cleared
+	for _, ts := range rb.files {
+		ts[tr.i] = nil
+	}
+	tr.rows = 0
+	tr.serial = true
+}
+
+// contradicted reports whether the merged analysis decided other than
+// committed for a transaction the trail redid early.
+func (tr *trail) contradicted(an *analysis) bool {
+	k := 0
+	for _, seg := range tr.segs {
+		s := audit.NewScanner(seg)
+		for s.Next() {
+			rec := s.Record()
+			if !isData(rec) {
+				continue
+			}
+			if !tr.late(k) && an.outcome(rec.Txn) != tmf.TCBCommitted {
+				return true
+			}
+			k++
+		}
+	}
+	return false
+}
+
+// note is the trail's share of the barrier: it notes the kept stream's
+// outcome evidence into an and counts what the trail read and the records
+// its passes examined — every record and then every data record when the
+// analysis is charged, every data record once with TCBs — whatever work a
+// discard repeated.
+func (tr *trail) note(an *analysis, scanCharged bool, rep *Report) {
+	rep.BytesRead += tr.read
+	for _, seg := range tr.segs {
+		s := audit.NewScanner(seg)
+		for s.Next() {
+			rec := s.Record()
+			if isData(rec) {
+				rep.RecordsScanned++
+			} else {
+				an.note(rec)
+			}
+			if scanCharged {
+				rep.RecordsScanned++
+			}
+		}
+	}
+}
+
+// redo is a worker's pass after the barrier: it classifies every data
+// record's transaction once across the streams, redoes the
+// committed ones that waited for the barrier, and returns how many records it
+// redid or discarded.
+func (tr *trail) redo(an *analysis, rb *Rebuilt, rep *Report) int64 {
+	var n int64
+	k := 0
+	for _, seg := range tr.segs {
+		s := audit.NewScanner(seg)
+		for s.Next() {
+			rec := s.Record()
+			if !isData(rec) {
+				continue
+			}
+			late := tr.late(k)
+			k++
+			state := an.outcome(rec.Txn)
+			if an.see(rec.Txn) {
+				switch state {
+				case tmf.TCBCommitted:
+					rep.Committed++
+				case tmf.TCBAborted:
 					rep.Aborted++
-				} else {
+				default:
 					rep.InFlight++
 				}
 			}
-			continue
-		}
-		if !seen[rec.Txn] {
-			seen[rec.Txn] = true
-			rep.Committed++
-		}
-		t := rb.Files[rec.File]
-		if t == nil {
-			t = btree.New[[]byte]()
-			rb.Files[rec.File] = t
-		}
-		if rec.Type == audit.RecDelete {
-			t.Delete(rec.Key)
-		} else {
-			n := len(rec.Body) // capped: an append cannot reach the next record
-			t.Set(rec.Key, rec.Body[:n:n])
-			rep.RowsRedone++
+			if !late {
+				continue
+			}
+			n++
+			if state == tmf.TCBCommitted && rb.apply(tr.i, rec) {
+				rep.RowsRedone++
+			}
 		}
 	}
-	return records
+	rep.RowsRedone += tr.rows
+	return n
 }
 
-// trailReader reads trail i on worker w into sc and returns what the
-// recovery keeps of it — its own copy of the valid record prefix, never sc's
-// bytes — and the bytes read. A trail that does not exist reads as nil.
-type trailReader func(w *cluster.Process, i int, sc *scratch) ([]byte, int64, error)
-
-// recoverStreams recovers from trails trails, on one worker per trail
-// (crew.start places them). Each worker
+// recoverStreams recovers from trails trails as one streamed pipeline, on one
+// worker per trail (crew.start places them). Each worker
 //
-//  1. reads its trail with read, into a scratch of its own drawn from the
-//     process's spares, and hands that scratch on as soon as the kept prefix
-//     is copied out of it;
-//  2. analysis: notes its stream's outcome evidence into an analysis of its
-//     own, charging CPUPerRecord a record when scanCharged (the
-//     outcome-discovery pass of the disk and PM-scan paths; with TCBs the
-//     records are noted free and charged once, in redo). The first stream's
-//     worker notes straight over an — what the caller already knows, the TCB
-//     table or nothing — exactly as one serial scan would; the later streams'
-//     analyses are merged over it in stream order, so an outcome's
-//     precedence never depends on which worker finished first;
-//  3. the barrier, then resolveInDoubt: an outcome record may sit in another
-//     stream than the data it decides, so no redo starts before every stream
-//     is analysed;
-//  4. redo: applies its stream's committed records to the one image and
-//     charges CPUPerRecord a data record. A key's records all live in one
-//     stream (one DP2 writes one trail), so its redo order is the serial one.
+//  1. opens its trail with open, from its own CPU, and meets the other
+//     workers before any of them reads: opens then never queue behind bulk
+//     reads;
+//  2. reads its trail's first chunk into a scratch drawn from the process's
+//     spares and, unless that chunk settles the trail, hands the rest of the
+//     reading to a read-ahead process on its CPU, so the device keeps reading
+//     while the CPU works; the reader copies each chunk's newly valid records
+//     out as a segment of the kept stream and hands the scratch on at the end;
+//  3. works on each segment as it lands (trail.early): the charged analysis
+//     when scanCharged (the outcome-discovery pass of the disk and PM-scan
+//     paths), otherwise the redo of every record the TCB image already
+//     decided, deferring the rest. A trail whose replicas disagree discards
+//     its early work and keeps the winning replica's stream;
+//  4. the barrier: the recovering process notes every stream's outcome
+//     evidence over an (trail.note) — what the caller already knows, the TCB
+//     table or nothing — in stream order, exactly as one serial scan would,
+//     and resolves the in-doubt transactions: an outcome record may sit in
+//     another stream than the data it decides;
+//  5. redo (trail.redo): a trail whose early redo the merged analysis
+//     contradicts discards it; then each worker redoes what waited for the
+//     barrier, in trail order, charging CPUPerRecord a data record. A key's
+//     records all live in one stream (one DP2 writes one trail), so its redo
+//     order is the serial one, and each trail's rows go into trees of their
+//     own (Rebuilt).
 //
-// A trail that cannot be read fails the recovery at the barrier with its
-// error — the lowest-indexed trail's, when several fail — and sends the
-// workers home. It returns the image and the transactions that had data
-// records.
-func recoverStreams(p *cluster.Process, cpus []*cluster.CPU, opts Options, trails int, read trailReader, an *analysis, scanCharged bool, rep *Report) (*Rebuilt, map[audit.TxnID]bool, error) {
-	parts := make([]analysis, trails) // parts[0] stays empty: stream 0 is noted into an
-	rb := &Rebuilt{Files: make(map[string]*btree.Tree[[]byte])}
-	var seen map[audit.TxnID]bool
-	var readErr error
-	failed := trails // the lowest-indexed trail that could not be read
+// Every record's CPUPerRecord is charged once per pass, to the CPU of its
+// trail's worker, so the charge and the bytes read are those of a
+// read-then-scan recovery; only their overlap differs, and a discarded
+// trail's repeated work. A trail that cannot be read fails the recovery at
+// the barrier with its error — the lowest-indexed trail's, when several fail
+// — and sends the workers home.
+func recoverStreams(p *cluster.Process, cpus []*cluster.CPU, opts Options, trails int, open logOpener, an *analysis, scanCharged bool, rep *Report) (*Rebuilt, error) {
+	trs := make([]trail, trails)
+	rb := &Rebuilt{files: make(map[string][]*btree.Tree[[]byte]), trails: trails}
 	c := newCrew(p, trails)
 	c.start(cpus, func(w *cluster.Process, i int) {
-		sc := new(scratch)
-		stream, n, err := read(w, i, sc)
-		stable.HandOn(sc.buf)
-		if err != nil {
-			if i < failed {
-				failed, readErr = i, err
+		tr := &trs[i]
+		tr.i, tr.serial = i, scanCharged
+		lg, err := open(w, i)
+		if !c.gather(w) {
+			if lg != nil {
+				lg.close(w)
 			}
-			return // its exit counts it in at the barrier
+			return
 		}
-		rep.BytesRead += n
-		part := an
-		if i > 0 {
-			part = &parts[i]
-		}
-		n = part.scan(stream)
-		if scanCharged {
-			rep.RecordsScanned += n
-			charge(w, n, opts)
+		tr.err = err
+		if lg != nil {
+			tr.stream(w, lg, opts, an, rb)
 		}
 		if !c.barrier(w) {
 			return
 		}
-		n = redo(stream, an, rb, seen, rep)
-		rep.RecordsScanned += n
-		charge(w, n, opts)
+		if !tr.serial && an.aborted && tr.contradicted(an) {
+			tr.undo(rb)
+		}
+		charge(w, tr.redo(an, rb, rep), opts)
 	})
 	if !c.wait(p) {
-		return nil, nil, ErrWorkerLost
+		return nil, ErrWorkerLost
 	}
-	if readErr != nil {
-		c.dismiss()
-		return nil, nil, readErr
+	for i := range trs {
+		if err := trs[i].err; err != nil {
+			c.dismiss()
+			return nil, err
+		}
 	}
-	for i := 1; i < len(parts); i++ {
-		an.merge(&parts[i])
+	for i := range trs {
+		trs[i].note(an, scanCharged, rep)
 	}
 	resolveInDoubt(an, rep)
-	seen = make(map[audit.TxnID]bool, len(an.outcome))
 	c.release()
 	if !c.wait(p) {
-		return nil, nil, ErrWorkerLost
+		return nil, ErrWorkerLost
 	}
-	return rb, seen, nil
+	return rb, nil
 }
 
 // charge holds the worker's CPU for n records' worth of recovery work: one
-// hold a stream and pass, queueing behind any other worker on that CPU.
+// hold a segment and pass, queueing behind any other process on that CPU.
 func charge(w *cluster.Process, n int64, opts Options) {
 	if n > 0 {
 		w.Compute(sim.Time(n) * opts.CPUPerRecord)
 	}
 }
 
-// crew is one recovery's workers, one process per trail, and the two
-// meetings the recovering process holds with them: the barrier after
-// analysis and their end. A worker killed before its end — its CPU failed —
-// fails the meeting in progress, so the recovering process returns an error
-// instead of waiting on the dead worker or returning part of an image. A
-// recovering process that exits — killed, or returning early — sends the
-// workers home at their next meeting.
+// crew is one recovery's workers, one process per trail, and their three
+// meetings: the open meeting, where the workers wait for each other once
+// their trails are open; the barrier after analysis, which the recovering
+// process releases; and their end. A worker killed before its end — its CPU
+// failed — fails the meeting in progress, so the recovering process returns
+// an error instead of waiting on the dead worker or returning part of an
+// image, and sends the rest home. A recovering process that exits — killed,
+// or returning early — sends the workers home at their next meeting.
 type crew struct {
 	n        int
+	opening  int         // workers yet to reach the open meeting
 	pending  int         // workers yet to reach the current meeting
 	finished int         // workers whose body returned
 	exited   int         // workers that exited, killed or not
 	lost     bool        // a worker exited without its body returning
-	home     bool        // the recovery stops at the barrier
+	home     bool        // the recovery stops at the next meeting
+	opened   *sim.Signal // every worker has opened its trail, or the crew is dismissed
 	met      *sim.Signal // the current meeting is complete, or lost
 	resume   *sim.Signal // the go-ahead past the barrier
 	eng      *sim.Engine
@@ -368,7 +843,7 @@ type crew struct {
 
 func newCrew(p *cluster.Process, n int) *crew {
 	eng := p.Cluster().Engine()
-	c := &crew{n: n, pending: n, met: eng.NewSignal(), resume: eng.NewSignal(), eng: eng}
+	c := &crew{n: n, opening: n, pending: n, opened: eng.NewSignal(), met: eng.NewSignal(), resume: eng.NewSignal(), eng: eng}
 	p.Sim().OnExit(c.dismiss)
 	return c
 }
@@ -418,6 +893,17 @@ func (c *crew) arrive() {
 	}
 }
 
+// gather is a worker's side of the open meeting, which the last worker to
+// arrive releases: it reports whether the recovery goes on.
+func (c *crew) gather(w *cluster.Process) bool {
+	c.opening--
+	if c.opening == 0 && !c.opened.Fired() {
+		c.opened.Trigger(nil)
+	}
+	c.opened.Wait(w.Sim())
+	return !c.home
+}
+
 // barrier is a worker's side of the meeting after analysis: it reports
 // whether the recovery goes on.
 func (c *crew) barrier(w *cluster.Process) bool {
@@ -426,10 +912,13 @@ func (c *crew) barrier(w *cluster.Process) bool {
 	return !c.home
 }
 
-// dismiss sends the workers home: those waiting at the barrier now, and the
-// rest as they reach it.
+// dismiss sends the workers home: those waiting at a meeting now, and the
+// rest as they reach one.
 func (c *crew) dismiss() {
 	c.home = true
+	if !c.opened.Fired() {
+		c.opened.Trigger(nil)
+	}
 	if !c.resume.Fired() {
 		c.resume.Trigger(nil)
 	}
@@ -462,9 +951,9 @@ func nodeCPUs(cl *cluster.Cluster) []*cluster.CPU {
 }
 
 // scratch is one reader's read buffer: the recovering process's for the TCB
-// image, each worker's for its trail. Every replica the reader reads is read
-// into it and scanned there; what the recovery keeps of a trail — the valid
-// record prefix of the winning replica — is copied out before the next read
+// image, each trail reader's for its trail. Every replica the reader reads is
+// read into it and validated there; what the recovery keeps of a trail is
+// copied out of it a record-aligned segment at a time, before the next read
 // reuses the buffer. Nothing that outlives the read may alias it, and a
 // reader that is done hands it on to the process's next device reader (one
 // killed part-way drops it). Only bytes a read of this reader wrote are ever
@@ -502,7 +991,7 @@ func (sc *scratch) reserve(keep, end int) {
 // FromDisk recovers from audit disk volumes. One worker per volume, on the
 // node's CPUs, reads the trail area sequentially and scans it twice: once to
 // discover transaction outcomes (the "heuristic searching" the paper decries)
-// and once to redo.
+// as each chunk lands, and once, after the barrier, to redo.
 func FromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options) (Report, *Rebuilt, error) {
 	return fromDisk(p, volumes, opts, nodeCPUs(p.Cluster()))
 }
@@ -511,17 +1000,8 @@ func fromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options, cpus []*
 	opts.defaults()
 	var rep Report
 	start := p.Now()
-	read := func(w *cluster.Process, i int, sc *scratch) ([]byte, int64, error) {
-		v := volumes[i]
-		valid, n, err := readStream(sc, v.Capacity(), opts, func(off int64, buf []byte) error {
-			return v.Read(w.Sim(), off, buf)
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return bytes.Clone(sc.buf[:valid]), n, nil
-	}
-	rb, _, err := recoverStreams(p, cpus, opts, len(volumes), read, new(analysis), true, &rep)
+	open := func(_ *cluster.Process, i int) (trailLog, error) { return diskLog{volumes[i]}, nil }
+	rb, err := recoverStreams(p, cpus, opts, len(volumes), open, new(analysis), true, &rep)
 	if err != nil {
 		return rep, nil, err
 	}
@@ -533,52 +1013,66 @@ func fromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options, cpus []*
 // prefix; the length it holds excludes the prefix itself.
 const frameHeader = 4
 
-// readStream reads a log area chunk by chunk straight into sc.buf, stopping
-// as soon as more bytes cannot move where the end-of-trail scan stops, and
-// returns the length of the valid record prefix (sc.buf[:valid] is the
-// stream) and the bytes read. Each chunk resumes the scan at the last record
-// boundary: a frame the previous chunk cut short is retried whole, and
-// nothing already validated is scanned again.
+// chunkReader fills buf from a replica at off.
+type chunkReader interface {
+	readChunk(off int64, buf []byte) error
+}
+
+// streamCursor is one replica's read in progress: the bytes read of it and
+// the length of its valid record prefix.
+type streamCursor struct {
+	off   int64
+	valid int
+}
+
+// step reads the replica's next chunk straight into sc.buf and extends the
+// valid prefix over it, reporting whether the scan is settled. The scan
+// resumes at the last record boundary: a frame the previous chunk cut short
+// is retried whole, and nothing already validated is scanned again.
 //
 // The scan is settled when it stopped on a zero length prefix (a clean end),
 // on a frame wholly inside what was read (a torn one: its check reads only
-// its own bytes), or on a frame whose declared length runs past the device.
-// Only a scan that reached the read's edge — fewer than frameHeader bytes
-// left, or a frame that runs past them — reads on.
-func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off int64, buf []byte) error) (valid int, read int64, err error) {
-	var off int64
-	for off < capacity {
-		n := min(int64(opts.ChunkBytes), capacity-off)
-		end := int(off + n)
-		sc.reserve(int(off), end)
-		if err := readChunk(off, sc.buf[off:end]); err != nil {
-			return 0, 0, fmt.Errorf("%w: %v", ErrNoLog, err)
-		}
-		off += n
-		s := audit.NewScanner(sc.buf[valid:end])
-		for s.Next() {
-		}
-		valid += s.Offset()
-		if end-valid >= frameHeader {
-			length := int64(binary.LittleEndian.Uint32(sc.buf[valid:]))
-			frameEnd := int64(valid) + frameHeader + length
-			if length == 0 || frameEnd <= int64(end) || frameEnd > capacity {
-				break
-			}
-		}
+// its own bytes), on a frame whose declared length runs past the device, or
+// at the device's end. Only a scan that reached the read's edge — fewer than
+// frameHeader bytes left, or a frame that runs past them — reads on.
+func (c *streamCursor) step(sc *scratch, capacity int64, opts Options, src chunkReader) (settled bool, err error) {
+	n := min(int64(opts.ChunkBytes), capacity-c.off)
+	end := int(c.off + n)
+	sc.reserve(int(c.off), end)
+	if err := src.readChunk(c.off, sc.buf[c.off:end]); err != nil {
+		return false, fmt.Errorf("%w: %v", ErrNoLog, err)
 	}
-	return valid, off, nil
+	c.off += n
+	s := audit.NewScanner(sc.buf[c.valid:end])
+	for s.Next() {
+	}
+	c.valid += s.Offset()
+	if c.off >= capacity {
+		return true, nil
+	}
+	if end-c.valid >= frameHeader {
+		length := int64(binary.LittleEndian.Uint32(sc.buf[c.valid:]))
+		frameEnd := int64(c.valid) + frameHeader + length
+		return length == 0 || frameEnd <= int64(end) || frameEnd > capacity, nil
+	}
+	return false, nil
 }
 
 // FromPM recovers from NPMU-resident log regions via the PM client
 // library, consulting the TCB region for outcomes so a single pass
-// suffices; as in FromDisk, one worker per trail, on the node's CPUs, reads
-// it — opening the region from its own CPU — and runs the passes. The
+// suffices; as in FromDisk, one worker per trail, on the node's CPUs, opens
+// its region from its own CPU, reads it and works on it as it lands. The
 // caller provides a recovery process bound to a cluster with a live PMM
 // (restarted after the crash), the PM volume handle, the log region names,
 // and the TCB region name ("" to force the two-pass disk-style analysis over
 // PM, for apples-to-apples ablation). A log region the PMM has never heard
-// of is an empty trail, not an error.
+// of is an empty trail, not an error. Each region is read from both devices
+// of its mirrored pair and the replica whose valid record prefix scans
+// furthest is kept: the PM write path succeeds whenever one mirror accepted
+// the data, so a device that power-failed mid-run holds a truncated prefix,
+// and trusting the primary blindly would silently drop committed
+// transactions. A replica that cannot be read at all is skipped as long as
+// its partner is readable.
 func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options) (Report, *Rebuilt, error) {
 	return fromPM(p, vol, logRegions, tcbRegion, opts, nodeCPUs(p.Cluster()))
 }
@@ -600,7 +1094,7 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 			img := sc.buf[:r.Size()]
 			if err := readPMStream(p, r, img, opts); err == nil {
 				rep.BytesRead += r.Size()
-				an.outcome = tmf.ScanTCBs(img)
+				tmf.ScanTCBs(img, an.decide)
 				rep.UsedTCB = true
 			}
 			stable.HandOn(sc.buf)
@@ -608,24 +1102,19 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 		}
 	}
 
-	read := func(w *cluster.Process, i int, sc *scratch) ([]byte, int64, error) {
+	open := func(w *cluster.Process, i int) (trailLog, error) {
 		name := logRegions[i]
 		r, err := vol.Open(w, name)
 		if errors.Is(err, pmm.ErrNotFound) {
 			// The PMM answered and has no such region: the log's writer died
 			// before its first append created it, so the trail is empty. An
 			// unreachable PMM is any other error and stays ErrNoLog.
-			return nil, 0, nil
+			return nil, nil
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
+			return nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}
-		data, n, err := readLogReplicas(w, r, i, opts, sc)
-		r.Close(w)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
-		}
-		return data, n, nil
+		return pmLog{r}, nil
 	}
 
 	// Without control blocks the outcome-discovery pass is charged. With
@@ -633,7 +1122,7 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 	// override the TCB table: a bounded, wrapping structure sized for
 	// *concurrent* transactions (its job is naming the in-flight ones
 	// without a search), whose slots may have been overwritten.
-	rb, seen, err := recoverStreams(p, cpus, opts, len(logRegions), read, an, !rep.UsedTCB, &rep)
+	rb, err := recoverStreams(p, cpus, opts, len(logRegions), open, an, !rep.UsedTCB, &rep)
 	if err != nil {
 		return rep, nil, err
 	}
@@ -641,56 +1130,10 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 		// Fine-grained knowledge: control blocks name in-flight
 		// transactions even when none of their audit reached the durable
 		// trail — no heuristic log search required.
-		//simlint:ordered -- commutative count
-		for txn, state := range an.outcome {
-			if state == tmf.TCBActive && !seen[txn] {
-				rep.InFlight++
-			}
-		}
+		rep.InFlight += an.activeUnseen()
 	}
 	rep.MTTR = p.Now() - start
 	return rep, rb, nil
-}
-
-// readLogReplicas reads a log region's stream from each device of the
-// mirrored pair independently and keeps the replica whose valid record
-// prefix scans furthest — of equal ones, the lower replica's. Log writes are
-// strictly sequential appends, and the PM write path succeeds whenever at
-// least one mirror accepted the data — so a device that power-failed mid-run
-// holds a truncated prefix (its partner carried the writes alone while it
-// was away), and trusting the primary blindly would silently drop committed
-// transactions. A replica that cannot be read at all (device still down) is
-// skipped as long as its partner is readable. Trail i reads replica i mod
-// the replica count first, so the workers of a recovery start on both
-// devices at once instead of queueing on the primary. Every replica is read
-// into the scratch; only a replica that beats the best so far is copied out
-// of it.
-func readLogReplicas(p *cluster.Process, r *pmclient.Region, trail int, opts Options, sc *scratch) ([]byte, int64, error) {
-	var best []byte
-	bestValid, bestRep := -1, 0
-	var total int64
-	var firstErr error
-	replicas := r.Replicas()
-	for k := range replicas {
-		rep := (trail + k) % replicas
-		valid, n, err := readStream(sc, r.Size(), opts, func(off int64, buf []byte) error {
-			return r.ReadReplica(p, rep, off, buf)
-		})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		total += n
-		if valid > bestValid || valid == bestValid && rep < bestRep {
-			bestValid, bestRep, best = valid, rep, append(best[:0], sc.buf[:valid]...)
-		}
-	}
-	if bestValid < 0 {
-		return nil, 0, firstErr
-	}
-	return best, total, nil
 }
 
 // readPMStream fills buf from the region in RDMA-sized chunks.

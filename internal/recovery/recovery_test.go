@@ -182,7 +182,7 @@ func TestScenarioDeterministic(t *testing.T) {
 }
 
 func TestRebuiltAccessors(t *testing.T) {
-	rb := &Rebuilt{Files: nil}
+	rb := &Rebuilt{}
 	if _, ok := rb.Get("NOPE", 1); ok {
 		t.Error("Get on empty Rebuilt succeeded")
 	}

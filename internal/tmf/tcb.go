@@ -39,14 +39,13 @@ func DecodeTCB(e []byte) (txn audit.TxnID, state uint8, ok bool) {
 	return audit.TxnID(binary.LittleEndian.Uint64(e[4:])), e[12], true
 }
 
-// ScanTCBs decodes every live entry in a control-block region image,
-// returning the outcome map recovery uses in place of a log scan.
-func ScanTCBs(img []byte) map[audit.TxnID]uint8 {
-	out := make(map[audit.TxnID]uint8)
+// ScanTCBs decodes every live entry in a control-block region image, in slot
+// order, handing each to fn: the outcomes recovery uses in place of a log
+// scan.
+func ScanTCBs(img []byte, fn func(txn audit.TxnID, state uint8)) {
 	for off := 0; off+TCBEntrySize <= len(img); off += TCBEntrySize {
 		if txn, state, ok := DecodeTCB(img[off : off+TCBEntrySize]); ok {
-			out[txn] = state
+			fn(txn, state)
 		}
 	}
-	return out
 }

@@ -1,12 +1,16 @@
 package tmf
 
 import (
+	"errors"
 	"testing"
 
 	"persistmem/internal/adp"
 	"persistmem/internal/audit"
 	"persistmem/internal/cluster"
 	"persistmem/internal/dp2"
+	"persistmem/internal/npmu"
+	"persistmem/internal/pmclient"
+	"persistmem/internal/pmm"
 	"persistmem/internal/sim"
 )
 
@@ -91,4 +95,91 @@ func TestTimedOutCoordinatorIsNeverRestarted(t *testing.T) {
 		t.Errorf("stats = %+v, want three commits and one abort", st)
 	}
 	eng.Shutdown()
+}
+
+// A transaction whose master commit record is durable can still roll back:
+// the log writer's reply is an error, or comes too late. Its participants'
+// logs then hold the commit record and an abort behind it, and recovery
+// takes the abort. The control block must agree: the monitor writes
+// TCBCommitted only once the master commit succeeded, so a rollback leaves the
+// transaction's block as begin wrote it. Recovery redoes a transaction's rows
+// as they land on the strength of TCBCommitted alone, which is sound only
+// because no trail can then abort it.
+func TestRollbackAfterDurableCommitRecordNeverLeavesTCBCommitted(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply func(cl *cluster.Cluster, p *cluster.Process, ev cluster.Envelope, req *adp.CommitReq)
+	}{
+		{"error reply", func(_ *cluster.Cluster, _ *cluster.Process, ev cluster.Envelope, req *adp.CommitReq) {
+			req.Resp = adp.CommitResp{Err: errors.New("log writer lost its backup")}
+			ev.Reply(req)
+		}},
+		{"late reply", func(cl *cluster.Cluster, p *cluster.Process, ev cluster.Envelope, req *adp.CommitReq) {
+			p.Wait(cl.Config().CallTimeout + sim.Second)
+			req.Resp = adp.CommitResp{LSN: 64}
+			ev.Reply(req)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			defer eng.Shutdown()
+			cl := cluster.New(eng, cluster.DefaultConfig())
+			var durable, aborted []audit.TxnID
+			master := cl.CPU(0).Spawn("masteradp", func(p *cluster.Process) {
+				for {
+					ev := p.Recv()
+					switch req := ev.Payload.(type) {
+					case *adp.CommitReq:
+						durable = append(durable, req.Txn) // the record is on the trail
+						tc.reply(cl, p, ev, req)
+					case *adp.AbortReq:
+						aborted = append(aborted, req.Txn)
+					}
+				}
+			})
+			cl.Register("$MASTER", master)
+			part := cl.CPU(1).Spawn("fakedp", func(p *cluster.Process) {
+				for {
+					ev := p.Recv()
+					if req, ok := ev.Payload.(*dp2.FlushAuditReq); ok {
+						req.Resp = dp2.FlushAuditResp{ADP: "$MASTER", LSN: 32}
+					}
+					ev.Reply(ev.Payload)
+				}
+			})
+			cl.Register("$DP-F-0", part)
+			a := npmu.New(cl, "npmu-a", 16<<20)
+			b := npmu.New(cl, "npmu-b", 16<<20)
+			pmm.Start(cl, "$PM1", 2, 3, a, b)
+			Start(cl, Config{PrimaryCPU: 2, BackupCPU: 3, TCBVolume: "$PM1"})
+
+			var txn audit.TxnID
+			states := map[audit.TxnID]uint8{}
+			cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+				txn = begin(t, p)
+				req := &CommitReq{Txn: txn, DP2s: []string{"$DP-F-0"}}
+				if _, err := p.Call("$TMF", 64, req); err == nil && req.Resp.Err == nil {
+					t.Error("the commit succeeded though its master commit record's reply failed")
+				}
+				p.Wait(2 * cl.Config().CallTimeout) // every reply and abort is in by now
+				r, err := pmclient.Attach(cl, "$PM1").Open(p, TCBRegionName)
+				if err != nil {
+					t.Errorf("open the TCB region: %v", err)
+					return
+				}
+				img := make([]byte, r.Size())
+				if err := r.Read(p, 0, img); err != nil {
+					t.Errorf("read the TCB region: %v", err)
+				}
+				ScanTCBs(img, func(txn audit.TxnID, state uint8) { states[txn] = state })
+			})
+			eng.Run()
+			if len(durable) != 1 || durable[0] != txn || len(aborted) != 1 || aborted[0] != txn {
+				t.Fatalf("master log saw commit records %v and aborts %v, want one each for transaction %d", durable, aborted, txn)
+			}
+			if got := states[txn]; got != TCBActive {
+				t.Errorf("transaction %d's control block reads state %d after the rollback, want %d (active, as begin wrote it): never %d (committed)", txn, got, TCBActive, TCBCommitted)
+			}
+		})
+	}
 }

@@ -241,12 +241,19 @@ func TestTCBEncodeDecode(t *testing.T) {
 	}
 }
 
+// scanTCBs collects ScanTCBs' entries by transaction.
+func scanTCBs(img []byte) map[audit.TxnID]uint8 {
+	out := make(map[audit.TxnID]uint8)
+	ScanTCBs(img, func(txn audit.TxnID, state uint8) { out[txn] = state })
+	return out
+}
+
 func TestScanTCBs(t *testing.T) {
 	img := make([]byte, 10*TCBEntrySize)
 	copy(img[0:], AppendTCB(nil, 1, TCBCommitted))
 	copy(img[3*TCBEntrySize:], AppendTCB(nil, 2, TCBAborted))
 	copy(img[7*TCBEntrySize:], AppendTCB(nil, 3, TCBActive))
-	out := ScanTCBs(img)
+	out := scanTCBs(img)
 	if len(out) != 3 || out[1] != TCBCommitted || out[2] != TCBAborted || out[3] != TCBActive {
 		t.Errorf("ScanTCBs = %v", out)
 	}
@@ -260,7 +267,7 @@ func TestTCBRoundTripProperty(t *testing.T) {
 		img := make([]byte, 32*TCBEntrySize)
 		off := int(slot%32) * TCBEntrySize
 		copy(img[off:], AppendTCB(nil, audit.TxnID(txn), st))
-		out := ScanTCBs(img)
+		out := scanTCBs(img)
 		return len(out) == 1 && out[audit.TxnID(txn)] == st
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
