@@ -141,8 +141,9 @@ func BenchmarkFaultCell(b *testing.B) {
 // and out of the PM audit trails with the outcome scan and with the TCB
 // region — and PM direct's, out of the per-DP2 PM logs with the TCB region.
 // Each iteration builds and crashes its store with the timer stopped; B/op
-// and allocs/op are the recovery's, reboot included, and MTTR-ms its virtual
-// time.
+// and allocs/op are the recovery's, reboot included, MTTR-ms its virtual
+// time, and late-records the data records its redo left for after the
+// barrier.
 func BenchmarkRecovery(b *testing.B) {
 	for _, path := range []struct {
 		name   string
@@ -174,6 +175,7 @@ func BenchmarkRecovery(b *testing.B) {
 				res.Store.Eng.Shutdown()
 				b.StartTimer()
 				b.ReportMetric(rep.MTTR.Millis(), "MTTR-ms")
+				b.ReportMetric(float64(rep.RedoneAfterBarrier), "late-records")
 			}
 		})
 	}

@@ -238,6 +238,11 @@ type Scanner struct {
 // NewScanner scans the given log bytes from the beginning.
 func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
 
+// Reset scans data from its beginning, as a new scanner would, but keeps the
+// scanner's file-name cache: one scanner moved over many pieces of a file's
+// trail allocates the name once, not once a piece.
+func (s *Scanner) Reset(data []byte) { *s = Scanner{data: data, name: s.name} }
+
 // Next advances to the next record, returning false at end of log or on a
 // torn record (check Err to distinguish). A failed advance leaves Record,
 // LSN and Offset at the last good record.

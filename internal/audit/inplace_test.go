@@ -160,6 +160,23 @@ func TestScannerZeroAllocsPerRecord(t *testing.T) {
 	}); cold > 1 {
 		t.Errorf("%v allocs per cold scan, want at most 1 (the file name)", cold)
 	}
+	// A scanner Reset onto a piece of the trail starts over, at the zero
+	// record, and keeps its name: every piece after the first allocates
+	// nothing.
+	s = Scanner{data: buf}
+	for s.Next() {
+	}
+	if resets := testing.AllocsPerRun(20, func() {
+		for off := 0; off < len(buf); {
+			s.Reset(buf[off:])
+			if s.Record().Type != 0 || s.Offset() != 0 || !s.Next() {
+				t.Fatalf("Reset at %d: record %+v, offset %d", off, s.Record(), s.Offset())
+			}
+			off += s.Offset()
+		}
+	}); resets != 0 {
+		t.Errorf("%v allocs per scan a record a Reset, want 0", resets)
+	}
 	_ = sum
 }
 

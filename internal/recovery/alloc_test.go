@@ -12,13 +12,15 @@ import (
 // recoveryBudgetBytes is the most a 4000-transaction recovery (16 000 rows,
 // the size of the benchmark fault-recover workload's three) may allocate per
 // row it recovers, on each of recoveryPaths. Today a row costs 93 B on disk,
-// 94 B on PM scan, 99 B on PM + TCBs and 125 B on PM direct: its share of the
+// 94 B on PM scan, 99 B on PM + TCBs and 124 B on PM direct: its share of the
 // kept stream segments (56 B, and 81 B from PM direct's per-DP2 logs, which
 // also hold a commit record a DP2), of its trail's B-tree (33 B) and of the
-// read-ahead's key filter. It cost 121 B on the first three and 217 B on PM
-// direct while the analysis kept an outcome map a trail and a seen set where
-// it now keeps one byte a transaction, and while the workers' redo shared
-// one tree a file. It cost 130–131 B while redo's seen set grew from empty
+// read-ahead's key filter; redoing a record on a trail's commit, in a retry
+// over the deferred ones, adds nothing a record (125 B on PM direct while
+// those records waited for the barrier). It cost 121 B on the first three
+// and 217 B on PM direct while the analysis kept an outcome map a trail and
+// a seen set where it now keeps one byte a transaction, and while the
+// workers' redo shared one tree a file. It cost 130–131 B while redo's seen set grew from empty
 // instead of being sized from the analysis, 145–146 B while the B-tree's
 // leaves split half full and regrew by append, and 522–523 B while analysis
 // kept every data record by value in a slice that grew a quarter at a time

@@ -192,11 +192,19 @@ func recoverLogs(trails [][][]byte, tcb map[audit.TxnID]uint8, opts Options, per
 	if serial {
 		cpus = cpus[:1]
 	}
+	return recoverLogsOn(cl, cpus, trails, tcb, opts, perRead)
+}
+
+// recoverLogsOn is recoverLogs on a node of the caller's: the recovering
+// process runs on CPU 0, the workers on cpus, and the engine runs until it
+// quiesces.
+func recoverLogsOn(cl *cluster.Cluster, cpus []*cluster.CPU, trails [][][]byte, tcb map[audit.TxnID]uint8, opts Options, perRead sim.Time) (Report, *Rebuilt, error) {
 	capacity := fixtureCapacity(trails)
 	var rep Report
 	var rb *Rebuilt
 	var err error
 	cl.CPU(0).Spawn("recover", func(p *cluster.Process) {
+		start := p.Now()
 		opts.defaults()
 		an := new(analysis)
 		for txn, state := range tcb {
@@ -204,9 +212,9 @@ func recoverLogs(trails [][][]byte, tcb map[audit.TxnID]uint8, opts Options, per
 		}
 		rb, err = recoverStreams(p, cpus, opts, len(trails), fixtureOpener(trails, capacity, perRead), an, tcb == nil, &rep)
 		rep.UsedTCB = tcb != nil
-		rep.MTTR = p.Now()
+		rep.MTTR = p.Now() - start
 	})
-	eng.Run()
+	cl.Engine().Run()
 	return rep, rb, err
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"persistmem/internal/audit"
 	"persistmem/internal/cluster"
 	"persistmem/internal/ods"
 	"persistmem/internal/pmclient"
@@ -15,9 +16,10 @@ import (
 )
 
 // sameButMTTR reports whether two recoveries found the same things: every
-// Report field but the time it took.
+// Report field but the time it took and when its redo ran.
 func sameButMTTR(a, b Report) bool {
 	a.MTTR, b.MTTR = 0, 0
+	a.RedoneAfterBarrier, b.RedoneAfterBarrier = 0, 0
 	return a == b
 }
 
@@ -182,6 +184,52 @@ func TestWorkerLossFailsRecovery(t *testing.T) {
 			res.Store.Cl.CPU(3).Restore()
 			checkRerun(t, res, clean, opts)
 		})
+	}
+}
+
+// TestWorkerLossWakesPeersWaitingOnCommits fails a worker's CPU while a peer
+// whose trail is done still holds a deferred record — an aborted
+// transaction's, which no commit will ever release — and so waits in its
+// stream loop for the commits the streaming workers may yet show. The lost
+// worker streams no more: the waiting peer must be woken and go home, the
+// recovery return ErrWorkerLost with no recovery process left parked, and,
+// once the CPU is back, a second recovery on the same node rebuild what the
+// read-then-scan oracle rebuilds. (The 100-transaction loss tests cannot see
+// this: the TCB ring names all their transactions, so nothing is pending.)
+func TestWorkerLossWakesPeersWaitingOnCommits(t *testing.T) {
+	// Trail 0, on CPU 0, is one 256-byte read: two committed transactions and
+	// transaction 99's insert, which the TCB table names aborted. Trail 1, on
+	// CPU 1, is ~40 reads of 50 µs; its CPU fails 300 µs in, mid-stream.
+	short := audit.AppendRecord(logOf(nil, "a", 1, 2), &audit.Record{Type: audit.RecInsert, Txn: 99, File: "TRADES", Key: 990, Body: []byte("x")})
+	trails := [][][]byte{{short}, {logOf(nil, "b", span(3, 40)...)}}
+	tcb := committedTCBs(span(1, 40)...)
+	tcb[99] = tmf.TCBAborted
+
+	eng := sim.NewEngine(1)
+	defer eng.Shutdown()
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	eng.Schedule(300*sim.Microsecond, func() { cl.CPU(1).Fail() })
+	_, rb, err := recoverLogsOn(cl, nodeCPUs(cl), trails, tcb, streamOpts, streamPerRead)
+	if !errors.Is(err, ErrWorkerLost) {
+		t.Fatalf("recovery with a streaming worker's CPU failed returned %v, want ErrWorkerLost", err)
+	}
+	if rb != nil {
+		t.Fatalf("a failed recovery returned an image of %d rows", rb.Rows())
+	}
+	for _, name := range eng.BlockedProcs() {
+		if strings.HasPrefix(name, "recover") {
+			t.Fatalf("%s left waiting after a worker was lost: %v", name, eng.BlockedProcs())
+		}
+	}
+
+	cl.CPU(1).Restore()
+	rep, rb, err := recoverLogsOn(cl, nodeCPUs(cl), trails, tcb, streamOpts, streamPerRead)
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	wantRep, want := readThenScan(trails, tcb, streamOpts)
+	if rows := image(rb); !slices.Equal(rows, want) || !sameButMTTR(rep, wantRep) {
+		t.Errorf("rerun: %+v %q, read-then-scan %+v %q", rep, rows, wantRep, want)
 	}
 }
 

@@ -21,10 +21,12 @@
 // first chunk through a read-ahead process, so the device keeps reading while
 // the CPU works — and works on each chunk as it lands: the outcome-discovery
 // pass without TCBs, and with them the redo of every record whose transaction
-// the TCB image already names committed. The reads overlap across devices (PM
-// trail i reads mirror i mod 2 first, so both NPMUs serve at once), and all
-// that waits for the barrier after the last chunk is what the trails
-// themselves must decide.
+// the TCB image already names committed, or — when the bounded TCB ring has
+// forgotten the transaction — whose commit some trail has already shown. The
+// reads overlap across devices (PM trail i reads mirror i mod 2 first, so both
+// NPMUs serve at once), and all that waits for the barrier after the last
+// chunk is what no outcome has decided yet; redo done on a trail's word is
+// checked against the merged outcomes there, and undone if they disagree.
 package recovery
 
 import (
@@ -85,6 +87,11 @@ type Report struct {
 	Committed, Aborted, InFlight int
 	// RowsRedone counts reapplied committed inserts.
 	RowsRedone int
+	// RedoneAfterBarrier counts the data records the redo pass met after the
+	// barrier, committed or not: every one without TCBs, and with them those
+	// no outcome allowed early, and a discarded trail's. It says when the
+	// redo ran, not what it found.
+	RedoneAfterBarrier int64
 	// UsedTCB reports whether fine-grained control blocks provided the
 	// outcomes (PM path).
 	UsedTCB bool
@@ -137,12 +144,14 @@ func (r *Rebuilt) Rows() int {
 const txnPage = 256
 
 // Bits of a transaction's byte in the analysis table: its outcome (a tmf.TCB*
-// state, 0 while none is known), whether it voted prepare, and whether redo
-// has met a data record of it.
+// state, 0 while none is known), whether it voted prepare, whether redo has
+// met a data record of it, and whether a trail has shown its commit before the
+// barrier while the TCB image names no state for it.
 const (
 	stateBits   uint8 = 3
 	preparedBit uint8 = 4
 	seenBit     uint8 = 8
+	shownBit    uint8 = 16
 )
 
 // analysis classifies transactions from scanned records. It keeps no data
@@ -157,6 +166,9 @@ type analysis struct {
 	// aborted is set once any trail notes an abort: only then can the
 	// merged outcomes contradict a redo the TCB image allowed early.
 	aborted bool
+	// shown counts the commits trails have shown before the barrier (see
+	// show): a worker retries its deferred records when it grows.
+	shown int
 }
 
 // slot returns txn's byte, making its page if it has none.
@@ -184,6 +196,53 @@ func (an *analysis) outcome(txn audit.TxnID) uint8 {
 func (an *analysis) decide(txn audit.TxnID, state uint8) {
 	b := an.slot(txn)
 	*b = *b&^stateBits | state&stateBits
+}
+
+// show notes a record of a trail's kept stream before the barrier: if it shows
+// its transaction committed and the TCB image names no state for that
+// transaction — its slot went to a later one — the transaction is marked
+// shown, and shown counts it the first time.
+func (an *analysis) show(rec *audit.Record) {
+	if an.outcome(rec.Txn) != 0 || !showsCommit(rec) {
+		return
+	}
+	if b := an.slot(rec.Txn); *b&shownBit == 0 {
+		*b |= shownBit
+		an.shown++
+	}
+}
+
+// redoable reports whether a data record of txn may be redone before the
+// barrier, and whether on a trail's word: the TCB image names txn committed,
+// or it names no state for txn and a trail has shown its commit. The first is
+// final — the monitor writes TCBCommitted only once the master commit record
+// is durable — the second speculative, until the barrier's merged analysis
+// agrees.
+func (an *analysis) redoable(txn audit.TxnID) (ok, onTrail bool) {
+	var b uint8
+	if pg := an.pages[txn/txnPage]; pg != nil {
+		b = pg[txn%txnPage]
+	}
+	switch {
+	case b&stateBits == tmf.TCBCommitted:
+		return true, false
+	case b&stateBits == 0 && b&shownBit != 0:
+		return true, true
+	}
+	return false, false
+}
+
+// showsCommit reports whether rec is a trail's word that its transaction
+// committed: a commit record, or a committed cross-shard outcome.
+func showsCommit(rec *audit.Record) bool {
+	switch rec.Type {
+	case audit.RecCommit:
+		return true
+	case audit.RecOutcome:
+		o, err := tmf.DecodeOutcome(rec.Body)
+		return err == nil && o.State == tmf.TCBCommitted
+	}
+	return false
 }
 
 // prepare records txn's cross-shard prepare vote.
@@ -375,11 +434,21 @@ type trail struct {
 	records  int      // data records met
 	deferred []uint64 // bit k: the k-th data record waits for the barrier
 	def0     [1]uint64
+	pending  int      // deferred data records
+	first    mark     // the first of them
 	filter   []uint64 // keys with a deferred record, hashed
 	small    [smallFilterWords]uint64
-	rows     int  // rows set early
-	serial   bool // nothing was redone early: every data record waits
+	scan     audit.Scanner // retry's, its file-name cache kept from pass to pass
+	tried    int           // the analysis's shown count at the last retry
+	rows     int           // rows set early
+	serial   bool          // nothing was redone early: every data record waits
+	trusted  bool          // a record went early on a trail's word
+	streamed bool          // the worker has worked on every segment, or is lost
 }
+
+// mark is where a data record sits in a trail's kept stream: its segment, its
+// offset there, and k, its place among the trail's data records.
+type mark struct{ seg, off, k int }
 
 // readChunk reads the current replica at off, from the reader.
 func (tr *trail) readChunk(off int64, buf []byte) error {
@@ -517,8 +586,13 @@ func (tr *trail) held(key uint64) bool {
 	return tr.filter[w]&b != 0
 }
 
-// hold defers the k-th data record, of key, for the barrier.
-func (tr *trail) hold(k int, key uint64) {
+// hold defers the data record at m, of key, for the barrier.
+func (tr *trail) hold(m mark, key uint64) {
+	if tr.pending == 0 {
+		tr.first = m
+	}
+	tr.pending++
+	k := m.k
 	if tr.deferred == nil {
 		tr.deferred = tr.def0[:]
 	}
@@ -542,17 +616,18 @@ func (tr *trail) late(k int) bool {
 	return tr.serial || k>>6 < len(tr.deferred) && tr.deferred[k>>6]&(1<<(k&63)) != 0
 }
 
-// early works on one segment as it lands, before the barrier, and returns
-// the records its CPU time is charged for. With the analysis charged (no
-// TCBs), that is every record: the outcome-discovery pass. With TCBs it
-// redoes each data record whose transaction the TCB image names committed —
-// a state the monitor writes only once the master commit record is durable,
-// so no trail can override it — unless a deferred record of the same key came
-// before it; every other data record is deferred, in trail order, to the
-// barrier. An's outcomes are the TCB image's alone until the barrier.
-func (tr *trail) early(seg []byte, an *analysis, rb *Rebuilt) int64 {
+// early works on the trail's i-th segment as it lands, before the barrier,
+// and returns the records its CPU time is charged for. With the analysis
+// charged (no TCBs), that is every record: the outcome-discovery pass. With
+// TCBs it redoes each data record whose transaction analysis.redoable allows —
+// the TCB image names it committed, or names no state for it and some trail
+// has shown its commit — unless a deferred record of the same key came before
+// it; every other data record is deferred, in trail order. A commit the TCB
+// image does not name is shown to every worker (analysis.show). An's outcomes
+// are the TCB image's alone until the barrier.
+func (tr *trail) early(i int, an *analysis, rb *Rebuilt) int64 {
 	var n int64
-	s := audit.NewScanner(seg)
+	s := audit.NewScanner(tr.segs[i])
 	for s.Next() {
 		rec := s.Record()
 		if tr.serial {
@@ -560,17 +635,64 @@ func (tr *trail) early(seg []byte, an *analysis, rb *Rebuilt) int64 {
 			continue
 		}
 		if !isData(rec) {
+			an.show(rec)
 			continue
 		}
 		k := tr.records
 		tr.records++
-		if an.outcome(rec.Txn) != tmf.TCBCommitted || tr.held(rec.Key) {
-			tr.hold(k, rec.Key)
+		if tr.redoEarly(an, rec, rb) {
+			n++
 			continue
 		}
-		n++
-		if rb.apply(tr.i, rec) {
-			tr.rows++
+		tr.hold(mark{i, int(s.LSN()), k}, rec.Key)
+	}
+	return n
+}
+
+// redoEarly redoes rec before the barrier if its transaction allows it and no
+// deferred record holds its key, and reports whether it did.
+func (tr *trail) redoEarly(an *analysis, rec *audit.Record, rb *Rebuilt) bool {
+	ok, onTrail := an.redoable(rec.Txn)
+	if !ok || tr.held(rec.Key) {
+		return false
+	}
+	tr.trusted = tr.trusted || onTrail
+	if rb.apply(tr.i, rec) {
+		tr.rows++
+	}
+	return true
+}
+
+// retry is a worker's pass over its deferred records, in trail order, once
+// trails have shown commits since its last: each that redoEarly now redoes
+// leaves the deferred set, and the key filter is rebuilt from the records
+// still deferred, so a record waits only behind an earlier one of its key
+// that still waits. It returns the records it redid.
+func (tr *trail) retry(an *analysis, rb *Rebuilt) int64 {
+	tr.tried = an.shown
+	clear(tr.filter)
+	var n int64
+	left, k := tr.pending, tr.first.k
+	tr.pending = 0
+	for i, off := tr.first.seg, tr.first.off; left > 0; i, off = i+1, 0 {
+		tr.scan.Reset(tr.segs[i][off:])
+		for left > 0 && tr.scan.Next() {
+			rec := tr.scan.Record()
+			if !isData(rec) {
+				continue
+			}
+			j := k
+			k++
+			if !tr.late(j) {
+				continue
+			}
+			left--
+			if tr.redoEarly(an, rec, rb) {
+				tr.deferred[j>>6] &^= 1 << (j & 63)
+				n++
+				continue
+			}
+			tr.hold(mark{i, off + int(tr.scan.LSN()), j}, rec.Key)
 		}
 	}
 	return n
@@ -579,11 +701,12 @@ func (tr *trail) early(seg []byte, an *analysis, rb *Rebuilt) int64 {
 // stream reads the trail from worker w — its first chunk itself, the rest
 // from a read-ahead process on w's CPU unless that chunk settles the trail —
 // and works on each segment as it lands, until the last one is in; whoever
-// read the trail closes it once done with it. If the
-// trail then keeps other bytes than it worked on, it discards that work: the
-// early redo is dropped, or the charged analysis run again over the stream
-// kept.
-func (tr *trail) stream(w *cluster.Process, lg trailLog, opts Options, an *analysis, rb *Rebuilt) {
+// read the trail closes it once done with it. Whenever trails have shown
+// commits the TCB image does not name, the worker retries its deferred
+// records. Once its own segments are worked on (see settle), it counts itself
+// out of the streaming workers and retries on while it holds deferred records
+// and a peer may still show it their commits.
+func (tr *trail) stream(w *cluster.Process, lg trailLog, opts Options, an *analysis, rb *Rebuilt, c *crew) {
 	tr.log, tr.k, tr.best, tr.segs = lg, 1, -1, tr.seg0[:0]
 	more := tr.chunk(w, opts)
 	if more && tr.k == 1 {
@@ -599,25 +722,51 @@ func (tr *trail) stream(w *cluster.Process, lg trailLog, opts Options, an *analy
 			more = tr.chunk(w, opts)
 		}
 		tr.finish()
-		// Closed once the trail's work is done: a close waits on the PM
-		// manager's CPU, which another worker's early redo may hold.
-		defer lg.close(w)
 	}
-	eng := w.Cluster().Engine()
 	for {
-		if tr.taken < len(tr.segs) {
+		switch {
+		case tr.taken < len(tr.segs):
 			tr.taken++
-			charge(w, tr.early(tr.segs[tr.taken-1], an, rb), opts)
-			continue
+			shown := an.shown
+			charge(w, tr.early(tr.taken-1, an, rb), opts)
+			if an.shown != shown {
+				c.stir()
+			}
+		case tr.pending > 0 && tr.tried != an.shown:
+			charge(w, tr.retry(an, rb), opts)
+		case !tr.done:
+			tr.await(w)
+		case !tr.streamed:
+			tr.settle(w, an, rb, opts)
+			if !tr.ahead {
+				// Closed once the trail's segments are worked on: a close
+				// waits on the PM manager's CPU, which another worker's
+				// early redo may hold.
+				lg.close(w)
+			}
+			c.streamed(tr.i)
+		case tr.pending == 0 || c.streaming == 0 || c.home:
+			return
+		default:
+			tr.await(w)
 		}
-		if tr.done {
-			break
-		}
-		tr.wake = eng.NewSignal()
-		tr.wake.Wait(w.Sim())
-		eng.FreeSignal(tr.wake)
-		tr.wake = nil
 	}
+}
+
+// await parks the worker until its reader or a peer pokes it.
+func (tr *trail) await(w *cluster.Process) {
+	eng := w.Cluster().Engine()
+	tr.wake = eng.NewSignal()
+	tr.wake.Wait(w.Sim())
+	eng.FreeSignal(tr.wake)
+	tr.wake = nil
+}
+
+// settle ends the trail's own early work once its last segment is worked on.
+// If the trail keeps other bytes than it worked on, it discards that work: the
+// early redo is dropped, or the charged analysis run again over the stream
+// kept.
+func (tr *trail) settle(w *cluster.Process, an *analysis, rb *Rebuilt, opts Options) {
 	if !tr.discard {
 		return
 	}
@@ -631,8 +780,8 @@ func (tr *trail) stream(w *cluster.Process, lg trailLog, opts Options, an *analy
 		tr.segs = append(tr.segs[:0], tr.winner)
 	}
 	if analysed {
-		for _, seg := range tr.segs {
-			charge(w, tr.early(seg, an, rb), opts)
+		for i := range tr.segs {
+			charge(w, tr.early(i, an, rb), opts)
 		}
 	}
 }
@@ -644,7 +793,7 @@ func (tr *trail) undo(rb *Rebuilt) {
 	for _, ts := range rb.files {
 		ts[tr.i] = nil
 	}
-	tr.rows = 0
+	tr.rows, tr.pending = 0, 0
 	tr.serial = true
 }
 
@@ -728,6 +877,7 @@ func (tr *trail) redo(an *analysis, rb *Rebuilt, rep *Report) int64 {
 		}
 	}
 	rep.RowsRedone += tr.rows
+	rep.RedoneAfterBarrier += n
 	return n
 }
 
@@ -744,20 +894,27 @@ func (tr *trail) redo(an *analysis, rb *Rebuilt, rep *Report) int64 {
 //     out as a segment of the kept stream and hands the scratch on at the end;
 //  3. works on each segment as it lands (trail.early): the charged analysis
 //     when scanCharged (the outcome-discovery pass of the disk and PM-scan
-//     paths), otherwise the redo of every record the TCB image already
-//     decided, deferring the rest. A trail whose replicas disagree discards
-//     its early work and keeps the winning replica's stream;
+//     paths), otherwise the redo of every record the TCB image names
+//     committed, or names nothing for while some trail has shown its commit
+//     (analysis.show), deferring the rest. Each time the trails show such
+//     commits, every worker retries its deferred records (trail.retry); a
+//     worker whose trail is in retries on while it holds deferred records and
+//     a peer still streams. A trail whose replicas disagree discards its
+//     early work and keeps the winning replica's stream;
 //  4. the barrier: the recovering process notes every stream's outcome
 //     evidence over an (trail.note) — what the caller already knows, the TCB
 //     table or nothing — in stream order, exactly as one serial scan would,
 //     and resolves the in-doubt transactions: an outcome record may sit in
 //     another stream than the data it decides;
 //  5. redo (trail.redo): a trail whose early redo the merged analysis
-//     contradicts discards it; then each worker redoes what waited for the
-//     barrier, in trail order, charging CPUPerRecord a data record. A key's
-//     records all live in one stream (one DP2 writes one trail), so its redo
-//     order is the serial one, and each trail's rows go into trees of their
-//     own (Rebuilt).
+//     contradicts — a transaction the TCB image named committed and a trail
+//     aborts, or one redone on a trail's word that a later abort or a losing
+//     replica's bytes took back — discards it; then each worker redoes what
+//     waited for the barrier, in trail order, charging CPUPerRecord a data
+//     record. A key's records all live in one stream (one DP2 writes one
+//     trail), so its redo order is the serial one — early or late, a record
+//     never passes a deferred one of its key — and each trail's rows go into
+//     trees of their own (Rebuilt).
 //
 // Every record's CPUPerRecord is charged once per pass, to the CPU of its
 // trail's worker, so the charge and the bytes read are those of a
@@ -766,9 +923,9 @@ func (tr *trail) redo(an *analysis, rb *Rebuilt, rep *Report) int64 {
 // the barrier with its error — the lowest-indexed trail's, when several fail
 // — and sends the workers home.
 func recoverStreams(p *cluster.Process, cpus []*cluster.CPU, opts Options, trails int, open logOpener, an *analysis, scanCharged bool, rep *Report) (*Rebuilt, error) {
-	trs := make([]trail, trails)
 	rb := &Rebuilt{files: make(map[string][]*btree.Tree[[]byte]), trails: trails}
 	c := newCrew(p, trails)
+	trs := c.trs
 	c.start(cpus, func(w *cluster.Process, i int) {
 		tr := &trs[i]
 		tr.i, tr.serial = i, scanCharged
@@ -781,12 +938,14 @@ func recoverStreams(p *cluster.Process, cpus []*cluster.CPU, opts Options, trail
 		}
 		tr.err = err
 		if lg != nil {
-			tr.stream(w, lg, opts, an, rb)
+			tr.stream(w, lg, opts, an, rb, c)
 		}
+		c.streamed(i) // a worker without a trail shows nothing
+
 		if !c.barrier(w) {
 			return
 		}
-		if !tr.serial && an.aborted && tr.contradicted(an) {
+		if !tr.serial && (an.aborted || tr.trusted) && tr.contradicted(an) {
 			tr.undo(rb)
 		}
 		charge(w, tr.redo(an, rb, rep), opts)
@@ -828,22 +987,24 @@ func charge(w *cluster.Process, n int64, opts Options) {
 // image, and sends the rest home. A recovering process that exits — killed,
 // or returning early — sends the workers home at their next meeting.
 type crew struct {
-	n        int
-	opening  int         // workers yet to reach the open meeting
-	pending  int         // workers yet to reach the current meeting
-	finished int         // workers whose body returned
-	exited   int         // workers that exited, killed or not
-	lost     bool        // a worker exited without its body returning
-	home     bool        // the recovery stops at the next meeting
-	opened   *sim.Signal // every worker has opened its trail, or the crew is dismissed
-	met      *sim.Signal // the current meeting is complete, or lost
-	resume   *sim.Signal // the go-ahead past the barrier
-	eng      *sim.Engine
+	n         int
+	trs       []trail     // the trails, one a worker
+	opening   int         // workers yet to reach the open meeting
+	streaming int         // workers yet to work on every segment of their trails
+	pending   int         // workers yet to reach the current meeting
+	finished  int         // workers whose body returned
+	exited    int         // workers that exited, killed or not
+	lost      bool        // a worker exited without its body returning
+	home      bool        // the recovery stops at the next meeting
+	opened    *sim.Signal // every worker has opened its trail, or the crew is dismissed
+	met       *sim.Signal // the current meeting is complete, or lost
+	resume    *sim.Signal // the go-ahead past the barrier
+	eng       *sim.Engine
 }
 
 func newCrew(p *cluster.Process, n int) *crew {
 	eng := p.Cluster().Engine()
-	c := &crew{n: n, opening: n, pending: n, opened: eng.NewSignal(), met: eng.NewSignal(), resume: eng.NewSignal(), eng: eng}
+	c := &crew{n: n, trs: make([]trail, n), opening: n, streaming: n, pending: n, opened: eng.NewSignal(), met: eng.NewSignal(), resume: eng.NewSignal(), eng: eng}
 	p.Sim().OnExit(c.dismiss)
 	return c
 }
@@ -860,20 +1021,21 @@ func (c *crew) start(cpus []*cluster.CPU, body func(w *cluster.Process, i int)) 
 			up = append(up, cpu)
 		}
 	}
-	exit := c.exit
 	for i := range c.n {
 		w := up[i%len(up)].Spawn("recover-worker", func(w *cluster.Process) {
 			body(w, i)
 			c.finished++
 		})
-		w.Sim().OnExit(exit)
+		w.Sim().OnExit(func() { c.exit(i) })
 	}
 }
 
-// exit runs as each worker exits. A worker's body returned just before its
-// exit unless the worker was killed: then exits outnumber returns.
-func (c *crew) exit() {
+// exit runs as worker i exits. A worker's body returned just before its exit
+// unless the worker was killed: then exits outnumber returns, and the lost
+// worker streams no more.
+func (c *crew) exit(i int) {
 	c.exited++
+	c.streamed(i)
 	if c.exited > c.finished {
 		c.lost = true
 		c.dismiss()
@@ -883,6 +1045,25 @@ func (c *crew) exit() {
 		return
 	}
 	c.arrive()
+}
+
+// streamed counts worker i out of the streaming workers, once, and wakes the
+// others: it will show them no more commits.
+func (c *crew) streamed(i int) {
+	if tr := &c.trs[i]; !tr.streamed {
+		tr.streamed = true
+		c.streaming--
+		c.stir()
+	}
+}
+
+// stir wakes every worker parked in its stream loop to look again: at what
+// its peers have shown, whether any still streams, and whether it is sent
+// home.
+func (c *crew) stir() {
+	for i := range c.trs {
+		c.trs[i].poke()
+	}
 }
 
 // arrive counts a worker in at the current meeting.
@@ -916,6 +1097,7 @@ func (c *crew) barrier(w *cluster.Process) bool {
 // rest as they reach one.
 func (c *crew) dismiss() {
 	c.home = true
+	c.stir()
 	if !c.opened.Fired() {
 		c.opened.Trigger(nil)
 	}
