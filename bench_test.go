@@ -28,7 +28,7 @@ import (
 func BenchmarkFigure1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := bench.RunFigure1(1, bench.Smoke)
+		f := bench.Runner{}.Figure1(1, bench.Smoke)
 		if errs := f.CheckShape(); len(errs) > 0 {
 			b.Fatalf("shape: %v", errs)
 		}
@@ -51,7 +51,7 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := bench.RunFigure2(1, bench.Smoke)
+		f := bench.Runner{}.Figure2(1, bench.Smoke)
 		if errs := f.CheckShape(); len(errs) > 0 {
 			b.Fatalf("shape: %v", errs)
 		}
@@ -188,7 +188,7 @@ func BenchmarkRecovery(b *testing.B) {
 func BenchmarkClaimWriteAmp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c := bench.RunClaimC3(1, bench.Smoke)
+		c := bench.Runner{}.ClaimC3(1, bench.Smoke)
 		if errs := c.CheckShape(); len(errs) > 0 {
 			b.Fatalf("shape: %v", errs)
 		}
@@ -202,7 +202,7 @@ func BenchmarkClaimWriteAmp(b *testing.B) {
 func BenchmarkAblationGroupCommit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a := bench.RunAblationA1(1, bench.Smoke)
+		a := bench.Runner{}.AblationA1(1, bench.Smoke)
 		if errs := a.CheckShape(); len(errs) > 0 {
 			b.Fatalf("shape: %v", errs)
 		}
@@ -216,7 +216,7 @@ func BenchmarkAblationGroupCommit(b *testing.B) {
 func BenchmarkAblationMirroring(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a := bench.RunAblationA2(1, bench.Smoke)
+		a := bench.Runner{}.AblationA2(1, bench.Smoke)
 		if errs := a.CheckShape(); len(errs) > 0 {
 			b.Fatalf("shape: %v", errs)
 		}
@@ -229,7 +229,7 @@ func BenchmarkAblationMirroring(b *testing.B) {
 func BenchmarkAblationNetLatency(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a := bench.RunAblationA3(1, bench.Smoke)
+		a := bench.Runner{}.AblationA3(1, bench.Smoke)
 		if errs := a.CheckShape(); len(errs) > 0 {
 			b.Fatalf("shape: %v", errs)
 		}

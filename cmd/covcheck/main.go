@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		floor := want[pkg]
 		got, ok := cov[pkg]
 		if !ok {
-			fmt.Fprintf(stderr, "covcheck: FAIL %-44s floor %5.1f%% but package absent from profile (deleted? re-baseline with -update)\n", pkg, floor)
+			fmt.Fprintf(stderr, "covcheck: FAIL %-44s floor %5.1f%% but package absent from profile (deleted? remove its entry from %s)\n", pkg, floor, *floors)
 			failures++
 			continue
 		}

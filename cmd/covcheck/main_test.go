@@ -75,7 +75,8 @@ func TestMalformedLineExits2(t *testing.T) {
 
 func TestFloorOfAbsentPackageFails(t *testing.T) {
 	code, _, errb := covcheck(t, profile, `{"persistmem/a": 80.0, "persistmem/b": 33.3, "persistmem/gone": 10.0}`)
-	if code != 1 || !strings.Contains(errb, "persistmem/gone") || !strings.Contains(errb, "absent from profile") {
+	if code != 1 || !strings.Contains(errb, "persistmem/gone") || !strings.Contains(errb, "absent from profile") ||
+		!strings.Contains(errb, "remove its entry") {
 		t.Errorf("exit %d, stderr %q; want 1 naming the absent package", code, errb)
 	}
 }

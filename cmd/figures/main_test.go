@@ -14,8 +14,8 @@ func TestFigure1CSVIsTheExperiment(t *testing.T) {
 	if code := run([]string{"-fig", "1", "-scale", "smoke", "-csv"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, want 0; stderr:\n%s", code, errb.String())
 	}
-	if want := bench.RunFigure1(1, bench.Smoke).CSV(); out.String() != want {
-		t.Errorf("CSV differs from bench.RunFigure1:\n--- got ---\n%s--- want ---\n%s", out.String(), want)
+	if want := (bench.Runner{}).Figure1(1, bench.Smoke).CSV(); out.String() != want {
+		t.Errorf("CSV differs from bench.Runner{}.Figure1:\n--- got ---\n%s--- want ---\n%s", out.String(), want)
 	}
 }
 

@@ -18,11 +18,6 @@ type AblationA1 struct {
 	ElapsedOn, ElapsedOff []sim.Time
 }
 
-// RunAblationA1 runs the group-commit ablation with default parallelism.
-func RunAblationA1(seed int64, scale Scale) AblationA1 {
-	return Runner{}.AblationA1(seed, scale)
-}
-
 // AblationA1 runs the group-commit ablation (3 driver counts × on/off)
 // with the Runner's parallelism.
 func (r Runner) AblationA1(seed int64, scale Scale) AblationA1 {
@@ -79,11 +74,6 @@ type AblationA2 struct {
 	MirroredResp, SingleResp sim.Time
 }
 
-// RunAblationA2 runs the mirroring ablation with default parallelism.
-func RunAblationA2(seed int64, scale Scale) AblationA2 {
-	return Runner{}.AblationA2(seed, scale)
-}
-
 // AblationA2 runs the mirroring ablation (1 driver, 32k transactions,
 // mirrored vs single device) with the Runner's parallelism.
 func (r Runner) AblationA2(seed int64, scale Scale) AblationA2 {
@@ -133,12 +123,6 @@ type AblationA4 struct {
 	// Resp and Elapsed per mode: disk, PM, PMDirect.
 	Resp    [3]sim.Time
 	Elapsed [3]sim.Time
-}
-
-// RunAblationA4 runs the architecture comparison with default
-// parallelism.
-func RunAblationA4(seed int64, scale Scale) AblationA4 {
-	return Runner{}.AblationA4(seed, scale)
 }
 
 // AblationA4 runs the architecture comparison (1 driver, 32k txns, three
@@ -192,12 +176,6 @@ func (a AblationA4) CheckShape() []error {
 type AblationA3 struct {
 	Latencies []sim.Time
 	PMResp    []sim.Time
-}
-
-// RunAblationA3 sweeps the ServerNet software latency with default
-// parallelism.
-func RunAblationA3(seed int64, scale Scale) AblationA3 {
-	return Runner{}.AblationA3(seed, scale)
 }
 
 // AblationA3 sweeps the ServerNet software latency (3 cells) with the

@@ -75,7 +75,7 @@ func TestC2ArtifactMatchesFullScale(t *testing.T) {
 	if end := strings.Index(block, "\n\n"); end >= 0 {
 		block = block[:end+1]
 	}
-	if got := RunClaimC2(1, Full).Table(); got != block {
+	if got := (Runner{}).ClaimC2(1, Full).Table(); got != block {
 		t.Errorf("figures_full.txt's C2 block is stale (regenerate with `go run ./cmd/figures -fig all -scale full > figures_full.txt`):\n--- measured ---\n%s--- figures_full.txt ---\n%s", got, block)
 	}
 }

@@ -96,12 +96,6 @@ type Figure1 struct {
 	DiskResp, PMResp [][]sim.Time
 }
 
-// RunFigure1 executes the Figure 1 sweep (24 hot-stock runs at 4 driver
-// counts × 3 sizes × 2 modes) with default parallelism.
-func RunFigure1(seed int64, scale Scale) Figure1 {
-	return Runner{}.Figure1(seed, scale)
-}
-
 // Figure1 executes the Figure 1 sweep with the Runner's parallelism. The
 // 24 cells run independently; results land in index-addressed slots, so
 // the assembled figure is identical at every parallelism.
@@ -208,11 +202,6 @@ type Figure2 struct {
 	// Elapsed[si] holds {1 driver no-PM, 2 drivers no-PM, 1 driver PM,
 	// 2 drivers PM} — the paper's four series.
 	Elapsed [][4]sim.Time
-}
-
-// RunFigure2 executes the Figure 2 sweep with default parallelism.
-func RunFigure2(seed int64, scale Scale) Figure2 {
-	return Runner{}.Figure2(seed, scale)
 }
 
 // Figure2 executes the Figure 2 sweep (12 cells) with the Runner's

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFigure1ShapeAtSmokeScale(t *testing.T) {
-	f := RunFigure1(1, Smoke)
+	f := Runner{}.Figure1(1, Smoke)
 	for _, err := range f.CheckShape() {
 		t.Error(err)
 	}
@@ -22,7 +22,7 @@ func TestFigure1ShapeAtSmokeScale(t *testing.T) {
 }
 
 func TestFigure2ShapeAtSmokeScale(t *testing.T) {
-	f := RunFigure2(1, Smoke)
+	f := Runner{}.Figure2(1, Smoke)
 	for _, err := range f.CheckShape() {
 		t.Error(err)
 	}
@@ -30,7 +30,7 @@ func TestFigure2ShapeAtSmokeScale(t *testing.T) {
 }
 
 func TestFigure1CSV(t *testing.T) {
-	f := RunFigure1(1, Scale{Name: "tiny", RecordsPerDriver: 64})
+	f := Runner{}.Figure1(1, Scale{Name: "tiny", RecordsPerDriver: 64})
 	csv := f.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 1+3*4 {
@@ -42,7 +42,7 @@ func TestFigure1CSV(t *testing.T) {
 }
 
 func TestFigure2CSV(t *testing.T) {
-	f := RunFigure2(1, Scale{Name: "tiny", RecordsPerDriver: 64})
+	f := Runner{}.Figure2(1, Scale{Name: "tiny", RecordsPerDriver: 64})
 	lines := strings.Split(strings.TrimSpace(f.CSV()), "\n")
 	if len(lines) != 1+3*4 {
 		t.Errorf("CSV has %d lines, want 13", len(lines))
@@ -58,7 +58,7 @@ func TestClaimC1Shape(t *testing.T) {
 }
 
 func TestClaimC2Shape(t *testing.T) {
-	c := RunClaimC2(1, Smoke)
+	c := Runner{}.ClaimC2(1, Smoke)
 	for _, err := range c.CheckShape() {
 		t.Error(err)
 	}
@@ -98,7 +98,7 @@ func TestClaimC2CheckShapeDetectsBreaks(t *testing.T) {
 }
 
 func TestClaimC3Shape(t *testing.T) {
-	c := RunClaimC3(1, Smoke)
+	c := Runner{}.ClaimC3(1, Smoke)
 	for _, err := range c.CheckShape() {
 		t.Error(err)
 	}
@@ -109,7 +109,7 @@ func TestClaimC3Shape(t *testing.T) {
 }
 
 func TestAblationA1Shape(t *testing.T) {
-	a := RunAblationA1(1, Smoke)
+	a := Runner{}.AblationA1(1, Smoke)
 	for _, err := range a.CheckShape() {
 		t.Error(err)
 	}
@@ -117,7 +117,7 @@ func TestAblationA1Shape(t *testing.T) {
 }
 
 func TestAblationA2Shape(t *testing.T) {
-	a := RunAblationA2(1, Smoke)
+	a := Runner{}.AblationA2(1, Smoke)
 	for _, err := range a.CheckShape() {
 		t.Error(err)
 	}
@@ -125,7 +125,7 @@ func TestAblationA2Shape(t *testing.T) {
 }
 
 func TestAblationA4Shape(t *testing.T) {
-	a := RunAblationA4(1, Smoke)
+	a := Runner{}.AblationA4(1, Smoke)
 	for _, err := range a.CheckShape() {
 		t.Error(err)
 	}
@@ -133,7 +133,7 @@ func TestAblationA4Shape(t *testing.T) {
 }
 
 func TestAblationA3Shape(t *testing.T) {
-	a := RunAblationA3(1, Smoke)
+	a := Runner{}.AblationA3(1, Smoke)
 	for _, err := range a.CheckShape() {
 		t.Error(err)
 	}

@@ -41,12 +41,6 @@ type Breakdown struct {
 	Rows  []BreakdownRow
 }
 
-// RunBreakdown executes the commit-latency decomposition sweep with
-// default parallelism.
-func RunBreakdown(seed int64, scale Scale) Breakdown {
-	return Runner{}.Breakdown(seed, scale)
-}
-
 // Breakdown runs one instrumented hot-stock configuration (2 drivers,
 // 64k transactions — the paper's middle cell) per durability mode and
 // folds each run's span metrics into a decomposition table.

@@ -57,7 +57,7 @@ func TestBreakdownGolden(t *testing.T) {
 // asserts its structural checks: exact tiling, clean folds, conservation,
 // and the disk-dominant / PM-shrunken flush shares.
 func TestBreakdownShape(t *testing.T) {
-	b := RunBreakdown(1, Smoke)
+	b := Runner{}.Breakdown(1, Smoke)
 	for _, err := range b.CheckShape() {
 		t.Error(err)
 	}

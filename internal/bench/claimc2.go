@@ -40,12 +40,6 @@ var c2Paths = [4]struct {
 	{"PM direct + fine-grained TCBs", ods.PMDirectDurability, true},
 }
 
-// RunClaimC2 runs the crash scenario against each recovery path with
-// default parallelism.
-func RunClaimC2(seed int64, scale Scale) ClaimC2 {
-	return Runner{}.ClaimC2(seed, scale)
-}
-
 // ClaimC2 crashes a store with the scale's transaction count committed and
 // one in flight, once per recovery path, and recovers it. The four
 // scenarios are independent cells run with the Runner's parallelism.

@@ -135,12 +135,6 @@ func (c C3Counts) total() int64 {
 		c.LogDeviceBytes + c.DBWPMBytes + c.DataVolumeBytes
 }
 
-// RunClaimC3 runs a small hot-stock load in both configurations and
-// collects the byte-movement accounting, with default parallelism.
-func RunClaimC3(seed int64, scale Scale) ClaimC3 {
-	return Runner{}.ClaimC3(seed, scale)
-}
-
 // ClaimC3 runs the three durability configurations as independent cells
 // with the Runner's parallelism. Each cell returns its counts (and the
 // row total, identical across cells) rather than writing shared fields.

@@ -199,11 +199,6 @@ type Saturation struct {
 	Streams []SatPoint // ADP audit-stream axis
 }
 
-// RunSaturation executes the saturation sweep with default parallelism.
-func RunSaturation(seed int64, scale SatScale) Saturation {
-	return Runner{}.Saturation(seed, scale)
-}
-
 // Saturation executes the sweep's independent cells with the Runner's
 // parallelism.
 func (r Runner) Saturation(seed int64, scale SatScale) Saturation {

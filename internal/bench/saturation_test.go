@@ -10,7 +10,7 @@ import (
 
 // smokeSaturation is `cmd/loadgen -scale smoke -seed 1`, swept once for
 // the tests that read it.
-var smokeSaturation = sync.OnceValue(func() Saturation { return RunSaturation(1, SatSmoke) })
+var smokeSaturation = sync.OnceValue(func() Saturation { return Runner{}.Saturation(1, SatSmoke) })
 
 // TestSaturationShapeAtSmokeScale: the smoke-scale sweep already shows
 // every required shape — a knee per durability with p99 rising strictly

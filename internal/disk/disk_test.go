@@ -242,3 +242,92 @@ func TestUtilization(t *testing.T) {
 		t.Errorf("Utilization = %v, want in (0,1]", u)
 	}
 }
+
+// failAt fails v once virtual time reaches at.
+func failAt(eng *sim.Engine, v *Volume, at sim.Time) {
+	eng.Spawn("fail", func(p *sim.Proc) {
+		p.Wait(at)
+		v.Fail()
+	})
+}
+
+// TestFailDuringStackOverhead: a volume that fails while an I/O is still
+// in the host's storage stack fails that I/O before it reaches the arm.
+func TestFailDuringStackOverhead(t *testing.T) {
+	for _, op := range []string{"read", "write"} {
+		eng := sim.NewEngine(3)
+		cfg := DefaultConfig()
+		v := New(eng, "d0", cfg, 1<<20)
+		var err error
+		eng.Spawn("c", func(p *sim.Proc) {
+			if op == "read" {
+				err = v.Read(p, 0, make([]byte, 512))
+			} else {
+				err = v.Write(p, 0, make([]byte, 512))
+			}
+		})
+		failAt(eng, v, cfg.StackOverhead/2)
+		eng.Run()
+		if !errors.Is(err, ErrVolumeDown) {
+			t.Errorf("%s failed mid-stack: %v, want ErrVolumeDown", op, err)
+		}
+		if v.Stats.BusyTime != 0 || v.Stats.Writes != 0 {
+			t.Errorf("%s failed mid-stack reached the arm: busy %v, writes %d", op, v.Stats.BusyTime, v.Stats.Writes)
+		}
+	}
+}
+
+// TestReadFailDuringServiceFreesArm: a volume that fails while the arm
+// serves a read fails the read and leaves the arm free for the next I/O
+// once the volume is restored.
+func TestReadFailDuringServiceFreesArm(t *testing.T) {
+	eng := sim.NewEngine(3)
+	cfg := DefaultConfig()
+	v := New(eng, "d0", cfg, 1<<20)
+	var err error
+	eng.Spawn("c", func(p *sim.Proc) {
+		err = v.Read(p, 0, make([]byte, 4096))
+	})
+	failAt(eng, v, cfg.StackOverhead+cfg.SeekTime/2)
+	eng.Run()
+	if !errors.Is(err, ErrVolumeDown) {
+		t.Errorf("read failed mid-service: %v, want ErrVolumeDown", err)
+	}
+	if v.Up() {
+		t.Error("volume up after Fail")
+	}
+	if v.Stats.BusyTime == 0 {
+		t.Error("read failed mid-service never reached the arm")
+	}
+	if n := v.arm.InUse(); n != 0 {
+		t.Fatalf("arm held by %d after the failed read", n)
+	}
+	v.Restore()
+	eng.Spawn("c2", func(p *sim.Proc) {
+		if err := v.Read(p, 0, make([]byte, 4096)); err != nil {
+			t.Errorf("read after restore: %v", err)
+		}
+	})
+	eng.Run()
+}
+
+// TestReadQueueObserved: a read that finds another I/O waiting for the
+// arm records the queue it saw.
+func TestReadQueueObserved(t *testing.T) {
+	eng := sim.NewEngine(3)
+	v := New(eng, "d0", DefaultConfig(), 1<<24)
+	for i := 0; i < 3; i++ {
+		off := int64(i) * (1 << 20) // far apart: all seek
+		eng.Spawn("r", func(p *sim.Proc) {
+			if err := v.Read(p, off, make([]byte, 4096)); err != nil {
+				t.Errorf("Read: %v", err)
+			}
+		})
+	}
+	eng.Run()
+	// The first read holds the arm, the second waits for it, and the
+	// third sees the second in the queue.
+	if v.Stats.MaxQueueObserve != 1 {
+		t.Errorf("MaxQueueObserve = %d, want 1", v.Stats.MaxQueueObserve)
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"persistmem/internal/btree"
 	"persistmem/internal/cluster"
 	"persistmem/internal/disk"
-	"persistmem/internal/integrity"
 	"persistmem/internal/locks"
 	"persistmem/internal/metrics"
 	"persistmem/internal/pmclient"
@@ -92,12 +91,6 @@ type Config struct {
 	// When the budget is exceeded, destaged rows are evicted FIFO and
 	// later reads fetch them back from the data volume.
 	MaxCacheBytes int64
-	// Checker, when set, runs §1.3's duplicate-and-compare over audit
-	// generation: each insert's after-image record is produced twice and
-	// compared, so silent data corruption in the database writer fails
-	// the insert instead of poisoning the durable trail. Costs roughly
-	// one extra InsertCPU per insert.
-	Checker *integrity.Checker
 	// Metrics, when set, attaches span instruments (insert, checkpoint,
 	// audit send, lock wait, PM write) to this DP2. Nil costs nothing.
 	Metrics *metrics.Registry
@@ -217,8 +210,6 @@ type Stats struct {
 	CacheBytes  int64 // resident body bytes
 	Evictions   int64 // rows pushed out of the cache
 	CacheMisses int64 // reads served from the data volume
-	// IntegrityFaults counts inserts rejected by duplicate-and-compare.
-	IntegrityFaults int64
 }
 
 // insertDelta is the checkpoint unit: one externalized change.
@@ -796,32 +787,12 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 		d.wbKick.TrySend(nil) // wake the destager
 	}
 
-	// Generate the audit after-image, under duplicate-and-compare when
-	// the configuration demands data-integrity protection. AppendRecord
-	// only reads the record, so it stays on this frame's stack.
+	// Generate the audit after-image. AppendRecord only reads the
+	// record, so it stays on this frame's stack.
 	rec := audit.Record{
 		Type: audit.RecInsert, Txn: req.Txn,
 		File: d.cfg.File, Partition: d.cfg.Partition,
 		Key: req.Key, Body: req.Body,
-	}
-	if d.cfg.Checker != nil {
-		// The closure pins its record to the heap, so give it a copy and
-		// keep rec itself stack-allocated on the unchecked path.
-		crec := rec
-		//simlint:allow hotalloc -- duplicate-and-compare is an opt-in integrity mode priced at ~one InsertCPU anyway
-		encode := func([]byte) []byte { return audit.AppendRecord(nil, &crec) }
-		if _, err := d.cfg.Checker.Run(p, encode, nil); err != nil {
-			// Corruption detected before anything externalized: roll just
-			// this insert out of the cache and fail it.
-			st.tree.Delete(req.Key)
-			if u := st.undo[req.Txn]; len(u) > 0 {
-				st.undo[req.Txn] = u[:len(u)-1]
-			}
-			st.dirty -= int64(len(req.Body))
-			st.cacheBytes -= int64(len(req.Body))
-			d.stats.IntegrityFaults++
-			return err
-		}
 	}
 	if d.cfg.Mode == PMDirect {
 		// §3.4: made persistent once, here, synchronously. No audit is

@@ -10,7 +10,6 @@ import (
 	"persistmem/internal/audit"
 	"persistmem/internal/cluster"
 	"persistmem/internal/disk"
-	"persistmem/internal/integrity"
 	"persistmem/internal/locks"
 	"persistmem/internal/sim"
 )
@@ -274,66 +273,6 @@ func TestTakeoverRebuildsFromDeltas(t *testing.T) {
 	if d.Pair().Takeovers != 1 {
 		t.Errorf("takeovers = %d", d.Pair().Takeovers)
 	}
-	eng.Shutdown()
-}
-
-func TestDupAndCompareBlocksCorruptAudit(t *testing.T) {
-	// §1.3: with SDC injected into the audit-generation path, duplicate-
-	// and-compare fails the insert instead of letting corruption reach
-	// the durable trail.
-	eng := sim.NewEngine(1)
-	cl := cluster.New(eng, cluster.DefaultConfig())
-	auditVol := disk.New(eng, "$AUDIT", disk.DefaultConfig(), 64<<20)
-	adp.Start(cl, adp.Config{Name: "$ADP0", PrimaryCPU: 0, BackupCPU: 1, Mode: adp.Disk, Volume: auditVol})
-	dataVol := disk.New(eng, "$DATA", disk.DefaultConfig(), 64<<20)
-	icfg := integrity.DefaultConfig()
-	icfg.SDCRate = 1.0 // every run corrupts (differently): always detected
-	checker := integrity.New(cl, icfg)
-	d := Start(cl, Config{
-		Name: "$DP-F-0", File: "F", Partition: 0,
-		PrimaryCPU: 1, BackupCPU: 2, Volume: dataVol, ADPName: "$ADP0",
-		RetainData: true, Checker: checker,
-	})
-	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		resp := call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("x")}).Resp
-		if !errors.Is(resp.Err, integrity.ErrMiscompare) {
-			t.Errorf("insert under SDC: %v, want ErrMiscompare", resp.Err)
-		}
-		// Nothing applied: the key is still free for a clean retry.
-		rr := call(t, p, &ReadReq{Key: 5}).Resp
-		if !errors.Is(rr.Err, ErrNotFound) {
-			t.Errorf("read after rejected insert: %v, want ErrNotFound", rr.Err)
-		}
-	})
-	eng.Run()
-	if d.Stats().IntegrityFaults == 0 {
-		t.Error("IntegrityFaults = 0")
-	}
-	eng.Shutdown()
-}
-
-func TestDupAndCompareCleanPathUnaffected(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cl := cluster.New(eng, cluster.DefaultConfig())
-	auditVol := disk.New(eng, "$AUDIT", disk.DefaultConfig(), 64<<20)
-	adp.Start(cl, adp.Config{Name: "$ADP0", PrimaryCPU: 0, BackupCPU: 1, Mode: adp.Disk, Volume: auditVol})
-	dataVol := disk.New(eng, "$DATA", disk.DefaultConfig(), 64<<20)
-	Start(cl, Config{
-		Name: "$DP-F-0", File: "F", Partition: 0,
-		PrimaryCPU: 1, BackupCPU: 2, Volume: dataVol, ADPName: "$ADP0",
-		RetainData: true, Checker: integrity.New(cl, integrity.DefaultConfig()),
-	})
-	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		resp := call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("clean")}).Resp
-		if resp.Err != nil {
-			t.Fatalf("clean D&C insert: %v", resp.Err)
-		}
-		rr := call(t, p, &ReadReq{Key: 5}).Resp
-		if rr.Err != nil || string(rr.Body) != "clean" {
-			t.Errorf("read = %q, %v", rr.Body, rr.Err)
-		}
-	})
-	eng.Run()
 	eng.Shutdown()
 }
 

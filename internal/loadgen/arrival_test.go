@@ -56,79 +56,6 @@ func TestPoissonRejectsBadRate(t *testing.T) {
 	NewPoisson(sim.NewEngine(1).DeriveRand("arrivals"), 0)
 }
 
-// TestMMPPMeanRate checks the duty-cycle-weighted mean and that the
-// long-run measured rate converges to it.
-func TestMMPPMeanRate(t *testing.T) {
-	eng := sim.NewEngine(3)
-	// 2000/s for a mean 50ms burst, silence for a mean 150ms: 500/s.
-	m := NewMMPP(eng.DeriveRand("arrivals"), 2000, 0, 50*sim.Millisecond, 150*sim.Millisecond)
-	if got := m.MeanRate(); math.Abs(got-500) > 1e-9 {
-		t.Fatalf("MeanRate = %v, want 500", got)
-	}
-	const n = 100_000
-	var total sim.Time
-	for i := 0; i < n; i++ {
-		total += m.Next()
-	}
-	measured := float64(n) / total.Seconds()
-	if rel := math.Abs(measured-500) / 500; rel > 0.05 {
-		t.Errorf("measured %.2f/s, off the 500/s mean by %.2f%%", measured, 100*rel)
-	}
-}
-
-// TestMMPPBursts verifies the on/off structure: with a silent off state
-// the gap distribution must be bimodal — many short intra-burst gaps
-// plus rare inter-burst gaps far above the on-state mean.
-func TestMMPPBursts(t *testing.T) {
-	eng := sim.NewEngine(5)
-	m := NewMMPP(eng.DeriveRand("arrivals"), 4000, 0, 20*sim.Millisecond, 80*sim.Millisecond)
-	const n = 50_000
-	onMeanGap := sim.Second / 4000 // 250µs
-	long, short := 0, 0
-	for i := 0; i < n; i++ {
-		g := m.Next()
-		if g > 20*onMeanGap {
-			long++ // must have crossed at least one off sojourn
-		} else {
-			short++
-		}
-	}
-	if long == 0 {
-		t.Error("no inter-burst gaps: MMPP degenerated to Poisson")
-	}
-	if short < n*9/10 {
-		t.Errorf("only %d/%d intra-burst gaps; bursts missing", short, n)
-	}
-	// Inter-burst gaps should be rare (one per burst of ~80 arrivals).
-	if long > n/10 {
-		t.Errorf("%d/%d long gaps; off state not silent", long, n)
-	}
-}
-
-func TestMMPPValidation(t *testing.T) {
-	eng := sim.NewEngine(1)
-	for name, fn := range map[string]func(){
-		"zero-on-rate": func() {
-			NewMMPP(eng.DeriveRand("a"), 0, 0, sim.Millisecond, sim.Millisecond)
-		},
-		"negative-off-rate": func() {
-			NewMMPP(eng.DeriveRand("b"), 1, -1, sim.Millisecond, sim.Millisecond)
-		},
-		"zero-sojourn": func() {
-			NewMMPP(eng.DeriveRand("c"), 1, 0, 0, sim.Millisecond)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // TestZipfSkew checks the skew actually skews: the hottest key must be
 // drawn far more often than a uniform draw would allow, and draws stay
 // inside the keyspace.

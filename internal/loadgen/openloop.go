@@ -3,11 +3,10 @@
 // A closed-loop driver issues a new transaction only when the previous
 // one completes, so its offered load can never exceed the store's
 // capacity and the latency it reports hides queueing entirely. The
-// open-loop harness decouples the two: an arrival process
-// (Poisson or bursty MMPP) generates transaction arrivals on a virtual
-// clock for a modeled population of logical clients, each arrival is
-// routed by key skew to its DP2 partition's admission queue, and a
-// bounded pool of worker processes drains the queues. Latency is
+// open-loop harness decouples the two: a Poisson arrival process
+// generates transaction arrivals on a virtual clock for a modeled
+// population of logical clients, each arrival is routed by key skew to
+// its DP2 partition's admission queue, and a bounded pool of worker processes drains the queues. Latency is
 // measured from *arrival* (not dispatch), so queue wait is part of the
 // sojourn and the throughput-vs-p99 curve shows the saturation knee.
 package loadgen
@@ -31,15 +30,6 @@ type OpenConfig struct {
 	File string
 	// Rate is the offered load in transactions per virtual second.
 	Rate float64
-	// Burst switches the arrival process from stationary Poisson to an
-	// on/off MMPP with the same long-run mean rate.
-	Burst bool
-	// BurstFactor is the on-state rate multiplier (default 4, which with
-	// the default 1:3 duty cycle makes the off state fully silent).
-	BurstFactor float64
-	// BurstOn and BurstOff are the mean sojourns of the on and off
-	// states (defaults 50ms / 150ms).
-	BurstOn, BurstOff sim.Time
 	// Window is the arrival window in virtual time: arrivals are
 	// generated for exactly this long, then the workers drain what is
 	// queued. Offered load is Arrivals/Window.
@@ -82,9 +72,6 @@ type OpenConfig struct {
 func DefaultOpenConfig() OpenConfig {
 	return OpenConfig{
 		Rate:            1000,
-		BurstFactor:     4,
-		BurstOn:         50 * sim.Millisecond,
-		BurstOff:        150 * sim.Millisecond,
 		Window:          sim.Second,
 		VirtualClients:  1_000_000,
 		WorkersPerShard: 4,
@@ -291,15 +278,6 @@ func (cfg OpenConfig) withDefaults(s *ods.Store) OpenConfig {
 	if cfg.Rate <= 0 {
 		cfg.Rate = def.Rate
 	}
-	if cfg.BurstFactor <= 0 {
-		cfg.BurstFactor = def.BurstFactor
-	}
-	if cfg.BurstOn <= 0 {
-		cfg.BurstOn = def.BurstOn
-	}
-	if cfg.BurstOff <= 0 {
-		cfg.BurstOff = def.BurstOff
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = def.Window
 	}
@@ -325,24 +303,6 @@ func (cfg OpenConfig) withDefaults(s *ods.Store) OpenConfig {
 		cfg.ZipfV = def.ZipfV
 	}
 	return cfg
-}
-
-// arrivals builds the run's arrival process from the config.
-func (cfg OpenConfig) arrivals(s *ods.Store) Arrivals {
-	rng := s.Eng.DeriveRand("loadgen-arrivals")
-	if !cfg.Burst {
-		return NewPoisson(rng, cfg.Rate)
-	}
-	// Preserve the long-run mean: with duty cycle d = on/(on+off) and
-	// on-rate f·Rate, the off state offers Rate·(1−d·f)/(1−d), clamped
-	// at fully silent when the factor saturates the duty cycle.
-	d := float64(cfg.BurstOn) / float64(cfg.BurstOn+cfg.BurstOff)
-	onRate := cfg.Rate * cfg.BurstFactor
-	offRate := cfg.Rate * (1 - d*cfg.BurstFactor) / (1 - d)
-	if offRate < 0 {
-		offRate = 0
-	}
-	return NewMMPP(rng, onRate, offRate, cfg.BurstOn, cfg.BurstOff)
 }
 
 // StartOpen spawns an open-loop run's generator and worker processes on
@@ -399,7 +359,7 @@ func (op *OpenPending) generate(p *cluster.Process) {
 	s, cfg := op.s, op.cfg
 	op.t0 = p.Now()
 	horizon := op.t0 + cfg.Window
-	proc := cfg.arrivals(s)
+	proc := NewPoisson(s.Eng.DeriveRand("loadgen-arrivals"), cfg.Rate)
 	keys := NewZipfKeys(s.Eng.DeriveRand("loadgen-keys"), cfg.ZipfS, cfg.ZipfV, cfg.Keyspace)
 	clients := s.Eng.DeriveRand("loadgen-clients")
 

@@ -291,27 +291,6 @@ func TestOpenLoopMaxQueueDrops(t *testing.T) {
 	s.Eng.Shutdown()
 }
 
-// TestOpenLoopBursty: MMPP arrivals preserve the configured mean rate
-// and still commit work.
-func TestOpenLoopBursty(t *testing.T) {
-	s := shardedStore(ods.PMDurability, 13, 4)
-	cfg := DefaultOpenConfig()
-	cfg.Rate = 1000
-	cfg.Burst = true
-	cfg.Window = 4 * sim.Second
-	r := RunOpen(s, cfg)
-	if r.Commits == 0 {
-		t.Fatal("bursty run committed nothing")
-	}
-	// Mean preserved within burst-count sampling error (~20 on/off
-	// cycles per second of window).
-	if got := r.Offered(); got < cfg.Rate*0.80 || got > cfg.Rate*1.20 {
-		t.Errorf("bursty offered %.1f/s, want near %.0f/s mean", got, cfg.Rate)
-	}
-	checkIdentities(t, &r)
-	s.Eng.Shutdown()
-}
-
 // TestOpenLoopPreWarmedEngine: Elapsed and latencies are relative to
 // the run's own start, so a harness started on an engine that has
 // already advanced reports the same window arithmetic as a cold one.

@@ -16,7 +16,6 @@ import (
 // imports, each with the reason it stays.
 var orphanAllowed = map[string]string{
 	"persistmem/internal/analysis/analysistest": "a test helper by design: only the analyzers' tests import it",
-	"persistmem/internal/pmstruct":              "kept or deleted by ROADMAP item 2(c)",
 }
 
 // TestNoOrphanInternalPackage: every internal package is imported by the
