@@ -61,8 +61,9 @@ type Config struct {
 	Volume *disk.Volume
 
 	// PMVolume names the PM volume's PMM service (PM mode); RegionSize is
-	// the log region's size — the log wraps within it (old audit is
-	// reclaimable after data volumes destage).
+	// the log region's size. The log wraps within it, and nothing
+	// reclaims old audit first: a trail longer than the region overwrites
+	// its own oldest records.
 	PMVolume   string
 	RegionSize int64
 
@@ -70,15 +71,17 @@ type Config struct {
 	// own device flush (the A1 ablation).
 	NoGroupCommit bool
 
-	// RequestCPU is the log writer's CPU cost per request handled.
-	RequestCPU sim.Time
-	// FlushCPU is the extra CPU per physical flush.
-	FlushCPU sim.Time
-
 	// Metrics optionally wires boxcar (group-commit) spans and PM write
 	// spans into a store-wide registry. Nil disables all recording.
 	Metrics *metrics.Registry
 }
+
+// CPU costs of the log writer: per request handled, and extra per
+// physical disk flush.
+const (
+	requestCPU = 10 * sim.Microsecond
+	flushCPU   = 30 * sim.Microsecond
+)
 
 // protocol messages
 //
@@ -219,16 +222,11 @@ type ADP struct {
 	// bundle on the hot path).
 	m      *metrics.ADPSpans
 	mFlush *metrics.LatencyHist
+	mPM    *metrics.PMSpans
 }
 
 // Start launches the ADP process pair.
 func Start(cl *cluster.Cluster, cfg Config) *ADP {
-	if cfg.RequestCPU == 0 {
-		cfg.RequestCPU = 10 * sim.Microsecond
-	}
-	if cfg.FlushCPU == 0 {
-		cfg.FlushCPU = 30 * sim.Microsecond
-	}
 	if cfg.Mode == Disk && cfg.Volume == nil {
 		panic("adp: Disk mode requires a volume")
 	}
@@ -242,6 +240,7 @@ func Start(cl *cluster.Cluster, cfg Config) *ADP {
 	if cfg.Metrics != nil {
 		a.m = cfg.Metrics.ADP
 		a.mFlush = cfg.Metrics.ADP.FlushDisk
+		a.mPM = cfg.Metrics.PM
 	}
 	a.stats.Mode = cfg.Mode
 	a.pair = cl.StartPairAbsorb(cfg.Name, cfg.PrimaryCPU, cfg.BackupCPU, a.serve, absorbDelta)
@@ -284,8 +283,9 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 
 	var region *pmclient.Region
 	if a.cfg.Mode == PM {
-		region = a.openRegion(ctx)
-		if region == nil {
+		var err error
+		region, err = pmclient.Attach(a.cl, a.cfg.PMVolume).OpenOrCreate(ctx.Process, a.RegionName(), a.cfg.RegionSize, a.mPM)
+		if err != nil {
 			return // PM volume unreachable; pair retires
 		}
 	}
@@ -312,7 +312,7 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 
 		waiters = waiters[:0]
 		for _, ev := range batch {
-			ctx.Compute(a.cfg.RequestCPU)
+			ctx.Compute(requestCPU)
 			// A request is its sender's box, recycled only after the reply, so
 			// reading it here — and writing the response into it — is safe.
 			switch req := ev.Payload.(type) {
@@ -426,8 +426,7 @@ func (a *ADP) append(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region
 		a.checkpoint(ctx, st, len(data), false)
 	case PM:
 		// Synchronous mirrored write; the log wraps within the region.
-		off := int64(start) % a.cfg.RegionSize
-		if err := a.writeWrapped(ctx, region, off, data); err != nil {
+		if err := region.WriteRing(ctx.Process, int64(start), data); err != nil {
 			return start, err
 		}
 		st.nextLSN = end
@@ -441,30 +440,13 @@ func (a *ADP) append(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region
 	return end, nil
 }
 
-// writeWrapped performs a region write that may wrap the ring boundary.
-func (a *ADP) writeWrapped(ctx *cluster.PairCtx, region *pmclient.Region, off int64, data []byte) error {
-	size := a.cfg.RegionSize
-	for len(data) > 0 {
-		n := int64(len(data))
-		if off+n > size {
-			n = size - off
-		}
-		if err := region.Write(ctx.Process, off, data[:n]); err != nil {
-			return err
-		}
-		data = data[n:]
-		off = (off + n) % size
-	}
-	return nil
-}
-
 // flushDisk writes the buffered trail sequentially to the audit volume.
 func (a *ADP) flushDisk(ctx *cluster.PairCtx, st *adpState) error {
 	if len(st.buf) == 0 {
 		return nil
 	}
 	fstart := ctx.Process.Now()
-	ctx.Compute(a.cfg.FlushCPU)
+	ctx.Compute(flushCPU)
 	volOff := int64(st.bufStart) % a.cfg.Volume.Capacity()
 	n := len(st.buf)
 	if volOff+int64(n) > a.cfg.Volume.Capacity() {
@@ -529,24 +511,4 @@ func (a *ADP) newDelta() *ckDelta {
 func (a *ADP) freeDelta(d *ckDelta) {
 	*d = ckDelta{}
 	a.ckfree = append(a.ckfree, d)
-}
-
-// openRegion attaches to the PM volume and opens (creating if necessary)
-// this ADP's log region.
-func (a *ADP) openRegion(ctx *cluster.PairCtx) *pmclient.Region {
-	vol := pmclient.Attach(a.cl, a.cfg.PMVolume)
-	name := a.RegionName()
-	for attempt := 0; attempt < 3; attempt++ {
-		r, err := vol.Open(ctx.Process, name)
-		if err == nil {
-			if a.cfg.Metrics != nil {
-				r.SetMetrics(a.cfg.Metrics.PM)
-			}
-			return r
-		}
-		if cerr := vol.Create(ctx.Process, name, a.cfg.RegionSize); cerr != nil {
-			ctx.Wait(10 * sim.Millisecond)
-		}
-	}
-	return nil
 }

@@ -52,8 +52,7 @@ func RunClaimC1(seed int64) ClaimC1 {
 	pmm.Start(cl, "$PM1", 0, 1, a, b)
 	vol2 := pmclient.Attach(cl, "$PM1")
 	cl.CPU(2).Spawn("pm-probe", func(p *cluster.Process) {
-		vol2.Create(p, "probe", 1<<20)
-		r, err := vol2.Open(p, "probe")
+		r, err := vol2.OpenOrCreate(p, "probe", 1<<20, nil)
 		if err != nil {
 			return
 		}

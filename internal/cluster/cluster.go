@@ -32,26 +32,24 @@ type Config struct {
 	CPUs int
 	// Net configures the ServerNet fabric.
 	Net servernet.Config
-	// MsgSystemOverhead is the per-message software cost of the NSK
-	// message system, in addition to fabric time.
-	MsgSystemOverhead sim.Time
-	// CallTimeout bounds request-reply calls.
-	CallTimeout sim.Time
-	// TakeoverDelay is the fault-detection plus takeover time for process
-	// pairs ("a second or less" in the paper; default 400 ms).
-	TakeoverDelay sim.Time
 }
 
 // DefaultConfig returns the calibration used across the repository.
 func DefaultConfig() Config {
-	return Config{
-		CPUs:              4,
-		Net:               servernet.DefaultConfig(),
-		MsgSystemOverhead: 10 * sim.Microsecond,
-		CallTimeout:       2 * sim.Second,
-		TakeoverDelay:     400 * sim.Millisecond,
-	}
+	return Config{CPUs: 4, Net: servernet.DefaultConfig()}
 }
+
+// The message system's calibration.
+const (
+	// msgSystemOverhead is the per-message software cost of the NSK
+	// message system, in addition to fabric time.
+	msgSystemOverhead = 10 * sim.Microsecond
+	// CallTimeout bounds request-reply calls.
+	CallTimeout = 2 * sim.Second
+	// TakeoverDelay is the fault-detection plus takeover time for process
+	// pairs ("a second or less" in the paper).
+	TakeoverDelay = 400 * sim.Millisecond
+)
 
 // Cluster is one simulated NonStop node.
 type Cluster struct {
@@ -124,9 +122,6 @@ type registration struct {
 func New(eng *sim.Engine, cfg Config) *Cluster {
 	if cfg.CPUs <= 0 {
 		panic("cluster: need at least one CPU")
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 2 * sim.Second
 	}
 	cl := &Cluster{
 		eng:      eng,

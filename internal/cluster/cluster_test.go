@@ -199,7 +199,7 @@ func TestPairCheckpointAndTakeover(t *testing.T) {
 		// Kill the primary's CPU; the backup must take over with the
 		// checkpointed count.
 		cl.CPU(0).Fail()
-		p.Wait(cl.Config().TakeoverDelay + 100*sim.Millisecond)
+		p.Wait(TakeoverDelay + 100*sim.Millisecond)
 		for i := 0; i < 2; i++ {
 			v, err := p.Call("svc", 64, "req")
 			if err != nil {
@@ -266,7 +266,7 @@ func TestPairDoubleFailureIsOutage(t *testing.T) {
 		p.Wait(10 * sim.Millisecond)
 		cl.CPU(0).Fail()
 		cl.CPU(1).Fail()
-		p.Wait(2 * cl.Config().TakeoverDelay)
+		p.Wait(2 * TakeoverDelay)
 		if pair.Up() {
 			t.Error("pair still up after double failure")
 		}
@@ -296,12 +296,12 @@ func TestPairRebackup(t *testing.T) {
 	cl.CPU(2).Spawn("client", func(p *Process) {
 		p.Call("svc", 64, nil) // n=1
 		cl.CPU(0).Fail()       // primary dies; takeover to CPU 1
-		p.Wait(cl.Config().TakeoverDelay + 50*sim.Millisecond)
+		p.Wait(TakeoverDelay + 50*sim.Millisecond)
 		cl.CPU(0).Restore()
 		pair.Rebackup(0)       // re-pair onto the reloaded CPU
 		p.Call("svc", 64, nil) // n=2
 		cl.CPU(1).Fail()       // new primary dies; takeover back to CPU 0
-		p.Wait(cl.Config().TakeoverDelay + 50*sim.Millisecond)
+		p.Wait(TakeoverDelay + 50*sim.Millisecond)
 		final, _ = p.Call("svc", 64, nil) // n=3
 	})
 	eng.Run()

@@ -55,7 +55,7 @@ func (p *Process) send(name string, sz int, payload interface{}, reply *sim.Sign
 	}
 	// Message-system software cost on the sending CPU, then the message.
 	s := cl.newScript()
-	s.hold = cl.cfg.MsgSystemOverhead
+	s.hold = msgSystemOverhead
 	s.to, s.sz, s.payload, s.reply = r, sz, payload, reply
 	return p.run(s)
 }
@@ -78,7 +78,7 @@ func (p *Process) Call(name string, sz int, payload interface{}) (interface{}, e
 		cl.eng.FreeSignal(reply)
 		return nil, err
 	}
-	v, ok := reply.WaitTimeout(p.proc, cl.cfg.CallTimeout)
+	v, ok := reply.WaitTimeout(p.proc, CallTimeout)
 	if !ok {
 		// The server may still hold the envelope and trigger a late reply;
 		// the signal cannot be recycled.
@@ -108,7 +108,7 @@ func (p *Process) CallAsync(name string, sz int, payload interface{}) (*sim.Sign
 //
 //simlint:hotpath
 func (p *Process) AwaitReply(reply *sim.Signal) (interface{}, error) {
-	v, ok := reply.WaitTimeout(p.proc, p.cpu.cl.cfg.CallTimeout)
+	v, ok := reply.WaitTimeout(p.proc, CallTimeout)
 	if !ok {
 		return nil, ErrTimeout
 	}

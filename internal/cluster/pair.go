@@ -180,7 +180,7 @@ func (pr *Pair) CheckpointFrom(p *Process, sz int, delta interface{}) error {
 // scheduleTakeover promotes the backup after the detection delay.
 func (pr *Pair) scheduleTakeover() {
 	eng := pr.cl.eng
-	eng.After(pr.cl.cfg.TakeoverDelay, func() {
+	eng.After(TakeoverDelay, func() {
 		if pr.stopped {
 			return
 		}

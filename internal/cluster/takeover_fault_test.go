@@ -81,15 +81,14 @@ func runTakeoverFault(t *testing.T, seed int64) takeoverFaultRun {
 // same seed.
 func TestTakeoverUnderCPUFailure(t *testing.T) {
 	r := runTakeoverFault(t, 42)
-	cfg := DefaultConfig()
 
 	if r.inflightErr == nil {
 		t.Error("in-flight call to the dead primary succeeded, want a clean failure")
 	}
 	// The timeout clock starts after the request's fabric hop, so the
 	// observed block is the call timeout plus that hop.
-	if r.inflightTook > cfg.CallTimeout+sim.Millisecond {
-		t.Errorf("in-flight call blocked %v, want about the call timeout %v", r.inflightTook, cfg.CallTimeout)
+	if r.inflightTook > CallTimeout+sim.Millisecond {
+		t.Errorf("in-flight call blocked %v, want about the call timeout %v", r.inflightTook, CallTimeout)
 	}
 	if r.reregAt == 0 {
 		t.Fatal("service never answered again after the CPU failure")
@@ -98,8 +97,8 @@ func TestTakeoverUnderCPUFailure(t *testing.T) {
 	// One poll interval plus the probe's own call service time pad the
 	// bound; the registration itself must flip at exactly TakeoverDelay.
 	slack := 10 * sim.Millisecond
-	if r.reregAt > failAt+cfg.TakeoverDelay+slack {
-		t.Errorf("backup answered at %v, want within %v of the failure at %v", r.reregAt, cfg.TakeoverDelay, failAt)
+	if r.reregAt > failAt+TakeoverDelay+slack {
+		t.Errorf("backup answered at %v, want within %v of the failure at %v", r.reregAt, TakeoverDelay, failAt)
 	}
 	if r.reregCPU != 1 {
 		t.Errorf("service re-registered on CPU %d, want backup CPU 1", r.reregCPU)

@@ -433,7 +433,7 @@ func TestTakeoverDestagesEverythingAgain(t *testing.T) {
 		}
 
 		d.Pair().KillPrimary()
-		p.Wait(cl.Config().TakeoverDelay + settle)
+		p.Wait(cluster.TakeoverDelay + settle)
 		st = call(t, p, &StateReq{}).Resp
 		if d.Pair().Takeovers != 1 {
 			t.Fatalf("takeovers = %d, want 1", d.Pair().Takeovers)

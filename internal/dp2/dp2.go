@@ -75,11 +75,6 @@ type Config struct {
 	AuditSendBytes int
 	// LockTimeout bounds row-lock waits (deadlock resolution).
 	LockTimeout sim.Time
-	// InsertCPU is the processing cost per insert (marshalling, cache
-	// update, audit generation).
-	InsertCPU sim.Time
-	// ReadCPU is the processing cost per read.
-	ReadCPU sim.Time
 	// RetainData keeps row bodies in the cache; benchmark runs disable it
 	// to avoid materializing gigabytes (timing is unaffected).
 	RetainData bool
@@ -103,12 +98,6 @@ func (c *Config) applyDefaults() {
 	if c.LockTimeout == 0 {
 		c.LockTimeout = 500 * sim.Millisecond
 	}
-	if c.InsertCPU == 0 {
-		c.InsertCPU = 25 * sim.Microsecond
-	}
-	if c.ReadCPU == 0 {
-		c.ReadCPU = 15 * sim.Microsecond
-	}
 	if c.WritebackInterval == 0 {
 		c.WritebackInterval = 100 * sim.Millisecond
 	}
@@ -116,6 +105,14 @@ func (c *Config) applyDefaults() {
 		c.WritebackMaxBytes = writebackBudget
 	}
 }
+
+// CPU costs of the database writer: per insert (marshalling, cache update,
+// audit generation), per read, and per transaction end.
+const (
+	insertCPU = 25 * sim.Microsecond
+	readCPU   = 15 * sim.Microsecond
+	endCPU    = 5 * sim.Microsecond
+)
 
 // writebackBudget is the default destage batch budget, and the size of
 // zeroBlock.
@@ -479,6 +476,7 @@ type DP2 struct {
 	mInsert     *metrics.LatencyHist
 	mCheckpoint *metrics.LatencyHist
 	mAuditSend  *metrics.LatencyHist
+	mPM         *metrics.PMSpans
 	// txns receives protocol events (prepare votes, outcome applies) for
 	// the atomicity checker.
 	txns *metrics.TxnStream
@@ -558,7 +556,7 @@ func (d *DP2) freeEnc(b []byte) {
 }
 
 // RegionName returns the PM log region name a PMDirect DP2 uses.
-func (c Config) RegionName() string { return c.Name + "-log" }
+func (d *DP2) RegionName() string { return d.cfg.Name + "-log" }
 
 // Start launches the DP2 process pair.
 func Start(cl *cluster.Cluster, cfg Config) *DP2 {
@@ -584,6 +582,7 @@ func Start(cl *cluster.Cluster, cfg Config) *DP2 {
 		d.mInsert = cfg.Metrics.DP2.Insert
 		d.mCheckpoint = cfg.Metrics.DP2.Checkpoint
 		d.mAuditSend = cfg.Metrics.DP2.AuditSend
+		d.mPM = cfg.Metrics.PM
 		d.txns = cfg.Metrics.Commit
 	}
 	d.waiterName = cfg.Name + "-waiter"
@@ -639,8 +638,9 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 	}
 
 	if d.cfg.Mode == PMDirect {
-		d.pmlog = d.openRegion(ctx)
-		if d.pmlog == nil {
+		var err error
+		d.pmlog, err = pmclient.Attach(d.cl, d.cfg.PMVolume).OpenOrCreate(ctx.Process, d.RegionName(), d.cfg.PMRegionSize, d.mPM)
+		if err != nil {
 			return // PM volume unreachable; pair retires
 		}
 		if st.tree.Len() == 0 && st.lsn > 0 {
@@ -731,7 +731,7 @@ func (d *DP2) flushAudit(ctx *cluster.PairCtx, st *dpState, auditBuf *[]byte, re
 
 //simlint:hotpath
 func (d *DP2) handleInsert(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, auditBuf *[]byte, ev cluster.Envelope, req *InsertReq) {
-	ctx.Compute(d.cfg.InsertCPU)
+	ctx.Compute(insertCPU)
 	if canGrantNow(lm, req.Key, req.Txn) {
 		// Fast path: the acquire grants without blocking.
 		lm.Acquire(ctx.Sim(), req.Key, req.Txn, locks.Exclusive, d.cfg.LockTimeout)
@@ -831,7 +831,7 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 }
 
 func (d *DP2) handleRead(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req *ReadReq) {
-	ctx.Compute(d.cfg.ReadCPU)
+	ctx.Compute(readCPU)
 	if req.Txn == 0 {
 		d.finishRead(ctx, st, ev, req) // browse access: no lock
 		return
@@ -902,7 +902,7 @@ func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, r
 
 //simlint:hotpath
 func (d *DP2) handleEnd(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req *EndTxnReq) {
-	ctx.Compute(5 * sim.Microsecond)
+	ctx.Compute(endCPU)
 	if !req.Commit {
 		d.stats.Aborted += int64(len(st.undo[req.Txn]))
 	}
@@ -995,19 +995,8 @@ func (d *DP2) checkpointLSN(p *cluster.Process, v lsnDelta) {
 // logToPM synchronously writes encoded audit frames into this DP2's PM
 // log region (PMDirect mode), wrapping at the ring boundary.
 func (d *DP2) logToPM(p *cluster.Process, st *dpState, data []byte) error {
-	size := d.cfg.PMRegionSize
-	off := int64(st.lsn) % size
-	rest := data
-	for len(rest) > 0 {
-		n := int64(len(rest))
-		if off+n > size {
-			n = size - off
-		}
-		if err := d.pmlog.Write(p, off, rest[:n]); err != nil {
-			return err
-		}
-		rest = rest[n:]
-		off = (off + n) % size
+	if err := d.pmlog.WriteRing(p, int64(st.lsn), data); err != nil {
+		return err
 	}
 	st.lsn += audit.LSN(len(data))
 	d.stats.PMLogWrites++
@@ -1015,45 +1004,33 @@ func (d *DP2) logToPM(p *cluster.Process, st *dpState, data []byte) error {
 	return nil
 }
 
-// openRegion attaches this DP2's PM log region, creating it on first use.
-func (d *DP2) openRegion(ctx *cluster.PairCtx) *pmclient.Region {
-	vol := pmclient.Attach(d.cl, d.cfg.PMVolume)
-	name := d.cfg.RegionName()
-	for attempt := 0; attempt < 3; attempt++ {
-		r, err := vol.Open(ctx.Process, name)
-		if err == nil {
-			if d.cfg.Metrics != nil {
-				r.SetMetrics(d.cfg.Metrics.PM)
-			}
-			return r
-		}
-		if cerr := vol.Create(ctx.Process, name, d.cfg.PMRegionSize); cerr != nil {
-			ctx.Wait(10 * sim.Millisecond)
-		}
-	}
-	return nil
-}
-
 // rebuildFromPM reloads the cache image by replaying this DP2's PM log up
-// to the checkpointed LSN — the PMDirect takeover path. (If the ring has
-// wrapped, the oldest records are gone; regions must be sized so the
-// destager truncation keeps the live tail within one ring, which the
-// configured defaults guarantee for the workloads in this repository.)
+// to the checkpointed LSN — the PMDirect takeover path. Each replica of the
+// mirrored region is read, and the one whose valid record prefix scans
+// furthest is replayed, the lower on a tie: a log write succeeds once one
+// mirror took it, so a device that was detached for a while holds a hole
+// the other does not. A replica that cannot be read is skipped while the
+// other one reads. Nothing reclaims the log before it wraps, so once the
+// ring has wrapped its oldest records are overwritten and the replay
+// misses them.
 func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
-	end := int64(st.lsn)
-	if end > d.cfg.PMRegionSize {
-		end = d.cfg.PMRegionSize
+	end := min(int64(st.lsn), d.pmlog.Size())
+	var img []byte
+	valid := -1
+	for replica := 0; replica < d.pmlog.Replicas(); replica++ {
+		buf := make([]byte, end)
+		if d.readReplica(ctx.Process, replica, buf) != nil {
+			continue
+		}
+		s := audit.NewScanner(buf)
+		for s.Next() {
+		}
+		if s.Offset() > valid {
+			img, valid = buf, s.Offset()
+		}
 	}
-	img := make([]byte, end)
-	const chunk = 256 << 10
-	for off := int64(0); off < end; off += chunk {
-		n := int64(chunk)
-		if off+n > end {
-			n = end - off
-		}
-		if err := d.pmlog.Read(ctx.Process, off, img[off:off+n]); err != nil {
-			return
-		}
+	if img == nil {
+		return
 	}
 	s := audit.NewScanner(img)
 	for s.Next() {
@@ -1073,6 +1050,18 @@ func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
 		}
 	}
 	d.stats.PMRebuilds++
+}
+
+// readReplica fills buf from the start of one replica of the PM log, a
+// chunk at a time.
+func (d *DP2) readReplica(p *cluster.Process, replica int, buf []byte) error {
+	const chunk = 256 << 10
+	for off := 0; off < len(buf); off += chunk {
+		if err := d.pmlog.ReadReplica(p, replica, int64(off), buf[off:min(off+chunk, len(buf))]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeback is the destager loop: blocked while there is nothing dirty,

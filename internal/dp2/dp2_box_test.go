@@ -96,7 +96,7 @@ func TestLateAppendReplyLandsInAbandonedBox(t *testing.T) {
 			}
 			boxes = append(boxes, req)
 			if len(boxes) == 1 {
-				p.Wait(cl.Config().CallTimeout + sim.Second) // the caller gives up first
+				p.Wait(cluster.CallTimeout + sim.Second) // the caller gives up first
 				req.Resp = adp.AppendResp{End: late}
 				ev.Reply(req)
 				continue
@@ -117,7 +117,7 @@ func TestLateAppendReplyLandsInAbandonedBox(t *testing.T) {
 		if _, err := p.Call("$DP-F-0", 128, &FlushAuditReq{Txn: 1}); err == nil {
 			t.Error("the flush behind a stalled log writer returned before its timeout")
 		}
-		p.Wait(2 * cl.Config().CallTimeout) // the late reply has been sent by now
+		p.Wait(2 * cluster.CallTimeout) // the late reply has been sent by now
 		if len(d.appfree) != 0 {
 			t.Errorf("appfree holds %d boxes after a timed-out append, want none: the box may still be written", len(d.appfree))
 		}

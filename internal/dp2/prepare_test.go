@@ -1,6 +1,7 @@
 package dp2
 
 import (
+	"fmt"
 	"testing"
 
 	"persistmem/internal/adp"
@@ -63,7 +64,7 @@ func TestPrepareFlushWritesDurablePrepareRecord(t *testing.T) {
 
 // pmDirectHarness builds a PMDirect-mode DP2 whose log region lives on a
 // PMM-managed mirrored NPMU pair.
-func pmDirectHarness(t *testing.T) (*sim.Engine, *cluster.Cluster, *DP2) {
+func pmDirectHarness(t *testing.T) (*sim.Engine, *cluster.Cluster, *DP2, [2]*npmu.Device) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	cl := cluster.New(eng, cluster.DefaultConfig())
@@ -77,14 +78,14 @@ func pmDirectHarness(t *testing.T) (*sim.Engine, *cluster.Cluster, *DP2) {
 		Volume: dataVol, Mode: PMDirect, PMVolume: "$PM1",
 		RetainData: true,
 	})
-	return eng, cl, d
+	return eng, cl, d, [2]*npmu.Device{a, b}
 }
 
 // TestPMDirectPrepareLandsInPMLog: under PMDirect there is no ADP — the
 // prepare vote is written synchronously into this DP2's own PM log, and
 // the flush reply needs no LSN wait.
 func TestPMDirectPrepareLandsInPMLog(t *testing.T) {
-	eng, cl, d := pmDirectHarness(t)
+	eng, cl, d, _ := pmDirectHarness(t)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: []byte("xs")})
 		before := d.Stats().PMLogBytes
@@ -110,4 +111,59 @@ func TestPMDirectPrepareLandsInPMLog(t *testing.T) {
 		t.Error("no PM log writes recorded")
 	}
 	eng.Shutdown()
+}
+
+// TestPMDirectTakeoverRebuildsFromFullerReplica: while the primary NPMU is
+// detached, log writes land on the mirror alone. A takeover must rebuild
+// the cache from the replica whose records scan furthest — past the hole
+// the outage left in the primary once it is back, and from the mirror alone
+// while the primary cannot be read at all.
+func TestPMDirectTakeoverRebuildsFromFullerReplica(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		reattach bool
+	}{
+		{"hole in the primary", true},
+		{"primary unreadable", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, cl, d, devs := pmDirectHarness(t)
+			cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+				for txn := audit.TxnID(1); txn <= 6; txn++ {
+					switch {
+					case txn == 3:
+						devs[0].Fail()
+					case txn == 5 && tc.reattach:
+						devs[0].Recover()
+					}
+					for k := uint64(0); k < 2; k++ {
+						key := uint64(txn)*10 + k
+						if r := call(t, p, &InsertReq{Txn: txn, Key: key, Body: []byte(fmt.Sprint(key))}).Resp; r.Err != nil {
+							t.Fatalf("insert %d: %v", key, r.Err)
+						}
+					}
+					call(t, p, &EndTxnReq{Txn: txn, Commit: txn != 6})
+				}
+				d.Pair().KillPrimary()
+				p.Wait(cluster.TakeoverDelay + 100*sim.Millisecond)
+				for txn := uint64(1); txn <= 6; txn++ {
+					for k := uint64(0); k < 2; k++ {
+						key := txn*10 + k
+						r := call(t, p, &ReadReq{Key: key}).Resp
+						switch {
+						case txn == 6 && r.Err == nil:
+							t.Errorf("aborted row %d came back", key)
+						case txn < 6 && (r.Err != nil || string(r.Body) != fmt.Sprint(key)):
+							t.Errorf("row %d after takeover = %q, %v", key, r.Body, r.Err)
+						}
+					}
+				}
+			})
+			eng.Run()
+			if got := d.Stats().PMRebuilds; got != 1 {
+				t.Errorf("PMRebuilds = %d, want 1", got)
+			}
+			eng.Shutdown()
+		})
+	}
 }

@@ -376,7 +376,7 @@ func (inj *Injector) expectTakeoverOf(pr pairRef) {
 		return
 	}
 	eng := inj.s.Eng
-	bound := inj.s.Cl.Config().TakeoverDelay
+	bound := cluster.TakeoverDelay
 	at := eng.Now()
 	armTakeovers, armFailures := p.Takeovers, host.Failures
 	name := pr.name

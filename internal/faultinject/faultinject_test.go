@@ -345,3 +345,52 @@ func TestAuditVolumeAndEndpointOutages(t *testing.T) {
 		t.Errorf("%d cells, want 48", cells)
 	}
 }
+
+// TestNoAcknowledgedCommitLostToBothNPMUsDetached detaches both NPMU
+// endpoints at every 25 µs step of the first 1.5 ms after each of the eight
+// commits, and re-attaches them 50 ms later or only at the crash. A commit
+// whose durable point could not be written must fail, not be acknowledged:
+// under PM direct the monitor's control-block write is that point, so a
+// commit acknowledged over a failed one is lost at recovery. Every cell must
+// recover with no invariant or history violation.
+func TestNoAcknowledgedCommitLostToBothNPMUsDetached(t *testing.T) {
+	for _, d := range []ods.Durability{ods.PMDurability, ods.PMDirectDurability} {
+		t.Run(d.String(), func(t *testing.T) {
+			t.Parallel()
+			cells, bad := 0, 0
+			for after := int64(1); after <= 8; after++ {
+				for delay := sim.Time(0); delay < 1500*sim.Microsecond; delay += 25 * sim.Microsecond {
+					for _, reattach := range []bool{true, false} {
+						var plan Plan
+						for dev := 0; dev < 2; dev++ {
+							plan = append(plan, Fault{Kind: EndpointFail, Target: dev, When: Trigger{AfterCommits: after, Delay: delay}})
+							if reattach {
+								plan = append(plan, Fault{Kind: EndpointRecover, Target: dev, When: Trigger{AfterCommits: after, Delay: delay + 50*sim.Millisecond}})
+							}
+						}
+						res := Run(ScenarioConfig{Durability: d, Txns: 8, Seed: 1, Plan: plan})
+						_, rb, err := res.Recover(recovery.Options{})
+						v := res.Violations(rb)
+						if err != nil {
+							v = append(v, "recover: "+err.Error())
+						}
+						for _, hv := range res.CheckHistory(rb).Violations {
+							v = append(v, "history: "+hv.String())
+						}
+						res.Store.Eng.Shutdown()
+						cells++
+						if len(v) > 0 {
+							bad++
+							if bad <= 3 {
+								t.Errorf("after=%d delay=%v reattach=%v: %v", after, delay, reattach, v)
+							}
+						}
+					}
+				}
+			}
+			if bad > 0 {
+				t.Errorf("%d of %d cells violated an invariant", bad, cells)
+			}
+		})
+	}
+}

@@ -176,13 +176,7 @@ func Start(cfg ScenarioConfig) *Pending {
 	s.Eng.Spawn("crasher", func(p *sim.Proc) {
 		crashNow.Recv(p)
 		inj.Disarm()
-		s.Cl.PowerFail()
-		if s.NPMUPrimary != nil {
-			s.NPMUPrimary.PowerFail()
-			if s.NPMUMirror != s.NPMUPrimary {
-				s.NPMUMirror.PowerFail()
-			}
-		}
+		s.PowerFail()
 	})
 	return &Pending{res: res}
 }

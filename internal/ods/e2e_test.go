@@ -2,7 +2,6 @@ package ods_test
 
 import (
 	"bytes"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -175,13 +174,7 @@ func TestCrashRecoveryMatchesModel(t *testing.T) {
 				return
 			}
 			// Crash.
-			s.Cl.PowerFail()
-			if s.NPMUPrimary != nil {
-				s.NPMUPrimary.PowerFail()
-				if s.NPMUMirror != s.NPMUPrimary {
-					s.NPMUMirror.PowerFail()
-				}
-			}
+			s.PowerFail()
 			s.Eng.Run()
 
 			// Recover.
@@ -234,19 +227,8 @@ func recoverStore(t *testing.T, s *ods.Store, d ods.Durability) *recovery.Rebuil
 	pmm.Start(s.Cl, ods.PMVolumeName, 0, 1, s.NPMUPrimary, s.NPMUMirror)
 	s.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
 		vol := pmclient.Attach(s.Cl, ods.PMVolumeName)
-		var regions []string
-		if d == ods.PMDirectDurability {
-			for name := range s.DP2s {
-				regions = append(regions, name+"-log")
-			}
-			sort.Strings(regions)
-		} else {
-			for _, a := range s.ADPs {
-				regions = append(regions, a.RegionName())
-			}
-		}
 		var err error
-		_, rb, err = recovery.FromPM(p, vol, regions, tmf.TCBRegionName, recovery.Options{})
+		_, rb, err = recovery.FromPM(p, vol, s.LogRegions(), tmf.TCBRegionName, recovery.Options{})
 		if err != nil {
 			t.Errorf("FromPM: %v", err)
 		}

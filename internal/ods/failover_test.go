@@ -71,7 +71,7 @@ func TestCPUFailTakeoverRebackupWithMetricsAndHistory(t *testing.T) {
 		before := hist.Len()
 
 		s.Cl.CPU(failed).Fail()
-		se.p.Wait(s.Cl.Config().TakeoverDelay + 100*sim.Millisecond)
+		se.p.Wait(cluster.TakeoverDelay + 100*sim.Millisecond)
 		for _, pr := range wantTakeover {
 			if pr.Takeovers != 1 || pr.PrimaryCPU() == failed {
 				t.Errorf("%s: takeovers=%d primary on CPU %d after CPU %d failed",
@@ -161,7 +161,7 @@ func TestFailedSendPoisonsTxn(t *testing.T) {
 			t.Errorf("ledger aborted = %d, want 1", a)
 		}
 
-		se.p.Wait(s.Cl.Config().TakeoverDelay + 100*sim.Millisecond)
+		se.p.Wait(cluster.TakeoverDelay + 100*sim.Millisecond)
 		txn, err = se.Begin()
 		if err != nil {
 			t.Fatalf("Begin after takeover: %v", err)

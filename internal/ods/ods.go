@@ -185,7 +185,7 @@ func BuildOn(eng *sim.Engine, opts Options) *Store {
 	}
 	switch opts.Durability {
 	case PMDurability:
-		need := int64(opts.auditStreams())*opts.PMRegionBytes + (2 << 20) + pmm.MetaBytes
+		need := int64(opts.auditStreams())*opts.PMRegionBytes + tmf.TCBRegionSize + pmm.MetaBytes
 		if need > opts.NPMUBytes {
 			panic(fmt.Sprintf("ods: NPMUBytes %d too small: %d audit streams × %d PM log regions + TCB + metadata need %d",
 				opts.NPMUBytes, opts.auditStreams(), opts.PMRegionBytes, need))
@@ -195,7 +195,7 @@ func BuildOn(eng *sim.Engine, opts Options) *Store {
 		for _, f := range opts.Files {
 			nDP2 += f.Partitions
 		}
-		need := int64(nDP2)*opts.PMRegionBytes + (2 << 20) + pmm.MetaBytes
+		need := int64(nDP2)*opts.PMRegionBytes + tmf.TCBRegionSize + pmm.MetaBytes
 		if need > opts.NPMUBytes {
 			panic(fmt.Sprintf("ods: NPMUBytes %d too small: %d DP2s × %d PM log regions + TCB + metadata need %d",
 				opts.NPMUBytes, nDP2, opts.PMRegionBytes, need))
@@ -367,6 +367,38 @@ func (s *Store) Partitions(file string) int { return len(s.dpNames[file]) }
 // PartitionOf routes a key to its partition (hash partitioning by key).
 func (s *Store) PartitionOf(file string, key uint64) int {
 	return int(key % uint64(len(s.dpNames[file])))
+}
+
+// LogRegions returns the names of the store's PM log regions, sorted: each
+// log writer's under PM durability, each database writer's under PM
+// direct, none on disk.
+func (s *Store) LogRegions() []string {
+	var regions []string
+	switch s.Opts.Durability {
+	case PMDurability:
+		for _, a := range s.ADPs {
+			regions = append(regions, a.RegionName())
+		}
+	case PMDirectDurability:
+		//simlint:ordered -- collected into a slice and sorted below
+		for _, d := range s.DP2s {
+			regions = append(regions, d.RegionName())
+		}
+	}
+	sort.Strings(regions)
+	return regions
+}
+
+// PowerFail cuts the whole node's power: every CPU, then each NPMU once
+// (an unmirrored volume's one device is both primary and mirror).
+func (s *Store) PowerFail() {
+	s.Cl.PowerFail()
+	if s.NPMUPrimary != nil {
+		s.NPMUPrimary.PowerFail()
+		if s.NPMUMirror != s.NPMUPrimary {
+			s.NPMUMirror.PowerFail()
+		}
+	}
 }
 
 // Stop shuts down every service pair (used by tests; benchmark runs just

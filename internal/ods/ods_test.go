@@ -290,7 +290,7 @@ func TestDP2TakeoverKeepsCache(t *testing.T) {
 		}
 		name := s.DP2Name("TRADES", 0)
 		s.DP2s[name].Pair().KillPrimary()
-		se.p.Wait(s.Cl.Config().TakeoverDelay + 100*sim.Millisecond)
+		se.p.Wait(cluster.TakeoverDelay + 100*sim.Millisecond)
 		body, err := se.ReadBrowse("TRADES", 2)
 		if err != nil {
 			t.Fatalf("read after DP2 takeover: %v", err)
@@ -465,7 +465,7 @@ func TestPMDirectTakeoverRebuildsFromPM(t *testing.T) {
 		}
 		name := s.DP2Name("TRADES", 0)
 		s.DP2s[name].Pair().KillPrimary()
-		se.p.Wait(s.Cl.Config().TakeoverDelay + 200*sim.Millisecond)
+		se.p.Wait(cluster.TakeoverDelay + 200*sim.Millisecond)
 		body, err := se.ReadBrowse("TRADES", 2)
 		if err != nil {
 			t.Fatalf("read after PMDirect takeover: %v", err)
@@ -588,4 +588,55 @@ func TestStoreLifecycle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPMDirectTakeoverReadsTheFullerReplica detaches the primary NPMU for
+// transactions 3–6, so their log writes land on the mirror alone, and
+// re-attaches it before transaction 7. A takeover of every DP2 must then
+// rebuild from the replica that holds the whole log: the primary's copy has
+// a hole where the outage was, and a rebuild that trusted it would stop
+// there and drop every later row.
+func TestPMDirectTakeoverReadsTheFullerReplica(t *testing.T) {
+	s := Build(smallOptions(PMDirectDurability))
+	var committed []uint64
+	runClient(s, func(se *Session) {
+		for i := 0; i < 10; i++ {
+			switch i {
+			case 2:
+				s.NPMUPrimary.Fail()
+			case 6:
+				s.NPMUPrimary.Recover()
+			}
+			txn, err := se.Begin()
+			if err != nil {
+				t.Fatalf("begin %d: %v", i, err)
+			}
+			for j := 0; j < 4; j++ {
+				key := uint64(i*10 + j + 1)
+				txn.InsertAsync("TRADES", key, []byte(fmt.Sprintf("row %d", key)))
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+			for j := 0; j < 4; j++ {
+				committed = append(committed, uint64(i*10+j+1))
+			}
+		}
+		for _, f := range s.Opts.Files {
+			for part := 0; part < s.Partitions(f.Name); part++ {
+				s.DP2s[s.DP2Name(f.Name, part)].Pair().KillPrimary()
+			}
+		}
+		se.p.Wait(2 * sim.Second)
+		lost := 0
+		for _, key := range committed {
+			if body, err := se.ReadBrowse("TRADES", key); err != nil || string(body) != fmt.Sprintf("row %d", key) {
+				lost++
+			}
+		}
+		if lost > 0 {
+			t.Errorf("%d of %d committed rows unreadable after the takeovers", lost, len(committed))
+		}
+	})
+	s.Eng.Shutdown()
 }

@@ -113,7 +113,7 @@ func stallDP2(t *testing.T, s *Store, inserts *[]*dp2.InsertReq, reads *[]*dp2.R
 				}
 				*inserts = append(*inserts, req)
 				if len(*inserts) == 1 {
-					p.Wait(s.Cl.Config().CallTimeout + sim.Second) // the session gives up first
+					p.Wait(cluster.CallTimeout + sim.Second) // the session gives up first
 					req.Resp = dp2.InsertResp{Err: errLate}
 				}
 			case *dp2.ReadReq:
@@ -122,7 +122,7 @@ func stallDP2(t *testing.T, s *Store, inserts *[]*dp2.InsertReq, reads *[]*dp2.R
 				}
 				*reads = append(*reads, req)
 				if len(*reads) == 1 {
-					p.Wait(s.Cl.Config().CallTimeout + sim.Second)
+					p.Wait(cluster.CallTimeout + sim.Second)
 					req.Resp = dp2.ReadResp{Err: errLate}
 				}
 			}
@@ -150,7 +150,7 @@ func TestLateInsertReplyLandsInAbandonedBox(t *testing.T) {
 		if err := txn.Insert("TRADES", 1, []byte("x")); !errors.Is(err, ErrInsertFailed) {
 			t.Errorf("the insert behind a stalled DP2: %v, want ErrInsertFailed after the timeout", err)
 		}
-		se.p.Wait(2 * s.Cl.Config().CallTimeout) // the late reply has been sent by now
+		se.p.Wait(2 * cluster.CallTimeout) // the late reply has been sent by now
 		if len(se.insfree) != 0 {
 			t.Errorf("insfree holds %d boxes after a timed-out insert, want none: the box may still be written", len(se.insfree))
 		}
@@ -186,7 +186,7 @@ func TestLateReadReplyLandsInAbandonedBox(t *testing.T) {
 		if _, err := se.ReadBrowse("TRADES", 1); !errors.Is(err, cluster.ErrTimeout) {
 			t.Errorf("the read behind a stalled DP2: %v, want the call timeout", err)
 		}
-		se.p.Wait(2 * s.Cl.Config().CallTimeout) // the late reply has been sent by now
+		se.p.Wait(2 * cluster.CallTimeout) // the late reply has been sent by now
 		if len(se.rdfree) != 0 {
 			t.Errorf("rdfree holds %d boxes after a timed-out read, want none: the box may still be written", len(se.rdfree))
 		}

@@ -17,6 +17,7 @@ import (
 	"persistmem/internal/metrics"
 	"persistmem/internal/pmm"
 	"persistmem/internal/servernet"
+	"persistmem/internal/sim"
 )
 
 // Client-side errors.
@@ -73,6 +74,26 @@ func (v *Volume) Open(p *cluster.Process, name string) (*Region, error) {
 		return nil, err
 	}
 	return &Region{vol: v, info: resp.Info, cpu: p.CPU().Index()}, nil
+}
+
+// OpenOrCreate opens the named region, creating it with the given size on
+// first use, and attaches pm's write spans to the handle (nil leaves it
+// unmetered). It makes three open attempts; a create that fails waits
+// 10 ms before the next one, so a PMM mid-takeover can come back. The
+// error is the last open's.
+func (v *Volume) OpenOrCreate(p *cluster.Process, name string, size int64, pm *metrics.PMSpans) (*Region, error) {
+	var err error
+	for attempt := 0; attempt < 3; attempt++ {
+		var r *Region
+		if r, err = v.Open(p, name); err == nil {
+			r.SetMetrics(pm)
+			return r, nil
+		}
+		if v.Create(p, name, size) != nil {
+			p.Wait(10 * sim.Millisecond)
+		}
+	}
+	return nil, err
 }
 
 // Delete removes a region that is not open anywhere.
@@ -205,6 +226,25 @@ func (r *Region) Write(p *cluster.Process, off int64, data []byte) error {
 	r.mWrite.Record(p.Now() - wstart)
 	r.mWrites.Inc()
 	r.mBytes.Add(int64(len(data)))
+	return nil
+}
+
+// WriteRing writes data at byte pos of a log that wraps within the region:
+// byte pos lives at offset pos % Size, and a write that crosses the end of
+// the region is split there, its rest written from offset 0.
+//
+//simlint:hotpath
+func (r *Region) WriteRing(p *cluster.Process, pos int64, data []byte) error {
+	size := r.info.Size
+	off := pos % size
+	for len(data) > 0 {
+		n := min(int64(len(data)), size-off)
+		if err := r.Write(p, off, data[:n]); err != nil {
+			return err
+		}
+		data = data[n:]
+		off = 0
+	}
 	return nil
 }
 

@@ -794,3 +794,94 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 	}
 	h.eng.Shutdown()
 }
+
+// TestOpenOrCreate: the first call creates the region, a later one opens
+// the same region without creating it again, and both handles carry the
+// write spans they were given.
+func TestOpenOrCreate(t *testing.T) {
+	h := newHarness(t, 1)
+	pm := metrics.NewRegistry().PM
+	h.runClient(t, 2, func(p *cluster.Process) {
+		r, err := h.vol.OpenOrCreate(p, "log", 4096, pm)
+		if err != nil {
+			t.Fatalf("first OpenOrCreate: %v", err)
+		}
+		if r.Size() != 4096 || r.Name() != "log" {
+			t.Errorf("created %q of %d bytes, want \"log\" of 4096", r.Name(), r.Size())
+		}
+		if err := r.Write(p, 0, []byte("kept")); err != nil {
+			t.Fatal(err)
+		}
+		again, err := h.vol.OpenOrCreate(p, "log", 8192, pm)
+		if err != nil {
+			t.Fatalf("second OpenOrCreate: %v", err)
+		}
+		if again.Size() != 4096 {
+			t.Errorf("reopened region is %d bytes, want the created 4096", again.Size())
+		}
+		buf := make([]byte, 4)
+		if err := again.Read(p, 0, buf); err != nil || string(buf) != "kept" {
+			t.Errorf("reopened region reads %q, %v; want \"kept\"", buf, err)
+		}
+		again.Write(p, 4, []byte("more"))
+		if regions, _ := h.vol.List(p); len(regions) != 1 {
+			t.Errorf("volume holds %d regions, want 1", len(regions))
+		}
+	})
+	if pm.Writes.Value() != 2 {
+		t.Errorf("spans recorded %d writes, want 2", pm.Writes.Value())
+	}
+	h.eng.Shutdown()
+}
+
+// TestOpenOrCreateGivesUp: with no PM manager answering, OpenOrCreate makes
+// three attempts, waits 10 ms after each failed create, and returns the
+// open's error.
+func TestOpenOrCreateGivesUp(t *testing.T) {
+	h := newHarness(t, 1)
+	h.runClient(t, 2, func(p *cluster.Process) {
+		start := p.Now()
+		r, err := Attach(h.cl, "$NOPM").OpenOrCreate(p, "log", 4096, nil)
+		if r != nil || !errors.Is(err, cluster.ErrNoProcess) {
+			t.Errorf("OpenOrCreate = %v, %v; want nil and ErrNoProcess", r, err)
+		}
+		if took := p.Now() - start; took < 30*sim.Millisecond {
+			t.Errorf("gave up after %v, want at least three 10 ms waits", took)
+		}
+	})
+	h.eng.Shutdown()
+}
+
+// TestWriteRing: byte pos of the log lives at pos % Size, and a write that
+// crosses the region's end is split there and goes on from offset 0.
+func TestWriteRing(t *testing.T) {
+	h := newHarness(t, 1)
+	h.runClient(t, 2, func(p *cluster.Process) {
+		h.vol.Create(p, "ring", 64)
+		r, _ := h.vol.Open(p, "ring")
+		if err := r.WriteRing(p, 3*64+10, []byte("abcd")); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteRing(p, 60, []byte("0123456789")); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64)
+		if err := r.Read(p, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(buf[10:14]); got != "abcd" {
+			t.Errorf("ring reads %q at offset 10, want \"abcd\"", got)
+		}
+		if got := string(buf[60:]) + string(buf[:6]); got != "0123456789" {
+			t.Errorf("ring reads %q from offset 60 on, want \"0123456789\"", got)
+		}
+		if r.Writes != 3 {
+			t.Errorf("%d region writes, want 3 (one, then one split in two)", r.Writes)
+		}
+		r.Close(p)
+		if err := r.WriteRing(p, 0, []byte("x")); !errors.Is(err, ErrClosed) {
+			t.Errorf("WriteRing on a closed region = %v, want ErrClosed", err)
+		}
+	})
+	h.eng.Shutdown()
+}

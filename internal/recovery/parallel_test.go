@@ -268,7 +268,7 @@ func TestRecoveringProcessLossSendsWorkersHome(t *testing.T) {
 					if tc.d == ods.DiskDurability {
 						_, _, _ = FromDisk(p, res.Store.AuditVolumes, Options{})
 					} else {
-						_, _, _ = FromPM(p, pmclient.Attach(res.Store.Cl, ods.PMVolumeName), res.logRegions(), tmf.TCBRegionName, Options{})
+						_, _, _ = FromPM(p, pmclient.Attach(res.Store.Cl, ods.PMVolumeName), res.Store.LogRegions(), tmf.TCBRegionName, Options{})
 					}
 					done = true
 				})

@@ -348,7 +348,7 @@ func recoverWith(t *testing.T, res ScenarioResult, useTCB bool, serial bool) (re
 		if useTCB {
 			tcb = tmf.TCBRegionName
 		}
-		rep, rb, err = fromPM(p, pmclient.Attach(cl, ods.PMVolumeName), res.logRegions(), tcb, Options{}, cpus)
+		rep, rb, err = fromPM(p, pmclient.Attach(cl, ods.PMVolumeName), res.Store.LogRegions(), tcb, Options{}, cpus)
 	})
 	res.Store.Eng.Run()
 	if err != nil {

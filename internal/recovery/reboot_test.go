@@ -81,7 +81,7 @@ func TestFromPMReadsNeverCreatedRegionAsEmpty(t *testing.T) {
 	if len(res.Errs) > 0 {
 		t.Fatalf("workload errors: %v", res.Errs)
 	}
-	written := res.logRegions()
+	written := res.Store.LogRegions()
 	want, _, err := recoverRegions(res, ods.PMVolumeName, written)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestFromPMClosesRegionItCannotRead(t *testing.T) {
 				tc.off(s.NPMUPrimary)
 				tc.off(s.NPMUMirror)
 			}
-			regions := res.logRegions()
+			regions := res.Store.LogRegions()
 			var err error
 			s.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
 				_, _, err = FromPM(p, pmclient.Attach(s.Cl, ods.PMVolumeName), regions, "", Options{})

@@ -3,7 +3,6 @@ package recovery
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"persistmem/internal/cluster"
@@ -113,13 +112,7 @@ func runScenario(opts ods.Options, txns int) ScenarioResult {
 	})
 	s.Eng.Spawn("crasher", func(p *sim.Proc) {
 		crashNow.Recv(p)
-		s.Cl.PowerFail()
-		if s.NPMUPrimary != nil {
-			s.NPMUPrimary.PowerFail()
-			if s.NPMUMirror != s.NPMUPrimary {
-				s.NPMUMirror.PowerFail()
-			}
-		}
+		s.PowerFail()
 	})
 	s.Eng.Run()
 	return res
@@ -148,26 +141,6 @@ func (r ScenarioResult) Reboot() {
 	}
 }
 
-// logRegions returns the store's PM log region names (ADP logs in PM
-// mode, per-DP2 logs in PMDirect mode), sorted for determinism.
-func (r ScenarioResult) logRegions() []string {
-	s := r.Store
-	var regions []string
-	if s.Opts.Durability == ods.PMDirectDurability {
-		//simlint:ordered -- collected into a slice and sorted below
-		for name := range s.DP2s {
-			regions = append(regions, name+"-log")
-		}
-		sort.Strings(regions)
-		return regions
-	}
-	for _, a := range s.ADPs {
-		regions = append(regions, a.RegionName())
-	}
-	sort.Strings(regions)
-	return regions
-}
-
 // RecoverDisk reboots and runs FromDisk against the scenario's audit
 // volumes.
 func (r ScenarioResult) RecoverDisk(opts Options) (Report, *Rebuilt, error) {
@@ -191,7 +164,7 @@ func (r ScenarioResult) RecoverPM(opts Options, useTCB bool) (Report, *Rebuilt, 
 	var err error
 	r.Store.Cl.CPU(2).Spawn("recover-pm", func(p *cluster.Process) {
 		vol := pmclient.Attach(r.Store.Cl, ods.PMVolumeName)
-		regions := r.logRegions()
+		regions := r.Store.LogRegions()
 		tcb := ""
 		if useTCB {
 			tcb = tmf.TCBRegionName

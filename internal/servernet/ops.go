@@ -6,12 +6,12 @@ import "persistmem/internal/sim"
 // overheads plus serialization at link bandwidth plus one wire traversal
 // each way (request and hardware ack).
 func (f *Fabric) transferTime(n int) sim.Time {
-	packets := (n + f.cfg.PacketBytes - 1) / f.cfg.PacketBytes
+	packets := (n + packetBytes - 1) / packetBytes
 	if packets == 0 {
 		packets = 1
 	}
-	ser := sim.Time(int64(n) * int64(sim.Second) / f.cfg.BytesPerSecond)
-	return sim.Time(packets)*f.cfg.PerPacketOverhead + ser + 2*f.cfg.WireLatency
+	ser := sim.Time(int64(n) * int64(sim.Second) / bytesPerSecond)
+	return sim.Time(packets)*perPacketOverhead + ser + 2*wireLatency
 }
 
 // crcFault draws a CRC fault for one operation.
@@ -119,7 +119,7 @@ func (t *Transfer) fail(err error) (done bool) {
 //simlint:hotpath
 func (t *Transfer) timeOut(p *sim.Proc, err error) (done bool) {
 	t.err = err
-	p.ArmWait(t.f.cfg.Timeout)
+	p.ArmWait(ackTimeout)
 	t.phase = xferTimeout
 	return false
 }

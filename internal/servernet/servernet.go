@@ -45,41 +45,38 @@ var (
 	ErrNoPath = errors.New("servernet: both fabric paths down")
 )
 
-// Config sets the fabric's latency and bandwidth model. The defaults
-// correspond to the second-generation ServerNet numbers quoted in the
-// paper (software latency 10–20 µs; we default to the middle).
+// Config sets the fabric's settable costs. The defaults correspond to the
+// second-generation ServerNet numbers quoted in the paper (software latency
+// 10–20 µs; we default to the middle).
 type Config struct {
 	// SoftwareLatency is the initiator-side per-operation software cost
 	// (user-mode verbs, doorbell, completion handling).
 	SoftwareLatency sim.Time
-	// WireLatency is the one-way propagation plus switching delay.
-	WireLatency sim.Time
-	// BytesPerSecond is the usable link bandwidth.
-	BytesPerSecond int64
-	// PacketBytes is the maximum payload per fabric packet.
-	PacketBytes int
-	// PerPacketOverhead is the fixed cost per packet (header, ack
-	// processing in hardware).
-	PerPacketOverhead sim.Time
 	// CRCErrorRate is the probability that a given operation suffers an
 	// unrecovered CRC error (fault injection; 0 in normal runs).
 	CRCErrorRate float64
-	// Timeout is how long an initiator waits for a hardware ack before
-	// declaring the target down.
-	Timeout sim.Time
 }
 
 // DefaultConfig returns the calibration used across the repository.
 func DefaultConfig() Config {
-	return Config{
-		SoftwareLatency:   15 * sim.Microsecond,
-		WireLatency:       1 * sim.Microsecond,
-		BytesPerSecond:    125 << 20, // ~1 Gbps usable
-		PacketBytes:       512,
-		PerPacketOverhead: 300 * sim.Nanosecond,
-		Timeout:           50 * sim.Millisecond,
-	}
+	return Config{SoftwareLatency: 15 * sim.Microsecond}
 }
+
+// The fabric's fixed hardware model.
+const (
+	// wireLatency is the one-way propagation plus switching delay.
+	wireLatency = 1 * sim.Microsecond
+	// bytesPerSecond is the usable link bandwidth (~1 Gbps).
+	bytesPerSecond = 125 << 20
+	// packetBytes is the maximum payload per fabric packet.
+	packetBytes = 512
+	// perPacketOverhead is the fixed cost per packet (header, ack
+	// processing in hardware).
+	perPacketOverhead = 300 * sim.Nanosecond
+	// ackTimeout is how long an initiator waits for a hardware ack before
+	// declaring the target down.
+	ackTimeout = 50 * sim.Millisecond
+)
 
 // MinLatency returns a lower bound on the virtual time between an
 // operation being initiated on this fabric and any effect becoming
@@ -88,7 +85,7 @@ func DefaultConfig() Config {
 // It is the paper's 10–20 µs minimum fabric latency floor, 16.3 µs under
 // DefaultConfig.
 func (c Config) MinLatency() sim.Time {
-	return c.SoftwareLatency + c.WireLatency + c.PerPacketOverhead
+	return c.SoftwareLatency + wireLatency + perPacketOverhead
 }
 
 // Message is a unit of the fabric's messaging service (the NSK message
@@ -232,15 +229,6 @@ func (f *Fabric) FreeMessage(m *Message) {
 
 // New creates a fabric on the given engine.
 func New(eng *sim.Engine, cfg Config) *Fabric {
-	if cfg.PacketBytes <= 0 {
-		cfg.PacketBytes = 512
-	}
-	if cfg.BytesPerSecond <= 0 {
-		cfg.BytesPerSecond = 125 << 20
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 50 * sim.Millisecond
-	}
 	return &Fabric{
 		eng:    eng,
 		cfg:    cfg,

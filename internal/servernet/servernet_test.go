@@ -140,8 +140,8 @@ func TestEndpointDownTimesOut(t *testing.T) {
 		if !errors.Is(err, ErrEndpointDown) {
 			t.Errorf("err = %v, want ErrEndpointDown", err)
 		}
-		if took := p.Now() - start; took < cfg.Timeout {
-			t.Errorf("failure detected in %v, want >= timeout %v", took, cfg.Timeout)
+		if took := p.Now() - start; took < ackTimeout {
+			t.Errorf("failure detected in %v, want >= timeout %v", took, ackTimeout)
 		}
 	})
 	eng.Run()
@@ -392,7 +392,7 @@ func TestBothPathsDown(t *testing.T) {
 		if !errors.Is(err, ErrNoPath) {
 			t.Errorf("err = %v, want ErrNoPath", err)
 		}
-		if p.Now()-start < cfg.Timeout {
+		if p.Now()-start < ackTimeout {
 			t.Error("no-path failure did not wait for the timeout")
 		}
 		if err := fab.Send(p, 1, 2, 64, "x"); !errors.Is(err, ErrNoPath) {
@@ -473,8 +473,8 @@ func TestMidTransferBothPathsDownFails(t *testing.T) {
 	if !errors.Is(err, ErrNoPath) {
 		t.Errorf("err = %v, want ErrNoPath", err)
 	}
-	if took < cfg.Timeout {
-		t.Errorf("failed in %v, want >= ack timeout %v", took, cfg.Timeout)
+	if took < ackTimeout {
+		t.Errorf("failed in %v, want >= ack timeout %v", took, ackTimeout)
 	}
 	eng.Shutdown()
 }
@@ -524,7 +524,7 @@ func TestTranslationRoundTripProperty(t *testing.T) {
 func TestMinLatencyIsTheFabricFloor(t *testing.T) {
 	cfg := DefaultConfig()
 	min := cfg.MinLatency()
-	if want := cfg.SoftwareLatency + cfg.WireLatency + cfg.PerPacketOverhead; min != want {
+	if want := cfg.SoftwareLatency + wireLatency + perPacketOverhead; min != want {
 		t.Fatalf("MinLatency = %v, want %v", min, want)
 	}
 	if min < 10*sim.Microsecond || min > 20*sim.Microsecond {
@@ -544,7 +544,7 @@ func TestEndpointAccessors(t *testing.T) {
 	if fab.Engine() != eng {
 		t.Error("Fabric.Engine did not return the build engine")
 	}
-	if fab.Config().PacketBytes != DefaultConfig().PacketBytes {
+	if fab.Config().SoftwareLatency != DefaultConfig().SoftwareLatency {
 		t.Error("Fabric.Config did not return the build config")
 	}
 	if ep2.Translations() != 1 {
@@ -607,13 +607,13 @@ func TestFailureDelaysAreExact(t *testing.T) {
 		{name: "source endpoint down", fault: func(f *Fabric) { f.Endpoint(1).Fail() },
 			want: ErrEndpointDown, delay: func(sim.Time) sim.Time { return soft }},
 		{name: "target down", fault: func(f *Fabric) { f.Endpoint(2).Fail() },
-			want: ErrEndpointDown, delay: func(sim.Time) sim.Time { return soft + cfg.Timeout }},
+			want: ErrEndpointDown, delay: func(sim.Time) sim.Time { return soft + ackTimeout }},
 		{name: "both paths down", fault: func(f *Fabric) { f.FailPath(0); f.FailPath(1) },
-			want: ErrNoPath, delay: func(sim.Time) sim.Time { return soft + cfg.Timeout }},
+			want: ErrNoPath, delay: func(sim.Time) sim.Time { return soft + ackTimeout }},
 		{name: "target fails mid-transfer", mid: func(f *Fabric) { f.Endpoint(2).Fail() },
-			want: ErrEndpointDown, delay: func(tt sim.Time) sim.Time { return soft + tt + cfg.Timeout }},
+			want: ErrEndpointDown, delay: func(tt sim.Time) sim.Time { return soft + tt + ackTimeout }},
 		{name: "both paths fail mid-transfer", mid: func(f *Fabric) { f.FailPath(0); f.FailPath(1) },
-			want: ErrNoPath, delay: func(tt sim.Time) sim.Time { return soft + tt + cfg.Timeout }},
+			want: ErrNoPath, delay: func(tt sim.Time) sim.Time { return soft + tt + ackTimeout }},
 		{name: "CRC error", setup: func(cfg *Config) { cfg.CRCErrorRate = 1 },
 			want: ErrCRC, delay: func(tt sim.Time) sim.Time { return soft + tt }},
 		{name: "no fault", delay: func(tt sim.Time) sim.Time { return soft + tt }},

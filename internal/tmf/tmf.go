@@ -60,11 +60,6 @@ type Config struct {
 	// TCBVolume optionally names a PM volume for fine-grained transaction
 	// control blocks; empty disables them (disk-era behavior).
 	TCBVolume string
-	// TCBRegionSize sizes the control-block region.
-	TCBRegionSize int64
-
-	// RequestCPU is the monitor's CPU cost per request.
-	RequestCPU sim.Time
 
 	// Metrics optionally wires commit-path marks (and PM write spans for
 	// the TCB region) into a store-wide registry. Nil disables all
@@ -84,6 +79,14 @@ const (
 
 // TCBRegionName is the region the TMF uses within its PM volume.
 const TCBRegionName = "tmf-tcb"
+
+// TCBRegionSize sizes the control-block region: 2 730 slots, for ~2 700
+// concurrent transactions. Recovery reads the table in full, so it stays
+// small by design.
+const TCBRegionSize = 64 << 10
+
+// requestCPU is the monitor's CPU cost per request.
+const requestCPU = 15 * sim.Microsecond
 
 // protocol messages
 //
@@ -232,8 +235,10 @@ type TMF struct {
 	ncoord int
 
 	// txns is the registry's per-transaction stream: commit-path marks and
-	// protocol events (nil when unmetered).
+	// protocol events (nil when unmetered); mPM the control-block region's
+	// write spans.
 	txns *metrics.TxnStream
+	mPM  *metrics.PMSpans
 }
 
 // coordPool holds one serve incarnation's finished coordinators. They were
@@ -402,17 +407,10 @@ func Start(cl *cluster.Cluster, cfg Config) *TMF {
 	if cfg.Name == "" {
 		cfg.Name = "$TMF"
 	}
-	if cfg.RequestCPU == 0 {
-		cfg.RequestCPU = 15 * sim.Microsecond
-	}
-	if cfg.TCBRegionSize == 0 {
-		// Sized for ~2700 concurrent transactions; the table is read in
-		// full at recovery, so it stays small by design.
-		cfg.TCBRegionSize = 64 << 10
-	}
 	t := &TMF{cl: cl, cfg: cfg}
 	if cfg.Metrics != nil {
 		t.txns = cfg.Metrics.Commit
+		t.mPM = cfg.Metrics.PM
 	}
 	t.pair = cl.StartPairAbsorb(cfg.Name, cfg.PrimaryCPU, cfg.BackupCPU, t.serve, t.absorb)
 	return t
@@ -467,7 +465,9 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 
 	var tcb *pmclient.Region
 	if t.cfg.TCBVolume != "" {
-		tcb = t.openTCB(ctx)
+		// An unreachable PM volume leaves tcb nil: the monitor serves
+		// without control blocks.
+		tcb, _ = pmclient.Attach(t.cl, t.cfg.TCBVolume).OpenOrCreate(ctx.Process, TCBRegionName, TCBRegionSize, t.mPM)
 	}
 
 	// tcbbuf holds the serve loop's own control-block entries (the Active
@@ -479,7 +479,7 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 
 	for {
 		ev := ctx.Recv()
-		ctx.Compute(t.cfg.RequestCPU)
+		ctx.Compute(requestCPU)
 		switch req := ev.Payload.(type) {
 		case *BeginReq:
 			txn := st.nextTxn
@@ -584,9 +584,14 @@ func (t *TMF) coordinateCommit(p *cluster.Process, c *coordinator, req *CommitRe
 	t.txns.Record(uint64(req.Txn), metrics.MarkCommitDurable, "", false, p.Now())
 
 	// Fine-grained outcome in PM, before externalizing the commit. For
-	// PMDirect stores (no audit streams) this is the commit point.
+	// PMDirect stores (no audit streams) this is the commit point, so a
+	// failed write there fails the commit.
 	if c.tcb != nil {
-		t.writeTCB(p, c.tcb, &c.tcbbuf, req.Txn, TCBCommitted)
+		if err := t.writeTCB(p, c.tcb, &c.tcbbuf, req.Txn, TCBCommitted); err != nil && len(adps) == 0 {
+			t.rollback(p, c, req.Txn, req.DP2s)
+			//simlint:allow hotalloc -- commit-failure path, cold
+			return fmt.Errorf("%w: control block: %v", ErrCommitFailed, err)
+		}
 	}
 	t.txns.Record(uint64(req.Txn), metrics.MarkTCBWritten, "", false, p.Now())
 	t.txns.Record(uint64(req.Txn), metrics.TxnOutcome, "", true, p.Now())
@@ -743,29 +748,13 @@ func adpOf(p *cluster.Process, dp2Name string) string {
 // writeTCB records a transaction outcome in the PM control-block region,
 // encoding the entry into the writer's own buffer: the region write blocks,
 // so concurrent writers must not share one.
-func (t *TMF) writeTCB(p *cluster.Process, tcb *pmclient.Region, buf *[]byte, txn audit.TxnID, state uint8) {
+func (t *TMF) writeTCB(p *cluster.Process, tcb *pmclient.Region, buf *[]byte, txn audit.TxnID, state uint8) error {
 	*buf = AppendTCB((*buf)[:0], txn, state)
 	slots := tcb.Size() / TCBEntrySize
 	off := int64(uint64(txn)%uint64(slots)) * TCBEntrySize
-	if err := tcb.Write(p, off, *buf); err == nil {
-		t.stats.TCBWrites++
+	if err := tcb.Write(p, off, *buf); err != nil {
+		return err
 	}
-}
-
-// openTCB attaches the control-block region (creating it on first boot).
-func (t *TMF) openTCB(ctx *cluster.PairCtx) *pmclient.Region {
-	vol := pmclient.Attach(t.cl, t.cfg.TCBVolume)
-	for attempt := 0; attempt < 3; attempt++ {
-		r, err := vol.Open(ctx.Process, TCBRegionName)
-		if err == nil {
-			if t.cfg.Metrics != nil {
-				r.SetMetrics(t.cfg.Metrics.PM)
-			}
-			return r
-		}
-		if cerr := vol.Create(ctx.Process, TCBRegionName, t.cfg.TCBRegionSize); cerr != nil {
-			ctx.Wait(10 * sim.Millisecond)
-		}
-	}
+	t.stats.TCBWrites++
 	return nil
 }

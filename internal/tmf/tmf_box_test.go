@@ -38,7 +38,7 @@ func TestTimedOutCoordinatorIsNeverRestarted(t *testing.T) {
 			}
 			boxes = append(boxes, req)
 			if len(boxes) == 1 {
-				p.Wait(cl.Config().CallTimeout + sim.Second) // the coordinator gives up first
+				p.Wait(cluster.CallTimeout + sim.Second) // the coordinator gives up first
 				req.Resp = adp.CommitResp{LSN: late}
 				ev.Reply(req)
 				continue
@@ -71,7 +71,7 @@ func TestTimedOutCoordinatorIsNeverRestarted(t *testing.T) {
 		if _, err := commit(); err == nil {
 			t.Error("the commit behind a stalled master log returned before its timeout")
 		}
-		p.Wait(2 * cl.Config().CallTimeout) // the late reply has been sent by now
+		p.Wait(2 * cluster.CallTimeout) // the late reply has been sent by now
 		if n := len(tm.pool.idle); n != 0 {
 			t.Errorf("the pool holds %d coordinators after a timed-out commit record, want none: its box may still be written", n)
 		}
@@ -115,7 +115,7 @@ func TestRollbackAfterDurableCommitRecordNeverLeavesTCBCommitted(t *testing.T) {
 			ev.Reply(req)
 		}},
 		{"late reply", func(cl *cluster.Cluster, p *cluster.Process, ev cluster.Envelope, req *adp.CommitReq) {
-			p.Wait(cl.Config().CallTimeout + sim.Second)
+			p.Wait(cluster.CallTimeout + sim.Second)
 			req.Resp = adp.CommitResp{LSN: 64}
 			ev.Reply(req)
 		}},
@@ -161,7 +161,7 @@ func TestRollbackAfterDurableCommitRecordNeverLeavesTCBCommitted(t *testing.T) {
 				if _, err := p.Call("$TMF", 64, req); err == nil && req.Resp.Err == nil {
 					t.Error("the commit succeeded though its master commit record's reply failed")
 				}
-				p.Wait(2 * cl.Config().CallTimeout) // every reply and abort is in by now
+				p.Wait(2 * cluster.CallTimeout) // every reply and abort is in by now
 				r, err := pmclient.Attach(cl, "$PM1").Open(p, TCBRegionName)
 				if err != nil {
 					t.Errorf("open the TCB region: %v", err)

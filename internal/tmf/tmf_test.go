@@ -312,3 +312,58 @@ func TestUnknownRequestPanics(t *testing.T) {
 	}()
 	eng.Run()
 }
+
+// TestTCBWriteFailureFailsPMDirectCommit: with no log writer the control
+// block is the commit point, so a commit whose control-block write reaches
+// neither NPMU must fail and roll back. With a master log the commit record
+// already made the commit durable, and it stands.
+func TestTCBWriteFailureFailsPMDirectCommit(t *testing.T) {
+	for _, pmDirect := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pmdirect=%v", pmDirect), func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			cl := cluster.New(eng, cluster.DefaultConfig())
+			a := npmu.New(cl, "npmu-a", 64<<20)
+			b := npmu.New(cl, "npmu-b", 64<<20)
+			pmm.Start(cl, "$PM1", 2, 3, a, b)
+			dcfg := dp2.Config{
+				Name: "$DP-F-0", File: "F", Partition: 0,
+				PrimaryCPU: 1, BackupCPU: 2, RetainData: true,
+				Volume: disk.New(eng, "$DATA", disk.DefaultConfig(), 64<<20),
+			}
+			if pmDirect {
+				dcfg.Mode, dcfg.PMVolume = dp2.PMDirect, "$PM1"
+			} else {
+				auditVol := disk.New(eng, "$AUDIT", disk.DefaultConfig(), 64<<20)
+				adp.Start(cl, adp.Config{Name: "$ADP0", PrimaryCPU: 0, BackupCPU: 1, Mode: adp.Disk, Volume: auditVol})
+				dcfg.ADPName = "$ADP0"
+			}
+			dp2.Start(cl, dcfg)
+			tm := Start(cl, Config{PrimaryCPU: 0, BackupCPU: 1, TCBVolume: "$PM1"})
+			cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+				txn := begin(t, p)
+				if err := call(t, p, "$DP-F-0", 128, &dp2.InsertReq{Txn: txn, Key: 1, Body: []byte("v")}).Resp.Err; err != nil {
+					t.Fatalf("insert: %v", err)
+				}
+				a.Fail()
+				b.Fail()
+				err := call(t, p, "$TMF", 64, &CommitReq{Txn: txn, DP2s: []string{"$DP-F-0"}}).Resp.Err
+				read := call(t, p, "$DP-F-0", 64, &dp2.ReadReq{Key: 1}).Resp.Err
+				if pmDirect {
+					if !errors.Is(err, ErrCommitFailed) {
+						t.Errorf("commit over a failed control-block write = %v, want ErrCommitFailed", err)
+					}
+					if read == nil {
+						t.Error("the failed commit's row is still readable")
+					}
+				} else if err != nil || read != nil {
+					t.Errorf("commit with a master log = %v, read = %v; want both nil", err, read)
+				}
+			})
+			eng.Run()
+			if st := tm.Stats(); st.TCBWrites != 1 {
+				t.Errorf("TCBWrites = %d, want 1 (begin's only)", st.TCBWrites)
+			}
+			eng.Shutdown()
+		})
+	}
+}
