@@ -156,6 +156,9 @@ type Stats struct {
 	// so bytes hit two NPMUs).
 	PMWrites int64
 	PMBytes  int64
+	// RegionErr is why the latest incarnation could not open its PM log
+	// region (PM mode), after which the pair retired; nil otherwise.
+	RegionErr error
 }
 
 // adpState is the checkpointable log-writer state.
@@ -285,6 +288,7 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 	if a.cfg.Mode == PM {
 		var err error
 		region, err = pmclient.Attach(a.cl, a.cfg.PMVolume).OpenOrCreate(ctx.Process, a.RegionName(), a.cfg.RegionSize, a.mPM)
+		a.stats.RegionErr = err
 		if err != nil {
 			return // PM volume unreachable; pair retires
 		}

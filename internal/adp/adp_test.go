@@ -43,6 +43,19 @@ func pmHarness(t *testing.T, regionSize int64) (*sim.Engine, *cluster.Cluster, *
 	return eng, cl, adp, a
 }
 
+// TestPMRegionErrNamesTheFullVolume: a log region as large as its NPMUs
+// does not fit beside the PM manager's metadata, so the pair retires, and
+// its Stats say why.
+func TestPMRegionErrNamesTheFullVolume(t *testing.T) {
+	eng, _, a, _ := pmHarness(t, 64<<20)
+	eng.Run()
+	err := a.Stats().RegionErr
+	if err == nil || !strings.Contains(err.Error(), "volume full") || !strings.Contains(err.Error(), a.RegionName()) {
+		t.Errorf("RegionErr = %v, want the volume-full create failure of %s", err, a.RegionName())
+	}
+	eng.Shutdown()
+}
+
 // appendRecords encodes n insert records of bodyLen bytes as one frame
 // buffer.
 func appendRecords(txn audit.TxnID, n, bodyLen int) []byte {

@@ -104,7 +104,7 @@ func TestDestageOversizeRowBehindStaleEntry(t *testing.T) {
 	eng.Shutdown()
 }
 
-// Rows come from ten-row slabs, and the destage and eviction queues tell a
+// Rows come from slabs, and the destage and eviction queues tell a
 // live entry from a stale one by comparing *row pointers, so a slab must
 // hand every row out exactly once: a key aborted and inserted again gets a
 // new row, and the first insert's queue entry stays stale. Were the slot
@@ -186,15 +186,16 @@ func TestSlabRowsAreHandedOutOnce(t *testing.T) {
 	}
 }
 
-// TestRowSlabIsOneSizeClass pins the row at 40 bytes and its slab at 480,
-// an allocator size class: a field that widens the row, or a reordering that
-// pads it back to 48, rounds every slab up to 512 and trips this.
+// TestRowSlabIsOneSizeClass pins the row at 24 bytes and its slab at 384,
+// an allocator size class: a field that widens the row — a body slice header
+// in place of the data pointer makes it 40 again — or a reordering that pads
+// it to 32 rounds every slab up to the next class and trips this.
 func TestRowSlabIsOneSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(row{}); got != 40 {
-		t.Errorf("a row is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(row{}); got != 24 {
+		t.Errorf("a row is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof([rowSlab]row{}); got != 480 {
-		t.Errorf("a slab is %d bytes, want 480", got)
+	if got := unsafe.Sizeof([rowSlab]row{}); got != 384 {
+		t.Errorf("a slab is %d bytes, want 384", got)
 	}
 }
 

@@ -10,6 +10,7 @@ package dp2
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"persistmem/internal/adp"
 	"persistmem/internal/audit"
@@ -207,6 +208,9 @@ type Stats struct {
 	CacheBytes  int64 // resident body bytes
 	Evictions   int64 // rows pushed out of the cache
 	CacheMisses int64 // reads served from the data volume
+	// RegionErr is why the latest incarnation could not open its PM log
+	// region (PMDirect mode), after which the pair retired; nil otherwise.
+	RegionErr error
 }
 
 // insertDelta is the checkpoint unit: one externalized change.
@@ -227,20 +231,38 @@ type endDelta struct {
 // destaged (clean) rows can be evicted, leaving only location metadata;
 // a later read brings them back from the data volume.
 type row struct {
-	body     []byte // payload when resident and retained
+	data     *byte  // first byte of the payload when resident and retained, else nil
 	volOff   int64  // location on the data volume once destaged
 	blen     uint32 // body length, the width an audit record gives it
 	dirty    bool   // not yet destaged to the volume
 	resident bool   // counted in the cache budget
 }
 
-// rowSlab is how many rows a DP2 allocates at a time. Twelve 40-byte rows
-// are 480 bytes, an exact allocator size class: one object per twelve
-// inserts at the bytes twelve separate rows cost. The constant is sized to
+// setBody retains b as the row's payload; blen must already be len(b).
+// The pointer keeps b's array alive exactly as the slice did.
+//
+//simlint:hotpath
+func (r *row) setBody(b []byte) { r.data = unsafe.SliceData(b) }
+
+// body returns the retained payload, or nil when the row keeps none. Every
+// data pointer was set from a slice of blen bytes, so the slice it rebuilds
+// is that one.
+//
+//simlint:hotpath
+func (r *row) body() []byte {
+	if r.data == nil {
+		return nil
+	}
+	return unsafe.Slice(r.data, r.blen)
+}
+
+// rowSlab is how many rows a DP2 allocates at a time. Sixteen 24-byte rows
+// are 384 bytes, an exact allocator size class: one object per sixteen
+// inserts at the bytes sixteen separate rows cost. The constant is sized to
 // the allocator, not a knob: a 32-row slab of the 48-byte rows there were
 // (1536 B) crossed the 512-byte small-object header threshold and allocated
 // 2.5 % more bytes per hot-stock run than no slab.
-const rowSlab = 12
+const rowSlab = 16
 
 // queueEnt pairs a key with the row it referred to when queued, so queue
 // consumers can skip entries whose row has since been replaced (abort +
@@ -405,7 +427,7 @@ func (st *dpState) applyInsert(d insertDelta, retain bool) {
 	r := st.newRow()
 	r.blen, r.dirty, r.resident = uint32(d.blen), true, true
 	if retain {
-		r.body = d.body
+		r.setBody(d.body)
 	}
 	st.tree.Set(d.key, r)
 	u, ok := st.undo[d.txn]
@@ -640,6 +662,7 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 	if d.cfg.Mode == PMDirect {
 		var err error
 		d.pmlog, err = pmclient.Attach(d.cl, d.cfg.PMVolume).OpenOrCreate(ctx.Process, d.RegionName(), d.cfg.PMRegionSize, d.mPM)
+		d.stats.RegionErr = err
 		if err != nil {
 			return // PM volume unreachable; pair retires
 		}
@@ -864,7 +887,7 @@ func (d *DP2) finishRead(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope,
 	}
 	if r.resident {
 		d.stats.Reads++
-		req.Resp = ReadResp{Body: r.body}
+		req.Resp = ReadResp{Body: r.body()}
 		ev.Reply(req)
 		return
 	}
@@ -885,7 +908,7 @@ func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, r
 		// Re-admit unless someone else already did.
 		if cur, ok := st.tree.Get(req.Key); ok && cur == r && !r.resident {
 			if d.cfg.RetainData {
-				r.body = buf
+				r.setBody(buf)
 			}
 			r.resident = true
 			st.cacheBytes += int64(r.blen)
@@ -1115,9 +1138,7 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 					buf = make([]byte, destageBufLen(int64(len(buf)), n, budget))
 				}
 				for _, ent := range batch {
-					if ent.r.body != nil {
-						copy(buf[ent.r.volOff-batchStart:], ent.r.body)
-					}
+					copy(buf[ent.r.volOff-batchStart:], ent.r.body())
 				}
 				out = buf[:n]
 			}
@@ -1170,7 +1191,7 @@ func (d *DP2) evict(st *dpState) {
 		if !ok || cur != ent.r || ent.r.dirty || !ent.r.resident {
 			continue
 		}
-		ent.r.body = nil
+		ent.r.data = nil
 		ent.r.resident = false
 		st.cacheBytes -= int64(ent.r.blen)
 		d.stats.Evictions++

@@ -2,6 +2,7 @@ package dp2
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"persistmem/internal/adp"
@@ -79,6 +80,27 @@ func pmDirectHarness(t *testing.T) (*sim.Engine, *cluster.Cluster, *DP2, [2]*npm
 		RetainData: true,
 	})
 	return eng, cl, d, [2]*npmu.Device{a, b}
+}
+
+// TestPMDirectRegionErrNamesTheFullVolume: the default 16 MiB log region
+// does not fit on 16 MiB NPMUs beside the PM manager's metadata, so the
+// pair retires, and its Stats say why.
+func TestPMDirectRegionErrNamesTheFullVolume(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	pmm.Start(cl, "$PM1", 0, 1, npmu.New(cl, "npmu-a", 16<<20), npmu.New(cl, "npmu-b", 16<<20))
+	d := Start(cl, Config{
+		Name: "$DP-F-0", File: "F", Partition: 0,
+		PrimaryCPU: 1, BackupCPU: 2,
+		Volume: disk.New(eng, "$DATA", disk.DefaultConfig(), 64<<20),
+		Mode:   PMDirect, PMVolume: "$PM1",
+	})
+	eng.Run()
+	err := d.Stats().RegionErr
+	if err == nil || !strings.Contains(err.Error(), "volume full") || !strings.Contains(err.Error(), d.RegionName()) {
+		t.Errorf("RegionErr = %v, want the volume-full create failure of %s", err, d.RegionName())
+	}
+	eng.Shutdown()
 }
 
 // TestPMDirectPrepareLandsInPMLog: under PMDirect there is no ADP — the

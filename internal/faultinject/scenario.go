@@ -117,7 +117,7 @@ func Start(cfg ScenarioConfig) *Pending {
 	s.Cl.CPU(workCPU).Spawn("workload", func(p *cluster.Process) {
 		se := s.NewSession(p)
 		se.SetTwoPhase(cfg.TwoPhase)
-		record := func(txn *ods.Txn, key uint64) {
+		record := func(txn ods.Txn, key uint64) {
 			res.Ops = append(res.Ops, consistency.Op{
 				Txn:   uint64(txn.ID()),
 				File:  "TRADES",
@@ -125,15 +125,15 @@ func Start(cfg ScenarioConfig) *Pending {
 				Shard: s.DP2Name("TRADES", s.PartitionOf("TRADES", key)),
 			})
 		}
-		begin := func() *ods.Txn {
+		begin := func() (ods.Txn, bool) {
 			for attempt := 0; ; attempt++ {
 				txn, err := se.Begin()
 				if err == nil {
-					return txn
+					return txn, true
 				}
 				res.TxnErrs++
 				if attempt == beginRetries {
-					return nil
+					return ods.Txn{}, false
 				}
 				p.Wait(beginRetryDelay)
 			}
@@ -142,8 +142,8 @@ func Start(cfg ScenarioConfig) *Pending {
 			if cfg.Pace > 0 {
 				p.Wait(cfg.Pace)
 			}
-			txn := begin()
-			if txn == nil {
+			txn, ok := begin()
+			if !ok {
 				continue
 			}
 			keys := make([]uint64, 0, 4)
@@ -161,7 +161,7 @@ func Start(cfg ScenarioConfig) *Pending {
 			res.Committed = append(res.Committed, keys...)
 		}
 		// One more transaction, inserted but never committed.
-		if txn := begin(); txn != nil {
+		if txn, ok := begin(); ok {
 			for j := 0; j < 4; j++ {
 				key := uint64(1000000 + j)
 				txn.InsertAsync("TRADES", key, []byte("uncommitted"))

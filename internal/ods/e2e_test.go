@@ -51,7 +51,8 @@ func runScript(t *testing.T, d ods.Durability, ops []e2eOp, seed int64) (*ods.St
 
 	s.Cl.CPU(3).Spawn("script", func(p *cluster.Process) {
 		se := s.NewSession(p)
-		var txn *ods.Txn
+		var txn ods.Txn
+		open := false
 		begin := func() bool {
 			var err error
 			txn, err = se.Begin()
@@ -60,10 +61,11 @@ func runScript(t *testing.T, d ods.Durability, ops []e2eOp, seed int64) (*ods.St
 				return false
 			}
 			ref.staged = make(map[uint64][]byte)
+			open = true
 			return true
 		}
 		for _, op := range ops {
-			if txn == nil && !begin() {
+			if !open && !begin() {
 				return
 			}
 			key := op.Key % 64
@@ -95,16 +97,16 @@ func runScript(t *testing.T, d ods.Durability, ops []e2eOp, seed int64) (*ods.St
 				for k, v := range ref.staged {
 					ref.committed[k] = v
 				}
-				txn = nil
+				open = false
 			case op.Abort:
 				if err := txn.Abort(); err != nil {
 					t.Errorf("abort: %v", err)
 					return
 				}
-				txn = nil
+				open = false
 			}
 		}
-		if txn != nil {
+		if open {
 			txn.Abort()
 		}
 		// Verify the visible state against the model.

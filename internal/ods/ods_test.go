@@ -87,6 +87,69 @@ func TestAbortUndoesInserts(t *testing.T) {
 	s.Eng.Shutdown()
 }
 
+// TestEndedHandleCannotActOnALaterTxn holds the ErrTxnDone contract across
+// Begins: a handle kept past its commit gets ErrTxnDone from every method
+// once the session has begun another transaction, and the later transaction
+// commits exactly its own rows. A session that handed back one pooled handle
+// would let the old one insert into, commit or abort the new transaction.
+func TestEndedHandleCannotActOnALaterTxn(t *testing.T) {
+	s := Build(smallOptions(DiskDurability))
+	runClient(s, func(se *Session) {
+		old, err := se.Begin()
+		if err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		if err := old.Insert("TRADES", 1, []byte("old")); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		if err := old.Commit(); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		cur, err := se.Begin()
+		if err != nil {
+			t.Fatalf("second Begin: %v", err)
+		}
+		if err := cur.InsertAsync("TRADES", 2, []byte("cur")); err != nil {
+			t.Fatalf("InsertAsync: %v", err)
+		}
+
+		if err := old.InsertAsync("TRADES", 3, []byte("stray")); !errors.Is(err, ErrTxnDone) {
+			t.Errorf("old InsertAsync = %v, want ErrTxnDone", err)
+		}
+		if _, err := old.Read("TRADES", 2); !errors.Is(err, ErrTxnDone) {
+			t.Errorf("old Read = %v, want ErrTxnDone", err)
+		}
+		if err := old.WaitPending(); !errors.Is(err, ErrTxnDone) {
+			t.Errorf("old WaitPending = %v, want ErrTxnDone", err)
+		}
+		if err := old.Commit(); !errors.Is(err, ErrTxnDone) {
+			t.Errorf("old Commit = %v, want ErrTxnDone", err)
+		}
+		if err := old.Abort(); !errors.Is(err, ErrTxnDone) {
+			t.Errorf("old Abort = %v, want ErrTxnDone", err)
+		}
+		if err := (Txn{}).Commit(); !errors.Is(err, ErrTxnDone) {
+			t.Errorf("zero Txn Commit = %v, want ErrTxnDone", err)
+		}
+
+		if err := cur.Commit(); err != nil {
+			t.Fatalf("Commit of the later transaction: %v", err)
+		}
+		if err := cur.Abort(); !errors.Is(err, ErrTxnDone) {
+			t.Errorf("Abort after Commit = %v, want ErrTxnDone", err)
+		}
+		for key, want := range map[uint64]string{1: "old", 2: "cur"} {
+			if body, err := se.ReadBrowse("TRADES", key); err != nil || string(body) != want {
+				t.Errorf("row %d = %q, %v; want %q", key, body, err, want)
+			}
+		}
+		if _, err := se.ReadBrowse("TRADES", 3); !errors.Is(err, dp2.ErrNotFound) {
+			t.Errorf("the stale handle's row: %v, want ErrNotFound", err)
+		}
+	})
+	s.Eng.Shutdown()
+}
+
 func TestDuplicateKeyFailsCommit(t *testing.T) {
 	s := Build(smallOptions(DiskDurability))
 	runClient(s, func(se *Session) {

@@ -15,7 +15,8 @@ import (
 
 // Session errors.
 var (
-	// ErrTxnDone means the transaction handle was already ended.
+	// ErrTxnDone means the handle's transaction already ended, or a later
+	// Begin on its session took its place.
 	ErrTxnDone = errors.New("ods: transaction already ended")
 	// ErrInsertFailed wraps insert completion failures discovered at
 	// WaitPending/Commit time.
@@ -50,8 +51,13 @@ type Session struct {
 	begfree  []*tmf.BeginReq  //simlint:box -- begin-request pool
 	cmtfree  []*tmf.CommitReq //simlint:box -- commit-request pool
 
-	// insErr is why the open transaction is poisoned (Txn.failed): the first
-	// InsertAsync that never reached a DP2. Begin clears it.
+	// open is the id of the session's open transaction, 0 when none is: a
+	// Txn acts only while its id is this, so an ended or stale handle — a
+	// copy, or one kept across a later Begin — gets ErrTxnDone.
+	open audit.TxnID
+	// insErr is why the open transaction is poisoned: the first InsertAsync
+	// that never reached a DP2, so Commit must abort instead of committing
+	// without that write. Begin clears it.
 	insErr error
 
 	// twoPhase opts this session's multi-shard commits into the
@@ -145,16 +151,14 @@ func (s *Store) NewSession(p *cluster.Process) *Session {
 	return se
 }
 
-// Txn is an open transaction. It borrows its session's scratch state
-// (the involved set, the pending-insert list): a session runs one
-// transaction at a time, so an ended handle never races a live one.
+// Txn is a handle on a transaction, a value that costs no allocation. Its
+// state lives in its session (the open id, the involved set, the
+// pending-insert list, the poisoning error): a session runs one transaction
+// at a time, and a handle acts only while its transaction is the session's
+// open one, so an ended handle never races a live one.
 type Txn struct {
 	sess *Session
 	id   audit.TxnID
-	done bool
-	// failed poisons the transaction: an insert never reached its DP2, so
-	// Commit must abort instead of committing without that write.
-	failed bool
 
 	// BeginAt is the virtual time the transaction started (for response-
 	// time measurement).
@@ -164,17 +168,17 @@ type Txn struct {
 // Begin starts a transaction.
 //
 //simlint:hotpath
-func (se *Session) Begin() (*Txn, error) {
+func (se *Session) Begin() (Txn, error) {
 	t0 := se.p.Now()
 	req := se.newBeginReq()
 	if _, err := se.p.Call(se.s.TMF.Name(), 48, req); err != nil {
 		// The monitor may still hold the box: abandoned, not recycled.
-		return nil, err
+		return Txn{}, err
 	}
 	resp := req.Resp
 	se.freeBeginReq(req)
 	if resp.Err != nil {
-		return nil, resp.Err
+		return Txn{}, resp.Err
 	}
 	// The txn id only exists now; attribute the pre-call timestamp
 	// retroactively so the begin RPC is part of the decomposition.
@@ -182,16 +186,18 @@ func (se *Session) Begin() (*Txn, error) {
 	se.txns.Record(uint64(resp.Txn), metrics.MarkBeginDone, "", false, se.p.Now())
 	clear(se.involved)
 	se.pending = se.pending[:0]
-	se.insErr = nil
-	return &Txn{
-		sess:    se,
-		id:      resp.Txn,
-		BeginAt: se.p.Now(),
-	}, nil
+	se.open, se.insErr = resp.Txn, nil
+	return Txn{sess: se, id: resp.Txn, BeginAt: se.p.Now()}, nil
 }
 
 // ID returns the transaction id.
-func (t *Txn) ID() audit.TxnID { return t.id }
+func (t Txn) ID() audit.TxnID { return t.id }
+
+// done reports whether the handle may no longer act: its transaction ended,
+// or it is not the session's open one (the zero Txn is never open).
+//
+//simlint:hotpath
+func (t Txn) done() bool { return t.sess == nil || t.id != t.sess.open }
 
 // InsertAsync issues an insert without waiting for its completion — the
 // benchmark's "asynchronous inserts" (§4.3). Completions are collected by
@@ -200,14 +206,14 @@ func (t *Txn) ID() audit.TxnID { return t.id }
 // fires and forgets still cannot commit without the write.
 //
 //simlint:hotpath
-func (t *Txn) InsertAsync(file string, key uint64, body []byte) error {
-	if t.done {
+func (t Txn) InsertAsync(file string, key uint64, body []byte) error {
+	if t.done() {
 		return ErrTxnDone
 	}
 	se := t.sess
 	names, ok := se.s.dpNames[file]
 	if !ok {
-		return t.fail(fmt.Errorf("%w: %q", ErrUnknownFile, file)) //simlint:allow hotalloc -- misconfiguration path, cold
+		return se.fail(fmt.Errorf("%w: %q", ErrUnknownFile, file)) //simlint:allow hotalloc -- misconfiguration path, cold
 	}
 	name := names[se.s.PartitionOf(file, key)]
 	req := se.newInsertReq()
@@ -216,28 +222,28 @@ func (t *Txn) InsertAsync(file string, key uint64, body []byte) error {
 	if err != nil {
 		// The send never reached an inbox; the box is immediately reusable.
 		// The caller may drop this error (fire-and-forget inserts collected
-		// at Commit), so the transaction remembers it.
+		// at Commit), so the session remembers it for the transaction.
 		se.freeInsertReq(req)
-		return t.fail(err)
+		return se.fail(err)
 	}
 	se.involved[name] = true
 	se.pending = append(se.pending, pendingIns{sig: sig, req: req})
 	return nil
 }
 
-// fail poisons the transaction with its first lost insert and hands err
-// back for the caller to return.
+// fail poisons the open transaction with its first lost insert and hands
+// err back for the caller to return.
 //
 //simlint:hotpath
-func (t *Txn) fail(err error) error {
-	if !t.failed {
-		t.failed, t.sess.insErr = true, err
+func (se *Session) fail(err error) error {
+	if se.insErr == nil {
+		se.insErr = err
 	}
 	return err
 }
 
 // Insert issues an insert and waits for its completion.
-func (t *Txn) Insert(file string, key uint64, body []byte) error {
+func (t Txn) Insert(file string, key uint64, body []byte) error {
 	if err := t.InsertAsync(file, key, body); err != nil {
 		return err
 	}
@@ -248,7 +254,10 @@ func (t *Txn) Insert(file string, key uint64, body []byte) error {
 // first failure (the transaction should then be aborted).
 //
 //simlint:hotpath
-func (t *Txn) WaitPending() error {
+func (t Txn) WaitPending() error {
+	if t.done() {
+		return ErrTxnDone
+	}
 	var firstErr error
 	se := t.sess
 	for _, pi := range se.pending {
@@ -270,11 +279,11 @@ func (t *Txn) WaitPending() error {
 }
 
 // Read reads a row under this transaction (Shared lock, repeatable read).
-func (t *Txn) Read(file string, key uint64) ([]byte, error) {
-	if t.done {
+func (t Txn) Read(file string, key uint64) ([]byte, error) {
+	if t.done() {
 		return nil, ErrTxnDone
 	}
-	return t.sess.read(t.id, file, key, t)
+	return t.sess.read(t.id, file, key)
 }
 
 // Commit waits for pending inserts, then drives the commit protocol. On
@@ -283,8 +292,8 @@ func (t *Txn) Read(file string, key uint64) ([]byte, error) {
 // returned.
 //
 //simlint:hotpath
-func (t *Txn) Commit() error {
-	if t.done {
+func (t Txn) Commit() error {
+	if t.done() {
 		return ErrTxnDone
 	}
 	se := t.sess
@@ -293,11 +302,11 @@ func (t *Txn) Commit() error {
 		t.Abort()
 		return err
 	}
-	if t.failed {
+	if se.insErr != nil {
 		t.Abort()
 		return fmt.Errorf("%w: %v", ErrInsertFailed, se.insErr) //simlint:allow hotalloc -- insert-failure path, cold
 	}
-	t.done = true
+	se.open = 0
 	req := se.newCommitReq()
 	req.Txn, req.DP2s = t.id, se.setToList()
 	req.TwoPhase = se.twoPhase && len(req.DP2s) > 1 // always assigned: the box is recycled
@@ -325,13 +334,13 @@ func (t *Txn) Commit() error {
 }
 
 // Abort rolls the transaction back.
-func (t *Txn) Abort() error {
-	if t.done {
+func (t Txn) Abort() error {
+	if t.done() {
 		return ErrTxnDone
 	}
 	t.WaitPending() // drain; outcomes no longer matter
-	t.done = true
 	se := t.sess
+	se.open = 0
 	req := &tmf.AbortReq{Txn: t.id, DP2s: se.setToList()} // cold: not pooled
 	if _, err := se.p.Call(se.s.TMF.Name(), 64+16*len(se.involved), req); err != nil {
 		// The abort call itself failed; the monitor will eventually time
@@ -348,10 +357,11 @@ func (t *Txn) Abort() error {
 // ReadBrowse performs a lock-free (browse access, §1.1) read outside any
 // transaction.
 func (se *Session) ReadBrowse(file string, key uint64) ([]byte, error) {
-	return se.read(0, file, key, nil)
+	return se.read(0, file, key)
 }
 
-func (se *Session) read(txn audit.TxnID, file string, key uint64, t *Txn) ([]byte, error) {
+// read reads key under txn, or as a browse when txn is 0.
+func (se *Session) read(txn audit.TxnID, file string, key uint64) ([]byte, error) {
 	names, ok := se.s.dpNames[file]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownFile, file)
@@ -368,7 +378,7 @@ func (se *Session) read(txn audit.TxnID, file string, key uint64, t *Txn) ([]byt
 	if resp.Err != nil {
 		return nil, resp.Err
 	}
-	if t != nil {
+	if txn != 0 {
 		se.involved[name] = true
 	}
 	return resp.Body, nil

@@ -80,7 +80,9 @@ func (v *Volume) Open(p *cluster.Process, name string) (*Region, error) {
 // first use, and attaches pm's write spans to the handle (nil leaves it
 // unmetered). It makes three open attempts; a create that fails waits
 // 10 ms before the next one, so a PMM mid-takeover can come back. The
-// error is the last open's.
+// error names the region and the volume and wraps the last attempt's
+// cause: the create's when it failed (a full volume, an unreachable PMM),
+// else the open's.
 func (v *Volume) OpenOrCreate(p *cluster.Process, name string, size int64, pm *metrics.PMSpans) (*Region, error) {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -89,11 +91,12 @@ func (v *Volume) OpenOrCreate(p *cluster.Process, name string, size int64, pm *m
 			r.SetMetrics(pm)
 			return r, nil
 		}
-		if v.Create(p, name, size) != nil {
+		if cerr := v.Create(p, name, size); cerr != nil {
+			err = cerr
 			p.Wait(10 * sim.Millisecond)
 		}
 	}
-	return nil, err
+	return nil, fmt.Errorf("pmclient: region %q on %s: %w", name, v.pmmName, err)
 }
 
 // Delete removes a region that is not open anywhere.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -844,6 +845,33 @@ func TestOpenOrCreateGivesUp(t *testing.T) {
 		r, err := Attach(h.cl, "$NOPM").OpenOrCreate(p, "log", 4096, nil)
 		if r != nil || !errors.Is(err, cluster.ErrNoProcess) {
 			t.Errorf("OpenOrCreate = %v, %v; want nil and ErrNoProcess", r, err)
+		}
+		if took := p.Now() - start; took < 30*sim.Millisecond {
+			t.Errorf("gave up after %v, want at least three 10 ms waits", took)
+		}
+	})
+	h.eng.Shutdown()
+}
+
+// TestOpenOrCreateSaysTheVolumeIsFull: a region as large as its NPMUs
+// cannot be created beside the metadata area, and the error says so — the
+// create's cause, with the region and the volume named — not the open's
+// "region not found". The three attempts and their waits are as before.
+func TestOpenOrCreateSaysTheVolumeIsFull(t *testing.T) {
+	h := newHarness(t, 1)
+	h.runClient(t, 2, func(p *cluster.Process) {
+		start := p.Now()
+		r, err := h.vol.OpenOrCreate(p, "log", 16<<20, nil)
+		if r != nil || err == nil {
+			t.Fatalf("OpenOrCreate of 16 MiB on 16 MiB NPMUs = %v, %v; want an error", r, err)
+		}
+		for _, want := range []string{"volume full", `"log"`, "$PM1"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("OpenOrCreate error %q does not say %q", err, want)
+			}
+		}
+		if errors.Is(err, pmm.ErrNotFound) {
+			t.Errorf("OpenOrCreate error %q is the open's, not the create's", err)
 		}
 		if took := p.Now() - start; took < 30*sim.Millisecond {
 			t.Errorf("gave up after %v, want at least three 10 ms waits", took)

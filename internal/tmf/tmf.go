@@ -144,6 +144,9 @@ type Stats struct {
 	// TwoPhaseCommits counts commits coordinated under the cross-shard
 	// outcome-record protocol.
 	TwoPhaseCommits int64
+	// RegionErr is why the latest incarnation could not open the control
+	// block region, so that it serves without TCBs; nil otherwise.
+	RegionErr error
 }
 
 // CommitPhase names the observable windows of a two-phase commit, for
@@ -465,9 +468,11 @@ func (t *TMF) serve(ctx *cluster.PairCtx) {
 
 	var tcb *pmclient.Region
 	if t.cfg.TCBVolume != "" {
-		// An unreachable PM volume leaves tcb nil: the monitor serves
-		// without control blocks.
-		tcb, _ = pmclient.Attach(t.cl, t.cfg.TCBVolume).OpenOrCreate(ctx.Process, TCBRegionName, TCBRegionSize, t.mPM)
+		// A region that does not open leaves tcb nil: the monitor serves
+		// without control blocks and says why in its Stats.
+		var err error
+		tcb, err = pmclient.Attach(t.cl, t.cfg.TCBVolume).OpenOrCreate(ctx.Process, TCBRegionName, TCBRegionSize, t.mPM)
+		t.stats.RegionErr = err
 	}
 
 	// tcbbuf holds the serve loop's own control-block entries (the Active

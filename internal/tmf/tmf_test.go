@@ -204,6 +204,34 @@ func TestTCBWritesOnOutcomes(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestTCBRegionErrNamesTheFullVolume: NPMUs with room for half a control
+// block region past the PM manager's metadata leave the monitor serving
+// without TCBs, as before, and its Stats say why.
+func TestTCBRegionErrNamesTheFullVolume(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	auditVol := disk.New(eng, "$AUDIT", disk.DefaultConfig(), 64<<20)
+	adp.Start(cl, adp.Config{Name: "$ADP0", PrimaryCPU: 0, BackupCPU: 1, Mode: adp.Disk, Volume: auditVol})
+	const devBytes = pmm.MetaBytes + TCBRegionSize/2
+	pmm.Start(cl, "$PM1", 2, 3, npmu.New(cl, "npmu-a", devBytes), npmu.New(cl, "npmu-b", devBytes))
+	tm := Start(cl, Config{PrimaryCPU: 0, BackupCPU: 1, TCBVolume: "$PM1"})
+	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+		txn := begin(t, p)
+		if resp := call(t, p, "$TMF", 64, &CommitReq{Txn: txn}).Resp; resp.Err != nil {
+			t.Errorf("commit without TCBs: %v", resp.Err)
+		}
+	})
+	eng.Run()
+	st := tm.Stats()
+	if st.Commits != 1 || st.TCBWrites != 0 {
+		t.Errorf("Commits %d, TCBWrites %d; want 1 commit served without control blocks", st.Commits, st.TCBWrites)
+	}
+	if err := st.RegionErr; err == nil || !strings.Contains(err.Error(), "volume full") || !strings.Contains(err.Error(), TCBRegionName) {
+		t.Errorf("RegionErr = %v, want the volume-full create failure of %s", err, TCBRegionName)
+	}
+	eng.Shutdown()
+}
+
 func TestStateReport(t *testing.T) {
 	eng, cl, _ := harness(t, false)
 	var st Stats

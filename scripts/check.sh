@@ -30,6 +30,9 @@ rm -f simlint.json
 go test -coverprofile=/tmp/persistmem-cover.out ./...
 go run ./cmd/covcheck -profile /tmp/persistmem-cover.out
 rm -f /tmp/persistmem-cover.out
+# The race pass is also the checkptr pass: -race turns on the compiler's
+# pointer checks, which test every unsafe.Slice (dp2's row bodies) against
+# the allocation its pointer points into.
 # The slowest package under the race detector is internal/bench at under
 # 1.5 minutes on a 2-vCPU host (78 s; the 512-cell chaos sweep is ~5 s of
 # it, TestC2ArtifactMatchesFullScale's four 4000-transaction recoveries
