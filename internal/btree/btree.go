@@ -71,19 +71,30 @@ func (n *node[V]) find(key uint64) (int, bool) {
 
 // Get returns the value stored under key.
 func (t *Tree[V]) Get(key uint64) (V, bool) {
+	if v := t.Ref(key); v != nil {
+		return *v, true
+	}
 	var zero V
+	return zero, false
+}
+
+// Ref returns a pointer to the value stored under key, or nil when key is
+// absent; writes through it change the stored value. It is valid only until
+// the next Set or Delete, which may split, lend, shift or merge items to
+// other slots.
+func (t *Tree[V]) Ref(key uint64) *V {
 	n := t.root
 	for n != nil {
 		i, eq := n.find(key)
 		if eq {
-			return n.items[i].Value, true
+			return &n.items[i].Value
 		}
 		if n.leaf() {
-			return zero, false
+			return nil
 		}
 		n = n.children[i]
 	}
-	return zero, false
+	return nil
 }
 
 // Has reports whether key is present.

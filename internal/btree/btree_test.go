@@ -17,6 +17,9 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Get(42); ok {
 		t.Error("Get on empty tree found a value")
 	}
+	if tr.Ref(42) != nil {
+		t.Error("Ref on empty tree found a value")
+	}
 	if tr.Delete(42) {
 		t.Error("Delete on empty tree reported success")
 	}
@@ -162,16 +165,28 @@ type model struct {
 func newModel() *model { return &model{tr: New[[]byte](), ref: make(map[uint64][]byte)} }
 
 // apply sets or deletes k in both, reporting whether the tree answered as
-// the map did.
+// the map did. Ref must then be nil for a deleted key, and for a set one
+// point at its value: a value written through it is what Get returns.
 func (m *model) apply(k uint64, del bool) bool {
 	_, had := m.ref[k]
 	if del {
 		delete(m.ref, k)
-		return m.tr.Delete(k) == had
+		return m.tr.Delete(k) == had && m.tr.Ref(k) == nil
 	}
 	v := []byte(fmt.Sprint(k))
 	m.ref[k] = v
-	return m.tr.Set(k, v) == !had
+	if m.tr.Set(k, v) != !had {
+		return false
+	}
+	p := m.tr.Ref(k)
+	if p == nil || string(*p) != string(v) {
+		return false
+	}
+	w := []byte(fmt.Sprint(k, "'"))
+	*p = w
+	m.ref[k] = w
+	got, ok := m.tr.Get(k)
+	return ok && string(got) == string(w)
 }
 
 // agrees checks the tree's structure, size and in-order scan against the map.
@@ -185,6 +200,15 @@ func (m *model) agrees() bool {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	// Every key finds its value, and the key after it, when absent, nothing.
+	for _, k := range keys {
+		if p := m.tr.Ref(k); p == nil || string(*p) != string(m.ref[k]) {
+			return false
+		}
+		if _, in := m.ref[k+1]; !in && m.tr.Ref(k+1) != nil {
+			return false
+		}
+	}
 	var scanned []uint64
 	m.tr.Ascend(0, ^uint64(0), func(it Item[[]byte]) bool {
 		scanned = append(scanned, it.Key)
@@ -328,11 +352,34 @@ func leafFill[V any](t *Tree[V]) float64 {
 	return float64(items) / float64(leaves*maxKeys)
 }
 
+// row24 has the shape of the DP2's cached row: 24 bytes, one pointer.
+type row24 struct {
+	data *byte
+	loc  uint64
+	n, m uint32
+}
+
+// appendFill inserts n keys into a fresh tree of v and returns its leaf fill
+// and the bytes an item cost.
+func appendFill[V any](n uint64, key func(uint64) uint64, v V) (fill, perItem float64) {
+	tr := New[V]()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := uint64(0); i < n; i++ {
+		tr.Set(key(i), v)
+	}
+	runtime.ReadMemStats(&after)
+	tr.CheckInvariants()
+	return leafFill(tr), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
 // TestAppendsFillLeaves holds the lending rule to what it is for: under the
 // append shapes of the workloads, leaves fill before they split, and the
 // tree costs about one full leaf's bytes per 63 items. With the plain 31/31
 // split every leaf but the last stays half full, and a split node regrows
-// its items by append: 56 B an item.
+// its items by append: 56 B an item with pointer values. The DP2 stores its
+// 24-byte rows by value: a 32-byte item, 63 to a 2 048-byte leaf, ~33 B an
+// item with the node and the internal levels.
 func TestAppendsFillLeaves(t *testing.T) {
 	const n = 100000
 	for _, tc := range []struct {
@@ -347,23 +394,22 @@ func TestAppendsFillLeaves(t *testing.T) {
 		{"four strided streams", func(i uint64) uint64 { return (i%4<<40+i/4)*4 + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := New[*int]()
-			v := new(int)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := uint64(0); i < n; i++ {
-				tr.Set(tc.key(i), v)
-			}
-			runtime.ReadMemStats(&after)
-			tr.CheckInvariants()
-			fill := leafFill(tr)
-			perItem := float64(after.TotalAlloc-before.TotalAlloc) / n
-			t.Logf("leaves %.1f %% full, %.1f B an item", 100*fill, perItem)
-			if fill < 0.95 {
-				t.Errorf("leaves are %.1f %% full, want at least 95 %%: a full node split instead of lending", 100*fill)
-			}
-			if perItem > 20 {
-				t.Errorf("%.1f B an item, want at most 20: nodes are half empty or regrow", perItem)
+			for _, shape := range []struct {
+				name    string
+				run     func() (float64, float64)
+				perItem float64 // bound on the bytes an item costs
+			}{
+				{"pointer values", func() (float64, float64) { return appendFill(n, tc.key, new(int)) }, 20},
+				{"24-byte values", func() (float64, float64) { return appendFill(n, tc.key, row24{}) }, 36},
+			} {
+				fill, perItem := shape.run()
+				t.Logf("%s: leaves %.1f %% full, %.1f B an item", shape.name, 100*fill, perItem)
+				if fill < 0.95 {
+					t.Errorf("%s: leaves are %.1f %% full, want at least 95 %%: a full node split instead of lending", shape.name, 100*fill)
+				}
+				if perItem > shape.perItem {
+					t.Errorf("%s: %.1f B an item, want at most %.0f: nodes are half empty or regrow", shape.name, perItem, shape.perItem)
+				}
 			}
 		})
 	}

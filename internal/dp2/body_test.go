@@ -93,7 +93,7 @@ func TestRetainedBodiesReadBackAfterEviction(t *testing.T) {
 // DP2's cache and again after a takeover rebuilt the cache from the PM log,
 // each body a slice of the rebuild's image.
 func TestRetainedBodiesReadBackAfterPMRebuild(t *testing.T) {
-	eng, cl, d, _ := pmDirectHarness(t)
+	eng, cl, d, _ := pmDirectHarness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		insertRetained(t, p)
 		readBackAll(t, p, retained)

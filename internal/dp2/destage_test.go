@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"persistmem/internal/audit"
+	"persistmem/internal/btree"
 	"persistmem/internal/cluster"
 	"persistmem/internal/disk"
 	"persistmem/internal/sim"
@@ -104,11 +105,11 @@ func TestDestageOversizeRowBehindStaleEntry(t *testing.T) {
 	eng.Shutdown()
 }
 
-// Rows come from slabs, and the destage and eviction queues tell a
-// live entry from a stale one by comparing *row pointers, so a slab must
-// hand every row out exactly once: a key aborted and inserted again gets a
-// new row, and the first insert's queue entry stays stale. Were the slot
-// reused, that entry would match again and the row be destaged twice.
+// The destage and eviction queues tell a live entry from a stale one by key
+// and stamp, so every insert must get a stamp of its own: a key aborted and
+// inserted again gets a new one, and the first insert's queue entry stays
+// stale. Were the stamp reused, that entry would match again and the row be
+// destaged twice.
 func TestDestageSkipsTheAbortedRowOfAReinsertedKey(t *testing.T) {
 	eng, cl, _ := harness(t, func(c *Config) {
 		c.WritebackMaxBytes = 64 << 10
@@ -137,27 +138,31 @@ func TestDestageSkipsTheAbortedRowOfAReinsertedKey(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestSlabRowsAreHandedOutOnce holds the same property at the state image,
-// across slab boundaries and for the backup's absorbed copy: every insert
-// gets a row no other insert has, the primary's image and the backup's
-// share none, and a slab costs one allocation per rowSlab inserts.
-func TestSlabRowsAreHandedOutOnce(t *testing.T) {
+// TestInsertStampsAreHandedOutOnce holds the same property at the state
+// image, for the primary's and for the backup's absorbed copy: every insert
+// gets a stamp no other insert of that image has, and a key aborted and
+// inserted again gets a new one while the first insert's queue entry stays
+// queued and stale.
+func TestInsertStampsAreHandedOutOnce(t *testing.T) {
 	eng, _, d := harness(t, nil)
 	defer eng.Shutdown()
 	prim := newState()
 	var back interface{}
-	seen := map[*row]uint64{}
+	seen := map[*dpState]map[uint32]uint64{}
 	note := func(st *dpState, key uint64) {
 		r, ok := st.tree.Get(key)
 		if !ok {
 			t.Fatalf("key %d missing from the image", key)
 		}
-		if prev, dup := seen[r]; dup {
-			t.Fatalf("key %d was handed the row key %d holds", key, prev)
+		if seen[st] == nil {
+			seen[st] = map[uint32]uint64{}
 		}
-		seen[r] = key
+		if prev, dup := seen[st][r.stamp]; dup {
+			t.Fatalf("key %d was handed stamp %d, which key %d holds", key, r.stamp, prev)
+		}
+		seen[st][r.stamp] = key
 	}
-	const n = 3*rowSlab + 1
+	const n = 100
 	for key := uint64(1); key <= n; key++ {
 		delta := insertDelta{txn: 1, key: key, blen: 64}
 		prim.applyInsert(delta, false)
@@ -165,37 +170,52 @@ func TestSlabRowsAreHandedOutOnce(t *testing.T) {
 		note(prim, key)
 		note(back.(*dpState), key)
 	}
-	// Abort and reinsert: new rows on both sides, the old ones still queued.
+	first := *prim.dirtyq.front()
+	// Abort and reinsert: new stamps on both sides, the old entries still queued.
 	prim.applyEnd(endDelta{txn: 1})
 	back = d.absorb(back, &endDelta{txn: 1})
-	redo := insertDelta{txn: 2, key: n, blen: 64}
+	redo := insertDelta{txn: 2, key: 1, blen: 64}
 	prim.applyInsert(redo, false)
 	back = d.absorb(back, &redo)
-	note(prim, n)
-	note(back.(*dpState), n)
+	note(prim, 1)
+	note(back.(*dpState), 1)
 	if got := prim.dirtyq.len(); got != n+1 {
 		t.Errorf("dirty queue holds %d entries, want %d: one per insert, stale ones included", got, n+1)
 	}
-	perSlab := testing.AllocsPerRun(100, func() {
-		for i := 0; i < rowSlab; i++ {
-			prim.newRow()
-		}
-	})
-	if perSlab != 1 {
-		t.Errorf("%d rows cost %.0f allocations, want one slab", rowSlab, perSlab)
+	if first.key != 1 || prim.live(first) != nil {
+		t.Errorf("the aborted insert's entry (key %d) still names a live row", first.key)
+	}
+	if prim.dirty != 64 || prim.cacheBytes != 64 {
+		t.Errorf("dirty %d, cache %d bytes after the abort and reinsert; want 64, 64", prim.dirty, prim.cacheBytes)
 	}
 }
 
-// TestRowSlabIsOneSizeClass pins the row at 24 bytes and its slab at 384,
-// an allocator size class: a field that widens the row — a body slice header
-// in place of the data pointer makes it 40 again — or a reordering that pads
-// it to 32 rounds every slab up to the next class and trips this.
-func TestRowSlabIsOneSizeClass(t *testing.T) {
+// TestCacheShapes pins what a cached row costs. The row is 24 bytes and the
+// B-tree item holding it by value 32, so a full 63-item leaf is 2 016 B of
+// the 2 048-byte size class; a queue entry is 16 bytes and holds no pointer,
+// so the queues pin no row and the collector does not scan them. A field that
+// widens the row — a body slice header in place of the data pointer, or the
+// two flags as fields of their own beside the stamp — pushes every full leaf
+// into a larger size class and trips this; so does a *row back in the entry.
+func TestCacheShapes(t *testing.T) {
 	if got := unsafe.Sizeof(row{}); got != 24 {
 		t.Errorf("a row is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof([rowSlab]row{}); got != 384 {
-		t.Errorf("a slab is %d bytes, want 384", got)
+	if got := unsafe.Sizeof(btree.Item[row]{}); got != 32 {
+		t.Errorf("a B-tree item is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(queueEnt{}); got != 16 {
+		t.Errorf("a queue entry is %d bytes, want 16", got)
+	}
+	for ent, i := reflect.TypeOf(queueEnt{}), 0; i < ent.NumField(); i++ {
+		if f := ent.Field(i); f.Type.Kind() != reflect.Uint32 && f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("a queue entry holds %s %s: an entry is plain integers, so the queues pin nothing", f.Name, f.Type)
+		}
+	}
+	var r row
+	r.loc = rowDirty | rowResident | 1<<40 | 12345
+	if !r.dirty() || !r.resident() || r.volOff() != 1<<40|12345 {
+		t.Errorf("loc %#x reads dirty %v, resident %v, offset %d", r.loc, r.dirty(), r.resident(), r.volOff())
 	}
 }
 
@@ -312,7 +332,7 @@ func destageRows(t *testing.T, sizes []int, tweak func(*Config)) destageRun {
 	}
 	for i := range sizes {
 		r, _ := st.tree.Get(uint64(i + 1))
-		run.offsets = append(run.offsets, r.volOff)
+		run.offsets = append(run.offsets, r.volOff())
 	}
 	return run
 }

@@ -227,16 +227,38 @@ type endDelta struct {
 	commit bool
 }
 
-// row is one record in the disk process cache. The cache is bounded:
-// destaged (clean) rows can be evicted, leaving only location metadata;
-// a later read brings them back from the data volume.
+// row is one record in the disk process cache, stored by value in its
+// B-tree leaf. The cache is bounded: destaged (clean) rows can be evicted,
+// leaving only location metadata; a later read brings them back from the
+// data volume.
+//
+// A row has no address of its own: a leaf split, lend or shift moves it, so
+// no *row (from btree.Tree.Ref) is held across a park or a tree Set or
+// Delete. What must find a row again after a park — the destager after its
+// volume write, a read miss after its volume read, the eviction queue — names
+// it by key and stamp: the stamp tells the row inserted under a key from
+// one inserted there after an abort.
 type row struct {
-	data     *byte  // first byte of the payload when resident and retained, else nil
-	volOff   int64  // location on the data volume once destaged
-	blen     uint32 // body length, the width an audit record gives it
-	dirty    bool   // not yet destaged to the volume
-	resident bool   // counted in the cache budget
+	data  *byte  // first byte of the payload when resident and retained, else nil
+	loc   uint64 // volume offset once destaged, with rowDirty and rowResident in the top bits
+	blen  uint32 // body length, the width an audit record gives it
+	stamp uint32 // the state's insert count at this row's insert
 }
+
+// The flags of row.loc. A data volume is far smaller than 2^62 bytes.
+const (
+	rowDirty    uint64 = 1 << 63 // not yet destaged to the volume
+	rowResident uint64 = 1 << 62 // counted in the cache budget
+)
+
+//simlint:hotpath
+func (r *row) dirty() bool { return r.loc&rowDirty != 0 }
+
+//simlint:hotpath
+func (r *row) resident() bool { return r.loc&rowResident != 0 }
+
+// volOff is the row's location on the data volume once destaged.
+func (r *row) volOff() int64 { return int64(r.loc &^ (rowDirty | rowResident)) }
 
 // setBody retains b as the row's payload; blen must already be len(b).
 // The pointer keeps b's array alive exactly as the slice did.
@@ -256,27 +278,20 @@ func (r *row) body() []byte {
 	return unsafe.Slice(r.data, r.blen)
 }
 
-// rowSlab is how many rows a DP2 allocates at a time. Sixteen 24-byte rows
-// are 384 bytes, an exact allocator size class: one object per sixteen
-// inserts at the bytes sixteen separate rows cost. The constant is sized to
-// the allocator, not a knob: a 32-row slab of the 48-byte rows there were
-// (1536 B) crossed the 512-byte small-object header threshold and allocated
-// 2.5 % more bytes per hot-stock run than no slab.
-const rowSlab = 16
-
-// queueEnt pairs a key with the row it referred to when queued, so queue
-// consumers can skip entries whose row has since been replaced (abort +
-// reinsert).
+// queueEnt names a queued row by key and stamp, so queue consumers can skip
+// entries whose row has since been aborted or replaced (abort + reinsert),
+// and carries the row's length for batch assembly. It holds no pointer: the
+// queues pin nothing, and the garbage collector does not scan them.
 type queueEnt struct {
-	key uint64
-	r   *row
+	key   uint64
+	blen  uint32
+	stamp uint32
 }
 
 // entQueue is a FIFO of queue entries held in blocks, oldest first. A push
 // fills the last block and starts a new one when it is full, so no push
 // copies what is already queued, and a backup's dirtyq, which nothing
-// pops, costs its length once. A pop clears its slot, so the queue pins
-// no row it has handed out, and an exhausted full-size block is kept as the
+// pops, costs its length once. An exhausted full-size block is kept as the
 // one spare, so a primary's steady insert/destage churn allocates nothing.
 type entQueue struct {
 	blocks [][]queueEnt // pushes fill the last; blocks before it are full
@@ -285,14 +300,13 @@ type entQueue struct {
 	spare  []queueEnt   // one exhausted entBlockMax block, empty
 }
 
-// A block holds 2^k−1 entries, from entBlockMin up to entBlockMax, each
-// block twice the one before it. From 63 entries on, a block and the 8-byte
-// header a pointerful object over 512 B carries fill a power-of-two size
-// class exactly: entBlockMax's 2047 × 16 B + 8 B is 32 KiB, the largest
-// small object.
+// A block holds 2^k entries, from entBlockMin up to entBlockMax, each block
+// twice the one before it. An entry is 16 B and pointer-free, so a block is
+// a power-of-two size class exactly: entBlockMax's 2048 × 16 B is 32 KiB, the
+// largest small object.
 const (
-	entBlockMin = 15
-	entBlockMax = 2047
+	entBlockMin = 16
+	entBlockMax = 2048
 )
 
 //simlint:hotpath
@@ -305,7 +319,6 @@ func (q *entQueue) front() *queueEnt { return &q.blocks[0][q.head] }
 func (q *entQueue) pop() queueEnt {
 	b := q.blocks[0]
 	e := b[q.head]
-	b[q.head] = queueEnt{} // unpin the row
 	q.head++
 	q.n--
 	switch {
@@ -340,7 +353,7 @@ func (q *entQueue) newBlock() []queueEnt {
 	c := entBlockMin
 	if k := len(q.blocks); k > 0 {
 		for c <= cap(q.blocks[k-1]) && c < entBlockMax {
-			c = 2*c + 1
+			c *= 2
 		}
 	}
 	if c == entBlockMax && q.spare != nil {
@@ -376,7 +389,7 @@ func (q *entQueue) prepend(ents []queueEnt) {
 // dpState is the disk process's volatile image, mirrored at the backup by
 // absorbing deltas.
 type dpState struct {
-	tree *btree.Tree[*row]
+	tree *btree.Tree[row]
 	undo map[audit.TxnID][]uint64 //simlint:boxowner -- live txns own their undo slices
 	// undofree recycles per-transaction undo slices: one is retired every
 	// transaction end and reborn at the next transaction's first insert.
@@ -389,11 +402,10 @@ type dpState struct {
 	dirtyq entQueue // rows awaiting destage, in insert order
 	cleanq entQueue // destaged rows eligible for eviction, FIFO; empty unless evicting
 
-	// rows is the unissued tail of the current slab. A row is handed out
-	// once and never reused, so *row identity — what the queues compare to
-	// skip an entry whose key was aborted and reinserted — holds as it did
-	// when every row was its own object.
-	rows []row
+	// stamp counts the inserts applied to this image; each row keeps the
+	// count at its own. At 32 bits no two rows of one key share a stamp in
+	// any run.
+	stamp uint32
 
 	// lsn is the next PM log offset (PMDirect mode). It is the only state
 	// a PMDirect checkpoint needs to carry: the data itself is already
@@ -405,27 +417,27 @@ type dpState struct {
 type lsnDelta struct{ lsn audit.LSN }
 
 func newState() *dpState {
-	return &dpState{tree: btree.New[*row](), undo: make(map[audit.TxnID][]uint64)}
+	return &dpState{tree: btree.New[row](), undo: make(map[audit.TxnID][]uint64)}
 }
 
-// newRow hands out the next row of the current slab.
+// live returns the row e was queued for, or nil when its key was deleted or
+// holds a later row since. The pointer is valid until the next tree Set or
+// Delete.
 //
 //simlint:hotpath
-func (st *dpState) newRow() *row {
-	if len(st.rows) == 0 {
-		st.rows = make([]row, rowSlab) //simlint:allow hotalloc -- one slab per rowSlab inserts replaces one row per insert
+func (st *dpState) live(e queueEnt) *row {
+	if r := st.tree.Ref(e.key); r != nil && r.stamp == e.stamp {
+		return r
 	}
-	r := &st.rows[0]
-	st.rows = st.rows[1:]
-	return r
+	return nil
 }
 
 // applyInsert folds one insert into the state image.
 //
 //simlint:hotpath
 func (st *dpState) applyInsert(d insertDelta, retain bool) {
-	r := st.newRow()
-	r.blen, r.dirty, r.resident = uint32(d.blen), true, true
+	st.stamp++
+	r := row{loc: rowDirty | rowResident, blen: uint32(d.blen), stamp: st.stamp}
 	if retain {
 		r.setBody(d.body)
 	}
@@ -440,7 +452,7 @@ func (st *dpState) applyInsert(d insertDelta, retain bool) {
 	st.undo[d.txn] = append(u, d.key)
 	st.dirty += int64(d.blen)
 	st.cacheBytes += int64(d.blen)
-	st.dirtyq.push(queueEnt{key: d.key, r: r})
+	st.dirtyq.push(queueEnt{key: d.key, blen: r.blen, stamp: r.stamp})
 }
 
 // applyEnd folds a transaction end into the state image.
@@ -451,20 +463,28 @@ func (st *dpState) applyEnd(d endDelta) {
 	if !d.commit {
 		for _, k := range u {
 			if r, ok := st.tree.Get(k); ok {
-				if r.dirty {
-					st.dirty -= int64(r.blen)
-				}
-				if r.resident {
-					st.cacheBytes -= int64(r.blen)
-				}
+				st.drop(k, r)
 			}
-			st.tree.Delete(k)
 		}
 	}
 	delete(st.undo, d.txn)
 	if had && cap(u) > 0 {
 		st.undofree = append(st.undofree, u[:0])
 	}
+}
+
+// drop deletes r, the row under key, taking its bytes off the dirty and
+// cache counts it is still in.
+//
+//simlint:hotpath
+func (st *dpState) drop(key uint64, r row) {
+	if r.dirty() {
+		st.dirty -= int64(r.blen)
+	}
+	if r.resident() {
+		st.cacheBytes -= int64(r.blen)
+	}
+	st.tree.Delete(key)
 }
 
 // DP2 is a running disk process pair.
@@ -804,6 +824,7 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 	}
 	delta := insertDelta{txn: req.Txn, key: req.Key, body: req.Body, blen: len(req.Body)}
 	st.applyInsert(delta, d.cfg.RetainData)
+	stamp := st.stamp
 	d.stats.Inserts++
 	d.stats.InsertBytes += int64(len(req.Body))
 	if d.wbKick != nil {
@@ -824,13 +845,15 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 		err := d.logToPM(p, st, enc)
 		d.freeEnc(enc)
 		if err != nil {
-			// Roll just this insert out of the cache.
-			st.tree.Delete(req.Key)
-			if u := st.undo[req.Txn]; len(u) > 0 {
-				st.undo[req.Txn] = u[:len(u)-1]
+			// Roll just this insert out of the cache, unless an abort
+			// already did while the write was parked: the destager may have
+			// cleaned it meanwhile, or another transaction reinserted its key.
+			if r, ok := st.tree.Get(req.Key); ok && r.stamp == stamp {
+				st.drop(req.Key, r)
+				if u := st.undo[req.Txn]; len(u) > 0 {
+					st.undo[req.Txn] = u[:len(u)-1]
+				}
 			}
-			st.dirty -= int64(len(req.Body))
-			st.cacheBytes -= int64(len(req.Body))
 			return err
 		}
 		d.checkpointLSN(p, lsnDelta{lsn: st.lsn})
@@ -885,7 +908,7 @@ func (d *DP2) finishRead(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope,
 		ev.Reply(req)
 		return
 	}
-	if r.resident {
+	if r.resident() {
 		d.stats.Reads++
 		req.Resp = ReadResp{Body: r.body()}
 		ev.Reply(req)
@@ -896,24 +919,27 @@ func (d *DP2) finishRead(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope,
 }
 
 // readMiss fetches an evicted row from the data volume in a continuation,
-// so the serve loop keeps draining during the (millisecond-scale) I/O.
-func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, req *ReadReq, r *row) {
+// so the serve loop keeps draining during the (millisecond-scale) I/O. It
+// carries r, the row's value, across the read and finds the row again by key
+// and stamp afterwards.
+func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, req *ReadReq, r row) {
 	ctx.CPU().Spawn(d.missName, func(mp *cluster.Process) {
 		buf := make([]byte, r.blen)
-		if err := d.cfg.Volume.Read(mp.Sim(), r.volOff, buf); err != nil {
+		if err := d.cfg.Volume.Read(mp.Sim(), r.volOff(), buf); err != nil {
 			req.Resp = ReadResp{Err: err}
 			ev.Reply(req)
 			return
 		}
-		// Re-admit unless someone else already did.
-		if cur, ok := st.tree.Get(req.Key); ok && cur == r && !r.resident {
+		// Re-admit unless someone else already did, or the row was aborted.
+		ent := queueEnt{key: req.Key, blen: r.blen, stamp: r.stamp}
+		if cur := st.live(ent); cur != nil && !cur.resident() {
 			if d.cfg.RetainData {
-				r.setBody(buf)
+				cur.setBody(buf)
 			}
-			r.resident = true
+			cur.loc |= rowResident
 			st.cacheBytes += int64(r.blen)
 			if d.evicting() {
-				st.cleanq.push(queueEnt{key: req.Key, r: r})
+				st.cleanq.push(ent)
 			}
 			d.evict(st)
 		}
@@ -1114,15 +1140,16 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 			if batchStart+budget > d.cfg.Volume.Capacity() {
 				batchStart = 0
 			}
+			// The budget is checked against the front entry's length, a stale
+			// entry's too.
 			var n int64
 			batch = batch[:0]
-			for st.dirtyq.len() > 0 && (n == 0 || n+int64(st.dirtyq.front().r.blen) <= budget) {
+			for st.dirtyq.len() > 0 && (n == 0 || n+int64(st.dirtyq.front().blen) <= budget) {
 				ent := st.dirtyq.pop()
-				if cur, ok := st.tree.Get(ent.key); !ok || cur != ent.r || !ent.r.dirty {
+				if r := st.live(ent); r == nil || !r.dirty() {
 					continue // aborted or replaced since queueing
 				}
-				ent.r.volOff = batchStart + n
-				n += int64(ent.r.blen)
+				n += int64(ent.blen)
 				batch = append(batch, ent)
 			}
 			if n == 0 {
@@ -1137,8 +1164,11 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 				if n > int64(len(buf)) {
 					buf = make([]byte, destageBufLen(int64(len(buf)), n, budget))
 				}
+				var off int64
 				for _, ent := range batch {
-					copy(buf[ent.r.volOff-batchStart:], ent.r.body())
+					r, _ := st.tree.Get(ent.key) // no park since assembly: every batch row is live
+					copy(buf[off:], r.body())
+					off += int64(ent.blen)
 				}
 				out = buf[:n]
 			}
@@ -1147,17 +1177,22 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 				st.dirtyq.prepend(batch)
 				continue
 			}
+			// The write parked: a batch row may have moved in the tree, or
+			// been aborted — its bytes already left the dirty count — and
+			// its key reinserted. Only rows still live by key and stamp are
+			// marked clean.
+			off := batchStart
 			for _, ent := range batch {
-				ent.r.dirty = false
-				if d.evicting() {
-					st.cleanq.push(ent)
+				if r := st.live(ent); r != nil && r.dirty() {
+					r.loc = uint64(off) | r.loc&rowResident
+					st.dirty -= int64(ent.blen)
+					if d.evicting() {
+						st.cleanq.push(ent)
+					}
 				}
+				off += int64(ent.blen)
 			}
 			st.alloc = batchStart + n
-			st.dirty -= n
-			if st.dirty < 0 {
-				st.dirty = 0
-			}
 			d.stats.Writebacks++
 			d.stats.WrittenBack += n
 			d.evict(st)
@@ -1186,14 +1221,13 @@ func (d *DP2) evict(st *dpState) {
 		return
 	}
 	for st.cacheBytes > d.cfg.MaxCacheBytes && st.cleanq.len() > 0 {
-		ent := st.cleanq.pop()
-		cur, ok := st.tree.Get(ent.key)
-		if !ok || cur != ent.r || ent.r.dirty || !ent.r.resident {
+		r := st.live(st.cleanq.pop())
+		if r == nil || r.dirty() || !r.resident() {
 			continue
 		}
-		ent.r.data = nil
-		ent.r.resident = false
-		st.cacheBytes -= int64(ent.r.blen)
+		r.data = nil
+		r.loc &^= rowResident
+		st.cacheBytes -= int64(r.blen)
 		d.stats.Evictions++
 	}
 }

@@ -65,7 +65,7 @@ func TestPrepareFlushWritesDurablePrepareRecord(t *testing.T) {
 
 // pmDirectHarness builds a PMDirect-mode DP2 whose log region lives on a
 // PMM-managed mirrored NPMU pair.
-func pmDirectHarness(t *testing.T) (*sim.Engine, *cluster.Cluster, *DP2, [2]*npmu.Device) {
+func pmDirectHarness(t *testing.T, tweak func(*Config)) (*sim.Engine, *cluster.Cluster, *DP2, [2]*npmu.Device) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	cl := cluster.New(eng, cluster.DefaultConfig())
@@ -73,13 +73,16 @@ func pmDirectHarness(t *testing.T) (*sim.Engine, *cluster.Cluster, *DP2, [2]*npm
 	b := npmu.New(cl, "npmu-b", 64<<20)
 	pmm.Start(cl, "$PM1", 0, 1, a, b)
 	dataVol := disk.New(eng, "$DATA", disk.DefaultConfig(), 64<<20)
-	d := Start(cl, Config{
+	cfg := Config{
 		Name: "$DP-F-0", File: "F", Partition: 0,
 		PrimaryCPU: 1, BackupCPU: 2,
 		Volume: dataVol, Mode: PMDirect, PMVolume: "$PM1",
 		RetainData: true,
-	})
-	return eng, cl, d, [2]*npmu.Device{a, b}
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	return eng, cl, Start(cl, cfg), [2]*npmu.Device{a, b}
 }
 
 // TestPMDirectRegionErrNamesTheFullVolume: the default 16 MiB log region
@@ -107,7 +110,7 @@ func TestPMDirectRegionErrNamesTheFullVolume(t *testing.T) {
 // prepare vote is written synchronously into this DP2's own PM log, and
 // the flush reply needs no LSN wait.
 func TestPMDirectPrepareLandsInPMLog(t *testing.T) {
-	eng, cl, d, _ := pmDirectHarness(t)
+	eng, cl, d, _ := pmDirectHarness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: []byte("xs")})
 		before := d.Stats().PMLogBytes
@@ -149,7 +152,7 @@ func TestPMDirectTakeoverRebuildsFromFullerReplica(t *testing.T) {
 		{"primary unreadable", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, cl, d, devs := pmDirectHarness(t)
+			eng, cl, d, devs := pmDirectHarness(t, nil)
 			cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 				for txn := audit.TxnID(1); txn <= 6; txn++ {
 					switch {

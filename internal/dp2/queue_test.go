@@ -10,11 +10,11 @@ import (
 // never copies. These tests hold the order across block boundaries, through
 // prepend and through an empty queue, and what the blocks cost.
 
-// queued returns n entries keyed from first on, each with a row of its own.
+// queued returns n entries keyed from first on, each with a stamp of its own.
 func queued(first uint64, n int) []queueEnt {
 	ents := make([]queueEnt, n)
 	for i := range ents {
-		ents[i] = queueEnt{key: first + uint64(i), r: &row{}}
+		ents[i] = queueEnt{key: first + uint64(i), blen: 64, stamp: uint32(first) + uint32(i) + 1}
 	}
 	return ents
 }
@@ -73,7 +73,7 @@ func TestEntQueuePrepend(t *testing.T) {
 	for _, e := range ents {
 		q.push(e)
 	}
-	for _, batch := range [][2]int{{0, 10}, {10, 20}, {20, 60}} { // blocks end at 15 and 46
+	for _, batch := range [][2]int{{0, 10}, {10, 20}, {20, 60}} { // blocks end at 16 and 48
 		popKeys(t, &q, uint64(batch[0]), batch[1]-batch[0])
 		q.prepend(ents[batch[0]:batch[1]])
 		popKeys(t, &q, uint64(batch[0]), batch[1]-batch[0])
@@ -108,10 +108,11 @@ func TestEntQueueRefillsAfterEmpty(t *testing.T) {
 	}
 }
 
-// TestEntQueuePopUnpinsRow: no block or spare slot outside the live entries
-// references a row, so a popped row is the garbage collector's once its
-// consumer drops it.
-func TestEntQueuePopUnpinsRow(t *testing.T) {
+// TestEntQueueKeepsOneSpareBlock: once a full-size block is popped empty it
+// is kept as the spare, and the live slots of the blocks are exactly the
+// queued entries. What the queue pins is nothing: an entry holds no pointer
+// (TestCacheShapes).
+func TestEntQueueKeepsOneSpareBlock(t *testing.T) {
 	var q entQueue
 	for _, e := range queued(0, 3*entBlockMax+500) {
 		q.push(e)
@@ -121,30 +122,19 @@ func TestEntQueuePopUnpinsRow(t *testing.T) {
 	}
 	live := 0
 	for i, b := range q.blocks {
-		from := 0
 		if i == 0 {
-			from = q.head
+			live -= q.head
 		}
-		all := b[:cap(b)]
-		for j := range all {
-			if j >= from && j < len(b) {
-				live++
-			} else if all[j].r != nil {
-				t.Fatalf("block %d slot %d (live %d..%d) still references key %d's row", i, j, from, len(b), all[j].key)
-			}
-		}
+		live += len(b)
 	}
 	if live != q.len() {
 		t.Fatalf("%d live slots, len %d", live, q.len())
 	}
-	if q.spare == nil {
-		t.Fatal("no spare kept after a full-size block was exhausted")
+	if q.spare == nil || len(q.spare) != 0 || cap(q.spare) != entBlockMax {
+		t.Fatalf("spare is %d of %d entries, want an empty %d-entry block kept after a full-size block was exhausted",
+			len(q.spare), cap(q.spare), entBlockMax)
 	}
-	for j, e := range q.spare[:cap(q.spare)] {
-		if e.r != nil {
-			t.Fatalf("spare slot %d still references key %d's row", j, e.key)
-		}
-	}
+	popKeys(t, &q, 3*entBlockMax+500-700, 700)
 }
 
 // TestEntQueueCostsItsLengthOnce: a queue that is only pushed — the backup's
@@ -152,13 +142,12 @@ func TestEntQueuePopUnpinsRow(t *testing.T) {
 // allocated ~3.8 times that.
 func TestEntQueueCostsItsLengthOnce(t *testing.T) {
 	const n = 64000
-	r := &row{}
 	var q entQueue
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		q.push(queueEnt{key: uint64(i), r: r})
+		q.push(queueEnt{key: uint64(i)})
 	}
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(&q)
@@ -176,18 +165,17 @@ func TestEntQueueCostsItsLengthOnce(t *testing.T) {
 // allocates nothing once its blocks are full-size: each exhausted block is
 // the spare the next full tail takes.
 func TestEntQueueChurnAllocatesNothing(t *testing.T) {
-	r := &row{}
 	var q entQueue
 	key := uint64(0)
 	churn := func(n int) {
 		for i := 0; i < n; i++ {
-			q.push(queueEnt{key: key, r: r})
+			q.push(queueEnt{key: key})
 			key++
 			q.pop()
 		}
 	}
 	for i := 0; i < 3000; i++ {
-		q.push(queueEnt{key: key, r: r})
+		q.push(queueEnt{key: key})
 		key++
 	}
 	churn(10 * entBlockMax) // warm-up: retire the ramp's smaller blocks

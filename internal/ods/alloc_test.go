@@ -123,10 +123,11 @@ func TestFaultCellAllocationBudget(t *testing.T) {
 
 // txnBudgetAllocs is the most heap objects one more committed hot-stock
 // transaction (8 x 4 KB inserts, one driver) may cost once every free list
-// is warm: 1.4–1.5 on disk audit and on PM today, all of them things somebody
-// keeps — one row slab (16 rows, primary and backup, sixteen to a slab) and,
-// the rest, the B-tree's node splits (a node and its items, one leaf per 63
-// rows on each side). It was 2.9 (budget 3.5) while the session's Txn handle
+// is warm: 0.5 on disk audit and on PM today, all of them things somebody
+// keeps — the B-tree's node splits (a node and its items, one leaf per 63
+// rows on each side, each row stored by value in its leaf). It was 1.4–1.5
+// (budget 2.0) while rows came from slabs of sixteen beside the leaves that
+// pointed to them, 2.9 (budget 3.5) while the session's Txn handle
 // was a heap object (1) and twelve 40-byte rows made a slab (1.3), 7.9 while
 // the monitor spawned a coordinator per commit (its Process, its sim.Proc, its
 // name, its body and the closure that runs it: 5), 9.2 while a split left half
@@ -134,9 +135,10 @@ func TestFaultCellAllocationBudget(t *testing.T) {
 // every reply was boxed, every row its own object and a spawn ten objects.
 // Building the coordinator's name per commit again trips it; so does boxing
 // any one reply (BeginResp, the smallest: one a transaction) or returning the
-// Txn handle by pointer again. The per-subsystem split is
+// Txn handle by pointer again, and so do rows kept outside the leaves again,
+// even in slabs of sixteen (one slab a transaction). The per-subsystem split is
 // `benchmark --trace 1`'s allocs_per_txn.* metrics.
-const txnBudgetAllocs = 2.0
+const txnBudgetAllocs = 1.0
 
 // hotStockAlloc returns the heap objects and bytes one fresh store's
 // hot-stock run of txns transactions allocates, set-up included.
@@ -176,17 +178,20 @@ func TestTxnAllocationBudget(t *testing.T) {
 }
 
 // txnBudgetBytes is the most bytes one more committed hot-stock transaction
-// (as txnBudgetAllocs) may cost: 638–664 on disk audit and on PM today,
-// 959–960 (budget 1000) while rows were 40 bytes and the Txn handle a heap
-// object, 1221–1222 while the backup's never-popped dirty queue regrew by append,
+// (as txnBudgetAllocs) may cost: 545 on disk audit and on PM today, 638–675
+// (budget 700) while a row was a 24-byte slab slot and a 16-byte leaf item
+// pointing to it, 959–960 (budget 1000) while rows were 40 bytes and the
+// Txn handle a heap object, 1221–1222 while the backup's never-popped dirty
+// queue regrew by append,
 // 1580–1585 while every commit spawned its coordinator, 2330–2345 while B-tree
 // leaves split half full and rows were 48 bytes, and 2585–2595 while every
 // destaged row joined a clean queue that nothing pops in a store that never
 // evicts.
-const txnBudgetBytes = 700
+const txnBudgetBytes = 600
 
 // runBudgetBytes is the most bytes a transaction of the whole 1000-transaction
-// run may cost, set-up included: 1142–1175 today, 1434–1466 (budget 1550) with
+// run may cost, set-up included: 1051–1086 today, 1142–1180 (budget 1260)
+// with rows in slabs beside their leaves, 1434–1466 (budget 1550) with
 // 40-byte rows and a heap Txn handle, 1585–1616 while the backup's
 // dirty queue regrew by append, 1945–1980 with a coordinator spawned per
 // commit, 2630–2680 with the half-full leaves and 48-byte rows. A
@@ -194,7 +199,7 @@ const txnBudgetBytes = 700
 // of two runs cancels it and only this sees it: 3780 on disk and 8920 on PM
 // while a DP2 that keeps no row bodies still grew a zero-filled buffer to
 // write them from (4060 / 9210 with the clean queue as well).
-const runBudgetBytes = 1260
+const runBudgetBytes = 1150
 
 // TestTxnByteBudget is the byte side of TestTxnAllocationBudget: an object
 // count cannot see one large buffer. It holds the same 1000-minus-500
