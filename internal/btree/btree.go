@@ -12,20 +12,26 @@
 // takes the key. Every insert the workloads issue appends at the right edge
 // of its partition (hot-stock record ids, loadgen's per-shard sequences,
 // the recovery scenario's keys), where a plain split leaves the left half
-// at 31 of 63 slots for good; lending fills every leaf but the last two at
-// each edge. Split and root-growth nodes are born at full capacity and a
-// vacated slot is always zeroed, so a node never regrows and never pins a
-// value it no longer holds.
+// at 31 of 62 slots for good; lending fills every leaf but the last two at
+// each edge. Split and root-growth nodes are born at full capacity, each
+// node and its items one block, and a vacated slot is always zeroed, so a
+// node never regrows and never pins a value it no longer holds. The first
+// root leaf alone grows by append, so a tree of a few items costs what it
+// holds.
 package btree
 
 import "slices"
 
-// degree is the minimum child count of an internal node (order 2*degree).
-const degree = 32
-
+// maxKeys is a full node's item count; minKeys is the fewest a node other
+// than the root holds. A split of a full node leaves 31 and 30 items, and a
+// merge of two underfull siblings and their separator makes at most 61.
+// With 62 slots a split-born node's block, for the 32-byte items of the
+// DP2's rows and of recovery's []byte images, is 48 + 1 984 B: with Go's
+// 8-byte malloc header it fills the 2 048-byte size class, where 63 slots
+// would fall into the 2 304-byte one.
 const (
-	maxKeys = 2*degree - 1
-	minKeys = degree - 1
+	maxKeys = 62
+	minKeys = maxKeys/2 - 1
 )
 
 // Item is one key/value pair.
@@ -37,6 +43,13 @@ type Item[V any] struct {
 type node[V any] struct {
 	items    []Item[V]  // sorted by Key
 	children []*node[V] // len(children) == len(items)+1 for internal nodes
+}
+
+// block is a split-born node and its items in one allocation: items is
+// buf[:0:maxKeys].
+type block[V any] struct {
+	n   node[V]
+	buf [maxKeys]Item[V]
 }
 
 func (n *node[V]) leaf() bool { return len(n.children) == 0 }
@@ -104,9 +117,12 @@ func (t *Tree[V]) Has(key uint64) bool {
 }
 
 // newNode returns an empty node with room for a full node's items, and for
-// its children too when internal, so it never regrows.
+// its children too when internal, so it never regrows. The node and its
+// items are one block; an internal node's children are a second object.
 func newNode[V any](internal bool) *node[V] {
-	n := &node[V]{items: make([]Item[V], 0, maxKeys)}
+	b := new(block[V])
+	n := &b.n
+	n.items = b.buf[:0:maxKeys]
 	if internal {
 		n.children = make([]*node[V], 0, maxKeys+1)
 	}

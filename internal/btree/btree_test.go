@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmptyTree(t *testing.T) {
@@ -378,8 +379,8 @@ func appendFill[V any](n uint64, key func(uint64) uint64, v V) (fill, perItem fl
 // tree costs about one full leaf's bytes per 63 items. With the plain 31/31
 // split every leaf but the last stays half full, and a split node regrows
 // its items by append: 56 B an item with pointer values. The DP2 stores its
-// 24-byte rows by value: a 32-byte item, 63 to a 2 048-byte leaf, ~33 B an
-// item with the node and the internal levels.
+// 24-byte rows by value: a 32-byte item, 62 to a leaf whose header and items
+// are one 2 048-byte block, ~33.3 B an item with the internal levels.
 func TestAppendsFillLeaves(t *testing.T) {
 	const n = 100000
 	for _, tc := range []struct {
@@ -400,7 +401,7 @@ func TestAppendsFillLeaves(t *testing.T) {
 				perItem float64 // bound on the bytes an item costs
 			}{
 				{"pointer values", func() (float64, float64) { return appendFill(n, tc.key, new(int)) }, 20},
-				{"24-byte values", func() (float64, float64) { return appendFill(n, tc.key, row24{}) }, 36},
+				{"24-byte values", func() (float64, float64) { return appendFill(n, tc.key, row24{}) }, 34},
 			} {
 				fill, perItem := shape.run()
 				t.Logf("%s: leaves %.1f %% full, %.1f B an item", shape.name, 100*fill, perItem)
@@ -412,6 +413,82 @@ func TestAppendsFillLeaves(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBlockFitsItsSizeClass pins the node block for the 32-byte items of
+// the DP2's rows and of []byte values: the 48-byte header and 62 items are
+// 2 032 B, and with Go's 8-byte malloc header (an object of more than 512 B
+// that holds pointers carries one) the block fills the 2 048-byte size
+// class. A wider header or a 63rd slot pushes every split-born node into the
+// 2 304-byte class.
+func TestBlockFitsItsSizeClass(t *testing.T) {
+	const mallocHeader, sizeClass = 8, 2048
+	if got := unsafe.Sizeof(Item[row24]{}); got != 32 {
+		t.Fatalf("an item of a 24-byte value is %d bytes, want 32", got)
+	}
+	if a, b := unsafe.Sizeof(block[row24]{}), unsafe.Sizeof(block[[]byte]{}); a != b {
+		t.Errorf("a block of 24-byte rows is %d bytes, of []byte %d: want the same", a, b)
+	}
+	if got := unsafe.Sizeof(block[row24]{}) + mallocHeader; got > sizeClass {
+		t.Errorf("a block with its malloc header is %d bytes, more than the %d-byte size class", got, sizeClass)
+	}
+}
+
+// TestLeafSplitAllocatesOneObject holds that a split-born leaf is one
+// allocation, its header and items together, and that an insert that splits
+// nothing allocates nothing. The keys ascend at the right edge, so each full
+// last leaf splits once its left sibling is full too.
+func TestLeafSplitAllocatesOneObject(t *testing.T) {
+	tr := New[row24]()
+	leaves := func() (count int) {
+		eachNode(tr, func(n *node[row24]) {
+			if n.leaf() {
+				count++
+			}
+		})
+		return count
+	}
+	var k uint64
+	for ; k < 2*maxKeys; k++ {
+		tr.Set(k, row24{})
+	}
+	depth, splits := tr.depth(), 0
+	var before, after runtime.MemStats
+	for ; k < 30*maxKeys; k++ {
+		was := leaves()
+		runtime.ReadMemStats(&before)
+		tr.Set(k, row24{})
+		runtime.ReadMemStats(&after)
+		allocs := after.Mallocs - before.Mallocs
+		switch now := leaves(); {
+		case now == was+1:
+			splits++
+			if allocs != 1 {
+				t.Fatalf("key %d split a leaf with %d allocations, want 1", k, allocs)
+			}
+		case allocs != 0:
+			t.Fatalf("key %d split nothing and made %d allocations, want 0", k, allocs)
+		}
+	}
+	if tr.depth() != depth || splits < 20 {
+		t.Fatalf("depth %d → %d, %d leaf splits: the keys no longer split leaves under one root", depth, tr.depth(), splits)
+	}
+	tr.CheckInvariants()
+}
+
+// TestSmallTreeCostsWhatItHolds holds the first root leaf to append
+// growth: a tree of a few rows (a crash-matrix cell puts about eight in
+// each DP2 partition) is not charged a full node block.
+func TestSmallTreeCostsWhatItHolds(t *testing.T) {
+	for _, n := range []int{1, 5, 20} {
+		tr := New[row24]()
+		for k := 0; k < n; k++ {
+			tr.Set(uint64(k), row24{})
+		}
+		if c := cap(tr.root.items); c >= 2*n {
+			t.Errorf("a tree of %d items has room for %d", n, c)
+		}
 	}
 }
 

@@ -191,8 +191,9 @@ func TestInsertStampsAreHandedOutOnce(t *testing.T) {
 }
 
 // TestCacheShapes pins what a cached row costs. The row is 24 bytes and the
-// B-tree item holding it by value 32, so a full 63-item leaf is 2 016 B of
-// the 2 048-byte size class; a queue entry is 16 bytes and holds no pointer,
+// B-tree item holding it by value 32, so a split-born leaf, its 48-byte
+// header and 62 items in one block, is 2 032 B of the 2 048-byte size class
+// with the malloc header; a queue entry is 16 bytes and holds no pointer,
 // so the queues pin no row and the collector does not scan them. A field that
 // widens the row — a body slice header in place of the data pointer, or the
 // two flags as fields of their own beside the stamp — pushes every full leaf

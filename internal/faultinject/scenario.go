@@ -117,6 +117,7 @@ func Start(cfg ScenarioConfig) *Pending {
 	s.Cl.CPU(workCPU).Spawn("workload", func(p *cluster.Process) {
 		se := s.NewSession(p)
 		se.SetTwoPhase(cfg.TwoPhase)
+		var bodies recovery.RowBodies
 		record := func(txn ods.Txn, key uint64) {
 			res.Ops = append(res.Ops, consistency.Op{
 				Txn:   uint64(txn.ID()),
@@ -149,7 +150,7 @@ func Start(cfg ScenarioConfig) *Pending {
 			keys := make([]uint64, 0, 4)
 			for j := 0; j < 4; j++ {
 				key := uint64(i*10 + j + 1)
-				txn.InsertAsync("TRADES", key, recovery.RowBody(key))
+				txn.InsertAsync("TRADES", key, bodies.Next(key))
 				keys = append(keys, key)
 				record(txn, key)
 			}

@@ -104,9 +104,8 @@ func (r *coldRig) coldStart(t *testing.T) (*Manager, []RegionMeta, int64, sim.Ti
 func payloadLen(t *testing.T, regions []RegionMeta) int64 {
 	t.Helper()
 	st := NewVolumeState("$PM0")
-	for i := range regions {
-		r := regions[i]
-		st.Regions[r.Name] = &r
+	for _, r := range regions {
+		st.insert(r)
 	}
 	img, err := EncodeMeta(st)
 	if err != nil {

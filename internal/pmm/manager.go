@@ -3,6 +3,8 @@ package pmm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"persistmem/internal/cluster"
@@ -152,8 +154,8 @@ func (m *Manager) serve(ctx *cluster.PairCtx) {
 	// intact and reprogramming is an idempotent refresh; after a power
 	// cycle it is what restores client access.
 	m.programManagement(ctx)
-	for _, name := range sortedOpen(st) {
-		m.programRegion(st, name)
+	for _, r := range sortedOpen(st) {
+		m.programRegion(r)
 	}
 
 	for {
@@ -181,13 +183,13 @@ func (m *Manager) serve(ctx *cluster.PairCtx) {
 
 func (m *Manager) snapshotRegions(st *VolumeState) []RegionMeta {
 	var out []RegionMeta
-	for _, r := range st.sortedRegions() {
-		out = append(out, *r)
+	for _, r := range st.regions {
+		out = append(out, r.RegionMeta)
 	}
 	return out
 }
 
-func (m *Manager) info(r *RegionMeta) RegionInfo {
+func (m *Manager) info(r RegionMeta) RegionInfo {
 	return RegionInfo{
 		Name:    r.Name,
 		Base:    uint32(r.Offset),
@@ -198,17 +200,17 @@ func (m *Manager) info(r *RegionMeta) RegionInfo {
 }
 
 func (m *Manager) handleCreate(ctx *cluster.PairCtx, st *VolumeState, req CreateReq) Resp {
-	if _, dup := st.Regions[req.Name]; dup {
+	if st.lookup(req.Name) >= 0 {
 		return Resp{Err: fmt.Errorf("%w: %q", ErrExists, req.Name)}
 	}
 	off, err := st.Allocate(req.Size, m.primDev.Capacity())
 	if err != nil {
 		return Resp{Err: err}
 	}
-	r := &RegionMeta{Name: req.Name, Owner: req.Owner, Offset: off, Size: req.Size}
-	st.Regions[req.Name] = r
+	r := RegionMeta{Name: req.Name, Owner: req.Owner, Offset: off, Size: req.Size}
+	i := st.insert(r)
 	if err := m.persist(ctx, st); err != nil {
-		delete(st.Regions, req.Name)
+		st.regions = slices.Delete(st.regions, i, i+1)
 		return Resp{Err: err}
 	}
 	m.checkpoint(ctx, st)
@@ -216,47 +218,46 @@ func (m *Manager) handleCreate(ctx *cluster.PairCtx, st *VolumeState, req Create
 }
 
 func (m *Manager) handleOpen(ctx *cluster.PairCtx, st *VolumeState, req OpenReq) Resp {
-	r, ok := st.Regions[req.Name]
-	if !ok {
+	i := st.lookup(req.Name)
+	if i < 0 {
 		return Resp{Err: fmt.Errorf("%w: %q", ErrNotFound, req.Name)}
 	}
-	set := st.OpenBy[req.Name]
-	if set == nil {
-		set = make(map[int]bool)
-		st.OpenBy[req.Name] = set
+	if req.ClientCPU < 0 || req.ClientCPU >= maxOpenCPUs {
+		return Resp{Err: fmt.Errorf("pmm: CPU %d cannot open %q: CPUs 0-%d can", req.ClientCPU, req.Name, maxOpenCPUs-1)}
 	}
-	set[req.ClientCPU] = true
-	m.programRegion(st, req.Name)
+	r := &st.regions[i]
+	r.open |= 1 << req.ClientCPU
+	m.programRegion(r)
 	m.checkpoint(ctx, st)
-	return Resp{Info: m.info(r)}
+	return Resp{Info: m.info(r.RegionMeta)}
 }
 
 func (m *Manager) handleClose(ctx *cluster.PairCtx, st *VolumeState, req CloseReq) Resp {
-	if _, ok := st.Regions[req.Name]; !ok {
+	i := st.lookup(req.Name)
+	if i < 0 {
 		return Resp{Err: fmt.Errorf("%w: %q", ErrNotFound, req.Name)}
 	}
-	if set := st.OpenBy[req.Name]; set != nil {
-		delete(set, req.ClientCPU)
-		if len(set) == 0 {
-			delete(st.OpenBy, req.Name)
-		}
+	r := &st.regions[i]
+	if req.ClientCPU >= 0 && req.ClientCPU < maxOpenCPUs {
+		r.open &^= 1 << req.ClientCPU
 	}
-	m.programRegion(st, req.Name)
+	m.programRegion(r)
 	m.checkpoint(ctx, st)
 	return Resp{}
 }
 
 func (m *Manager) handleDelete(ctx *cluster.PairCtx, st *VolumeState, req DeleteReq) Resp {
-	r, ok := st.Regions[req.Name]
-	if !ok {
+	i := st.lookup(req.Name)
+	if i < 0 {
 		return Resp{Err: fmt.Errorf("%w: %q", ErrNotFound, req.Name)}
 	}
-	if len(st.OpenBy[req.Name]) > 0 {
+	if st.regions[i].open != 0 {
 		return Resp{Err: fmt.Errorf("%w: %q", ErrBusy, req.Name)}
 	}
-	delete(st.Regions, req.Name)
+	r := st.regions[i].RegionMeta
+	st.regions = slices.Delete(st.regions, i, i+1)
 	if err := m.persist(ctx, st); err != nil {
-		st.Regions[req.Name] = r
+		st.insert(r)
 		return Resp{Err: err}
 	}
 	m.checkpoint(ctx, st)
@@ -297,7 +298,7 @@ func (m *Manager) handleResilver(ctx *cluster.PairCtx, st *VolumeState) Resilver
 	const chunk = 256 << 10
 	buf := make([]byte, chunk)
 	var copied int64
-	for _, r := range st.sortedRegions() {
+	for _, r := range st.regions {
 		for off := int64(0); off < r.Size; off += chunk {
 			n := r.Size - off
 			if n > chunk {
@@ -318,24 +319,26 @@ func (m *Manager) handleResilver(ctx *cluster.PairCtx, st *VolumeState) Resilver
 	if err := m.persist(ctx, st); err != nil {
 		return ResilverResp{BytesCopied: copied, Err: err}
 	}
-	for _, name := range sortedOpen(st) {
-		m.programRegion(st, name)
+	for _, r := range sortedOpen(st) {
+		m.programRegion(r)
 	}
 	m.Resilvers++
 	return ResilverResp{BytesCopied: copied}
 }
 
-// sortedOpen returns the names of open regions in sorted order. Window
+// sortedOpen returns the open regions in name order. Window
 // (re)programming appends to device address-translation tables, so the
-// programming sequence must not follow map iteration order.
-func sortedOpen(st *VolumeState) []string {
-	names := make([]string, 0, len(st.OpenBy))
-	//simlint:ordered -- collected into a slice and sorted below
-	for name := range st.OpenBy {
-		names = append(names, name)
+// programming sequence is the name order regions were always programmed
+// in, not the table's offset order.
+func sortedOpen(st *VolumeState) []*region {
+	var open []*region
+	for i := range st.regions {
+		if st.regions[i].open != 0 {
+			open = append(open, &st.regions[i])
+		}
 	}
-	sort.Strings(names)
-	return names
+	sort.Slice(open, func(a, b int) bool { return open[a].Name < open[b].Name })
+	return open
 }
 
 // programManagement maps the metadata area of both devices for the PMM's
@@ -355,23 +358,17 @@ func (m *Manager) programManagement(ctx *cluster.PairCtx) {
 
 // programRegion (re)installs the ATT entry for one region on both devices,
 // granting access to exactly the CPUs that hold it open.
-func (m *Manager) programRegion(st *VolumeState, name string) {
-	r := st.Regions[name]
-	if r == nil {
-		return
-	}
+func (m *Manager) programRegion(r *region) {
 	base := uint32(r.Offset)
-	set := st.OpenBy[name]
 	for _, d := range m.devices() {
 		ep := d.Endpoint()
 		ep.UnmapWindow(base)
-		if len(set) == 0 {
+		if r.open == 0 {
 			continue
 		}
-		initiators := make(map[servernet.EndpointID]bool, len(set))
-		//simlint:ordered -- builds a lookup set; insertion order is invisible
-		for cpu := range set {
-			initiators[m.cl.CPU(cpu).Endpoint().ID()] = true
+		initiators := make(map[servernet.EndpointID]bool, bits.OnesCount64(r.open))
+		for set := r.open; set != 0; set &= set - 1 {
+			initiators[m.cl.CPU(bits.TrailingZeros64(set)).Endpoint().ID()] = true
 		}
 		ep.MapWindow(base, uint32(r.Size), d.Store(), r.Offset, servernet.Perm{
 			Read: true, Write: true, Initiators: initiators,
@@ -410,8 +407,7 @@ func (m *Manager) persist(ctx *cluster.PairCtx, st *VolumeState) error {
 // estimate; the PMM table is small).
 func (m *Manager) checkpoint(ctx *cluster.PairCtx, st *VolumeState) {
 	sz := 64
-	//simlint:ordered -- commutative size sum
-	for _, r := range st.Regions {
+	for _, r := range st.regions {
 		sz += 32 + len(r.Name) + len(r.Owner)
 	}
 	ctx.Checkpoint(sz, st.Clone())
@@ -424,8 +420,7 @@ func (m *Manager) recoverOrFormat(ctx *cluster.PairCtx) *VolumeState {
 	best := m.loadBest(ctx)
 	if best != nil {
 		m.Recoveries++
-		best.OpenBy = make(map[string]map[int]bool) // opens do not survive restart
-		return best
+		return best // opens do not survive restart: DecodeMeta reads none
 	}
 	st := NewVolumeState(m.name)
 	m.programManagement(ctx)

@@ -85,7 +85,7 @@ func TestColdStartIgnoresWhatTheSpareHolds(t *testing.T) {
 		stale := NewVolumeState(volume)
 		stale.Gen = 99
 		for i, n := range regions {
-			stale.Regions[n] = &RegionMeta{Name: n, Owner: "nobody", Offset: MetaBytes + int64(i)<<20, Size: 1 << 20}
+			stale.insert(RegionMeta{Name: n, Owner: "nobody", Offset: MetaBytes + int64(i)<<20, Size: 1 << 20})
 		}
 		img, err := EncodeMeta(stale)
 		if err != nil {
@@ -174,7 +174,7 @@ func TestColdStartIgnoresWhatTheSpareHolds(t *testing.T) {
 		if len(got) != 1 || got[0].Name != "log0" || m.Recoveries != 1 {
 			t.Errorf("the restarted manager found regions %v after %d recoveries, want log0 after 1", got, m.Recoveries)
 		}
-		own, err := EncodeMeta(&VolumeState{Volume: "$PM0", Regions: map[string]*RegionMeta{"log0": {Name: "log0", Owner: "test", Offset: MetaBytes, Size: 1 << 20}}})
+		own, err := EncodeMeta(&VolumeState{Volume: "$PM0", regions: []region{{RegionMeta: RegionMeta{Name: "log0", Owner: "test", Offset: MetaBytes, Size: 1 << 20}}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,4 +182,89 @@ func TestColdStartIgnoresWhatTheSpareHolds(t *testing.T) {
 			t.Error("no stale bytes sat just past the payload the slot headers declare")
 		}
 	})
+}
+
+// TestTakeoverKeepsOpenHandles holds the checkpointed open sets to what
+// they are for: the backup that takes over knows which CPUs hold which
+// region open, so a region still open refuses deletion and the windows it
+// reprograms, in region-name order, grant exactly those CPUs. The regions
+// are created so that name order is not offset order. A CPU outside the
+// 64 an open set holds is refused.
+func TestTakeoverKeepsOpenHandles(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := cluster.DefaultConfig()
+	cl := cluster.New(eng, cfg)
+	prim := npmu.New(cl, "npmu-a", 16<<20)
+	mirr := npmu.New(cl, "npmu-b", 16<<20)
+	m := Start(cl, "$PM0", 0, 1, prim, mirr)
+	done := false
+	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
+		call := func(req interface{}) Resp {
+			for {
+				v, err := p.Call("$PM0", 128, req)
+				if err == nil {
+					return v.(Resp)
+				}
+				p.Wait(100 * sim.Millisecond) // the backup is taking over
+			}
+		}
+		info := map[string]RegionInfo{}
+		for _, name := range []string{"z-log", "a-log"} {
+			if r := call(CreateReq{Name: name, Size: 1 << 20, Owner: "test"}); r.Err != nil {
+				t.Errorf("create %s: %v", name, r.Err)
+				return
+			}
+			for _, cpu := range []int{2, 3} {
+				r := call(OpenReq{Name: name, ClientCPU: cpu})
+				if r.Err != nil {
+					t.Errorf("open %s on CPU %d: %v", name, cpu, r.Err)
+					return
+				}
+				info[name] = r.Info
+			}
+		}
+		for _, cpu := range []int{-1, maxOpenCPUs} {
+			if r := call(OpenReq{Name: "a-log", ClientCPU: cpu}); r.Err == nil {
+				t.Errorf("CPU %d opened a region", cpu)
+			}
+		}
+		if r := call(CloseReq{Name: "a-log", ClientCPU: 3}); r.Err != nil {
+			t.Errorf("close: %v", r.Err)
+			return
+		}
+
+		cl.CPU(m.Pair().PrimaryCPU()).Fail()
+		if r := call(DeleteReq{Name: "z-log"}); !errors.Is(r.Err, ErrBusy) {
+			t.Errorf("delete of a region open before the takeover: %v, want ErrBusy", r.Err)
+		}
+		if m.Pair().Takeovers != 1 {
+			t.Errorf("takeovers = %d, want 1", m.Pair().Takeovers)
+			return
+		}
+		write := func(cpu int, name string) error {
+			return cl.Fabric().RDMAWrite(p.Sim(), cl.CPU(cpu).Endpoint().ID(), info[name].Primary, info[name].Base, []byte("x"))
+		}
+		for _, c := range []struct {
+			cpu     int
+			name    string
+			allowed bool
+		}{{2, "a-log", true}, {3, "a-log", false}, {2, "z-log", true}, {3, "z-log", true}} {
+			if err := write(c.cpu, c.name); (err == nil) != c.allowed {
+				t.Errorf("CPU %d writing %s after the takeover: %v, want allowed %v", c.cpu, c.name, err, c.allowed)
+			}
+		}
+		for _, cpu := range []int{2, 3} {
+			call(CloseReq{Name: "z-log", ClientCPU: cpu})
+		}
+		if r := call(DeleteReq{Name: "z-log"}); r.Err != nil {
+			t.Errorf("delete once closed everywhere: %v", r.Err)
+		}
+		done = true
+	})
+	eng.Run()
+	if !done {
+		t.Fatal("the client did not finish")
+	}
+	m.Stop()
+	eng.Run()
 }

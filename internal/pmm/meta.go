@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 )
 
@@ -52,57 +53,58 @@ type RegionMeta struct {
 // counter. It is both the durable on-device format's source and the
 // checkpoint payload between the PMM primary and backup.
 type VolumeState struct {
-	Volume  string
-	Gen     uint64
-	Regions map[string]*RegionMeta
+	Volume string
+	Gen    uint64
 
-	// OpenBy maps region name to the set of CPU indexes holding it open.
-	// Open handles are runtime state: they are checkpointed to the backup
-	// (takeover keeps clients' handles valid) but not written to durable
-	// media (after a power loss all clients are gone anyway).
-	OpenBy map[string]map[int]bool
+	// regions is the region table by value, in offset order: the encode
+	// order and the order Allocate scans.
+	regions []region
 }
+
+// region is one row of the region table: its durable description and the
+// CPUs holding it open, bit i for CPU i. Open handles are runtime state:
+// they are checkpointed to the backup (takeover keeps clients' handles
+// valid) but not written to durable media (after a power loss all clients
+// are gone anyway).
+type region struct {
+	RegionMeta
+	open uint64
+}
+
+// maxOpenCPUs bounds the CPU indexes that may hold a region open: one bit
+// of region.open each.
+const maxOpenCPUs = 64
 
 // NewVolumeState returns an empty state for the named volume.
 func NewVolumeState(volume string) *VolumeState {
-	return &VolumeState{
-		Volume:  volume,
-		Regions: make(map[string]*RegionMeta),
-		OpenBy:  make(map[string]map[int]bool),
-	}
+	return &VolumeState{Volume: volume}
 }
 
-// Clone deep-copies the state (checkpoints must not alias live maps).
+// Clone copies the state (checkpoints must not alias the live table). The
+// table is values all the way down, so a clone is two objects however many
+// regions and opens the volume has.
 func (s *VolumeState) Clone() *VolumeState {
-	c := NewVolumeState(s.Volume)
-	c.Gen = s.Gen
-	//simlint:ordered -- map-to-map copy; insertion order is invisible
-	for n, r := range s.Regions {
-		cp := *r
-		c.Regions[n] = &cp
-	}
-	//simlint:ordered -- map-to-map copy; insertion order is invisible
-	for n, set := range s.OpenBy {
-		cs := make(map[int]bool, len(set))
-		//simlint:ordered -- map-to-map copy; insertion order is invisible
-		for k, v := range set {
-			cs[k] = v
-		}
-		c.OpenBy[n] = cs
-	}
-	return c
+	c := *s
+	c.regions = slices.Clone(s.regions)
+	return &c
 }
 
-// sortedRegions returns regions ordered by offset (stable encode order and
-// allocation scanning).
-func (s *VolumeState) sortedRegions() []*RegionMeta {
-	rs := make([]*RegionMeta, 0, len(s.Regions))
-	//simlint:ordered -- collected into a slice and sorted by offset below
-	for _, r := range s.Regions {
-		rs = append(rs, r)
+// lookup returns the index of the region named name, or -1.
+func (s *VolumeState) lookup(name string) int {
+	for i := range s.regions {
+		if s.regions[i].Name == name {
+			return i
+		}
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Offset < rs[j].Offset })
-	return rs
+	return -1
+}
+
+// insert adds r to the table at its place in offset order, after any
+// region at the same offset, and returns its index.
+func (s *VolumeState) insert(r RegionMeta) int {
+	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].Offset > r.Offset })
+	s.regions = slices.Insert(s.regions, i, region{RegionMeta: r})
+	return i
 }
 
 // Allocate finds a free extent of the given size in a device of capacity
@@ -113,7 +115,7 @@ func (s *VolumeState) Allocate(size, total int64) (int64, error) {
 		return 0, fmt.Errorf("pmm: region size %d must be positive", size)
 	}
 	cursor := int64(MetaBytes)
-	for _, r := range s.sortedRegions() {
+	for _, r := range s.regions {
 		if r.Offset-cursor >= size {
 			return cursor, nil
 		}
@@ -147,9 +149,8 @@ func EncodeMeta(s *VolumeState) ([]byte, error) {
 	}
 
 	putStr(s.Volume)
-	rs := s.sortedRegions()
-	putU32(uint32(len(rs)))
-	for _, r := range rs {
+	putU32(uint32(len(s.regions)))
+	for _, r := range s.regions {
 		putStr(r.Name)
 		putStr(r.Owner)
 		putU64(uint64(r.Offset))
@@ -239,9 +240,7 @@ func DecodeMeta(img []byte) (*VolumeState, error) {
 		if !ok1 || !ok2 || !ok3 || !ok4 {
 			return fail()
 		}
-		st.Regions[name] = &RegionMeta{
-			Name: name, Owner: owner, Offset: int64(off), Size: int64(size),
-		}
+		st.insert(RegionMeta{Name: name, Owner: owner, Offset: int64(off), Size: int64(size)})
 	}
 	return st, nil
 }

@@ -2,6 +2,7 @@ package pmm
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -10,8 +11,8 @@ import (
 func sampleState() *VolumeState {
 	st := NewVolumeState("$PM1")
 	st.Gen = 7
-	st.Regions["adp-log-0"] = &RegionMeta{Name: "adp-log-0", Owner: "$ADP0", Offset: MetaBytes, Size: 1 << 20}
-	st.Regions["tcb"] = &RegionMeta{Name: "tcb", Owner: "$TMF", Offset: MetaBytes + 1<<20, Size: 4096}
+	st.insert(RegionMeta{Name: "tcb", Owner: "$TMF", Offset: MetaBytes + 1<<20, Size: 4096})
+	st.insert(RegionMeta{Name: "adp-log-0", Owner: "$ADP0", Offset: MetaBytes, Size: 1 << 20})
 	return st
 }
 
@@ -28,8 +29,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Volume != st.Volume || got.Gen != st.Gen {
 		t.Errorf("volume/gen = %q/%d, want %q/%d", got.Volume, got.Gen, st.Volume, st.Gen)
 	}
-	if !reflect.DeepEqual(got.Regions, st.Regions) {
-		t.Errorf("regions = %+v, want %+v", got.Regions, st.Regions)
+	if !reflect.DeepEqual(got.regions, st.regions) {
+		t.Errorf("regions = %+v, want %+v", got.regions, st.regions)
+	}
+	if st.regions[0].Name != "adp-log-0" {
+		t.Errorf("the table starts with %q, want the region at the lowest offset", st.regions[0].Name)
 	}
 }
 
@@ -68,15 +72,15 @@ func TestAllocateFirstFit(t *testing.T) {
 	if off1 != MetaBytes {
 		t.Errorf("first allocation at %d, want %d (after metadata)", off1, MetaBytes)
 	}
-	st.Regions["a"] = &RegionMeta{Name: "a", Offset: off1, Size: 1 << 20}
+	st.insert(RegionMeta{Name: "a", Offset: off1, Size: 1 << 20})
 	off2, _ := st.Allocate(1<<20, total)
 	if off2 != off1+1<<20 {
 		t.Errorf("second allocation at %d, want %d", off2, off1+1<<20)
 	}
-	st.Regions["b"] = &RegionMeta{Name: "b", Offset: off2, Size: 1 << 20}
+	st.insert(RegionMeta{Name: "b", Offset: off2, Size: 1 << 20})
 
 	// Delete the first region: its gap is reused first-fit.
-	delete(st.Regions, "a")
+	st.regions = st.regions[1:]
 	off3, _ := st.Allocate(512<<10, total)
 	if off3 != off1 {
 		t.Errorf("gap reuse at %d, want %d", off3, off1)
@@ -105,15 +109,35 @@ func TestSlotAlternation(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	st := sampleState()
-	st.OpenBy["tcb"] = map[int]bool{2: true}
+	tcb := st.lookup("tcb")
+	st.regions[tcb].open = 1 << 2
 	c := st.Clone()
-	c.Regions["tcb"].Size = 1
-	c.OpenBy["tcb"][3] = true
-	if st.Regions["tcb"].Size == 1 {
+	c.regions[tcb].Size = 1
+	c.regions[tcb].open |= 1 << 3
+	if st.regions[tcb].Size == 1 {
 		t.Error("Clone aliases region metadata")
 	}
-	if st.OpenBy["tcb"][3] {
+	if st.regions[tcb].open != 1<<2 {
 		t.Error("Clone aliases open sets")
+	}
+}
+
+// TestCloneIsTwoObjects holds a checkpoint's copy of the table to the state
+// and one slice, however many regions the volume has and however many CPUs
+// hold them open: the PMM clones the table on every create, open, close and
+// delete, and a copy per region and per open set was about one object per
+// transaction of a crash scenario.
+func TestCloneIsTwoObjects(t *testing.T) {
+	for _, n := range []int{1, 4, 40} {
+		st := NewVolumeState("$PM0")
+		for i := 0; i < n; i++ {
+			st.insert(RegionMeta{Name: fmt.Sprintf("log%d", i), Owner: "$ADP0", Offset: MetaBytes + int64(i)<<20, Size: 1 << 20})
+			st.regions[i].open = 1<<1 | 1<<2 | 1<<3
+		}
+		var c *VolumeState
+		if got := testing.AllocsPerRun(100, func() { c = st.Clone() }); got != 2 || len(c.regions) != n {
+			t.Errorf("cloning a table of %d open regions allocates %v objects, want 2", n, got)
+		}
 	}
 }
 
@@ -139,13 +163,10 @@ func TestMetaRoundTripProperty(t *testing.T) {
 			if len(name) > 100 {
 				name = name[:100]
 			}
-			if name == "" || st.Regions[name] != nil {
+			if name == "" || st.lookup(name) >= 0 {
 				continue
 			}
-			st.Regions[name] = &RegionMeta{
-				Name: name, Owner: sp.Owner,
-				Offset: int64(sp.Off), Size: int64(sp.Size),
-			}
+			st.insert(RegionMeta{Name: name, Owner: sp.Owner, Offset: int64(sp.Off), Size: int64(sp.Size)})
 		}
 		img, err := EncodeMeta(st)
 		if err != nil {
@@ -156,7 +177,7 @@ func TestMetaRoundTripProperty(t *testing.T) {
 			return false
 		}
 		return got.Volume == st.Volume && got.Gen == st.Gen &&
-			reflect.DeepEqual(got.Regions, st.Regions)
+			reflect.DeepEqual(got.regions, st.regions)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -168,7 +168,7 @@ func TestResilverCopiesThePrimaryOverTheReturnedMirror(t *testing.T) {
 			newest = st
 		}
 	}
-	if newest == nil || len(newest.Regions) != 2 || newest.Regions["b"] == nil || newest.Regions["b"].Offset != offB {
+	if newest == nil || len(newest.regions) != 2 || newest.lookup("b") < 0 || newest.regions[newest.lookup("b")].Offset != offB {
 		t.Errorf("the mirror's newest metadata is %+v, want regions a and b", newest)
 	}
 }

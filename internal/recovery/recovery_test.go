@@ -191,28 +191,45 @@ func TestRebuiltAccessors(t *testing.T) {
 	}
 }
 
-// RowBody is the scenarios' row image: the bytes fmt.Sprintf("row-%d")
-// gave, in one allocation; AppendRowBody into a RowBodyMax stack buffer
-// gives the same bytes in none.
+// AppendRowBody gives the scenarios' row image, the bytes fmt.Sprintf("row-%d")
+// gave, in a RowBodyMax stack buffer with no allocation; RowBodies carves
+// the same bytes from 4 KiB slabs, each body capacity-clipped so an append
+// to it cannot reach its neighbour, at one allocation per slab.
 func TestRowBody(t *testing.T) {
 	var buf [RowBodyMax]byte
+	var bodies RowBodies
 	for _, key := range []uint64{0, 7, 41, 1000003, 1<<64 - 1} {
 		want := fmt.Sprintf("row-%d", key)
-		if got := RowBody(key); string(got) != want {
-			t.Errorf("RowBody(%d) = %q, want %q", key, got, want)
-		}
 		if got := AppendRowBody(buf[:0], key); string(got) != want || cap(got) != RowBodyMax {
 			t.Errorf("AppendRowBody(%d) = %q (cap %d), want %q in the stack buffer", key, got, cap(got), want)
 		}
+		if got := bodies.Next(key); string(got) != want || cap(got) != len(got) {
+			t.Errorf("RowBodies.Next(%d) = %q (cap %d), want %q with cap == len", key, got, cap(got), want)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { RowBody(39994) }); n != 1 {
-		t.Errorf("RowBody allocates %v times, want 1", n)
+	const n = 10000
+	var total int
+	got := make([][]byte, 0, n)
+	allocs := testing.AllocsPerRun(1, func() {
+		got, total = got[:0], 0
+		for key := uint64(0); key < n; key++ {
+			body := bodies.Next(key)
+			got = append(got, body)
+			total += len(body)
+		}
+	})
+	if slabs := float64(total+rowSlabBytes-1) / rowSlabBytes; allocs > slabs {
+		t.Errorf("%d bodies of %d B made %v allocations, want at most one per 4 KiB (%.0f)", n, total, allocs, slabs)
 	}
-	body := RowBody(39994)
+	for key, body := range got {
+		if want := AppendRowBody(buf[:0], uint64(key)); !bytes.Equal(body, want) || cap(body) != len(body) {
+			t.Fatalf("body %d = %q (cap %d), want %q with cap == len", key, body, cap(body), want)
+		}
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		var want [RowBodyMax]byte
-		if !bytes.Equal(body, AppendRowBody(want[:0], 39994)) {
-			t.Fatal("RowBody and AppendRowBody disagree")
+		if !bytes.Equal(got[39], AppendRowBody(want[:0], 39)) {
+			t.Fatal("RowBodies and AppendRowBody disagree")
 		}
 	}); n != 0 {
 		t.Errorf("comparing against AppendRowBody on the stack allocates %v times, want 0", n)

@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 
@@ -42,8 +41,8 @@ func ScenarioOptions(d ods.Durability, seed int64) ods.Options {
 	return opts
 }
 
-// RowBodyMax is the longest body RowBody returns: "row-" and the 20 digits
-// of the largest uint64.
+// RowBodyMax is the longest body AppendRowBody appends: "row-" and the 20
+// digits of the largest uint64.
 const RowBodyMax = len("row-") + 20
 
 // AppendRowBody appends the body every crash scenario commits under key,
@@ -53,12 +52,24 @@ func AppendRowBody(dst []byte, key uint64) []byte {
 	return strconv.AppendUint(append(dst, "row-"...), key, 10)
 }
 
-// RowBody is AppendRowBody built on the stack and copied out once: one
-// right-sized allocation an insert where fmt.Sprintf plus a []byte
-// conversion made three.
-func RowBody(key uint64) []byte {
-	var tmp [RowBodyMax]byte
-	return bytes.Clone(AppendRowBody(tmp[:0], key))
+// rowSlabBytes is the size of one RowBodies slab.
+const rowSlabBytes = 4 << 10
+
+// RowBodies hands out the bodies a crash scenario inserts, each
+// AppendRowBody's bytes, carved from shared 4 KiB slabs: one allocation per
+// couple of hundred inserts where a body of its own cost one an insert. The
+// zero value is ready to use.
+type RowBodies struct{ slab []byte }
+
+// Next returns key's body. It is capacity-clipped, so an append to it
+// copies it rather than reaching into the next body of the slab.
+func (b *RowBodies) Next(key uint64) []byte {
+	if cap(b.slab)-len(b.slab) < RowBodyMax {
+		b.slab = make([]byte, 0, rowSlabBytes)
+	}
+	n := len(b.slab)
+	b.slab = AppendRowBody(b.slab, key)
+	return b.slab[n:len(b.slab):len(b.slab)]
 }
 
 // RunScenario builds a data-retaining store with the given durability,
@@ -79,6 +90,7 @@ func runScenario(opts ods.Options, txns int) ScenarioResult {
 	crashNow := s.Eng.NewChan("crash")
 	s.Cl.CPU(3).Spawn("workload", func(p *cluster.Process) {
 		se := s.NewSession(p)
+		var bodies RowBodies
 		for i := 0; i < txns; i++ {
 			txn, err := se.Begin()
 			if err != nil {
@@ -87,7 +99,7 @@ func runScenario(opts ods.Options, txns int) ScenarioResult {
 			}
 			for j := 0; j < 4; j++ {
 				key := uint64(i*10 + j + 1)
-				txn.InsertAsync("TRADES", key, RowBody(key))
+				txn.InsertAsync("TRADES", key, bodies.Next(key))
 				res.Committed = append(res.Committed, key)
 			}
 			if err := txn.Commit(); err != nil {
