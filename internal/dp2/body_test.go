@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"persistmem/internal/cluster"
-	"persistmem/internal/sim"
 )
 
 // A retaining DP2 keeps each row's body as a pointer to its first byte and
 // its length, and rebuilds the slice on a read. These tests read bodies of
 // 0, 1 and 4 096 bytes back through every way a row gets its body: the
-// insert, the re-admission after a miss, a key aborted and inserted again,
-// the backup's checkpointed image, and a PM-direct rebuild.
+// insert, a key aborted and inserted again, the backup's checkpointed image,
+// and a PM-direct rebuild.
 
 // retained names the rows of these tests and their lengths: keys 1–3 are
 // inserted once, keys 11–13 are inserted, aborted and inserted again.
@@ -37,53 +36,31 @@ func insertRetained(t *testing.T, p *cluster.Process) {
 
 // TestRetainedBodiesReadBackWhileResidentAndAfterTakeover reads every body
 // from the cache, again once it is destaged, and again from the image the
-// backup absorbed from checkpoints after the primary is killed.
+// backup absorbed from checkpoints after the primary is killed. A destaged
+// row stays in the cache: no read touches the data volume.
 func TestRetainedBodiesReadBackWhileResidentAndAfterTakeover(t *testing.T) {
-	eng, cl, d := harness(t, func(c *Config) { c.WritebackInterval = 10 * sim.Millisecond })
+	eng, cl, d := harness(t, nil)
+	vol := d.cfg.Volume
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		insertRetained(t, p)
 		readBackAll(t, p, retained)
 		p.Wait(settle)
-		if st := call(t, p, &StateReq{}).Resp; st.Writebacks == 0 || st.DirtyBytes != 0 || st.Evictions != 0 {
-			t.Fatalf("after settling: Writebacks %d, DirtyBytes %d, Evictions %d; want every row destaged and still resident",
-				st.Writebacks, st.DirtyBytes, st.Evictions)
+		if st := call(t, p, &StateReq{}).Resp; st.Writebacks == 0 || st.DirtyBytes != 0 {
+			t.Fatalf("after settling: Writebacks %d, DirtyBytes %d; want every row destaged", st.Writebacks, st.DirtyBytes)
 		}
 		readBackAll(t, p, retained)
+		if vol.Stats.Reads != 0 {
+			t.Errorf("%d data-volume reads serving destaged rows, want none", vol.Stats.Reads)
+		}
 		d.Pair().KillPrimary()
 		p.Wait(cluster.TakeoverDelay + settle)
 		if d.Pair().Takeovers != 1 {
 			t.Fatalf("takeovers = %d, want 1", d.Pair().Takeovers)
 		}
 		readBackAll(t, p, retained)
-	})
-	eng.Run()
-	eng.Shutdown()
-}
-
-// TestRetainedBodiesReadBackAfterEviction bounds the cache at one 4 KB row
-// and a half, so destage evicts keys 1–3; a read of key 3 re-reads it from
-// the volume and re-admits that buffer as the row's body, and the next read
-// of key 3 is served from it.
-func TestRetainedBodiesReadBackAfterEviction(t *testing.T) {
-	eng, cl, _ := harness(t, func(c *Config) {
-		c.WritebackInterval = 10 * sim.Millisecond
-		c.MaxCacheBytes = 6 << 10
-	})
-	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		insertRetained(t, p)
-		p.Wait(settle)
-		before := call(t, p, &StateReq{}).Resp
-		if before.Evictions == 0 || before.CacheBytes > 6<<10 {
-			t.Fatalf("after settling: %d evictions, %d bytes cached; want evictions and at most %d", before.Evictions, before.CacheBytes, 6<<10)
+		if vol.Stats.Reads != 0 {
+			t.Errorf("%d data-volume reads after the takeover, want none", vol.Stats.Reads)
 		}
-		one := map[uint64]int{3: retained[3]}
-		readBackAll(t, p, one)
-		readBackAll(t, p, one)
-		after := call(t, p, &StateReq{}).Resp
-		if misses := after.CacheMisses - before.CacheMisses; misses != 1 {
-			t.Errorf("two reads of evicted key 3 missed %d times, want 1: the second is the re-admitted body", misses)
-		}
-		readBackAll(t, p, retained)
 	})
 	eng.Run()
 	eng.Shutdown()

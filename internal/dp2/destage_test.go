@@ -19,16 +19,16 @@ import (
 // budget, such a row behind a stale queue entry, and a batch requeued
 // because the data volume was down.
 
-// settle is long enough for dozens of 10 ms destage intervals.
-const settle = 500 * sim.Millisecond
+// settle is twenty destage intervals: long enough for the destager to
+// write several batches, or to fail twenty times at a volume that is down.
+const settle = 20 * writebackInterval
 
 // rowBody is a row image whose every byte depends on the key.
 func rowBody(key uint64, n int) []byte {
 	return bytes.Repeat([]byte{byte(key*37 + 1)}, n)
 }
 
-// readBackAll reads every key and checks the bytes, whichever of cache and
-// data volume serves them.
+// readBackAll reads every key and checks the bytes.
 func readBackAll(t *testing.T, p *cluster.Process, sizes map[uint64]int) {
 	t.Helper()
 	for key, n := range sizes {
@@ -43,14 +43,27 @@ func readBackAll(t *testing.T, p *cluster.Process, sizes map[uint64]int) {
 	}
 }
 
+// volumeHolds checks that the data volume holds the bodies of keys back to
+// back from offset 0, in that order: the extent the destager wrote them to.
+func volumeHolds(t *testing.T, vol *disk.Volume, keys []uint64, sizes map[uint64]int) {
+	t.Helper()
+	var want []byte
+	for _, key := range keys {
+		want = append(want, rowBody(key, sizes[key])...)
+	}
+	got := make([]byte, len(want))
+	if err := vol.Store().ReadAt(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the volume's first %d bytes are not the bodies of keys %v back to back", len(want), keys)
+	}
+}
+
 func TestDestageOversizeRowGoesAlone(t *testing.T) {
-	const budget = 8 << 10
-	sizes := map[uint64]int{1: 3 << 10, 2: 20 << 10, 3: 3 << 10, 4: 3 << 10, 5: 9 << 10}
-	eng, cl, _ := harness(t, func(c *Config) {
-		c.WritebackMaxBytes = budget
-		c.WritebackInterval = 10 * sim.Millisecond
-		c.MaxCacheBytes = 1 // evict every destaged row: reads come from the volume
-	})
+	const b = writebackBudget
+	sizes := map[uint64]int{1: 3 * b / 8, 2: 5 * b / 2, 3: 3 * b / 8, 4: 3 * b / 8, 5: 9 * b / 8}
+	eng, cl, d := harness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		var total int64
 		for key := uint64(1); key <= 5; key++ {
@@ -62,18 +75,13 @@ func TestDestageOversizeRowGoesAlone(t *testing.T) {
 		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
 		p.Wait(settle)
 		st := call(t, p, &StateReq{}).Resp
-		// Batches in queue order under an 8 KB budget: {1}, {2} alone and
+		// Batches in queue order under the budget: {1}, {2} alone and
 		// oversize, {3,4}, {5} alone and oversize.
 		if st.Writebacks != 4 || st.WrittenBack != total || st.DirtyBytes != 0 {
 			t.Errorf("Writebacks = %d, WrittenBack = %d, DirtyBytes = %d; want 4, %d, 0", st.Writebacks, st.WrittenBack, st.DirtyBytes, total)
 		}
-		if st.Evictions != 5 {
-			t.Errorf("Evictions = %d, want all 5 rows out of the cache", st.Evictions)
-		}
+		volumeHolds(t, d.cfg.Volume, []uint64{1, 2, 3, 4, 5}, sizes)
 		readBackAll(t, p, sizes)
-		if st = call(t, p, &StateReq{}).Resp; st.CacheMisses == 0 {
-			t.Error("no read came from the data volume")
-		}
 	})
 	eng.Run()
 	eng.Shutdown()
@@ -83,14 +91,10 @@ func TestDestageOversizeRowBehindStaleEntry(t *testing.T) {
 	// An aborted insert leaves a stale entry at the head of the dirty
 	// queue. The oversize row queued behind it must still be destaged, in
 	// the same interval, not left for the next kick.
-	eng, cl, _ := harness(t, func(c *Config) {
-		c.WritebackMaxBytes = 4 << 10
-		c.WritebackInterval = 10 * sim.Millisecond
-		c.MaxCacheBytes = 1
-	})
-	sizes := map[uint64]int{2: 10 << 10}
+	eng, cl, d := harness(t, nil)
+	sizes := map[uint64]int{2: 5 * writebackBudget / 2}
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: rowBody(1, 1<<10)})
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: rowBody(1, writebackBudget/4)})
 		call(t, p, &EndTxnReq{Txn: 1, Commit: false})
 		call(t, p, &InsertReq{Txn: 2, Key: 2, Body: rowBody(2, sizes[2])})
 		call(t, p, &EndTxnReq{Txn: 2, Commit: true})
@@ -99,23 +103,19 @@ func TestDestageOversizeRowBehindStaleEntry(t *testing.T) {
 		if st.Writebacks != 1 || st.WrittenBack != int64(sizes[2]) || st.DirtyBytes != 0 {
 			t.Errorf("Writebacks = %d, WrittenBack = %d, DirtyBytes = %d; want 1, %d, 0", st.Writebacks, st.WrittenBack, st.DirtyBytes, sizes[2])
 		}
+		volumeHolds(t, d.cfg.Volume, []uint64{2}, sizes)
 		readBackAll(t, p, sizes)
 	})
 	eng.Run()
 	eng.Shutdown()
 }
 
-// The destage and eviction queues tell a live entry from a stale one by key
-// and stamp, so every insert must get a stamp of its own: a key aborted and
-// inserted again gets a new one, and the first insert's queue entry stays
-// stale. Were the stamp reused, that entry would match again and the row be
+// The destage queue tells a live entry from a stale one by key and stamp,
+// so every insert must get a stamp of its own: a key aborted and inserted
+// again gets a new one, and the first insert's queue entry stays stale. Were the stamp reused, that entry would match again and the row be
 // destaged twice.
 func TestDestageSkipsTheAbortedRowOfAReinsertedKey(t *testing.T) {
-	eng, cl, _ := harness(t, func(c *Config) {
-		c.WritebackMaxBytes = 64 << 10
-		c.WritebackInterval = 10 * sim.Millisecond
-		c.MaxCacheBytes = 1 // evict after destage: the read comes from the volume
-	})
+	eng, cl, d := harness(t, nil)
 	sizes := map[uint64]int{1: 3 << 10, 2: 2 << 10}
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: bytes.Repeat([]byte{0xEE}, 1<<10)})
@@ -129,9 +129,7 @@ func TestDestageSkipsTheAbortedRowOfAReinsertedKey(t *testing.T) {
 			t.Errorf("Writebacks = %d, WrittenBack = %d, DirtyBytes = %d; want 1, %d, 0: the aborted row's entry was not skipped",
 				st.Writebacks, st.WrittenBack, st.DirtyBytes, want)
 		}
-		if st.Evictions != 2 {
-			t.Errorf("Evictions = %d, want both committed rows out of the cache, each once", st.Evictions)
-		}
+		volumeHolds(t, d.cfg.Volume, []uint64{1, 2}, sizes)
 		readBackAll(t, p, sizes)
 	})
 	eng.Run()
@@ -185,8 +183,8 @@ func TestInsertStampsAreHandedOutOnce(t *testing.T) {
 	if first.key != 1 || prim.live(first) != nil {
 		t.Errorf("the aborted insert's entry (key %d) still names a live row", first.key)
 	}
-	if prim.dirty != 64 || prim.cacheBytes != 64 {
-		t.Errorf("dirty %d, cache %d bytes after the abort and reinsert; want 64, 64", prim.dirty, prim.cacheBytes)
+	if prim.dirty != 64 {
+		t.Errorf("%d bytes dirty after the abort and reinsert; want 64", prim.dirty)
 	}
 }
 
@@ -195,9 +193,9 @@ func TestInsertStampsAreHandedOutOnce(t *testing.T) {
 // header and 62 items in one block, is 2 032 B of the 2 048-byte size class
 // with the malloc header; a queue entry is 16 bytes and holds no pointer,
 // so the queues pin no row and the collector does not scan them. A field that
-// widens the row — a body slice header in place of the data pointer, or the
-// two flags as fields of their own beside the stamp — pushes every full leaf
-// into a larger size class and trips this; so does a *row back in the entry.
+// widens the row — a body slice header in place of the data pointer, or a
+// volume offset beside the dirty flag — pushes every full leaf into a larger
+// size class and trips this; so does a *row back in the entry.
 func TestCacheShapes(t *testing.T) {
 	if got := unsafe.Sizeof(row{}); got != 24 {
 		t.Errorf("a row is %d bytes, want 24", got)
@@ -213,20 +211,12 @@ func TestCacheShapes(t *testing.T) {
 			t.Errorf("a queue entry holds %s %s: an entry is plain integers, so the queues pin nothing", f.Name, f.Type)
 		}
 	}
-	var r row
-	r.loc = rowDirty | rowResident | 1<<40 | 12345
-	if !r.dirty() || !r.resident() || r.volOff() != 1<<40|12345 {
-		t.Errorf("loc %#x reads dirty %v, resident %v, offset %d", r.loc, r.dirty(), r.resident(), r.volOff())
-	}
 }
 
 func TestDestageRequeuesWhileVolumeDown(t *testing.T) {
-	sizes := map[uint64]int{1: 2 << 10, 2: 5 << 10, 3: 2 << 10, 4: 12 << 10}
-	eng, cl, d := harness(t, func(c *Config) {
-		c.WritebackMaxBytes = 8 << 10
-		c.WritebackInterval = 10 * sim.Millisecond
-		c.MaxCacheBytes = 1
-	})
+	const b = writebackBudget
+	sizes := map[uint64]int{1: b / 4, 2: 5 * b / 8, 3: b / 4, 4: 3 * b / 2}
+	eng, cl, d := harness(t, nil)
 	vol := d.cfg.Volume
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		vol.Fail()
@@ -236,13 +226,12 @@ func TestDestageRequeuesWhileVolumeDown(t *testing.T) {
 			total += int64(sizes[key])
 		}
 		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
-		p.Wait(settle) // dozens of failed intervals
+		p.Wait(settle) // twenty failed intervals
 		st := call(t, p, &StateReq{}).Resp
-		if st.Writebacks != 0 || st.WrittenBack != 0 || st.DirtyBytes != total || st.Evictions != 0 {
-			t.Errorf("volume down: Writebacks = %d, WrittenBack = %d, DirtyBytes = %d, Evictions = %d; want 0, 0, %d, 0",
-				st.Writebacks, st.WrittenBack, st.DirtyBytes, st.Evictions, total)
+		if st.Writebacks != 0 || st.WrittenBack != 0 || st.DirtyBytes != total {
+			t.Errorf("volume down: Writebacks = %d, WrittenBack = %d, DirtyBytes = %d; want 0, 0, %d",
+				st.Writebacks, st.WrittenBack, st.DirtyBytes, total)
 		}
-		// Still dirty means still resident: reads are served from cache.
 		readBackAll(t, p, sizes)
 
 		vol.Restore()
@@ -253,11 +242,8 @@ func TestDestageRequeuesWhileVolumeDown(t *testing.T) {
 		if st.Writebacks != 3 || st.WrittenBack != total || st.DirtyBytes != 0 {
 			t.Errorf("after restore: Writebacks = %d, WrittenBack = %d, DirtyBytes = %d; want 3, %d, 0", st.Writebacks, st.WrittenBack, st.DirtyBytes, total)
 		}
-		misses := st.CacheMisses
+		volumeHolds(t, vol, []uint64{1, 2, 3, 4}, sizes)
 		readBackAll(t, p, sizes)
-		if st = call(t, p, &StateReq{}).Resp; st.CacheMisses != misses+int64(len(sizes)) {
-			t.Errorf("CacheMisses went %d -> %d, want every row fetched from the volume", misses, st.CacheMisses)
-		}
 	})
 	eng.Run()
 	eng.Shutdown()
@@ -296,85 +282,83 @@ func TestDestageBufLen(t *testing.T) {
 
 // destageRun is what one destager wrote for a fixed set of rows.
 type destageRun struct {
-	offsets                 []int64 // each row's volume offset, in insert order
 	writebacks, writtenBack int64
 	drained                 sim.Time // virtual time the destager went idle
-	cleanq                  int
 	vol                     *disk.Volume
 }
 
+// scribble is the byte a destageRows volume holds where nothing was written.
+const scribble = 0xAB
+
 // destageRows queues rows of the given sizes in one committed transaction and
 // runs the destager on them directly, over a retaining data volume, until it
-// blocks for want of dirty data.
-func destageRows(t *testing.T, sizes []int, tweak func(*Config)) destageRun {
+// blocks for want of dirty data. The volume starts out scribble up to a page
+// past the rows, so the extent the destager wrote shows in its bytes.
+func destageRows(t *testing.T, sizes []int, retain bool) destageRun {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	defer eng.Shutdown()
 	cl := cluster.New(eng, cluster.DefaultConfig())
 	vol := disk.New(eng, "$DATA", disk.DefaultConfig(), 64<<20)
-	d := &DP2{cl: cl, cfg: Config{Volume: vol, WritebackInterval: 10 * sim.Millisecond}}
-	if tweak != nil {
-		tweak(&d.cfg)
-	}
-	d.cfg.applyDefaults()
+	d := &DP2{cl: cl, cfg: Config{Volume: vol, RetainData: retain}}
 	st := newState()
+	total := 0
 	for i, n := range sizes {
 		key := uint64(i + 1)
-		st.applyInsert(insertDelta{txn: 1, key: key, body: rowBody(key, n), blen: n}, d.cfg.RetainData)
+		st.applyInsert(insertDelta{txn: 1, key: key, body: rowBody(key, n), blen: n}, retain)
+		total += n
 	}
 	st.applyEnd(endDelta{txn: 1, commit: true})
+	if err := vol.Store().WriteAt(0, bytes.Repeat([]byte{scribble}, total+4096)); err != nil {
+		t.Fatal(err)
+	}
 	kick := eng.NewBoundedChan("kick", 1)
 	cl.CPU(1).Spawn("wb", func(p *cluster.Process) { d.writeback(p, st, kick) })
 	kick.TrySend(nil)
 	eng.Run()
-	run := destageRun{
-		writebacks: d.stats.Writebacks, writtenBack: d.stats.WrittenBack,
-		drained: eng.Now(), cleanq: st.cleanq.len(), vol: vol,
-	}
-	for i := range sizes {
-		r, _ := st.tree.Get(uint64(i + 1))
-		run.offsets = append(run.offsets, r.volOff())
-	}
-	return run
+	return destageRun{writebacks: d.stats.Writebacks, writtenBack: d.stats.WrittenBack, drained: eng.Now(), vol: vol}
 }
 
 // TestDestageOfANonRetainingDP2 holds what a DP2 that keeps no row bodies
 // writes when it destages to a volume that does keep them: batches of
-// 1540 KB, 3 MB alone (larger than the zero block), 1544 KB and 700 KB
-// land at the same offsets, in the same number of writes and bytes, and the
-// destager goes idle at the same virtual instant as a retaining DP2's — the
-// figures pinned are what both read before the zero block. The volume holds
-// zeros where the retaining DP2 wrote bodies, and the zero block is still
+// 1540 KB, 3 MB alone (larger than the zero block), 1544 KB and 700 KB, in
+// the same number of writes and bytes as a retaining DP2's, over the same
+// extent of the volume, and the destager goes idle at the same virtual
+// instant, 585.88 ms: four 100 ms intervals and the four writes. The volume
+// holds, from offset 0 and back to back in insert order, zeros where the
+// retaining DP2 wrote bodies, and nothing past the rows — a batch at any
+// other offset leaves scribble inside that extent. The zero block is still
 // all zero afterwards.
 func TestDestageOfANonRetainingDP2(t *testing.T) {
 	sizes := []int{4 << 10, 1 << 20, 512 << 10, 3 << 20, 8 << 10, 1536 << 10, 700 << 10}
-	want := []int64{0, 4096, 1052672, 1576960, 4722688, 4730880, 6303744}
 	const total = 7020544
 	for _, retain := range []bool{false, true} {
-		run := destageRows(t, sizes, func(c *Config) { c.RetainData = retain })
-		if !reflect.DeepEqual(run.offsets, want) {
-			t.Errorf("retain=%v: rows destaged at %v, want %v", retain, run.offsets, want)
-		}
+		run := destageRows(t, sizes, retain)
 		if vs := run.vol.Stats; run.writebacks != 4 || run.writtenBack != total || vs.Writes != 4 || vs.BytesWritten != total {
 			t.Errorf("retain=%v: Writebacks %d, WrittenBack %d, volume writes %d of %d bytes; want 4, %d, 4, %d",
 				retain, run.writebacks, run.writtenBack, vs.Writes, vs.BytesWritten, total, total)
 		}
-		if run.drained != 225882811 {
-			t.Errorf("retain=%v: destager idle at %v, want 225.882811ms", retain, run.drained)
+		if run.drained != 585882811 {
+			t.Errorf("retain=%v: destager idle at %v, want 585.882811ms", retain, run.drained)
 		}
+		got := make([]byte, total+4096)
+		if err := run.vol.Store().ReadAt(0, got); err != nil {
+			t.Fatal(err)
+		}
+		var off int
 		for i, n := range sizes {
 			key := uint64(i + 1)
-			got := make([]byte, n)
-			if err := run.vol.Store().ReadAt(run.offsets[i], got); err != nil {
-				t.Fatal(err)
-			}
 			img := rowBody(key, n)
 			if !retain {
 				img = make([]byte, n)
 			}
-			if !bytes.Equal(got, img) {
-				t.Errorf("retain=%v: row %d on the volume is not the image the DP2 holds", retain, key)
+			if !bytes.Equal(got[off:off+n], img) {
+				t.Errorf("retain=%v: the volume at %d does not hold row %d as the DP2 does", retain, off, key)
 			}
+			off += n
+		}
+		if !bytes.Equal(got[total:], bytes.Repeat([]byte{scribble}, 4096)) {
+			t.Errorf("retain=%v: the destager wrote past the rows' %d bytes", retain, total)
 		}
 	}
 	if !bytes.Equal(zeroBlock[:], make([]byte, len(zeroBlock))) {
@@ -393,7 +377,7 @@ func TestZeroBlockSharedAcrossEngines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runs[g] = destageRows(t, sizes, nil)
+			runs[g] = destageRows(t, sizes, false)
 		}()
 	}
 	wg.Wait()
@@ -407,20 +391,6 @@ func TestZeroBlockSharedAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestCleanQueueOnlyWhileEvicting holds that a destaged row joins the clean
-// queue only when something will pop it: with MaxCacheBytes 0 it stays
-// empty; with a budget, every destaged row waits there for eviction.
-func TestCleanQueueOnlyWhileEvicting(t *testing.T) {
-	sizes := []int{4 << 10, 4 << 10, 4 << 10}
-	if run := destageRows(t, sizes, nil); run.writtenBack != 12<<10 || run.cleanq != 0 {
-		t.Errorf("unbounded cache: %d bytes destaged, %d rows queued for an eviction that never runs; want %d, 0", run.writtenBack, run.cleanq, 12<<10)
-	}
-	run := destageRows(t, sizes, func(c *Config) { c.MaxCacheBytes = 1 << 30 })
-	if run.writtenBack != 12<<10 || run.cleanq != len(sizes) {
-		t.Errorf("bounded cache: %d bytes destaged, %d rows queued for eviction; want %d, %d", run.writtenBack, run.cleanq, 12<<10, len(sizes))
-	}
-}
-
 // TestTakeoverDestagesEverythingAgain pins the backup's destage debt as it
 // stands. A backup folds every checkpointed insert into its image as a dirty
 // row and queues it for a destage it never runs: its dirty queue only grows,
@@ -430,7 +400,7 @@ func TestCleanQueueOnlyWhileEvicting(t *testing.T) {
 // Retiring destaged rows at the backup would move fault-cell virtual results;
 // when that is done on purpose, this test changes with it.
 func TestTakeoverDestagesEverythingAgain(t *testing.T) {
-	eng, cl, d := harness(t, func(c *Config) { c.WritebackInterval = 10 * sim.Millisecond })
+	eng, cl, d := harness(t, nil)
 	vol := d.cfg.Volume
 	const rowLen, rows = 4 << 10, 8
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {

@@ -71,40 +71,12 @@ type Config struct {
 	PMVolume     string
 	PMRegionSize int64
 
-	// AuditSendBytes forwards buffered audit to the ADP when it exceeds
-	// this size (commit forces the remainder). Default 24 KB.
-	AuditSendBytes int
-	// LockTimeout bounds row-lock waits (deadlock resolution).
-	LockTimeout sim.Time
 	// RetainData keeps row bodies in the cache; benchmark runs disable it
 	// to avoid materializing gigabytes (timing is unaffected).
 	RetainData bool
-	// WritebackInterval and WritebackMaxBytes shape the background
-	// destage of dirty data to the volume.
-	WritebackInterval sim.Time
-	WritebackMaxBytes int
-	// MaxCacheBytes bounds the resident row cache; 0 means unbounded.
-	// When the budget is exceeded, destaged rows are evicted FIFO and
-	// later reads fetch them back from the data volume.
-	MaxCacheBytes int64
 	// Metrics, when set, attaches span instruments (insert, checkpoint,
 	// audit send, lock wait, PM write) to this DP2. Nil costs nothing.
 	Metrics *metrics.Registry
-}
-
-func (c *Config) applyDefaults() {
-	if c.AuditSendBytes == 0 {
-		c.AuditSendBytes = 24 << 10
-	}
-	if c.LockTimeout == 0 {
-		c.LockTimeout = 500 * sim.Millisecond
-	}
-	if c.WritebackInterval == 0 {
-		c.WritebackInterval = 100 * sim.Millisecond
-	}
-	if c.WritebackMaxBytes == 0 {
-		c.WritebackMaxBytes = writebackBudget
-	}
 }
 
 // CPU costs of the database writer: per insert (marshalling, cache update,
@@ -115,9 +87,19 @@ const (
 	endCPU    = 5 * sim.Microsecond
 )
 
-// writebackBudget is the default destage batch budget, and the size of
-// zeroBlock.
-const writebackBudget = 2 << 20
+// Calibration of the database writer, the same for every DP2.
+const (
+	// auditSendBytes forwards buffered audit to the ADP once it reaches this
+	// size; commit forces the remainder.
+	auditSendBytes = 24 << 10
+	// lockTimeout bounds row-lock waits (deadlock resolution).
+	lockTimeout = 500 * sim.Millisecond
+	// writebackInterval and writebackBudget shape the background destage of
+	// dirty data to the volume: one batch of at most writebackBudget bytes an
+	// interval. writebackBudget is also the size of zeroBlock.
+	writebackInterval = 100 * sim.Millisecond
+	writebackBudget   = 2 << 20
+)
 
 // zeroBlock is what a DP2 that keeps no row bodies destages: its batch is
 // all zeros by construction, so it writes a slice of this block instead of
@@ -204,10 +186,6 @@ type Stats struct {
 	PMLogWrites int64
 	PMLogBytes  int64
 	PMRebuilds  int64
-	// Cache-management counters.
-	CacheBytes  int64 // resident body bytes
-	Evictions   int64 // rows pushed out of the cache
-	CacheMisses int64 // reads served from the data volume
 	// RegionErr is why the latest incarnation could not open its PM log
 	// region (PMDirect mode), after which the pair retired; nil otherwise.
 	RegionErr error
@@ -228,37 +206,20 @@ type endDelta struct {
 }
 
 // row is one record in the disk process cache, stored by value in its
-// B-tree leaf. The cache is bounded: destaged (clean) rows can be evicted,
-// leaving only location metadata; a later read brings them back from the
-// data volume.
+// B-tree leaf. The cache holds the whole image: a destaged row stays, so
+// every read is served from memory and none from the data volume.
 //
 // A row has no address of its own: a leaf split, lend or shift moves it, so
 // no *row (from btree.Tree.Ref) is held across a park or a tree Set or
 // Delete. What must find a row again after a park — the destager after its
-// volume write, a read miss after its volume read, the eviction queue — names
-// it by key and stamp: the stamp tells the row inserted under a key from
-// one inserted there after an abort.
+// volume write — names it by key and stamp: the stamp tells the row inserted
+// under a key from one inserted there after an abort.
 type row struct {
-	data  *byte  // first byte of the payload when resident and retained, else nil
-	loc   uint64 // volume offset once destaged, with rowDirty and rowResident in the top bits
+	data  *byte  // first byte of the payload when retained, else nil
 	blen  uint32 // body length, the width an audit record gives it
 	stamp uint32 // the state's insert count at this row's insert
+	dirty bool   // not yet destaged to the volume
 }
-
-// The flags of row.loc. A data volume is far smaller than 2^62 bytes.
-const (
-	rowDirty    uint64 = 1 << 63 // not yet destaged to the volume
-	rowResident uint64 = 1 << 62 // counted in the cache budget
-)
-
-//simlint:hotpath
-func (r *row) dirty() bool { return r.loc&rowDirty != 0 }
-
-//simlint:hotpath
-func (r *row) resident() bool { return r.loc&rowResident != 0 }
-
-// volOff is the row's location on the data volume once destaged.
-func (r *row) volOff() int64 { return int64(r.loc &^ (rowDirty | rowResident)) }
 
 // setBody retains b as the row's payload; blen must already be len(b).
 // The pointer keeps b's array alive exactly as the slice did.
@@ -395,12 +356,10 @@ type dpState struct {
 	// transaction end and reborn at the next transaction's first insert.
 	undofree [][]uint64 //simlint:box -- per-txn undo-slice pool
 
-	dirty      int64 // bytes not yet destaged
-	cacheBytes int64 // resident body bytes (the cache budget consumer)
-	alloc      int64 // next volume offset for destage
+	dirty int64 // bytes not yet destaged
+	alloc int64 // next volume offset for destage
 
 	dirtyq entQueue // rows awaiting destage, in insert order
-	cleanq entQueue // destaged rows eligible for eviction, FIFO; empty unless evicting
 
 	// stamp counts the inserts applied to this image; each row keeps the
 	// count at its own. At 32 bits no two rows of one key share a stamp in
@@ -437,7 +396,7 @@ func (st *dpState) live(e queueEnt) *row {
 //simlint:hotpath
 func (st *dpState) applyInsert(d insertDelta, retain bool) {
 	st.stamp++
-	r := row{loc: rowDirty | rowResident, blen: uint32(d.blen), stamp: st.stamp}
+	r := row{blen: uint32(d.blen), stamp: st.stamp, dirty: true}
 	if retain {
 		r.setBody(d.body)
 	}
@@ -451,7 +410,6 @@ func (st *dpState) applyInsert(d insertDelta, retain bool) {
 	}
 	st.undo[d.txn] = append(u, d.key)
 	st.dirty += int64(d.blen)
-	st.cacheBytes += int64(d.blen)
 	st.dirtyq.push(queueEnt{key: d.key, blen: r.blen, stamp: r.stamp})
 }
 
@@ -473,16 +431,13 @@ func (st *dpState) applyEnd(d endDelta) {
 	}
 }
 
-// drop deletes r, the row under key, taking its bytes off the dirty and
-// cache counts it is still in.
+// drop deletes r, the row under key, taking its bytes off the dirty count
+// while it is still dirty.
 //
 //simlint:hotpath
 func (st *dpState) drop(key uint64, r row) {
-	if r.dirty() {
+	if r.dirty {
 		st.dirty -= int64(r.blen)
-	}
-	if r.resident() {
-		st.cacheBytes -= int64(r.blen)
 	}
 	st.tree.Delete(key)
 }
@@ -512,7 +467,7 @@ type DP2 struct {
 	encfree [][]byte         //simlint:box -- PM-log encode-buffer pool
 
 	// Precomputed continuation names (string concat allocates per spawn).
-	waiterName, rwaiterName, missName string
+	waiterName, rwaiterName string
 
 	// Instrument pointers, nil when unmetered (Record nil-short-circuits).
 	mInsert     *metrics.LatencyHist
@@ -602,7 +557,6 @@ func (d *DP2) RegionName() string { return d.cfg.Name + "-log" }
 
 // Start launches the DP2 process pair.
 func Start(cl *cluster.Cluster, cfg Config) *DP2 {
-	cfg.applyDefaults()
 	if cfg.Volume == nil {
 		panic("dp2: volume required")
 	}
@@ -629,7 +583,6 @@ func Start(cl *cluster.Cluster, cfg Config) *DP2 {
 	}
 	d.waiterName = cfg.Name + "-waiter"
 	d.rwaiterName = cfg.Name + "-rwaiter"
-	d.missName = cfg.Name + "-miss"
 	d.pair = cl.StartPairAbsorb(cfg.Name, cfg.PrimaryCPU, cfg.BackupCPU, d.serve, d.absorb)
 	return d
 }
@@ -731,7 +684,6 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 			req.Resp = d.stats
 			req.Resp.CacheRows = st.tree.Len()
 			req.Resp.DirtyBytes = st.dirty
-			req.Resp.CacheBytes = st.cacheBytes
 			ev.Reply(req)
 		default:
 			// Every sender is in this repository: a programming error.
@@ -768,7 +720,7 @@ func (d *DP2) flushAudit(ctx *cluster.PairCtx, st *dpState, auditBuf *[]byte, re
 		// Nothing to flush: every change is already persistent.
 		return FlushAuditResp{}
 	}
-	lsn, err := d.sendAudit(ctx, auditBuf)
+	lsn, err := d.sendAuditFrom(ctx.Process, auditBuf)
 	return FlushAuditResp{ADP: d.cfg.ADPName, LSN: lsn, Err: err}
 }
 
@@ -777,8 +729,8 @@ func (d *DP2) handleInsert(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager,
 	ctx.Compute(insertCPU)
 	if canGrantNow(lm, req.Key, req.Txn) {
 		// Fast path: the acquire grants without blocking.
-		lm.Acquire(ctx.Sim(), req.Key, req.Txn, locks.Exclusive, d.cfg.LockTimeout)
-		req.Resp = InsertResp{Err: d.completeInsert(ctx, ctx.Process, st, auditBuf, req)}
+		lm.Acquire(ctx.Sim(), req.Key, req.Txn, locks.Exclusive, lockTimeout)
+		req.Resp = InsertResp{Err: d.completeInsert(ctx.Process, st, auditBuf, req)}
 		ev.Reply(req)
 		return
 	}
@@ -786,11 +738,11 @@ func (d *DP2) handleInsert(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager,
 	// keeps draining (the lock holder's EndTxn must get through).
 	//simlint:allow hotalloc -- built on the conflict path only; ev is captured by value (Envelope.Reply's receiver), so the fast path pays nothing for it
 	ctx.CPU().Spawn(d.waiterName, func(p *cluster.Process) {
-		err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Exclusive, d.cfg.LockTimeout)
+		err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Exclusive, lockTimeout)
 		if err != nil {
 			d.stats.LockTimeouts++
 		} else {
-			err = d.completeInsert(ctx, p, st, auditBuf, req)
+			err = d.completeInsert(p, st, auditBuf, req)
 		}
 		req.Resp = InsertResp{Err: err}
 		ev.Reply(req)
@@ -815,7 +767,7 @@ func canGrantNow(lm *locks.Manager, key uint64, txn audit.TxnID) bool {
 // scheduled.
 //
 //simlint:hotpath
-func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpState, auditBuf *[]byte, req *InsertReq) error {
+func (d *DP2) completeInsert(p *cluster.Process, st *dpState, auditBuf *[]byte, req *InsertReq) error {
 	istart := p.Now()
 	if st.tree.Has(req.Key) {
 		d.stats.DuplicateKeys++
@@ -861,8 +813,8 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 		return nil
 	}
 	*auditBuf = audit.AppendRecord(*auditBuf, &rec)
-	if len(*auditBuf) >= d.cfg.AuditSendBytes {
-		d.sendAuditFrom(ctx, p, auditBuf)
+	if len(*auditBuf) >= auditSendBytes {
+		d.sendAuditFrom(p, auditBuf)
 	}
 
 	// Checkpoint before externalizing (§1.3).
@@ -879,74 +831,38 @@ func (d *DP2) completeInsert(ctx *cluster.PairCtx, p *cluster.Process, st *dpSta
 func (d *DP2) handleRead(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev cluster.Envelope, req *ReadReq) {
 	ctx.Compute(readCPU)
 	if req.Txn == 0 {
-		d.finishRead(ctx, st, ev, req) // browse access: no lock
+		d.finishRead(st, ev, req) // browse access: no lock
 		return
 	}
 	if lm.QueueLen(req.Key) == 0 && lm.HolderCount(req.Key) == 0 {
 		// Will grant instantly.
-		lm.Acquire(ctx.Sim(), req.Key, req.Txn, locks.Shared, d.cfg.LockTimeout)
-		d.finishRead(ctx, st, ev, req)
+		lm.Acquire(ctx.Sim(), req.Key, req.Txn, locks.Shared, lockTimeout)
+		d.finishRead(st, ev, req)
 		return
 	}
 	// Conflict path: wait for the lock in a continuation, as handleInsert does.
 	ctx.CPU().Spawn(d.rwaiterName, func(p *cluster.Process) {
-		if err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Shared, d.cfg.LockTimeout); err != nil {
+		if err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Shared, lockTimeout); err != nil {
 			d.stats.LockTimeouts++
 			req.Resp = ReadResp{Err: err}
 			ev.Reply(req)
 			return
 		}
-		d.finishRead(ctx, st, ev, req)
+		d.finishRead(st, ev, req)
 	})
 }
 
 // finishRead runs once the read may proceed (lock held, or a browse).
-func (d *DP2) finishRead(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, req *ReadReq) {
+func (d *DP2) finishRead(st *dpState, ev cluster.Envelope, req *ReadReq) {
 	r, ok := st.tree.Get(req.Key)
 	if !ok {
 		req.Resp = ReadResp{Err: fmt.Errorf("%w: key %d", ErrNotFound, req.Key)}
 		ev.Reply(req)
 		return
 	}
-	if r.resident() {
-		d.stats.Reads++
-		req.Resp = ReadResp{Body: r.body()}
-		ev.Reply(req)
-		return
-	}
-	d.stats.CacheMisses++
-	d.readMiss(ctx, st, ev, req, r)
-}
-
-// readMiss fetches an evicted row from the data volume in a continuation,
-// so the serve loop keeps draining during the (millisecond-scale) I/O. It
-// carries r, the row's value, across the read and finds the row again by key
-// and stamp afterwards.
-func (d *DP2) readMiss(ctx *cluster.PairCtx, st *dpState, ev cluster.Envelope, req *ReadReq, r row) {
-	ctx.CPU().Spawn(d.missName, func(mp *cluster.Process) {
-		buf := make([]byte, r.blen)
-		if err := d.cfg.Volume.Read(mp.Sim(), r.volOff(), buf); err != nil {
-			req.Resp = ReadResp{Err: err}
-			ev.Reply(req)
-			return
-		}
-		// Re-admit unless someone else already did, or the row was aborted.
-		ent := queueEnt{key: req.Key, blen: r.blen, stamp: r.stamp}
-		if cur := st.live(ent); cur != nil && !cur.resident() {
-			if d.cfg.RetainData {
-				cur.setBody(buf)
-			}
-			cur.loc |= rowResident
-			st.cacheBytes += int64(r.blen)
-			if d.evicting() {
-				st.cleanq.push(ent)
-			}
-			d.evict(st)
-		}
-		d.stats.Reads++
-		req.Resp = ReadResp{Body: buf}
-		ev.Reply(req)
-	})
+	d.stats.Reads++
+	req.Resp = ReadResp{Body: r.body()}
+	ev.Reply(req)
 }
 
 //simlint:hotpath
@@ -983,15 +899,10 @@ func (d *DP2) handleEnd(ctx *cluster.PairCtx, st *dpState, lm *locks.Manager, ev
 	ev.Reply(req)
 }
 
-// sendAudit pushes the pending audit buffer to the ADP from the primary.
-func (d *DP2) sendAudit(ctx *cluster.PairCtx, auditBuf *[]byte) (audit.LSN, error) {
-	return d.sendAuditFrom(ctx, ctx.Process, auditBuf)
-}
-
 // sendAuditFrom pushes the audit buffer to the ADP using process p.
 //
 //simlint:hotpath
-func (d *DP2) sendAuditFrom(ctx *cluster.PairCtx, p *cluster.Process, auditBuf *[]byte) (audit.LSN, error) {
+func (d *DP2) sendAuditFrom(p *cluster.Process, auditBuf *[]byte) (audit.LSN, error) {
 	if len(*auditBuf) == 0 {
 		return 0, nil
 	}
@@ -1116,9 +1027,8 @@ func (d *DP2) readReplica(p *cluster.Process, replica int, buf []byte) error {
 // writeback is the destager loop: blocked while there is nothing dirty,
 // then one batched sequential volume write per interval until drained.
 // Rows are destaged in insert order; each batch is one contiguous volume
-// write whose contents are the concatenated row bodies, so evicted rows
-// can be re-read later. After each batch the cache budget is enforced by
-// evicting the oldest clean rows.
+// write whose contents are the concatenated row bodies. A destaged row
+// stays in the cache, clean.
 //
 // The batch is assembled first and the write buffer sized to it
 // (destageBufLen), so a destager allocates what its load needs: nothing
@@ -1127,26 +1037,25 @@ func (d *DP2) readReplica(p *cluster.Process, replica int, buf []byte) error {
 func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 	var buf []byte       // grown to the largest batch so far
 	var batch []queueEnt // reused across batches
-	budget := int64(d.cfg.WritebackMaxBytes)
 	for {
 		kick.Recv(p.Sim())
 		for st.dirty > 0 {
-			p.Wait(d.cfg.WritebackInterval)
+			p.Wait(writebackInterval)
 
 			// Assemble one batch of queued dirty rows, up to the budget. A
 			// row larger than the budget is destaged alone rather than
 			// wedging the queue.
 			batchStart := st.alloc
-			if batchStart+budget > d.cfg.Volume.Capacity() {
+			if batchStart+writebackBudget > d.cfg.Volume.Capacity() {
 				batchStart = 0
 			}
 			// The budget is checked against the front entry's length, a stale
 			// entry's too.
 			var n int64
 			batch = batch[:0]
-			for st.dirtyq.len() > 0 && (n == 0 || n+int64(st.dirtyq.front().blen) <= budget) {
+			for st.dirtyq.len() > 0 && (n == 0 || n+int64(st.dirtyq.front().blen) <= writebackBudget) {
 				ent := st.dirtyq.pop()
-				if r := st.live(ent); r == nil || !r.dirty() {
+				if r := st.live(ent); r == nil || !r.dirty {
 					continue // aborted or replaced since queueing
 				}
 				n += int64(ent.blen)
@@ -1162,7 +1071,7 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 				out = zeroBlock[:n]
 			} else {
 				if n > int64(len(buf)) {
-					buf = make([]byte, destageBufLen(int64(len(buf)), n, budget))
+					buf = make([]byte, destageBufLen(int64(len(buf)), n, writebackBudget))
 				}
 				var off int64
 				for _, ent := range batch {
@@ -1181,21 +1090,15 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 			// been aborted — its bytes already left the dirty count — and
 			// its key reinserted. Only rows still live by key and stamp are
 			// marked clean.
-			off := batchStart
 			for _, ent := range batch {
-				if r := st.live(ent); r != nil && r.dirty() {
-					r.loc = uint64(off) | r.loc&rowResident
+				if r := st.live(ent); r != nil && r.dirty {
+					r.dirty = false
 					st.dirty -= int64(ent.blen)
-					if d.evicting() {
-						st.cleanq.push(ent)
-					}
 				}
-				off += int64(ent.blen)
 			}
 			st.alloc = batchStart + n
 			d.stats.Writebacks++
 			d.stats.WrittenBack += n
-			d.evict(st)
 		}
 	}
 }
@@ -1206,28 +1109,4 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 // row larger than the budget gets a larger buffer, sized to that row.
 func destageBufLen(have, need, budget int64) int64 {
 	return min(max(need, 2*have), max(need, budget))
-}
-
-// evicting reports whether the cache is bounded. Only then does anything pop
-// cleanq, so only then does a destaged or re-admitted row join it.
-//
-//simlint:hotpath
-func (d *DP2) evicting() bool { return d.cfg.MaxCacheBytes > 0 }
-
-// evict enforces the cache budget by dropping the oldest clean rows'
-// bodies; their metadata stays so reads can fetch them from the volume.
-func (d *DP2) evict(st *dpState) {
-	if !d.evicting() {
-		return
-	}
-	for st.cacheBytes > d.cfg.MaxCacheBytes && st.cleanq.len() > 0 {
-		r := st.live(st.cleanq.pop())
-		if r == nil || r.dirty() || !r.resident() {
-			continue
-		}
-		r.data = nil
-		r.loc &^= rowResident
-		st.cacheBytes -= int64(r.blen)
-		d.stats.Evictions++
-	}
 }

@@ -134,7 +134,7 @@ func TestLockConflictWaitsForHolder(t *testing.T) {
 }
 
 func TestLockTimeout(t *testing.T) {
-	eng, cl, d := harness(t, func(c *Config) { c.LockTimeout = 20 * sim.Millisecond })
+	eng, cl, d := harness(t, nil)
 	cl.CPU(3).Spawn("holder", func(p *cluster.Process) {
 		call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("x")})
 		// Never ends; the waiter must time out.
@@ -180,12 +180,12 @@ func TestFlushAuditReportsADPAndLSN(t *testing.T) {
 }
 
 func TestAuditThresholdForwarding(t *testing.T) {
-	// Inserts beyond AuditSendBytes push audit to the ADP without waiting
+	// Inserts beyond auditSendBytes push audit to the ADP without waiting
 	// for commit.
-	eng, cl, d := harness(t, func(c *Config) { c.AuditSendBytes = 4096 })
+	eng, cl, d := harness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		for i := 0; i < 4; i++ {
-			call(t, p, &InsertReq{Txn: 1, Key: uint64(i), Body: make([]byte, 2048)})
+			call(t, p, &InsertReq{Txn: 1, Key: uint64(i), Body: make([]byte, auditSendBytes/2)})
 		}
 	})
 	eng.Run()
@@ -276,85 +276,18 @@ func TestTakeoverRebuildsFromDeltas(t *testing.T) {
 	eng.Shutdown()
 }
 
-func TestCacheEvictionAndVolumeReadBack(t *testing.T) {
-	// A bounded cache must evict destaged rows and serve later reads from
-	// the data volume with the correct bytes.
-	eng, cl, d := harness(t, func(c *Config) {
-		c.MaxCacheBytes = 8 << 10 // room for ~2 rows of 4KB
-		c.WritebackInterval = 10 * sim.Millisecond
-	})
-	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		// Insert 8 x 4KB rows with distinct contents and commit.
-		for k := uint64(0); k < 8; k++ {
-			body := make([]byte, 4096)
-			for i := range body {
-				body[i] = byte(k + 1)
-			}
-			resp := call(t, p, &InsertReq{Txn: 1, Key: k, Body: body}).Resp
-			if resp.Err != nil {
-				t.Fatalf("insert %d: %v", k, resp.Err)
-			}
-		}
-		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
-		// Let the destager run and evict.
-		p.Wait(500 * sim.Millisecond)
-		st := call(t, p, &StateReq{}).Resp
-		if st.Evictions == 0 {
-			t.Fatalf("no evictions with 8KB budget and 32KB of rows: %+v", st)
-		}
-		if st.CacheBytes > 8<<10 {
-			t.Errorf("CacheBytes %d exceeds budget", st.CacheBytes)
-		}
-		// Every row reads back with its exact contents — some from cache,
-		// some via volume fetch.
-		for k := uint64(0); k < 8; k++ {
-			resp := call(t, p, &ReadReq{Key: k}).Resp
-			if resp.Err != nil {
-				t.Fatalf("read %d: %v", k, resp.Err)
-			}
-			if len(resp.Body) != 4096 || resp.Body[0] != byte(k+1) || resp.Body[4095] != byte(k+1) {
-				t.Errorf("row %d content wrong after eviction round trip", k)
-			}
-		}
-		st = call(t, p, &StateReq{}).Resp
-		if st.CacheMisses == 0 {
-			t.Error("no cache misses recorded; eviction path untested")
-		}
-	})
-	eng.Run()
-	_ = d
-	eng.Shutdown()
-}
-
-func TestUnboundedCacheNeverEvicts(t *testing.T) {
-	eng, cl, d := harness(t, func(c *Config) { c.WritebackInterval = 10 * sim.Millisecond })
-	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		for k := uint64(0); k < 8; k++ {
-			call(t, p, &InsertReq{Txn: 1, Key: k, Body: make([]byte, 4096)})
-		}
-		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
-		p.Wait(500 * sim.Millisecond)
-	})
-	eng.Run()
-	if d.Stats().Evictions != 0 {
-		t.Errorf("Evictions = %d with unbounded cache", d.Stats().Evictions)
-	}
-	eng.Shutdown()
-}
-
 func TestAbortedRowsNotDestaged(t *testing.T) {
-	eng, cl, d := harness(t, func(c *Config) { c.WritebackInterval = 10 * sim.Millisecond })
+	eng, cl, _ := harness(t, nil)
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: make([]byte, 4096)})
 		call(t, p, &EndTxnReq{Txn: 1, Commit: false}) // abort before destage
-		p.Wait(500 * sim.Millisecond)
+		p.Wait(settle)
 		st := call(t, p, &StateReq{}).Resp
-		if st.DirtyBytes != 0 {
-			t.Errorf("DirtyBytes = %d after abort", st.DirtyBytes)
+		if st.DirtyBytes != 0 || st.Writebacks != 0 {
+			t.Errorf("DirtyBytes = %d, Writebacks = %d after abort; want 0, 0", st.DirtyBytes, st.Writebacks)
 		}
 	})
 	eng.Run()
-	_ = d
 	eng.Shutdown()
 }
 

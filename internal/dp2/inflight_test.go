@@ -2,7 +2,6 @@ package dp2
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"persistmem/internal/audit"
@@ -13,8 +12,8 @@ import (
 
 // A cached row lives by value in its B-tree leaf, so it moves whenever the
 // leaf splits, lends or shifts, and its key may be aborted and inserted
-// again, or be destaged, while a volume write, a volume read or a PM log
-// write that concerns it is parked. These tests change the tree under each
+// again, or be destaged, while a volume write or a PM log write that
+// concerns it is parked. These tests change the tree under each
 // and hold that each finds its row again by key and stamp, and counts its
 // bytes once.
 
@@ -34,7 +33,7 @@ func waitFor(t *testing.T, p *cluster.Process, limit sim.Time, what string, cond
 // the count would fall below the bytes still dirty — here to zero — and the
 // row inserted during the write would never be destaged.
 func TestAbortDuringItsOwnDestageLeavesTheRestDirty(t *testing.T) {
-	eng, cl, d := harness(t, func(c *Config) { c.WritebackInterval = 10 * sim.Millisecond })
+	eng, cl, d := harness(t, nil)
 	vol := d.cfg.Volume
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: rowBody(1, 1<<10)})
@@ -73,21 +72,23 @@ func TestAbortDuringItsOwnDestageLeavesTheRestDirty(t *testing.T) {
 // TestDestageFindsRowsMovedDuringTheWrite runs the destager on a state image
 // and, while its first write is in flight, inserts enough rows to split and
 // lend the leaf that holds the batch, and aborts and reinserts one batch
-// key. Every row must reach the volume exactly once, at the offset its row
-// records, and the reinserted row must stay dirty through the first batch's
-// completion and go in the second.
+// key. Every insert's body must reach the volume exactly once, back to back
+// in insert order — the replaced row's in the first batch, which was already
+// writing it — and the reinserted row must stay dirty through the first
+// batch's completion and go last in the second.
 func TestDestageFindsRowsMovedDuringTheWrite(t *testing.T) {
 	eng := sim.NewEngine(1)
 	defer eng.Shutdown()
 	cl := cluster.New(eng, cluster.DefaultConfig())
 	vol := disk.New(eng, "$DATA", disk.DefaultConfig(), 64<<20)
-	d := &DP2{cl: cl, cfg: Config{Volume: vol, RetainData: true, WritebackInterval: 10 * sim.Millisecond}}
-	d.cfg.applyDefaults()
+	d := &DP2{cl: cl, cfg: Config{Volume: vol, RetainData: true}}
 	st := newState()
-	bodies := map[uint64][]byte{}
+	keys := map[uint64]bool{}
+	var image []byte // every insert's body, in insert order
 	insert := func(txn audit.TxnID, key uint64, body []byte) {
 		st.applyInsert(insertDelta{txn: txn, key: key, body: body, blen: len(body)}, true)
-		bodies[key] = body
+		keys[key] = true
+		image = append(image, body...)
 	}
 	// The first batch fills the root leaf: the even keys 2–124 at 64 B, key
 	// 62 under a transaction still open, and a 1 MiB row that keeps the
@@ -133,7 +134,7 @@ func TestDestageFindsRowsMovedDuringTheWrite(t *testing.T) {
 			t.Fatal("the first write finished before the tree changed: the test no longer races it")
 		}
 		waitFor(t, p, settle, "the first destage", func() bool { return d.stats.Writebacks == 1 })
-		if r, _ := st.tree.Get(62); !r.dirty() {
+		if r, _ := st.tree.Get(62); !r.dirty {
 			t.Error("key 62's reinserted row was marked clean by the write of the row it replaced")
 		}
 		if st.dirty != secondBatch {
@@ -149,100 +150,21 @@ func TestDestageFindsRowsMovedDuringTheWrite(t *testing.T) {
 	if st.dirty != 0 || st.dirtyq.len() != 0 {
 		t.Errorf("%d bytes still dirty, %d entries queued; want none", st.dirty, st.dirtyq.len())
 	}
-	if r, _ := st.tree.Get(62); r.volOff() < firstBatch {
-		t.Errorf("key 62's reinserted row is at offset %d, inside the first batch (%d bytes)", r.volOff(), firstBatch)
+	if st.tree.Len() != len(keys) {
+		t.Errorf("%d rows cached, want %d", st.tree.Len(), len(keys))
 	}
-	if st.tree.Len() != len(bodies) {
-		t.Errorf("%d rows cached, want %d", st.tree.Len(), len(bodies))
-	}
-	for key, body := range bodies {
-		r, _ := st.tree.Get(key)
-		got := make([]byte, len(body))
-		if err := vol.Store().ReadAt(r.volOff(), got); err != nil {
-			t.Fatal(err)
-		}
-		if r.dirty() || !bytes.Equal(got, body) {
-			t.Errorf("key %d: dirty %v, the volume at %d does not hold its body", key, r.dirty(), r.volOff())
+	for key := range keys {
+		if r, _ := st.tree.Get(key); r.dirty {
+			t.Errorf("key %d is still dirty", key)
 		}
 	}
-}
-
-// TestReadMissFindsRowsMovedDuringTheRead parks two read misses on an
-// evicting DP2's volume and meanwhile splits the leaf that holds both rows,
-// aborts one row's transaction and inserts its key again. The surviving
-// row's read must re-admit that row where it has moved to; the aborted
-// row's read must leave the row that replaced it alone.
-func TestReadMissFindsRowsMovedDuringTheRead(t *testing.T) {
-	eng, cl, d := harness(t, func(c *Config) {
-		c.WritebackInterval = 10 * sim.Millisecond
-		c.MaxCacheBytes = 1 // evict every destaged row
-	})
-	sizes := map[uint64]int{}
-	for key := uint64(2); key <= 124; key += 2 {
-		sizes[key] = 64
+	got := make([]byte, len(image))
+	if err := vol.Store().ReadAt(0, got); err != nil {
+		t.Fatal(err)
 	}
-	sizes[60], sizes[62] = 256<<10, 256<<10 // ~15 ms reads
-	reinserted := bytes.Repeat([]byte{0x5A}, 100)
-	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
-		for key := uint64(2); key <= 124; key += 2 {
-			txn := audit.TxnID(1)
-			if key == 62 {
-				txn = 2
-			}
-			call(t, p, &InsertReq{Txn: txn, Key: key, Body: rowBody(key, sizes[key])})
-		}
-		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
-		p.Wait(settle)
-		if st := call(t, p, &StateReq{}).Resp; st.Evictions != int64(len(sizes)) || st.CacheBytes != 0 {
-			t.Fatalf("Evictions %d, CacheBytes %d; want every row out of the cache", st.Evictions, st.CacheBytes)
-		}
-		d.cfg.MaxCacheBytes = 1 << 30 // from here on a re-admitted row stays
-
-		got := map[uint64][]byte{}
-		for _, key := range []uint64{60, 62} {
-			cl.CPU(3).Spawn(fmt.Sprintf("reader-%d", key), func(rp *cluster.Process) {
-				resp := call(t, rp, &ReadReq{Key: key}).Resp
-				if resp.Err != nil {
-					t.Errorf("read %d: %v", key, resp.Err)
-				}
-				got[key] = resp.Body
-			})
-		}
-		waitFor(t, p, settle, "both read misses", func() bool { return d.stats.CacheMisses == 2 })
-		for key := uint64(1); key <= 125; key += 2 {
-			call(t, p, &InsertReq{Txn: 3, Key: key, Body: rowBody(key, 32)})
-		}
-		call(t, p, &EndTxnReq{Txn: 3, Commit: true})
-		call(t, p, &EndTxnReq{Txn: 2, Commit: false})
-		call(t, p, &InsertReq{Txn: 4, Key: 62, Body: reinserted})
-		call(t, p, &EndTxnReq{Txn: 4, Commit: true})
-		if len(got) != 0 {
-			t.Fatal("a read finished before the tree changed: the test no longer races it")
-		}
-		waitFor(t, p, settle, "both reads", func() bool { return len(got) == 2 })
-		// Each read answers with what the volume held when it was issued.
-		for _, key := range []uint64{60, 62} {
-			if !bytes.Equal(got[key], rowBody(key, sizes[key])) {
-				t.Errorf("read %d returned %d bytes, not the row it read", key, len(got[key]))
-			}
-		}
-
-		p.Wait(settle)
-		misses := d.stats.CacheMisses
-		readBackAll(t, p, map[uint64]int{60: sizes[60], 1: 32, 125: 32})
-		if resp := call(t, p, &ReadReq{Key: 62}).Resp; !bytes.Equal(resp.Body, reinserted) {
-			t.Errorf("key 62 reads back %d bytes, not its reinserted row", len(resp.Body))
-		}
-		st := call(t, p, &StateReq{}).Resp
-		if st.CacheMisses != misses {
-			t.Errorf("%d more reads came from the volume: key 60's row was not re-admitted where it moved to", st.CacheMisses-misses)
-		}
-		if want := int64(sizes[60] + len(reinserted) + 63*32); st.CacheBytes != want {
-			t.Errorf("CacheBytes = %d, want %d: key 60, the reinserted key 62 and the 63 rows inserted during the reads", st.CacheBytes, want)
-		}
-	})
-	eng.Run()
-	eng.Shutdown()
+	if !bytes.Equal(got, image) {
+		t.Error("the volume does not hold every insert's body once, back to back in insert order")
+	}
 }
 
 // TestPMDirectInsertRolledBackAfterItsDestage: a PM-direct insert whose log
@@ -250,39 +172,47 @@ func TestReadMissFindsRowsMovedDuringTheRead(t *testing.T) {
 // fabric's ack timeout first, long enough for the destager to have written
 // the row and taken it off the dirty count. The rollback must take off only
 // what the row still counts in; taking its bytes off again leaves the count
-// short, and a later row is never destaged.
+// short, and a later row is never destaged. Row 1 starts the destager's
+// interval, and the failing insert of row 2 is sent 10 ms before that
+// interval ends, so its log write is still waiting when the batch of both
+// rows is written.
 func TestPMDirectInsertRolledBackAfterItsDestage(t *testing.T) {
-	eng, cl, d, devs := pmDirectHarness(t, func(c *Config) { c.WritebackInterval = 10 * sim.Millisecond })
+	eng, cl, d, devs := pmDirectHarness(t, nil)
 	vol := d.cfg.Volume
 	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
 		call(t, p, &StateReq{}) // answered once the log region is open
+		start := p.Now()
+		call(t, p, &InsertReq{Txn: 1, Key: 1, Body: rowBody(1, 1<<10)})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
+		p.Wait(start + writebackInterval - 10*sim.Millisecond - p.Now())
 		devs[0].Fail()
 		devs[1].Fail()
-		if resp := call(t, p, &InsertReq{Txn: 1, Key: 1, Body: rowBody(1, 2<<10)}).Resp; resp.Err == nil {
+		if resp := call(t, p, &InsertReq{Txn: 2, Key: 2, Body: rowBody(2, 2<<10)}).Resp; resp.Err == nil {
 			t.Fatal("an insert with both NPMUs down succeeded")
 		}
-		if d.stats.Writebacks != 1 {
-			t.Fatalf("Writebacks = %d while the log write waited: the row was not destaged before its rollback", d.stats.Writebacks)
+		if d.stats.Writebacks != 1 || d.stats.WrittenBack != 3<<10 {
+			t.Fatalf("Writebacks = %d of %d bytes while the log write waited, want 1 of %d: row 2 was not destaged before its rollback",
+				d.stats.Writebacks, d.stats.WrittenBack, 3<<10)
 		}
 		devs[0].Recover()
 		devs[1].Recover()
-		call(t, p, &EndTxnReq{Txn: 1, Commit: false})
-		if resp := call(t, p, &InsertReq{Txn: 2, Key: 2, Body: rowBody(2, 1<<10)}).Resp; resp.Err != nil {
-			t.Fatalf("insert 2: %v", resp.Err)
+		call(t, p, &EndTxnReq{Txn: 2, Commit: false})
+		if resp := call(t, p, &InsertReq{Txn: 3, Key: 3, Body: rowBody(3, 1<<10)}).Resp; resp.Err != nil {
+			t.Fatalf("insert 3: %v", resp.Err)
 		}
-		call(t, p, &EndTxnReq{Txn: 2, Commit: true})
+		call(t, p, &EndTxnReq{Txn: 3, Commit: true})
 		p.Wait(settle)
 		st := call(t, p, &StateReq{}).Resp
-		if st.Writebacks != 2 || st.WrittenBack != 3<<10 || st.DirtyBytes != 0 || st.CacheBytes != 1<<10 {
-			t.Errorf("Writebacks %d, WrittenBack %d, DirtyBytes %d, CacheBytes %d; want 2, %d, 0, %d: row 2 was never destaged",
-				st.Writebacks, st.WrittenBack, st.DirtyBytes, st.CacheBytes, 3<<10, 1<<10)
+		if st.Writebacks != 2 || st.WrittenBack != 4<<10 || st.DirtyBytes != 0 || st.CacheRows != 2 {
+			t.Errorf("Writebacks %d, WrittenBack %d, DirtyBytes %d, CacheRows %d; want 2, %d, 0, 2: row 3 was never destaged",
+				st.Writebacks, st.WrittenBack, st.DirtyBytes, st.CacheRows, 4<<10)
 		}
 		got := make([]byte, 1<<10)
-		if err := vol.Store().ReadAt(2<<10, got); err != nil {
+		if err := vol.Store().ReadAt(3<<10, got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, rowBody(2, 1<<10)) {
-			t.Error("row 2 is not on the volume after row 1's 2 KB")
+		if !bytes.Equal(got, rowBody(3, 1<<10)) {
+			t.Error("row 3 is not on the volume after the first batch's 3 KB")
 		}
 	})
 	eng.Run()

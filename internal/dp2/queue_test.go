@@ -6,8 +6,8 @@ import (
 	"unsafe"
 )
 
-// The dirty and clean queues are entQueues: FIFOs of blocks that a push
-// never copies. These tests hold the order across block boundaries, through
+// The dirty queue is an entQueue: a FIFO of blocks that a push never
+// copies. These tests hold the order across block boundaries, through
 // prepend and through an empty queue, and what the blocks cost.
 
 // queued returns n entries keyed from first on, each with a stamp of its own.

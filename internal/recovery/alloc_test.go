@@ -45,8 +45,11 @@ func recoverScenario(t *testing.T, res ScenarioResult, d ods.Durability, useTCB 
 
 // TestRecoveryAllocationBudget holds what a recovery allocates per row it
 // recovers: reboot, the reads, analysis, redo and the image, with the
-// process's spare read buffer warm.
+// process's spare read buffer warm. The spares are drained first: a test
+// that ran before this one may have left the pool full of buffers of other
+// sizes, and the warm-up must be what fills it.
 func TestRecoveryAllocationBudget(t *testing.T) {
+	drainSpares()
 	warm := RunScenario(ods.DiskDurability, 4, 1) // leaves a spare read buffer per worker behind
 	recoverScenario(t, warm, ods.DiskDurability, false)
 	warm.Store.Eng.Shutdown()

@@ -38,7 +38,12 @@ rm -f /tmp/persistmem-cover.out
 # it, TestC2ArtifactMatchesFullScale's four 4000-transaction recoveries
 # ~6 s), inside the 10-minute per-package default with better than 5x
 # headroom.
-go test -race ./...
+# The race pass also runs each package's tests in a shuffled order, so a
+# test that leans on what an earlier test left behind (a spare buffer in a
+# process-wide pool, a warmed cache) fails here rather than by luck later;
+# the failure prints its -test.shuffle seed, and `go test -shuffle=<seed>`
+# replays that order.
+go test -race -shuffle=on ./...
 
 if command -v govulncheck >/dev/null 2>&1; then
 	govulncheck ./...
