@@ -260,7 +260,6 @@ func benchmarkHotStock(b *testing.B, d ods.Durability) {
 		Drivers:          1,
 		RecordsPerDriver: txns * 8,
 		InsertsPerTxn:    8,
-		RecordBytes:      4096,
 	})
 	b.StopTimer()
 	b.ReportMetric(r.MeanResp().Micros(), "virtResp-us")

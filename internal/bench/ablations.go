@@ -28,7 +28,7 @@ func (r Runner) AblationA1(seed int64, scale Scale) AblationA1 {
 		di, off := i/2, i%2 == 1
 		params := hotstock.Params{
 			Drivers: a.Drivers[di], RecordsPerDriver: (scale.RecordsPerDriver / 8) * 8,
-			InsertsPerTxn: 8, RecordBytes: 4096,
+			InsertsPerTxn: 8,
 		}
 		opts := ods.DefaultOptions()
 		opts.Seed = seed
@@ -79,7 +79,7 @@ type AblationA2 struct {
 func (r Runner) AblationA2(seed int64, scale Scale) AblationA2 {
 	params := hotstock.Params{
 		Drivers: 1, RecordsPerDriver: (scale.RecordsPerDriver / 8) * 8,
-		InsertsPerTxn: 8, RecordBytes: 4096,
+		InsertsPerTxn: 8,
 	}
 	var cells [2]sim.Time
 	r.forEach(len(cells), func(i int) {
@@ -130,7 +130,7 @@ type AblationA4 struct {
 func (r Runner) AblationA4(seed int64, scale Scale) AblationA4 {
 	params := hotstock.Params{
 		Drivers: 1, RecordsPerDriver: (scale.RecordsPerDriver / 8) * 8,
-		InsertsPerTxn: 8, RecordBytes: 4096,
+		InsertsPerTxn: 8,
 	}
 	modes := []ods.Durability{ods.DiskDurability, ods.PMDurability, ods.PMDirectDurability}
 	var a AblationA4
@@ -138,7 +138,7 @@ func (r Runner) AblationA4(seed int64, scale Scale) AblationA4 {
 		opts := ods.DefaultOptions()
 		opts.Seed = seed
 		opts.Durability = modes[i]
-		opts.PMRegionBytes = 8 << 20 // 16 per-DP2 regions must fit the NPMU
+		opts.PMRegionBytes = 8 << 20 // the size the committed tables were measured with
 		res := hotstock.Run(opts, params)
 		a.Resp[i] = res.MeanResp()
 		a.Elapsed[i] = res.Elapsed
@@ -184,14 +184,14 @@ func (r Runner) AblationA3(seed int64, scale Scale) AblationA3 {
 	a := AblationA3{Latencies: []sim.Time{10 * sim.Microsecond, 15 * sim.Microsecond, 20 * sim.Microsecond}}
 	params := hotstock.Params{
 		Drivers: 1, RecordsPerDriver: (scale.RecordsPerDriver / 8) * 8,
-		InsertsPerTxn: 8, RecordBytes: 4096,
+		InsertsPerTxn: 8,
 	}
 	a.PMResp = make([]sim.Time, len(a.Latencies))
 	r.forEach(len(a.Latencies), func(i int) {
 		opts := ods.DefaultOptions()
 		opts.Seed = seed
 		opts.Durability = ods.PMDurability
-		opts.ClusterConfig.Net.SoftwareLatency = a.Latencies[i]
+		opts.Net.SoftwareLatency = a.Latencies[i]
 		a.PMResp[i] = hotstock.Run(opts, params).MeanResp()
 	})
 	return a

@@ -47,7 +47,7 @@ func ParseScale(s string) (Scale, error) {
 var txnSizes = []int{8, 16, 32}
 
 // sizeLabel names a boxcar degree the way the paper's x-axis does.
-func sizeLabel(inserts int) string { return fmt.Sprintf("%dk", inserts*4) }
+func sizeLabel(inserts int) string { return fmt.Sprintf("%dk", hotstock.TxnKB(inserts)) }
 
 // cellSpec is one hot-stock sweep cell: a seed, a durability mode and
 // the workload shape.
@@ -73,7 +73,6 @@ func (c cellSpec) run() hotstock.Result {
 		Drivers:          c.drivers,
 		RecordsPerDriver: records,
 		InsertsPerTxn:    c.inserts,
-		RecordBytes:      4096,
 	})
 }
 

@@ -60,7 +60,7 @@ func runBreakdownOne(seed int64, d ods.Durability, scale Scale) BreakdownRow {
 	opts.Durability = d
 	opts.Metrics = reg
 	if d == ods.PMDirectDurability {
-		opts.PMRegionBytes = 8 << 20 // 16 per-DP2 regions must fit the NPMU
+		opts.PMRegionBytes = 8 << 20 // the size the committed tables were measured with
 	}
 	records := (scale.RecordsPerDriver / inserts) * inserts
 	if records == 0 {
@@ -70,7 +70,6 @@ func runBreakdownOne(seed int64, d ods.Durability, scale Scale) BreakdownRow {
 		Drivers:          2,
 		RecordsPerDriver: records,
 		InsertsPerTxn:    inserts,
-		RecordBytes:      4096,
 	})
 
 	cp := reg.Commit

@@ -143,14 +143,12 @@ func (r Runner) ClaimC3(seed int64, scale Scale) ClaimC3 {
 		opts := ods.DefaultOptions()
 		opts.Seed = seed
 		opts.Durability = d
-		// PMDirect gives each of the 16 DP2s its own region; keep them
-		// small enough for the default NPMU capacity.
-		opts.PMRegionBytes = 8 << 20
+		opts.PMRegionBytes = 8 << 20 // the size the committed tables were measured with
 		s := ods.Build(opts)
 		defer s.Eng.Shutdown()
 		params := hotstock.Params{
 			Drivers: 1, RecordsPerDriver: (scale.RecordsPerDriver / 8) * 8,
-			InsertsPerTxn: 8, RecordBytes: 4096,
+			InsertsPerTxn: 8,
 		}
 		res := hotstock.RunOn(s, params)
 		// Let destaging finish.

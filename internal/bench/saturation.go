@@ -119,7 +119,7 @@ func (c satCell) opts() ods.Options {
 	opts.Files = []ods.FileSpec{{Name: "TRADES", Partitions: c.shards}}
 	opts.DataVolumes = c.volumes
 	opts.AuditStreams = c.streams
-	opts.PMRegionBytes = 8 << 20 // per-DP2 regions must fit the NPMU at 16 shards
+	opts.PMRegionBytes = 8 << 20 // the size the committed sweep was measured with
 	return opts
 }
 

@@ -30,12 +30,14 @@ type Params struct {
 	// InsertsPerTxn is the boxcar degree: total 4 KB inserts per
 	// transaction across all files (8, 16 or 32 in the paper).
 	InsertsPerTxn int
-	// RecordBytes is the record size (4096 in the paper).
-	RecordBytes int
 }
 
-// TxnKB names the transaction size the way the paper's figures do.
-func (p Params) TxnKB() int { return p.InsertsPerTxn * p.RecordBytes / 1024 }
+// RecordBytes is the size of every inserted record (4 KB in the paper).
+const RecordBytes = 4096
+
+// TxnKB names the size of a transaction of the given number of inserts the
+// way the paper's figures do: 8 inserts are a 32K transaction.
+func TxnKB(inserts int) int { return inserts * RecordBytes / 1024 }
 
 // Validate panics on malformed parameters.
 func (p Params) Validate(files int) {
@@ -135,7 +137,7 @@ func RunOn(s *ods.Store, params Params) Result {
 			res := DriverResult{Driver: d}
 			resps := make([]sim.Time, 0, txns)
 			nextKey := uint64(d)<<40 | 1
-			body := make([]byte, params.RecordBytes)
+			body := make([]byte, RecordBytes)
 			for t := 0; t < txns; t++ {
 				start := p.Now()
 				txn, err := se.Begin()

@@ -13,7 +13,6 @@ func quickParams(drivers, insertsPerTxn int) Params {
 		Drivers:          drivers,
 		RecordsPerDriver: insertsPerTxn * 10, // 10 transactions
 		InsertsPerTxn:    insertsPerTxn,
-		RecordBytes:      4096,
 	}
 }
 
@@ -66,7 +65,7 @@ func TestDiskDegradesAsBoxcarShrinks(t *testing.T) {
 	// same data, so disk throughput (records/sec) collapses.
 	opts := ods.DefaultOptions()
 	recPerSec := func(inserts int) float64 {
-		p := Params{Drivers: 1, RecordsPerDriver: 320, InsertsPerTxn: inserts, RecordBytes: 4096}
+		p := Params{Drivers: 1, RecordsPerDriver: 320, InsertsPerTxn: inserts}
 		r := Run(opts, p)
 		return float64(p.RecordsPerDriver) / r.Elapsed.Seconds()
 	}
@@ -82,7 +81,7 @@ func TestPMInsensitiveToBoxcar(t *testing.T) {
 	opts := ods.DefaultOptions()
 	opts.Durability = ods.PMDurability
 	recPerSec := func(inserts int) float64 {
-		p := Params{Drivers: 1, RecordsPerDriver: 320, InsertsPerTxn: inserts, RecordBytes: 4096}
+		p := Params{Drivers: 1, RecordsPerDriver: 320, InsertsPerTxn: inserts}
 		r := Run(opts, p)
 		return float64(p.RecordsPerDriver) / r.Elapsed.Seconds()
 	}
@@ -121,7 +120,7 @@ func TestPoisonedTxnSendsNoMoreInserts(t *testing.T) {
 		{Name: "STOPPED", Partitions: 1},
 		{Name: "AFTER", Partitions: 1},
 	}
-	params := Params{Drivers: 1, RecordsPerDriver: 18, InsertsPerTxn: 6, RecordBytes: 64}
+	params := Params{Drivers: 1, RecordsPerDriver: 18, InsertsPerTxn: 6}
 	s := ods.Build(opts)
 	defer s.Shutdown()
 	s.DP2s[s.DP2Name("STOPPED", 0)].Stop()
@@ -167,9 +166,10 @@ func TestValidate(t *testing.T) {
 }
 
 func TestTxnKB(t *testing.T) {
-	p := Params{InsertsPerTxn: 8, RecordBytes: 4096}
-	if p.TxnKB() != 32 {
-		t.Errorf("TxnKB = %d, want 32", p.TxnKB())
+	for _, c := range []struct{ inserts, kb int }{{8, 32}, {16, 64}, {32, 128}} {
+		if got := TxnKB(c.inserts); got != c.kb {
+			t.Errorf("TxnKB(%d) = %d, want %d", c.inserts, got, c.kb)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // one completes, so its offered load can never exceed the store's
 // capacity and the latency it reports hides queueing entirely. The
 // open-loop harness decouples the two: a Poisson arrival process
-// generates transaction arrivals on a virtual clock for a modeled
+// generates transaction arrivals on a virtual clock for an unbounded
 // population of logical clients, each arrival is routed by key skew to
 // its DP2 partition's admission queue, and a bounded pool of worker processes drains the queues. Latency is
 // measured from *arrival* (not dispatch), so queue wait is part of the
@@ -22,6 +22,27 @@ import (
 	"persistmem/internal/sim"
 )
 
+// The open loop's fixed shape: every run drives this worker pool,
+// transaction mix and key skew; an OpenConfig sets the rest.
+const (
+	// workersPerShard bounds the real executor processes per shard (the
+	// cluster.Process pool that actually drives sessions).
+	workersPerShard = 4
+	// opsPerTxn is the number of data operations per transaction.
+	opsPerTxn = 8
+	// readFraction is the probability an operation is a browse read of a
+	// committed key on the same shard rather than an insert.
+	readFraction = 0.2
+	// valueBytes sizes inserted values.
+	valueBytes = 1024
+	// keyspace, zipfS and zipfV shape the key skew: logical keys are
+	// Zipf(s, v)-distributed over [0, keyspace), so low keys — and the
+	// shards they route to — are hot.
+	keyspace = 1 << 20
+	zipfS    = 1.2
+	zipfV    = 1
+)
+
 // OpenConfig shapes one open-loop run.
 type OpenConfig struct {
 	// File names the key-sequenced file driven; empty means the store's
@@ -34,27 +55,6 @@ type OpenConfig struct {
 	// generated for exactly this long, then the workers drain what is
 	// queued. Offered load is Arrivals/Window.
 	Window sim.Time
-	// VirtualClients is the modeled logical client population. Each
-	// arrival is stamped with a client drawn uniformly from it; because
-	// arrivals never wait for completions, the population behaves as
-	// effectively infinite — millions of clients cost nothing.
-	VirtualClients int
-	// WorkersPerShard bounds the real executor processes per shard (the
-	// cluster.Process pool that actually drives sessions).
-	WorkersPerShard int
-	// OpsPerTxn is the number of data operations per transaction.
-	OpsPerTxn int
-	// ReadFraction in [0,1] is the probability an operation is a browse
-	// read of a committed key on the same shard rather than an insert.
-	ReadFraction float64
-	// ValueBytes sizes inserted values.
-	ValueBytes int
-	// Keyspace and ZipfS/ZipfV shape the key skew: logical keys are
-	// Zipf(s, v)-distributed over [0, Keyspace), so low keys — and the
-	// shards they route to — are hot.
-	Keyspace uint64
-	ZipfS    float64
-	ZipfV    float64
 	// MaxQueue bounds each shard's admission queue; an arrival finding
 	// MaxQueue waiting is dropped (counted, never executed). 0 means
 	// unbounded.
@@ -70,18 +70,7 @@ type OpenConfig struct {
 
 // DefaultOpenConfig returns a moderate Poisson configuration.
 func DefaultOpenConfig() OpenConfig {
-	return OpenConfig{
-		Rate:            1000,
-		Window:          sim.Second,
-		VirtualClients:  1_000_000,
-		WorkersPerShard: 4,
-		OpsPerTxn:       8,
-		ReadFraction:    0.2,
-		ValueBytes:      1024,
-		Keyspace:        1 << 20,
-		ZipfS:           1.2,
-		ZipfV:           1,
-	}
+	return OpenConfig{Rate: 1000, Window: sim.Second}
 }
 
 // ShardStats is the per-DP2-partition ledger of an open-loop run. Shard
@@ -192,9 +181,8 @@ const openCrossBase = uint64(1) << 40
 // generator through a shard's admission queue to a worker. Records are
 // recycled through OpenPending.free once the worker retires them.
 type arrival struct {
-	at     sim.Time
-	client uint64
-	key    uint64
+	at  sim.Time
+	key uint64
 }
 
 // keyBlock is how many keys a block of a working set holds: 4096 keys are
@@ -268,8 +256,8 @@ func (op *OpenPending) putArrival(a *arrival) {
 	op.free = append(op.free, a)
 }
 
-// withDefaults fills zero fields from DefaultOpenConfig and resolves
-// the driven file.
+// withDefaults fills a zero rate or window from DefaultOpenConfig and
+// resolves the driven file.
 func (cfg OpenConfig) withDefaults(s *ods.Store) OpenConfig {
 	def := DefaultOpenConfig()
 	if cfg.File == "" {
@@ -280,27 +268,6 @@ func (cfg OpenConfig) withDefaults(s *ods.Store) OpenConfig {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = def.Window
-	}
-	if cfg.VirtualClients <= 0 {
-		cfg.VirtualClients = def.VirtualClients
-	}
-	if cfg.WorkersPerShard <= 0 {
-		cfg.WorkersPerShard = def.WorkersPerShard
-	}
-	if cfg.OpsPerTxn <= 0 {
-		cfg.OpsPerTxn = def.OpsPerTxn
-	}
-	if cfg.ValueBytes <= 0 {
-		cfg.ValueBytes = def.ValueBytes
-	}
-	if cfg.Keyspace == 0 {
-		cfg.Keyspace = def.Keyspace
-	}
-	if cfg.ZipfS <= 1 {
-		cfg.ZipfS = def.ZipfS
-	}
-	if cfg.ZipfV < 1 {
-		cfg.ZipfV = def.ZipfV
 	}
 	return cfg
 }
@@ -318,7 +285,7 @@ func StartOpen(s *ods.Store, cfg OpenConfig) *OpenPending {
 		s:      s,
 		cfg:    cfg,
 		shards: make([]openShard, nShards),
-		doneAt: make([]sim.Time, nShards*cfg.WorkersPerShard),
+		doneAt: make([]sim.Time, nShards*workersPerShard),
 	}
 	if m := s.Opts.Metrics; m != nil {
 		op.ld = m.Load
@@ -330,11 +297,11 @@ func StartOpen(s *ods.Store, cfg OpenConfig) *OpenPending {
 		op.shards[i].stats.Shard = i
 	}
 
-	// Workers: a bounded executor pool, WorkersPerShard per shard,
+	// Workers: a bounded executor pool, workersPerShard per shard,
 	// spread round-robin over the CPUs.
 	widx := 0
 	for sh := 0; sh < nShards; sh++ {
-		for w := 0; w < cfg.WorkersPerShard; w++ {
+		for w := 0; w < workersPerShard; w++ {
 			sh, w, widx := sh, w, widx
 			cpu := widx % s.Opts.CPUs
 			s.Cl.CPU(cpu).Spawn(fmt.Sprintf("loadw-%d-%d", sh, w), func(p *cluster.Process) {
@@ -345,8 +312,8 @@ func StartOpen(s *ods.Store, cfg OpenConfig) *OpenPending {
 		}
 	}
 
-	// The generator: one process modeling the whole virtual-client
-	// population's arrival stream.
+	// The generator: one process modeling the whole client population's
+	// arrival stream.
 	s.Cl.CPU(0).Spawn("loadgen-arrivals", func(p *cluster.Process) {
 		op.generate(p)
 	})
@@ -360,8 +327,7 @@ func (op *OpenPending) generate(p *cluster.Process) {
 	op.t0 = p.Now()
 	horizon := op.t0 + cfg.Window
 	proc := NewPoisson(s.Eng.DeriveRand("loadgen-arrivals"), cfg.Rate)
-	keys := NewZipfKeys(s.Eng.DeriveRand("loadgen-keys"), cfg.ZipfS, cfg.ZipfV, cfg.Keyspace)
-	clients := s.Eng.DeriveRand("loadgen-clients")
+	keys := NewZipfKeys(s.Eng.DeriveRand("loadgen-keys"), zipfS, zipfV, keyspace)
 
 	for {
 		gap := proc.Next()
@@ -386,7 +352,7 @@ func (op *OpenPending) generate(p *cluster.Process) {
 			continue
 		}
 		a := op.newArrival()
-		a.at, a.client, a.key = p.Now(), uint64(clients.Intn(cfg.VirtualClients)), key
+		a.at, a.key = p.Now(), key
 		st.q.Send(p.Sim(), a)
 	}
 	if horizon > p.Now() {
@@ -395,7 +361,7 @@ func (op *OpenPending) generate(p *cluster.Process) {
 	// Window over: release the workers. Sentinels are FIFO-ordered
 	// behind every admitted arrival, so the backlog fully drains.
 	for i := range op.shards {
-		for w := 0; w < cfg.WorkersPerShard; w++ {
+		for w := 0; w < workersPerShard; w++ {
 			op.shards[i].q.Send(p.Sim(), (*arrival)(nil))
 		}
 	}
@@ -404,12 +370,12 @@ func (op *OpenPending) generate(p *cluster.Process) {
 // worker drains one shard's admission queue until the end-of-window
 // sentinel arrives.
 func (op *OpenPending) worker(p *cluster.Process, shard, slot int) {
-	s, cfg := op.s, op.cfg
+	s := op.s
 	st := &op.shards[shard]
 	se := s.NewSession(p)
 	rng := s.Eng.DeriveRand(fmt.Sprintf("loadgen-worker-%d-%d", shard, slot))
-	body := make([]byte, cfg.ValueBytes)
-	staged := make([]uint64, 0, cfg.OpsPerTxn)
+	body := make([]byte, valueBytes)
+	staged := make([]uint64, 0, opsPerTxn)
 	for {
 		a, _ := st.q.Recv(p.Sim()).(*arrival)
 		if a == nil {
@@ -449,8 +415,8 @@ func (op *OpenPending) runTxn(p *cluster.Process, se *ods.Session, st *openShard
 	}
 	se.SetTwoPhase(cross)
 	failed := false
-	for i := 0; i < cfg.OpsPerTxn; i++ {
-		if st.written.len() > 0 && rng.Float64() < cfg.ReadFraction {
+	for i := 0; i < opsPerTxn; i++ {
+		if st.written.len() > 0 && rng.Float64() < readFraction {
 			key := st.written.at(rng.Intn(st.written.len()))
 			rstart := p.Now()
 			if _, err := se.ReadBrowse(cfg.File, key); err != nil {

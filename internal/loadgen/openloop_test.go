@@ -155,7 +155,6 @@ func TestAbortedKeysNeverBrowsed(t *testing.T) {
 	cfg := DefaultOpenConfig()
 	cfg.Rate = 1500
 	cfg.Window = sim.Second
-	cfg.ReadFraction = 0.5
 	pend := StartOpen(s, cfg)
 	s.Eng.Run()
 	r := pend.Collect()
@@ -166,7 +165,7 @@ func TestAbortedKeysNeverBrowsed(t *testing.T) {
 		t.Fatal("no aborts despite a DP2 primary kill mid-run")
 	}
 	if r.Reads == 0 {
-		t.Error("no reads at 50% read fraction")
+		t.Errorf("no reads at a %v read fraction", readFraction)
 	}
 	checkIdentities(t, &r)
 
@@ -190,20 +189,17 @@ func TestAbortedKeysNeverBrowsed(t *testing.T) {
 	s.Eng.Shutdown()
 }
 
-// TestWorkingSetHoldsCommittedHomeKeysInOrder: with one worker a shard and
-// no aborts, a shard commits its local insert keys in sequence order, so
-// the i-th key of its working set is the i-th key it synthesized — across
-// keySet block boundaries, and including the home-shard keys of two-phase
-// commits (the keys those route to other shards stay out).
-func TestWorkingSetHoldsCommittedHomeKeysInOrder(t *testing.T) {
+// TestWorkingSetHoldsCommittedHomeKeys: with no aborts, a shard's working
+// set holds each home-shard key it synthesized exactly once — across keySet
+// block boundaries, and including the home-shard keys of two-phase commits
+// (the keys those route to other shards stay out). A shard's workers commit
+// concurrently, so the keys join in commit order, not in sequence order.
+func TestWorkingSetHoldsCommittedHomeKeys(t *testing.T) {
 	const nShards = 4
 	s := shardedStore(ods.PMDurability, 3, nShards)
 	cfg := DefaultOpenConfig()
-	cfg.Rate = 500
+	cfg.Rate = 2000
 	cfg.Window = 2 * sim.Second
-	cfg.WorkersPerShard = 1
-	cfg.OpsPerTxn = 32
-	cfg.ValueBytes = 64
 	cfg.CrossShardPct = 50
 	pend := StartOpen(s, cfg)
 	s.Eng.Run()
@@ -217,10 +213,14 @@ func TestWorkingSetHoldsCommittedHomeKeysInOrder(t *testing.T) {
 		if n := sh.written.len(); uint64(n) != sh.nextSeq {
 			t.Errorf("shard %d: %d keys in the working set, %d home-shard keys committed", shard, n, sh.nextSeq)
 		}
+		seen := make([]bool, sh.nextSeq)
 		for i := 0; i < sh.written.len(); i++ {
-			if got, want := sh.written.at(i), uint64(i)*nShards+uint64(shard); got != want {
-				t.Fatalf("shard %d: key %d of the working set is %d, want %d", shard, i, got, want)
+			k := sh.written.at(i)
+			seq := k / nShards
+			if k%nShards != uint64(shard) || seq >= sh.nextSeq || seen[seq] {
+				t.Fatalf("shard %d: key %d of the working set is %d, not a fresh home-shard key below sequence %d", shard, i, k, sh.nextSeq)
 			}
+			seen[seq] = true
 		}
 		longest = max(longest, sh.written.len())
 	}
@@ -366,11 +366,19 @@ func TestStartOpenUnknownFile(t *testing.T) {
 	StartOpen(s, cfg)
 }
 
-// TestOpenConfigDefaultsFillSparseConfig: a config naming only the rate
-// and the window runs exactly the cell DefaultOpenConfig would with those
-// two fields set and no reads (a zero ReadFraction is a legal setting,
-// not a request for the default) — every other knob takes its default.
+// TestOpenConfigDefaultsFillSparseConfig: a zero config resolves to
+// DefaultOpenConfig on the store's first file, and a config naming only the
+// rate and the window runs exactly the cell DefaultOpenConfig would with
+// those two fields set.
 func TestOpenConfigDefaultsFillSparseConfig(t *testing.T) {
+	s := ods.Build(ods.DefaultOptions())
+	want := DefaultOpenConfig()
+	want.File = s.Opts.Files[0].Name
+	if got := (OpenConfig{}).withDefaults(s); got != want {
+		t.Errorf("zero config resolved to %+v, want %+v", got, want)
+	}
+	s.Shutdown()
+
 	run := func(cfg OpenConfig) string {
 		opts := ods.DefaultOptions()
 		s := ods.Build(opts)
@@ -383,7 +391,7 @@ func TestOpenConfigDefaultsFillSparseConfig(t *testing.T) {
 	}
 	full := DefaultOpenConfig()
 	full.File = ods.DefaultOptions().Files[0].Name
-	full.Rate, full.Window, full.ReadFraction = 2000, 100*sim.Millisecond, 0
+	full.Rate, full.Window = 2000, 100*sim.Millisecond
 	sparse := OpenConfig{Rate: 2000, Window: 100 * sim.Millisecond}
 	if a, b := run(sparse), run(full); a != b {
 		t.Errorf("sparse config diverged from the explicit defaults:\n--- sparse ---\n%s\n--- explicit ---\n%s", a, b)

@@ -18,13 +18,12 @@ import (
 // silently degenerate to single-shard traffic.
 func TestPartitionOfZipfDistributionPinned(t *testing.T) {
 	const draws = 200_000
-	const keyspace = 1 << 20 // DefaultOpenConfig's keyspace
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		opts := ods.DefaultOptions()
 		opts.Files = []ods.FileSpec{{Name: "TRADES", Partitions: shards}}
 		opts.PMRegionBytes = 8 << 20
 		s := ods.Build(opts)
-		keys := NewZipfKeys(s.Eng.DeriveRand("loadgen-keys"), 1.2, 1, keyspace)
+		keys := NewZipfKeys(s.Eng.DeriveRand("loadgen-keys"), zipfS, zipfV, keyspace)
 		mass := make([]int, shards)
 		distinct := make([]int, shards)
 		seen := make(map[uint64]bool, draws)

@@ -27,7 +27,6 @@ func runInstrumented(seed int64, d ods.Durability) (*metrics.Registry, hotstock.
 		Drivers:          2,
 		RecordsPerDriver: 64,
 		InsertsPerTxn:    8,
-		RecordBytes:      4096,
 	})
 	return reg, res
 }

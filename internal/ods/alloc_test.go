@@ -35,9 +35,6 @@ func TestStoreSetupAllocationBudget(t *testing.T) {
 	withDurability := func(d ods.Durability) ods.Options {
 		opts := ods.DefaultOptions()
 		opts.Durability = d
-		if d == ods.PMDirectDurability {
-			opts.NPMUBytes = 1 << 30 // 16 per-DP2 log regions
-		}
 		return opts
 	}
 	for _, tc := range []struct {
@@ -150,7 +147,7 @@ func hotStockAlloc(t *testing.T, d ods.Durability, txns int) (objects, bytes uin
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r := hotstock.Run(opts, hotstock.Params{
-		Drivers: 1, RecordsPerDriver: txns * 8, InsertsPerTxn: 8, RecordBytes: 4096,
+		Drivers: 1, RecordsPerDriver: txns * 8, InsertsPerTxn: 8,
 	})
 	runtime.ReadMemStats(&after)
 	if got := r.Drivers[0].Txns; got != txns {
@@ -310,7 +307,7 @@ func TestTxnSwitchBudget(t *testing.T) {
 				opts := ods.DefaultOptions()
 				opts.Durability = tc.d
 				r := hotstock.Run(opts, hotstock.Params{
-					Drivers: 2, RecordsPerDriver: txns * 8, InsertsPerTxn: 8, RecordBytes: 4096,
+					Drivers: 2, RecordsPerDriver: txns * 8, InsertsPerTxn: 8,
 				})
 				if got := r.Drivers[0].Txns + r.Drivers[1].Txns; got != 2*txns {
 					t.Fatalf("%d of %d transactions committed", got, 2*txns)
@@ -347,7 +344,7 @@ func TestTimeoutsDoNotOutliveTheirCalls(t *testing.T) {
 		peak := 0
 		s.SetCommitHook(func(int64) { peak = max(peak, s.Eng.Pending()) })
 		r := hotstock.RunOn(s, hotstock.Params{
-			Drivers: 2, RecordsPerDriver: 500 * 8, InsertsPerTxn: 8, RecordBytes: 4096,
+			Drivers: 2, RecordsPerDriver: 500 * 8, InsertsPerTxn: 8,
 		})
 		s.Shutdown()
 		if got := r.Drivers[0].Txns + r.Drivers[1].Txns; got != 1000 {

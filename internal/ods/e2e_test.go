@@ -44,7 +44,6 @@ func runScript(t *testing.T, d ods.Durability, ops []e2eOp, seed int64) (*ods.St
 	opts.DataVolumes = 4
 	opts.DataVolumeBytes = 64 << 20
 	opts.AuditVolumeBytes = 64 << 20
-	opts.NPMUBytes = 128 << 20
 	opts.PMRegionBytes = 8 << 20
 	s := ods.Build(opts)
 	ref := newRef()

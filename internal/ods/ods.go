@@ -17,6 +17,7 @@ import (
 	"persistmem/internal/metrics"
 	"persistmem/internal/npmu"
 	"persistmem/internal/pmm"
+	"persistmem/internal/servernet"
 	"persistmem/internal/sim"
 	"persistmem/internal/tmf"
 
@@ -102,12 +103,12 @@ type Options struct {
 
 	// DiskConfig shapes all disk volumes.
 	DiskConfig disk.Config
-	// ClusterConfig shapes CPUs and fabric.
-	ClusterConfig cluster.Config
-	// PMRegionBytes sizes each ADP's PM log region.
+	// Net shapes the ServerNet fabric.
+	Net servernet.Config
+	// PMRegionBytes sizes each PM log region: an ADP's under PM
+	// durability, a DP2's under PM direct. Each NPMU holds exactly the
+	// store's regions (see npmuBytes).
 	PMRegionBytes int64
-	// NPMUBytes sizes each NPMU device.
-	NPMUBytes int64
 	// DataVolumeBytes and AuditVolumeBytes size the disk volumes.
 	DataVolumeBytes  int64
 	AuditVolumeBytes int64
@@ -129,9 +130,8 @@ func DefaultOptions() Options {
 		MirrorPM:         true,
 		RetainData:       false,
 		DiskConfig:       disk.DefaultConfig(),
-		ClusterConfig:    cluster.DefaultConfig(),
+		Net:              servernet.DefaultConfig(),
 		PMRegionBytes:    32 << 20,
-		NPMUBytes:        256 << 20,
 		DataVolumeBytes:  2 << 30,
 		AuditVolumeBytes: 2 << 30,
 	}
@@ -144,6 +144,20 @@ func (o *Options) auditStreams() int {
 		return o.AuditStreams
 	}
 	return o.CPUs
+}
+
+// npmuBytes sizes each NPMU to exactly what the store lays out on it: the
+// PM manager's metadata, the TMF's control blocks, and one log region per
+// log writer under PM durability or per database writer under PM direct.
+func (o *Options) npmuBytes() int64 {
+	regions := o.auditStreams()
+	if o.Durability == PMDirectDurability {
+		regions = 0
+		for _, f := range o.Files {
+			regions += f.Partitions
+		}
+	}
+	return pmm.MetaBytes + tmf.TCBRegionSize + int64(regions)*o.PMRegionBytes
 }
 
 // PMVolumeName is the PMM service name for the store's PM volume.
@@ -183,27 +197,7 @@ func BuildOn(eng *sim.Engine, opts Options) *Store {
 	if opts.CPUs < 2 {
 		panic("ods: need at least 2 CPUs for process pairs")
 	}
-	switch opts.Durability {
-	case PMDurability:
-		need := int64(opts.auditStreams())*opts.PMRegionBytes + tmf.TCBRegionSize + pmm.MetaBytes
-		if need > opts.NPMUBytes {
-			panic(fmt.Sprintf("ods: NPMUBytes %d too small: %d audit streams × %d PM log regions + TCB + metadata need %d",
-				opts.NPMUBytes, opts.auditStreams(), opts.PMRegionBytes, need))
-		}
-	case PMDirectDurability:
-		nDP2 := 0
-		for _, f := range opts.Files {
-			nDP2 += f.Partitions
-		}
-		need := int64(nDP2)*opts.PMRegionBytes + tmf.TCBRegionSize + pmm.MetaBytes
-		if need > opts.NPMUBytes {
-			panic(fmt.Sprintf("ods: NPMUBytes %d too small: %d DP2s × %d PM log regions + TCB + metadata need %d",
-				opts.NPMUBytes, nDP2, opts.PMRegionBytes, need))
-		}
-	}
-	ccfg := opts.ClusterConfig
-	ccfg.CPUs = opts.CPUs
-	cl := cluster.New(eng, ccfg)
+	cl := cluster.New(eng, cluster.Config{CPUs: opts.CPUs, Net: opts.Net})
 
 	s := &Store{
 		Eng:     eng,
@@ -239,14 +233,15 @@ func BuildOn(eng *sim.Engine, opts Options) *Store {
 	// PM deployment first: the ADPs (or PMDirect DP2s) open their regions
 	// at startup.
 	if opts.Durability == PMDurability || opts.Durability == PMDirectDurability {
+		size := opts.npmuBytes()
 		mkDev := func(name string) *npmu.Device {
 			switch {
 			case opts.UsePMP:
-				return npmu.NewPMP(cl, name, opts.NPMUBytes)
+				return npmu.NewPMP(cl, name, size)
 			case opts.RetainData:
-				return npmu.New(cl, name, opts.NPMUBytes)
+				return npmu.New(cl, name, size)
 			default:
-				return npmu.NewDiscard(cl, name, opts.NPMUBytes)
+				return npmu.NewDiscard(cl, name, size)
 			}
 		}
 		s.NPMUPrimary = mkDev("npmu-a")

@@ -21,7 +21,6 @@ func smallOptions(d Durability) Options {
 	o.RetainData = true
 	o.DataVolumeBytes = 64 << 20
 	o.AuditVolumeBytes = 64 << 20
-	o.NPMUBytes = 64 << 20
 	o.PMRegionBytes = 8 << 20
 	return o
 }

@@ -36,7 +36,6 @@ func ScenarioOptions(d ods.Durability, seed int64) ods.Options {
 	opts.DataVolumes = 4
 	opts.DataVolumeBytes = 256 << 20
 	opts.AuditVolumeBytes = 256 << 20
-	opts.NPMUBytes = 256 << 20
 	opts.PMRegionBytes = 32 << 20
 	return opts
 }
