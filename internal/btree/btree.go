@@ -18,6 +18,11 @@
 // node never regrows and never pins a value it no longer holds. The first
 // root leaf alone grows by append, so a tree of a few items costs what it
 // holds.
+//
+// A node's header is 32 bytes: its items slice and a pointer to a fixed
+// array of child slots, nil on a leaf. An internal node's children are the
+// first len(items)+1 slots of that array, which is an allocation of its
+// own, so a leaf carries no room for children.
 package btree
 
 import "slices"
@@ -25,10 +30,12 @@ import "slices"
 // maxKeys is a full node's item count; minKeys is the fewest a node other
 // than the root holds. A split of a full node leaves 31 and 30 items, and a
 // merge of two underfull siblings and their separator makes at most 61.
-// With 62 slots a split-born node's block, for the 32-byte items of the
-// DP2's rows and of recovery's []byte images, is 48 + 1 984 B: with Go's
-// 8-byte malloc header it fills the 2 048-byte size class, where 63 slots
-// would fall into the 2 304-byte one.
+// A split-born node's block is the 32-byte header and 62 items, and Go
+// adds an 8-byte malloc header to an object of more than 512 B that holds
+// pointers. For the 24-byte items of the DP2's 16-byte rows that is
+// 32 + 1 488 + 8 = 1 528 B, in the 1 536-byte size class; for the 32-byte
+// items of recovery's []byte images it is 32 + 1 984 + 8 = 2 024 B, in the
+// 2 048-byte class, where 63 slots would fall into the 2 304-byte one.
 const (
 	maxKeys = 62
 	minKeys = maxKeys/2 - 1
@@ -41,8 +48,10 @@ type Item[V any] struct {
 }
 
 type node[V any] struct {
-	items    []Item[V]  // sorted by Key
-	children []*node[V] // len(children) == len(items)+1 for internal nodes
+	items []Item[V] // sorted by Key
+	// kids holds an internal node's children in its first len(items)+1
+	// slots, every later slot nil. It is nil on a leaf.
+	kids *[maxKeys + 1]*node[V]
 }
 
 // block is a split-born node and its items in one allocation: items is
@@ -52,7 +61,25 @@ type block[V any] struct {
 	buf [maxKeys]Item[V]
 }
 
-func (n *node[V]) leaf() bool { return len(n.children) == 0 }
+func (n *node[V]) leaf() bool { return n.kids == nil }
+
+// insertKid moves n's children from slot i on up by one and puts c in slot
+// i. It runs before n's items gain the separator that comes with c, while
+// n has len(n.items)+1 children.
+func (n *node[V]) insertKid(i int, c *node[V]) {
+	nk := len(n.items) + 1
+	copy(n.kids[i+1:nk+1], n.kids[i:nk])
+	n.kids[i] = c
+}
+
+// deleteKid removes n's child in slot i, moves the later ones down by one
+// and clears the slot that leaves empty. It runs before n's items lose the
+// separator that goes with the child.
+func (n *node[V]) deleteKid(i int) {
+	nk := len(n.items) + 1
+	copy(n.kids[i:nk-1], n.kids[i+1:nk])
+	n.kids[nk-1] = nil
+}
 
 // Tree is a B-tree with values of type V. The zero value is an empty tree
 // ready to use.
@@ -105,15 +132,14 @@ func (t *Tree[V]) Ref(key uint64) *V {
 		if n.leaf() {
 			return nil
 		}
-		n = n.children[i]
+		n = n.kids[i]
 	}
 	return nil
 }
 
 // Has reports whether key is present.
 func (t *Tree[V]) Has(key uint64) bool {
-	_, ok := t.Get(key)
-	return ok
+	return t.Ref(key) != nil
 }
 
 // newNode returns an empty node with room for a full node's items, and for
@@ -124,44 +150,43 @@ func newNode[V any](internal bool) *node[V] {
 	n := &b.n
 	n.items = b.buf[:0:maxKeys]
 	if internal {
-		n.children = make([]*node[V], 0, maxKeys+1)
+		n.kids = new([maxKeys + 1]*node[V])
 	}
 	return n
 }
 
-// splitChild splits n.children[i] (which must be full) around its median.
+// splitChild splits n.kids[i] (which must be full) around its median.
 func (n *node[V]) splitChild(i int) {
-	child := n.children[i]
+	child := n.kids[i]
 	mid := maxKeys / 2
 	median := child.items[mid]
 
 	right := newNode[V](!child.leaf())
 	right.items = append(right.items, child.items[mid+1:]...)
+	if !child.leaf() {
+		copy(right.kids[:], child.kids[mid+1:len(child.items)+1])
+		clear(child.kids[mid+1:])
+	}
 	clear(child.items[mid:])
 	child.items = child.items[:mid]
-	if !child.leaf() {
-		right.children = append(right.children, child.children[mid+1:]...)
-		clear(child.children[mid+1:])
-		child.children = child.children[:mid+1]
-	}
 
+	n.insertKid(i+1, right)
 	n.items = slices.Insert(n.items, i, median)
-	n.children = slices.Insert(n.children, i+1, right)
 }
 
-// lendLeft rotates n.children[i]'s first item up through the separator into
-// its left sibling, which must have room, and with it the first child when
+// lendLeft rotates n.kids[i]'s first item up through the separator into its
+// left sibling, which must have room, and with it the first child when
 // internal. Set lends to make room in a full child instead of splitting it;
 // fixChild lends to top up an underfull left sibling.
 func (n *node[V]) lendLeft(i int) {
-	child, left := n.children[i], n.children[i-1]
+	child, left := n.kids[i], n.kids[i-1]
+	if !child.leaf() {
+		left.kids[len(left.items)+1] = child.kids[0]
+		child.deleteKid(0)
+	}
 	left.items = append(left.items, n.items[i-1])
 	n.items[i-1] = child.items[0]
 	child.items = slices.Delete(child.items, 0, 1)
-	if !child.leaf() {
-		left.children = append(left.children, child.children[0])
-		child.children = slices.Delete(child.children, 0, 1)
-	}
 }
 
 // Set inserts or replaces the value under key, reporting whether the key
@@ -177,7 +202,7 @@ func (t *Tree[V]) Set(key uint64, value V) bool {
 	if len(t.root.items) == maxKeys {
 		old := t.root
 		t.root = newNode[V](true)
-		t.root.children = append(t.root.children, old)
+		t.root.kids[0] = old
 		t.root.splitChild(0)
 	}
 	n := t.root
@@ -192,8 +217,8 @@ func (t *Tree[V]) Set(key uint64, value V) bool {
 			t.size++
 			return true
 		}
-		if child := n.children[i]; len(child.items) == maxKeys {
-			if i > 0 && len(n.children[i-1].items) < maxKeys && key > child.items[0].Key {
+		if child := n.kids[i]; len(child.items) == maxKeys {
+			if i > 0 && len(n.kids[i-1].items) < maxKeys && key > child.items[0].Key {
 				n.lendLeft(i)
 			} else {
 				n.splitChild(i)
@@ -206,7 +231,7 @@ func (t *Tree[V]) Set(key uint64, value V) bool {
 				}
 			}
 		}
-		n = n.children[i]
+		n = n.kids[i]
 	}
 }
 
@@ -220,7 +245,7 @@ func (t *Tree[V]) Delete(key uint64) bool {
 		if t.root.leaf() {
 			t.root = nil
 		} else {
-			t.root = t.root.children[0]
+			t.root = t.root.kids[0]
 		}
 	}
 	if deleted {
@@ -241,21 +266,21 @@ func (n *node[V]) delete(key uint64) bool {
 	if eq {
 		// Replace with the predecessor from the left subtree, ensuring the
 		// subtree can spare an item.
-		if len(n.children[i].items) > minKeys {
-			pred := n.children[i].max()
+		if len(n.kids[i].items) > minKeys {
+			pred := n.kids[i].max()
 			n.items[i] = pred
-			return n.children[i].delete(pred.Key)
+			return n.kids[i].delete(pred.Key)
 		}
-		if len(n.children[i+1].items) > minKeys {
-			succ := n.children[i+1].min()
+		if len(n.kids[i+1].items) > minKeys {
+			succ := n.kids[i+1].min()
 			n.items[i] = succ
-			return n.children[i+1].delete(succ.Key)
+			return n.kids[i+1].delete(succ.Key)
 		}
 		n.merge(i)
-		return n.children[i].delete(key)
+		return n.kids[i].delete(key)
 	}
 	// Descend, topping the child up to > minKeys first.
-	if len(n.children[i].items) == minKeys {
+	if len(n.kids[i].items) == minKeys {
 		n.fixChild(i)
 		// fixChild may have merged and shifted; recompute.
 		i, eq = n.find(key)
@@ -263,58 +288,60 @@ func (n *node[V]) delete(key uint64) bool {
 			return n.delete(key)
 		}
 	}
-	return n.children[i].delete(key)
+	return n.kids[i].delete(key)
 }
 
 func (n *node[V]) min() Item[V] {
 	for !n.leaf() {
-		n = n.children[0]
+		n = n.kids[0]
 	}
 	return n.items[0]
 }
 
 func (n *node[V]) max() Item[V] {
 	for !n.leaf() {
-		n = n.children[len(n.children)-1]
+		n = n.kids[len(n.items)]
 	}
 	return n.items[len(n.items)-1]
 }
 
-// fixChild ensures n.children[i] has more than minKeys items, borrowing
-// from a sibling or merging.
+// fixChild ensures n.kids[i] has more than minKeys items, borrowing from a
+// sibling or merging.
 func (n *node[V]) fixChild(i int) {
-	if i > 0 && len(n.children[i-1].items) > minKeys {
+	if i > 0 && len(n.kids[i-1].items) > minKeys {
 		// Rotate right: left sibling's max moves up, separator moves down.
-		child, left := n.children[i], n.children[i-1]
+		child, left := n.kids[i], n.kids[i-1]
 		last := len(left.items) - 1
+		if !left.leaf() {
+			child.insertKid(0, left.kids[last+1])
+			left.kids[last+1] = nil
+		}
 		child.items = slices.Insert(child.items, 0, n.items[i-1])
 		n.items[i-1] = left.items[last]
 		left.items = slices.Delete(left.items, last, last+1)
-		if !left.leaf() {
-			child.children = slices.Insert(child.children, 0, left.children[last+1])
-			left.children = slices.Delete(left.children, last+1, last+2)
-		}
 		return
 	}
-	if i < len(n.children)-1 && len(n.children[i+1].items) > minKeys {
+	if i < len(n.items) && len(n.kids[i+1].items) > minKeys {
 		// Rotate left: the right sibling lends its first item.
 		n.lendLeft(i + 1)
 		return
 	}
-	if i == len(n.children)-1 {
+	if i == len(n.items) {
 		i--
 	}
 	n.merge(i)
 }
 
-// merge folds n.children[i+1] and the separator into n.children[i].
+// merge folds n.kids[i+1] and the separator into n.kids[i].
 func (n *node[V]) merge(i int) {
-	child, right := n.children[i], n.children[i+1]
+	child, right := n.kids[i], n.kids[i+1]
+	if !child.leaf() {
+		copy(child.kids[len(child.items)+1:], right.kids[:len(right.items)+1])
+	}
 	child.items = append(child.items, n.items[i])
 	child.items = append(child.items, right.items...)
-	child.children = append(child.children, right.children...)
+	n.deleteKid(i + 1)
 	n.items = slices.Delete(n.items, i, i+1)
-	n.children = slices.Delete(n.children, i+1, i+2)
 }
 
 // Ascend calls fn for every item with key in [from, to] in increasing key
@@ -328,7 +355,7 @@ func (t *Tree[V]) Ascend(from, to uint64, fn func(Item[V]) bool) {
 func (n *node[V]) ascend(from, to uint64, fn func(Item[V]) bool) bool {
 	i, _ := n.find(from)
 	for ; i < len(n.items); i++ {
-		if !n.leaf() && !n.children[i].ascend(from, to, fn) {
+		if !n.leaf() && !n.kids[i].ascend(from, to, fn) {
 			return false
 		}
 		if n.items[i].Key > to {
@@ -339,7 +366,7 @@ func (n *node[V]) ascend(from, to uint64, fn func(Item[V]) bool) bool {
 		}
 	}
 	if !n.leaf() {
-		return n.children[len(n.children)-1].ascend(from, to, fn)
+		return n.kids[len(n.items)].ascend(from, to, fn)
 	}
 	return true
 }
@@ -368,7 +395,7 @@ func (t *Tree[V]) depth() int {
 		if n.leaf() {
 			break
 		}
-		n = n.children[0]
+		n = n.kids[0]
 	}
 	return d
 }
@@ -407,10 +434,10 @@ func (t *Tree[V]) CheckInvariants() {
 			}
 			return count
 		}
-		if len(n.children) != len(n.items)+1 {
-			panic("btree: child count mismatch")
-		}
-		for i, c := range n.children {
+		for i, c := range n.kids[:len(n.items)+1] {
+			if c == nil {
+				panic("btree: missing child")
+			}
 			cmin, chasMin := min, hasMin
 			cmax, chasMax := max, hasMax
 			if i > 0 {

@@ -27,6 +27,12 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Min(); ok {
 		t.Error("Min on empty tree")
 	}
+	if _, ok := tr.Max(); ok {
+		t.Error("Max on empty tree")
+	}
+	if tr.Has(42) {
+		t.Error("Has on empty tree")
+	}
 	tr.CheckInvariants()
 }
 
@@ -129,6 +135,60 @@ func TestMinMax(t *testing.T) {
 	if mx, _ := tr.Max(); mx.Key != 90 {
 		t.Errorf("Max = %d", mx.Key)
 	}
+}
+
+// TestMinMaxHasDeep reads the ends of a three-level tree, each found by
+// descending through internal nodes, and asks Has about present and absent
+// keys at every level.
+func TestMinMaxHasDeep(t *testing.T) {
+	tr := New[[]byte]()
+	const n = 10000
+	for i := uint64(0); i < n; i++ {
+		tr.Set(2*i+1, nil)
+	}
+	if d := tr.depth(); d < 3 {
+		t.Fatalf("depth %d, want at least 3", d)
+	}
+	if mn, ok := tr.Min(); !ok || mn.Key != 1 {
+		t.Errorf("Min = %d, %v; want 1", mn.Key, ok)
+	}
+	if mx, ok := tr.Max(); !ok || mx.Key != 2*n-1 {
+		t.Errorf("Max = %d, %v; want %d", mx.Key, ok, 2*n-1)
+	}
+	// The root's separators, absent neighbours of each, and the ends.
+	for _, it := range tr.root.items {
+		if !tr.Has(it.Key) || tr.Has(it.Key+1) || tr.Has(it.Key-1) {
+			t.Errorf("Has around root separator %d is wrong", it.Key)
+		}
+	}
+	if tr.Has(0) || !tr.Has(1) || !tr.Has(2*n-1) || tr.Has(2*n) {
+		t.Error("Has at the ends is wrong")
+	}
+}
+
+// TestSetReplacesThePromotedKey replaces the value of the key that the
+// split its own Set makes promotes: the median of a full leaf that cannot
+// lend, here the root's first child, which has no left sibling.
+func TestSetReplacesThePromotedKey(t *testing.T) {
+	tr := New[[]byte]()
+	for k := uint64(0); k < 200; k++ {
+		tr.Set(k, []byte("old"))
+	}
+	first := tr.root.kids[0]
+	if len(first.items) != maxKeys {
+		t.Fatalf("the first leaf holds %d items, want a full one", len(first.items))
+	}
+	median := first.items[maxKeys/2].Key
+	if tr.Set(median, []byte("new")) {
+		t.Fatal("replacing the median reported a new key")
+	}
+	if tr.root.items[0].Key != median {
+		t.Fatalf("the root's first separator is %d, want the promoted median %d", tr.root.items[0].Key, median)
+	}
+	if v, ok := tr.Get(median); !ok || string(v) != "new" || tr.Len() != 200 {
+		t.Errorf("after the replace Get(%d) = %q, %v and Len %d; want \"new\", true, 200", median, v, ok, tr.Len())
+	}
+	tr.CheckInvariants()
 }
 
 func TestLargeSequentialInsert(t *testing.T) {
@@ -276,19 +336,98 @@ func TestTreeMatchesMapProperty(t *testing.T) {
 	})
 }
 
+// TestDeleteHeavyMatchesMap grows a tree of three levels by appends and
+// then shrinks it to nothing under mostly deletes, with sets, lends, splits
+// and merges mixed in at every level. After every operation the tree must
+// answer as a map does, hold its invariants, and keep nothing in a vacated
+// item or child slot.
+func TestDeleteHeavyMatchesMap(t *testing.T) {
+	m := newModel()
+	rng := rand.New(rand.NewSource(3))
+	ops := 0
+	step := func(k uint64, del bool) {
+		t.Helper()
+		ops++
+		if !m.apply(k, del) {
+			t.Fatalf("op %d, key %d (delete %v): the tree answered unlike the map", ops, k, del)
+		}
+		m.tr.CheckInvariants()
+		if s := vacated(m.tr, zeroBytesItem); s != "" {
+			t.Fatalf("op %d, key %d (delete %v): %s", ops, k, del, s)
+		}
+	}
+	const n = 4500
+	for k := uint64(0); k < n; k++ {
+		step(k, false)
+	}
+	if d := m.tr.depth(); d < 3 {
+		t.Fatalf("depth %d after %d appends, want 3", d, n)
+	}
+	// Four in five operations delete, nearly always a present key, so the
+	// tree shrinks by about 0.6 keys an operation until it is empty.
+	for m.tr.Len() > 0 {
+		k := uint64(rng.Intn(n + 200))
+		del := rng.Intn(5) != 0
+		if del && rng.Intn(16) != 0 {
+			keys := make([]uint64, 0, len(m.ref))
+			m.tr.Ascend(0, ^uint64(0), func(it Item[[]byte]) bool {
+				keys = append(keys, it.Key)
+				return true
+			})
+			k = keys[rng.Intn(len(keys))]
+		}
+		step(k, del)
+	}
+	if !m.agrees() || m.tr.root != nil {
+		t.Error("the emptied tree does not agree with the emptied map")
+	}
+}
+
 // eachNode calls fn on every node of t.
 func eachNode[V any](t *Tree[V], fn func(*node[V])) {
 	var walk func(n *node[V])
 	walk = func(n *node[V]) {
 		fn(n)
-		for _, c := range n.children {
-			walk(c)
+		if !n.leaf() {
+			for _, c := range n.kids[:len(n.items)+1] {
+				walk(c)
+			}
 		}
 	}
 	if t.root != nil {
 		walk(t.root)
 	}
 }
+
+// vacated describes the first slot of t that still holds something past
+// its node's length, an item slot that zero does not call empty or a child
+// slot that is not nil, or returns "" when there is none.
+func vacated[V any](t *Tree[V], zero func(Item[V]) bool) string {
+	var found string
+	eachNode(t, func(n *node[V]) {
+		if found != "" {
+			return
+		}
+		for _, it := range n.items[len(n.items):cap(n.items)] {
+			if !zero(it) {
+				found = fmt.Sprintf("a node of %d items keeps item %d past its length", len(n.items), it.Key)
+				return
+			}
+		}
+		if !n.leaf() {
+			for j, c := range n.kids[len(n.items)+1:] {
+				if c != nil {
+					found = fmt.Sprintf("a node of %d items keeps a child in slot %d", len(n.items), len(n.items)+1+j)
+					return
+				}
+			}
+		}
+	})
+	return found
+}
+
+func zeroPtrItem(it Item[*int]) bool     { return it == Item[*int]{} }
+func zeroBytesItem(it Item[[]byte]) bool { return it.Key == 0 && it.Value == nil }
 
 // TestVacatedSlotsAreCleared holds that no node pins a value past its
 // length: splits, leaf deletes, rotations in both directions and merges each
@@ -300,18 +439,9 @@ func TestVacatedSlotsAreCleared(t *testing.T) {
 	check := func(phase string) {
 		t.Helper()
 		tr.CheckInvariants()
-		eachNode(tr, func(n *node[*int]) {
-			for _, it := range n.items[len(n.items):cap(n.items)] {
-				if it != (Item[*int]{}) {
-					t.Fatalf("%s: a node keeps item %d past its length", phase, it.Key)
-				}
-			}
-			for _, c := range n.children[len(n.children):cap(n.children)] {
-				if c != nil {
-					t.Fatalf("%s: a node keeps a child past its length", phase)
-				}
-			}
-		})
+		if s := vacated(tr, zeroPtrItem); s != "" {
+			t.Fatalf("%s: %s", phase, s)
+		}
 	}
 	// An internal node's lend leaves its slot vacated only until the next
 	// leaf split below it, so look often.
@@ -353,10 +483,9 @@ func leafFill[V any](t *Tree[V]) float64 {
 	return float64(items) / float64(leaves*maxKeys)
 }
 
-// row24 has the shape of the DP2's cached row: 24 bytes, one pointer.
-type row24 struct {
+// row16 has the shape of the DP2's cached row: 16 bytes, one pointer.
+type row16 struct {
 	data *byte
-	loc  uint64
 	n, m uint32
 }
 
@@ -379,8 +508,8 @@ func appendFill[V any](n uint64, key func(uint64) uint64, v V) (fill, perItem fl
 // tree costs about one full leaf's bytes per 63 items. With the plain 31/31
 // split every leaf but the last stays half full, and a split node regrows
 // its items by append: 56 B an item with pointer values. The DP2 stores its
-// 24-byte rows by value: a 32-byte item, 62 to a leaf whose header and items
-// are one 2 048-byte block, ~33.3 B an item with the internal levels.
+// 16-byte rows by value: a 24-byte item, 62 to a leaf whose header and items
+// are one 1 536-byte block, ~25 B an item with the internal levels.
 func TestAppendsFillLeaves(t *testing.T) {
 	const n = 100000
 	for _, tc := range []struct {
@@ -401,7 +530,7 @@ func TestAppendsFillLeaves(t *testing.T) {
 				perItem float64 // bound on the bytes an item costs
 			}{
 				{"pointer values", func() (float64, float64) { return appendFill(n, tc.key, new(int)) }, 20},
-				{"24-byte values", func() (float64, float64) { return appendFill(n, tc.key, row24{}) }, 34},
+				{"16-byte values", func() (float64, float64) { return appendFill(n, tc.key, row16{}) }, 26},
 			} {
 				fill, perItem := shape.run()
 				t.Logf("%s: leaves %.1f %% full, %.1f B an item", shape.name, 100*fill, perItem)
@@ -416,23 +545,46 @@ func TestAppendsFillLeaves(t *testing.T) {
 	}
 }
 
-// TestBlockFitsItsSizeClass pins the node block for the 32-byte items of
-// the DP2's rows and of []byte values: the 48-byte header and 62 items are
-// 2 032 B, and with Go's 8-byte malloc header (an object of more than 512 B
-// that holds pointers carries one) the block fills the 2 048-byte size
-// class. A wider header or a 63rd slot pushes every split-born node into the
-// 2 304-byte class.
+// blockSink keeps the blocks TestBlockFitsItsSizeClass allocates on the
+// heap.
+var blockSink any
+
+// TestBlockFitsItsSizeClass pins the node block for the 24-byte items of
+// the DP2's 16-byte rows and the 32-byte items of []byte values. The node
+// header is 32 bytes, and Go gives an object of more than 512 B that holds
+// pointers an 8-byte malloc header. A row leaf is 32 + 62 × 24 + 8 = 1 528 B,
+// in the 1 536-byte size class; a []byte leaf is 32 + 62 × 32 + 8 = 2 024 B,
+// in the 2 048-byte one. A 48-byte header (two slice headers) pushes the row
+// leaf into the 1 792-byte class, and a 63rd slot pushes both up a class.
 func TestBlockFitsItsSizeClass(t *testing.T) {
-	const mallocHeader, sizeClass = 8, 2048
-	if got := unsafe.Sizeof(Item[row24]{}); got != 32 {
-		t.Fatalf("an item of a 24-byte value is %d bytes, want 32", got)
+	const mallocHeader = 8
+	if got := unsafe.Sizeof(Item[row16]{}); got != 24 {
+		t.Fatalf("an item of a 16-byte value is %d bytes, want 24", got)
 	}
-	if a, b := unsafe.Sizeof(block[row24]{}), unsafe.Sizeof(block[[]byte]{}); a != b {
-		t.Errorf("a block of 24-byte rows is %d bytes, of []byte %d: want the same", a, b)
+	if a, b := unsafe.Sizeof(node[row16]{}), unsafe.Sizeof(node[[]byte]{}); a != 32 || b != 32 {
+		t.Errorf("a node header is %d bytes for rows and %d for []byte, want 32", a, b)
 	}
-	if got := unsafe.Sizeof(block[row24]{}) + mallocHeader; got > sizeClass {
-		t.Errorf("a block with its malloc header is %d bytes, more than the %d-byte size class", got, sizeClass)
+	for _, tc := range []struct {
+		name  string
+		size  uintptr
+		class uint64
+		alloc func() any
+	}{
+		{"16-byte rows", unsafe.Sizeof(block[row16]{}), 1536, func() any { return newNode[row16](false) }},
+		{"[]byte values", unsafe.Sizeof(block[[]byte]{}), 2048, func() any { return newNode[[]byte](false) }},
+	} {
+		if got := tc.size + mallocHeader; got > uintptr(tc.class) {
+			t.Errorf("%s: a block with its malloc header is %d bytes, more than the %d-byte size class", tc.name, got, tc.class)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		blockSink = tc.alloc()
+		runtime.ReadMemStats(&after)
+		if objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; objs != 1 || bytes != tc.class {
+			t.Errorf("%s: a leaf is %d objects of %d bytes, want one of %d", tc.name, objs, bytes, tc.class)
+		}
 	}
+	blockSink = nil
 }
 
 // TestLeafSplitAllocatesOneObject holds that a split-born leaf is one
@@ -440,9 +592,9 @@ func TestBlockFitsItsSizeClass(t *testing.T) {
 // nothing allocates nothing. The keys ascend at the right edge, so each full
 // last leaf splits once its left sibling is full too.
 func TestLeafSplitAllocatesOneObject(t *testing.T) {
-	tr := New[row24]()
+	tr := New[row16]()
 	leaves := func() (count int) {
-		eachNode(tr, func(n *node[row24]) {
+		eachNode(tr, func(n *node[row16]) {
 			if n.leaf() {
 				count++
 			}
@@ -451,14 +603,14 @@ func TestLeafSplitAllocatesOneObject(t *testing.T) {
 	}
 	var k uint64
 	for ; k < 2*maxKeys; k++ {
-		tr.Set(k, row24{})
+		tr.Set(k, row16{})
 	}
 	depth, splits := tr.depth(), 0
 	var before, after runtime.MemStats
 	for ; k < 30*maxKeys; k++ {
 		was := leaves()
 		runtime.ReadMemStats(&before)
-		tr.Set(k, row24{})
+		tr.Set(k, row16{})
 		runtime.ReadMemStats(&after)
 		allocs := after.Mallocs - before.Mallocs
 		switch now := leaves(); {
@@ -477,14 +629,40 @@ func TestLeafSplitAllocatesOneObject(t *testing.T) {
 	tr.CheckInvariants()
 }
 
+// TestInternalSplitAllocatesTwoObjects holds that splitting a full internal
+// node makes two objects: the new node and its items in one block, and its
+// child array.
+func TestInternalSplitAllocatesTwoObjects(t *testing.T) {
+	tr := New[row16]()
+	// Ascending keys fill every node but the right edge: past 4 000 of
+	// them the root's first child is a full internal node.
+	for k := uint64(0); tr.depth() < 3 || len(tr.root.items) < 2; k++ {
+		tr.Set(k, row16{})
+	}
+	if child := tr.root.kids[0]; child.leaf() || len(child.items) != maxKeys {
+		t.Fatalf("the root's first child holds %d items, leaf %v: want a full internal node", len(child.items), child.leaf())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr.root.splitChild(0)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 2 {
+		t.Errorf("an internal split made %d allocations, want 2", allocs)
+	}
+	tr.CheckInvariants()
+	if s := vacated(tr, func(it Item[row16]) bool { return it == Item[row16]{} }); s != "" {
+		t.Error(s)
+	}
+}
+
 // TestSmallTreeCostsWhatItHolds holds the first root leaf to append
 // growth: a tree of a few rows (a crash-matrix cell puts about eight in
 // each DP2 partition) is not charged a full node block.
 func TestSmallTreeCostsWhatItHolds(t *testing.T) {
 	for _, n := range []int{1, 5, 20} {
-		tr := New[row24]()
+		tr := New[row16]()
 		for k := 0; k < n; k++ {
-			tr.Set(uint64(k), row24{})
+			tr.Set(uint64(k), row16{})
 		}
 		if c := cap(tr.root.items); c >= 2*n {
 			t.Errorf("a tree of %d items has room for %d", n, c)

@@ -84,3 +84,46 @@ func TestRetainedBodiesReadBackAfterPMRebuild(t *testing.T) {
 	}
 	eng.Shutdown()
 }
+
+// TestBodyLimit holds the bound a row's 31-bit length word sets: a body of
+// bodyLimit − 1 bytes fits, one of bodyLimit does not, and the dirty flag
+// in the top bit leaves the length it shares the word with intact.
+func TestBodyLimit(t *testing.T) {
+	if bodyLimit != 1<<31 {
+		t.Fatalf("bodyLimit = %d, want 2^31: the row's length word has 31 bits", bodyLimit)
+	}
+	for _, tc := range []struct {
+		n    int
+		fits bool
+	}{{0, true}, {bodyLimit - 1, true}, {bodyLimit, false}, {1 << 32, false}} {
+		if got := bodyFits(tc.n); got != tc.fits {
+			t.Errorf("bodyFits(%d) = %v, want %v", tc.n, got, tc.fits)
+		}
+	}
+	r := row{word: uint32(bodyLimit-1) | dirtyBit}
+	if r.blen() != bodyLimit-1 || !r.dirty() {
+		t.Fatalf("a dirty row of the longest body reads blen %d, dirty %v", r.blen(), r.dirty())
+	}
+	r.clean()
+	if r.blen() != bodyLimit-1 || r.dirty() {
+		t.Errorf("cleaned, the row reads blen %d, dirty %v", r.blen(), r.dirty())
+	}
+}
+
+// TestApplyRefusesAnOversizedBody holds the apply path to a loud failure on
+// a body its row cannot record: a replayed audit record of bodyLimit bytes
+// panics rather than being cached with a truncated length. The delta
+// declares the length without carrying the body.
+func TestApplyRefusesAnOversizedBody(t *testing.T) {
+	st := newState()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an insert of bodyLimit bytes was applied")
+		}
+		if st.tree.Len() != 0 || st.dirty != 0 || st.dirtyq.len() != 0 || st.stamp != 0 {
+			t.Errorf("the refused insert changed the image: %d rows, %d dirty, %d queued, stamp %d",
+				st.tree.Len(), st.dirty, st.dirtyq.len(), st.stamp)
+		}
+	}()
+	st.applyInsert(insertDelta{txn: 1, key: 1, blen: bodyLimit}, false)
+}

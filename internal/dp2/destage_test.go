@@ -188,20 +188,20 @@ func TestInsertStampsAreHandedOutOnce(t *testing.T) {
 	}
 }
 
-// TestCacheShapes pins what a cached row costs. The row is 24 bytes and the
-// B-tree item holding it by value 32, so a split-born leaf, its 48-byte
-// header and 62 items in one block, is 2 032 B of the 2 048-byte size class
+// TestCacheShapes pins what a cached row costs. The row is 16 bytes and the
+// B-tree item holding it by value 24, so a split-born leaf, its 32-byte
+// header and 62 items in one block, is 1 528 B of the 1 536-byte size class
 // with the malloc header; a queue entry is 16 bytes and holds no pointer,
 // so the queues pin no row and the collector does not scan them. A field that
 // widens the row — a body slice header in place of the data pointer, or a
-// volume offset beside the dirty flag — pushes every full leaf into a larger
-// size class and trips this; so does a *row back in the entry.
+// dirty flag of its own beside the length — pushes every full leaf into a
+// larger size class and trips this; so does a *row back in the entry.
 func TestCacheShapes(t *testing.T) {
-	if got := unsafe.Sizeof(row{}); got != 24 {
-		t.Errorf("a row is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(row{}); got != 16 {
+		t.Errorf("a row is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(btree.Item[row]{}); got != 32 {
-		t.Errorf("a B-tree item is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(btree.Item[row]{}); got != 24 {
+		t.Errorf("a B-tree item is %d bytes, want 24", got)
 	}
 	if got := unsafe.Sizeof(queueEnt{}); got != 16 {
 		t.Errorf("a queue entry is %d bytes, want 16", got)

@@ -31,6 +31,9 @@ var (
 	ErrNotFound = errors.New("dp2: key not found")
 	// ErrNoTxn means a data operation referenced an unknown transaction.
 	ErrNoTxn = errors.New("dp2: unknown transaction")
+	// ErrBodyTooLarge means an insert's body is bodyLimit bytes or more,
+	// too long for a cached row's length word.
+	ErrBodyTooLarge = errors.New("dp2: body too large")
 )
 
 // Mode selects how a DP2 makes its changes durable.
@@ -214,15 +217,45 @@ type endDelta struct {
 // Delete. What must find a row again after a park — the destager after its
 // volume write — names it by key and stamp: the stamp tells the row inserted
 // under a key from one inserted there after an abort.
+//
+// A row is 16 bytes, so its leaf item is 24 and a full leaf one 1 536-byte
+// block (see btree's maxKeys). The dirty flag is the top bit of the length
+// word, read through blen and dirty; the length fits the other 31 bits
+// because completeInsert refuses a body of bodyLimit bytes or more.
 type row struct {
 	data  *byte  // first byte of the payload when retained, else nil
-	blen  uint32 // body length, the width an audit record gives it
+	word  uint32 // body length in the low 31 bits; dirtyBit while not yet destaged
 	stamp uint32 // the state's insert count at this row's insert
-	dirty bool   // not yet destaged to the volume
 }
 
-// setBody retains b as the row's payload; blen must already be len(b).
-// The pointer keeps b's array alive exactly as the slice did.
+// dirtyBit marks a row's length word while the row is not yet destaged to
+// the volume; bodyLimit is the first body length the other 31 bits cannot
+// hold.
+const (
+	dirtyBit  = 1 << 31
+	bodyLimit = dirtyBit
+)
+
+// bodyFits reports whether a body of n bytes fits a row's length word.
+func bodyFits(n int) bool { return uint64(n) < bodyLimit }
+
+// blen returns the row's body length, the width an audit record gives it.
+//
+//simlint:hotpath
+func (r *row) blen() uint32 { return r.word &^ dirtyBit }
+
+// dirty reports whether the row is not yet destaged to the volume.
+//
+//simlint:hotpath
+func (r *row) dirty() bool { return r.word&dirtyBit != 0 }
+
+// clean marks the row destaged.
+//
+//simlint:hotpath
+func (r *row) clean() { r.word &^= dirtyBit }
+
+// setBody retains b as the row's payload; the length word must already
+// hold len(b). The pointer keeps b's array alive exactly as the slice did.
 //
 //simlint:hotpath
 func (r *row) setBody(b []byte) { r.data = unsafe.SliceData(b) }
@@ -236,7 +269,7 @@ func (r *row) body() []byte {
 	if r.data == nil {
 		return nil
 	}
-	return unsafe.Slice(r.data, r.blen)
+	return unsafe.Slice(r.data, r.blen())
 }
 
 // queueEnt names a queued row by key and stamp, so queue consumers can skip
@@ -391,12 +424,19 @@ func (st *dpState) live(e queueEnt) *row {
 	return nil
 }
 
-// applyInsert folds one insert into the state image.
+// applyInsert folds one insert into the state image. A body too long for
+// the row's length word panics: the primary refuses one before it gets
+// here, so only a corrupt audit record replayed from the PM log can carry
+// one, and truncating it would corrupt the image silently.
 //
 //simlint:hotpath
 func (st *dpState) applyInsert(d insertDelta, retain bool) {
+	if !bodyFits(d.blen) {
+		//simlint:allow hotalloc -- an unrepresentable body, fatal
+		panic(fmt.Sprintf("dp2: key %d: a %d-byte body does not fit a row's %d-byte limit", d.key, d.blen, bodyLimit-1))
+	}
 	st.stamp++
-	r := row{blen: uint32(d.blen), stamp: st.stamp, dirty: true}
+	r := row{word: uint32(d.blen) | dirtyBit, stamp: st.stamp}
 	if retain {
 		r.setBody(d.body)
 	}
@@ -410,7 +450,7 @@ func (st *dpState) applyInsert(d insertDelta, retain bool) {
 	}
 	st.undo[d.txn] = append(u, d.key)
 	st.dirty += int64(d.blen)
-	st.dirtyq.push(queueEnt{key: d.key, blen: r.blen, stamp: r.stamp})
+	st.dirtyq.push(queueEnt{key: d.key, blen: r.blen(), stamp: r.stamp})
 }
 
 // applyEnd folds a transaction end into the state image.
@@ -436,8 +476,8 @@ func (st *dpState) applyEnd(d endDelta) {
 //
 //simlint:hotpath
 func (st *dpState) drop(key uint64, r row) {
-	if r.dirty {
-		st.dirty -= int64(r.blen)
+	if r.dirty() {
+		st.dirty -= int64(r.blen())
 	}
 	st.tree.Delete(key)
 }
@@ -769,6 +809,10 @@ func canGrantNow(lm *locks.Manager, key uint64, txn audit.TxnID) bool {
 //simlint:hotpath
 func (d *DP2) completeInsert(p *cluster.Process, st *dpState, auditBuf *[]byte, req *InsertReq) error {
 	istart := p.Now()
+	if !bodyFits(len(req.Body)) {
+		//simlint:allow hotalloc -- an oversized body, cold
+		return fmt.Errorf("%w: %s/%d key %d: %d bytes", ErrBodyTooLarge, d.cfg.File, d.cfg.Partition, req.Key, len(req.Body))
+	}
 	if st.tree.Has(req.Key) {
 		d.stats.DuplicateKeys++
 		//simlint:allow hotalloc -- duplicate-key rejection, cold
@@ -1055,7 +1099,7 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 			batch = batch[:0]
 			for st.dirtyq.len() > 0 && (n == 0 || n+int64(st.dirtyq.front().blen) <= writebackBudget) {
 				ent := st.dirtyq.pop()
-				if r := st.live(ent); r == nil || !r.dirty {
+				if r := st.live(ent); r == nil || !r.dirty() {
 					continue // aborted or replaced since queueing
 				}
 				n += int64(ent.blen)
@@ -1091,8 +1135,8 @@ func (d *DP2) writeback(p *cluster.Process, st *dpState, kick *sim.Chan) {
 			// its key reinserted. Only rows still live by key and stamp are
 			// marked clean.
 			for _, ent := range batch {
-				if r := st.live(ent); r != nil && r.dirty {
-					r.dirty = false
+				if r := st.live(ent); r != nil && r.dirty() {
+					r.clean()
 					st.dirty -= int64(ent.blen)
 				}
 			}

@@ -356,3 +356,37 @@ func TestUnknownRequestPanics(t *testing.T) {
 	}()
 	eng.Run()
 }
+
+// TestStartRefusesAnIncompleteConfig holds Start to refusing, before it
+// starts anything, a config without the volume its mode destages to or the
+// log it makes changes durable in.
+func TestStartRefusesAnIncompleteConfig(t *testing.T) {
+	vol := disk.New(sim.NewEngine(1), "$DATA", disk.DefaultConfig(), 1<<20)
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{ADPName: "$ADP0"}, "dp2: volume required"},
+		{Config{Volume: vol}, "dp2: ADP name required in Classic mode"},
+		{Config{Volume: vol, Mode: PMDirect}, "dp2: PM volume required in PMDirect mode"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("Start(%+v) panicked with %v, want %q", tc.cfg, got, tc.want)
+				}
+			}()
+			Start(nil, tc.cfg)
+		}()
+	}
+}
+
+// TestNamesAreTheConfigured reads back the service and log-writer names a
+// DP2 was started with.
+func TestNamesAreTheConfigured(t *testing.T) {
+	eng, _, d := harness(t, nil)
+	defer eng.Shutdown()
+	if d.Name() != "$DP-F-0" || d.ADPName() != "$ADP0" {
+		t.Errorf("Name %q, ADPName %q; want $DP-F-0, $ADP0", d.Name(), d.ADPName())
+	}
+}

@@ -134,7 +134,7 @@ func TestDestageFindsRowsMovedDuringTheWrite(t *testing.T) {
 			t.Fatal("the first write finished before the tree changed: the test no longer races it")
 		}
 		waitFor(t, p, settle, "the first destage", func() bool { return d.stats.Writebacks == 1 })
-		if r, _ := st.tree.Get(62); !r.dirty {
+		if r, _ := st.tree.Get(62); !r.dirty() {
 			t.Error("key 62's reinserted row was marked clean by the write of the row it replaced")
 		}
 		if st.dirty != secondBatch {
@@ -154,7 +154,7 @@ func TestDestageFindsRowsMovedDuringTheWrite(t *testing.T) {
 		t.Errorf("%d rows cached, want %d", st.tree.Len(), len(keys))
 	}
 	for key := range keys {
-		if r, _ := st.tree.Get(key); r.dirty {
+		if r, _ := st.tree.Get(key); r.dirty() {
 			t.Errorf("key %d is still dirty", key)
 		}
 	}

@@ -177,7 +177,9 @@ func TestTxnAllocationBudget(t *testing.T) {
 }
 
 // txnBudgetBytes is the most bytes one more committed hot-stock transaction
-// (as txnBudgetAllocs) may cost: 530–536 on disk audit and on PM today,
+// (as txnBudgetAllocs) may cost: 401–402 on disk audit and on PM today, a
+// full leaf of 16-byte rows one 1 536-byte block; 530–536 (budget 580)
+// while rows were 24 bytes and a node header 48, a leaf a 2 048-byte block;
 // 545 (budget 600) while a split-born node was a 48-byte header and a
 // 2 048-byte items array, 638–675
 // (budget 700) while a row was a 24-byte slab slot and a 16-byte leaf item
@@ -188,10 +190,11 @@ func TestTxnAllocationBudget(t *testing.T) {
 // leaves split half full and rows were 48 bytes, and 2585–2595 while every
 // destaged row joined a clean queue that nothing pops in a store that never
 // evicts.
-const txnBudgetBytes = 580
+const txnBudgetBytes = 440
 
 // runBudgetBytes is the most bytes a transaction of the whole 1000-transaction
-// run may cost, set-up included: 1030–1088 today, 1051–1086 (budget 1150)
+// run may cost, set-up included: 880–924 today, 1027–1088 (budget 1140)
+// with 24-byte rows and 48-byte node headers, 1051–1086 (budget 1150)
 // with a node header apart from its items, 1142–1180 (budget 1260)
 // with rows in slabs beside their leaves, 1434–1466 (budget 1550) with
 // 40-byte rows and a heap Txn handle, 1585–1616 while the backup's
@@ -201,7 +204,7 @@ const txnBudgetBytes = 580
 // of two runs cancels it and only this sees it: 3780 on disk and 8920 on PM
 // while a DP2 that keeps no row bodies still grew a zero-filled buffer to
 // write them from (4060 / 9210 with the clean queue as well).
-const runBudgetBytes = 1140
+const runBudgetBytes = 980
 
 // TestTxnByteBudget is the byte side of TestTxnAllocationBudget: an object
 // count cannot see one large buffer. It holds the same 1000-minus-500

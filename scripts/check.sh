@@ -30,6 +30,10 @@ rm -f simlint.json
 go test -coverprofile=/tmp/persistmem-cover.out ./...
 go run ./cmd/covcheck -profile /tmp/persistmem-cover.out
 rm -f /tmp/persistmem-cover.out
+# The B-tree's differential fuzz target past its seed corpus, which the test
+# pass above already runs: runs of Set, Delete, write-through Ref and Ascend
+# against a map, on trees of up to three levels.
+go test -run '^$' -fuzz FuzzTreeOps -fuzztime 20s ./internal/btree
 # The race pass is also the checkptr pass: -race turns on the compiler's
 # pointer checks, which test every unsafe.Slice (dp2's row bodies) against
 # the allocation its pointer points into.
