@@ -18,8 +18,9 @@ import (
 // goroutine for the iterator. The kernel's own coroutine machinery
 // (internal/sim/proc.go) is built on exactly that; its one call site
 // carries a //simlint:allow goroutine directive with the justification.
-// The only other one is internal/stable's sync/atomic import, for the
-// single-slot spare read buffer that recoveries hand on across engines.
+// The only others are the sync/atomic imports of internal/stable, for the
+// spare read buffers that recoveries hand on across engines, and of
+// internal/sim, for the spare coroutines that shut-down engines hand on.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc: "forbid go statements, iter.Pull, select, sync primitives, and real " +

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"persistmem/internal/metrics"
 	"persistmem/internal/sim"
 )
 
@@ -240,6 +241,70 @@ func TestUtilization(t *testing.T) {
 	u := v.Utilization()
 	if u <= 0 || u > 1 {
 		t.Errorf("Utilization = %v, want in (0,1]", u)
+	}
+}
+
+// TestUtilizationBeforeTimeMoves: at virtual time zero no time has elapsed
+// to be busy in, so utilization is 0, not a division by zero.
+func TestUtilizationBeforeTimeMoves(t *testing.T) {
+	v := New(sim.NewEngine(3), "d0", DefaultConfig(), 1<<20)
+	if u := v.Utilization(); u != 0 {
+		t.Errorf("Utilization at time 0 = %v, want 0", u)
+	}
+}
+
+// TestVolumeAccessors: a volume reports the name and capacity it was built
+// with, retaining or discarding alike.
+func TestVolumeAccessors(t *testing.T) {
+	eng := sim.NewEngine(3)
+	for _, v := range []*Volume{New(eng, "audit0", DefaultConfig(), 1<<20), NewDiscard(eng, "audit0", DefaultConfig(), 1<<20)} {
+		if v.Name() != "audit0" || v.Capacity() != 1<<20 {
+			t.Errorf("Name, Capacity = %q, %d, want \"audit0\", %d", v.Name(), v.Capacity(), 1<<20)
+		}
+	}
+}
+
+// TestSetMetrics: an attached instrument set sees every I/O's queue wait
+// and service time and the arm's busy level; a write-through write and a
+// cached write's destage each hold the arm once. Detaching with nil stops
+// the recording.
+func TestSetMetrics(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		eng := sim.NewEngine(3)
+		cfg := DefaultConfig()
+		cfg.WriteCache = cached
+		v := New(eng, "d0", cfg, 1<<20)
+		ds := metrics.NewRegistry().DataDisk
+		v.SetMetrics(ds)
+		eng.Spawn("c", func(p *sim.Proc) {
+			for i := 0; i < 3; i++ {
+				if err := v.Write(p, int64(i)*4096, make([]byte, 4096)); err != nil {
+					t.Errorf("Write: %v", err)
+				}
+			}
+		})
+		eng.Run()
+		if ds.Queue.Count() != 3 || ds.Service.Count() != 3 {
+			t.Errorf("cached=%v: %d queue waits and %d services recorded, want 3 each", cached, ds.Queue.Count(), ds.Service.Count())
+		}
+		if ds.Service.Sum() != v.Stats.BusyTime {
+			t.Errorf("cached=%v: recorded service %v, arm busy %v; want them equal", cached, ds.Service.Sum(), v.Stats.BusyTime)
+		}
+		if busy := ds.Arm.Busy(eng.Now()); busy <= 0 || ds.Arm.Level() != 0 {
+			t.Errorf("cached=%v: arm busy fraction %v at level %d, want above 0 and the arm released", cached, busy, ds.Arm.Level())
+		}
+
+		v.SetMetrics(nil)
+		eng.Spawn("c2", func(p *sim.Proc) {
+			buf := make([]byte, 4096)
+			if err := v.Read(p, 0, buf); err != nil {
+				t.Errorf("Read: %v", err)
+			}
+		})
+		eng.Run()
+		if ds.Queue.Count() != 3 || ds.Service.Count() != 3 {
+			t.Errorf("cached=%v: a detached volume still recorded (%d queue waits, %d services)", cached, ds.Queue.Count(), ds.Service.Count())
+		}
 	}
 }
 

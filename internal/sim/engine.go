@@ -48,9 +48,11 @@ type TraceFunc func(at Time, format string, args ...interface{})
 //
 // Engine is not safe for concurrent use from multiple OS threads; the whole
 // point is that simulated concurrency is scheduled deterministically on a
-// single thread of control. Distinct Engine instances share no state, so
-// independent simulations may run on concurrent OS threads (one engine per
-// goroutine), which is what the bench harness's worker pool does.
+// single thread of control. Distinct Engine instances share no simulated
+// state, so independent simulations may run on concurrent OS threads (one
+// engine per goroutine), which is what the bench harness's worker pool does.
+// What they do share is the process-wide pool of spare coroutines (see
+// coro), which no schedule can observe.
 //
 // Processes run on runtime coroutines (iter.Pull) and the dispatch loop
 // (advance) migrates across them: a process that parks runs the loop itself,
@@ -90,7 +92,9 @@ type Engine struct {
 	// or event budget reached, or Stop called).
 	to *Proc
 	// idle holds the coroutines whose process has finished, ready for the
-	// next process to start (see coro).
+	// next process to start: the hot path, touched without an atomic
+	// operation. Only when it is empty does a start look in the
+	// process-wide spares (see coro).
 	idle []*coro
 	// deadline and limit bound the current run: advance dispatches no
 	// event beyond the deadline and no more than limit events total.
@@ -403,19 +407,26 @@ func (e *Engine) BlockedProcs() []string {
 }
 
 // Shutdown kills every live process in spawn order, drains their unwinding
-// and releases the coroutines they ran on. Kill order is schedule-visible
-// (each kill enqueues a wake-up and fires exit hooks), so it must not depend
-// on map iteration order. The engine can still be inspected afterwards but
-// should not be reused for new work.
+// and hands the coroutines they ran on, unbound, to the process-wide spares
+// for the next engine, stopping those that find no slot free. Kill order is
+// schedule-visible (each kill enqueues a wake-up and fires exit hooks), so
+// it must not depend on map iteration order. The engine can still be
+// inspected afterwards but should not be reused for new work; nothing
+// pooled refers to it, so once dropped it is collected.
 func (e *Engine) Shutdown() {
 	for _, p := range e.liveProcs() {
 		p.Kill()
 	}
 	// Run only the kill wake-ups; they were scheduled "now".
 	e.RunUntil(e.now)
-	// An idle coroutine is a parked goroutine the collector never frees.
+	// An idle coroutine is a parked goroutine the collector never frees: it
+	// is kept for reuse or stopped. A coroutine whose body panicked has
+	// ended and was never idle, so it is neither.
 	for _, c := range e.idle {
-		c.stop()
+		c.eng = nil
+		if !handOnCoro(c) {
+			c.stop()
+		}
 	}
 	e.idle = nil
 }

@@ -227,3 +227,32 @@ func BenchmarkTimeoutArmCancel(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(e.EventsExecuted())/float64(b.N), "events/op")
 }
+
+// BenchmarkEngineLifecycle is the kernel's share of building a store, on
+// its own: an engine, 30 processes in the shapes a store spawns — ten
+// servers that park for good on their inbox and twenty transient ones,
+// about five alive at a time, that each wait and send to them — run to
+// quiescence and shut down. The fault matrix builds 67 stores a rep; what
+// one costs here beyond its processes' own work is their coroutines.
+func BenchmarkEngineLifecycle(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(int64(i))
+		inbox := e.NewChan("inbox")
+		for s := 0; s < 10; s++ {
+			e.Spawn("server", func(p *Proc) {
+				for {
+					inbox.Recv(p)
+				}
+			})
+		}
+		for c := 0; c < 20; c++ {
+			e.SpawnAt(Time(c)*Microsecond, "txn", func(p *Proc) {
+				p.Wait(5 * Microsecond)
+				inbox.Send(p, c)
+			})
+		}
+		e.Run()
+		e.Shutdown()
+	}
+}

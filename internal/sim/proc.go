@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"sync/atomic" //simlint:allow goroutine -- the spare coroutines below: slots swapped whole between engines, each coroutine unbound while it sits in one
 )
 
 // procState tracks where a process is in its lifecycle.
@@ -171,8 +172,12 @@ func (e *Engine) startProc(p *Proc) bool {
 // coro is one runtime coroutine (iter.Pull) that process bodies run on, one
 // after another. Creating one costs about ten allocations more than a bare
 // goroutine and some layers spawn a process per transaction, so a coroutine
-// whose body has finished goes onto the engine's idle list and serves the
-// next process to start; Engine.Shutdown stops the idle ones.
+// whose body has finished goes onto its engine's idle list and serves the
+// next process to start there. Engine.Shutdown hands the idle ones to the
+// process-wide spares, where the next engine to need one takes it; a
+// coroutine outlives its engine as it outlives its processes. eng is nil
+// while the coroutine sits in a spare slot, and p whenever no process is
+// bound to it.
 type coro struct {
 	eng   *Engine
 	next  func() (struct{}, bool) // run loop -> coroutine
@@ -181,13 +186,55 @@ type coro struct {
 	p     *Proc               // the process whose body runs next
 }
 
-// coroFor binds p to an idle coroutine, or to a new one when none is idle.
+// coroSlots is how many idle coroutines the process keeps between engines:
+// a few times the most any benchmark workload's store leaves idle at its
+// shutdown (68), so that stores shut down side by side on bench's worker
+// pool fit too. A coroutine beyond it is stopped.
+const coroSlots = 256
+
+// spareCoros are the coroutines shut-down engines left behind, unbound.
+// Each slot is swapped whole, so an engine on one goroutine (bench's worker
+// pool runs one engine per goroutine) may take what an engine on another
+// handed on: iter.Pull lets any one goroutine at a time resume a coroutine,
+// and the swap orders the hand-over. Which coroutine a process runs on is
+// invisible to the schedule, so which engine found a slot full shows in
+// allocation counts only.
+var spareCoros [coroSlots]atomic.Pointer[coro]
+
+// takeSpareCoro returns a pooled coroutine, or nil when every slot is empty.
+func takeSpareCoro() *coro {
+	for i := range spareCoros {
+		if spareCoros[i].Load() != nil {
+			if c := spareCoros[i].Swap(nil); c != nil {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+// handOnCoro pools c, which is parked at its yield with no engine and no
+// process bound, in the first empty slot; it reports false when every slot
+// is full.
+func handOnCoro(c *coro) bool {
+	for i := range spareCoros {
+		if spareCoros[i].Load() == nil && spareCoros[i].CompareAndSwap(nil, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// coroFor binds p to a coroutine: the engine's most recently idled one,
+// else a spare another engine left, else a new one.
 func (e *Engine) coroFor(p *Proc) *coro {
 	var c *coro
 	if n := len(e.idle); n > 0 {
 		c = e.idle[n-1]
 		e.idle[n-1] = nil
 		e.idle = e.idle[:n-1]
+	} else if c = takeSpareCoro(); c != nil {
+		c.eng = e
 	} else {
 		c = &coro{eng: e}
 		// The coroutine is a goroutine, but only ever entered by next() from
@@ -203,12 +250,13 @@ func (e *Engine) coroFor(p *Proc) *coro {
 // it and, when the body finishes, keeps the dispatch loop going on the same
 // stack. If the loop's next step is a process start, that process runs right
 // here with no switch at all; otherwise the coroutine goes idle and yields
-// the next process to the run loop.
+// the next process to the run loop. The engine is read afresh after every
+// resume: a pooled coroutine wakes up bound to another one.
 func (c *coro) run(yield func(struct{}) bool) {
 	c.yield = yield
-	e := c.eng
 	for {
 		c.p.runBody()
+		e := c.eng
 		next := e.advance(nil)
 		if next != nil && next.co == nil {
 			c.p, next.co = next, c
@@ -218,7 +266,7 @@ func (c *coro) run(yield func(struct{}) bool) {
 		e.idle = append(e.idle, c)
 		e.to = next
 		if !yield(struct{}{}) {
-			return // stopped by Shutdown
+			return // stopped by Shutdown, the pool full
 		}
 	}
 }

@@ -37,11 +37,14 @@ go test -run '^$' -fuzz FuzzTreeOps -fuzztime 20s ./internal/btree
 # The race pass is also the checkptr pass: -race turns on the compiler's
 # pointer checks, which test every unsafe.Slice (dp2's row bodies) against
 # the allocation its pointer points into.
-# The slowest package under the race detector is internal/bench at under
-# 1.5 minutes on a 2-vCPU host (78 s; the 512-cell chaos sweep is ~5 s of
-# it, TestC2ArtifactMatchesFullScale's four 4000-transaction recoveries
-# ~6 s), inside the 10-minute per-package default with better than 5x
-# headroom.
+# The slowest package under the race detector is internal/bench: 207 s
+# alone on a 2-vCPU host, 294 s beside the other packages, inside the
+# 10-minute per-package default with 2x headroom.
+# Memory, the test binaries' maxrss on the same host: internal/bench peaks
+# at 763 MB and internal/faultinject, whose tests build thousands of
+# stores, at 77 MB. Before engines handed their coroutines on to the next
+# engine they peaked at 5.9 and 5.5 GB, because the race runtime keeps
+# memory for every goroutine that has finished.
 # The race pass also runs each package's tests in a shuffled order, so a
 # test that leans on what an earlier test left behind (a spare buffer in a
 # process-wide pool, a warmed cache) fails here rather than by luck later;
