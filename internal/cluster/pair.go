@@ -17,6 +17,11 @@ type PairCtx struct {
 	pair *Pair
 	// Restored holds the state from the last checkpoint absorbed by the
 	// backup when this incarnation is a takeover; nil on a cold start.
+	// The held state stays the pair's: while the pair runs unprotected,
+	// every checkpoint is absorbed into it, and Rebackup hands it to the
+	// new backup. A service whose absorb is not idempotent must serve a
+	// copy, or each of its own changes is applied to what it serves twice;
+	// the ADP and the DP2 do, and the TMF's absorb is idempotent.
 	Restored interface{}
 	// Takeover reports whether this incarnation started by takeover.
 	Takeover bool

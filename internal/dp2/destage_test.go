@@ -163,7 +163,7 @@ func TestInsertStampsAreHandedOutOnce(t *testing.T) {
 	const n = 100
 	for key := uint64(1); key <= n; key++ {
 		delta := insertDelta{txn: 1, key: key, blen: 64}
-		prim.applyInsert(delta, false)
+		prim.insert(delta, false)
 		back = d.absorb(back, &delta)
 		note(prim, key)
 		note(back.(*dpState), key)
@@ -173,7 +173,7 @@ func TestInsertStampsAreHandedOutOnce(t *testing.T) {
 	prim.applyEnd(endDelta{txn: 1})
 	back = d.absorb(back, &endDelta{txn: 1})
 	redo := insertDelta{txn: 2, key: 1, blen: 64}
-	prim.applyInsert(redo, false)
+	prim.insert(redo, false)
 	back = d.absorb(back, &redo)
 	note(prim, 1)
 	note(back.(*dpState), 1)
@@ -305,7 +305,7 @@ func destageRows(t *testing.T, sizes []int, retain bool) destageRun {
 	total := 0
 	for i, n := range sizes {
 		key := uint64(i + 1)
-		st.applyInsert(insertDelta{txn: 1, key: key, body: rowBody(key, n), blen: n}, retain)
+		st.insert(insertDelta{txn: 1, key: key, body: rowBody(key, n), blen: n}, retain)
 		total += n
 	}
 	st.applyEnd(endDelta{txn: 1, commit: true})

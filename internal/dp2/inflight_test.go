@@ -86,7 +86,7 @@ func TestDestageFindsRowsMovedDuringTheWrite(t *testing.T) {
 	keys := map[uint64]bool{}
 	var image []byte // every insert's body, in insert order
 	insert := func(txn audit.TxnID, key uint64, body []byte) {
-		st.applyInsert(insertDelta{txn: txn, key: key, body: body, blen: len(body)}, true)
+		st.insert(insertDelta{txn: txn, key: key, body: body, blen: len(body)}, true)
 		keys[key] = true
 		image = append(image, body...)
 	}

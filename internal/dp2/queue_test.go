@@ -137,9 +137,9 @@ func TestEntQueueKeepsOneSpareBlock(t *testing.T) {
 	popKeys(t, &q, 3*entBlockMax+500-700, 700)
 }
 
-// TestEntQueueCostsItsLengthOnce: a queue that is only pushed — the backup's
-// dirtyq — allocates about its final length. A slice grown by append
-// allocated ~3.8 times that.
+// TestEntQueueCostsItsLengthOnce: a queue that is only pushed — a takeover's
+// requeue, or a primary's dirtyq while the data volume is down — allocates
+// about its final length. A slice grown by append allocated ~3.8 times that.
 func TestEntQueueCostsItsLengthOnce(t *testing.T) {
 	const n = 64000
 	var q entQueue

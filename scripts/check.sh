@@ -34,6 +34,10 @@ rm -f /tmp/persistmem-cover.out
 # pass above already runs: runs of Set, Delete, write-through Ref and Ascend
 # against a map, on trees of up to three levels.
 go test -run '^$' -fuzz FuzzTreeOps -fuzztime 20s ./internal/btree
+# The DP2's destage queue rebuilt at a takeover against the queue every
+# insert pushes to: runs of inserts, commits, aborts, reinserts under an
+# aborted key and destages, on a backup's absorbed image.
+go test -run '^$' -fuzz FuzzRequeueMatchesInsertOrder -fuzztime 20s ./internal/dp2
 # The race pass is also the checkptr pass: -race turns on the compiler's
 # pointer checks, which test every unsafe.Slice (dp2's row bodies) against
 # the allocation its pointer points into.
