@@ -350,7 +350,7 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 		var err error
 		if a.cfg.Mode == Disk {
 			err = a.flushDisk(ctx, st)
-			a.checkpoint(ctx, st, 0, true) // buffer drained, durableLSN advanced
+			a.checkpoint(ctx, st, 0, err == nil) // a failed flush left the buffer
 		}
 		if len(waiters) > 1 {
 			a.stats.GroupedCommits += int64(len(waiters))
@@ -381,8 +381,10 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 //simlint:hotpath
 func (a *ADP) handleAppend(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, ev cluster.Envelope, req *AppendReq) {
 	end, err := a.append(ctx, st, region, req.Data)
-	a.stats.Appends++
-	a.stats.AppendBytes += int64(len(req.Data))
+	if err == nil {
+		a.stats.Appends++
+		a.stats.AppendBytes += int64(len(req.Data))
+	}
 	req.Resp = AppendResp{End: end, Err: err}
 	ev.Reply(req)
 }
@@ -408,8 +410,9 @@ func (a *ADP) handleCommit(ctx *cluster.PairCtx, st *adpState, region *pmclient.
 func (a *ADP) handleAbort(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, scratch *[]byte, ev cluster.Envelope, req *AbortReq) {
 	rec := audit.Record{Type: audit.RecAbort, Txn: req.Txn}
 	*scratch = audit.AppendRecord((*scratch)[:0], &rec)
-	a.append(ctx, st, region, *scratch)
-	a.stats.Aborts++
+	if _, err := a.append(ctx, st, region, *scratch); err == nil {
+		a.stats.Aborts++
+	}
 	ev.Reply(req)
 }
 

@@ -78,6 +78,54 @@ func TestFlushWithAuditVolumeDownFailsTheCommitAndKeepsTheBuffer(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestFailedFlushSurvivesATakeover: a flush that finds the audit volume down
+// leaves the buffer at the primary, and the backup keeps its copy too. So
+// after the primary dies, the commit retried against the new primary writes
+// the records appended before the failure, from the trail's start.
+func TestFailedFlushSurvivesATakeover(t *testing.T) {
+	eng, cl, a, vol := diskHarness(t, nil)
+	data := appendRecords(7, 3, 1<<10)
+	var lsn audit.LSN
+	cl.CPU(2).Spawn("client", func(p *cluster.Process) {
+		call(t, p, len(data), &AppendReq{Data: data})
+		vol.Fail()
+		if err := call(t, p, 64, &CommitReq{Txn: 7}).Resp.Err; !errors.Is(err, disk.ErrVolumeDown) {
+			t.Fatalf("a commit with the audit volume down returns %v, want %v", err, disk.ErrVolumeDown)
+		}
+		a.Pair().KillPrimary()
+		vol.Restore()
+		p.Wait(cluster.TakeoverDelay + sim.Millisecond)
+		resp := call(t, p, 64, &CommitReq{Txn: 7}).Resp
+		if resp.Err != nil {
+			t.Fatalf("the retried commit: %v", resp.Err)
+		}
+		lsn = resp.LSN
+	})
+	eng.Run()
+	if a.Pair().Takeovers != 1 {
+		t.Fatalf("takeovers = %d, want 1", a.Pair().Takeovers)
+	}
+	trail := make([]byte, 64<<10)
+	if err := vol.Store().ReadAt(0, trail); err != nil {
+		t.Fatal(err)
+	}
+	s := audit.NewScanner(trail)
+	var inserts, commits int
+	for s.Next() {
+		switch s.Record().Type {
+		case audit.RecInsert:
+			inserts++
+		case audit.RecCommit:
+			commits++
+		}
+	}
+	// Both commit records: the refused one stayed in the buffer.
+	if inserts != 3 || commits != 2 || audit.LSN(s.Offset()) != lsn {
+		t.Errorf("the trail holds %d inserts and %d commits and ends at %d; want 3, 2 and the acknowledged LSN %d", inserts, commits, s.Offset(), lsn)
+	}
+	eng.Shutdown()
+}
+
 // wrapVolume is the audit volume of the wrap tests: two flushes of
 // wrapRecords fill it past its end, so the second wraps to offset 0.
 const (
@@ -178,7 +226,7 @@ func TestFlushWrapsTheAuditVolume(t *testing.T) {
 
 // TestPMCommitFailsWithBothNPMUsDown: with neither mirror reachable, an
 // append and a commit fail with the write's error, and neither advances
-// the log or counts.
+// the log or counts; nor does an abort, whose record reaches no mirror.
 func TestPMCommitFailsWithBothNPMUsDown(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cl := cluster.New(eng, cluster.DefaultConfig())
@@ -196,8 +244,13 @@ func TestPMCommitFailsWithBothNPMUsDown(t *testing.T) {
 		if resp := call(t, p, 64, &CommitReq{Txn: 5}).Resp; resp.Err == nil {
 			t.Errorf("a commit with both NPMUs down: %+v, want an error", resp)
 		}
-		if st := stateOf(t, p); st.DurableLSN != end || st.NextLSN != end || st.Commits != 0 || st.PMWrites != 1 {
+		call(t, p, 64, &AbortReq{Txn: 5})
+		st := stateOf(t, p)
+		if st.DurableLSN != end || st.NextLSN != end || st.Commits != 0 || st.PMWrites != 1 {
 			t.Errorf("DurableLSN %d, NextLSN %d, Commits %d, PMWrites %d; want %d, %d, 0, 1", st.DurableLSN, st.NextLSN, st.Commits, st.PMWrites, end, end)
+		}
+		if st.Appends != 1 || st.AppendBytes != int64(len(data)) || st.Aborts != 0 {
+			t.Errorf("Appends %d, AppendBytes %d, Aborts %d; want 1, %d, 0: a refused append or abort was counted", st.Appends, st.AppendBytes, st.Aborts, len(data))
 		}
 	})
 	eng.Run()

@@ -289,3 +289,54 @@ func (s *Scanner) Err() error { return s.err }
 // Offset returns the byte position after the last good record — where a
 // recovered log would resume appending.
 func (s *Scanner) Offset() int { return s.off }
+
+// ChunkReader fills buf from one replica of a log, from byte off on.
+type ChunkReader interface {
+	ReadChunk(off int64, buf []byte) error
+}
+
+// ChunkFunc is a ChunkReader that is a function.
+type ChunkFunc func(off int64, buf []byte) error
+
+// ReadChunk calls f.
+func (f ChunkFunc) ReadChunk(off int64, buf []byte) error { return f(off, buf) }
+
+// Cursor reads one replica of a log chunk by chunk from its start: Off bytes
+// read, the first Valid of them the valid record prefix. A recovery and a
+// PM-direct takeover read every replica through one and replay Prefer's pick.
+type Cursor struct {
+	Off   int64
+	Valid int
+}
+
+// Step reads buf[c.Off:] from src — the caller sizes buf, to at most size,
+// the log's length — and extends the valid prefix over it from the last
+// record boundary. It reports whether the scan is settled: it stopped on a
+// zero length prefix (a clean end), on a frame wholly inside what was read
+// (a torn one), on a frame that runs past size, or at size. A scan that
+// reached the read's edge — fewer than frameHeader bytes left, or a frame
+// that runs past them — reads on. Only bytes read here are scanned, so buf
+// may arrive dirty; a failed read leaves the cursor as it was.
+func (c *Cursor) Step(buf []byte, size int64, src ChunkReader) (settled bool, err error) {
+	if err := src.ReadChunk(c.Off, buf[c.Off:]); err != nil {
+		return false, err
+	}
+	s := Scanner{data: buf[c.Valid:]}
+	for s.Next() {
+	}
+	c.Off, c.Valid = int64(len(buf)), c.Valid+s.Offset()
+	if c.Off >= size || len(buf)-c.Valid < frameHeader {
+		return c.Off >= size, nil
+	}
+	length := int64(binary.LittleEndian.Uint32(buf[c.Valid:]))
+	frameEnd := int64(c.Valid) + frameHeader + length
+	return length == 0 || frameEnd <= c.Off || frameEnd > size, nil
+}
+
+// Prefer reports whether a replica of a mirrored log, valid bytes of valid
+// prefix, replaces the best so far as the copy to replay: the furthest valid
+// prefix wins (a write succeeds once one mirror took it, so a device that was
+// away holds a hole its partner does not), and of equal ones the lower replica.
+func Prefer(valid, replica, bestValid, bestReplica int) bool {
+	return valid > bestValid || valid == bestValid && replica < bestReplica
+}

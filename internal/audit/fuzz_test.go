@@ -118,3 +118,98 @@ func TestDecodeRecordHugeLengthPrefix(t *testing.T) {
 		}
 	}
 }
+
+// chunks serves a byte image as a replica, recording where each read starts
+// and ends.
+type chunks struct {
+	media []byte
+	reads [][2]int64
+}
+
+func (c *chunks) ReadChunk(off int64, buf []byte) error {
+	c.reads = append(c.reads, [2]int64{off, off + int64(len(buf))})
+	copy(buf, c.media[off:])
+	return nil
+}
+
+// FuzzCursorMatchesWholeScan reads a log image through a Cursor, chunk bytes
+// at a time (1 B to 64 KiB) into a buffer that arrives dirty, and holds the
+// settled valid prefix to one whole-image Scanner pass: the chunked scan may
+// stop reading early, never stop short of or run past the prefix. The reads
+// must tile the image from offset 0, in order, and stay inside it.
+func FuzzCursorMatchesWholeScan(f *testing.F) {
+	// The small frames only: with the 4 KiB-body frame in the seeds, a 20 s
+	// run stalled after a few hundred execs (the fuzzer minimizes each new
+	// input it finds, and a 4 KiB input read a byte a chunk is slow).
+	var log []byte
+	for _, frame := range corpusFrames()[1:6] {
+		log = append(log, frame...)
+	}
+	last := len(log) - len(corpusFrames()[5])
+	flip := append([]byte(nil), log...)
+	flip[len(flip)-3] ^= 0x10
+	zeros := append(append([]byte(nil), log...), make([]byte, 300)...)
+	torn := append(append([]byte(nil), log[:last+7]...), make([]byte, 200)...)
+	for _, tail := range [][]byte{log, flip, zeros, torn, log[:last+7], log[:len(log)-1], nil} {
+		for _, chunk := range []uint16{0, 3, 63, 4095, 65535} {
+			f.Add(tail, chunk)
+		}
+	}
+	f.Fuzz(func(t *testing.T, media []byte, chunk uint16) {
+		step := int64(chunk) + 1
+		size := int64(len(media))
+		whole := NewScanner(media)
+		for whole.Next() {
+		}
+		src := &chunks{media: media}
+		buf := bytes.Repeat([]byte{0xFF}, len(media))
+		var c Cursor
+		for settled := false; !settled; {
+			if len(src.reads) > len(media)+1 {
+				t.Fatalf("%d reads of a %d-byte image", len(src.reads), len(media))
+			}
+			var err error
+			if settled, err = c.Step(buf[:min(c.Off+step, size)], size, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.Valid != whole.Offset() {
+			t.Fatalf("chunk %d: cursor settled at %d valid bytes, a whole scan at %d", step, c.Valid, whole.Offset())
+		}
+		var at int64
+		for _, r := range src.reads {
+			if r[0] != at || r[1] > size || r[1]-r[0] > step {
+				t.Fatalf("chunk %d: reads %v do not tile the %d-byte image from 0", step, src.reads, size)
+			}
+			at = r[1]
+		}
+		if at != c.Off || int64(c.Valid) > c.Off {
+			t.Fatalf("chunk %d: read %d bytes, cursor says %d with %d valid", step, at, c.Off, c.Valid)
+		}
+	})
+}
+
+// TestPreferAndAFailedStep pins the replica rule — the furthest valid prefix,
+// the lower replica on a tie, any readable replica over none — and a failed
+// read, which reports the error and leaves the cursor where it was.
+func TestPreferAndAFailedStep(t *testing.T) {
+	for _, tc := range []struct {
+		valid, replica, bestValid, bestReplica int
+		want                                   bool
+	}{
+		{0, 1, -1, 0, true},
+		{10, 1, 5, 0, true},
+		{5, 1, 5, 0, false},
+		{5, 0, 5, 1, true},
+		{4, 0, 5, 1, false},
+	} {
+		if got := Prefer(tc.valid, tc.replica, tc.bestValid, tc.bestReplica); got != tc.want {
+			t.Errorf("Prefer(%d, %d, %d, %d) = %v, want %v", tc.valid, tc.replica, tc.bestValid, tc.bestReplica, got, tc.want)
+		}
+	}
+	c := Cursor{Off: 64, Valid: 40}
+	down := ChunkFunc(func(int64, []byte) error { return errors.New("device down") })
+	if settled, err := c.Step(make([]byte, 128), 256, down); err == nil || settled || c.Off != 64 || c.Valid != 40 {
+		t.Errorf("a failed read: settled %v, err %v, cursor at %d with %d valid; want an error and the cursor at 64 with 40", settled, err, c.Off, c.Valid)
+	}
+}

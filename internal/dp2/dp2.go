@@ -36,6 +36,8 @@ var (
 	// ErrBodyTooLarge means an insert's body is bodyLimit bytes or more,
 	// too long for a cached row's length word.
 	ErrBodyTooLarge = errors.New("dp2: body too large")
+	// ErrLogLost means a PMDirect takeover's log cannot rebuild its image.
+	ErrLogLost = errors.New("dp2: PM log cannot rebuild the image")
 )
 
 // Mode selects how a DP2 makes its changes durable.
@@ -191,8 +193,8 @@ type Stats struct {
 	PMLogWrites int64
 	PMLogBytes  int64
 	PMRebuilds  int64
-	// RegionErr is why the latest incarnation could not open its PM log
-	// region (PMDirect mode), after which the pair retired; nil otherwise.
+	// RegionErr is why the latest incarnation could not open or rebuild from
+	// its PM log region (PMDirect mode), after which the pair retired.
 	RegionErr error
 }
 
@@ -725,15 +727,14 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 	if d.cfg.Mode == PMDirect {
 		var err error
 		d.pmlog, err = pmclient.Attach(d.cl, d.cfg.PMVolume).OpenOrCreate(ctx.Process, d.RegionName(), d.cfg.PMRegionSize, d.mPM)
-		d.stats.RegionErr = err
-		if err != nil {
-			return // PM volume unreachable; pair retires
-		}
-		if st.tree.Len() == 0 && st.lsn > 0 {
+		if err == nil && st.tree.Len() == 0 && st.lsn > 0 {
 			// Takeover with counters-only state: rebuild the cache image
 			// from the persistent log (§3.4 — the state was written once,
 			// to PM, and any incarnation can reload it).
-			d.rebuildFromPM(ctx, st)
+			err = d.rebuildFromPM(ctx.Process, st)
+		}
+		if d.stats.RegionErr = err; err != nil {
+			return // PM volume unreachable, or no whole image in it; pair retires
 		}
 	}
 	st.requeue() // a restored or rebuilt image comes without its queue
@@ -1059,33 +1060,39 @@ func (d *DP2) logToPM(p *cluster.Process, st *dpState, data []byte) error {
 	return nil
 }
 
-// rebuildFromPM reloads the cache image by replaying this DP2's PM log up
-// to the checkpointed LSN — the PMDirect takeover path. Each replica of the
-// mirrored region is read, and the one whose valid record prefix scans
-// furthest is replayed, the lower on a tie: a log write succeeds once one
-// mirror took it, so a device that was detached for a while holds a hole
-// the other does not. A replica that cannot be read is skipped while the
-// other one reads. Nothing reclaims the log before it wraps, so once the
-// ring has wrapped its oldest records are overwritten and the replay
-// misses them.
-func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
-	end := min(int64(st.lsn), d.pmlog.Size())
+// rebuildFromPM reloads the cache image by replaying this DP2's PM log up to
+// the checkpointed LSN — the PMDirect takeover path. It reads each replica,
+// 256 KiB a read, into a buffer of its own and replays the one audit.Prefer
+// picks. A log that cannot rebuild the whole image is ErrLogLost: no replica
+// reads, the ring wrapped (the LSN is past its size), or the best valid
+// prefix ends short of the LSN.
+func (d *DP2) rebuildFromPM(p *cluster.Process, st *dpState) error {
+	end, name := int64(st.lsn), d.RegionName()
+	if end > d.pmlog.Size() {
+		return fmt.Errorf("%w: %s: the ring wrapped: LSN %d is past its %d bytes", ErrLogLost, name, end, d.pmlog.Size())
+	}
 	var img []byte
-	valid := -1
+	var readErr error
+	best, bestRep := -1, 0
 	for replica := 0; replica < d.pmlog.Replicas(); replica++ {
 		buf := make([]byte, end)
-		if d.readReplica(ctx.Process, replica, buf) != nil {
-			continue
+		src := audit.ChunkFunc(func(off int64, b []byte) error { return d.pmlog.ReadReplica(p, replica, off, b) })
+		var c audit.Cursor
+		var err error
+		for settled := false; !settled && err == nil; {
+			settled, err = c.Step(buf[:min(c.Off+256<<10, end)], end, src)
 		}
-		s := audit.NewScanner(buf)
-		for s.Next() {
-		}
-		if s.Offset() > valid {
-			img, valid = buf, s.Offset()
+		if err != nil {
+			readErr = err
+		} else if audit.Prefer(c.Valid, replica, best, bestRep) {
+			img, best, bestRep = buf[:c.Valid], c.Valid, replica
 		}
 	}
-	if img == nil {
-		return
+	switch {
+	case best < 0:
+		return fmt.Errorf("%w: %s: no replica reads: %v", ErrLogLost, name, readErr)
+	case int64(best) < end:
+		return fmt.Errorf("%w: %s: replica %d's valid prefix ends at %d, short of LSN %d", ErrLogLost, name, bestRep, best, end)
 	}
 	s := audit.NewScanner(img)
 	for s.Next() {
@@ -1105,17 +1112,6 @@ func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
 		}
 	}
 	d.stats.PMRebuilds++
-}
-
-// readReplica fills buf from the start of one replica of the PM log, a
-// chunk at a time.
-func (d *DP2) readReplica(p *cluster.Process, replica int, buf []byte) error {
-	const chunk = 256 << 10
-	for off := 0; off < len(buf); off += chunk {
-		if err := d.pmlog.ReadReplica(p, replica, int64(off), buf[off:min(off+chunk, len(buf))]); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

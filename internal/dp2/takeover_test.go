@@ -2,11 +2,15 @@ package dp2
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"persistmem/internal/audit"
 	"persistmem/internal/cluster"
+	"persistmem/internal/npmu"
+	"persistmem/internal/sim"
 )
 
 // A takeover serves a copy of the image the backup absorbed, and the copy
@@ -189,4 +193,76 @@ func FuzzRequeueMatchesInsertOrder(f *testing.F) {
 			t.Fatalf("the requeued rows hold %d bytes, the image counts %d dirty", dirty, st.dirty)
 		}
 	})
+}
+
+// A PMDirect takeover that cannot rebuild the whole image from its PM log
+// retires the pair, as a failed region open does, and says why in RegionErr:
+// it never serves a short image. Each case commits six two-row
+// transactions, calling fault before each, then as step 7 before the kill
+// and as step 8 once the takeover is over, before an insert that must not
+// be acknowledged.
+func TestPMDirectTakeoverThatCannotRebuildRetires(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tweak  func(*Config)
+		fault  func(step audit.TxnID, devs [2]*npmu.Device)
+		reason string
+	}{
+		{"both replicas unreadable", nil, func(step audit.TxnID, devs [2]*npmu.Device) {
+			for _, dev := range devs {
+				switch step {
+				case 7:
+					dev.Fail()
+				case 8:
+					dev.Recover() // the insert's log write would land
+				}
+			}
+		}, "no replica reads"},
+		// Twelve 36-byte insert frames and six 33-byte commits run past
+		// 512 bytes.
+		{"the ring wrapped", func(c *Config) { c.PMRegionSize = 512 }, func(audit.TxnID, [2]*npmu.Device) {}, "the ring wrapped"},
+		{"the only readable replica is short", nil, func(step audit.TxnID, devs [2]*npmu.Device) {
+			switch step {
+			case 3:
+				devs[1].Fail() // transactions 3 and 4 reach the primary alone
+			case 5:
+				devs[1].Recover()
+			case 7:
+				devs[0].Fail()
+			}
+		}, "short of LSN"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, cl, d, devs := pmDirectHarness(t, tc.tweak)
+			cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+				for txn := audit.TxnID(1); txn <= 6; txn++ {
+					tc.fault(txn, devs)
+					for k := uint64(0); k < 2; k++ {
+						key := uint64(txn)*10 + k
+						if r := call(t, p, &InsertReq{Txn: txn, Key: key, Body: []byte(fmt.Sprint(key))}).Resp; r.Err != nil {
+							t.Fatalf("insert %d: %v", key, r.Err)
+						}
+					}
+					call(t, p, &EndTxnReq{Txn: txn, Commit: true})
+				}
+				tc.fault(7, devs)
+				d.Pair().KillPrimary()
+				p.Wait(cluster.TakeoverDelay + 100*sim.Millisecond)
+				tc.fault(8, devs)
+				req := &InsertReq{Txn: 8, Key: 80, Body: []byte("80")}
+				if _, err := p.Call(d.Name(), 128, req); err == nil && req.Resp.Err == nil {
+					t.Error("an insert was acknowledged after the takeover")
+				}
+			})
+			eng.Run()
+			st := d.Stats()
+			if !errors.Is(st.RegionErr, ErrLogLost) || !strings.Contains(st.RegionErr.Error(), tc.reason) {
+				t.Errorf("RegionErr = %v, want %v naming %q", st.RegionErr, ErrLogLost, tc.reason)
+			}
+			if st.PMRebuilds != 0 || d.Pair().Up() {
+				t.Errorf("PMRebuilds = %d, pair up %v; want 0 and a retired pair", st.PMRebuilds, d.Pair().Up())
+			}
+			eng.Shutdown()
+		})
+	}
 }

@@ -346,6 +346,32 @@ func TestAuditVolumeAndEndpointOutages(t *testing.T) {
 	}
 }
 
+// TestAuditVolumeDownAcrossAnADPTakeover fails audit volume 0 after the
+// first and after the fourth commit, kills $ADP0's primary 25 ms later — once
+// a commit has been refused with the volume down — and restores the volume
+// 1 ms after the kill. The refused flush left its audit in the buffer, and
+// the backup must hold it too: the new primary's next flush writes it ahead
+// of every later commit, so no later acknowledged commit is lost. A refused
+// transaction rolls back: the trail holds its commit record, if the refused
+// commit reached the buffer, and then its abort record, and recovery and the
+// history checker hold it aborted.
+func TestAuditVolumeDownAcrossAnADPTakeover(t *testing.T) {
+	for _, after := range []int64{1, 4} {
+		res := runAndCheck(t, ScenarioConfig{Durability: ods.DiskDurability, Txns: 8, Seed: 1, Pace: 20 * sim.Millisecond,
+			Plan: Plan{
+				{Kind: AuditVolumeFail, Target: 0, When: Trigger{AfterCommits: after}},
+				{Kind: ProcessKill, Service: "$ADP0", When: Trigger{AfterCommits: after, Delay: 25 * sim.Millisecond}},
+				{Kind: AuditVolumeRestore, Target: 0, When: Trigger{AfterCommits: after, Delay: 26 * sim.Millisecond}},
+			}})
+		if got := len(res.Injector.Firings()); got != 3 {
+			t.Errorf("after %d: %d firings, want 3", after, got)
+		}
+		if committed := len(res.Committed) / 4; committed != 6 || res.TxnErrs != 2 {
+			t.Errorf("after %d: %d commits and %d errors, want 6 and 2", after, committed, res.TxnErrs)
+		}
+	}
+}
+
 // TestNoAcknowledgedCommitLostToBothNPMUsDetached detaches both NPMU
 // endpoints at every 25 µs step of the first 1.5 ms after each of the eight
 // commits, and re-attaches them 50 ms later or only at the crash. A commit

@@ -19,13 +19,13 @@ import (
 	"persistmem/internal/tmf"
 )
 
-// readStream reads a whole log area with streamCursor.step, as a trail's
-// reader reads each replica, and returns the length of the valid record
-// prefix (sc.buf[:valid] is the stream) and the bytes read.
+// readStream reads a whole log area with step, as a trail's reader reads
+// each replica, and returns the length of the valid record prefix
+// (sc.buf[:valid] is the stream) and the bytes read.
 func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off int64, buf []byte) error) (valid int, read int64, err error) {
-	var c streamCursor
-	for c.off < capacity {
-		settled, err := c.step(sc, capacity, opts, chunkFunc(readChunk))
+	var c audit.Cursor
+	for c.Off < capacity {
+		settled, err := step(&c, sc, capacity, opts, chunkFunc(readChunk))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -33,13 +33,17 @@ func readStream(sc *scratch, capacity int64, opts Options, readChunk func(off in
 			break
 		}
 	}
-	return c.valid, c.off, nil
+	return c.Valid, c.Off, nil
 }
 
-// chunkFunc is a chunkReader that is a function.
+// chunkFunc is an audit.ChunkReader that is a function.
 type chunkFunc func(off int64, buf []byte) error
 
-func (f chunkFunc) readChunk(off int64, buf []byte) error { return f(off, buf) }
+func (f chunkFunc) ReadChunk(off int64, buf []byte) error { return f(off, buf) }
+
+// lengthPrefix is the size of an audit frame's u32 length prefix, which the
+// stop-rule checks below read the media by.
+const lengthPrefix = 4
 
 // readStreamReference is the algorithm the chunk reads replaced, kept as the
 // test's oracle for the stream bytes: a fresh buffer per chunk, appended to
@@ -128,17 +132,17 @@ func device(image []byte, capacity int, reads *[]readCall) func(off int64, buf [
 // to edge, had to read on: fewer than a frame header left before the edge,
 // or a frame that runs past it.
 func reachedEdge(media []byte, valid, edge int) bool {
-	if edge-valid < frameHeader {
+	if edge-valid < lengthPrefix {
 		return true
 	}
-	return valid+frameHeader+int(binary.LittleEndian.Uint32(media[valid:])) > edge
+	return valid+lengthPrefix+int(binary.LittleEndian.Uint32(media[valid:])) > edge
 }
 
 func TestReadStreamMatchesRescanningReference(t *testing.T) {
-	// readStream reads audit's frame length prefix itself: hold the two to
+	// reachedEdge reads audit's frame length prefix itself: hold the two to
 	// one layout.
-	if f := audit.AppendRecord(nil, &audit.Record{File: "TRADES"}); frameHeader+int(binary.LittleEndian.Uint32(f)) != len(f) {
-		t.Fatalf("a %d-byte frame declares %d bytes after a %d-byte prefix", len(f), binary.LittleEndian.Uint32(f), frameHeader)
+	if f := audit.AppendRecord(nil, &audit.Record{File: "TRADES"}); lengthPrefix+int(binary.LittleEndian.Uint32(f)) != len(f) {
+		t.Fatalf("a %d-byte frame declares %d bytes after a %d-byte prefix", len(f), binary.LittleEndian.Uint32(f), lengthPrefix)
 	}
 	for _, chunk := range []int{64, 4 << 10, 64 << 10, 1 << 20} {
 		body := chunk / 9 // frames that do not divide a chunk
@@ -157,7 +161,7 @@ func TestReadStreamMatchesRescanningReference(t *testing.T) {
 		// A torn frame wholly inside the third chunk, with log behind it.
 		inside := buildLog(t, 4*chunk, body)
 		tear := frameWithin(t, inside, 2*chunk, 3*chunk)
-		inside[tear+frameHeader+2] ^= 0xFF
+		inside[tear+lengthPrefix+2] ^= 0xFF
 
 		// A length prefix claiming more than the device holds.
 		huge := binary.LittleEndian.AppendUint32(buildLog(t, chunk+chunk/2, body), uint32(8*chunk))

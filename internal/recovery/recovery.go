@@ -31,7 +31,6 @@ package recovery
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -411,7 +410,7 @@ type trail struct {
 	sc       scratch
 	reader   *cluster.Process // the worker, then its read-ahead
 	k        int              // replicas begun, the current one included
-	cur      streamCursor     // the current replica's read
+	cur      audit.Cursor     // the current replica's read
 	best     int              // the best replica's valid prefix; -1 before one reads whole
 	bestRep  int
 	bestKept bool // segs begin with the best replica's valid prefix
@@ -450,8 +449,8 @@ type trail struct {
 // offset there, and k, its place among the trail's data records.
 type mark struct{ seg, off, k int }
 
-// readChunk reads the current replica at off, from the reader.
-func (tr *trail) readChunk(off int64, buf []byte) error {
+// ReadChunk reads the current replica at off, from the reader.
+func (tr *trail) ReadChunk(off int64, buf []byte) error {
 	return tr.log.readReplica(tr.reader, tr.replica(), off, buf)
 }
 
@@ -459,23 +458,23 @@ func (tr *trail) readChunk(off int64, buf []byte) error {
 func (tr *trail) replica() int { return (tr.i + tr.k - 1) % tr.log.replicas() }
 
 // chunk reads the trail's next chunk from p and reports whether there is
-// more to read. A replica's read ends where streamCursor.step settles, or at its
+// more to read. A replica's read ends where its cursor settles, or at its
 // first failed read, which leaves it out of the choice as if unreadable.
 func (tr *trail) chunk(p *cluster.Process, opts Options) bool {
 	tr.reader = p
-	lo := tr.cur.valid
-	settled, err := tr.cur.step(&tr.sc, tr.log.size(), opts, tr)
+	lo := tr.cur.Valid
+	settled, err := step(&tr.cur, &tr.sc, tr.log.size(), opts, tr)
 	if err != nil {
 		if tr.firstErr == nil {
 			tr.firstErr = err
 		}
 	} else {
-		tr.landed(lo, tr.cur.valid)
+		tr.landed(lo, tr.cur.Valid)
 		if !settled {
 			return true
 		}
-		tr.read += tr.cur.off
-		if v, rep := tr.cur.valid, tr.replica(); v > tr.best || v == tr.best && rep < tr.bestRep {
+		tr.read += tr.cur.Off
+		if v, rep := tr.cur.Valid, tr.replica(); audit.Prefer(v, rep, tr.best, tr.bestRep) {
 			tr.best, tr.bestRep, tr.bestKept = v, rep, !tr.discard
 			if tr.discard {
 				tr.winner = bytes.Clone(tr.sc.buf[:v])
@@ -486,7 +485,7 @@ func (tr *trail) chunk(p *cluster.Process, opts Options) bool {
 		return false
 	}
 	tr.k++
-	tr.cur = streamCursor{}
+	tr.cur = audit.Cursor{}
 	return true
 }
 
@@ -508,11 +507,10 @@ func (tr *trail) landed(lo, hi int) {
 }
 
 // finish ends the trail's read: it hands the scratch on, settles which
-// stream the trail keeps — the replica whose valid prefix scans furthest, of
-// equal ones the lower replica's — and wakes the worker. When the segments
-// are not exactly that stream (the replicas disagreed, or a replica that
-// failed part-way had extended them), the early work is discarded and the
-// trail keeps the winner's bytes.
+// stream the trail keeps — the replica audit.Prefer picks — and wakes the
+// worker. When the segments are not exactly that stream (the replicas
+// disagreed, or a replica that failed part-way had extended them), the early
+// work is discarded and the trail keeps the winner's bytes.
 func (tr *trail) finish() {
 	stable.HandOn(tr.sc.buf)
 	tr.sc.buf = nil
@@ -1191,53 +1189,14 @@ func fromDisk(p *cluster.Process, volumes []*disk.Volume, opts Options, cpus []*
 	return rep, rb, nil
 }
 
-// frameHeader is the size of an audit frame's little-endian u32 length
-// prefix; the length it holds excludes the prefix itself.
-const frameHeader = 4
-
-// chunkReader fills buf from a replica at off.
-type chunkReader interface {
-	readChunk(off int64, buf []byte) error
-}
-
-// streamCursor is one replica's read in progress: the bytes read of it and
-// the length of its valid record prefix.
-type streamCursor struct {
-	off   int64
-	valid int
-}
-
-// step reads the replica's next chunk straight into sc.buf and extends the
-// valid prefix over it, reporting whether the scan is settled. The scan
-// resumes at the last record boundary: a frame the previous chunk cut short
-// is retried whole, and nothing already validated is scanned again.
-//
-// The scan is settled when it stopped on a zero length prefix (a clean end),
-// on a frame wholly inside what was read (a torn one: its check reads only
-// its own bytes), on a frame whose declared length runs past the device, or
-// at the device's end. Only a scan that reached the read's edge — fewer than
-// frameHeader bytes left, or a frame that runs past them — reads on.
-func (c *streamCursor) step(sc *scratch, capacity int64, opts Options, src chunkReader) (settled bool, err error) {
-	n := min(int64(opts.ChunkBytes), capacity-c.off)
-	end := int(c.off + n)
-	sc.reserve(int(c.off), end)
-	if err := src.readChunk(c.off, sc.buf[c.off:end]); err != nil {
+// step is audit.Cursor.Step into the scratch, grown to hold the next chunk.
+func step(c *audit.Cursor, sc *scratch, size int64, opts Options, src audit.ChunkReader) (settled bool, err error) {
+	end := min(c.Off+int64(opts.ChunkBytes), size)
+	sc.reserve(int(c.Off), int(end))
+	if settled, err = c.Step(sc.buf[:end], size, src); err != nil {
 		return false, fmt.Errorf("%w: %v", ErrNoLog, err)
 	}
-	c.off += n
-	s := audit.NewScanner(sc.buf[c.valid:end])
-	for s.Next() {
-	}
-	c.valid += s.Offset()
-	if c.off >= capacity {
-		return true, nil
-	}
-	if end-c.valid >= frameHeader {
-		length := int64(binary.LittleEndian.Uint32(sc.buf[c.valid:]))
-		frameEnd := int64(c.valid) + frameHeader + length
-		return length == 0 || frameEnd <= int64(end) || frameEnd > capacity, nil
-	}
-	return false, nil
+	return settled, nil
 }
 
 // FromPM recovers from NPMU-resident log regions via the PM client
@@ -1249,12 +1208,8 @@ func (c *streamCursor) step(sc *scratch, capacity int64, opts Options, src chunk
 // and the TCB region name ("" to force the two-pass disk-style analysis over
 // PM, for apples-to-apples ablation). A log region the PMM has never heard
 // of is an empty trail, not an error. Each region is read from both devices
-// of its mirrored pair and the replica whose valid record prefix scans
-// furthest is kept: the PM write path succeeds whenever one mirror accepted
-// the data, so a device that power-failed mid-run holds a truncated prefix,
-// and trusting the primary blindly would silently drop committed
-// transactions. A replica that cannot be read at all is skipped as long as
-// its partner is readable.
+// of its mirrored pair, and the replica audit.Prefer picks is kept; one that
+// cannot be read is skipped as long as its partner is readable.
 func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRegion string, opts Options) (Report, *Rebuilt, error) {
 	return fromPM(p, vol, logRegions, tcbRegion, opts, nodeCPUs(p.Cluster()))
 }
@@ -1274,7 +1229,10 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 			sc := new(scratch)
 			sc.reserve(0, int(r.Size()))
 			img := sc.buf[:r.Size()]
-			if err := readPMStream(p, r, img, opts); err == nil {
+			for off := 0; err == nil && off < len(img); off += opts.ChunkBytes {
+				err = r.Read(p, int64(off), img[off:min(off+opts.ChunkBytes, len(img))])
+			}
+			if err == nil {
 				rep.BytesRead += r.Size()
 				tmf.ScanTCBs(img, an.decide)
 				rep.UsedTCB = true
@@ -1316,15 +1274,4 @@ func fromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 	}
 	rep.MTTR = p.Now() - start
 	return rep, rb, nil
-}
-
-// readPMStream fills buf from the region in RDMA-sized chunks.
-func readPMStream(p *cluster.Process, r *pmclient.Region, buf []byte, opts Options) error {
-	for off := 0; off < len(buf); off += opts.ChunkBytes {
-		end := min(off+opts.ChunkBytes, len(buf))
-		if err := r.Read(p, int64(off), buf[off:end]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -38,6 +38,10 @@ go test -run '^$' -fuzz FuzzTreeOps -fuzztime 20s ./internal/btree
 # insert pushes to: runs of inserts, commits, aborts, reinserts under an
 # aborted key and destages, on a backup's absorbed image.
 go test -run '^$' -fuzz FuzzRequeueMatchesInsertOrder -fuzztime 20s ./internal/dp2
+# The one log reader every takeover and recovery reads a replica through,
+# chunk by chunk, against one whole-image scan: any chunk size from 1 B to
+# 64 KiB, any torn, flipped, truncated or zero-filled tail.
+go test -run '^$' -fuzz FuzzCursorMatchesWholeScan -fuzztime 20s ./internal/audit
 # The race pass is also the checkptr pass: -race turns on the compiler's
 # pointer checks, which test every unsafe.Slice (dp2's row bodies) against
 # the allocation its pointer points into.
