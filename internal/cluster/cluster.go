@@ -69,9 +69,9 @@ type Cluster struct {
 	// travel through inbox interfaces without allocating, and the single
 	// consumer of each box returns it here after copying the contents out.
 	// The simulation is single-threaded per engine, so plain slices work.
-	envfree    []*Envelope    //simlint:box -- message-envelope pool
-	framefree  []*routedFrame //simlint:box -- routed-frame pool
-	scriptfree []*script      //simlint:box -- in-flight Compute/send script pool
+	envfree   []*Envelope    //simlint:box -- message-envelope pool
+	framefree []*routedFrame //simlint:box -- routed-frame pool
+	legfree   []*Leg         //simlint:box -- in-flight blocking-call leg pool
 }
 
 // newEnvelope takes an Envelope box from the free list.
@@ -375,10 +375,13 @@ func (p *Process) Done() bool { return p.proc.Done() }
 
 // Compute occupies the CPU for duration d of work, queueing behind other
 // processes on the same processor.
+//
+//simlint:hotpath
 func (p *Process) Compute(d sim.Time) {
-	s := p.cpu.cl.newScript()
-	s.hold = d
-	p.run(s)
+	cl := p.cpu.cl
+	l := cl.newLeg()
+	defer cl.freeLeg(l)
+	p.park(l, l.Compute(p, d))
 }
 
 // Wait suspends the process without using CPU (e.g. waiting on I/O).

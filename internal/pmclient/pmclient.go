@@ -149,6 +149,8 @@ type Region struct {
 	mWrite  *metrics.LatencyHist
 	mWrites *metrics.Counter
 	mBytes  *metrics.Counter
+
+	legfree []*WriteLeg //simlint:box -- in-flight blocking-write leg pool
 }
 
 // SetMetrics attaches PM write-span instruments to this region handle
@@ -182,54 +184,20 @@ func (r *Region) check(off int64, n int) error {
 	return nil
 }
 
-// writeOne performs the RDMA write to a single device with CRC retry.
-//
-//simlint:hotpath
-func (r *Region) writeOne(p *cluster.Process, dev servernet.EndpointID, off int64, data []byte) error {
-	fab := r.vol.cl.Fabric()
-	from := p.CPU().Endpoint().ID()
-	nva := r.info.Base + uint32(off)
-	var err error
-	for attempt := 0; attempt <= crcRetries; attempt++ {
-		err = fab.RDMAWrite(p.Sim(), from, dev, nva, data)
-		if !errors.Is(err, servernet.ErrCRC) {
-			return err
-		}
-		r.RetriedTransfers++
-	}
-	return err
-}
-
 // Write synchronously persists data at byte offset off within the region,
 // writing both mirrors. It succeeds if at least one mirror accepted the
 // data (the volume is then degraded until the PMM repairs it); it fails
-// with ErrBothMirrorsFailed if neither did.
+// with ErrBothMirrorsFailed if neither did. The process parks once for the
+// whole write (see WriteLeg).
 //
 //simlint:hotpath
 func (r *Region) Write(p *cluster.Process, off int64, data []byte) error {
-	if err := r.check(off, len(data)); err != nil {
-		return err
+	w := r.newLeg()
+	defer r.freeLeg(w)
+	if !w.Write(r, p, off, data) {
+		p.Sim().ParkScript(w)
 	}
-	wstart := p.Now()
-	errPrim := r.writeOne(p, r.info.Primary, off, data)
-	errMirr := errPrim
-	if r.info.Mirror != r.info.Primary {
-		errMirr = r.writeOne(p, r.info.Mirror, off, data)
-	}
-	switch {
-	case errPrim == nil && errMirr == nil:
-	case errPrim == nil || errMirr == nil:
-		r.DegradedWrites++
-	default:
-		//simlint:allow hotalloc -- double-mirror-failure path, cold by construction
-		return fmt.Errorf("%w: primary: %v; mirror: %v", ErrBothMirrorsFailed, errPrim, errMirr)
-	}
-	r.Writes++
-	r.BytesWritten += int64(len(data))
-	r.mWrite.Record(p.Now() - wstart)
-	r.mWrites.Inc()
-	r.mBytes.Add(int64(len(data)))
-	return nil
+	return w.err
 }
 
 // WriteRing writes data at byte pos of a log that wraps within the region:
@@ -238,18 +206,187 @@ func (r *Region) Write(p *cluster.Process, off int64, data []byte) error {
 //
 //simlint:hotpath
 func (r *Region) WriteRing(p *cluster.Process, pos int64, data []byte) error {
-	size := r.info.Size
-	off := pos % size
-	for len(data) > 0 {
-		n := min(int64(len(data)), size-off)
-		if err := r.Write(p, off, data[:n]); err != nil {
-			return err
-		}
-		data = data[n:]
-		off = 0
+	w := r.newLeg()
+	defer r.freeLeg(w)
+	if !w.WriteRing(r, p, pos, data) {
+		p.Sim().ParkScript(w)
 	}
-	return nil
+	return w.err
 }
+
+//simlint:hotpath
+func (r *Region) newLeg() *WriteLeg {
+	if n := len(r.legfree); n > 0 {
+		w := r.legfree[n-1]
+		r.legfree[n-1] = nil
+		r.legfree = r.legfree[:n-1]
+		return w
+	}
+	return &WriteLeg{}
+}
+
+// freeLeg releases what w still holds — the fabric ports, if its process is
+// being unwound mid-transfer — and recycles it.
+//
+//simlint:hotpath
+func (r *Region) freeLeg(w *WriteLeg) {
+	w.Abort()
+	*w = WriteLeg{}
+	r.legfree = append(r.legfree, w)
+}
+
+// WriteLeg is one region write in flight — Region.Write or WriteRing — as a
+// script of fabric transfers: the RDMA write to the primary NPMU, each
+// CRC-failed (unacknowledged) transfer retried up to crcRetries times, then
+// the same to the mirror; a ring write that crosses the end of the region is
+// two such writes. Region.Write and WriteRing arm a pooled one and park once
+// on it. A process walking a longer script of its own keeps a WriteLeg, arms
+// it with Write or WriteRing from its step function, forwards its wake-ups to
+// Step until that reports true, reads Err and defers Abort as its kill guard.
+// Arming reports true when the write is already over. The zero value is idle.
+type WriteLeg struct {
+	r *Region
+	p *cluster.Process
+
+	off  int64  // the current piece's offset; then the next piece's
+	cur  []byte // the piece being written
+	rest []byte // a ring write's pieces after it
+
+	mirror  bool  // the transfer in flight goes to the mirror
+	attempt int   // its retry count
+	errPrim error // the primary's outcome, once the mirror's turn comes
+	wstart  sim.Time
+	xfer    servernet.Transfer
+
+	err error
+}
+
+// Err returns the outcome of the finished write.
+func (w *WriteLeg) Err() error { return w.err }
+
+// Write arms a write of data at byte offset off of r, both mirrors.
+//
+//simlint:hotpath
+func (w *WriteLeg) Write(r *Region, p *cluster.Process, off int64, data []byte) (done bool) {
+	*w = WriteLeg{r: r, p: p}
+	return w.begin(off, data)
+}
+
+// WriteRing arms a write of data at byte pos of the log that wraps within r.
+//
+//simlint:hotpath
+func (w *WriteLeg) WriteRing(r *Region, p *cluster.Process, pos int64, data []byte) (done bool) {
+	*w = WriteLeg{r: r, p: p, off: pos % r.info.Size, rest: data}
+	return w.nextPiece()
+}
+
+// nextPiece starts a ring write's next piece, cut at the end of the region,
+// or reports the write over.
+//
+//simlint:hotpath
+func (w *WriteLeg) nextPiece() (done bool) {
+	if len(w.rest) == 0 {
+		return true
+	}
+	n := min(int64(len(w.rest)), w.r.info.Size-w.off)
+	piece := w.rest[:n]
+	w.rest = w.rest[n:]
+	return w.begin(w.off, piece)
+}
+
+// begin starts one mirrored write of data at off.
+//
+//simlint:hotpath
+func (w *WriteLeg) begin(off int64, data []byte) (done bool) {
+	if err := w.r.check(off, len(data)); err != nil {
+		w.err = err
+		return true
+	}
+	w.off, w.cur = off, data
+	w.wstart = w.p.Now()
+	w.mirror, w.attempt = false, 0
+	return w.transfer()
+}
+
+// transfer starts the RDMA write of the current piece to the device whose
+// turn it is.
+//
+//simlint:hotpath
+func (w *WriteLeg) transfer() (done bool) {
+	r := w.r
+	dev := r.info.Primary
+	if w.mirror {
+		dev = r.info.Mirror
+	}
+	from := w.p.CPU().Endpoint().ID()
+	w.xfer = servernet.Transfer{}
+	if r.vol.cl.Fabric().BeginRDMAWrite(&w.xfer, w.p.Sim(), from, dev, r.info.Base+uint32(w.off), w.cur) {
+		return w.landed()
+	}
+	return false
+}
+
+// Step implements sim.Stepper: one wake-up of the parked writer.
+//
+//simlint:hotpath
+func (w *WriteLeg) Step(p *sim.Proc) (done bool) {
+	return w.xfer.Step(p) && w.landed()
+}
+
+// landed takes one transfer's outcome: retry a CRC failure, go on to the
+// mirror, or finish the piece.
+//
+//simlint:hotpath
+func (w *WriteLeg) landed() (done bool) {
+	r := w.r
+	err := w.xfer.Err()
+	if errors.Is(err, servernet.ErrCRC) {
+		r.RetriedTransfers++
+		if w.attempt < crcRetries {
+			w.attempt++
+			return w.transfer()
+		}
+	}
+	if !w.mirror {
+		if r.info.Mirror == r.info.Primary {
+			return w.written(err, err)
+		}
+		w.errPrim = err
+		w.mirror, w.attempt = true, 0
+		return w.transfer()
+	}
+	return w.written(w.errPrim, err)
+}
+
+// written finishes a piece with both devices' outcomes and starts the next.
+//
+//simlint:hotpath
+func (w *WriteLeg) written(errPrim, errMirr error) (done bool) {
+	r := w.r
+	switch {
+	case errPrim == nil && errMirr == nil:
+	case errPrim == nil || errMirr == nil:
+		r.DegradedWrites++
+	default:
+		//simlint:allow hotalloc -- double-mirror-failure path, cold by construction
+		w.err = fmt.Errorf("%w: primary: %v; mirror: %v", ErrBothMirrorsFailed, errPrim, errMirr)
+		return true
+	}
+	n := int64(len(w.cur))
+	r.Writes++
+	r.BytesWritten += n
+	r.mWrite.Record(w.p.Now() - w.wstart)
+	r.mWrites.Inc()
+	r.mBytes.Add(n)
+	w.cur, w.off = nil, 0
+	return w.nextPiece()
+}
+
+// Abort is the kill guard: it releases the fabric ports a transfer holds at
+// the instant its process is unwound. After a finished write it does nothing.
+//
+//simlint:hotpath
+func (w *WriteLeg) Abort() { w.xfer.Abort() }
 
 // Read fills buf from byte offset off. It reads the primary and falls
 // over to the mirror on failure ("reads need not be replicated").

@@ -44,9 +44,10 @@ const (
 //
 // Send, RDMAWrite and RDMARead draw their Transfer from the fabric's free
 // list. A caller that runs the legs as part of a longer script of its own
-// (the cluster message system holds the sending CPU first) owns a Transfer
-// value, starts it with BeginSend, forwards its wake-ups to Step and
-// defers Abort as the kill guard. The zero value is idle.
+// (the cluster message system holds the sending CPU first; a PM region write
+// retries and mirrors) owns a Transfer value, starts it with BeginSend or
+// BeginRDMAWrite, forwards its wake-ups to Step and defers Abort as the kill
+// guard. The zero value is idle.
 type Transfer struct {
 	f        *Fabric
 	src, dst *Endpoint
@@ -338,18 +339,37 @@ func (f *Fabric) park(p *sim.Proc, t *Transfer, done bool) error {
 	return t.err
 }
 
-// rdma performs one one-sided operation from initiator from against target
-// to: a write of data, or a read into buf.
+// beginRDMA starts one one-sided operation from from against target to on
+// the Transfer t — a write of data, or a read into buf — and arms its first
+// leg for p.
 //
 //simlint:hotpath
-func (f *Fabric) rdma(p *sim.Proc, from, to EndpointID, nva uint32, data, buf []byte, write bool) error {
-	t := f.newTransfer()
+func (f *Fabric) beginRDMA(t *Transfer, p *sim.Proc, from, to EndpointID, nva uint32, data, buf []byte, write bool) (done bool) {
 	t.rdma, t.write, t.nva, t.data, t.buf = true, write, nva, data, buf
 	t.n = len(buf)
 	if write {
 		t.n = len(data)
 	}
-	return f.park(p, t, t.begin(p, f, from, to))
+	return t.begin(p, f, from, to)
+}
+
+// BeginRDMAWrite starts a one-sided write of data into target to at network
+// virtual address nva on the caller's own Transfer, as BeginSend starts a
+// message: it reports true if the write is already over, and otherwise p's
+// wake-ups go to t.Step until that reports true. On a nil Err the bytes are
+// in the target device.
+//
+//simlint:hotpath
+func (f *Fabric) BeginRDMAWrite(t *Transfer, p *sim.Proc, from, to EndpointID, nva uint32, data []byte) (done bool) {
+	return f.beginRDMA(t, p, from, to, nva, data, nil, true)
+}
+
+// rdma performs one one-sided operation on a pooled Transfer.
+//
+//simlint:hotpath
+func (f *Fabric) rdma(p *sim.Proc, from, to EndpointID, nva uint32, data, buf []byte, write bool) error {
+	t := f.newTransfer()
+	return f.park(p, t, f.beginRDMA(t, p, from, to, nva, data, buf, write))
 }
 
 // RDMAWrite synchronously writes data into target to at network virtual

@@ -152,29 +152,82 @@ func (c *Chan) ArmRecv(p *Proc) (v interface{}, ok bool) {
 // (it may TrySend, trigger signals, release resources). Serve returns only
 // by unwinding: a kill ends the server like any parked process.
 func (c *Chan) Serve(p *Proc, handle func(v interface{})) {
-	p.assertRunning("Chan.Serve")
-	s := &server{c: c, handle: handle}
-	if v, ok := c.ArmRecv(p); ok {
-		p.rxVal = v
-		s.Step(p)
-	}
-	p.ParkScript(s)
+	c.ServeLegs(p, handleFunc(handle))
 }
 
-// server is the Stepper behind Serve: handle the delivered value, drain
-// whatever else is buffered, queue for the next.
-type server struct {
-	c      *Chan
-	handle func(v interface{})
+// Server handles a channel's values one at a time on the dispatching stack
+// (Chan.ServeLegs). Handle starts a value: it reports true when the value is
+// done, or false with the value's next leg armed through the non-parking
+// primitives. Its wake-ups then go to Step, until one reports the value done,
+// and only then is the next value taken. Neither may block.
+type Server interface {
+	Handle(p *Proc, v interface{}) (done bool)
+	Stepper
+}
+
+// handleFunc is the Server of a handler that takes no legs.
+type handleFunc func(v interface{})
+
+//simlint:hotpath
+func (h handleFunc) Handle(_ *Proc, v interface{}) bool {
+	h(v)
+	return true
+}
+
+func (h handleFunc) Step(*Proc) bool { panic("sim: wake-up for a server that arms no legs") }
+
+// ServeLegs is Serve for values whose handling takes timed legs: p parks for
+// good and s handles each value, legs and all, on whatever stack dispatches
+// its wake-ups, exactly as if p had received, handled and parked leg by leg
+// itself — the same events in the same slots with the same park stamps. A
+// kill unwinds p out of ServeLegs; whatever leg s has in flight then must be
+// released by a guard p deferred before calling it.
+func (c *Chan) ServeLegs(p *Proc, s Server) {
+	p.assertRunning("Chan.ServeLegs")
+	ss := &serveScript{c: c, s: s}
+	ss.next(p)
+	p.ParkScript(ss)
+}
+
+// serveScript is the Stepper behind ServeLegs: take a value, walk its legs,
+// take the next.
+type serveScript struct {
+	c    *Chan
+	s    Server
+	busy bool // a value's legs are in flight
 }
 
 //simlint:hotpath
-func (s *server) Step(p *Proc) bool {
-	v := p.rxVal
-	for ok := true; ok; v, ok = s.c.ArmRecv(p) {
-		s.handle(v)
+func (ss *serveScript) Step(p *Proc) bool {
+	if ss.busy {
+		if !ss.s.Step(p) {
+			return false
+		}
+		ss.busy = false
+	} else if !ss.s.Handle(p, p.rxVal) {
+		ss.busy = true
+		return false
 	}
+	ss.next(p)
 	return false
+}
+
+// next handles every buffered value that finishes at once and queues p as a
+// receiver once the channel is empty, or stops at the first value that arms
+// a leg.
+//
+//simlint:hotpath
+func (ss *serveScript) next(p *Proc) {
+	for {
+		v, ok := ss.c.ArmRecv(p)
+		if !ok {
+			return
+		}
+		if !ss.s.Handle(p, v) {
+			ss.busy = true
+			return
+		}
+	}
 }
 
 // TryRecv returns a buffered value without blocking; ok is false if the

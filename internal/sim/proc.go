@@ -64,6 +64,10 @@ type Proc struct {
 	tmoSeq uint64
 	tmoIdx int32
 
+	// switches counts the times the run loop switched into the process, over
+	// every run of it (Restart keeps the count).
+	switches uint64
+
 	// reaper, the spawner's exit hook, and then the onExit callbacks run (in
 	// engine context) when the process finishes or is killed.
 	reaper func(p *Proc)
@@ -127,6 +131,15 @@ func (p *Proc) Name() string { return p.name }
 // spawned on the engine; a Restart draws a new one). It is the stable order
 // for iterating process sets deterministically.
 func (p *Proc) ID() uint64 { return p.id }
+
+// Switches returns how many times the run loop has switched into the process,
+// over all its runs: the share of Engine.SwitchesExecuted it owns.
+func (p *Proc) Switches() uint64 { return p.switches }
+
+// Delivered returns what the wake-up being handled delivered: a received
+// value or a trigger's, with ok true, or ok false for a timeout or a plain
+// timed wake. A step function reads it for the leg it armed.
+func (p *Proc) Delivered() (v interface{}, ok bool) { return p.rxVal, p.rxOK }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }

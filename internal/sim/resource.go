@@ -214,14 +214,28 @@ func (s *Signal) Wait(p *Proc) interface{} {
 //simlint:hotpath
 func (s *Signal) WaitTimeout(p *Proc, timeout Time) (v interface{}, ok bool) {
 	p.assertRunning("Signal.Wait")
-	if s.fired {
-		return s.val, true
-	}
-	id := p.newBlockID()
-	s.waiters = append(s.waiters, waiter{p: p, id: id})
-	if timeout >= 0 {
-		p.armTimeout(timeout)
+	if v, ok = s.ArmWait(p, timeout); ok {
+		return v, true
 	}
 	p.park()
 	return p.rxVal, p.rxOK
+}
+
+// ArmWait is the non-parking half of WaitTimeout, for p itself just before
+// ParkScript or for its step function: it returns the value of a signal that
+// has fired, or queues p as a waiter, arming the timeout unless it is
+// negative, so that the trigger (ok true) or the timeout (ok false) arrives
+// as p's wake-up (Proc.Delivered).
+//
+//simlint:hotpath
+func (s *Signal) ArmWait(p *Proc, timeout Time) (v interface{}, ok bool) {
+	p.assertScript("Signal.ArmWait")
+	if s.fired {
+		return s.val, true
+	}
+	s.waiters = append(s.waiters, waiter{p: p, id: p.newBlockID()})
+	if timeout >= 0 {
+		p.armTimeout(timeout)
+	}
+	return nil, false
 }

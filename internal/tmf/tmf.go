@@ -30,12 +30,9 @@ package tmf
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"persistmem/internal/adp"
 	"persistmem/internal/audit"
 	"persistmem/internal/cluster"
-	"persistmem/internal/dp2"
 	"persistmem/internal/metrics"
 	"persistmem/internal/pmclient"
 	"persistmem/internal/sim"
@@ -252,74 +249,6 @@ type coordPool struct {
 	idle []*coordinator
 }
 
-// coordinator runs commits and aborts one at a time: a process the serve
-// loop keeps and restarts for each request instead of spawning one, with its
-// working set — completion signals, the request boxes it sends to DP2s and
-// ADPs, and the per-commit ADP LSN table. If any call times out, a server
-// may still reference one of the boxes, so a dirty coordinator is abandoned
-// instead of going back to its pool; so is one whose process was killed.
-type coordinator struct {
-	t    *TMF
-	pool *coordPool
-	proc *cluster.Process
-
-	// The request slot: commit or abort, the envelope to answer it on and
-	// the incarnation's control-block region.
-	commit *CommitReq
-	abort  *AbortReq
-	ev     cluster.Envelope
-	tcb    *pmclient.Region
-
-	sigs    []*sim.Signal
-	freqs   []*dp2.FlushAuditReq
-	ereqs   []*dp2.EndTxnReq
-	flreqs  []*adp.FlushReq
-	creq    adp.CommitReq
-	adpLSNs map[string]audit.LSN
-	adps    []string
-	outbuf  []byte // reused outcome-record encode buffer
-	tcbbuf  []byte // reused control-block entry encode buffer
-	dirty   bool
-}
-
-//simlint:hotpath
-func (c *coordinator) flushReq(i int) *dp2.FlushAuditReq {
-	for len(c.freqs) <= i {
-		c.freqs = append(c.freqs, new(dp2.FlushAuditReq))
-	}
-	return c.freqs[i]
-}
-
-//simlint:hotpath
-func (c *coordinator) endReq(i int) *dp2.EndTxnReq {
-	for len(c.ereqs) <= i {
-		c.ereqs = append(c.ereqs, new(dp2.EndTxnReq))
-	}
-	return c.ereqs[i]
-}
-
-//simlint:hotpath
-func (c *coordinator) adpFlushReq(i int) *adp.FlushReq {
-	for len(c.flreqs) <= i {
-		c.flreqs = append(c.flreqs, new(adp.FlushReq))
-	}
-	return c.flreqs[i]
-}
-
-// sortedADPs lists the LSN table's streams in name order (deterministic
-// message order), built in the coordinator's reused slice.
-//
-//simlint:hotpath
-func (c *coordinator) sortedADPs() []string {
-	c.adps = c.adps[:0]
-	//simlint:ordered -- collected into a slice and sorted below
-	for k := range c.adpLSNs {
-		c.adps = append(c.adps, k)
-	}
-	sort.Strings(c.adps)
-	return c.adps
-}
-
 // startCoord hands a commit or an abort (the other is nil) to an idle
 // coordinator of pool and restarts it, or spawns a new one on cpu when none
 // is idle. Either way the process's start event goes where a spawn's would.
@@ -341,40 +270,6 @@ func (t *TMF) startCoord(cpu *cluster.CPU, pool *coordPool, tcb *pmclient.Region
 	c.proc.Restart()
 }
 
-// run is a coordinator's body, bound once: it coordinates the request in its
-// slot, replies, and — at the very end, after the commit hook — goes back to
-// its pool unless it is dirty or was killed.
-//
-//simlint:hotpath
-func (c *coordinator) run(p *cluster.Process) {
-	t := c.t
-	if req := c.commit; req != nil {
-		err := t.coordinateCommit(p, c, req)
-		if err == nil {
-			t.stats.Commits++
-		} else {
-			t.stats.Aborts++
-		}
-		t.checkpointOutcome(p, req.Txn, err == nil)
-		req.Resp = CommitResp{Err: err}
-		c.ev.Reply(req)
-		if err == nil && t.commitHook != nil {
-			t.commitHook(t.stats.Commits)
-		}
-	} else {
-		req := c.abort
-		t.coordinateAbort(p, c, req)
-		t.stats.Aborts++
-		t.checkpointOutcome(p, req.Txn, false)
-		req.Resp = AbortResp{}
-		c.ev.Reply(req)
-	}
-	c.commit, c.abort, c.ev, c.tcb = nil, nil, cluster.Envelope{}, nil
-	if !c.dirty && !p.Sim().Killed() {
-		c.pool.idle = append(c.pool.idle, c)
-	}
-}
-
 //simlint:hotpath
 func (t *TMF) checkpointBegin(p *cluster.Process, txn audit.TxnID) {
 	var dl *beginDelta
@@ -387,21 +282,6 @@ func (t *TMF) checkpointBegin(p *cluster.Process, txn audit.TxnID) {
 	dl.txn = txn
 	if t.pair.CheckpointFrom(p, 16, dl) == nil {
 		t.begfree = append(t.begfree, dl)
-	}
-}
-
-//simlint:hotpath
-func (t *TMF) checkpointOutcome(p *cluster.Process, txn audit.TxnID, commit bool) {
-	var dl *outcomeDelta
-	if n := len(t.outfree); n > 0 {
-		dl = t.outfree[n-1]
-		t.outfree = t.outfree[:n-1]
-	} else {
-		dl = new(outcomeDelta)
-	}
-	dl.txn, dl.commit = txn, commit
-	if t.pair.CheckpointFrom(p, 24, dl) == nil {
-		t.outfree = append(t.outfree, dl)
 	}
 }
 
@@ -538,83 +418,6 @@ func (t *TMF) handleAbort(ctx *cluster.PairCtx, st *tmfState, pool *coordPool, t
 	t.startCoord(ctx.CPU(), pool, tcb, ev, nil, req)
 }
 
-// coordinateCommit runs the two-phase commit for one transaction. On any
-// error it rolls the transaction back and reports failure.
-//
-//simlint:hotpath
-func (t *TMF) coordinateCommit(p *cluster.Process, c *coordinator, req *CommitReq) error {
-	t.txns.Record(uint64(req.Txn), metrics.MarkCoordStart, "", false, p.Now())
-	var seq int64
-	if req.TwoPhase {
-		t.twoPhaseSeq++
-		seq = t.twoPhaseSeq
-		t.firePhase(PhasePrepareStart, req.Txn, seq)
-	}
-	// Phase 1: gather and flush every involved audit stream; under the
-	// cross-shard protocol every participant durably votes prepare here.
-	if err := t.flushDataAudit(p, c, req.Txn, req.DP2s, req.TwoPhase); err != nil {
-		t.rollback(p, c, req.Txn, req.DP2s)
-		//simlint:allow hotalloc -- commit-failure path, cold
-		return fmt.Errorf("%w: %v", ErrCommitFailed, err)
-	}
-	t.txns.Record(uint64(req.Txn), metrics.MarkDataFlushed, "", false, p.Now())
-	if req.TwoPhase {
-		t.firePhase(PhasePrepared, req.Txn, seq)
-	}
-
-	// Phase 2: commit record in the master log — an outcome record
-	// naming state and participants when two-phase.
-	adps := c.sortedADPs()
-	if len(adps) > 0 {
-		master := adps[0]
-		c.creq.Txn = req.Txn
-		c.creq.Outcome = nil
-		if req.TwoPhase {
-			c.outbuf = AppendOutcome(c.outbuf[:0], TCBCommitted, req.DP2s)
-			c.creq.Outcome = c.outbuf
-		}
-		_, cerr := p.Call(master, 64+len(c.creq.Outcome), &c.creq)
-		if cerr != nil {
-			c.dirty = true // the master may still hold the request box
-			t.rollback(p, c, req.Txn, req.DP2s)
-			//simlint:allow hotalloc -- commit-failure path, cold
-			return fmt.Errorf("%w: master log: %v", ErrCommitFailed, cerr)
-		}
-		if rerr := c.creq.Resp.Err; rerr != nil {
-			t.rollback(p, c, req.Txn, req.DP2s)
-			//simlint:allow hotalloc -- commit-failure path, cold
-			return fmt.Errorf("%w: master log: %v", ErrCommitFailed, rerr)
-		}
-	}
-	t.txns.Record(uint64(req.Txn), metrics.MarkCommitDurable, "", false, p.Now())
-
-	// Fine-grained outcome in PM, before externalizing the commit. For
-	// PMDirect stores (no audit streams) this is the commit point, so a
-	// failed write there fails the commit.
-	if c.tcb != nil {
-		if err := t.writeTCB(p, c.tcb, &c.tcbbuf, req.Txn, TCBCommitted); err != nil && len(adps) == 0 {
-			t.rollback(p, c, req.Txn, req.DP2s)
-			//simlint:allow hotalloc -- commit-failure path, cold
-			return fmt.Errorf("%w: control block: %v", ErrCommitFailed, err)
-		}
-	}
-	t.txns.Record(uint64(req.Txn), metrics.MarkTCBWritten, "", false, p.Now())
-	t.txns.Record(uint64(req.Txn), metrics.TxnOutcome, "", true, p.Now())
-	if req.TwoPhase {
-		t.stats.TwoPhaseCommits++
-		t.firePhase(PhaseOutcomeDurable, req.Txn, seq)
-		t.firePhase(PhaseApplyStart, req.Txn, seq)
-	}
-
-	// Release locks and retire the transaction at the DP2s.
-	t.endAll(p, c, req.Txn, req.DP2s, true)
-	t.txns.Record(uint64(req.Txn), metrics.MarkLocksReleased, "", false, p.Now())
-	if req.TwoPhase {
-		t.firePhase(PhaseDone, req.Txn, seq)
-	}
-	return nil
-}
-
 // firePhase invokes the phase hook if one is installed.
 //
 //simlint:hotpath
@@ -624,142 +427,23 @@ func (t *TMF) firePhase(phase CommitPhase, txn audit.TxnID, seq int64) {
 	}
 }
 
-// flushDataAudit implements phase 1: each DP2 pushes pending audit and
-// reports (ADP, LSN) into c.adpLSNs; then each distinct non-master
-// stream is flushed. The master stream's flush rides on the phase-2
-// commit record. Any early error return marks the coordinator dirty: requests
-// may still be outstanding, so their boxes cannot be recycled.
-//
-//simlint:hotpath
-func (t *TMF) flushDataAudit(p *cluster.Process, c *coordinator, txn audit.TxnID, dp2s []string, prepare bool) error {
-	c.sigs = c.sigs[:0]
-	for i, name := range dp2s {
-		r := c.flushReq(i)
-		r.Txn = txn
-		r.Prepare = prepare // always assigned: the box is recycled across commits
-		sig, err := p.CallAsync(name, 48, r)
-		if err != nil {
-			c.dirty = true
-			return err
-		}
-		c.sigs = append(c.sigs, sig)
-	}
-	clear(c.adpLSNs)
-	for i, sig := range c.sigs {
-		// The reply is the i-th request box itself, carrying the response.
-		if _, err := p.AwaitReply(sig); err != nil {
-			c.dirty = true
-			return err
-		}
-		resp := &c.freqs[i].Resp
-		if resp.Err != nil {
-			c.dirty = true
-			return resp.Err
-		}
-		if resp.ADP == "" {
-			continue // PMDirect DP2: its changes are already persistent
-		}
-		if resp.LSN > c.adpLSNs[resp.ADP] {
-			c.adpLSNs[resp.ADP] = resp.LSN
-		} else if _, seen := c.adpLSNs[resp.ADP]; !seen {
-			c.adpLSNs[resp.ADP] = resp.LSN
-		}
-	}
-
-	adps := c.sortedADPs()
-	if len(adps) <= 1 {
-		return nil // single stream: phase 2 flush covers it
-	}
-	c.sigs = c.sigs[:0]
-	for i, name := range adps[1:] {
-		r := c.adpFlushReq(i)
-		r.UpTo = c.adpLSNs[name]
-		sig, err := p.CallAsync(name, 48, r)
-		if err != nil {
-			c.dirty = true
-			return err
-		}
-		c.sigs = append(c.sigs, sig)
-	}
-	for i, sig := range c.sigs {
-		if _, err := p.AwaitReply(sig); err != nil {
-			c.dirty = true
-			return err
-		}
-		if rerr := c.flreqs[i].Resp.Err; rerr != nil {
-			c.dirty = true
-			return rerr
-		}
-	}
-	return nil
-}
-
-// coordinateAbort rolls back at the DP2s and lazily notes the abort in
-// each involved audit stream.
-func (t *TMF) coordinateAbort(p *cluster.Process, c *coordinator, req *AbortReq) {
-	t.rollback(p, c, req.Txn, req.DP2s)
-	if c.tcb != nil {
-		t.writeTCB(p, c.tcb, &c.tcbbuf, req.Txn, TCBAborted)
-	}
-}
-
-// rollback undoes the transaction at every DP2 and writes abort records.
-// Cold path: its own allocations are left alone.
-func (t *TMF) rollback(p *cluster.Process, c *coordinator, txn audit.TxnID, dp2s []string) {
-	t.txns.Record(uint64(txn), metrics.TxnOutcome, "", false, p.Now())
-	t.endAll(p, c, txn, dp2s, false)
-	seen := map[string]bool{}
-	for _, name := range dp2s {
-		adpName := adpOf(p, name)
-		if adpName == "" || seen[adpName] {
-			continue
-		}
-		seen[adpName] = true
-		p.Send(adpName, 48, &adp.AbortReq{Txn: txn})
-	}
-}
-
-// endAll tells every DP2 the outcome and waits for lock release.
-//
-//simlint:hotpath
-func (t *TMF) endAll(p *cluster.Process, c *coordinator, txn audit.TxnID, dp2s []string, commit bool) {
-	c.sigs = c.sigs[:0]
-	for i, name := range dp2s {
-		r := c.endReq(i)
-		r.Txn, r.Commit = txn, commit
-		if sig, err := p.CallAsync(name, 48, r); err == nil {
-			c.sigs = append(c.sigs, sig)
-		}
-		// A send failure never reached an inbox; the box stays reusable.
-	}
-	for _, sig := range c.sigs {
-		if _, err := p.AwaitReply(sig); err != nil {
-			c.dirty = true // the DP2 may still hold the request box
-		}
-	}
-}
-
-// adpOf asks a DP2 which ADP it audits to (via a zero-flush), used only
-// on the rollback path. Failures are ignored — the DP2 may be mid-
-// takeover, and abort records are advisory.
-func adpOf(p *cluster.Process, dp2Name string) string {
-	req := &dp2.FlushAuditReq{}
-	if _, err := p.Call(dp2Name, 32, req); err != nil {
-		return ""
-	}
-	return req.Resp.ADP
-}
-
 // writeTCB records a transaction outcome in the PM control-block region,
 // encoding the entry into the writer's own buffer: the region write blocks,
 // so concurrent writers must not share one.
 func (t *TMF) writeTCB(p *cluster.Process, tcb *pmclient.Region, buf *[]byte, txn audit.TxnID, state uint8) error {
 	*buf = AppendTCB((*buf)[:0], txn, state)
-	slots := tcb.Size() / TCBEntrySize
-	off := int64(uint64(txn)%uint64(slots)) * TCBEntrySize
-	if err := tcb.Write(p, off, *buf); err != nil {
+	if err := tcb.Write(p, tcbOffset(tcb, txn), *buf); err != nil {
 		return err
 	}
 	t.stats.TCBWrites++
 	return nil
+}
+
+// tcbOffset is where txn's control block lives in the region: its slot is
+// the transaction id modulo the slot count.
+//
+//simlint:hotpath
+func tcbOffset(tcb *pmclient.Region, txn audit.TxnID) int64 {
+	slots := tcb.Size() / TCBEntrySize
+	return int64(uint64(txn)%uint64(slots)) * TCBEntrySize
 }
