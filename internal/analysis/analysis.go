@@ -11,7 +11,7 @@
 // encodes those invariants as analyzers so they are machine-checked on
 // every change (scripts/check.sh and CI run the suite over ./...).
 //
-// The five analyzers:
+// The six analyzers:
 //
 //   - nodeterm:   wall-clock calls, process-global math/rand, and map range
 //     statements in sim-critical packages.
@@ -23,6 +23,9 @@
 //   - boxcheck:   lifecycle tracking for pooled boxes declared with
 //     //simlint:box — use-after-put, double-put, put-of-nil, escapes
 //     into fields without //simlint:boxowner, early-return leaks.
+//   - stepblock:  blocking primitives (Wait, Recv, Acquire, Call, Compute,
+//     Region.Write, ParkScript, …) reached from a sim.Stepper's Step or a
+//     sim.Server's Handle, which run on the dispatching stack.
 //
 // Directives (line comments) tune the analyzers where the rules need
 // human-reviewed exceptions; each should carry a `-- reason` suffix:
@@ -66,7 +69,7 @@ type Analyzer struct {
 
 // Analyzers returns the full simlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Nodeterm, Seedflow, Hotalloc, Goroutine, Boxcheck}
+	return []*Analyzer{Nodeterm, Seedflow, Hotalloc, Goroutine, Boxcheck, Stepblock}
 }
 
 // Diagnostic is one finding, already resolved to a file position.

@@ -192,3 +192,32 @@ func TestPMDirectTakeoverRebuildsFromFullerReplica(t *testing.T) {
 		})
 	}
 }
+
+// TestPMDirectEndRecordWriteFailureIsCounted: with both NPMUs detached, a
+// PMDirect end cannot write its End record to the PM log. The end is applied
+// and acknowledged all the same, as it always was, but the failure is no
+// longer dropped: EndRecordErrors counts it, and the LSN stays where the
+// last record that landed put it.
+func TestPMDirectEndRecordWriteFailureIsCounted(t *testing.T) {
+	eng, cl, d, devs := pmDirectHarness(t, nil)
+	var before Stats
+	cl.CPU(3).Spawn("client", func(p *cluster.Process) {
+		if err := call(t, p, &InsertReq{Txn: 1, Key: 1, Body: []byte("row")}).Resp.Err; err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		before = d.Stats()
+		devs[0].Fail()
+		devs[1].Fail()
+		call(t, p, &EndTxnReq{Txn: 1, Commit: true})
+	})
+	eng.Run()
+	after := d.Stats()
+	if before.EndRecordErrors != 0 || after.EndRecordErrors != 1 {
+		t.Errorf("EndRecordErrors %d before the detach, %d after the end; want 0 and 1", before.EndRecordErrors, after.EndRecordErrors)
+	}
+	if after.PMLogWrites != before.PMLogWrites || after.PMLogBytes != before.PMLogBytes {
+		t.Errorf("PM log writes %d → %d, bytes %d → %d: the failed End record was counted as written",
+			before.PMLogWrites, after.PMLogWrites, before.PMLogBytes, after.PMLogBytes)
+	}
+	eng.Shutdown()
+}

@@ -1,7 +1,10 @@
 package ods_test
 
 import (
+	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"persistmem/internal/cluster"
@@ -277,10 +280,40 @@ func TestBrowseReadAllocationBudget(t *testing.T) {
 	}
 }
 
+// switchOwner names the class of process a switch went into, by the names
+// the store gives its processes.
+func switchOwner(name string) string {
+	primary := func(prefix string) bool {
+		i := strings.LastIndex(name, "-p")
+		if !strings.HasPrefix(name, prefix) || i < 0 {
+			return false
+		}
+		_, err := strconv.Atoi(name[i+2:])
+		return err == nil
+	}
+	switch {
+	case strings.Contains(name, "-coord-"):
+		return "coordinator"
+	case primary("$DP-"):
+		return "dp2-primary"
+	case primary("$ADP"):
+		return "adp-primary"
+	case primary("$TMF-"):
+		return "tmf-primary"
+	case strings.HasPrefix(name, "driver"):
+		return "driver"
+	}
+	return "other"
+}
+
+// switchOwners are the classes TestTxnSwitchBudget reports, in its order.
+var switchOwners = []string{"dp2-primary", "coordinator", "adp-primary", "driver", "tmf-primary", "other"}
+
 // TestTxnSwitchBudget is the machine-independent gate on process
 // switching, beside the allocation budget: what 1000 more committed
 // transactions of the benchmark's hot-stock load (2 drivers, 8 x 4 KB)
-// cost in simulated events and in process switches.
+// cost in simulated events and in process switches, and whom the switches
+// went into.
 //
 // Events are pinned exactly, because a transport that saves switches by
 // adding, dropping or reordering events has changed the simulation. The pin
@@ -291,44 +324,77 @@ func TestBrowseReadAllocationBudget(t *testing.T) {
 // 1000 x 53 and 1000 x 38 and by nothing else, and every committed CSV and
 // fault table stayed byte-identical.
 //
-// Switches are budgeted per transaction, about 10% above today's 145.4 / 126.3.
-// A switch costs about three plain events of host time, and the message
-// transport — send, RDMA, compute, the message-system dispatcher, the pair
-// backups — parks a process once per message and lets the dispatcher walk
-// the legs (sim.Proc.ParkScript); it was 361.4 / 357.3 when every leg resumed
-// its process. Per event is printed too but not gated: it rises when events
-// that did nothing are removed without one switch being added.
+// Switches are budgeted per transaction, about 10% above today's 39.0 / 27.3.
+// A switch costs about three plain events of host time. Every transport leg
+// — send, call, RDMA, compute, a PM region write — parks its process once and
+// lets the dispatcher walk the legs (sim.Proc.ParkScript); the message-system
+// dispatchers and the pair backups serve their inboxes on the dispatching
+// stack; and the DP2 primary and the commit coordinator run their whole
+// request paths as scripts. It was 361.4 / 357.3 when every leg resumed its
+// process and 145.4 / 126.3 while a call resumed its caller twice and the
+// DP2 primary and the coordinator resumed at every leg. The DP2 primaries
+// (which now never resume) and the coordinators (which resume once, to go
+// back to their pool, besides their start) are gated apart. Per event is
+// printed too but not gated: it rises when events that did nothing are
+// removed without one switch being added.
 func TestTxnSwitchBudget(t *testing.T) {
 	for _, tc := range []struct {
 		d        ods.Durability
 		events   uint64  // per 1000 transactions
 		switches float64 // budget per transaction
 	}{
-		{ods.DiskDurability, 420884, 160},
-		{ods.PMDurability, 389740, 140},
+		{ods.DiskDurability, 420884, 43},
+		{ods.PMDurability, 389740, 30},
 	} {
 		t.Run(tc.d.String(), func(t *testing.T) {
-			run := func(txns int) hotstock.Result {
+			run := func(txns int) (hotstock.Result, map[string]uint64) {
 				opts := ods.DefaultOptions()
 				opts.Durability = tc.d
-				r := hotstock.Run(opts, hotstock.Params{
+				s := ods.Build(opts)
+				procs := map[*sim.Proc]bool{}
+				s.Eng.SetDispatchObserver(func(_ sim.Time, _ uint64, p *sim.Proc, _ uint64) {
+					if p != nil {
+						procs[p] = true
+					}
+				})
+				r := hotstock.RunOn(s, hotstock.Params{
 					Drivers: 2, RecordsPerDriver: txns * 8, InsertsPerTxn: 8,
 				})
+				owners := map[string]uint64{}
+				//simlint:ordered -- sums: no effect depends on visit order
+				for p := range procs {
+					owners[switchOwner(p.Name())] += p.Switches()
+				}
+				s.Shutdown()
 				if got := r.Drivers[0].Txns + r.Drivers[1].Txns; got != 2*txns {
 					t.Fatalf("%d of %d transactions committed", got, 2*txns)
 				}
-				return r
+				return r, owners
 			}
-			short, long := run(500), run(1000)
+			short, shortOwners := run(500)
+			long, longOwners := run(1000)
 			events, switches := long.Events-short.Events, long.Switches-short.Switches
 			perTxn := float64(switches) / 1000
 			t.Logf("%.1f events and %.1f switches per transaction, %.3f switches/event",
 				float64(events)/1000, perTxn, float64(switches)/float64(events))
+			owner := map[string]float64{}
+			var line strings.Builder
+			for _, o := range switchOwners {
+				owner[o] = float64(longOwners[o]-shortOwners[o]) / 1000
+				fmt.Fprintf(&line, " %s %.1f", o, owner[o])
+			}
+			t.Logf("switches per transaction by owner:%s", line.String())
 			if events != tc.events {
 				t.Errorf("1000 transactions cost %d events, want exactly %d: the schedule itself moved", events, tc.events)
 			}
 			if perTxn > tc.switches {
 				t.Errorf("%.1f switches per transaction, budget %.0f: some transport leg resumes its process again instead of stepping", perTxn, tc.switches)
+			}
+			if got := owner["dp2-primary"]; got > 1 {
+				t.Errorf("%.1f switches per transaction into DP2 primaries, budget 1: a request leg resumes the primary instead of stepping", got)
+			}
+			if got := owner["coordinator"]; got > 2 {
+				t.Errorf("%.1f switches per transaction into commit coordinators, budget 2: a commit leg resumes the coordinator instead of stepping", got)
 			}
 		})
 	}

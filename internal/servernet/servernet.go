@@ -307,6 +307,11 @@ func (ep *Endpoint) Name() string { return ep.name }
 // Up reports whether the endpoint is responding.
 func (ep *Endpoint) Up() bool { return ep.up }
 
+// PortInUse reports whether a transfer holds the endpoint's port now: 1
+// mid-transfer, else 0. At quiescence it must be 0 — a process killed
+// mid-transfer gives the port back with its death.
+func (ep *Endpoint) PortInUse() int { return ep.link.InUse() }
+
 // Fail takes the endpoint off the fabric: subsequent operations against it
 // observe ErrEndpointDown after the ack timeout.
 func (ep *Endpoint) Fail() { ep.up = false }
