@@ -72,7 +72,7 @@ func TestAppendReqBoxRecycledAfterADPReply(t *testing.T) {
 
 // A late reply never lands in a live box. The ADP's reply to a pointer
 // request is the request box itself with the response written into it, so
-// the rule that lets sendAuditFrom recycle a box only after its reply also
+// the rule that lets auditSent recycle a box only after its reply also
 // has to keep a box whose call timed out away from the pool for good: here
 // the log writer stalls past CallTimeout on the first append and answers a
 // second later, into a box nobody reads any more. The retry travels in a

@@ -52,7 +52,7 @@ func TestTimedOutCoordinatorIsNeverRestarted(t *testing.T) {
 	part := cl.CPU(1).Spawn("fakedp", func(p *cluster.Process) {
 		for {
 			ev := p.Recv()
-			if req, ok := ev.Payload.(*dp2.FlushAuditReq); ok { // a commit's flush, or adpOf's lookup on the rollback path
+			if req, ok := ev.Payload.(*dp2.FlushAuditReq); ok { // a commit's flush, or the rollback's ADP lookup
 				req.Resp = dp2.FlushAuditResp{ADP: "$SLOW", LSN: 32}
 			}
 			ev.Reply(ev.Payload)
