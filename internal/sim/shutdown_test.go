@@ -174,12 +174,12 @@ func TestPooledCoroutinesKeepTheSchedule(t *testing.T) {
 		for _, stepped := range []bool{false, true} {
 			drainSpareCoros()
 			m0 := mallocs()
-			fresh, _ := scriptStorm(seed, stepped, true)
+			fresh, _ := scriptStorm(seed, stepped, true, false)
 			m1 := mallocs()
 			if n := len(spareCoroSet()); n != coroSlots {
 				t.Fatalf("seed %d: the storm pooled %d coroutines, want a full pool of %d", seed, n, coroSlots)
 			}
-			reused, _ := scriptStorm(seed, stepped, true)
+			reused, _ := scriptStorm(seed, stepped, true, false)
 			m2 := mallocs()
 			if a, b := strings.Join(fresh, "\n"), strings.Join(reused, "\n"); a != b {
 				t.Fatalf("seed %d stepped=%v: the storm on pooled coroutines dispatched a different schedule", seed, stepped)
