@@ -7,6 +7,7 @@ package step
 
 import (
 	"persistmem/internal/cluster"
+	"persistmem/internal/locks"
 	"persistmem/internal/pmclient"
 	"persistmem/internal/sim"
 )
@@ -19,15 +20,17 @@ type script struct {
 	leg  cluster.Leg
 	pmw  pmclient.WriteLeg
 	r    *pmclient.Region
+	lm   *locks.Manager
 	fail bool
 }
 
 func (s *script) Step(sp *sim.Proc) bool {
-	sp.Wait(1)               // want `blocking Proc\.Wait called on the dispatching stack \(reached from \(\*script\)\.Step\)`
-	s.sig.WaitTimeout(sp, 1) // want `blocking Signal\.WaitTimeout`
-	s.ch.Recv(sp)            // want `blocking Chan\.Recv`
-	s.res.Acquire(sp)        // want `blocking Resource\.Acquire`
-	sp.ParkScript(s)         // want `blocking Proc\.ParkScript`
+	sp.Wait(1)                                 // want `blocking Proc\.Wait called on the dispatching stack \(reached from \(\*script\)\.Step\)`
+	s.sig.WaitTimeout(sp, 1)                   // want `blocking Signal\.WaitTimeout`
+	s.ch.Recv(sp)                              // want `blocking Chan\.Recv`
+	s.res.Acquire(sp)                          // want `blocking Resource\.Acquire`
+	sp.ParkScript(s)                           // want `blocking Proc\.ParkScript`
+	s.lm.Acquire(sp, 1, 1, locks.Exclusive, 1) // want `blocking Manager\.Acquire`
 
 	// The non-parking halves arm a leg and return.
 	sp.ArmWait(1)
@@ -36,6 +39,7 @@ func (s *script) Step(sp *sim.Proc) bool {
 	s.res.ArmAcquire(sp)
 	s.leg.Call(s.p, "svc", 64, nil)
 	s.pmw.Write(s.r, s.p, 0, nil)
+	s.lm.TryAcquire(1, 1, locks.Exclusive)
 	if s.fail {
 		return s.coldPath()
 	}
@@ -50,6 +54,7 @@ func (s *script) coldPath() bool {
 	s.r.Write(s.p, 0, nil)   // want `blocking Region\.Write`
 	s.p.CPU().Spawn("waiter", func(p *cluster.Process) {
 		p.Call("svc", 64, nil) // a spawned process blocks on its own stack
+		s.lm.Acquire(p.Sim(), 1, 1, locks.Shared, 1)
 	})
 	return helper(s.p)
 }

@@ -162,9 +162,9 @@ func (pr *Pair) checkpoint(ctx *PairCtx, sz int, state interface{}) error {
 	return pr.CheckpointFrom(ctx.Process, sz, state)
 }
 
-// CheckpointFrom checkpoints a delta to the backup using an arbitrary
-// process p as the sender — for continuation processes a primary spawns
-// to handle requests concurrently (commit coordinators, lock waiters).
+// CheckpointFrom checkpoints a delta to the backup with p as the sender,
+// parking p once: the blocking form of Leg.Checkpoint, which a request
+// script arms instead.
 // With no live backup (after a takeover and before Rebackup) the primary
 // runs unprotected and the checkpoint is a successful no-op, matching NSK
 // behavior; callers can observe the protection level via Protected.

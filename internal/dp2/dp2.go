@@ -549,19 +549,18 @@ type DP2 struct {
 
 	// Free lists for the boxes the insert/commit path would otherwise
 	// allocate per operation: checkpoint deltas (recycled by the sender
-	// once CheckpointFrom returns nil — absorb has copied them out by
-	// then), audit append requests (recycled once the ADP replied), and
-	// PM-log encode buffers (checked out across logToPM's wait points, so
-	// concurrent continuations each hold their own). Per-instance, never
-	// global: the parallel harness runs engines on separate goroutines.
+	// once the checkpoint succeeded — absorb has copied them out by then)
+	// and audit append requests (recycled once the ADP replied).
+	// Per-instance, never global: the parallel harness runs engines on
+	// separate goroutines.
 	insfree []*insertDelta   //simlint:box -- insert-delta pool
 	endfree []*endDelta      //simlint:box -- end-delta pool
 	lsnfree []*lsnDelta      //simlint:box -- LSN-delta pool
 	appfree []*adp.AppendReq //simlint:box -- audit append-request pool
-	encfree [][]byte         //simlint:box -- PM-log encode-buffer pool
 
-	// Precomputed continuation names (string concat allocates per spawn).
-	waiterName, rwaiterName string
+	// waiterName names the lock waiters, built once (string concat
+	// allocates per spawn).
+	waiterName string
 
 	// Instrument pointers, nil when unmetered (Record nil-short-circuits).
 	mInsert     *metrics.LatencyHist
@@ -625,28 +624,6 @@ func (d *DP2) newAppendReq(data []byte) *adp.AppendReq {
 	return &adp.AppendReq{Data: data}
 }
 
-// takeEnc checks out a scratch encode buffer. A PM log write parks at
-// fabric legs, so concurrent request scripts (the primary's and its lock
-// waiters') each need their own buffer; checkout (pop here, push in freeEnc)
-// keeps them disjoint.
-//
-//simlint:hotpath
-func (d *DP2) takeEnc() []byte {
-	if n := len(d.encfree); n > 0 {
-		b := d.encfree[n-1]
-		d.encfree = d.encfree[:n-1]
-		return b[:0]
-	}
-	return nil
-}
-
-//simlint:hotpath
-func (d *DP2) freeEnc(b []byte) {
-	if cap(b) > 0 {
-		d.encfree = append(d.encfree, b)
-	}
-}
-
 // RegionName returns the PM log region name a PMDirect DP2 uses.
 func (d *DP2) RegionName() string { return d.cfg.Name + "-log" }
 
@@ -677,7 +654,6 @@ func Start(cl *cluster.Cluster, cfg Config) *DP2 {
 		d.txns = cfg.Metrics.Commit
 	}
 	d.waiterName = cfg.Name + "-waiter"
-	d.rwaiterName = cfg.Name + "-rwaiter"
 	d.pair = cl.StartPairAbsorb(cfg.Name, cfg.PrimaryCPU, cfg.BackupCPU, d.serve, d.absorb)
 	return d
 }
@@ -744,13 +720,6 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 	}
 	st.requeue() // a restored or rebuilt image comes without its queue
 
-	// auditBuf holds encoded audit not yet sent to the ADP (Classic
-	// mode), shared by the primary and its lock waiters. It is not
-	// checkpointed: commit reaches it via FlushAudit, and an un-committed
-	// transaction whose DP2 died is aborted by the monitor, so its audit may
-	// be lost harmlessly.
-	var auditBuf []byte
-
 	// Background destager: kicked when dirty data appears, one batched
 	// sequential write per interval while any remains, blocked when idle
 	// (so a quiescent store has no pending events).
@@ -767,7 +736,7 @@ func (d *DP2) serve(ctx *cluster.PairCtx) {
 	// From here on the primary is its request script: it parks for good and
 	// the dispatcher walks each request's legs. A kill unwinds it out of
 	// Serve, and the guard releases the leg in flight.
-	r := d.newRequest(ctx.Process, st, lm, &auditBuf)
+	r := d.newRequest(ctx.Process, st, lm)
 	defer r.abort()
 	ctx.Inbox().ServeLegs(ctx.Sim(), r)
 }

@@ -36,19 +36,25 @@ const (
 // write), walked by the dispatcher on whatever stack delivers its wake-ups.
 // The primary keeps one for its life and serves its inbox with it, one
 // request at a time, exactly as a loop of blocking calls would — the same
-// events in the same slots — without ever being switched into. A
-// lock-conflict waiter, once its lock wait is over, keeps its own for the
-// insert tail.
+// events in the same slots — without ever being switched into. It is the
+// only writer of the partition's image, its audit buffer and its PM log: a
+// request that waits on a row lock comes back to it (handBack) to be
+// applied.
 //
 // Each leg is armed by then, which takes the outcome at once when the leg is
 // already over; the phase says which leg is pending, and after takes its
 // outcome and arms the next one.
 type request struct {
-	d        *DP2
-	p        *cluster.Process
-	st       *dpState
-	lm       *locks.Manager
-	auditBuf *[]byte
+	d  *DP2
+	p  *cluster.Process
+	st *dpState
+	lm *locks.Manager
+
+	// auditBuf holds encoded audit not yet sent to the ADP (Classic mode).
+	// It is not checkpointed: commit reaches it via FlushAudit, and an
+	// un-committed transaction whose DP2 died is aborted by the monitor, so
+	// its audit may be lost harmlessly.
+	auditBuf []byte
 
 	phase reqPhase
 	leg   cluster.Leg
@@ -64,15 +70,14 @@ type request struct {
 	istart, cstart sim.Time
 	delta          insertDelta
 	stamp          uint32 // the inserted row's, to roll back a failed log write
-	enc            []byte // the record being written to the PM log
+	enc            []byte // the record being written to the PM log, reused
 
 	// The checkpoint box in flight, recycled once the backup absorbed it.
 	idl *insertDelta //simlint:boxowner -- the request owns its checkpoint box until the backup acknowledges it
 	edl *endDelta    //simlint:boxowner -- the request owns its checkpoint box until the backup acknowledges it
 	ldl *lsnDelta    //simlint:boxowner -- the request owns its checkpoint box until the backup acknowledges it
 
-	// The audit send in flight: its data and request box.
-	adata  []byte
+	// The audit send in flight: its request box.
 	areq   *adp.AppendReq //simlint:boxowner -- the request owns the append box until the ADP replies
 	astart sim.Time
 }
@@ -83,6 +88,9 @@ type request struct {
 //
 //simlint:hotpath
 func (r *request) Handle(_ *sim.Proc, v interface{}) (done bool) {
+	if hb, ok := v.(*handBack); ok {
+		return r.handedBack(hb)
+	}
 	ev := r.p.Open(v)
 	r.ev = ev
 	switch req := ev.Payload.(type) {
@@ -144,16 +152,10 @@ func (r *request) after() (done bool) {
 	d, p, st := r.d, r.p, r.st
 	switch r.phase {
 	case rqInsertCPU:
-		req := r.ins
-		if canGrantNow(r.lm, req.Key, req.Txn) {
-			// Fast path: the acquire grants without blocking.
-			r.lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Exclusive, lockTimeout)
+		if r.lm.TryAcquire(r.ins.Key, r.ins.Txn, locks.Exclusive) {
 			return r.insertTail()
 		}
-		// Conflict path: the insert completes in a waiter so the primary keeps
-		// serving (the lock holder's EndTxn must get through).
-		d.spawnWaiter(p.CPU(), st, r.lm, r.auditBuf, r.ev, req)
-		return r.finish()
+		return r.wait(r.ins.Key, r.ins.Txn, locks.Exclusive)
 	case rqInsertLog:
 		if err := r.logged(); err != nil {
 			// Roll just this insert out of the cache, unless an abort already
@@ -225,43 +227,69 @@ func (r *request) abort() {
 
 // newRequest returns a request script for p, with a PM log writer in
 // PMDirect mode.
-func (d *DP2) newRequest(p *cluster.Process, st *dpState, lm *locks.Manager, auditBuf *[]byte) *request {
-	r := &request{d: d, p: p, st: st, lm: lm, auditBuf: auditBuf}
+func (d *DP2) newRequest(p *cluster.Process, st *dpState, lm *locks.Manager) *request {
+	r := &request{d: d, p: p, st: st, lm: lm}
 	if d.cfg.Mode == PMDirect {
 		r.pmw = new(pmclient.WriteLeg)
 	}
 	return r
 }
 
-// spawnWaiter starts the conflict path of an insert: a process that waits for
-// the row lock and then parks on the same insert tail the primary runs.
-func (d *DP2) spawnWaiter(cpu *cluster.CPU, st *dpState, lm *locks.Manager, auditBuf *[]byte, ev cluster.Envelope, req *InsertReq) {
-	//simlint:allow hotalloc -- built on the conflict path only; ev is captured by value (Envelope.Reply's receiver)
-	cpu.Spawn(d.waiterName, func(p *cluster.Process) {
-		if err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Exclusive, lockTimeout); err != nil {
-			d.stats.LockTimeouts++
-			req.Resp = InsertResp{Err: err}
-			ev.Reply(req)
-			return
-		}
-		w := d.newRequest(p, st, lm, auditBuf)
-		w.ev, w.ins = ev, req
-		defer w.abort()
-		if !w.insertTail() {
-			p.Sim().ParkScript(w)
-		}
-	})
+// handBack is a request that waited on its row lock, handed back to the
+// primary that started the wait once the lock is granted.
+type handBack struct {
+	ev   cluster.Envelope
+	ins  *InsertReq // the request: an insert or a read
+	rd   *ReadReq
+	key  uint64
+	txn  audit.TxnID
+	mode locks.Mode
 }
 
-// canGrantNow reports whether an Exclusive acquire of key would grant
-// without blocking.
-//
-//simlint:hotpath
-func canGrantNow(lm *locks.Manager, key uint64, txn audit.TxnID) bool {
-	if mode, held := lm.Holds(key, txn); held && mode == locks.Exclusive {
+// refuse answers the request with err.
+func (hb *handBack) refuse(err error) {
+	if hb.ins != nil {
+		hb.ins.Resp = InsertResp{Err: err}
+		hb.ev.Reply(hb.ins)
+		return
+	}
+	hb.rd.Resp = ReadResp{Err: err}
+	hb.ev.Reply(hb.rd)
+}
+
+// wait hands the request in flight to a lock waiter, a process that does
+// nothing but wait for the row lock, so the primary keeps serving (the lock
+// holder's EndTxn must get through). A timeout is the waiter's to reply; a
+// grant it hands back into this incarnation's inbox, where handedBack takes
+// it. A hand-back into a dead incarnation's inbox is dropped with it.
+func (r *request) wait(key uint64, txn audit.TxnID, mode locks.Mode) (done bool) {
+	d, lm, inbox := r.d, r.lm, r.p.Inbox()
+	hb := &handBack{ev: r.ev, ins: r.ins, rd: r.rd, key: key, txn: txn, mode: mode}
+	r.p.CPU().Spawn(d.waiterName, func(p *cluster.Process) {
+		if err := lm.Acquire(p.Sim(), key, txn, mode, lockTimeout); err != nil {
+			d.stats.LockTimeouts++
+			hb.refuse(err)
+			return
+		}
+		inbox.TrySend(hb)
+	})
+	return r.finish()
+}
+
+// handedBack applies a request whose lock wait is over, unless its
+// transaction no longer holds the lock — it ended while the grant was on its
+// way — when it is refused instead.
+func (r *request) handedBack(hb *handBack) (done bool) {
+	if held, ok := r.lm.Holds(hb.key, hb.txn); !ok || held < hb.mode {
+		hb.refuse(locks.ErrNotHeld)
 		return true
 	}
-	return lm.QueueLen(key) == 0 && lm.HolderCount(key) == 0
+	r.ev, r.ins, r.rd = hb.ev, hb.ins, hb.rd
+	if r.rd != nil {
+		r.d.finishRead(r.st, r.ev, r.rd)
+		return r.finish()
+	}
+	return r.insertTail()
 }
 
 // insertTail runs once the row lock is held: apply the insert, make it
@@ -303,8 +331,8 @@ func (r *request) insertTail() (done bool) {
 		// forwarded anywhere and the backup checkpoint is counters only.
 		return r.logToPM(rqInsertLog, &rec)
 	}
-	*r.auditBuf = audit.AppendRecord(*r.auditBuf, &rec)
-	if len(*r.auditBuf) >= auditSendBytes {
+	r.auditBuf = audit.AppendRecord(r.auditBuf, &rec)
+	if len(r.auditBuf) >= auditSendBytes {
 		return r.sendAudit(rqInsertAudit)
 	}
 	return r.checkpointInsert()
@@ -328,29 +356,13 @@ func (r *request) replyInsert(err error) bool {
 }
 
 // read continues a read after its CPU cost: a browse or a lock that grants at
-// once reads now; a conflict waits for the lock in a waiter, as an insert's
-// does.
+// once reads now; a conflict waits for the lock, as an insert's does.
 func (r *request) read() (done bool) {
-	d, req, lm, st, ev := r.d, r.rd, r.lm, r.st, r.ev
-	if req.Txn == 0 {
-		d.finishRead(st, ev, req) // browse access: no lock
-		return r.finish()
+	req := r.rd
+	if req.Txn != 0 && !r.lm.TryAcquire(req.Key, req.Txn, locks.Shared) {
+		return r.wait(req.Key, req.Txn, locks.Shared)
 	}
-	if lm.QueueLen(req.Key) == 0 && lm.HolderCount(req.Key) == 0 {
-		// Will grant instantly.
-		lm.Acquire(r.p.Sim(), req.Key, req.Txn, locks.Shared, lockTimeout)
-		d.finishRead(st, ev, req)
-		return r.finish()
-	}
-	r.p.CPU().Spawn(d.rwaiterName, func(p *cluster.Process) {
-		if err := lm.Acquire(p.Sim(), req.Key, req.Txn, locks.Shared, lockTimeout); err != nil {
-			d.stats.LockTimeouts++
-			req.Resp = ReadResp{Err: err}
-			ev.Reply(req)
-			return
-		}
-		d.finishRead(st, ev, req)
-	})
+	r.d.finishRead(r.st, r.ev, req) // a browse takes no lock
 	return r.finish()
 }
 
@@ -383,7 +395,7 @@ func (r *request) flushAudit() (done bool) {
 		if d.cfg.Mode == PMDirect {
 			return r.logToPM(rqPrepareLog, &rec)
 		}
-		*r.auditBuf = audit.AppendRecord(*r.auditBuf, &rec)
+		r.auditBuf = audit.AppendRecord(r.auditBuf, &rec)
 	}
 	if d.cfg.Mode == PMDirect {
 		// Nothing to flush: every change is already persistent.
@@ -433,30 +445,28 @@ func (r *request) endTxn() (done bool) {
 //
 //simlint:hotpath
 func (r *request) sendAudit(ph reqPhase) (done bool) {
-	data := *r.auditBuf
-	if len(data) == 0 {
+	if len(r.auditBuf) == 0 {
 		return r.then(ph, true)
 	}
-	*r.auditBuf = nil
-	r.adata, r.astart = data, r.p.Now()
-	r.areq = r.d.newAppendReq(data)
-	return r.then(ph, r.leg.Call(r.p, r.d.cfg.ADPName, len(data), r.areq))
+	r.astart = r.p.Now()
+	r.areq = r.d.newAppendReq(r.auditBuf)
+	return r.then(ph, r.leg.Call(r.p, r.d.cfg.ADPName, len(r.auditBuf), r.areq))
 }
 
-// auditSent takes the outcome of sendAudit: the LSN the trail must reach.
+// auditSent takes the outcome of sendAudit: the LSN the trail must reach. A
+// failed send leaves the audit buffered, so commit can retry after an ADP
+// takeover.
 //
 //simlint:hotpath
 func (r *request) auditSent() (audit.LSN, error) {
-	d, areq, data := r.d, r.areq, r.adata
+	d, areq := r.d, r.areq
 	if areq == nil {
 		return 0, nil // nothing was pending
 	}
-	r.areq, r.adata = nil, nil
+	r.areq = nil
 	if err := r.leg.Err(); err != nil {
-		// Put the audit back so commit can retry after ADP takeover. The
-		// request box may still sit in the ADP inbox — a late reply would
-		// write into it — so it is not reused.
-		*r.auditBuf = append(data, *r.auditBuf...)
+		// The request box may still sit in the ADP inbox — a late reply
+		// would write into it — so it is not reused.
 		return 0, err
 	}
 	// Reply received — the box itself, carrying the response: the ADP is
@@ -465,18 +475,14 @@ func (r *request) auditSent() (audit.LSN, error) {
 	*areq = adp.AppendReq{}
 	d.appfree = append(d.appfree, areq)
 	if resp.Err != nil {
-		*r.auditBuf = append(data, *r.auditBuf...)
 		return 0, resp.Err
 	}
 	d.stats.AuditSends++
-	d.stats.AuditBytes += int64(len(data))
+	d.stats.AuditBytes += int64(len(r.auditBuf))
 	d.mAuditSend.Record(r.p.Now() - r.astart)
-	// The ADP copied the bytes out before replying, so the capacity can back
-	// the next batch — but only if no concurrent insert started a fresh
-	// buffer while the send was parked.
-	if *r.auditBuf == nil {
-		*r.auditBuf = data[:0]
-	}
+	// The ADP copied the bytes out before replying, so the capacity backs
+	// the next batch.
+	r.auditBuf = r.auditBuf[:0]
 	return resp.End, nil
 }
 
@@ -521,7 +527,7 @@ func (r *request) checkpointed() {
 //
 //simlint:hotpath
 func (r *request) logToPM(ph reqPhase, rec *audit.Record) (done bool) {
-	r.enc = audit.AppendRecord(r.d.takeEnc(), rec)
+	r.enc = audit.AppendRecord(r.enc[:0], rec)
 	return r.then(ph, r.pmw.WriteRing(r.d.pmlog, r.p, int64(r.st.lsn), r.enc))
 }
 
@@ -530,14 +536,12 @@ func (r *request) logToPM(ph reqPhase, rec *audit.Record) (done bool) {
 //
 //simlint:hotpath
 func (r *request) logged() error {
-	d, enc := r.d, r.enc
-	r.enc = nil
 	err := r.pmw.Err()
 	if err == nil {
-		r.st.lsn += audit.LSN(len(enc))
-		d.stats.PMLogWrites++
-		d.stats.PMLogBytes += int64(len(enc))
+		n := len(r.enc)
+		r.st.lsn += audit.LSN(n)
+		r.d.stats.PMLogWrites++
+		r.d.stats.PMLogBytes += int64(n)
 	}
-	d.freeEnc(enc)
 	return err
 }

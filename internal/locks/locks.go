@@ -28,7 +28,7 @@ var (
 // Mode is a lock mode.
 type Mode int
 
-// Lock modes.
+// Lock modes, weakest first.
 const (
 	// Shared allows concurrent readers.
 	Shared Mode = iota
@@ -72,8 +72,8 @@ type Manager struct {
 	reqfree []*waitReq   //simlint:box -- wait-queue entry pool
 	relbuf  []uint64     // ReleaseAll scratch
 
-	// Stats
-	Grants, Waits, Timeouts int64
+	// Timeouts counts the lock waits that timed out.
+	Timeouts int64
 
 	// ms holds shared wait-queue instruments (nil when unmetered). All
 	// managers in a store record into the same bundle, and the bundle
@@ -147,6 +147,35 @@ func (ls *lockState) compatible(txn audit.TxnID, mode Mode) bool {
 	return true
 }
 
+// TryAcquire is the non-parking half of Acquire: it grants txn the lock on
+// key exactly when Acquire would grant it without waiting, and reports
+// whether it did.
+//
+//simlint:hotpath
+func (m *Manager) TryAcquire(key uint64, txn audit.TxnID, mode Mode) bool {
+	ls := m.locks[key]
+	if ls == nil {
+		ls = m.newLockState()
+		m.locks[key] = ls
+	}
+	if held, ok := ls.holders[txn]; ok {
+		if held == Exclusive || mode == Shared {
+			return true // already strong enough
+		}
+		// Upgrade path.
+		if len(ls.holders) == 1 {
+			ls.holders[txn] = Exclusive
+			return true
+		}
+		return false
+	}
+	if len(ls.queue) == 0 && ls.compatible(txn, mode) {
+		ls.holders[txn] = mode
+		return true
+	}
+	return false
+}
+
 // Acquire grants txn a lock on key in the given mode, blocking p in FIFO
 // order behind incompatible requests, up to timeout (negative = forever).
 // Re-acquiring a held lock is a no-op; holding Shared and requesting
@@ -155,29 +184,12 @@ func (ls *lockState) compatible(txn audit.TxnID, mode Mode) bool {
 //
 //simlint:hotpath
 func (m *Manager) Acquire(p *sim.Proc, key uint64, txn audit.TxnID, mode Mode, timeout sim.Time) error {
-	ls := m.locks[key]
-	if ls == nil {
-		ls = m.newLockState()
-		m.locks[key] = ls
-	}
-	if held, ok := ls.holders[txn]; ok {
-		if held == Exclusive || mode == Shared {
-			return nil // already strong enough
-		}
-		// Upgrade path.
-		if len(ls.holders) == 1 && ls.compatible(txn, Exclusive) {
-			ls.holders[txn] = Exclusive
-			m.Grants++
-			return nil
-		}
-	} else if len(ls.queue) == 0 && ls.compatible(txn, mode) {
-		ls.holders[txn] = mode
-		m.Grants++
+	if m.TryAcquire(key, txn, mode) {
 		return nil
 	}
 
 	// Queue and wait.
-	m.Waits++
+	ls := m.locks[key]
 	m.ms.OnEnter()
 	waitStart := m.eng.Now()
 	req := m.newWaitReq(txn, mode)
@@ -222,7 +234,6 @@ func (m *Manager) admit(key uint64, ls *lockState) {
 			if len(ls.holders) == 1 {
 				ls.holders[req.txn] = Exclusive
 				ls.queue = ls.queue[1:]
-				m.Grants++
 				req.granted.Trigger(nil)
 				continue
 			}
@@ -233,7 +244,6 @@ func (m *Manager) admit(key uint64, ls *lockState) {
 		}
 		ls.holders[req.txn] = req.mode
 		ls.queue = ls.queue[1:]
-		m.Grants++
 		req.granted.Trigger(nil)
 	}
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
@@ -300,16 +310,6 @@ func (m *Manager) Holds(key uint64, txn audit.TxnID) (Mode, bool) {
 func (m *Manager) HolderCount(key uint64) int {
 	if ls := m.locks[key]; ls != nil {
 		return len(ls.holders)
-	}
-	return 0
-}
-
-// QueueLen returns the number of waiters on key.
-//
-//simlint:hotpath
-func (m *Manager) QueueLen(key uint64) int {
-	if ls := m.locks[key]; ls != nil {
-		return len(ls.queue)
 	}
 	return 0
 }

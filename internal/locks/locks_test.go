@@ -273,3 +273,87 @@ func TestLockInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTryAcquireGrantsExactlyWhenAcquireWouldNotWait sets up each lock
+// state a request can meet — held by others, by the requester, with a queue
+// — and asks txn 1 for the lock both ways: TryAcquire, and on a copy of the
+// state Acquire with a zero timeout. They must agree with the table and with
+// each other, and a refused TryAcquire must leave the lock as it was.
+func TestTryAcquireGrantsExactlyWhenAcquireWouldNotWait(t *testing.T) {
+	type hold struct {
+		txn  audit.TxnID
+		mode Mode
+	}
+	for _, tc := range []struct {
+		name   string
+		held   []hold // granted in order
+		queued *hold  // then queued behind them
+		mode   Mode   // txn 1's request
+		want   bool
+	}{
+		{"free/S", nil, nil, Shared, true},
+		{"free/X", nil, nil, Exclusive, true},
+		{"own S/S", []hold{{1, Shared}}, nil, Shared, true},
+		{"own X/S", []hold{{1, Exclusive}}, nil, Shared, true},
+		{"own X/X", []hold{{1, Exclusive}}, nil, Exclusive, true},
+		{"own S, sole/X upgrades", []hold{{1, Shared}}, nil, Exclusive, true},
+		{"own S, sole, a queue/X upgrades", []hold{{1, Shared}}, &hold{3, Exclusive}, Exclusive, true},
+		{"own S, another S/X", []hold{{1, Shared}, {2, Shared}}, nil, Exclusive, false},
+		{"other S/S", []hold{{2, Shared}}, nil, Shared, true},
+		{"other S, a queue/S", []hold{{2, Shared}}, &hold{3, Exclusive}, Shared, false},
+		{"other S/X", []hold{{2, Shared}}, nil, Exclusive, false},
+		{"other X/S", []hold{{2, Exclusive}}, nil, Shared, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			setup := func() (*sim.Engine, *Manager) {
+				eng := sim.NewEngine(1)
+				m := NewManager(eng, "dp0")
+				for _, h := range tc.held {
+					if !m.TryAcquire(7, h.txn, h.mode) {
+						t.Fatalf("setup: txn %d's %v refused", h.txn, h.mode)
+					}
+				}
+				if q := tc.queued; q != nil {
+					eng.Spawn("queued", func(p *sim.Proc) { m.Acquire(p, 7, q.txn, q.mode, -1) })
+					eng.RunUntil(0)
+				}
+				return eng, m
+			}
+			_, m := setup()
+			before, _ := m.Holds(7, 1)
+			count := m.HolderCount(7)
+			if got := m.TryAcquire(7, 1, tc.mode); got != tc.want {
+				t.Errorf("TryAcquire = %v, want %v", got, tc.want)
+			} else if !got {
+				if after, _ := m.Holds(7, 1); after != before || m.HolderCount(7) != count {
+					t.Errorf("a refused TryAcquire changed the lock: mode %v → %v, %d → %d holders", before, after, count, m.HolderCount(7))
+				}
+			}
+			m.CheckInvariants()
+
+			eng, m := setup()
+			var err error
+			eng.Spawn("acquire", func(p *sim.Proc) { err = m.Acquire(p, 7, 1, tc.mode, 0) })
+			eng.RunUntil(0)
+			if (err == nil) != tc.want {
+				t.Errorf("Acquire with no wait allowed: %v; TryAcquire says %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestTryAcquireAllocatesNothing: granting and releasing a lock that no one
+// else holds costs no allocation once the manager's pools are warm.
+func TestTryAcquireAllocatesNothing(t *testing.T) {
+	m := NewManager(sim.NewEngine(1), "dp0")
+	m.TryAcquire(7, 1, Exclusive)
+	m.Release(7, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		if !m.TryAcquire(7, 1, Exclusive) || !m.TryAcquire(7, 1, Shared) {
+			t.Fatal("refused a free lock")
+		}
+		m.ReleaseAll(1)
+	}); n != 0 {
+		t.Errorf("TryAcquire and ReleaseAll allocate %.1f objects a lock, want 0", n)
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"persistmem/internal/cluster"
 	"persistmem/internal/hotstock"
+	"persistmem/internal/metrics"
 	"persistmem/internal/ods"
 	"persistmem/internal/sim"
 )
@@ -60,13 +61,15 @@ func hotstockTranscript(t *testing.T, d ods.Durability) string {
 // over both partitions of a file on a PM store. They insert the same keys, so
 // one waits on the other's row locks (the DP2's conflict path), meets a
 // duplicate key, and aborts; every fifth transaction of the second client
-// aborts on purpose. All 200 of the second client's inserts take the DP2's
-// lock-conflict waiter.
+// aborts on purpose. All 200 of the second client's inserts wait on a row
+// lock, and the run fails unless they did: each wait ends with the insert
+// handed back to the DP2 primary, which meets the duplicate key.
 func crossShardTranscript(t *testing.T) string {
 	opts := ods.DefaultOptions()
 	opts.Files = []ods.FileSpec{{Name: "TRADES", Partitions: 2}}
 	opts.DataVolumes = 2
 	opts.Durability = ods.PMDurability
+	opts.Metrics = metrics.NewRegistry() // passive: it moves no event
 	s := ods.Build(opts)
 	tr := watch(s.Eng)
 	commits := 0
@@ -100,6 +103,9 @@ func crossShardTranscript(t *testing.T) string {
 	if commits == 0 {
 		t.Fatalf("no cross-shard transaction committed")
 	}
+	if waits := opts.Metrics.Locks.Enters.Value(); waits < 200 {
+		t.Fatalf("%d inserts waited on a row lock, want at least 200: the run no longer takes the conflict path", waits)
+	}
 	return tr.digest()
 }
 
@@ -118,7 +124,7 @@ func TestScheduleTranscriptsPinned(t *testing.T) {
 		{"hotstock-disk", func(t *testing.T) string { return hotstockTranscript(t, ods.DiskDurability) }, "ebee22b36438ce49/84244"},
 		{"hotstock-pm", func(t *testing.T) string { return hotstockTranscript(t, ods.PMDurability) }, "24eff63172b98ed3/78294"},
 		{"hotstock-pmdirect", func(t *testing.T) string { return hotstockTranscript(t, ods.PMDirectDurability) }, "7bbcc5bb0b64638a/73858"},
-		{"crossshard-pm", crossShardTranscript, "c9cd3c777591182b/15635"},
+		{"crossshard-pm", crossShardTranscript, "b9bf32e46e66b0bb/16762"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.run(t)
