@@ -294,200 +294,356 @@ func (a *ADP) serve(ctx *cluster.PairCtx) {
 		}
 	}
 
-	// scratch holds one encoded control record at a time. The serve loop
-	// is a single simulated process and both backends copy the bytes out
-	// before append returns, so the buffer is reusable across requests.
-	// batch and waiters are likewise reused across loop iterations.
-	var scratch []byte
-	var batch []cluster.Envelope
-	var waiters []flushWaiter
-
-	for {
-		batch = append(batch[:0], ctx.Recv())
-		if !a.cfg.NoGroupCommit {
-			for {
-				more, ok := ctx.TryRecv()
-				if !ok {
-					break
-				}
-				batch = append(batch, more)
-			}
-		}
-
-		waiters = waiters[:0]
-		for _, ev := range batch {
-			ctx.Compute(requestCPU)
-			// A request is its sender's box, recycled only after the reply, so
-			// reading it here — and writing the response into it — is safe.
-			switch req := ev.Payload.(type) {
-			case *AppendReq:
-				a.handleAppend(ctx, st, region, ev, req)
-			case *CommitReq:
-				waiters = a.handleCommit(ctx, st, region, &scratch, waiters, ev, req)
-			case *AbortReq:
-				a.handleAbort(ctx, st, region, &scratch, ev, req)
-			case *FlushReq:
-				a.m.OnWaiterIn()
-				waiters = append(waiters, flushWaiter{upTo: req.UpTo, ev: ev, enq: ctx.Process.Now()})
-			case *StateReq:
-				req.Resp = a.stats
-				req.Resp.NextLSN = st.nextLSN
-				req.Resp.DurableLSN = st.durableLSN
-				ev.Reply(req)
-			default:
-				// Every sender is in this repository: a programming error.
-				panic(fmt.Sprintf("adp: unknown request %T", req))
-			}
-		}
-
-		if len(waiters) == 0 {
-			continue // appends checkpointed individually before their acks
-		}
-
-		// Make the trail durable through the highest requested LSN. In PM
-		// mode appends already were; in Disk mode this is the group-commit
-		// flush: every waiter in this batch shares one device write.
-		var err error
-		if a.cfg.Mode == Disk {
-			err = a.flushDisk(ctx, st)
-			a.checkpoint(ctx, st, 0, err == nil) // a failed flush left the buffer
-		}
-		if len(waiters) > 1 {
-			a.stats.GroupedCommits += int64(len(waiters))
-		}
-		durableAt := ctx.Process.Now()
-		for _, w := range waiters {
-			// Every reply — success or error — takes its waiter out of the
-			// boxcar, keeping In == Flushed + Pending balanced; only waiters
-			// lost to a killed primary stay Pending.
-			a.m.OnWaiterFlushed(durableAt - w.enq)
-			switch req := w.ev.Payload.(type) {
-			case *CommitReq:
-				req.Resp = CommitResp{Err: err}
-				if err == nil {
-					req.Resp.LSN = w.upTo
-				}
-			case *FlushReq:
-				req.Resp = FlushResp{Err: err}
-				if err == nil {
-					req.Resp.Durable = st.durableLSN
-				}
-			}
-			w.ev.Reply(w.ev.Payload)
-		}
-	}
+	// From here on the primary is its log-writing script: it parks for good
+	// and the dispatcher walks each boxcar's legs. A kill unwinds it out of
+	// ServeLegs, and the guard releases the leg in flight.
+	w := &writer{a: a, p: ctx.Process, st: st, region: region}
+	defer w.abort()
+	ctx.Inbox().ServeLegs(ctx.Sim(), w)
 }
 
-//simlint:hotpath
-func (a *ADP) handleAppend(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, ev cluster.Envelope, req *AppendReq) {
-	end, err := a.append(ctx, st, region, req.Data)
-	if err == nil {
-		a.stats.Appends++
-		a.stats.AppendBytes += int64(len(req.Data))
-	}
-	req.Resp = AppendResp{End: end, Err: err}
-	ev.Reply(req)
+// wrPhase names the leg the writer is parked on: the one whose outcome it
+// takes next.
+type wrPhase uint8
+
+const (
+	wrIdle       wrPhase = iota // no boxcar in flight
+	wrRequestCPU                // a request's CPU cost
+	wrAppendPM                  // PM: the appended bytes' mirrored write
+	wrAppendCkpt                // the append's checkpoint: its bytes (Disk), the counters (PM)
+	wrFlushCPU                  // Disk: the flush's CPU cost
+	wrFlushWrite                // Disk: a volume write of the flush
+	wrResetCkpt                 // Disk: the checkpoint after the flush
+)
+
+// writer is the ADP's log-writing path as a script: each boxcar — the
+// requests that woke it, and with group commit every one queued behind them —
+// is a phase machine over legs (a CPU cost, a checkpoint to the backup, a PM
+// region write, a volume write), walked by the dispatcher on whatever stack
+// delivers its wake-ups. The primary keeps one for its incarnation's life and
+// serves its inbox with it, one boxcar at a time, exactly as a loop of
+// blocking calls would — the same events in the same slots — without ever
+// being switched into.
+//
+// Each request takes its CPU cost, then its append: a Disk buffer and the
+// checkpoint of its bytes, or a PM write and the checkpoint of the counters.
+// Once the boxcar's requests are served, a Disk flush writes the buffer (two
+// volume writes when it wraps the volume's end) and checkpoints the reset,
+// and every waiter gets its reply.
+type writer struct {
+	a      *ADP
+	p      *cluster.Process
+	st     *adpState
+	region *pmclient.Region // PM mode; nil in Disk mode
+
+	phase wrPhase
+	leg   cluster.Leg
+	pmw   pmclient.WriteLeg
+	dw    disk.WriteLeg
+
+	// The boxcar in flight: its requests, the one being served, and the
+	// commit and flush waiters it has gathered. Both slices are reused.
+	batch   []cluster.Envelope
+	next    int
+	waiters []flushWaiter
+
+	// scratch holds one encoded control record at a time; both backends copy
+	// the bytes out before the append is over, so it is reusable.
+	scratch []byte
+	// The append in flight: its LSN and the LSN just past it.
+	start, end audit.LSN
+
+	ck       *ckDelta //simlint:boxowner -- the writer owns its checkpoint box until the backup acknowledges it
+	fstart   sim.Time // when the flush began
+	rest     []byte   // a wrapping flush's second piece, still to write
+	flushErr error    // the boxcar's flush outcome, every waiter's reply
 }
 
-//simlint:hotpath
-func (a *ADP) handleCommit(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, scratch *[]byte, waiters []flushWaiter, ev cluster.Envelope, req *CommitReq) []flushWaiter {
-	rec := audit.Record{Type: audit.RecCommit, Txn: req.Txn}
-	if len(req.Outcome) > 0 {
-		rec.Type, rec.Body = audit.RecOutcome, req.Outcome
-	}
-	*scratch = audit.AppendRecord((*scratch)[:0], &rec)
-	end, err := a.append(ctx, st, region, *scratch)
-	if err != nil {
-		req.Resp = CommitResp{Err: err}
-		ev.Reply(req)
-		return waiters
-	}
-	a.stats.Commits++
-	a.m.OnWaiterIn()
-	return append(waiters, flushWaiter{upTo: end, ev: ev, enq: ctx.Process.Now()})
-}
-
-func (a *ADP) handleAbort(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, scratch *[]byte, ev cluster.Envelope, req *AbortReq) {
-	rec := audit.Record{Type: audit.RecAbort, Txn: req.Txn}
-	*scratch = audit.AppendRecord((*scratch)[:0], &rec)
-	if _, err := a.append(ctx, st, region, *scratch); err == nil {
-		a.stats.Aborts++
-	}
-	ev.Reply(req)
-}
-
-// append adds encoded records to the trail. Disk mode buffers; PM mode
-// writes through synchronously to the mirrored region.
-func (a *ADP) append(ctx *cluster.PairCtx, st *adpState, region *pmclient.Region, data []byte) (audit.LSN, error) {
-	start := st.nextLSN
-	end := start + audit.LSN(len(data))
-	switch a.cfg.Mode {
-	case Disk:
-		if len(st.buf) == 0 {
-			st.bufStart = start
-		}
-		st.buf = append(st.buf, data...)
-		st.nextLSN = end
-		// The unflushed buffer must survive an ADP process failure:
-		// checkpoint the delta to the backup before acknowledging.
-		a.checkpoint(ctx, st, len(data), false)
-	case PM:
-		// Synchronous mirrored write; the log wraps within the region.
-		if err := region.WriteRing(ctx.Process, int64(start), data); err != nil {
-			return start, err
-		}
-		st.nextLSN = end
-		st.durableLSN = end
-		a.stats.PMWrites++
-		a.stats.PMBytes += int64(len(data))
-		// Only tiny control state needs backup protection now: the log
-		// itself is already persistent.
-		a.checkpoint(ctx, st, 0, false)
-	}
-	return end, nil
-}
-
-// flushDisk writes the buffered trail sequentially to the audit volume.
-func (a *ADP) flushDisk(ctx *cluster.PairCtx, st *adpState) error {
-	if len(st.buf) == 0 {
-		return nil
-	}
-	fstart := ctx.Process.Now()
-	ctx.Compute(flushCPU)
-	volOff := int64(st.bufStart) % a.cfg.Volume.Capacity()
-	n := len(st.buf)
-	if volOff+int64(n) > a.cfg.Volume.Capacity() {
-		// Wrap the volume like a circular trail (auxiliary audit volumes
-		// are recycled after control points).
-		first := a.cfg.Volume.Capacity() - volOff
-		if err := a.cfg.Volume.Write(ctx.Sim(), volOff, st.buf[:first]); err != nil {
-			return err
-		}
-		if err := a.cfg.Volume.Write(ctx.Sim(), 0, st.buf[first:]); err != nil {
-			return err
-		}
-	} else if err := a.cfg.Volume.Write(ctx.Sim(), volOff, st.buf); err != nil {
-		return err
-	}
-	a.stats.Flushes++
-	a.stats.FlushBytes += int64(n)
-	a.mFlush.Record(ctx.Process.Now() - fstart)
-	st.durableLSN = st.bufStart + audit.LSN(n)
-	st.buf = st.buf[:0]
-	st.bufStart = st.durableLSN
-	return nil
-}
-
-// checkpoint protects state at the backup. deltaBytes sizes the wire
-// payload: in Disk mode the appended audit must cross to the backup; in
-// PM mode only counters do. The payload is a delta (the last deltaBytes
-// of the buffer plus control fields), not a state clone; the backup's
-// absorbDelta reconstructs the full image.
+// Handle implements sim.Server: open the envelope that woke the writer and,
+// with group commit, drain the inbox behind it into the boxcar; then serve
+// its first request. A request is its sender's box, recycled only after the
+// reply, so reading it here — and writing the response into it — is safe.
 //
 //simlint:hotpath
-func (a *ADP) checkpoint(ctx *cluster.PairCtx, st *adpState, deltaBytes int, reset bool) {
-	sz := 48 + deltaBytes
-	d := a.newDelta()
+func (w *writer) Handle(_ *sim.Proc, v interface{}) (done bool) {
+	w.batch = append(w.batch[:0], w.p.Open(v))
+	if !w.a.cfg.NoGroupCommit {
+		for {
+			more, ok := w.p.TryRecv()
+			if !ok {
+				break
+			}
+			w.batch = append(w.batch, more)
+		}
+	}
+	w.waiters = w.waiters[:0]
+	w.next, w.flushErr = 0, nil
+	return w.serveNext()
+}
+
+// Step implements sim.Stepper: one wake-up of the leg in flight.
+//
+//simlint:hotpath
+func (w *writer) Step(sp *sim.Proc) (done bool) {
+	switch w.phase {
+	case wrAppendPM:
+		if !w.pmw.Step(sp) {
+			return false
+		}
+	case wrFlushWrite:
+		if !w.dw.Step(sp) {
+			return false
+		}
+	default:
+		if !w.leg.Step(sp) {
+			return false
+		}
+	}
+	return w.after()
+}
+
+// then notes ph as the leg just armed and, when it is already over, takes
+// its outcome at once.
+//
+//simlint:hotpath
+func (w *writer) then(ph wrPhase, done bool) bool {
+	w.phase = ph
+	return done && w.after()
+}
+
+// after takes the outcome of the leg the phase names and goes on.
+//
+//simlint:hotpath
+func (w *writer) after() (done bool) {
+	st := w.st
+	switch w.phase {
+	case wrRequestCPU:
+		return w.request()
+	case wrAppendPM:
+		if err := w.pmw.Err(); err != nil {
+			return w.appended(err)
+		}
+		st.nextLSN = w.end
+		st.durableLSN = w.end
+		w.a.stats.PMWrites++
+		w.a.stats.PMBytes += int64(w.end - w.start)
+		// Only tiny control state needs backup protection now: the log
+		// itself is already persistent.
+		return w.checkpoint(wrAppendCkpt, 0, false)
+	case wrAppendCkpt:
+		w.checkpointed()
+		return w.appended(nil)
+	case wrFlushCPU:
+		vol := w.a.cfg.Volume
+		volOff := int64(st.bufStart) % vol.Capacity()
+		data := st.buf
+		if first := vol.Capacity() - volOff; int64(len(data)) > first {
+			// Wrap the volume like a circular trail (auxiliary audit volumes
+			// are recycled after control points).
+			data, w.rest = data[:first], data[first:]
+		}
+		return w.then(wrFlushWrite, w.dw.Write(vol, w.p.Sim(), volOff, data))
+	case wrFlushWrite:
+		if err := w.dw.Err(); err != nil {
+			w.rest = nil
+			return w.flushed(err)
+		}
+		if rest := w.rest; len(rest) > 0 {
+			w.rest = nil
+			return w.then(wrFlushWrite, w.dw.Write(w.a.cfg.Volume, w.p.Sim(), 0, rest))
+		}
+		n := len(st.buf)
+		w.a.stats.Flushes++
+		w.a.stats.FlushBytes += int64(n)
+		w.a.mFlush.Record(w.p.Now() - w.fstart)
+		st.durableLSN = st.bufStart + audit.LSN(n)
+		st.buf = st.buf[:0]
+		st.bufStart = st.durableLSN
+		return w.flushed(nil)
+	case wrResetCkpt:
+		w.checkpointed()
+		return w.reply()
+	}
+	panic("adp: writer step with no leg pending")
+}
+
+// serveNext starts the boxcar's next request with its CPU cost, or, once
+// every request is served, makes the boxcar durable.
+//
+//simlint:hotpath
+func (w *writer) serveNext() (done bool) {
+	if w.next < len(w.batch) {
+		return w.then(wrRequestCPU, w.leg.Compute(w.p, requestCPU))
+	}
+	if len(w.waiters) == 0 {
+		return w.finish() // appends checkpointed individually before their acks
+	}
+	// Make the trail durable through the highest requested LSN. In PM mode
+	// appends already were; in Disk mode this is the group-commit flush:
+	// every waiter in this boxcar shares one device write.
+	if w.a.cfg.Mode == PM {
+		return w.reply()
+	}
+	if len(w.st.buf) == 0 {
+		return w.flushed(nil)
+	}
+	w.fstart = w.p.Now()
+	return w.then(wrFlushCPU, w.leg.Compute(w.p, flushCPU))
+}
+
+// request serves the request in flight once its CPU cost is paid.
+//
+//simlint:hotpath
+func (w *writer) request() (done bool) {
+	ev := w.batch[w.next]
+	switch req := ev.Payload.(type) {
+	case *AppendReq:
+		return w.append(req.Data)
+	case *CommitReq:
+		rec := audit.Record{Type: audit.RecCommit, Txn: req.Txn}
+		if len(req.Outcome) > 0 {
+			rec.Type, rec.Body = audit.RecOutcome, req.Outcome
+		}
+		w.scratch = audit.AppendRecord(w.scratch[:0], &rec)
+		return w.append(w.scratch)
+	case *AbortReq:
+		rec := audit.Record{Type: audit.RecAbort, Txn: req.Txn}
+		w.scratch = audit.AppendRecord(w.scratch[:0], &rec)
+		return w.append(w.scratch)
+	case *FlushReq:
+		w.a.m.OnWaiterIn()
+		w.waiters = append(w.waiters, flushWaiter{upTo: req.UpTo, ev: ev, enq: w.p.Now()})
+	case *StateReq:
+		req.Resp = w.a.stats
+		req.Resp.NextLSN = w.st.nextLSN
+		req.Resp.DurableLSN = w.st.durableLSN
+		ev.Reply(req)
+	default:
+		// Every sender is in this repository: a programming error.
+		//simlint:allow hotalloc -- a request no sender builds, fatal
+		panic(fmt.Sprintf("adp: unknown request %T", req))
+	}
+	w.next++
+	return w.serveNext()
+}
+
+// append adds encoded records to the trail. Disk mode buffers them and
+// checkpoints the delta to the backup, so that the unflushed buffer survives
+// an ADP process failure; PM mode writes through to the mirrored region,
+// where the log wraps, and checkpoints the counters.
+//
+//simlint:hotpath
+func (w *writer) append(data []byte) (done bool) {
+	st := w.st
+	w.start = st.nextLSN
+	w.end = w.start + audit.LSN(len(data))
+	if w.a.cfg.Mode == PM {
+		return w.then(wrAppendPM, w.pmw.WriteRing(w.region, w.p, int64(w.start), data))
+	}
+	if len(st.buf) == 0 {
+		st.bufStart = w.start
+	}
+	st.buf = append(st.buf, data...)
+	st.nextLSN = w.end
+	return w.checkpoint(wrAppendCkpt, len(data), false)
+}
+
+// appended takes the append's outcome for the request in flight: an append
+// or an abort is answered, a commit joins the boxcar's waiters.
+//
+//simlint:hotpath
+func (w *writer) appended(err error) (done bool) {
+	a, ev := w.a, w.batch[w.next]
+	switch req := ev.Payload.(type) {
+	case *AppendReq:
+		req.Resp = AppendResp{End: w.end, Err: err}
+		if err == nil {
+			a.stats.Appends++
+			a.stats.AppendBytes += int64(len(req.Data))
+		} else {
+			req.Resp.End = w.start
+		}
+		ev.Reply(req)
+	case *CommitReq:
+		if err != nil {
+			req.Resp = CommitResp{Err: err}
+			ev.Reply(req)
+			break
+		}
+		a.stats.Commits++
+		a.m.OnWaiterIn()
+		w.waiters = append(w.waiters, flushWaiter{upTo: w.end, ev: ev, enq: w.p.Now()})
+	case *AbortReq:
+		if err == nil {
+			a.stats.Aborts++
+		}
+		ev.Reply(req)
+	}
+	w.next++
+	return w.serveNext()
+}
+
+// flushed takes the flush's outcome and checkpoints it: a reset of the
+// backup's buffer after a good flush, none after a failed one, which left
+// the buffer in place.
+//
+//simlint:hotpath
+func (w *writer) flushed(err error) (done bool) {
+	w.flushErr = err
+	return w.checkpoint(wrResetCkpt, 0, err == nil)
+}
+
+// reply answers every waiter of the boxcar with the flush's outcome. Every
+// reply — success or error — takes its waiter out of the boxcar, keeping
+// In == Flushed + Pending balanced; only waiters lost to a killed primary
+// stay Pending.
+//
+//simlint:hotpath
+func (w *writer) reply() (done bool) {
+	a, err := w.a, w.flushErr
+	if len(w.waiters) > 1 {
+		a.stats.GroupedCommits += int64(len(w.waiters))
+	}
+	durableAt := w.p.Now()
+	for _, fw := range w.waiters {
+		a.m.OnWaiterFlushed(durableAt - fw.enq)
+		switch req := fw.ev.Payload.(type) {
+		case *CommitReq:
+			req.Resp = CommitResp{Err: err}
+			if err == nil {
+				req.Resp.LSN = fw.upTo
+			}
+		case *FlushReq:
+			req.Resp = FlushResp{Err: err}
+			if err == nil {
+				req.Resp.Durable = w.st.durableLSN
+			}
+		}
+		fw.ev.Reply(fw.ev.Payload)
+	}
+	return w.finish()
+}
+
+// finish ends the boxcar; every reply has gone.
+//
+//simlint:hotpath
+func (w *writer) finish() bool {
+	w.phase = wrIdle
+	clear(w.batch)
+	clear(w.waiters)
+	return true
+}
+
+// checkpoint protects state at the backup, the leg named ph. deltaBytes
+// sizes the wire payload: in Disk mode the appended audit must cross to the
+// backup; in PM mode only counters do. The payload is a delta (the last
+// deltaBytes of the buffer plus control fields), not a state clone; the
+// backup's absorbDelta reconstructs the full image.
+//
+//simlint:hotpath
+func (w *writer) checkpoint(ph wrPhase, deltaBytes int, reset bool) (done bool) {
+	st := w.st
+	d := w.a.newDelta()
 	if deltaBytes > 0 {
 		d.data = st.buf[len(st.buf)-deltaBytes:]
 	}
@@ -495,12 +651,28 @@ func (a *ADP) checkpoint(ctx *cluster.PairCtx, st *adpState, deltaBytes int, res
 	d.nextLSN = st.nextLSN
 	d.durableLSN = st.durableLSN
 	d.bufStart = st.bufStart
-	if err := ctx.Checkpoint(sz, d); err == nil {
-		// Absorbed (or folded into the shadow state) synchronously. On
-		// error the delta may still sit undelivered in the backup's inbox,
-		// so the box cannot be recycled.
-		a.freeDelta(d)
+	w.ck = d
+	return w.then(ph, w.leg.Checkpoint(w.a.pair, w.p, 48+deltaBytes, d))
+}
+
+// checkpointed takes a checkpoint's outcome. Absorbed (or folded into the
+// shadow state) synchronously, its box is reusable at once; on error the
+// delta may still sit undelivered in the backup's inbox, so the box cannot
+// be recycled.
+//
+//simlint:hotpath
+func (w *writer) checkpointed() {
+	if w.leg.Err() == nil {
+		w.a.freeDelta(w.ck)
 	}
+	w.ck = nil
+}
+
+// abort is the kill guard: it releases the leg in flight.
+func (w *writer) abort() {
+	w.leg.Abort()
+	w.pmw.Abort()
+	w.dw.Abort()
 }
 
 //simlint:hotpath

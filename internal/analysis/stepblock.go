@@ -16,9 +16,9 @@ import (
 // paths (a failed send, a timed-out call, a rollback) are the ones the tests
 // reach least. A script arms its next leg with the non-parking halves
 // instead: Proc.ArmWait, Resource.ArmAcquire, Chan.ArmRecv, Signal.ArmWait,
-// cluster.Leg, pmclient.WriteLeg, servernet's Begin* transfers; a row lock it
-// takes with locks.Manager.TryAcquire, and waits for in a process of its
-// own.
+// cluster.Leg, pmclient.WriteLeg, disk.WriteLeg, servernet's Begin*
+// transfers; a row lock it takes with locks.Manager.TryAcquire, and waits for
+// in a process of its own.
 //
 // The walk follows static calls to functions and methods declared in the
 // package; it does not enter function literals, which run later and

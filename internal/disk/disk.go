@@ -87,6 +87,8 @@ type Volume struct {
 	// per write.
 	destageName string
 
+	legfree []*WriteLeg //simlint:box -- in-flight blocking-access leg pool
+
 	lastEnd  int64 // end offset of the previous access, for seq detection
 	accessed bool  // false until the first access (which always seeks)
 
@@ -149,6 +151,10 @@ func (v *Volume) Store() *stable.Store { return v.store }
 // Up reports whether the volume is serving I/O.
 func (v *Volume) Up() bool { return v.up }
 
+// ArmInUse reports whether the arm is held (1) or free (0): after a run,
+// whether some access left it held.
+func (v *Volume) ArmInUse() int { return v.arm.InUse() }
+
 // Fail stops the volume; in-flight and future I/O returns ErrVolumeDown.
 // Contents are retained (media survives controller failure).
 func (v *Volume) Fail() { v.up = false }
@@ -186,93 +192,220 @@ func (v *Volume) position(off int64, n int, write bool) sim.Time {
 // Write durably stores data at byte offset off. The call returns when the
 // write is durable: after arm service for write-through volumes, or after
 // the controller cache copy for write-cached volumes (battery-backed cache
-// counts as durable, with the complexity cost the paper notes).
+// counts as durable, with the complexity cost the paper notes). The process
+// parks once for the whole write (see WriteLeg).
 //
 //simlint:hotpath
 func (v *Volume) Write(p *sim.Proc, off int64, data []byte) error {
-	if !v.up {
-		return ErrVolumeDown
-	}
-	p.Wait(v.cfg.StackOverhead)
-	v.Stats.StackTime += v.cfg.StackOverhead
-	if !v.up {
-		return ErrVolumeDown
-	}
-	if err := v.store.WriteAt(off, data); err != nil {
-		return err
-	}
-	v.Stats.Writes++
-	v.Stats.BytesWritten += int64(len(data))
-
-	if v.cfg.WriteCache {
-		p.Wait(v.cfg.CacheLatency)
-		// Destage asynchronously; the arm still does the work, which keeps
-		// utilization accounting honest and lets saturation back up into
-		// cache (ignored here: cache is assumed deep enough).
-		service := v.position(off, len(data), true) + v.transfer(len(data))
-		//simlint:allow hotalloc -- async destage requires a spawned process; the closure is the destage itself
-		v.eng.Spawn(v.destageName, func(d *sim.Proc) {
-			qstart := v.eng.Now()
-			v.arm.Acquire(d)
-			v.mQueue.Record(v.eng.Now() - qstart)
-			v.mArm.Add(1, v.eng.Now())
-			d.Wait(service)
-			v.Stats.BusyTime += service
-			v.mService.Record(service)
-			v.mArm.Add(-1, v.eng.Now())
-			v.arm.Release()
-		})
-		return nil
-	}
-
-	if q := v.arm.QueueLen(); q > v.Stats.MaxQueueObserve {
-		v.Stats.MaxQueueObserve = q
-	}
-	qstart := v.eng.Now()
-	v.arm.Acquire(p)
-	v.mQueue.Record(v.eng.Now() - qstart)
-	defer v.arm.Release() // kill-safe: never leak the arm
-	service := v.position(off, len(data), true) + v.transfer(len(data))
-	v.mArm.Add(1, v.eng.Now())
-	p.Wait(service)
-	v.Stats.BusyTime += service
-	v.mService.Record(service)
-	v.mArm.Add(-1, v.eng.Now())
-	if !v.up {
-		return ErrVolumeDown
-	}
-	return nil
+	return v.access(p, off, data, false)
 }
 
-// Read fills buf from byte offset off.
+// Read fills buf from byte offset off, parking the process once.
 //
 //simlint:hotpath
 func (v *Volume) Read(p *sim.Proc, off int64, buf []byte) error {
+	return v.access(p, off, buf, true)
+}
+
+// access arms a pooled leg for one access and parks p once on it.
+//
+//simlint:hotpath
+func (v *Volume) access(p *sim.Proc, off int64, b []byte, read bool) error {
+	w := v.newLeg()
+	defer v.freeLeg(w)
+	if !w.arm(v, p, off, b, read) {
+		p.ParkScript(w)
+	}
+	return w.err
+}
+
+//simlint:hotpath
+func (v *Volume) newLeg() *WriteLeg {
+	if n := len(v.legfree); n > 0 {
+		w := v.legfree[n-1]
+		v.legfree[n-1] = nil
+		v.legfree = v.legfree[:n-1]
+		return w
+	}
+	return &WriteLeg{}
+}
+
+// freeLeg releases what w still holds — the arm, if its process is being
+// unwound during service — and recycles it.
+//
+//simlint:hotpath
+func (v *Volume) freeLeg(w *WriteLeg) {
+	w.Abort()
+	*w = WriteLeg{}
+	v.legfree = append(v.legfree, w)
+}
+
+// legPhase names the wake-up a leg's process is parked on.
+type legPhase uint8
+
+const (
+	legIdle    legPhase = iota // nothing armed, nothing held
+	legStack                   // the storage stack's software cost
+	legCache                   // a cached write's controller copy
+	legQueued                  // queued at the arm
+	legService                 // holding the arm for positioning and transfer
+)
+
+// WriteLeg is one volume access in flight — Volume.Write or Volume.Read — as
+// a script of timed legs: the storage stack's overhead, then, for a write to
+// a write-cached volume, the controller cache copy (the arm destages
+// asynchronously), or else the arm, queued for in FIFO order and held for
+// positioning and media transfer. A write reaches the media after the stack
+// overhead; a read fills its buffer after the arm's service. Volume.Write and
+// Volume.Read arm a pooled one and park once on it. A process walking a
+// longer script of its own keeps a WriteLeg, arms it with Write from its step
+// function, forwards its wake-ups to Step until that reports true, reads Err
+// and defers Abort as its kill guard. Arming reports true when the access is
+// already over. The zero value is idle.
+type WriteLeg struct {
+	v     *Volume
+	p     *sim.Proc
+	off   int64
+	b     []byte // the data written, or the buffer read into
+	read  bool
+	phase legPhase
+
+	qstart  sim.Time // when the access began to queue for the arm
+	service sim.Time // the arm's positioning and transfer time
+
+	err error
+}
+
+// Err returns the outcome of the finished access.
+func (w *WriteLeg) Err() error { return w.err }
+
+// Write arms a write of data at byte offset off of v, for p.
+//
+//simlint:hotpath
+func (w *WriteLeg) Write(v *Volume, p *sim.Proc, off int64, data []byte) (done bool) {
+	return w.arm(v, p, off, data, false)
+}
+
+// arm arms an access: the stack overhead, unless the volume is down.
+//
+//simlint:hotpath
+func (w *WriteLeg) arm(v *Volume, p *sim.Proc, off int64, b []byte, read bool) (done bool) {
+	*w = WriteLeg{v: v, p: p, off: off, b: b, read: read}
 	if !v.up {
-		return ErrVolumeDown
+		return w.over(ErrVolumeDown)
 	}
-	p.Wait(v.cfg.StackOverhead)
-	v.Stats.StackTime += v.cfg.StackOverhead
-	if !v.up {
-		return ErrVolumeDown
+	p.ArmWait(v.cfg.StackOverhead)
+	w.phase = legStack
+	return false
+}
+
+// Step implements sim.Stepper: one wake-up of the parked process.
+//
+//simlint:hotpath
+func (w *WriteLeg) Step(p *sim.Proc) (done bool) {
+	v := w.v
+	switch w.phase {
+	case legStack:
+		v.Stats.StackTime += v.cfg.StackOverhead
+		if !v.up {
+			return w.over(ErrVolumeDown)
+		}
+		if !w.read {
+			if err := v.store.WriteAt(w.off, w.b); err != nil {
+				return w.over(err)
+			}
+			v.Stats.Writes++
+			v.Stats.BytesWritten += int64(len(w.b))
+			if v.cfg.WriteCache {
+				p.ArmWait(v.cfg.CacheLatency)
+				w.phase = legCache
+				return false
+			}
+		}
+		if q := v.arm.QueueLen(); q > v.Stats.MaxQueueObserve {
+			v.Stats.MaxQueueObserve = q
+		}
+		w.qstart = v.eng.Now()
+		if !v.arm.ArmAcquire(p) {
+			w.phase = legQueued
+			return false
+		}
+		w.serve()
+		return false
+	case legCache:
+		v.destage(v.position(w.off, len(w.b), true) + v.transfer(len(w.b)))
+		return w.over(nil)
+	case legQueued:
+		v.arm.Granted(p)
+		w.serve()
+		return false
+	case legService:
+		w.phase = legIdle
+		v.Stats.BusyTime += w.service
+		v.mService.Record(w.service)
+		v.mArm.Add(-1, v.eng.Now())
+		v.arm.Release()
+		switch {
+		case !v.up:
+			return w.over(ErrVolumeDown)
+		case w.read:
+			return w.over(v.store.ReadAt(w.off, w.b))
+		}
+		return w.over(nil)
 	}
-	if q := v.arm.QueueLen(); q > v.Stats.MaxQueueObserve {
-		v.Stats.MaxQueueObserve = q
-	}
-	qstart := v.eng.Now()
-	v.arm.Acquire(p)
-	v.mQueue.Record(v.eng.Now() - qstart)
-	defer v.arm.Release() // kill-safe: never leak the arm
-	service := v.position(off, len(buf), false) + v.transfer(len(buf))
+	panic("disk: wake-up for a leg of " + v.name + " with nothing armed")
+}
+
+// serve holds the arm, granted, for the access's positioning and transfer.
+//
+//simlint:hotpath
+func (w *WriteLeg) serve() {
+	v := w.v
+	v.mQueue.Record(v.eng.Now() - w.qstart)
+	w.service = v.position(w.off, len(w.b), !w.read) + v.transfer(len(w.b))
 	v.mArm.Add(1, v.eng.Now())
-	p.Wait(service)
-	v.Stats.BusyTime += service
-	v.mService.Record(service)
-	v.mArm.Add(-1, v.eng.Now())
-	if !v.up {
-		return ErrVolumeDown
+	w.p.ArmWait(w.service)
+	w.phase = legService
+}
+
+// over finishes the access with err.
+//
+//simlint:hotpath
+func (w *WriteLeg) over(err error) (done bool) {
+	w.phase, w.err = legIdle, err
+	return true
+}
+
+// Abort is the kill guard: it releases the arm an access holds during its
+// service at the instant its process is unwound. A queued access holds
+// nothing yet, and a grant made in the kill's instant is given back by the
+// kernel. After a finished access it does nothing.
+//
+//simlint:hotpath
+func (w *WriteLeg) Abort() {
+	if w.phase == legService {
+		w.v.arm.Release()
 	}
-	return v.store.ReadAt(off, buf)
+	w.phase = legIdle
+}
+
+// destage runs a cached write's arm service in a process of its own: the
+// arm still does the work, which keeps utilization accounting honest and
+// lets saturation back up into cache (ignored here: cache is assumed deep
+// enough).
+func (v *Volume) destage(service sim.Time) {
+	//simlint:allow hotalloc -- async destage requires a spawned process; the closure is the destage itself
+	v.eng.Spawn(v.destageName, func(d *sim.Proc) {
+		qstart := v.eng.Now()
+		v.arm.Acquire(d)
+		v.mQueue.Record(v.eng.Now() - qstart)
+		v.mArm.Add(1, v.eng.Now())
+		d.Wait(service)
+		v.Stats.BusyTime += service
+		v.mService.Record(service)
+		v.mArm.Add(-1, v.eng.Now())
+		v.arm.Release()
+	})
 }
 
 // Utilization reports the fraction of elapsed virtual time the arm has

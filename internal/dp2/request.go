@@ -1,6 +1,7 @@
 package dp2
 
 import (
+	"errors"
 	"fmt"
 
 	"persistmem/internal/adp"
@@ -259,16 +260,20 @@ func (hb *handBack) refuse(err error) {
 
 // wait hands the request in flight to a lock waiter, a process that does
 // nothing but wait for the row lock, so the primary keeps serving (the lock
-// holder's EndTxn must get through). A timeout is the waiter's to reply; a
-// grant it hands back into this incarnation's inbox, where handedBack takes
-// it. A hand-back into a dead incarnation's inbox is dropped with it.
+// holder's EndTxn must get through). A timeout, or the withdrawal of the
+// request when its own transaction ends first (locks.ErrTxnEnded), is the
+// waiter's to reply; a grant it hands back into this incarnation's inbox,
+// where handedBack takes it. A hand-back into a dead incarnation's inbox is
+// dropped with it.
 func (r *request) wait(key uint64, txn audit.TxnID, mode locks.Mode) (done bool) {
 	d, lm, inbox := r.d, r.lm, r.p.Inbox()
 	hb := &handBack{ev: r.ev, ins: r.ins, rd: r.rd, key: key, txn: txn, mode: mode}
 	r.p.CPU().Spawn(d.waiterName, func(p *cluster.Process) {
 		if err := lm.Acquire(p.Sim(), key, txn, mode, lockTimeout); err != nil {
-			d.stats.LockTimeouts++
-			hb.refuse(err)
+			if errors.Is(err, locks.ErrLockTimeout) {
+				d.stats.LockTimeouts++
+			}
+			hb.refuse(err) // timed out, or withdrawn: the transaction ended first
 			return
 		}
 		inbox.TrySend(hb)

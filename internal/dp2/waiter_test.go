@@ -287,3 +287,47 @@ func TestTransactionalReadWaitsForTheWriter(t *testing.T) {
 	}
 	eng.Shutdown()
 }
+
+// TestLockWaitEndsWithItsTransaction: txn 1 holds key 5 and txn 2's insert of
+// key 5 waits on its lock; txn 2 aborts, then txn 1 does. The abort withdraws
+// txn 2's queued request, so its insert fails with locks.ErrTxnEnded rather
+// than being granted by txn 1's release, applied and acknowledged after its
+// transaction ended, with a row lock nothing would ever release. A Shared
+// read of key 5 by txn 4 is then granted at once.
+func TestLockWaitEndsWithItsTransaction(t *testing.T) {
+	eng, cl, d := harness(t, nil)
+	var waitErr, readErr error
+	var readTook sim.Time
+	cl.CPU(2).Spawn("txn2", func(p *cluster.Process) {
+		p.Wait(sim.Millisecond)
+		req := &InsertReq{Txn: 2, Key: 5, Body: []byte("txn 2")}
+		if _, waitErr = p.Call(d.Name(), 128, req); waitErr == nil {
+			waitErr = req.Resp.Err
+		}
+	})
+	cl.CPU(3).Spawn("txn1", func(p *cluster.Process) {
+		call(t, p, &InsertReq{Txn: 1, Key: 5, Body: []byte("txn 1")})
+		p.Wait(time5ms)
+		call(t, p, &EndTxnReq{Txn: 2, Commit: false})
+		call(t, p, &EndTxnReq{Txn: 1, Commit: false})
+		p.Wait(time5ms)
+		start := p.Now()
+		raw, err := p.Call(d.Name(), 64, &ReadReq{Txn: 4, Key: 5})
+		if err == nil {
+			err = raw.(*ReadReq).Resp.Err
+		}
+		readErr, readTook = err, p.Now()-start
+		call(t, p, &EndTxnReq{Txn: 4, Commit: true})
+	})
+	eng.Run()
+	if !errors.Is(waitErr, locks.ErrTxnEnded) {
+		t.Errorf("txn 2's insert, waiting when txn 2 aborted: %v, want %v", waitErr, locks.ErrTxnEnded)
+	}
+	if !errors.Is(readErr, ErrNotFound) || readTook > sim.Millisecond {
+		t.Errorf("txn 4's Shared read of key 5: %v after %v, want %v at once: no transaction holds the key", readErr, readTook, ErrNotFound)
+	}
+	if st := d.Stats(); st.LockTimeouts != 0 || st.Inserts != 1 {
+		t.Errorf("LockTimeouts %d, Inserts %d; want 0 and txn 1's insert alone", st.LockTimeouts, st.Inserts)
+	}
+	eng.Shutdown()
+}

@@ -23,6 +23,9 @@ var (
 	// ErrNotHeld is returned by Downgrade when the transaction does not
 	// hold the lock.
 	ErrNotHeld = errors.New("locks: lock not held")
+	// ErrTxnEnded is returned by Acquire when the waiting transaction ended
+	// (ReleaseAll) before the lock was granted: its request is withdrawn.
+	ErrTxnEnded = errors.New("locks: transaction ended while its lock request waited")
 )
 
 // Mode is a lock mode.
@@ -194,7 +197,7 @@ func (m *Manager) Acquire(p *sim.Proc, key uint64, txn audit.TxnID, mode Mode, t
 	waitStart := m.eng.Now()
 	req := m.newWaitReq(txn, mode)
 	ls.queue = append(ls.queue, req)
-	_, ok := req.granted.WaitTimeout(p, timeout)
+	v, ok := req.granted.WaitTimeout(p, timeout)
 	if !ok {
 		// Timed out: withdraw the request and wake anyone it was blocking.
 		// The request is still queued — admit removes a request from the
@@ -215,6 +218,12 @@ func (m *Manager) Acquire(p *sim.Proc, key uint64, txn audit.TxnID, mode Mode, t
 		return fmt.Errorf("%w: txn %d on %s/r%d", ErrLockTimeout, txn, m.name, key)
 	}
 	m.freeWaitReq(req)
+	if v != nil {
+		// Withdrawn: the transaction ended (ReleaseAll) before the grant.
+		m.ms.OnWithdrawn()
+		//simlint:allow hotalloc -- a wait its own transaction's end cut short, cold by construction
+		return fmt.Errorf("%w: txn %d on %s/r%d", ErrTxnEnded, txn, m.name, key)
+	}
 	m.ms.OnGranted(m.eng.Now() - waitStart)
 	return nil
 }
@@ -264,10 +273,12 @@ func (m *Manager) Release(key uint64, txn audit.TxnID) {
 	m.admit(key, ls)
 }
 
-// ReleaseAll drops every lock held by txn — the commit/abort path. Keys
-// are released in sorted order: each release may admit waiters (waking
-// their processes), so the release sequence is schedule-visible and must
-// not depend on map iteration order.
+// ReleaseAll ends txn at this manager — the commit/abort path: it withdraws
+// every request txn still has queued, whose Acquire then returns
+// ErrTxnEnded, and drops every lock txn holds. Keys are released in sorted
+// order: each release may admit waiters (waking their processes), so the
+// release sequence is schedule-visible and must not depend on map iteration
+// order.
 //
 //simlint:hotpath
 func (m *Manager) ReleaseAll(txn audit.TxnID) {
@@ -277,7 +288,7 @@ func (m *Manager) ReleaseAll(txn audit.TxnID) {
 	keys := m.relbuf[:0]
 	//simlint:ordered -- collected into a slice and sorted below
 	for key, ls := range m.locks {
-		if _, ok := ls.holders[txn]; ok {
+		if _, ok := ls.holders[txn]; ok || ls.queues(txn) {
 			i := len(keys)
 			keys = append(keys, key)
 			for i > 0 && keys[i-1] > key {
@@ -289,8 +300,42 @@ func (m *Manager) ReleaseAll(txn audit.TxnID) {
 	}
 	m.relbuf = keys
 	for _, key := range keys {
-		m.Release(key, txn)
+		ls := m.locks[key]
+		ls.withdraw(txn)
+		delete(ls.holders, txn)
+		m.admit(key, ls)
 	}
+}
+
+// queues reports whether txn has a request in the key's wait queue.
+//
+//simlint:hotpath
+func (ls *lockState) queues(txn audit.TxnID) bool {
+	for _, req := range ls.queue {
+		if req.txn == txn {
+			return true
+		}
+	}
+	return false
+}
+
+// withdraw takes txn's requests out of the wait queue, in queue order, and
+// fails each waiter's Acquire with ErrTxnEnded. A withdrawn request is out of
+// the queue by the time its waiter wakes, as a granted one is, so a wait that
+// times out finds its request still queued exactly when nothing fired it.
+//
+//simlint:hotpath
+func (ls *lockState) withdraw(txn audit.TxnID) {
+	kept := ls.queue[:0]
+	for _, req := range ls.queue {
+		if req.txn == txn {
+			req.granted.Trigger(ErrTxnEnded)
+			continue
+		}
+		kept = append(kept, req)
+	}
+	clear(ls.queue[len(kept):])
+	ls.queue = kept
 }
 
 // Holds reports the mode txn holds on key.

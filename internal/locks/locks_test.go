@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"persistmem/internal/audit"
+	"persistmem/internal/metrics"
 	"persistmem/internal/sim"
 )
 
@@ -221,6 +222,66 @@ func TestReleaseAll(t *testing.T) {
 	m.ReleaseAll(1)
 	if m.LockedKeys() != 0 {
 		t.Errorf("LockedKeys = %d after ReleaseAll", m.LockedKeys())
+	}
+}
+
+// TestReleaseAllWithdrawsQueuedRequests: a transaction that ends while its
+// requests wait has them withdrawn — an Exclusive request on a key another
+// transaction holds, and an upgrade on a key it shares — and each waiter's
+// Acquire returns ErrTxnEnded at that instant, not a grant later. The other
+// waiters keep their places: txn 3, queued behind txn 2 on key 7, is granted
+// once txn 1 releases. The queue law counts each withdrawal as an exit.
+func TestReleaseAllWithdrawsQueuedRequests(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := NewManager(eng, "dp0")
+	reg := metrics.NewRegistry()
+	m.SetMetrics(reg.Locks)
+	type result struct {
+		err error
+		at  sim.Time
+	}
+	got := map[string]result{}
+	acquire := func(name string, start sim.Time, key uint64, txn audit.TxnID, mode Mode) {
+		eng.SpawnAt(start, name, func(p *sim.Proc) {
+			err := m.Acquire(p, key, txn, mode, sim.Second)
+			got[name] = result{err, p.Now()}
+		})
+	}
+	acquire("t1-x7", 0, 7, 1, Exclusive)
+	acquire("t1-s8", 0, 8, 1, Shared)
+	acquire("t2-s8", 0, 8, 2, Shared)
+	acquire("t2-x7", sim.Millisecond, 7, 2, Exclusive)
+	acquire("t2-x8", sim.Millisecond, 8, 2, Exclusive) // an upgrade: txn 1 shares key 8
+	acquire("t3-s7", 2*sim.Millisecond, 7, 3, Shared)
+	eng.SpawnAt(5*sim.Millisecond, "end2", func(p *sim.Proc) { m.ReleaseAll(2) })
+	eng.SpawnAt(9*sim.Millisecond, "end1", func(p *sim.Proc) { m.ReleaseAll(1) })
+	eng.Run()
+	for name, want := range map[string]result{
+		"t2-x7": {ErrTxnEnded, 5 * sim.Millisecond},
+		"t2-x8": {ErrTxnEnded, 5 * sim.Millisecond},
+		"t3-s7": {nil, 9 * sim.Millisecond},
+	} {
+		if r := got[name]; !errors.Is(r.err, want.err) || r.at != want.at || (want.err == nil) != (r.err == nil) {
+			t.Errorf("%s: %v at %v, want %v at %v", name, r.err, r.at, want.err, want.at)
+		}
+	}
+	if _, held := m.Holds(8, 2); held {
+		t.Error("txn 2 still holds key 8 after it ended")
+	}
+	if mode, held := m.Holds(7, 3); !held || mode != Shared {
+		t.Errorf("txn 3 holds key 7: %v %v, want Shared", mode, held)
+	}
+	m.ReleaseAll(3)
+	if m.LockedKeys() != 0 {
+		t.Errorf("LockedKeys = %d after every transaction ended", m.LockedKeys())
+	}
+	l := reg.Locks
+	if l.Enters.Value() != 3 || l.Exits.Value() != 3 || l.Timeouts.Value() != 0 || l.Queued.Value() != 0 {
+		t.Errorf("queue enters %d, exits %d, timeouts %d, queued %d; want 3, 3, 0, 0",
+			l.Enters.Value(), l.Exits.Value(), l.Timeouts.Value(), l.Queued.Value())
+	}
+	if errs := reg.CheckConservation(); len(errs) != 0 {
+		t.Errorf("conservation: %v", errs)
 	}
 }
 

@@ -445,6 +445,17 @@ func (l *LockSpans) OnTimeout() {
 	l.Queued.Dec()
 }
 
+// OnWithdrawn records a queued request withdrawn because its transaction
+// ended first: it leaves the queue as an exit, with no wait sample, since it
+// was never granted. Nil-safe.
+func (l *LockSpans) OnWithdrawn() {
+	if l == nil {
+		return
+	}
+	l.Exits.Inc()
+	l.Queued.Dec()
+}
+
 // DP2Spans instruments the database writers: insert completion (apply +
 // audit generation + backup checkpoint), the checkpoint call itself, and
 // audit pushes to the log writer.

@@ -45,6 +45,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	ls.OnEnter()
 	ls.OnGranted(1)
 	ls.OnTimeout()
+	ls.OnWithdrawn()
 	var as *ADPSpans
 	as.OnWaiterIn()
 	as.OnWaiterFlushed(1)
@@ -167,6 +168,11 @@ func TestConservationLawsDetectViolations(t *testing.T) {
 		t.Fatalf("queued waiter flagged (occupancy term must absorb it): %v", errs)
 	}
 	r2.Locks.OnGranted(10)
+	r2.Locks.OnEnter()
+	r2.Locks.OnWithdrawn() // its transaction ended: an exit, no wait sample
+	if errs := r2.CheckConservation(); len(errs) != 0 || r2.Locks.Exits.Value() != 2 || r2.Locks.Wait.Count() != 1 {
+		t.Fatalf("a withdrawal: exits %d, waits %d, %v; want 2 exits, 1 wait, balanced", r2.Locks.Exits.Value(), r2.Locks.Wait.Count(), errs)
+	}
 	r2.Locks.Timeouts.Inc() // timeout without its queue decrement: broken
 	if errs := r2.CheckConservation(); len(errs) == 0 {
 		t.Fatal("spurious timeout not flagged")
